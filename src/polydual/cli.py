@@ -51,6 +51,17 @@ def _load_metric(path):
     raise ParseError(f"{path}: expected a metric document, found {doc['kind']}")
 
 
+def _fuchsian_payload(out) -> dict:
+    """The dual_output payload of a genus-2 dual metric."""
+    return {
+        "metric": serialize.encode_cone_metric(out.metric),
+        "marking": [int(x) for x in out.marking],
+        "edge_provenance": [{"kind": "fuchsian"}] * out.metric.surface.n_edges,
+        "core_distance": out.core_distance,
+        "face_areas": [float(a) for a in out.face_areas],
+    }
+
+
 def cmd_gen(args):
     rng = np.random.RandomState(args.seed)
     if args.shape == "tetrahedron":
@@ -107,15 +118,8 @@ def cmd_dualize(args):
     if args.fuchsian is not None:
         data = fuchsian_octagon_group()
         out = fuchsian_dualize(data, args.fuchsian)
-        payload = {
-            "metric": serialize.encode_cone_metric(out.metric),
-            "marking": [int(x) for x in out.marking],
-            "edge_provenance": [{"kind": "fuchsian"}] * out.metric.surface.n_edges,
-            "core_distance": out.core_distance,
-            "face_areas": [float(a) for a in out.face_areas],
-        }
         doc = serialize.envelope(
-            "dual_output", payload,
+            "dual_output", _fuchsian_payload(out),
             _provenance(args, "dualize", fuchsian=args.fuchsian))
         serialize.write_document(args.out, doc)
         print(f"genus-2 dual metric: {out.metric.surface.n_vertices} vertices, "
@@ -218,14 +222,7 @@ def cmd_fuchsian_demo(args):
               f"= 2*pi + face area {area:.9f} "
               f"(residual {m.cone_angles()[c] - 2 * np.pi - area:+.2e})")
     if args.out:
-        payload = {
-            "metric": serialize.encode_cone_metric(m),
-            "marking": [int(x) for x in out.marking],
-            "edge_provenance": [{"kind": "fuchsian"}] * m.surface.n_edges,
-            "core_distance": out.core_distance,
-            "face_areas": [float(a) for a in out.face_areas],
-        }
-        doc = serialize.envelope("dual_output", payload,
+        doc = serialize.envelope("dual_output", _fuchsian_payload(out),
                                  _provenance(args, "fuchsian-demo",
                                              height=args.height))
         serialize.write_document(args.out, doc)
@@ -272,7 +269,6 @@ def build_parser():
     r = sub.add_parser("realize", help="recover a polyhedron from a dual metric")
     r.add_argument("target")
     r.add_argument("--start", default=None)
-    r.add_argument("--auto", action="store_true")
     r.add_argument("--steps", type=int, default=10)
     r.add_argument("--tol", type=float, default=1e-10)
     r.add_argument("--depth", type=int, default=6,

@@ -5,10 +5,6 @@ class GeometryError(Exception):
     """Base class for numeric-geometry failures."""
 
 
-class ZeroVector(GeometryError):
-    pass
-
-
 class NotSpacelikeSeparated(GeometryError):
     """Two de Sitter points are not joined by a spacelike geodesic shorter than pi."""
 

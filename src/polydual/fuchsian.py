@@ -16,16 +16,9 @@ import numpy as np
 from scipy.spatial import ConvexHull
 
 from .errors import InvalidPolyhedron, OrbitBoundTooSmall
-from .minkowski import (
-    DSPoint,
-    HPoint,
-    Isometry,
-    J,
-    clamped,
-    minkowski_inner,
-)
-from .surface import SPHERICAL, HYPERBOLIC, CombSurface, ConeMetric
-from .polyhedra import SphericalPolygon
+from .minkowski import DSPoint, Isometry, J, clamped, corner_angle
+from .polyhedra import SphericalPolygon, order_face_cycle
+from .surface import SPHERICAL, CombSurface, ConeMetric, fan_triangulation, sphere_angle
 
 OCTAGON_HALF_WIDTH = float(np.arccosh(1.0 / np.tan(np.pi / 8)))
 OCTAGON_CIRCUMRADIUS = float(np.arccosh(1.0 / np.tan(np.pi / 8) ** 2))
@@ -92,52 +85,6 @@ def fuchsian_octagon_group() -> FuchsianData:
     return data
 
 
-def genus2_octagon_metric() -> ConeMetric:
-    """Hyperbolic cone-metric of the closed genus-2 surface, as the fan of the
-    regular octagon with opposite sides identified (one vertex, nine edges)."""
-    data = fuchsian_octagon_group()
-    verts = [HPoint(v) for v in _octagon_vertices_h2()]
-    tris = [(0, 0, 0)] * 6
-    # fan triangles (c0, cj, cj+1); boundary side j=(cj, cj+1) sits at:
-    # j=0 -> tri 0 slot 0; j=7 -> tri 5 slot 2; else tri j-1 slot 1
-    def side_he(j):
-        if j == 0:
-            return 0
-        if j == 7:
-            return 3 * 5 + 2
-        return 3 * (j - 1) + 1
-
-    gluing = {}
-    for j in range(1, 6):  # fan diagonals between consecutive triangles
-        gluing[3 * (j - 1) + 2] = 3 * j
-        gluing[3 * j] = 3 * (j - 1) + 2
-    for j in range(4):
-        a, b = side_he(j), side_he(j + 4)
-        gluing[a] = b
-        gluing[b] = a
-    surf = CombSurface(1, tris, gluing)
-
-    from .minkowski import h_distance
-
-    lengths = np.empty(surf.n_edges)
-    words = {}
-    for e, (ha, _) in enumerate(surf.edge_halfedges):
-        t, k = divmod(ha, 3)
-        j = None
-        for cand in range(8):
-            if side_he(cand) == ha:
-                j = cand
-                break
-        if j is None:
-            # fan diagonal (0, cj): triangle t has corners (0, t+1, t+2)
-            lengths[e] = h_distance(verts[0], verts[t + 2])
-            words[e] = np.eye(4)
-        else:
-            lengths[e] = h_distance(verts[j], verts[(j + 1) % 8])
-            words[e] = data.generators[(j + 1) % 8].m
-    return ConeMetric(surf, HYPERBOLIC, lengths, deck_words=words)
-
-
 # -- the apex-orbit hull and its dual metric ------------------------------------
 
 
@@ -188,33 +135,6 @@ class ApexStar:
     angles: np.ndarray
 
 
-def _corner_angle(at: np.ndarray, pred: np.ndarray, succ: np.ndarray) -> float:
-    def tangent(q):
-        t = q + minkowski_inner(at, q) * at
-        return t / np.sqrt(minkowski_inner(t, t))
-
-    t1, t2 = tangent(pred), tangent(succ)
-    return float(np.arccos(clamped(minkowski_inner(t1, t2), -1.0, 1.0, 1e-9)))
-
-
-def _face_cycle(points, members, normal):
-    """Member cycle of a hull face, ccw about the outward Klein normal."""
-    klein = points[list(members)][:, 1:] / points[list(members)][:, [0]]
-    n_sp = normal[1:]
-    e1 = np.zeros(3)
-    e1[np.argmin(np.abs(n_sp))] = 1.0
-    e1 = np.cross(n_sp, e1)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(n_sp, e1)
-    e2 /= np.linalg.norm(e2)
-    if np.linalg.det(np.stack([e1, e2, n_sp / np.linalg.norm(n_sp)])) < 0:
-        e2 = -e2
-    center = klein.mean(axis=0)
-    ang = np.arctan2((klein - center) @ e2, (klein - center) @ e1)
-    order = np.argsort(ang)
-    return [members[i] for i in order]
-
-
 def _apex_star(data: FuchsianData, points: np.ndarray) -> ApexStar:
     klein = points[:, 1:] / points[:, [0]]
     hull = ConvexHull(klein)
@@ -238,7 +158,8 @@ def _apex_star(data: FuchsianData, points: np.ndarray) -> ApexStar:
             if np.min(off) < 0:
                 raise InvalidPolyhedron("apex face plane does not support the orbit")
             n = -n
-        cycle = _face_cycle(points, list(members), n)
+        rows = points[list(members)]
+        cycle = order_face_cycle(n[1:], rows[:, 1:] / rows[:, [0]], list(members))
         faces.append({"normal": n, "members": members, "cycle": cycle})
 
     # cyclic order around the apex: follow, inside each face cycle, the
@@ -272,8 +193,8 @@ def _apex_star(data: FuchsianData, points: np.ndarray) -> ApexStar:
     for i, idx in enumerate(order):
         cyc = faces[idx]["cycle"]
         i0 = cyc.index(0)
-        sides.append(_corner_angle(points[0], points[cyc[i0 - 1]],
-                                   points[cyc[(i0 + 1) % len(cyc)]]))
+        sides.append(corner_angle(points[0], points[cyc[i0 - 1]],
+                                  points[cyc[(i0 + 1) % len(cyc)]]))
         n1 = faces[idx]["normal"]
         n2 = faces[order[(i + 1) % len(order)]]["normal"]
         x = clamped(float(n1 @ J @ n2), -1.0, 1.0, 1e-9)
@@ -379,35 +300,29 @@ def fuchsian_dualize(data: FuchsianData, h: float,
         raise InvalidPolyhedron(
             f"dual polygon fails to close (residual {resid:.2e})")
 
-    def side_he(j):
-        if j == 0:
-            return 0
-        if j == m - 1:
-            return 3 * (m - 3) + 2
-        return 3 * (j - 1) + 1
-
-    tris = [(class_of[0], class_of[j], class_of[j + 1]) for j in range(1, m - 1)]
+    fan, sides, diagonals = fan_triangulation(m)
+    tris = [tuple(class_of[c] for c in tri) for tri in fan]
     gluing = {}
-    for j in range(1, m - 2):
-        gluing[3 * (j - 1) + 2] = 3 * j
-        gluing[3 * j] = 3 * (j - 1) + 2
+    for he_a, he_b in diagonals:
+        gluing[he_a] = he_b
+        gluing[he_b] = he_a
     for i in range(m):
-        a, b = side_he(i), side_he(sigma[i])
+        a, b = sides[i], sides[sigma[i]]
         gluing[a] = b
         gluing[b] = a
     surf = CombSurface(n_vertices, tris, gluing)
 
+    side_of = {he: j for j, he in enumerate(sides)}
+    diagonal_to = {he_a: j for j, (he_a, _) in enumerate(diagonals, start=2)}
     lengths = np.empty(surf.n_edges)
     words = {}
     for e, (ha, _) in enumerate(surf.edge_halfedges):
-        j = next((cand for cand in range(m) if side_he(cand) == ha), None)
-        if j is None:
-            t = ha // 3
-            lengths[e] = _sphere_angle(corners[0], corners[t + 2])
-            words[e] = np.eye(4)
+        if ha in side_of:
+            lengths[e] = np.pi - star.angles[side_of[ha]]
+            words[e] = gammas[side_of[ha]]
         else:
-            lengths[e] = np.pi - star.angles[j]
-            words[e] = gammas[j]
+            lengths[e] = sphere_angle(corners[0], corners[diagonal_to[ha]])
+            words[e] = np.eye(4)
     metric = ConeMetric(surf, SPHERICAL, lengths, deck_words=words)
 
     core_distance = min(
@@ -421,7 +336,7 @@ def fuchsian_dualize(data: FuchsianData, h: float,
         idx = star.order[c]
         corners_m = _trace_face_polygon(gammas, star.faces[idx]["normal"], apex)
         pts = [mm @ apex for mm in corners_m]
-        angs = [_corner_angle(pts[k], pts[k - 1], pts[(k + 1) % len(pts)])
+        angs = [corner_angle(pts[k], pts[k - 1], pts[(k + 1) % len(pts)])
                 for k in range(len(pts))]
         face_areas.append((len(pts) - 2) * np.pi - float(sum(angs)))
         marking.append(idx)
@@ -467,6 +382,3 @@ def _trace_face_polygon(gammas, normal, apex, max_corners: int = 64):
         cur = nxt
     raise InvalidPolyhedron("face boundary walk failed to close")
 
-
-def _sphere_angle(u, w):
-    return float(np.arctan2(np.linalg.norm(np.cross(u, w)), float(u @ w)))

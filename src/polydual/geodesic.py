@@ -1,11 +1,9 @@
-"""Geodesic tracing on cone-metrics by isometric development, and a
-depth-bounded search for short closed geodesics.
+"""Depth-bounded search for short closed geodesics of spherical cone-metrics.
 
-Triangles are developed into the model surface: the unit sphere in R^3 for
-spherical metrics, the upper hyperboloid of the form diag(-1,1,1) for
-hyperbolic ones. A straight segment of the metric develops onto a single
-model geodesic; the search solves for closed geodesics from the rotation
-holonomy of developed triangle strips.
+Triangles are developed isometrically onto the unit sphere in R^3. A closed
+geodesic crossing a cycle of edges develops onto a single great circle; the
+search solves for it from the rotation holonomy of the developed triangle
+strip.
 """
 from __future__ import annotations
 
@@ -18,18 +16,14 @@ from .errors import InvalidConeMetric
 from .surface import (
     SPHERICAL,
     ConeMetric,
-    _base_pair,
-    _develop_third_point,
-    _he_index,
-    _model_distance,
+    base_pair,
+    develop_third_point,
+    he_index,
+    sphere_angle,
 )
 
 CROSSING_TOL = 1e-9
 IDENTITY_TOL = 1e-8
-
-
-def _form(geometry):
-    return np.eye(3) if geometry == SPHERICAL else np.diag([-1.0, 1.0, 1.0])
 
 
 def _orient(A, B, C):
@@ -43,9 +37,10 @@ def _develop_start(m: ConeMetric, t: int):
     l01 = lengths[surf.edge_of(t, 0)]
     l12 = lengths[surf.edge_of(t, 1)]
     l20 = lengths[surf.edge_of(t, 2)]
-    A, B = _base_pair(l01, m.geometry)
-    C = _develop_third_point(A, B, l20, l12, +1.0, m.geometry)
+    A, B = base_pair(l01)
+    C = develop_third_point(A, B, l20, l12, +1.0)
     return [A, B, C]
+
 
 def _develop_across(m: ConeMetric, X, t: int, k: int):
     """Develop the neighbor across half-edge (t, k), given t's positions X.
@@ -53,14 +48,14 @@ def _develop_across(m: ConeMetric, X, t: int, k: int):
     Returns (t2, X2) with X2 the neighbor's corner positions in the same chart.
     """
     surf = m.surface
-    mate = surf.mate(_he_index(t, k))
+    mate = surf.mate(he_index(t, k))
     t2, k2 = divmod(mate, 3)
     u_pos = X[k]
     w_pos = X[(k + 1) % 3]
     third_u = m.lengths[surf.edge_of(t2, (k2 + 1) % 3)]   # |u, third|
     third_w = m.lengths[surf.edge_of(t2, (k2 + 2) % 3)]   # |third, w|
     side = -np.sign(_orient(u_pos, w_pos, X[(k + 2) % 3]))
-    C = _develop_third_point(u_pos, w_pos, third_u, third_w, side, m.geometry)
+    C = develop_third_point(u_pos, w_pos, third_u, third_w, side)
     X2 = [None, None, None]
     X2[k2] = w_pos
     X2[(k2 + 1) % 3] = u_pos
@@ -68,162 +63,12 @@ def _develop_across(m: ConeMetric, X, t: int, k: int):
     return t2, X2
 
 
-def _point_from_barycentric(X, bary, geometry):
-    g = _form(geometry)
-    p = bary[0] * X[0] + bary[1] * X[1] + bary[2] * X[2]
-    q = p @ g @ p
-    if geometry == SPHERICAL:
-        if q <= 0:
-            raise ValueError("barycentric point degenerates")
-        return p / np.sqrt(q)
-    if q >= 0:
-        raise ValueError("barycentric point leaves the hyperboloid chart")
-    return p / np.sqrt(-q)
-
-
-def _barycentric_of(X, p):
-    lam = np.linalg.solve(np.stack(X, axis=1), p)
-    s = lam.sum()
-    return lam / s if s != 0 else lam
-
-
-def _tangent_toward(p, q, geometry):
-    g = _form(geometry)
-    sgn = 1.0 if geometry == SPHERICAL else -1.0
-    t = q - (p @ g @ q) / (sgn) * p
-    nt = t @ g @ t
-    if nt <= 0:
-        raise ValueError("degenerate tangent")
-    return t / np.sqrt(nt)
-
-
-def _perp_tangent(p, e1, geometry):
-    g = _form(geometry)
-    n = g @ np.cross(p, e1)
-    return n / np.sqrt(n @ g @ n)
-
-
-def _geodesic_point(p, d, s, geometry):
-    if geometry == SPHERICAL:
-        return np.cos(s) * p + np.sin(s) * d
-    return np.cosh(s) * p + np.sinh(s) * d
-
-
-def _edge_crossing_params(p, d, A, B, geometry):
-    """Arc-length candidates where the geodesic (p, d) meets the line AB."""
-    g = _form(geometry)
-    n = g @ np.cross(A, B)
-    alpha = float(p @ g @ n)
-    beta = float(d @ g @ n)
-    if geometry == SPHERICAL:
-        if alpha == 0.0 and beta == 0.0:
-            return []
-        s0 = np.arctan2(-alpha, beta)
-        cands = [s0 + k * np.pi for k in (-1, 0, 1, 2)]
-        return [s for s in cands if CROSSING_TOL < s <= np.pi + CROSSING_TOL]
-    if abs(beta) <= abs(alpha):
-        return []
-    s0 = float(np.arctanh(-alpha / beta))
-    return [s0] if s0 > CROSSING_TOL else []
-
-
-def _inside_segment(q, A, B, geometry):
-    """Where q sits on segment AB: 'interior', 'endpoint', or None."""
-    dab = _model_distance(A, B, geometry)
-    da = _model_distance(A, q, geometry)
-    db = _model_distance(q, B, geometry)
-    if abs(da + db - dab) > 1e-7:
-        return None
-    if da < CROSSING_TOL or db < CROSSING_TOL:
-        return "endpoint"
-    return "interior"
-
-
-@dataclass
-class GeodesicTrace:
-    start_triangle: int
-    start_bary: np.ndarray
-    direction_angle: float
-    crossings: list = field(default_factory=list)
-    length: float = 0.0
-    status: str = "max_length"          # or "cone_point"
-    end_triangle: Optional[int] = None
-    end_bary: Optional[np.ndarray] = None
-    cone_vertex: Optional[int] = None
-    developed_points: list = field(default_factory=list)
-    circle_normal: Optional[np.ndarray] = None
-
-
-def trace_geodesic(m: ConeMetric, start_triangle: int, start_bary,
-                   direction_angle: float, max_length: float,
-                   max_crossings: int = 10000) -> GeodesicTrace:
-    """March a geodesic from a barycentric start point through the triangulation.
-
-    The direction angle is measured at the start point from the tangent
-    pointing toward corner 0 of the start triangle, turning toward corner 1.
-    Stops at max_length, or earlier when a cone point is hit within 1e-9.
-    """
-    bary = np.asarray(start_bary, dtype=float)
-    if bary.shape != (3,) or np.any(bary <= 0) or abs(bary.sum() - 1.0) > 1e-9:
-        raise ValueError("start must be strictly inside the triangle")
-    X = _develop_start(m, start_triangle)
-    p = _point_from_barycentric(X, bary, m.geometry)
-    e1 = _tangent_toward(p, X[0], m.geometry)
-    e2 = _perp_tangent(p, e1, m.geometry)
-    d = np.cos(direction_angle) * e1 + np.sin(direction_angle) * e2
-
-    trace = GeodesicTrace(start_triangle, bary, direction_angle)
-    g = _form(m.geometry)
-    normal = g @ np.cross(p, d)
-    trace.circle_normal = normal / np.linalg.norm(normal)
-
-    t = start_triangle
-    remaining = float(max_length)
-    for _ in range(max_crossings):
-        best = None
-        for k in range(3):
-            A, B = X[k], X[(k + 1) % 3]
-            for s in _edge_crossing_params(p, d, A, B, m.geometry):
-                q = _geodesic_point(p, d, s, m.geometry)
-                spot = _inside_segment(q, A, B, m.geometry)
-                if spot is None:
-                    continue
-                if best is None or s < best[0]:
-                    best = (s, k, q, spot)
-        if best is None:
-            raise InvalidConeMetric(
-                f"geodesic failed to exit triangle {t}; development degenerated")
-        s, k, q, spot = best
-        if s >= remaining:
-            end = _geodesic_point(p, d, remaining, m.geometry)
-            trace.length += remaining
-            trace.status = "max_length"
-            trace.end_triangle = t
-            trace.end_bary = _barycentric_of(X, end)
-            return trace
-        trace.length += s
-        if spot == "endpoint":
-            A, B = X[k], X[(k + 1) % 3]
-            corner = k if _model_distance(A, q, m.geometry) < CROSSING_TOL \
-                else (k + 1) % 3
-            trace.status = "cone_point"
-            trace.cone_vertex = m.surface.triangles[t][corner]
-            trace.end_triangle = t
-            return trace
-        trace.crossings.append(_he_index(t, k))
-        trace.developed_points.append(q)
-        # transport the running point and direction, then enter the neighbor
-        d = _transport_direction(p, d, q, s, m.geometry)
-        p = q
-        remaining -= s
-        t, X = _develop_across(m, X, t, k)
-    raise InvalidConeMetric("crossing budget exhausted; metric too degenerate")
-
-
-def _transport_direction(p, d, q, s, geometry):
-    if geometry == SPHERICAL:
-        return -np.sin(s) * p + np.cos(s) * d
-    return np.sinh(s) * p + np.cosh(s) * d
+def _strictly_inside(q, A, B) -> bool:
+    """Whether q lies on segment AB, away from both endpoints."""
+    da = sphere_angle(A, q)
+    db = sphere_angle(q, B)
+    return (abs(da + db - sphere_angle(A, B)) <= 1e-7
+            and da >= CROSSING_TOL and db >= CROSSING_TOL)
 
 
 # -- closed geodesic search ----------------------------------------------------
@@ -244,7 +89,6 @@ class SearchReport:
     length_cap: float = 0.0
     found_within_cap: bool = False
     n_cycles_checked: int = 0
-    exhausted: bool = True
     geodesics: list = field(default_factory=list)
 
 
@@ -258,7 +102,7 @@ def _closed_walks(m: ConeMetric, depth: int):
             h, walk = stack.pop()
             t, k = divmod(h, 3)
             for off in (1, 2):
-                exit_he = _he_index(t, (k + off) % 3)
+                exit_he = he_index(t, (k + off) % 3)
                 nxt = surf.mate(exit_he)
                 if nxt == h0:
                     yield walk
@@ -324,7 +168,7 @@ def _circle_length_through_strip(n, edges, H):
         if nq < 1e-12:
             return None
         q = q / nq
-        if _inside_segment(q, A, B, SPHERICAL) != "interior":
+        if not _strictly_inside(q, A, B):
             return None
         pts.append(q)
     pts.append(H @ pts[0])
@@ -396,5 +240,4 @@ def closed_geodesic_search(m: ConeMetric, depth: int = 8,
             report.cycle = walk
     report.found_within_cap = (report.min_length is not None
                                and report.min_length <= length_cap)
-    report.exhausted = not report.found_within_cap
     return report

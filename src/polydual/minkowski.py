@@ -11,12 +11,10 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from typing import Optional
 
 import numpy as np
 
-from .errors import DomainExceeded, NotSpacelikeSeparated, ZeroVector
+from .errors import DomainExceeded, NotSpacelikeSeparated
 
 J = np.diag([-1.0, 1.0, 1.0, 1.0])
 
@@ -113,6 +111,19 @@ def h_distance(p: HPoint, q: HPoint) -> float:
     return 2.0 * float(np.arcsinh(np.sqrt(max(c2, 0.0)) / 2.0))
 
 
+def corner_angle(at, pred, succ) -> float:
+    """Angle at the H^3 point `at` between the geodesics toward pred and succ.
+
+    All three are raw 4-vectors on the hyperboloid.
+    """
+    def tangent(q):
+        t = q + minkowski_inner(at, q) * at
+        return t / np.sqrt(minkowski_inner(t, t))
+
+    t1, t2 = tangent(pred), tangent(succ)
+    return float(np.arccos(clamped(float(t1 @ J @ t2), -1.0, 1.0)))
+
+
 def ds_distance(p: DSPoint, q: DSPoint) -> float:
     """Spacelike de Sitter distance in (0, pi).
 
@@ -128,20 +139,6 @@ def ds_distance(p: DSPoint, q: DSPoint) -> float:
         raise NotSpacelikeSeparated(
             f"<p,q> = {minkowski_inner(u, w)} outside (-1, 1)")
     return 2.0 * float(np.arcsin(min(np.sqrt(c2m) / 2.0, 1.0)))
-
-
-def mixed_triangle_b(a: float, c: float) -> float:
-    """Spacelike side b of a Lorentzian right triangle, cos b = cos c * cosh a.
-
-    Leg a is the timelike leg treated as a signed real (the formula is even
-    in a), leg c is spacelike with c in (0, pi) and meets a at a right angle.
-    """
-    if not 0.0 < c < np.pi:
-        raise DomainExceeded(f"spacelike leg c = {c} outside (0, pi)")
-    x = np.cos(c) * np.cosh(a)
-    if not -1.0 < x < 1.0:
-        raise DomainExceeded(f"cos(c)*cosh(a) = {x} outside (-1, 1)")
-    return float(np.arccos(x))
 
 
 def side_of(n: DSPoint, x) -> float:
@@ -205,29 +202,6 @@ def plane_through(p: HPoint, q: HPoint, r: HPoint,
     return out
 
 
-def spherical_project(v) -> np.ndarray:
-    """Central projection of a nonzero 4-vector onto the unit sphere S^3."""
-    w = _as_vec4(v)
-    norm = float(np.linalg.norm(w))
-    if norm == 0.0:
-        raise ZeroVector("cannot project the zero vector")
-    return w / norm
-
-
-class IsometryKind(Enum):
-    identity = "identity"
-    elliptic = "elliptic"
-    parabolic = "parabolic"
-    loxodromic = "loxodromic"
-
-
-@dataclass(frozen=True)
-class IsometryClass:
-    kind: IsometryKind
-    rotation_angle: Optional[float] = None
-    translation_length: Optional[float] = None
-
-
 class Isometry:
     """Orientation- and time-orientation-preserving isometry of H^3 and dS^3."""
 
@@ -283,43 +257,3 @@ class Isometry:
         m[0, 0] = m[i, i] = np.cosh(t)
         m[0, i] = m[i, 0] = np.sinh(t)
         return cls(m)
-
-
-def reflection_matrix(n: DSPoint) -> np.ndarray:
-    """Reflection in the plane with unit normal n (determinant -1, not an Isometry)."""
-    nv = _as_vec4(n)
-    return np.eye(4) - 2.0 * np.outer(nv, J @ nv)
-
-
-def classify_isometry(g: Isometry) -> IsometryClass:
-    """Classify an isometry and extract its rotation angle / translation length.
-
-    Elliptic elements report the geometric rotation angle in (0, pi];
-    loxodromic ones also report the translation length along the axis.
-    Eigenvalue magnitudes alone cannot separate parabolics (whose defective
-    unit eigenvalue splits by roundoff to the third root of machine epsilon),
-    so parabolicity is read off the vanishing of (m - I)^3 instead; the
-    thresholds assume desk-scale inputs away from the classification walls.
-    """
-    m = g.m
-    if np.max(np.abs(m - np.eye(4))) < ISO_TOL:
-        return IsometryClass(IsometryKind.identity)
-    tr = float(np.trace(m))
-    # elliptic: the fixed subspace contains a timelike vector
-    _, s, vt = np.linalg.svd(m - np.eye(4))
-    null = vt[s < 1e-8].T if np.any(s < 1e-8) else np.zeros((4, 0))
-    if null.shape[1] > 0:
-        gram = null.T @ J @ null
-        if np.min(np.linalg.eigvalsh(gram)) < -1e-10:
-            cos_phi = clamped((tr - 2.0) / 2.0, -1.0, 1.0, slack=1e-9)
-            return IsometryClass(IsometryKind.elliptic,
-                                 rotation_angle=float(np.arccos(cos_phi)))
-    n = m - np.eye(4)
-    if np.max(np.abs(n @ n @ n)) < 1e-6 * (1.0 + np.max(np.abs(m))) ** 3:
-        return IsometryClass(IsometryKind.parabolic)
-    lam = float(np.max(np.abs(np.linalg.eigvals(m))))
-    t = float(np.log(lam))
-    cos_phi = clamped((tr - 2.0 * np.cosh(t)) / 2.0, -1.0, 1.0, slack=1e-9)
-    return IsometryClass(IsometryKind.loxodromic,
-                         rotation_angle=float(np.arccos(cos_phi)),
-                         translation_length=t)

@@ -23,10 +23,11 @@ from .minkowski import (
     DSPoint,
     HPoint,
     clamped,
+    corner_angle,
     h_distance,
     minkowski_inner,
 )
-from .surface import SPHERICAL, CombSurface, ConeMetric
+from .surface import SPHERICAL, CombSurface, ConeMetric, fan_triangulation, sphere_angle
 
 COPLANAR_TOL = 1e-10
 BALL_MARGIN = 1e-12
@@ -92,10 +93,6 @@ class ConvexPolyhedronH3:
     def edge_length(self, k: int) -> float:
         v1, v2 = self.edges[k].vertices
         return h_distance(self.vertices[v1], self.vertices[v2])
-
-
-def _klein(p: HPoint) -> np.ndarray:
-    return p.v[1:] / p.v[0]
 
 
 def _lift_klein(y: np.ndarray) -> HPoint:
@@ -210,7 +207,7 @@ def _build_lattice(duals, a, b, y0, hull, essential, discarded, merge_tol):
         idxs = [v for v, members in enumerate(vertex_planes) if orig in members]
         if len(idxs) < 3:
             raise InvalidPolyhedron(f"face {orig} has fewer than three vertices")
-        cycle = _order_face_cycle(a[orig], np.array([vertices_klein[v] for v in idxs]),
+        cycle = order_face_cycle(a[orig], np.array([vertices_klein[v] for v in idxs]),
                                   idxs)
         faces.append(Face(plane=duals[orig], vertex_cycle=cycle))
 
@@ -238,7 +235,7 @@ def _planes_through(a, b, y, tol=COPLANAR_TOL * 10):
     return tuple(int(i) for i in np.where(resid <= tol * scale)[0])
 
 
-def _order_face_cycle(normal, pts, idxs):
+def order_face_cycle(normal, pts, idxs):
     """Vertex cycle of a face, convex and ccw about the outward normal."""
     e1 = np.zeros(3)
     e1[np.argmin(np.abs(normal))] = 1.0
@@ -310,21 +307,12 @@ def dihedral_angle(P: ConvexPolyhedronH3, e: int) -> float:
     return np.pi - float(np.arccos(x))
 
 
-def _tangent(at: HPoint, toward: HPoint) -> np.ndarray:
-    t = toward.v + minkowski_inner(at, toward) * at.v
-    return t / np.sqrt(minkowski_inner(t, t))
-
-
 def face_corner_angle(P: ConvexPolyhedronH3, f: int, v: int) -> float:
     """Interior angle of face f at its vertex v."""
     cyc = P.faces[f].vertex_cycle
     i = cyc.index(v)
-    pred = P.vertices[cyc[i - 1]]
-    succ = P.vertices[cyc[(i + 1) % len(cyc)]]
-    t1 = _tangent(P.vertices[v], pred)
-    t2 = _tangent(P.vertices[v], succ)
-    return float(np.arccos(clamped(float(t1 @ np.diag([-1., 1., 1., 1.]) @ t2),
-                                   -1.0, 1.0)))
+    return corner_angle(P.vertices[v].v, P.vertices[cyc[i - 1]].v,
+                        P.vertices[cyc[(i + 1) % len(cyc)]].v)
 
 
 def face_area(P: ConvexPolyhedronH3, f: int) -> float:
@@ -443,8 +431,7 @@ def dualize(P: ConvexPolyhedronH3) -> DualMetricOutput:
     lowest-index corner with intrinsically developed diagonal lengths.
     """
     triangles = []
-    tri_owner = []
-    side_tag = {}        # (primal edge index, local occurrence) -> half-edge
+    side_tag = {}        # primal edge index -> the half-edges of its dual sides
     gluing = {}
     lengths_by_he = {}
     provenance_by_he = {}
@@ -458,37 +445,21 @@ def dualize(P: ConvexPolyhedronH3) -> DualMetricOutput:
                 f"dual polygon at vertex {v} fails to close (residual {resid:.2e})")
         m = len(link.faces)
         anchor = int(np.argmin(link.faces))
-        base = len(triangles)
         local = [(anchor + j) % m for j in range(m)]
-        for j in range(1, m - 1):
-            tri = (link.faces[local[0]], link.faces[local[j]],
-                   link.faces[local[j + 1]])
-            triangles.append(tri)
-            tri_owner.append(v)
+        fan, sides, diagonals = fan_triangulation(m, base=len(triangles))
+        triangles += [tuple(link.faces[local[c]] for c in tri) for tri in fan]
         # polygon boundary side i joins corners i, i+1 and is dual to the
         # primal edge toward link.edge_vertices[i]
         for i in range(m):
-            # locate the fan triangle and slot carrying side (i, i+1)
-            pos = local.index(i)
-            if pos == 0:
-                t_local, slot = 0, 0
-            elif pos == m - 1:
-                t_local, slot = m - 3, 2
-            else:
-                t_local, slot = pos - 1, 1
-            he = 3 * (base + t_local) + slot
+            he = sides[(i - anchor) % m]
             e_primal = _edge_index(P, v, link.edge_vertices[i])
             side_tag.setdefault(e_primal, []).append(he)
             lengths_by_he[he] = np.pi - link.angles[i]
             provenance_by_he[he] = ("primal", P.edges[e_primal].faces)
-        # fan diagonals glue consecutive fan triangles
-        for j in range(1, m - 2):
-            he_a = 3 * (base + j - 1) + 2        # corner j+1 -> anchor
-            he_b = 3 * (base + j) + 0            # anchor -> corner j+1
+        for j, (he_a, he_b) in enumerate(diagonals, start=2):
             gluing[he_a] = he_b
             gluing[he_b] = he_a
-            d = _sphere_angle(corners[local[0]], corners[local[j + 1]])
-            lengths_by_he[he_a] = d
+            lengths_by_he[he_a] = sphere_angle(corners[local[0]], corners[local[j]])
             provenance_by_he[he_a] = ("fan", v)
 
     for e_primal, hes in side_tag.items():
@@ -508,10 +479,6 @@ def dualize(P: ConvexPolyhedronH3) -> DualMetricOutput:
     metric = ConeMetric(surf, SPHERICAL, lengths)
     return DualMetricOutput(metric=metric, marking=list(range(P.n_faces)),
                             edge_provenance=provenance)
-
-
-def _sphere_angle(u, w):
-    return float(np.arctan2(np.linalg.norm(np.cross(u, w)), float(u @ w)))
 
 
 # -- canned constructions --------------------------------------------------------

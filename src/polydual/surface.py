@@ -1,7 +1,7 @@
 """Triangulated closed oriented surfaces carrying spherical or hyperbolic
 cone-metrics: cone angles, concavity, Gauss-Bonnet bookkeeping, uniform
-length scaling, edge flips, and distortion between metrics on the same
-combinatorics.
+length scaling, fan triangulation of polygons, and the spherical
+development behind edge flips.
 
 Half-edge (t, k) of triangle t runs from corner k to corner (k+1) % 3.
 Half-edges are also addressed by the linear index 3*t + k. An edge is an
@@ -24,7 +24,7 @@ ANG_SLACK = 1e-12
 MIN_TRIANGLE_AREA = 1e-12
 
 
-def _he_index(t: int, k: int) -> int:
+def he_index(t: int, k: int) -> int:
     return 3 * t + k
 
 
@@ -61,7 +61,7 @@ class CombSurface:
         for t, tri in enumerate(self.triangles):
             for k in range(3):
                 key = (tri[k], tri[(k + 1) % 3])
-                directed.setdefault(key, []).append(_he_index(t, k))
+                directed.setdefault(key, []).append(he_index(t, k))
         gluing = {}
         for (u, w), hes in directed.items():
             if len(hes) != 1:
@@ -103,7 +103,7 @@ class CombSurface:
         while stack:
             t = stack.pop()
             for k in range(3):
-                t2 = self.gluing[_he_index(t, k)] // 3
+                t2 = self.gluing[he_index(t, k)] // 3
                 if t2 not in seen:
                     seen.add(t2)
                     stack.append(t2)
@@ -143,7 +143,7 @@ class CombSurface:
         return self.halfedge_endpoints(self.edge_halfedges[e][0])
 
     def edge_of(self, t: int, k: int) -> int:
-        return self.halfedge_edge[_he_index(t, k)]
+        return self.halfedge_edge[he_index(t, k)]
 
     def triangle_edge_lengths(self, t: int, lengths: np.ndarray) -> np.ndarray:
         """Side lengths (a, b, c) opposite corners 0, 1, 2 of triangle t."""
@@ -301,14 +301,22 @@ def scale(m: ConeMetric, lam: float) -> ConeMetric:
     return ConeMetric(m.surface, m.geometry, new_lengths, deck_words=m.deck_words)
 
 
-def distortion_bound(m1: ConeMetric, m2: ConeMetric) -> float:
-    """Max over edges of |ln(l2/l1)|, bounding the identity map's distortion
-    on the edge graph. Requires identical combinatorics."""
-    if m1.surface is not m2.surface and (
-            m1.surface.triangles != m2.surface.triangles
-            or m1.surface.gluing != m2.surface.gluing):
-        raise InvalidSurface("metrics live on different combinatorics")
-    return float(np.max(np.abs(np.log(m2.lengths / m1.lengths))))
+def fan_triangulation(m: int, base: int = 0) -> tuple:
+    """Fan of an m-gon from its corner 0, as triangles base, ..., base + m - 3.
+
+    Triangle base + j - 1 has the polygon corners (0, j, j + 1). Returns
+    (corners, sides, diagonals): corners lists those corner triples; sides[j]
+    is the half-edge carrying the polygon side from corner j to corner j + 1;
+    diagonals[j - 2] is the glued pair (j -> 0, 0 -> j) of half-edges of the
+    diagonal to corner j, the first one lying in the earlier triangle.
+    """
+    corners = [(0, j, j + 1) for j in range(1, m - 1)]
+    sides = ([he_index(base, 0)]
+             + [he_index(base + j - 1, 1) for j in range(1, m - 1)]
+             + [he_index(base + m - 3, 2)])
+    diagonals = [(he_index(base + j - 2, 2), he_index(base + j - 1, 0))
+                 for j in range(2, m - 1)]
+    return corners, sides, diagonals
 
 
 # -- canned builders ----------------------------------------------------------
@@ -333,66 +341,41 @@ def double_triangle(a: float, b: float, c: float, geometry: str) -> ConeMetric:
     return ConeMetric(surf, geometry, lengths)
 
 
-# -- edge flip ----------------------------------------------------------------
+# -- spherical development and edge flip --------------------------------------
 
 
-def _develop_third_point(A, B, dist_a, dist_b, sign: float, geometry: str):
-    """Place C with |AC| = dist_a, |BC| = dist_b, on the side of AB given by sign.
+def sphere_angle(u, w) -> float:
+    """Angle between two vectors of R^3; the distance of unit ones on S^2."""
+    return float(np.arctan2(np.linalg.norm(np.cross(u, w)), float(u @ w)))
 
-    Works in the 3-dim model space: unit sphere in R^3 for spherical metrics,
-    upper hyperboloid in R^{2,1} (form diag(-1,1,1)) for hyperbolic ones.
-    """
-    if geometry == SPHERICAL:
-        g = np.eye(3)
-        cos_like = np.cos
-        sign_q = 1.0
-    else:
-        g = np.diag([-1.0, 1.0, 1.0])
-        cos_like = np.cosh
-        sign_q = -1.0
-    gram = np.array([[A @ g @ A, A @ g @ B], [B @ g @ A, B @ g @ B]])
-    rhs = np.array([sign_q * cos_like(dist_a), sign_q * cos_like(dist_b)])
+
+def base_pair(length: float):
+    """Two unit vectors of R^3 at sphere distance length, in the x-y plane."""
+    return np.array([1.0, 0.0, 0.0]), np.array([np.cos(length), np.sin(length), 0.0])
+
+
+def develop_third_point(A, B, dist_a, dist_b, sign: float):
+    """Place C on the unit sphere with |AC| = dist_a, |BC| = dist_b, on the
+    side of the great circle AB given by sign."""
+    gram = np.array([[A @ A, A @ B], [B @ A, B @ B]])
+    rhs = np.array([np.cos(dist_a), np.cos(dist_b)])
     xy = np.linalg.solve(gram, rhs)
     planar = xy[0] * A + xy[1] * B
-    z2 = sign_q - planar @ g @ planar
+    z2 = 1.0 - planar @ planar
     if z2 <= 0:
         raise FlipBlocked("development degenerates (points nearly collinear)")
-    normal = g @ np.cross(A, B)  # orthogonal to span(A, B) in the form g
-    normal = normal / np.sqrt(abs(normal @ g @ normal))
+    normal = np.cross(A, B)
+    normal = normal / np.sqrt(normal @ normal)
     return planar + sign * np.sqrt(z2) * normal
 
 
-def _base_pair(length: float, geometry: str):
-    if geometry == SPHERICAL:
-        A = np.array([1.0, 0.0, 0.0])
-        B = np.array([np.cos(length), np.sin(length), 0.0])
-    else:
-        A = np.array([1.0, 0.0, 0.0])
-        B = np.array([np.cosh(length), np.sinh(length), 0.0])
-    return A, B
-
-
-def _model_distance(P, Q, geometry: str) -> float:
-    if geometry == SPHERICAL:
-        return float(np.arctan2(np.linalg.norm(np.cross(P, Q)), P @ Q))
-    g = np.diag([-1.0, 1.0, 1.0])
-    x = max(1.0, -(P @ g @ Q))
-    return float(np.arccosh(x))
-
-
-def _model_angle(P, Q, R, geometry: str) -> float:
-    """Interior angle at P between geodesics toward Q and R."""
-    if geometry == SPHERICAL:
-        g = np.eye(3)
-        tq = Q - (P @ g @ Q) * P
-        tr = R - (P @ g @ R) * P
-    else:
-        g = np.diag([-1.0, 1.0, 1.0])
-        tq = Q + (P @ g @ Q) * P  # note <P,P> = -1
-        tr = R + (P @ g @ R) * P
-    tq = tq / np.sqrt(tq @ g @ tq)
-    tr = tr / np.sqrt(tr @ g @ tr)
-    return float(np.arccos(np.clip(tq @ g @ tr, -1.0, 1.0)))
+def _sphere_corner(P, Q, R) -> float:
+    """Interior angle at P between the great circles toward Q and R."""
+    tq = Q - (P @ Q) * P
+    tr = R - (P @ R) * P
+    tq = tq / np.sqrt(tq @ tq)
+    tr = tr / np.sqrt(tr @ tr)
+    return float(np.arccos(np.clip(tq @ tr, -1.0, 1.0)))
 
 
 def flip_edge(m: ConeMetric, e: int) -> tuple:
@@ -400,8 +383,10 @@ def flip_edge(m: ConeMetric, e: int) -> tuple:
 
     Returns (new_metric, new_edge_index). Raises FlipBlocked when the
     quadrilateral is not convex at the shared edge's endpoints, or when the
-    new diagonal would reach length pi in a spherical metric.
+    new diagonal would reach length pi.
     """
+    if m.geometry != SPHERICAL:
+        raise InvalidConeMetric("edge flips expect a spherical metric")
     surf = m.surface
     h1, h2 = surf.edge_halfedges[e]
     t1, k1 = divmod(h1, 3)
@@ -423,17 +408,17 @@ def flip_edge(m: ConeMetric, e: int) -> tuple:
     len_AD = m.lengths[surf.edge_of(t2, (k2 + 1) % 3)]
     len_DB = m.lengths[surf.edge_of(t2, (k2 + 2) % 3)]
 
-    A, B = _base_pair(len_AB, m.geometry)
-    C = _develop_third_point(A, B, len_CA, len_BC, +1.0, m.geometry)
-    D = _develop_third_point(A, B, len_AD, len_DB, -1.0, m.geometry)
+    A, B = base_pair(len_AB)
+    C = develop_third_point(A, B, len_CA, len_BC, +1.0)
+    D = develop_third_point(A, B, len_AD, len_DB, -1.0)
 
     # convexity of the quadrilateral C-A-D-B at the old diagonal's endpoints
-    ang_A = _model_angle(A, C, B, m.geometry) + _model_angle(A, B, D, m.geometry)
-    ang_B = _model_angle(B, C, A, m.geometry) + _model_angle(B, A, D, m.geometry)
+    ang_A = _sphere_corner(A, C, B) + _sphere_corner(A, B, D)
+    ang_B = _sphere_corner(B, C, A) + _sphere_corner(B, A, D)
     if ang_A >= np.pi - 1e-10 or ang_B >= np.pi - 1e-10:
         raise FlipBlocked("developed quadrilateral is not convex at the diagonal")
-    new_len = _model_distance(C, D, m.geometry)
-    if m.geometry == SPHERICAL and new_len >= np.pi - 1e-12:
+    new_len = sphere_angle(C, D)
+    if new_len >= np.pi - 1e-12:
         raise FlipBlocked("new diagonal would reach length pi")
     if new_len <= 0:
         raise FlipBlocked("new diagonal degenerates")
@@ -447,12 +432,12 @@ def flip_edge(m: ConeMetric, e: int) -> tuple:
     # boundary sides, old half-edge -> new half-edge carrying the same
     # geometric edge (True marks sides that belonged to t2's old chart)
     bmap = {
-        _he_index(t2, (k2 + 1) % 3): _he_index(t1, 0),  # A->D
-        _he_index(t1, (k1 + 2) % 3): _he_index(t1, 2),  # C->A
-        _he_index(t2, (k2 + 2) % 3): _he_index(t2, 0),  # D->B
-        _he_index(t1, (k1 + 1) % 3): _he_index(t2, 1),  # B->C
+        he_index(t2, (k2 + 1) % 3): he_index(t1, 0),  # A->D
+        he_index(t1, (k1 + 2) % 3): he_index(t1, 2),  # C->A
+        he_index(t2, (k2 + 2) % 3): he_index(t2, 0),  # D->B
+        he_index(t1, (k1 + 1) % 3): he_index(t2, 1),  # B->C
     }
-    from_t2_chart = {_he_index(t1, 0), _he_index(t2, 0)}
+    from_t2_chart = {he_index(t1, 0), he_index(t2, 0)}
 
     new_gluing = {}
     for h, mate in surf.gluing.items():
@@ -464,8 +449,8 @@ def flip_edge(m: ConeMetric, e: int) -> tuple:
         mate_new = bmap.get(mate, mate)
         new_gluing[hb_new] = mate_new
         new_gluing[mate_new] = hb_new
-    new_gluing[_he_index(t1, 1)] = _he_index(t2, 2)  # D->C with C->D
-    new_gluing[_he_index(t2, 2)] = _he_index(t1, 1)
+    new_gluing[he_index(t1, 1)] = he_index(t2, 2)  # D->C with C->D
+    new_gluing[he_index(t2, 2)] = he_index(t1, 1)
 
     new_surf = CombSurface(surf.n_vertices, new_tris, new_gluing)
 
@@ -487,7 +472,7 @@ def flip_edge(m: ConeMetric, e: int) -> tuple:
 
     new_lengths = np.empty(new_surf.n_edges)
     new_words = {} if m.deck_words is not None else None
-    diag_edge = new_surf.halfedge_edge[_he_index(t1, 1)]
+    diag_edge = new_surf.halfedge_edge[he_index(t1, 1)]
     for enew, (a, b) in enumerate(new_surf.edge_halfedges):
         if enew == diag_edge:
             new_lengths[enew] = new_len

@@ -92,11 +92,16 @@ class TestCommands:
         assert main(["check", str(out), "--depth", "4"]) == 0
 
     def test_determinism(self, tmp_path):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        for path in (a, b):
-            assert main(["gen", "random", "--n", "6", "--seed", "5",
-                         "--out", str(path)]) == 0
-        assert a.read_bytes() == b.read_bytes()
+        bipyramid = tmp_path / "bi.json"
+        assert main(["gen", "bipyramid", "--out", str(bipyramid)]) == 0
+        commands = [["gen", "random", "--n", "6", "--seed", "5"],
+                    ["dualize", str(bipyramid)],
+                    ["dualize", "--fuchsian", "1.0"]]
+        for i, argv in enumerate(commands):
+            a, b = tmp_path / f"a{i}.json", tmp_path / f"b{i}.json"
+            for path in (a, b):
+                assert main(argv + ["--out", str(path)]) == 0
+            assert a.read_bytes() == b.read_bytes()
 
     def test_realize_roundtrip_fixture(self, tetra_files, tmp_path):
         poly_path, dual_path = tetra_files
@@ -110,7 +115,7 @@ class TestCommands:
     def test_realize_auto(self, tetra_files, tmp_path):
         _, dual_path = tetra_files
         report = tmp_path / "report.json"
-        assert main(["realize", str(dual_path), "--auto", "--steps", "6",
+        assert main(["realize", str(dual_path), "--steps", "6",
                      "--out", str(report)]) == 0
 
     def test_realize_rejects_small_metric(self, tmp_path):
@@ -120,7 +125,7 @@ class TestCommands:
         path = tmp_path / "octa.json"
         serialize.write_document(str(path), doc)
         out = tmp_path / "r.json"
-        assert main(["realize", str(path), "--auto", "--out", str(out)]) == 2
+        assert main(["realize", str(path), "--out", str(out)]) == 2
 
     def test_roundtrip_command(self, tetra_files):
         poly_path, _ = tetra_files

@@ -6,10 +6,9 @@ from polydual.fuchsian import (
     TRANSLATION_LENGTH,
     fuchsian_dualize,
     fuchsian_octagon_group,
-    genus2_octagon_metric,
 )
 from polydual.geodesic import closed_geodesic_search
-from polydual.minkowski import IsometryKind, classify_isometry
+from polydual.minkowski import HPoint, h_distance
 from polydual.surface import gauss_bonnet_residual, is_concave
 
 
@@ -29,34 +28,19 @@ class TestGroup:
             assert np.max(np.abs(g.m @ plane.v - plane.v)) < 1e-12
 
     def test_translation_lengths_equal(self, group):
+        # a translation by L without rotation has trace 2 + 2 cosh L, and
+        # moves the octagon centre, which lies on its axis, by exactly L
+        center = HPoint(np.array([1.0, 0.0, 0.0, 0.0]))
         for g in group.generators:
-            cls = classify_isometry(g)
-            assert cls.kind == IsometryKind.loxodromic
-            assert cls.translation_length == pytest.approx(
+            assert np.trace(g.m) == pytest.approx(
+                2.0 + 2.0 * np.cosh(TRANSLATION_LENGTH), abs=1e-9)
+            assert h_distance(center, g.apply(center)) == pytest.approx(
                 TRANSLATION_LENGTH, abs=1e-9)
-            # the angle comes through an arccos near 1, so sqrt(eps) accuracy
-            assert cls.rotation_angle == pytest.approx(0.0, abs=1e-6)
 
     def test_inverse_pairing(self, group):
         for k in range(4):
             prod = group.generators[k].m @ group.generators[k + 4].m
             assert np.max(np.abs(prod - np.eye(4))) < 1e-12
-
-
-class TestOctagonMetric:
-    def test_genus_two_combinatorics(self):
-        m = genus2_octagon_metric()
-        s = m.surface
-        assert s.euler_characteristic == -2
-        assert s.genus == 2
-        assert s.n_edges == 3 * (s.n_vertices + 2)
-
-    def test_gauss_bonnet(self):
-        assert abs(gauss_bonnet_residual(genus2_octagon_metric())) < 1e-9
-
-    def test_smooth_vertex(self):
-        m = genus2_octagon_metric()
-        assert m.cone_angle(0) == pytest.approx(2 * np.pi, abs=1e-9)
 
 
 @pytest.fixture(scope="module")

@@ -1,22 +1,17 @@
 import numpy as np
 import pytest
 
-from polydual.errors import DomainExceeded, NotSpacelikeSeparated, ZeroVector
+from polydual.errors import NotSpacelikeSeparated
 from polydual.minkowski import (
     DSPoint,
     HPoint,
     Isometry,
-    IsometryKind,
-    classify_isometry,
     ds_distance,
     h_distance,
     minkowski_inner,
-    mixed_triangle_b,
     plane_basis_points,
     plane_through,
-    reflection_matrix,
     side_of,
-    spherical_project,
 )
 
 RNG = np.random.RandomState(0)
@@ -112,36 +107,6 @@ class TestDsDistance:
             assert ds_distance(n1, n2) == pytest.approx(psi, abs=1e-12)
 
 
-class TestMixedTriangle:
-    def test_degenerate_leg(self):
-        assert mixed_triangle_b(0.0, 1.0) == pytest.approx(1.0, abs=1e-15)
-
-    def test_right_spacelike_leg(self):
-        assert mixed_triangle_b(0.1, np.pi / 2) == pytest.approx(np.pi / 2, abs=1e-15)
-
-    def test_generic_value(self):
-        assert mixed_triangle_b(0.2, 1.0) == pytest.approx(
-            np.arccos(np.cos(1.0) * np.cosh(0.2)), abs=1e-15)
-
-    def test_against_explicit_ds_triangle(self):
-        # right triangle in dS^3: B = (0,1,0,0), timelike leg to C, spacelike to A
-        a, c = 0.2, 1.0
-        b_pt = np.array([0, 1.0, 0, 0])
-        c_pt = np.array([np.sinh(a), np.cosh(a), 0, 0])
-        a_pt = np.array([0, np.cos(c), np.sin(c), 0])
-        expected = np.arccos(minkowski_inner(a_pt, c_pt))
-        assert mixed_triangle_b(a, c) == pytest.approx(expected, abs=1e-14)
-
-    def test_flat_derivative_at_zero(self):
-        h = 1e-4
-        fd = (mixed_triangle_b(h, 1.0) - mixed_triangle_b(-h, 1.0)) / (2 * h)
-        assert abs(fd) < 1e-6
-
-    def test_domain_error(self):
-        with pytest.raises(DomainExceeded):
-            mixed_triangle_b(5.0, 0.1)  # cosh(5)*cos(0.1) >> 1
-
-
 class TestPolarity:
     def test_on_plane(self):
         n = DSPoint(np.array([0, 0, 0, 1.0]))
@@ -174,76 +139,6 @@ class TestPolarity:
             hint = g.apply(HPoint.from_vector(pts[0].v + 0.5 * n.v))
             n_moved = plane_through(*moved, positive_side_hint=hint)
             assert np.max(np.abs(n_moved.v - g.apply(n).v)) < 1e-10
-
-
-class TestSphericalProject:
-    def test_scaling(self):
-        assert np.allclose(spherical_project((2, 0, 0, 0)), (1, 0, 0, 0))
-
-    def test_direction_kept(self):
-        v = np.array([np.cosh(1), np.sinh(1), 0, 0])
-        p = spherical_project(v)
-        assert np.allclose(p, v / np.linalg.norm(v))
-
-    def test_zero_raises(self):
-        with pytest.raises(ZeroVector):
-            spherical_project((0, 0, 0, 0))
-
-    def test_geodesic_maps_to_great_circle(self):
-        # sample a geodesic through two HPoints; projections stay in the span
-        p = HPoint(np.array([1.0, 0, 0, 0]))
-        q = random_hpoint(np.random.RandomState(5))
-        t = (q.v + minkowski_inner(p, q) * p.v)
-        t = t / np.sqrt(minkowski_inner(t, t))
-        samples = [np.cosh(s) * p.v + np.sinh(s) * t for s in np.linspace(-1, 2, 9)]
-        projected = np.array([spherical_project(s) for s in samples])
-        # coplanarity with the origin: rank of the projected set is 2
-        _, sv, _ = np.linalg.svd(projected)
-        assert sv[2] < 1e-10
-
-
-class TestClassify:
-    def test_identity(self):
-        assert classify_isometry(Isometry.identity()).kind == IsometryKind.identity
-
-    def test_rotation(self):
-        g = Isometry.rotation(2, 3, np.pi / 3)
-        cls = classify_isometry(g)
-        assert cls.kind == IsometryKind.elliptic
-        assert cls.rotation_angle == pytest.approx(np.pi / 3, abs=1e-12)
-
-    def test_pure_translation(self):
-        g = Isometry.boost(1, 2.0)
-        cls = classify_isometry(g)
-        assert cls.kind == IsometryKind.loxodromic
-        assert cls.translation_length == pytest.approx(2.0, abs=1e-12)
-        assert cls.rotation_angle == pytest.approx(0.0, abs=1e-7)
-
-    def test_two_reflections_make_rotation(self):
-        # planes through a common geodesic at dihedral angle theta compose to
-        # a rotation by 2*theta
-        theta = 0.7
-        n1 = DSPoint(np.array([0, 0, 1.0, 0]))
-        n2 = DSPoint(np.array([0, 0, np.cos(theta), np.sin(theta)]))
-        g = Isometry(reflection_matrix(n2) @ reflection_matrix(n1))
-        cls = classify_isometry(g)
-        assert cls.kind == IsometryKind.elliptic
-        assert cls.rotation_angle == pytest.approx(2 * theta, abs=1e-9)
-
-    def test_screw_motion(self):
-        g = Isometry.boost(1, 1.5) @ Isometry.rotation(2, 3, 0.4)
-        cls = classify_isometry(g)
-        assert cls.kind == IsometryKind.loxodromic
-        assert cls.translation_length == pytest.approx(1.5, abs=1e-9)
-        assert cls.rotation_angle == pytest.approx(0.4, abs=1e-9)
-
-    def test_parabolic(self):
-        # reflections in a plane and in one tangent to it at infinity compose
-        # to a parabolic element
-        n1 = DSPoint(np.array([0, 0, 0, 1.0]))
-        n2 = DSPoint(np.array([0.8, 0.8, 0, 1.0]))
-        g = Isometry(reflection_matrix(n2) @ reflection_matrix(n1))
-        assert classify_isometry(g).kind == IsometryKind.parabolic
 
 
 class TestIsometry:

@@ -12,7 +12,6 @@ from polydual.surface import (
     SPHERICAL,
     CombSurface,
     ConeMetric,
-    distortion_bound,
     double_triangle,
     flip_edge,
     gauss_bonnet_residual,
@@ -167,8 +166,8 @@ class TestScale:
 
     def test_distortion_of_scaling(self):
         m = double_triangle(0.4, 0.5, 0.6, SPHERICAL)
-        assert distortion_bound(m, scale(m, 0.07)) == pytest.approx(0.07, abs=1e-14)
-        assert distortion_bound(m, m) == 0.0
+        distortion = np.max(np.abs(np.log(scale(m, 0.07).lengths / m.lengths)))
+        assert distortion == pytest.approx(0.07, abs=1e-14)
 
 
 class TestFlip:
@@ -203,6 +202,11 @@ class TestFlip:
         # at the shared edge, so the opposite diagonal is not realizable
         m = octahedron_sphere()
         with pytest.raises(FlipBlocked):
+            flip_edge(m, 0)
+
+    def test_rejects_hyperbolic(self):
+        m = double_triangle(1.0, 1.0, 1.0, HYPERBOLIC)
+        with pytest.raises(InvalidConeMetric):
             flip_edge(m, 0)
 
     def test_flip_shrunken_octahedron_edge(self):
