@@ -24,6 +24,8 @@ from .polyhedra import (
 )
 from .serialize import ParseError
 from .solver import (
+    MATCH_TOL,
+    NEWTON_TOL,
     auto_start,
     continuation,
     match_dihedral_angles,
@@ -34,6 +36,7 @@ from .solver import (
 from .surface import gauss_bonnet_residual, is_concave, scale as scale_metric
 
 PASS, FAIL, INVALID = 0, 1, 2
+GAUSS_BONNET_TOL = 1e-8      # largest accepted |gauss_bonnet_residual|
 
 
 def _provenance(args, command, **params):
@@ -97,7 +100,7 @@ def cmd_check(args):
     gb = gauss_bonnet_residual(metric)
     print(f"gauss-bonnet residual: {gb:+.3e} "
           f"(chi = {metric.surface.euler_characteristic})")
-    if abs(gb) > 1e-8:
+    if abs(gb) > GAUSS_BONNET_TOL:
         failures.append("gauss-bonnet")
     if metric.geometry == "spherical":
         search = closed_geodesic_search(metric, depth=args.depth)
@@ -226,7 +229,8 @@ def cmd_fuchsian_demo(args):
                                  _provenance(args, "fuchsian-demo",
                                              height=args.height))
         serialize.write_document(args.out, doc)
-    bad = abs(gb) > 1e-8 or out.core_distance <= 0 or not rep.concave
+    bad = (abs(gb) > GAUSS_BONNET_TOL or out.core_distance <= 0
+           or not rep.concave)
     return FAIL if bad else PASS
 
 
@@ -270,7 +274,7 @@ def build_parser():
     r.add_argument("target")
     r.add_argument("--start", default=None)
     r.add_argument("--steps", type=int, default=10)
-    r.add_argument("--tol", type=float, default=1e-10)
+    r.add_argument("--tol", type=float, default=NEWTON_TOL)
     r.add_argument("--depth", type=int, default=6,
                    help="largeness search depth for target validation")
     r.add_argument("--seed", type=int, default=0)
@@ -283,8 +287,8 @@ def build_parser():
     t.add_argument("--seed", type=int, default=0)
     t.add_argument("--magnitude", type=float, default=1e-2)
     t.add_argument("--steps", type=int, default=10)
-    t.add_argument("--tol", type=float, default=1e-10)
-    t.add_argument("--match-tol", type=float, default=1e-8)
+    t.add_argument("--tol", type=float, default=NEWTON_TOL)
+    t.add_argument("--match-tol", type=float, default=MATCH_TOL)
     t.set_defaults(func=cmd_roundtrip)
 
     f = sub.add_parser("fuchsian-demo",

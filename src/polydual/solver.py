@@ -7,7 +7,8 @@ Unknowns are the positions of one point per marked dual vertex, moved inside
 itself (Minkowski Gram-Schmidt on directions toward the other points), which
 makes every derived quantity exactly equivariant under global isometries.
 The gauge pins 3+2+1 chart coordinates of three independent points, chosen
-so the pinned directions span the isometry orbit exactly.
+so the pinned directions span the isometry orbit exactly. The Jacobian of
+the chart lengths in the free coordinates is taken in closed form.
 """
 from __future__ import annotations
 
@@ -30,8 +31,8 @@ from .minkowski import J, minkowski_inner
 from .polyhedra import ConvexPolyhedronH3, hull_from_dual_points
 from .surface import SPHERICAL, CombSurface, ConeMetric, is_concave
 
-FD_STEP = 1e-6
 NEWTON_TOL = 1e-10
+MATCH_TOL = 1e-8             # dihedral angle and edge length agreement
 DAMPING_FLOOR = 1e-12
 
 
@@ -173,9 +174,6 @@ class SolverState:
         if surface.n_edges != 3 * n - 6:
             raise SolverError("chart dimension is not 3n - 6; genus-0 required")
 
-    def copy(self):
-        return SolverState(self.positions, self.surface, self.target)
-
     # -- geometry ----------------------------------------------------------------
 
     def current_lengths(self) -> np.ndarray:
@@ -256,19 +254,24 @@ def _check_refinement(poly: ConvexPolyhedronH3, state: SolverState):
                 f"chart edge {sorted(pair)} is not a chord of any dual polygon")
 
 
-def jacobian(state: SolverState, step: float = FD_STEP) -> np.ndarray:
-    """Central finite-difference Jacobian of the residual on the gauged chart."""
+def jacobian(state: SolverState) -> np.ndarray:
+    """Jacobian of the residual in the gauged chart coordinates, in closed form.
+
+    cos l_e = <x_i, x_j>, and a chart move of x_i runs along the columns of
+    F_i D_i (frame times free directions), which are tangent at x_i. Hence
+    dl_e/dxi_i = -<x_j, F_i D_i> / sin l_e, and row e is nonzero only in the
+    free columns of its two endpoints.
+    """
     frames = state.frames()
     gauge = build_gauge(state.positions, frames)
-    nf = gauge.n_free()
-    cols = np.empty((state.surface.n_edges, nf))
-    for k in range(nf):
-        e_k = np.zeros(nf)
-        e_k[k] = step
-        lp = state.moved(e_k, gauge, frames).current_lengths()
-        lm = state.moved(-e_k, gauge, frames).current_lengths()
-        cols[:, k] = (lp - lm) / (2 * step)
-    return cols
+    n = len(state.positions)
+    moves = [frames[i][0] @ gauge.directions[i] for i in range(n)]
+    owner = np.repeat(np.arange(n), [m.shape[1] for m in moves])
+    inner = state.positions @ J @ np.hstack(moves)   # <x_j, column c>
+    i, j = state.edge_pairs.T
+    d_cos = (np.where(owner == i[:, None], inner[j], 0.0)
+             + np.where(owner == j[:, None], inner[i], 0.0))
+    return -d_cos / np.sin(state.current_lengths())[:, None]
 
 
 @dataclass
@@ -516,13 +519,12 @@ def continuation(start: ConvexPolyhedronH3, target: ConeMetric,
         state = solved
         s = s_next
         ds = min(2 * ds, 1.0 / steps)
-        rig = rigidity_report(state)
+        rig = report.final_rigidity = rigidity_report(state)
         report.steps.append(ContinuationStep(
             s=s, residual=float(np.max(np.abs(state.residual()))),
             newton_norm=float(np.linalg.norm(state.residual())),
             smallest_singular_value=rig.smallest_singular_value))
     report.bump = bump
-    report.final_rigidity = rigidity_report(state)
     return state, report
 
 
@@ -654,7 +656,7 @@ def auto_start(target: ConeMetric) -> ConvexPolyhedronH3:
 
 
 def match_dihedral_angles(P: ConvexPolyhedronH3, Q: ConvexPolyhedronH3,
-                          tol: float = 1e-8) -> bool:
+                          tol: float = MATCH_TOL) -> bool:
     """Congruence check through sorted dihedral-angle and edge-length multisets."""
     from .polyhedra import dihedral_angle
 

@@ -92,21 +92,56 @@ class TestState:
             SolverState(pts, surf, np.full(surf.n_edges, 1.0))
 
 
+def fd_jacobian(state, h=1e-6):
+    """Central-difference oracle for jacobian(), one column at a time."""
+    frames, gauge = state.frames(), state.gauge()
+    cols = []
+    for e_k in h * np.eye(gauge.n_free()):
+        cols.append((state.moved(e_k, gauge, frames).current_lengths()
+                     - state.moved(-e_k, gauge, frames).current_lengths())
+                    / (2 * h))
+    return np.stack(cols, axis=1)
+
+
+def off_solution_state():
+    # the target scaled by exp(1e-3) leaves a nonzero residual
+    P = regular_tetrahedron(1.15)
+    metric = dualize(P).metric
+    return SolverState(np.stack([p.v for p in P.planes]), metric.surface,
+                       scale(metric, 1e-3).lengths)
+
+
+JACOBIAN_STATES = {
+    "tetrahedron": lambda: state_of(regular_tetrahedron(1.15)),
+    "hexahedron": lambda: state_of(hexahedron(0.5)),
+    # equatorial vertices have four faces, so the chart has fan diagonals
+    "bipyramid": lambda: state_of(triangular_bipyramid()),
+    "off-solution": off_solution_state,
+}
+
+
 class TestJacobian:
-    def test_fd_consistency(self, tetra):
-        P, out = tetra
-        st = state_of(P, out)
+    @pytest.mark.parametrize("name", JACOBIAN_STATES)
+    def test_fd_consistency(self, name):
+        st = JACOBIAN_STATES[name]()
+        if name == "off-solution":
+            assert np.max(np.abs(st.residual())) > 1e-4
+        Jm, oracle = jacobian(st), fd_jacobian(st)
+        assert Jm.shape == oracle.shape
+        assert np.max(np.abs(Jm - oracle)) <= 1e-6 * np.max(np.abs(oracle))
+
+    @pytest.mark.parametrize("name", JACOBIAN_STATES)
+    def test_rows_touch_only_endpoint_columns(self, name):
+        st = JACOBIAN_STATES[name]()
         Jm = jacobian(st)
-        frames, gauge = st.frames(), st.gauge()
-        rng = np.random.RandomState(0)
-        for _ in range(3):
-            v = rng.randn(Jm.shape[1])
-            v /= np.linalg.norm(v)
-            h = 1e-4
-            dd = (st.moved(h * v, gauge, frames).current_lengths()
-                  - st.moved(-h * v, gauge, frames).current_lengths()) / (2 * h)
-            rel = np.linalg.norm(dd - Jm @ v) / np.linalg.norm(Jm @ v)
-            assert rel < 1e-5
+        gauge = st.gauge()
+        n = len(st.positions)
+        widths = [gauge.directions[i].shape[1] for i in range(n)]
+        owner = np.repeat(np.arange(n), widths)
+        for e, (i, j) in enumerate(st.edge_pairs):
+            outside = (owner != i) & (owner != j)
+            assert not np.any(Jm[e, outside])
+            assert np.count_nonzero(Jm[e]) <= 6
 
     def test_square_after_gauge(self, tetra):
         P, out = tetra
