@@ -1,9 +1,10 @@
 """Depth-bounded search for short closed geodesics of spherical cone-metrics.
 
-Triangles are developed isometrically onto the unit sphere in R^3. A closed
-geodesic crossing a cycle of edges develops onto a single great circle; the
-search solves for it from the rotation holonomy of the developed triangle
-strip.
+Each triangle is developed once, isometrically onto the unit sphere in R^3,
+and each half-edge carries the rotation that glues its neighbour's
+development to its own; a triangle strip develops by composing them. A
+closed geodesic crossing a cycle of edges develops onto a single great
+circle; the search solves for it from the rotation holonomy of the strip.
 """
 from __future__ import annotations
 
@@ -26,41 +27,31 @@ CROSSING_TOL = 1e-9
 IDENTITY_TOL = 1e-8
 
 
-def _orient(A, B, C):
-    return float(np.linalg.det(np.stack([A, B, C])))
-
-
-def _develop_start(m: ConeMetric, t: int):
-    """Model positions for the three corners of triangle t, positively oriented."""
-    surf = m.surface
-    lengths = m.lengths
-    l01 = lengths[surf.edge_of(t, 0)]
-    l12 = lengths[surf.edge_of(t, 1)]
-    l20 = lengths[surf.edge_of(t, 2)]
+def _develop(m: ConeMetric, t: int) -> np.ndarray:
+    """Triangle t developed alone, positively oriented; corners as columns."""
+    l01, l12, l20 = (m.lengths[m.surface.edge_of(t, k)] for k in range(3))
     A, B = base_pair(l01)
-    C = develop_third_point(A, B, l20, l12, +1.0)
-    return [A, B, C]
+    return np.stack([A, B, develop_third_point(A, B, l20, l12, +1.0)], axis=1)
 
 
-def _develop_across(m: ConeMetric, X, t: int, k: int):
-    """Develop the neighbor across half-edge (t, k), given t's positions X.
+def _edge_frame(P, Q) -> np.ndarray:
+    return np.stack([P, Q, np.cross(P, Q)], axis=1)
 
-    Returns (t2, X2) with X2 the neighbor's corner positions in the same chart.
-    """
+
+def _crossings(m: ConeMetric, corners) -> list:
+    """Per half-edge h = (t, k): the rotation R_h carrying the neighbour across
+    h, developed alone, into t's chart (the glued edge's corners onto their
+    images), and the deck word picked up by crossing h."""
     surf = m.surface
-    mate = surf.mate(he_index(t, k))
-    t2, k2 = divmod(mate, 3)
-    u_pos = X[k]
-    w_pos = X[(k + 1) % 3]
-    third_u = m.lengths[surf.edge_of(t2, (k2 + 1) % 3)]   # |u, third|
-    third_w = m.lengths[surf.edge_of(t2, (k2 + 2) % 3)]   # |third, w|
-    side = -np.sign(_orient(u_pos, w_pos, X[(k + 2) % 3]))
-    C = develop_third_point(u_pos, w_pos, third_u, third_w, side)
-    X2 = [None, None, None]
-    X2[k2] = w_pos
-    X2[(k2 + 1) % 3] = u_pos
-    X2[(k2 + 2) % 3] = C
-    return t2, X2
+    out = []
+    for h in range(3 * surf.n_triangles):
+        t, k = divmod(h, 3)
+        t2, k2 = divmod(surf.mate(h), 3)
+        X, X2 = corners[t], corners[t2]
+        R = (_edge_frame(X[:, (k + 1) % 3], X[:, k])
+             @ np.linalg.inv(_edge_frame(X2[:, k2], X2[:, (k2 + 1) % 3])))
+        out.append((R, m.edge_word(h)))
+    return out
 
 
 def _strictly_inside(q, A, B) -> bool:
@@ -111,32 +102,26 @@ def _closed_walks(m: ConeMetric, depth: int):
                     stack.append((nxt, walk + (nxt,)))
 
 
-def _strip_holonomy(m: ConeMetric, walk):
-    """Develop the strip once around; return (holonomy, crossed developed edges,
-    deck word product or None)."""
+def _strip_holonomy(m: ConeMetric, walk, corners, crossings):
+    """Compose the strip once around in the chart of its first triangle;
+    return (holonomy, crossed developed edges, deck word product or None)."""
     surf = m.surface
-    t0 = walk[0] // 3
-    X = _develop_start(m, t0)
-    X0 = np.stack(X, axis=1)
+    M = np.eye(3)
     edges = []
     word = np.eye(4) if m.deck_words is not None else None
-    t, X_cur = t0, X
     for i in range(len(walk)):
-        h_in = walk[i]
-        h_next_in = walk[(i + 1) % len(walk)]
-        exit_he = surf.mate(h_next_in)
-        te, ke = divmod(exit_he, 3)
-        assert te == t
-        edges.append((X_cur[ke], X_cur[(ke + 1) % 3]))
+        exit_he = surf.mate(walk[(i + 1) % len(walk)])
+        assert exit_he // 3 == walk[i] // 3
+        t, ke = divmod(exit_he, 3)
+        X = M @ corners[t]
+        edges.append((X[:, ke], X[:, (ke + 1) % 3]))
+        R, w = crossings[exit_he]
+        M = M @ R
         if word is not None:
-            word = word @ m.edge_word(exit_he)
-        t, X_cur = _develop_across(m, X_cur, t, ke)
-    X1 = np.stack(X_cur, axis=1)
-    H = X1 @ np.linalg.inv(X0)
+            word = word @ w
     # project to the rotation group to control drift
-    u, _, vt = np.linalg.svd(H)
-    H = u @ vt
-    return H, edges, word
+    u, _, vt = np.linalg.svd(M)
+    return u @ vt, edges, word
 
 
 def _axis_of_rotation(H):
@@ -211,9 +196,11 @@ def closed_geodesic_search(m: ConeMetric, depth: int = 8,
     if m.geometry != SPHERICAL:
         raise InvalidConeMetric("closed geodesic search expects a spherical metric")
     report = SearchReport(depth=depth, length_cap=length_cap)
+    corners = [_develop(m, t) for t in range(m.surface.n_triangles)]
+    crossings = _crossings(m, corners)
     for walk in _closed_walks(m, depth):
         report.n_cycles_checked += 1
-        H, edges, word = _strip_holonomy(m, walk)
+        H, edges, word = _strip_holonomy(m, walk, corners, crossings)
         contractible = True
         if word is not None:
             contractible = np.max(np.abs(word - np.eye(4))) < IDENTITY_TOL

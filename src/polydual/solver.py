@@ -173,6 +173,8 @@ class SolverState:
         self.edge_pairs = np.array(pairs)
         if surface.n_edges != 3 * n - 6:
             raise SolverError("chart dimension is not 3n - 6; genus-0 required")
+        # built on first use; positions never change after construction
+        self._frames = self._gauge = None
 
     # -- geometry ----------------------------------------------------------------
 
@@ -191,11 +193,15 @@ class SolverState:
         return self.current_lengths() - self.target
 
     def frames(self):
-        return [_tangent_frame(self.positions, i)
-                for i in range(len(self.positions))]
+        if self._frames is None:
+            self._frames = [_tangent_frame(self.positions, i)
+                            for i in range(len(self.positions))]
+        return self._frames
 
     def gauge(self) -> Gauge:
-        return build_gauge(self.positions, self.frames())
+        if self._gauge is None:
+            self._gauge = build_gauge(self.positions, self.frames())
+        return self._gauge
 
     def moved(self, delta: np.ndarray, gauge: Gauge, frames) -> "SolverState":
         """New state with free chart coordinates shifted by delta."""
@@ -263,7 +269,7 @@ def jacobian(state: SolverState) -> np.ndarray:
     free columns of its two endpoints.
     """
     frames = state.frames()
-    gauge = build_gauge(state.positions, frames)
+    gauge = state.gauge()
     n = len(state.positions)
     moves = [frames[i][0] @ gauge.directions[i] for i in range(n)]
     owner = np.repeat(np.arange(n), [m.shape[1] for m in moves])
@@ -300,8 +306,6 @@ def newton_solve(state: SolverState, tol: float = NEWTON_TOL,
     for _ in range(max_iter):
         if np.max(np.abs(r)) < tol:
             return cur
-        frames = cur.frames()
-        gauge = build_gauge(cur.positions, frames)
         Jm = jacobian(cur)
         try:
             delta = np.linalg.solve(Jm, -r)
@@ -311,7 +315,7 @@ def newton_solve(state: SolverState, tol: float = NEWTON_TOL,
         last_feas_exc = None
         while step >= DAMPING_FLOOR:
             try:
-                trial = cur.moved(step * delta, gauge, frames)
+                trial = cur.moved(step * delta, cur.gauge(), cur.frames())
                 check_feasible(trial)
                 r_trial = trial.residual()
             except (FeasibilityLost, NotSpacelikeSeparated, InvalidConeMetric,
@@ -435,8 +439,7 @@ def _flip_chart(state: SolverState, l1: np.ndarray, exc, s: float):
 
 
 def continuation(start: ConvexPolyhedronH3, target: ConeMetric,
-                 steps: int = 10, tol: float = NEWTON_TOL,
-                 largeness_depth: Optional[int] = None) -> tuple:
+                 steps: int = 10, tol: float = NEWTON_TOL) -> tuple:
     """Follow the straight edge-length homotopy from the start polyhedron's
     dual metric to the target, Newton-correcting at each step.
 
@@ -446,7 +449,7 @@ def continuation(start: ConvexPolyhedronH3, target: ConeMetric,
     missing from the chart triggers an edge flip of the chart and target,
     re-anchoring the homotopy at the current parameter.
     """
-    validate_target(target, largeness_depth)
+    validate_target(target)
     state = SolverState(np.stack([p.v for p in start.planes]),
                         target.surface, target.lengths)
     try:
@@ -552,21 +555,20 @@ def perturbed_polyhedron(P: ConvexPolyhedronH3, rng: np.random.RandomState,
                 break
             pts[i] = v / np.sqrt(q)
         else:
+            if chart is not None:
+                try:
+                    return check_feasible(SolverState(pts, chart.surface,
+                                                      chart.lengths))
+                except SolverError:
+                    continue
             try:
                 poly = hull_from_dual_points(pts)
             except InvalidPolyhedron:
                 continue
             if poly.discarded:
                 continue
-            if chart is None:
-                if {frozenset(e.faces) for e in poly.edges} != want:
-                    continue
-            else:
-                try:
-                    check_feasible(SolverState(pts, chart.surface,
-                                               chart.lengths))
-                except (FeasibilityLost, SolverError):
-                    continue
+            if {frozenset(e.faces) for e in poly.edges} != want:
+                continue
             return poly
     raise SolverError("failed to perturb into a usable start")
 

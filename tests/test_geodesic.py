@@ -2,12 +2,27 @@ import numpy as np
 import pytest
 
 from polydual.errors import InvalidConeMetric
-from polydual.geodesic import closed_geodesic_search
+from polydual.fuchsian import fuchsian_dualize, fuchsian_octagon_group
+from polydual.geodesic import (
+    _closed_walks,
+    _crossings,
+    _develop,
+    _strip_holonomy,
+    closed_geodesic_search,
+)
+from polydual.polyhedra import (
+    dualize,
+    hexahedron,
+    regular_tetrahedron,
+    triangular_bipyramid,
+)
 from polydual.surface import (
     HYPERBOLIC,
     SPHERICAL,
     CombSurface,
     ConeMetric,
+    base_pair,
+    develop_third_point,
     octahedron_sphere,
     scale,
 )
@@ -59,3 +74,58 @@ class TestSearch:
         flipped, _ = flip_edge(m, 0)
         rep2 = closed_geodesic_search(flipped, depth=6)
         assert rep.min_length == pytest.approx(rep2.min_length, abs=1e-8)
+
+
+def developed_strip(m, walk):
+    """Test oracle: develop the strip triangle by triangle from its first one,
+    each neighbour placed from the two corners it shares with the last;
+    returns (holonomy, crossed developed edges, deck word product or None)."""
+    surf = m.surface
+    t0 = walk[0] // 3
+    l01, l12, l20 = (m.lengths[surf.edge_of(t0, k)] for k in range(3))
+    A, B = base_pair(l01)
+    X = [A, B, develop_third_point(A, B, l20, l12, +1.0)]
+    X0 = np.stack(X, axis=1)
+    edges = []
+    word = np.eye(4) if m.deck_words is not None else None
+    for i in range(len(walk)):
+        exit_he = surf.mate(walk[(i + 1) % len(walk)])
+        ke = exit_he % 3
+        t2, k2 = divmod(surf.mate(exit_he), 3)
+        u, w = X[ke], X[(ke + 1) % 3]
+        edges.append((u, w))
+        if word is not None:
+            word = word @ m.edge_word(exit_he)
+        side = -np.sign(np.linalg.det(np.stack([u, w, X[(ke + 2) % 3]])))
+        C = develop_third_point(u, w, m.lengths[surf.edge_of(t2, (k2 + 1) % 3)],
+                                m.lengths[surf.edge_of(t2, (k2 + 2) % 3)], side)
+        X = [None] * 3
+        X[k2], X[(k2 + 1) % 3], X[(k2 + 2) % 3] = w, u, C
+    return np.stack(X, axis=1) @ np.linalg.inv(X0), edges, word
+
+
+ORACLE_METRICS = {
+    "tetrahedron": lambda: dualize(regular_tetrahedron(1.15)).metric,
+    "hexahedron": lambda: dualize(hexahedron(0.5)).metric,
+    "bipyramid": lambda: dualize(triangular_bipyramid()).metric,
+    "genus2-h1": lambda: fuchsian_dualize(fuchsian_octagon_group(), 1.0).metric,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_METRICS))
+def test_composed_holonomy_matches_developed_strip(name):
+    m = ORACLE_METRICS[name]()
+    corners = [_develop(m, t) for t in range(m.surface.n_triangles)]
+    crossings = _crossings(m, corners)
+    walks = list(_closed_walks(m, 6))
+    assert walks
+    for walk in walks:
+        H, edges, word = _strip_holonomy(m, walk, corners, crossings)
+        H_ref, edges_ref, word_ref = developed_strip(m, walk)
+        np.testing.assert_allclose(H, H_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(np.array(edges), np.array(edges_ref),
+                                   rtol=0, atol=1e-12)
+        if word_ref is None:
+            assert word is None
+        else:
+            np.testing.assert_array_equal(word, word_ref)
