@@ -54,7 +54,12 @@ class StepStalled(SolverError):
 
 
 class FeasibilityLost(SolverError):
-    """The iterate left the set of convex-position configurations."""
+    """The iterate left the set of convex-position configurations; when the
+    hull grew edges the chart lacks, missing_sides lists their face pairs."""
+
+    def __init__(self, message, missing_sides=None):
+        super().__init__(message)
+        self.missing_sides = missing_sides
 
 
 class HomotopyBlocked(SolverError):

@@ -23,6 +23,7 @@ from .surface import SPHERICAL, CombSurface, ConeMetric, fan_triangulation, sphe
 OCTAGON_HALF_WIDTH = float(np.arccosh(1.0 / np.tan(np.pi / 8)))
 OCTAGON_CIRCUMRADIUS = float(np.arccosh(1.0 / np.tan(np.pi / 8) ** 2))
 TRANSLATION_LENGTH = 2.0 * OCTAGON_HALF_WIDTH
+MAX_FACE_CORNERS = 64           # _trace_face_polygon's walk
 
 
 @dataclass
@@ -347,7 +348,7 @@ def fuchsian_dualize(data: FuchsianData, h: float,
                               face_areas=face_areas)
 
 
-def _trace_face_polygon(gammas, normal, apex, max_corners: int = 64):
+def _trace_face_polygon(gammas, normal, apex):
     """Corner matrices of one full hull face, walked along its boundary.
 
     Hull edges at any orbit point are the translates of the apex edges, so
@@ -364,7 +365,7 @@ def _trace_face_polygon(gammas, normal, apex, max_corners: int = 64):
     corners = [np.eye(4)]
     prev_pt = apex
     cur = starts[0]
-    for _ in range(max_corners):
+    for _ in range(MAX_FACE_CORNERS):
         cur_pt = cur @ apex
         if np.max(np.abs(cur_pt - apex)) < 1e-8 * np.linalg.norm(apex):
             return corners

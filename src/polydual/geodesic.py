@@ -25,6 +25,7 @@ from .surface import (
 
 CROSSING_TOL = 1e-9
 IDENTITY_TOL = 1e-8
+LENGTH_CAP = 2 * np.pi           # largeness: no closed geodesic this short
 
 
 def _develop(m: ConeMetric, t: int) -> np.ndarray:
@@ -75,9 +76,6 @@ class ClosedGeodesic:
 @dataclass
 class SearchReport:
     min_length: Optional[float] = None
-    cycle: Optional[tuple] = None
-    depth: int = 0
-    length_cap: float = 0.0
     found_within_cap: bool = False
     n_cycles_checked: int = 0
     geodesics: list = field(default_factory=list)
@@ -182,7 +180,6 @@ def _rotation_about(n, angle):
 
 
 def closed_geodesic_search(m: ConeMetric, depth: int = 8,
-                           length_cap: float = 2 * np.pi,
                            contractible_only: bool = True) -> SearchReport:
     """Depth-bounded search for closed geodesics of a spherical cone-metric.
 
@@ -195,7 +192,7 @@ def closed_geodesic_search(m: ConeMetric, depth: int = 8,
     """
     if m.geometry != SPHERICAL:
         raise InvalidConeMetric("closed geodesic search expects a spherical metric")
-    report = SearchReport(depth=depth, length_cap=length_cap)
+    report = SearchReport()
     corners = [_develop(m, t) for t in range(m.surface.n_triangles)]
     crossings = _crossings(m, corners)
     for walk in _closed_walks(m, depth):
@@ -224,7 +221,6 @@ def closed_geodesic_search(m: ConeMetric, depth: int = 8,
         report.geodesics.append(ClosedGeodesic(length, walk, contractible))
         if report.min_length is None or length < report.min_length:
             report.min_length = length
-            report.cycle = walk
     report.found_within_cap = (report.min_length is not None
-                               and report.min_length <= length_cap)
+                               and report.min_length <= LENGTH_CAP)
     return report

@@ -21,6 +21,7 @@ J = np.diag([-1.0, 1.0, 1.0, 1.0])
 NORM_TOL = 1e-12
 ISO_TOL = 1e-10
 CLAMP_SLACK = 1e-12
+BASIS_OFFSETS = ((0.0, 0.0), (0.7, 0.0), (0.0, 0.7))   # plane_basis_points
 
 
 def _as_vec4(x) -> np.ndarray:
@@ -146,11 +147,8 @@ def side_of(n: DSPoint, x) -> float:
     return minkowski_inner(n, x)
 
 
-def plane_basis_points(n: DSPoint, offsets=((0.0, 0.0), (0.7, 0.0), (0.0, 0.7))) -> list:
-    """Sample HPoints on the plane orthogonal to n.
-
-    The default offsets give three points in general position on the plane.
-    """
+def plane_basis_points(n: DSPoint) -> list:
+    """Three HPoints in general position on the plane orthogonal to n."""
     nv = _as_vec4(n)
     # Euclidean-orthonormal basis of the Minkowski-orthogonal complement of n
     basis = _complement_basis(nv)
@@ -165,7 +163,7 @@ def plane_basis_points(n: DSPoint, offsets=((0.0, 0.0), (0.7, 0.0), (0.0, 0.7)))
     s1 = spacelike[0] / np.sqrt(minkowski_inner(spacelike[0], spacelike[0]))
     s2 = spacelike[1] / np.sqrt(minkowski_inner(spacelike[1], spacelike[1]))
     pts = []
-    for (r1, r2) in offsets:
+    for (r1, r2) in BASIS_OFFSETS:
         v = t
         if r1 != 0.0:
             v = np.cosh(r1) * v + np.sinh(r1) * s1

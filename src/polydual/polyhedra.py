@@ -29,8 +29,9 @@ from .minkowski import (
 )
 from .surface import SPHERICAL, CombSurface, ConeMetric, fan_triangulation, sphere_angle
 
-COPLANAR_TOL = 1e-10
 BALL_MARGIN = 1e-12
+RANDOM_RADII = (0.25, 0.5)       # plane distances from the origin
+RANDOM_TRIES = 200
 
 
 @dataclass
@@ -53,15 +54,18 @@ class ConvexPolyhedronH3:
     dihedral angle there.
     """
 
-    def __init__(self, planes, vertices, faces, edges, discarded=None,
-                 interior_point=None):
+    def __init__(self, planes, vertices, faces, edges, discarded=None):
         self.planes = planes
         self.vertices = vertices
         self.faces = faces
         self.edges = edges
         self.discarded = discarded or []
-        self.interior_point = interior_point
         self._vertex_faces = None
+        # each edge under its vertex pair and its face pair, in both orders
+        self._by_vertices = {p: k for k, e in enumerate(edges)
+                             for p in (e.vertices, e.vertices[::-1])}
+        self._by_faces = {p: k for k, e in enumerate(edges)
+                          for p in (e.faces, e.faces[::-1])}
 
     @property
     def n_faces(self):
@@ -84,11 +88,13 @@ class ConvexPolyhedronH3:
             self._vertex_faces = vf
         return self._vertex_faces[v]
 
+    def edge_at(self, u: int, w: int) -> Optional[int]:
+        """Index of the edge joining vertices u and w, or None."""
+        return self._by_vertices.get((u, w))
+
     def edge_between(self, f1: int, f2: int) -> Optional[int]:
-        for k, e in enumerate(self.edges):
-            if set(e.faces) == {f1, f2}:
-                return k
-        return None
+        """Index of the edge where faces f1 and f2 meet, or None."""
+        return self._by_faces.get((f1, f2))
 
     def edge_length(self, k: int) -> float:
         v1, v2 = self.edges[k].vertices
@@ -162,7 +168,7 @@ def hull_from_dual_points(duals) -> ConvexPolyhedronH3:
     last_exc = None
     for merge_tol in (1e-9, 1e-7, 1e-5):
         try:
-            return _build_lattice(duals, a, b, y0, hull, essential, discarded,
+            return _build_lattice(duals, a, b, hull, essential, discarded,
                                   merge_tol)
         except (UnboundedPolyhedron, EmptyInterior):
             raise
@@ -171,20 +177,22 @@ def hull_from_dual_points(duals) -> ConvexPolyhedronH3:
     raise last_exc
 
 
-def _build_lattice(duals, a, b, y0, hull, essential, discarded, merge_tol):
+def _build_lattice(duals, a, b, hull, essential, discarded, merge_tol):
     # vertices of the polyhedron = merged coplanar facet groups of the polar
-    # hull; collect per-vertex plane sets at relative tolerance and refit
+    # hull; collect per-vertex plane sets at relative tolerance, and refit a
+    # vertex only where more planes than its facet's three pass through it
     groups = {}
     for simplex in hull.simplices:
-        tri = [int(i) for i in simplex]
+        tri = tuple(sorted(int(i) for i in simplex))
         ys = _solve_vertex(a, b, tri)
         if ys is None:
             continue
         members = _planes_through(a, b, ys, merge_tol)
-        ys = _solve_vertex(a, b, members)
-        if ys is None:
-            continue
-        members = _planes_through(a, b, ys, merge_tol)
+        if members != tri:
+            ys = _solve_vertex(a, b, members)
+            if ys is None:
+                continue
+            members = _planes_through(a, b, ys, merge_tol)
         groups[frozenset(members)] = ys
     # drop vertex candidates whose plane set is contained in a larger one
     # (a coarse merge absorbs the split vertices of a near-coplanar cluster)
@@ -193,29 +201,27 @@ def _build_lattice(duals, a, b, y0, hull, essential, discarded, merge_tol):
     for k in keys:
         if not any(k < other for other in kept):
             kept.append(k)
-    vertices_klein = []
-    vertex_planes = []
-    for members in sorted(kept, key=sorted):
-        vertices_klein.append(groups[members])
-        vertex_planes.append(sorted(members))
+    kept.sort(key=sorted)
+    vertices_klein = np.array([groups[members] for members in kept])
     vertices = [_lift_klein(y) for y in vertices_klein]
+    incidence = np.zeros((len(duals), len(kept)), dtype=bool)
+    for v, members in enumerate(kept):
+        incidence[list(members), v] = True
+    incidence = incidence[essential]        # face x vertex
 
-    reindex = {orig: new for new, orig in enumerate(essential)}
-    planes = [duals[i] for i in essential]
     faces = []
-    for orig in essential:
-        idxs = [v for v, members in enumerate(vertex_planes) if orig in members]
+    for f, orig in enumerate(essential):
+        idxs = np.flatnonzero(incidence[f]).tolist()
         if len(idxs) < 3:
             raise InvalidPolyhedron(f"face {orig} has fewer than three vertices")
-        cycle = order_face_cycle(a[orig], np.array([vertices_klein[v] for v in idxs]),
-                                  idxs)
+        cycle = order_face_cycle(a[orig], vertices_klein[idxs], idxs)
         faces.append(Face(plane=duals[orig], vertex_cycle=cycle))
 
     edges = _edges_from_faces(faces)
-    poly = ConvexPolyhedronH3(planes=planes, vertices=vertices,
-                              faces=faces, edges=edges,
-                              discarded=discarded, interior_point=y0)
-    _validate_lattice(poly, vertex_planes, reindex, merge_tol)
+    poly = ConvexPolyhedronH3(planes=[duals[i] for i in essential],
+                              vertices=vertices, faces=faces, edges=edges,
+                              discarded=discarded)
+    _validate_lattice(poly, incidence, merge_tol)
     return poly
 
 
@@ -229,7 +235,7 @@ def _solve_vertex(a, b, idxs):
         return None
     return y
 
-def _planes_through(a, b, y, tol=COPLANAR_TOL * 10):
+def _planes_through(a, b, y, tol):
     resid = np.abs(a @ y - b)
     scale = 1.0 + np.abs(b) + np.linalg.norm(a, axis=1) * np.linalg.norm(y)
     return tuple(int(i) for i in np.where(resid <= tol * scale)[0])
@@ -241,22 +247,18 @@ def order_face_cycle(normal, pts, idxs):
     e1[np.argmin(np.abs(normal))] = 1.0
     e1 = np.cross(normal, e1)
     e1 /= np.linalg.norm(e1)
+    # e1 is orthogonal to the normal, so (e1, normal x e1, normal) is
+    # right-handed and angle order is ccw seen from outside
     e2 = np.cross(normal, e1)
     e2 /= np.linalg.norm(e2)
-    # (e1, e2, normal) ordered right-handed: angle order is ccw from outside
-    if np.linalg.det(np.stack([e1, e2, normal / np.linalg.norm(normal)])) < 0:
-        e2 = -e2
     center = pts.mean(axis=0)
     ang = np.arctan2((pts - center) @ e2, (pts - center) @ e1)
     order = np.argsort(ang)
-    cycle = [idxs[i] for i in order]
-    rel = pts[order] - center
-    for k in range(len(cycle)):
-        u = rel[k]
-        w = rel[(k + 1) % len(cycle)]
-        if np.dot(np.cross(u, w), normal) <= 0:
-            raise InvalidPolyhedron("face cycle is not convex about its normal")
-    return cycle
+    sides = np.diff(pts[order], axis=0, append=pts[order[:1]])
+    # every corner turns left about the normal
+    if np.any(np.cross(sides, np.roll(sides, -1, axis=0)) @ normal <= 0):
+        raise InvalidPolyhedron("face cycle is not convex about its normal")
+    return [idxs[i] for i in order]
 
 
 def _edges_from_faces(faces):
@@ -278,23 +280,28 @@ def _edges_from_faces(faces):
     return edges
 
 
-def _validate_lattice(poly, vertex_planes, reindex, merge_tol=COPLANAR_TOL * 10):
+def _validate_lattice(poly, incidence, merge_tol):
+    """Each vertex lies on the planes of its incident faces, within 10 *
+    merge_tol, and strictly inside every other plane, by merge_tol / 10,
+    both relative to its x0. The first failing vertex is reported, its own
+    planes checked first."""
     if poly.n_vertices - poly.n_edges + poly.n_faces != 2:
         raise InvalidPolyhedron("face lattice is not a 2-sphere")
-    for v, (p, members) in enumerate(zip(poly.vertices, vertex_planes)):
-        scale = p.v[0]
-        for orig in members:
-            f = reindex.get(orig)
-            if f is None:
-                continue
-            if abs(minkowski_inner(poly.planes[f], p)) > 10 * merge_tol * scale:
-                raise InvalidPolyhedron(f"vertex {v} off its plane {f}")
-        for f, plane in enumerate(poly.planes):
-            if f in [reindex.get(o) for o in members]:
-                continue
-            if minkowski_inner(plane, p) >= -merge_tol * scale / 10:
-                raise InvalidPolyhedron(
-                    f"vertex {v} not strictly inside plane {f}")
+    n = np.array([p.v for p in poly.planes])[:, None, :]
+    x = np.array([p.v for p in poly.vertices])[None, :, :]
+    # <n_f, x_v>, term by term in minkowski_inner's order
+    inner = (-n[..., 0] * x[..., 0] + n[..., 1] * x[..., 1]
+             + n[..., 2] * x[..., 2] + n[..., 3] * x[..., 3])
+    scale = x[..., 0]
+    off = incidence & (np.abs(inner) > 10 * merge_tol * scale)
+    outside = ~incidence & (inner >= -merge_tol * scale / 10)
+    bad = np.flatnonzero(off.any(axis=0) | outside.any(axis=0))
+    if bad.size:
+        v = bad[0]
+        if off[:, v].any():
+            raise InvalidPolyhedron(f"vertex {v} off its plane {np.argmax(off[:, v])}")
+        raise InvalidPolyhedron(
+            f"vertex {v} not strictly inside plane {np.argmax(outside[:, v])}")
 
 
 # -- angles, links, duals -------------------------------------------------------
@@ -327,11 +334,11 @@ class VertexLink:
     """Spherical polygon of directions at a polyhedron vertex.
 
     Side i is the face angle of faces[i]; the corner between sides i and i+1
-    is the dihedral angle of the edge toward edge_vertices[i].
+    is the dihedral angle of primal edge edges[i], shared by both faces.
     """
 
     faces: list
-    edge_vertices: list
+    edges: list
     side_lengths: np.ndarray
     angles: np.ndarray
 
@@ -347,36 +354,20 @@ def vertex_link(P: ConvexPolyhedronH3, v: int) -> VertexLink:
     faces_at = P.faces_at_vertex(v)
     f = faces_at[0]
     order = []
-    others = []
+    edges = []
     for _ in range(len(faces_at)):
         order.append(f)
         cyc = P.faces[f].vertex_cycle
-        succ = cyc[(cyc.index(v) + 1) % len(cyc)]
-        others.append(succ)
-        nxt = None
-        for e in P.edges:
-            if set(e.vertices) == {v, succ}:
-                nxt = e.faces[0] if e.faces[1] == f else e.faces[1]
-                break
-        if nxt is None:
-            raise InvalidPolyhedron(f"edge ({v},{succ}) missing from lattice")
-        f = nxt
+        k = P.edge_at(v, cyc[(cyc.index(v) + 1) % len(cyc)])
+        edges.append(k)
+        f1, f2 = P.edges[k].faces
+        f = f1 if f2 == f else f2
     if f != order[0]:
         raise InvalidPolyhedron(f"face fan at vertex {v} does not close")
     sides = np.array([face_corner_angle(P, fi, v) for fi in order])
-    angs = []
-    for i in range(len(order)):
-        e = _edge_index(P, v, others[i])
-        angs.append(dihedral_angle(P, e))
-    return VertexLink(faces=order, edge_vertices=others,
-                      side_lengths=sides, angles=np.array(angs))
-
-
-def _edge_index(P, u, w):
-    for k, e in enumerate(P.edges):
-        if set(e.vertices) == {u, w}:
-            return k
-    raise InvalidPolyhedron(f"no edge between vertices {u} and {w}")
+    angs = np.array([dihedral_angle(P, k) for k in edges])
+    return VertexLink(faces=order, edges=edges,
+                      side_lengths=sides, angles=angs)
 
 
 @dataclass
@@ -449,10 +440,9 @@ def dualize(P: ConvexPolyhedronH3) -> DualMetricOutput:
         fan, sides, diagonals = fan_triangulation(m, base=len(triangles))
         triangles += [tuple(link.faces[local[c]] for c in tri) for tri in fan]
         # polygon boundary side i joins corners i, i+1 and is dual to the
-        # primal edge toward link.edge_vertices[i]
-        for i in range(m):
+        # primal edge link.edges[i]
+        for i, e_primal in enumerate(link.edges):
             he = sides[(i - anchor) % m]
-            e_primal = _edge_index(P, v, link.edge_vertices[i])
             side_tag.setdefault(e_primal, []).append(he)
             lengths_by_he[he] = np.pi - link.angles[i]
             provenance_by_he[he] = ("primal", P.edges[e_primal].faces)
@@ -584,7 +574,6 @@ def _base_directions(n: int) -> np.ndarray:
 
 
 def random_polyhedron(rng: np.random.RandomState, n_faces: int = 6,
-                      radius_range=(0.25, 0.5), max_tries: int = 200,
                       max_dual_length: Optional[float] = None) -> ConvexPolyhedronH3:
     """Random bounded polyhedron from jittered well-spread plane directions.
 
@@ -592,11 +581,11 @@ def random_polyhedron(rng: np.random.RandomState, n_faces: int = 6,
     H^3, so directions start from a randomly rotated covering pattern.
     """
     base = _base_directions(n_faces)
-    for _ in range(max_tries):
+    for _ in range(RANDOM_TRIES):
         rot, _ = np.linalg.qr(rng.randn(3, 3))
         dirs = base @ rot.T + 0.1 * rng.randn(n_faces, 3)
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        radii = rng.uniform(*radius_range, size=n_faces)
+        radii = rng.uniform(*RANDOM_RADII, size=n_faces)
         duals = [DSPoint(np.array([np.sinh(t), *(np.cosh(t) * u)]))
                  for u, t in zip(dirs, radii)]
         try:

@@ -12,6 +12,7 @@ the chart lengths in the free coordinates is taken in closed form.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -34,6 +35,8 @@ from .surface import SPHERICAL, CombSurface, ConeMetric, is_concave
 NEWTON_TOL = 1e-10
 MATCH_TOL = 1e-8             # dihedral angle and edge length agreement
 DAMPING_FLOOR = 1e-12
+NEWTON_MAX_ITER = 50
+PERTURB_TRIES = 60
 
 
 def _so31_basis():
@@ -87,7 +90,6 @@ def _coords_in_frame(frame, signs, v) -> np.ndarray:
 
 @dataclass
 class Gauge:
-    anchors: tuple               # indices of the three pinned points
     directions: dict             # point index -> 3 x k matrix of free directions
 
     def n_free(self):
@@ -103,8 +105,7 @@ def build_gauge(positions: np.ndarray, frames) -> Gauge:
     of freedom at generic configurations.
     """
     n = len(positions)
-    for anchors in _independent_triples(positions):
-        i0, i1, i2 = anchors
+    for i0, i1, i2 in _independent_triples(positions):
         acts0 = np.stack([A @ positions[i0] for A in SO31_BASIS], axis=1)
         _, sv, vt = np.linalg.svd(acts0)
         rank = int(np.sum(sv >= 1e-8 * sv[0]))
@@ -136,7 +137,7 @@ def build_gauge(positions: np.ndarray, frames) -> Gauge:
                 directions[i] = free2
             else:
                 directions[i] = np.eye(3)
-        return Gauge(anchors=anchors, directions=directions)
+        return Gauge(directions=directions)
     raise SolverError("no independent point triple found for the gauge")
 
 
@@ -173,8 +174,9 @@ class SolverState:
         self.edge_pairs = np.array(pairs)
         if surface.n_edges != 3 * n - 6:
             raise SolverError("chart dimension is not 3n - 6; genus-0 required")
-        # built on first use; positions never change after construction
-        self._frames = self._gauge = None
+        # frames, gauge and the polyhedron of a passed feasibility check depend
+        # only on positions and chart: built once, shared with every retarget
+        self.cache = {}
 
     # -- geometry ----------------------------------------------------------------
 
@@ -193,15 +195,22 @@ class SolverState:
         return self.current_lengths() - self.target
 
     def frames(self):
-        if self._frames is None:
-            self._frames = [_tangent_frame(self.positions, i)
-                            for i in range(len(self.positions))]
-        return self._frames
+        if "frames" not in self.cache:
+            self.cache["frames"] = [_tangent_frame(self.positions, i)
+                                    for i in range(len(self.positions))]
+        return self.cache["frames"]
 
     def gauge(self) -> Gauge:
-        if self._gauge is None:
-            self._gauge = build_gauge(self.positions, self.frames())
-        return self._gauge
+        if "gauge" not in self.cache:
+            self.cache["gauge"] = build_gauge(self.positions, self.frames())
+        return self.cache["gauge"]
+
+    def retarget(self, target_lengths) -> "SolverState":
+        """The same positions and chart with new target lengths, sharing this
+        state's frames, gauge and feasibility verdict."""
+        out = copy.copy(self)
+        out.target = np.asarray(target_lengths, dtype=float).copy()
+        return out
 
     def moved(self, delta: np.ndarray, gauge: Gauge, frames) -> "SolverState":
         """New state with free chart coordinates shifted by delta."""
@@ -225,7 +234,10 @@ def check_feasible(state: SolverState) -> ConvexPolyhedronH3:
     """Convex position check: the chart lengths must form a valid metric and
     the reconstructed hull must exist, keep every plane essential, and have
     its dual decomposition refined by the chart. Violations raise
-    FeasibilityLost."""
+    FeasibilityLost. A state that passed keeps its polyhedron, so checking
+    it or a retarget of it again builds nothing."""
+    if "polyhedron" in state.cache:
+        return state.cache["polyhedron"]
     try:
         lengths = state.current_lengths()
         ConeMetric(state.surface, SPHERICAL, lengths)   # chart validity
@@ -238,6 +250,7 @@ def check_feasible(state: SolverState) -> ConvexPolyhedronH3:
     if poly.discarded:
         raise FeasibilityLost(f"dual points {poly.discarded} became redundant")
     _check_refinement(poly, state)
+    state.cache["polyhedron"] = poly
     return poly
 
 
@@ -247,10 +260,9 @@ def _check_refinement(poly: ConvexPolyhedronH3, state: SolverState):
     chart_set = set(chart)
     missing = sides - chart_set
     if missing:
-        exc = FeasibilityLost(
-            f"hull edges {sorted(tuple(s) for s in missing)} missing from the chart")
-        exc.missing_sides = [tuple(sorted(s)) for s in missing]
-        raise exc
+        raise FeasibilityLost(
+            f"hull edges {sorted(tuple(s) for s in missing)} missing from the chart",
+            missing_sides=[tuple(sorted(s)) for s in missing])
     links = [set(poly.faces_at_vertex(v)) for v in range(poly.n_vertices)]
     for pair in chart:
         if pair in sides:
@@ -292,8 +304,7 @@ def rigidity_report(state: SolverState) -> RigidityReport:
                           condition_number=float(sv[0] / sv[-1]))
 
 
-def newton_solve(state: SolverState, tol: float = NEWTON_TOL,
-                 max_iter: int = 50) -> SolverState:
+def newton_solve(state: SolverState, tol: float = NEWTON_TOL) -> SolverState:
     """Damped Newton iteration on the gauged residual.
 
     The step is halved until the residual norm decreases and the trial state
@@ -303,7 +314,7 @@ def newton_solve(state: SolverState, tol: float = NEWTON_TOL,
     check_feasible(state)
     cur = state
     r = cur.residual()
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         if np.max(np.abs(r)) < tol:
             return cur
         Jm = jacobian(cur)
@@ -318,8 +329,7 @@ def newton_solve(state: SolverState, tol: float = NEWTON_TOL,
                 trial = cur.moved(step * delta, cur.gauge(), cur.frames())
                 check_feasible(trial)
                 r_trial = trial.residual()
-            except (FeasibilityLost, NotSpacelikeSeparated, InvalidConeMetric,
-                    SolverError) as exc:
+            except SolverError as exc:
                 last_feas_exc = exc
                 step /= 2
                 continue
@@ -329,16 +339,17 @@ def newton_solve(state: SolverState, tol: float = NEWTON_TOL,
             step /= 2
         else:
             if last_feas_exc is not None:
-                out = FeasibilityLost(
-                    f"every damped step left the feasible set ({last_feas_exc})")
-                out.missing_sides = getattr(last_feas_exc, "missing_sides", None)
-                raise out from last_feas_exc
+                missing = (last_feas_exc.missing_sides
+                           if isinstance(last_feas_exc, FeasibilityLost) else None)
+                raise FeasibilityLost(
+                    f"every damped step left the feasible set ({last_feas_exc})",
+                    missing_sides=missing) from last_feas_exc
             raise StepStalled(
                 f"damping floor reached at residual {np.max(np.abs(r)):.3e}")
     if np.max(np.abs(r)) < tol:
         return cur
     raise StepStalled(
-        f"no convergence after {max_iter} iterations "
+        f"no convergence after {NEWTON_MAX_ITER} iterations "
         f"(residual {np.max(np.abs(r)):.3e})")
 
 
@@ -346,7 +357,6 @@ def newton_solve(state: SolverState, tol: float = NEWTON_TOL,
 class ContinuationStep:
     s: float
     residual: float
-    newton_norm: float
     smallest_singular_value: float
 
 
@@ -411,10 +421,7 @@ def _flip_chart(state: SolverState, l1: np.ndarray, exc, s: float):
     from .errors import FlipBlocked
     from .surface import flip_edge
 
-    missing = getattr(exc, "missing_sides", None)
-    if not missing:
-        return None
-    for pair in missing:
+    for pair in exc.missing_sides or ():
         e = _edge_with_opposite_corners(state.surface, pair)
         if e is None:
             continue
@@ -499,9 +506,8 @@ def continuation(start: ConvexPolyhedronH3, target: ConeMetric,
                     f"interpolated metric leaves the chart at s={s_next:.4f}: {why}",
                     s=s_next, edge=edge)
             l_next = schedule(surface, s_next, bump)
-        trial = SolverState(state.positions, surface, l_next)
         try:
-            solved = newton_solve(trial, tol=tol)
+            solved = newton_solve(state.retarget(l_next), tol=tol)
         except (StepStalled, FeasibilityLost) as exc:
             recovered = None
             if isinstance(exc, FeasibilityLost):
@@ -525,7 +531,6 @@ def continuation(start: ConvexPolyhedronH3, target: ConeMetric,
         rig = report.final_rigidity = rigidity_report(state)
         report.steps.append(ContinuationStep(
             s=s, residual=float(np.max(np.abs(state.residual()))),
-            newton_norm=float(np.linalg.norm(state.residual())),
             smallest_singular_value=rig.smallest_singular_value))
     report.bump = bump
     return state, report
@@ -535,7 +540,7 @@ def continuation(start: ConvexPolyhedronH3, target: ConeMetric,
 
 
 def perturbed_polyhedron(P: ConvexPolyhedronH3, rng: np.random.RandomState,
-                         magnitude: float = 1e-2, max_tries: int = 60,
+                         magnitude: float = 1e-2,
                          chart: Optional[ConeMetric] = None) -> ConvexPolyhedronH3:
     """Perturb all dual points inside their tangent charts.
 
@@ -545,7 +550,7 @@ def perturbed_polyhedron(P: ConvexPolyhedronH3, rng: np.random.RandomState,
     four faces at a vertex, split under every generic perturbation)."""
     base = np.stack([p.v for p in P.planes])
     want = {frozenset(e.faces) for e in P.edges}
-    for _ in range(max_tries):
+    for _ in range(PERTURB_TRIES):
         pts = base.copy()
         for i in range(len(pts)):
             frame, _ = _tangent_frame(base, i)
@@ -574,7 +579,8 @@ def perturbed_polyhedron(P: ConvexPolyhedronH3, rng: np.random.RandomState,
 
 
 def recovered_polyhedron(state: SolverState) -> ConvexPolyhedronH3:
-    return hull_from_dual_points(state.positions)
+    """The polyhedron cut out by a feasible state's dual points."""
+    return check_feasible(state)
 
 
 def _relabelings(poly: ConvexPolyhedronH3, surface: CombSurface):

@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from polydual.errors import EmptyInterior, UnboundedPolyhedron
+from polydual.errors import EmptyInterior, InvalidPolyhedron, UnboundedPolyhedron
 from polydual.geodesic import closed_geodesic_search
 from polydual.minkowski import DSPoint, Isometry, ds_distance, minkowski_inner
 from polydual.polyhedra import (
@@ -11,7 +13,9 @@ from polydual.polyhedra import (
     dualize,
     face_area,
     hexahedron,
+    _validate_lattice,
     hull_from_dual_points,
+    order_face_cycle,
     polar_dual_polygon,
     random_polyhedron,
     regular_tetrahedron,
@@ -92,6 +96,110 @@ class TestHull:
             want = sorted(tuple(np.round(v.v, 9)) for v in P.vertices)
             for a, b in zip(got, want):
                 assert np.allclose(a, b, atol=1e-9)
+
+
+LATTICES = {
+    "hexahedron": lambda: hexahedron(0.5),
+    "bipyramid": triangular_bipyramid,
+    "random-7": lambda: random_polyhedron(np.random.RandomState(2), 7),
+}
+MERGE_TOL = 1e-9            # the first merge tolerance of hull_from_dual_points
+
+
+def incidence(P):
+    """Face x vertex incidence read off the face cycles."""
+    inc = np.zeros((P.n_faces, P.n_vertices), dtype=bool)
+    for f, face in enumerate(P.faces):
+        inc[f, face.vertex_cycle] = True
+    return inc
+
+
+class TestLattice:
+    @pytest.mark.parametrize("name", LATTICES)
+    def test_true_incidence_passes(self, name):
+        P = LATTICES[name]()
+        _validate_lattice(P, incidence(P), MERGE_TOL)
+
+    @pytest.mark.parametrize("name", LATTICES)
+    def test_foreign_plane_is_off(self, name):
+        P = LATTICES[name]()
+        inc = incidence(P)
+        v = P.n_vertices - 1
+        f = int(np.flatnonzero(~inc[:, v])[0])
+        inc[f, v] = True
+        with pytest.raises(InvalidPolyhedron,
+                           match=f"^vertex {v} off its plane {f}$"):
+            _validate_lattice(P, inc, MERGE_TOL)
+
+    @pytest.mark.parametrize("name", LATTICES)
+    def test_dropped_plane_is_not_inside(self, name):
+        P = LATTICES[name]()
+        inc = incidence(P)
+        v = P.n_vertices - 1
+        f = int(np.flatnonzero(inc[:, v])[-1])
+        inc[f, v] = False
+        with pytest.raises(InvalidPolyhedron,
+                           match=f"^vertex {v} not strictly inside plane {f}$"):
+            _validate_lattice(P, inc, MERGE_TOL)
+
+    def test_reports_first_vertex_own_planes_first(self):
+        P = hexahedron(0.5)
+        inc = incidence(P)
+        # vertex 2 loses a plane; vertex 1 loses its first plane and gains
+        # its last foreign one
+        inc[np.flatnonzero(inc[:, 2])[0], 2] = False
+        dropped = int(np.flatnonzero(inc[:, 1])[0])
+        foreign = int(np.flatnonzero(~inc[:, 1])[-1])
+        assert dropped < foreign
+        inc[dropped, 1] = False
+        inc[foreign, 1] = True
+        with pytest.raises(InvalidPolyhedron,
+                           match=f"^vertex 1 off its plane {foreign}$"):
+            _validate_lattice(P, inc, MERGE_TOL)
+
+    @pytest.mark.parametrize("name", LATTICES)
+    def test_edge_maps_agree_with_scan(self, name):
+        P = LATTICES[name]()
+
+        def scan(side, pair):
+            return next((k for k, e in enumerate(P.edges)
+                         if set(getattr(e, side)) == set(pair)), None)
+
+        for u, w in itertools.product(range(P.n_vertices), repeat=2):
+            assert P.edge_at(u, w) == scan("vertices", (u, w))
+        for f, g in itertools.product(range(P.n_faces), repeat=2):
+            assert P.edge_between(f, g) == scan("faces", (f, g))
+
+
+def pentagon(radii):
+    """Pentagon in a tilted plane with the given corner radii, labels a-e ccw
+    about the plane's normal."""
+    n = np.array([1.0, 2.0, 3.0])
+    u = np.cross(n, [1.0, 0.0, 0.0])
+    u /= np.linalg.norm(u)
+    w = np.cross(n, u) / np.linalg.norm(n)
+    ang = 2 * np.pi * np.arange(5) / 5
+    pts = 0.1 * n + np.array([r * (np.cos(a) * u + np.sin(a) * w)
+                              for r, a in zip(radii, ang)])
+    return n, pts
+
+
+class TestFaceCycle:
+    def test_every_input_order_gives_one_ccw_cycle(self):
+        n, pts = pentagon([1.0, 0.8, 1.1, 0.9, 1.0])
+        cycles = set()
+        for perm in itertools.permutations(range(5)):
+            cycles.add(tuple(order_face_cycle(n, pts[list(perm)],
+                                              ["abcde"[i] for i in perm])))
+        assert len(cycles) == 1
+        cycle = "".join(cycles.pop())
+        assert cycle in "abcdeabcde"
+
+    def test_reflex_corner_raises(self):
+        # corner c is pulled in past the chord bd
+        n, pts = pentagon([1.0, 1.0, 0.2, 1.0, 1.0])
+        with pytest.raises(InvalidPolyhedron, match="not convex"):
+            order_face_cycle(n, pts, list("abcde"))
 
 
 class TestDihedral:

@@ -9,8 +9,10 @@ from polydual.polyhedra import (
     regular_tetrahedron,
     triangular_bipyramid,
 )
+from polydual import solver
 from polydual.solver import (
     SolverState,
+    check_feasible,
     continuation,
     jacobian,
     match_dihedral_angles,
@@ -90,6 +92,57 @@ class TestState:
         pts /= np.sqrt(np.einsum("ij,jk,ik->i", pts, J, pts))[:, None]
         with pytest.raises(SolverError):
             SolverState(pts, surf, np.full(surf.n_edges, 1.0))
+
+
+def count_hull_builds(monkeypatch):
+    calls = []
+    build = solver.hull_from_dual_points
+
+    def counting(duals):
+        calls.append(1)
+        return build(duals)
+
+    monkeypatch.setattr(solver, "hull_from_dual_points", counting)
+    return calls
+
+
+class TestRetarget:
+    def test_keeps_positions_chart_frames_gauge(self, tetra):
+        P, out = tetra
+        st = state_of(P, out)
+        frames, gauge = st.frames(), st.gauge()
+        lengths = scale(out.metric, 1e-3).lengths
+        moved = st.retarget(lengths)
+        assert np.array_equal(moved.positions, st.positions)
+        assert moved.surface is st.surface
+        assert np.array_equal(moved.edge_pairs, st.edge_pairs)
+        assert moved.frames() is frames and moved.gauge() is gauge
+        assert np.array_equal(moved.target, lengths)
+        assert np.array_equal(st.target, out.metric.lengths)
+
+    def test_shares_the_feasibility_verdict(self, tetra):
+        P, out = tetra
+        st = state_of(P, out)
+        lengths = scale(out.metric, 1e-3).lengths
+        assert check_feasible(st.retarget(lengths)) is check_feasible(st)
+
+    def test_newton_on_checked_retarget_builds_no_hull(self, tetra, monkeypatch):
+        P, out = tetra
+        st = state_of(P, out)
+        check_feasible(st)
+        calls = count_hull_builds(monkeypatch)
+        newton_solve(st.retarget(out.metric.lengths))
+        assert calls == []
+        newton_solve(state_of(P, out))      # a fresh state is checked in full
+        assert len(calls) == 1
+
+    def test_recovered_polyhedron_builds_no_hull(self, tetra, monkeypatch):
+        P, out = tetra
+        start = perturbed_polyhedron(P, np.random.RandomState(3), 1e-2)
+        final, _ = continuation(start, out.metric, steps=4)
+        calls = count_hull_builds(monkeypatch)
+        assert match_dihedral_angles(P, recovered_polyhedron(final))
+        assert calls == []
 
 
 def fd_jacobian(state, h=1e-6):
