@@ -26,6 +26,7 @@ from .serialize import ParseError
 from .solver import (
     MATCH_TOL,
     NEWTON_TOL,
+    PERTURB_EDGE_SHARE,
     auto_start,
     continuation,
     match_dihedral_angles,
@@ -285,7 +286,10 @@ def build_parser():
                        help="dualize, perturb, realize, and compare")
     t.add_argument("polyhedron")
     t.add_argument("--seed", type=int, default=0)
-    t.add_argument("--magnitude", type=float, default=1e-2)
+    t.add_argument("--magnitude", type=float, default=1e-2,
+                   help="upper bound on the start perturbation of the dual "
+                        f"points; capped at {PERTURB_EDGE_SHARE:g} times the "
+                        "shortest primal edge")
     t.add_argument("--steps", type=int, default=10)
     t.add_argument("--tol", type=float, default=NEWTON_TOL)
     t.add_argument("--match-tol", type=float, default=MATCH_TOL)

@@ -30,6 +30,8 @@ from .minkowski import (
 from .surface import SPHERICAL, CombSurface, ConeMetric, fan_triangulation, sphere_angle
 
 BALL_MARGIN = 1e-12
+MERGE_TOL = 1e-9                 # relative residual of a plane through a vertex
+CERTIFY_MARGIN = 100 * MERGE_TOL
 RANDOM_RADII = (0.25, 0.5)       # plane distances from the origin
 RANDOM_TRIES = 200
 
@@ -138,10 +140,10 @@ def hull_from_dual_points(duals) -> ConvexPolyhedronH3:
 
     Redundant planes are discarded and recorded. Raises EmptyInterior when
     the negative half-spaces have no common interior and UnboundedPolyhedron
-    when a lattice vertex escapes H^3. Configurations sitting within roundoff
-    of a coplanarity wall are retried with coarser vertex merging, so nearly
-    coincident lattice vertices collapse rather than producing an
-    inconsistent face lattice.
+    when a lattice vertex escapes H^3. A vertex collects every plane within
+    MERGE_TOL (relative) of it, so a configuration sitting within that of a
+    coplanarity wall gets one merged vertex; a lattice that still comes out
+    inconsistent raises InvalidPolyhedron.
     """
     duals = [d if isinstance(d, DSPoint) else DSPoint.from_vector(d)
              for d in duals]
@@ -165,19 +167,10 @@ def hull_from_dual_points(duals) -> ConvexPolyhedronH3:
     if len(essential) < 4:
         raise EmptyInterior("fewer than four essential planes")
 
-    last_exc = None
-    for merge_tol in (1e-9, 1e-7, 1e-5):
-        try:
-            return _build_lattice(duals, a, b, hull, essential, discarded,
-                                  merge_tol)
-        except (UnboundedPolyhedron, EmptyInterior):
-            raise
-        except InvalidPolyhedron as exc:
-            last_exc = exc
-    raise last_exc
+    return _build_lattice(duals, a, b, hull, essential, discarded)
 
 
-def _build_lattice(duals, a, b, hull, essential, discarded, merge_tol):
+def _build_lattice(duals, a, b, hull, essential, discarded):
     # vertices of the polyhedron = merged coplanar facet groups of the polar
     # hull; collect per-vertex plane sets at relative tolerance, and refit a
     # vertex only where more planes than its facet's three pass through it
@@ -187,15 +180,15 @@ def _build_lattice(duals, a, b, hull, essential, discarded, merge_tol):
         ys = _solve_vertex(a, b, tri)
         if ys is None:
             continue
-        members = _planes_through(a, b, ys, merge_tol)
+        members = _planes_through(a, b, ys)
         if members != tri:
             ys = _solve_vertex(a, b, members)
             if ys is None:
                 continue
-            members = _planes_through(a, b, ys, merge_tol)
+            members = _planes_through(a, b, ys)
         groups[frozenset(members)] = ys
     # drop vertex candidates whose plane set is contained in a larger one
-    # (a coarse merge absorbs the split vertices of a near-coplanar cluster)
+    # (a merge absorbs the split vertices of a near-coplanar cluster)
     keys = sorted(groups, key=len, reverse=True)
     kept = []
     for k in keys:
@@ -221,7 +214,7 @@ def _build_lattice(duals, a, b, hull, essential, discarded, merge_tol):
     poly = ConvexPolyhedronH3(planes=[duals[i] for i in essential],
                               vertices=vertices, faces=faces, edges=edges,
                               discarded=discarded)
-    _validate_lattice(poly, incidence, merge_tol)
+    _validate_lattice(poly, incidence, MERGE_TOL)
     return poly
 
 
@@ -235,10 +228,55 @@ def _solve_vertex(a, b, idxs):
         return None
     return y
 
-def _planes_through(a, b, y, tol):
+def _planes_through(a, b, y):
     resid = np.abs(a @ y - b)
     scale = 1.0 + np.abs(b) + np.linalg.norm(a, axis=1) * np.linalg.norm(y)
-    return tuple(int(i) for i in np.where(resid <= tol * scale)[0])
+    return tuple(int(i) for i in np.where(resid <= MERGE_TOL * scale)[0])
+
+
+def chart_certifies(duals, triangles) -> bool:
+    """True when the chart is proven to be the dual decomposition of the
+    compact polyhedron P cut out by the planes dual to `duals`.
+
+    `duals` holds one de Sitter point per row and `triangles` the chart's
+    triangles as triples of their indices; the chart must triangulate the
+    sphere with no two edges on the same endpoints, as `SolverState`
+    requires. Each triangle's three planes are solved for their common
+    point y_t (Klein chart, a y <= b, as in the hull), and the certificate
+    holds when every y_t lies inside the ball, |y_t|^2 < 1 - CERTIFY_MARGIN,
+    and strictly inside every other plane, a y_t - b < -CERTIFY_MARGIN *
+    scale with the relative scale of `_planes_through`.
+
+    Why this proves it: each y_t is then a point of P on exactly three
+    planes with independent normals, a simple vertex. Along the line of a
+    chart edge, the two triangles at that edge give two vertices, and the
+    segment between them is an edge of P, since its interior is strictly
+    inside every other plane and each end is cut off by its third plane.
+    So every y_t has all three of its P-edges among the chart's edges: the
+    chart's triangles and edges form a closed 3-regular subgraph of P's
+    connected 1-skeleton, hence all of it. P therefore has no unbounded edge
+    and no vertex outside the ball, so it is compact in H^3; every plane
+    carries a vertex with a two-dimensional face, so none is redundant; and
+    the chart is exactly P's dual decomposition.
+
+    False decides nothing: states on a wall (four or more planes through a
+    vertex) and states that left convex position both return it.
+    """
+    x = np.asarray(duals, dtype=float)
+    a, b = x[:, 1:], x[:, 0]
+    tri = np.asarray(triangles)
+    try:
+        y = np.linalg.solve(a[tri], b[tri][..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        return False
+    if not np.all(np.einsum("ij,ij->i", y, y) < 1.0 - CERTIFY_MARGIN):
+        return False
+    resid = y @ a.T - b                               # triangle x plane
+    scale = (1.0 + np.abs(b)
+             + np.linalg.norm(y, axis=1)[:, None] * np.linalg.norm(a, axis=1))
+    own = np.zeros(resid.shape, dtype=bool)
+    np.put_along_axis(own, tri, True, axis=1)
+    return bool(np.all(own | (resid < -CERTIFY_MARGIN * scale)))
 
 
 def order_face_cycle(normal, pts, idxs):

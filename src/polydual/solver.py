@@ -29,7 +29,11 @@ from .errors import (
 )
 from .geodesic import closed_geodesic_search
 from .minkowski import J, minkowski_inner
-from .polyhedra import ConvexPolyhedronH3, hull_from_dual_points
+from .polyhedra import (
+    ConvexPolyhedronH3,
+    chart_certifies,
+    hull_from_dual_points,
+)
 from .surface import SPHERICAL, CombSurface, ConeMetric, is_concave
 
 NEWTON_TOL = 1e-10
@@ -37,6 +41,7 @@ MATCH_TOL = 1e-8             # dihedral angle and edge length agreement
 DAMPING_FLOOR = 1e-12
 NEWTON_MAX_ITER = 50
 PERTURB_TRIES = 60
+PERTURB_EDGE_SHARE = 0.1     # largest perturbation, per unit of shortest edge
 
 
 def _so31_basis():
@@ -172,9 +177,10 @@ class SolverState:
                 "chart has two edges with the same endpoints; the extrinsic "
                 "parametrization cannot separate them")
         self.edge_pairs = np.array(pairs)
+        self.triangles = np.array(surface.triangles)
         if surface.n_edges != 3 * n - 6:
             raise SolverError("chart dimension is not 3n - 6; genus-0 required")
-        # frames, gauge and the polyhedron of a passed feasibility check depend
+        # frames, gauge, the feasibility verdict and the polyhedron depend
         # only on positions and chart: built once, shared with every retarget
         self.cache = {}
 
@@ -230,14 +236,29 @@ class SolverState:
         return SolverState(out, self.surface, self.target)
 
 
-def check_feasible(state: SolverState) -> ConvexPolyhedronH3:
-    """Convex position check: the chart lengths must form a valid metric and
-    the reconstructed hull must exist, keep every plane essential, and have
-    its dual decomposition refined by the chart. Violations raise
-    FeasibilityLost. A state that passed keeps its polyhedron, so checking
-    it or a retarget of it again builds nothing."""
-    if "polyhedron" in state.cache:
-        return state.cache["polyhedron"]
+def check_feasible(state: SolverState):
+    """Convex position check: the dual points must cut out a compact
+    polyhedron that keeps every plane and whose dual decomposition the chart
+    refines. Violations raise FeasibilityLost.
+
+    A generic state is decided by `chart_certifies`, which builds no hull:
+    it proves the chart to be the polyhedron's dual decomposition, so the
+    chart lengths are its dual metric and need no validity check either.
+    Any state it does not certify (on a wall, or infeasible) takes the full
+    check: the chart lengths must form a valid metric, then the hull is
+    rebuilt and compared with the chart, and that hull is kept for
+    `recovered_polyhedron`. A state that passed keeps its verdict, so
+    checking it or a retarget of it again does nothing.
+    """
+    if "feasible" in state.cache:
+        return
+    if not chart_certifies(state.positions, state.triangles):
+        state.cache["polyhedron"] = _checked_hull(state)
+    state.cache["feasible"] = True
+
+
+def _checked_hull(state: SolverState) -> ConvexPolyhedronH3:
+    """The full feasibility check; returns the hull it rebuilt."""
     try:
         lengths = state.current_lengths()
         ConeMetric(state.surface, SPHERICAL, lengths)   # chart validity
@@ -250,7 +271,6 @@ def check_feasible(state: SolverState) -> ConvexPolyhedronH3:
     if poly.discarded:
         raise FeasibilityLost(f"dual points {poly.discarded} became redundant")
     _check_refinement(poly, state)
-    state.cache["polyhedron"] = poly
     return poly
 
 
@@ -544,10 +564,15 @@ def perturbed_polyhedron(P: ConvexPolyhedronH3, rng: np.random.RandomState,
                          chart: Optional[ConeMetric] = None) -> ConvexPolyhedronH3:
     """Perturb all dual points inside their tangent charts.
 
-    Without a chart, the face lattice combinatorics must survive the
-    perturbation. With one, the perturbed polyhedron only has to realize the
-    chart (polyhedra sitting on combinatorial walls, like bipyramids with
-    four faces at a vertex, split under every generic perturbation)."""
+    The step is `magnitude` times a standard normal in each chart, with
+    `magnitude` capped at PERTURB_EDGE_SHARE times P's shortest edge, so
+    that short edges survive it. Without a chart, the face lattice
+    combinatorics must survive the perturbation. With one, the perturbed
+    polyhedron only has to realize the chart (polyhedra sitting on
+    combinatorial walls, like bipyramids with four faces at a vertex, split
+    under every generic perturbation)."""
+    magnitude = min(magnitude, PERTURB_EDGE_SHARE
+                    * min(P.edge_length(e) for e in range(P.n_edges)))
     base = np.stack([p.v for p in P.planes])
     want = {frozenset(e.faces) for e in P.edges}
     for _ in range(PERTURB_TRIES):
@@ -562,10 +587,11 @@ def perturbed_polyhedron(P: ConvexPolyhedronH3, rng: np.random.RandomState,
         else:
             if chart is not None:
                 try:
-                    return check_feasible(SolverState(pts, chart.surface,
-                                                      chart.lengths))
+                    state = SolverState(pts, chart.surface, chart.lengths)
+                    check_feasible(state)
                 except SolverError:
                     continue
+                return recovered_polyhedron(state)
             try:
                 poly = hull_from_dual_points(pts)
             except InvalidPolyhedron:
@@ -579,8 +605,12 @@ def perturbed_polyhedron(P: ConvexPolyhedronH3, rng: np.random.RandomState,
 
 
 def recovered_polyhedron(state: SolverState) -> ConvexPolyhedronH3:
-    """The polyhedron cut out by a feasible state's dual points."""
-    return check_feasible(state)
+    """The polyhedron cut out by a feasible state's dual points, built once
+    per state."""
+    check_feasible(state)
+    if "polyhedron" not in state.cache:
+        state.cache["polyhedron"] = hull_from_dual_points(state.positions)
+    return state.cache["polyhedron"]
 
 
 def _relabelings(poly: ConvexPolyhedronH3, surface: CombSurface):

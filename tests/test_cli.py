@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from polydual.cli import main
 from polydual.fuchsian import fuchsian_dualize, fuchsian_octagon_group
 from polydual.polyhedra import dualize, regular_tetrahedron
 from polydual.surface import octahedron_sphere
+
+BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench")
 
 
 @pytest.fixture()
@@ -140,6 +143,20 @@ class TestCommands:
         assert main(["gen", "bipyramid", "--out", str(poly_path)]) == 0
         assert main(["roundtrip", str(poly_path), "--seed", "7",
                      "--steps", "8"]) == 0
+
+    def test_roundtrip_on_short_edges(self, tmp_path, monkeypatch):
+        # this 30-face solid's shortest edge is 0.023; an uncapped 1e-2
+        # perturbation of its dual points failed every attempt for both seeds
+        monkeypatch.syspath_prepend(BENCH_DIR)
+        from solids import fibonacci_solid
+
+        solid = fibonacci_solid(np.random.RandomState([1, 0, 30]), 30, 0.02)
+        poly_path = tmp_path / "solid.json"
+        serialize.write_document(str(poly_path), serialize.envelope(
+            "polyhedron", serialize.encode_polyhedron(solid.poly),
+            {"command": "test", "parameters": {}, "seed": 0}))
+        for seed in ("1", "2"):
+            assert main(["roundtrip", str(poly_path), "--seed", seed]) == 0
 
     def test_fuchsian_demo(self, tmp_path):
         out = tmp_path / "f.json"

@@ -8,6 +8,7 @@ from polydual.geodesic import closed_geodesic_search
 from polydual.minkowski import DSPoint, Isometry, ds_distance, minkowski_inner
 from polydual.polyhedra import (
     EUCLIDEAN_TETRA_ANGLE,
+    MERGE_TOL,
     SphericalPolygon,
     dihedral_angle,
     dualize,
@@ -103,7 +104,6 @@ LATTICES = {
     "bipyramid": triangular_bipyramid,
     "random-7": lambda: random_polyhedron(np.random.RandomState(2), 7),
 }
-MERGE_TOL = 1e-9            # the first merge tolerance of hull_from_dual_points
 
 
 def incidence(P):

@@ -1,11 +1,19 @@
 import numpy as np
 import pytest
 
-from polydual.errors import HomotopyBlocked, InvalidConeMetric, SolverError
-from polydual.minkowski import Isometry, J
+from polydual.errors import (
+    FeasibilityLost,
+    HomotopyBlocked,
+    InvalidConeMetric,
+    SolverError,
+)
+from polydual.minkowski import DSPoint, Isometry, J, minkowski_inner
 from polydual.polyhedra import (
+    TETRA_DIRECTIONS,
+    chart_certifies,
     dualize,
     hexahedron,
+    random_polyhedron,
     regular_tetrahedron,
     triangular_bipyramid,
 )
@@ -120,29 +128,141 @@ class TestRetarget:
         assert np.array_equal(moved.target, lengths)
         assert np.array_equal(st.target, out.metric.lengths)
 
-    def test_shares_the_feasibility_verdict(self, tetra):
-        P, out = tetra
-        st = state_of(P, out)
-        lengths = scale(out.metric, 1e-3).lengths
-        assert check_feasible(st.retarget(lengths)) is check_feasible(st)
-
-    def test_newton_on_checked_retarget_builds_no_hull(self, tetra, monkeypatch):
-        P, out = tetra
-        st = state_of(P, out)
+    def test_shares_the_feasibility_verdict(self, monkeypatch):
+        # the bipyramid sits on a wall, so its own check rebuilds the hull
+        B = triangular_bipyramid()
+        out = dualize(B)
+        st = state_of(B, out)
         check_feasible(st)
         calls = count_hull_builds(monkeypatch)
-        newton_solve(st.retarget(out.metric.lengths))
+        check_feasible(st.retarget(scale(out.metric, 1e-3).lengths))
         assert calls == []
-        newton_solve(state_of(P, out))      # a fresh state is checked in full
-        assert len(calls) == 1
 
-    def test_recovered_polyhedron_builds_no_hull(self, tetra, monkeypatch):
+    def test_newton_on_fresh_generic_state_builds_no_hull(self, tetra,
+                                                          monkeypatch):
+        P, out = tetra
+        Q = perturbed_polyhedron(P, np.random.RandomState(7), 1e-3)
+        calls = count_hull_builds(monkeypatch)
+        sol = newton_solve(state_of(Q, out))
+        assert np.max(np.abs(sol.residual())) < 1e-10
+        assert calls == []
+
+    def test_continuation_builds_no_hull(self, tetra, monkeypatch):
+        P, out = tetra
+        start = perturbed_polyhedron(P, np.random.RandomState(3), 1e-2)
+        calls = count_hull_builds(monkeypatch)
+        continuation(start, out.metric, steps=4)
+        assert calls == []
+
+    def test_recovered_polyhedron_builds_one_hull(self, tetra, monkeypatch):
         P, out = tetra
         start = perturbed_polyhedron(P, np.random.RandomState(3), 1e-2)
         final, _ = continuation(start, out.metric, steps=4)
         calls = count_hull_builds(monkeypatch)
-        assert match_dihedral_angles(P, recovered_polyhedron(final))
-        assert calls == []
+        Q = recovered_polyhedron(final)
+        assert match_dihedral_angles(P, Q)
+        assert len(calls) == 1
+        assert recovered_polyhedron(final) is Q
+        assert len(calls) == 1
+
+    def test_wall_state_check_builds_one_hull(self, monkeypatch):
+        st = state_of(triangular_bipyramid())
+        calls = count_hull_builds(monkeypatch)
+        check_feasible(st)
+        assert len(calls) == 1
+        recovered_polyhedron(st)
+        assert len(calls) == 1
+
+
+def moved_planes(pts, rng, magnitude):
+    """Each dual point moved by `magnitude` times a standard normal inside
+    its tangent frame."""
+    pts = pts.copy()
+    for i in range(len(pts)):
+        fr, _ = solver._tangent_frame(pts, i)
+        v = pts[i] + fr @ (magnitude * rng.randn(3))
+        pts[i] = v / np.sqrt(minkowski_inner(v, v))
+    return pts
+
+
+def certified(st):
+    return chart_certifies(st.positions, st.triangles)
+
+
+CERTIFY_SOLIDS = {
+    "tetrahedron": lambda: regular_tetrahedron(1.15),
+    "hexahedron": lambda: hexahedron(0.5),
+    "bipyramid": triangular_bipyramid,
+    "random-7": lambda: random_polyhedron(np.random.RandomState(2), 7),
+}
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("name", CERTIFY_SOLIDS)
+    def test_accepts_only_what_the_hull_confirms(self, name):
+        P = CERTIFY_SOLIDS[name]()
+        chart = dualize(P).metric
+        pts = np.stack([p.v for p in P.planes])
+        rng = np.random.RandomState(11)
+        accepted = feasible = 0
+        for magnitude in np.geomspace(1e-6, 3e-2, 8):
+            for _ in range(6):
+                st = SolverState(moved_planes(pts, rng, magnitude),
+                                 chart.surface, chart.lengths)
+                try:
+                    poly = solver._checked_hull(st)
+                except FeasibilityLost:
+                    assert not certified(st)
+                    continue
+                feasible += 1
+                if certified(st):
+                    accepted += 1
+                    # the chart is exactly the hull's dual decomposition
+                    assert ({frozenset(e.faces) for e in poly.edges}
+                            == {frozenset(p) for p in st.edge_pairs})
+        # not vacuous: the certificate decides most feasible states
+        assert accepted >= 0.75 * feasible > 0
+
+    def test_hyperideal_vertices_are_not_certified(self):
+        # planes 0.5 from the origin cut out a tetrahedron whose vertices lie
+        # beyond the sphere at infinity; every sign test still holds
+        pts = np.stack([DSPoint(np.array([np.sinh(0.5), *(np.cosh(0.5) * u)])).v
+                        for u in TETRA_DIRECTIONS])
+        chart = dualize(regular_tetrahedron(1.15)).metric
+        st = SolverState(pts, chart.surface, chart.lengths)
+        assert not certified(st)
+        with pytest.raises(FeasibilityLost):
+            check_feasible(st)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-9, -1e-9])
+    def test_wall_states_fall_back_to_the_hull(self, offset, monkeypatch):
+        # the bipyramid's three four-face vertices put it on a wall; move
+        # toward (offset > 0) or away from a certified split of all three
+        B = triangular_bipyramid()
+        chart = dualize(B).metric
+        wall = np.stack([p.v for p in B.planes])
+        rng = np.random.RandomState(5)
+        split = next(pts for pts in (moved_planes(wall, rng, 1e-3)
+                                     for _ in range(100))
+                     if certified(SolverState(pts, chart.surface,
+                                              chart.lengths)))
+        pts = wall + offset * (split - wall) / np.linalg.norm(split - wall)
+        pts /= np.sqrt(np.einsum("ij,jk,ik->i", pts, J, pts))[:, None]
+        st = SolverState(pts, chart.surface, chart.lengths)
+        assert not certified(st)
+        try:
+            solver._checked_hull(SolverState(pts, chart.surface, chart.lengths))
+            hull_verdict = None
+        except FeasibilityLost as exc:
+            hull_verdict = str(exc)
+        calls = count_hull_builds(monkeypatch)
+        try:
+            check_feasible(st)
+            verdict = None
+        except FeasibilityLost as exc:
+            verdict = str(exc)
+        assert verdict == hull_verdict
+        assert len(calls) == 1
 
 
 def fd_jacobian(state, h=1e-6):
