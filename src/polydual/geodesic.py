@@ -5,9 +5,18 @@ and each half-edge carries the rotation that glues its neighbour's
 development to its own; a triangle strip develops by composing them. A
 closed geodesic crossing a cycle of edges develops onto a single great
 circle; the search solves for it from the rotation holonomy of the strip.
+
+The search is batched in two stages. The strip walks are enumerated level
+by level, the tree of walks held as int32 arrays (current half-edge, root,
+parent index per node), and only the walks that close are read back along
+their parent pointers, into one (N, L) array per walk length L. Then every
+closed walk of a length is tested at once on stacked arrays: holonomy and
+deck word by stacked matrix products, crossing points, strictly-inside and
+monotone-advance tests, step lengths and the rotation match.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -19,48 +28,50 @@ from .surface import (
     ConeMetric,
     base_pair,
     develop_third_point,
-    he_index,
+    rowdot,
     sphere_angle,
 )
 
-CROSSING_TOL = 1e-9
-IDENTITY_TOL = 1e-8
+CROSSING_TOL = 1e-9              # shortest crossing offset and circle step
+IDENTITY_TOL = 1e-8              # holonomy or deck word taken as the identity
+ON_SEGMENT_TOL = 1e-7            # |Aq| + |qB| - |AB| for q on segment AB
+ROTATION_MATCH_TOL = 1e-6        # holonomy vs rotation by the circle's length
+CHORD_TOL = 1e-12                # shortest chord point projected to the sphere
+MAX_STEP = np.pi - 1e-12         # longest step between consecutive crossings
 LENGTH_CAP = 2 * np.pi           # largeness: no closed geodesic this short
 
 
-def _develop(m: ConeMetric, t: int) -> np.ndarray:
-    """Triangle t developed alone, positively oriented; corners as columns."""
-    l01, l12, l20 = (m.lengths[m.surface.edge_of(t, k)] for k in range(3))
+def _develop(m: ConeMetric) -> np.ndarray:
+    """Every triangle developed alone, positively oriented: (T, 3, 3), the
+    corners of triangle t as the columns of [t]."""
+    surf = m.surface
+    edges = [[surf.edge_of(t, k) for k in range(3)] for t in range(surf.n_triangles)]
+    l01, l12, l20 = m.lengths[np.array(edges)].T
     A, B = base_pair(l01)
-    return np.stack([A, B, develop_third_point(A, B, l20, l12, +1.0)], axis=1)
+    return np.stack([A, B, develop_third_point(A, B, l20, l12, +1.0)], axis=-1)
 
 
 def _edge_frame(P, Q) -> np.ndarray:
-    return np.stack([P, Q, np.cross(P, Q)], axis=1)
+    return np.stack([P, Q, np.cross(P, Q)], axis=-1)
 
 
-def _crossings(m: ConeMetric, corners) -> list:
+def _mates(m: ConeMetric) -> np.ndarray:
+    return np.array([m.surface.mate(h) for h in range(3 * m.surface.n_triangles)],
+                    dtype=np.int32)
+
+
+def _crossings(m: ConeMetric, corners, mate):
     """Per half-edge h = (t, k): the rotation R_h carrying the neighbour across
     h, developed alone, into t's chart (the glued edge's corners onto their
-    images), and the deck word picked up by crossing h."""
-    surf = m.surface
-    out = []
-    for h in range(3 * surf.n_triangles):
-        t, k = divmod(h, 3)
-        t2, k2 = divmod(surf.mate(h), 3)
-        X, X2 = corners[t], corners[t2]
-        R = (_edge_frame(X[:, (k + 1) % 3], X[:, k])
-             @ np.linalg.inv(_edge_frame(X2[:, k2], X2[:, (k2 + 1) % 3])))
-        out.append((R, m.edge_word(h)))
-    return out
-
-
-def _strictly_inside(q, A, B) -> bool:
-    """Whether q lies on segment AB, away from both endpoints."""
-    da = sphere_angle(A, q)
-    db = sphere_angle(q, B)
-    return (abs(da + db - sphere_angle(A, B)) <= 1e-7
-            and da >= CROSSING_TOL and db >= CROSSING_TOL)
+    images), stacked (3T, 3, 3); and the deck words picked up by crossing
+    each h, stacked (3T, 4, 4), or None when the metric has none."""
+    t, k = np.divmod(np.arange(3 * m.surface.n_triangles), 3)
+    t2, k2 = np.divmod(mate, 3)
+    R = (_edge_frame(corners[t, :, (k + 1) % 3], corners[t, :, k])
+         @ np.linalg.inv(_edge_frame(corners[t2, :, k2], corners[t2, :, (k2 + 1) % 3])))
+    if m.deck_words is None:
+        return R, None
+    return R, np.array([m.edge_word(h) for h in range(len(t))])
 
 
 # -- closed geodesic search ----------------------------------------------------
@@ -81,146 +92,169 @@ class SearchReport:
     geodesics: list = field(default_factory=list)
 
 
-def _closed_walks(m: ConeMetric, depth: int):
-    """Closed walks in the strip graph, canonical up to rotation."""
-    surf = m.surface
-    n_he = 3 * surf.n_triangles
-    for h0 in range(n_he):
-        stack = [(h0, (h0,))]
-        while stack:
-            h, walk = stack.pop()
-            t, k = divmod(h, 3)
-            for off in (1, 2):
-                exit_he = he_index(t, (k + off) % 3)
-                nxt = surf.mate(exit_he)
-                if nxt == h0:
-                    yield walk
-                    continue
-                if len(walk) < depth and nxt >= h0:
-                    stack.append((nxt, walk + (nxt,)))
+def _closed_walks(mate: np.ndarray, depth: int) -> list:
+    """Closed walks in the strip graph, canonical up to rotation: one (N, L)
+    int32 array of entering half-edges per walk length L that occurs, rows in
+    lexicographic order.
+
+    A walk from root h0 entering triangle t by half-edge (t, k) steps on to
+    the mates of (t, k+1) and (t, k+2). It closes when the next half-edge is
+    h0, and extends while it is shorter than depth and the next half-edge
+    exceeds h0, so each cycle is found from its least half-edge. The tree is
+    grown one level at a time; a node keeps only its half-edge, root and
+    parent, and closed walks are read back along the parent pointers.
+    """
+    h = np.arange(len(mate))
+    k = h % 3
+    succ = mate[np.stack([h - k + (k + 1) % 3, h - k + (k + 2) % 3], axis=1)]
+    cur = root = h.astype(np.int32)
+    levels = []                  # (half-edge, parent) of the nodes per level
+    parent = np.full(len(h), -1, dtype=np.int32)
+    out = []
+    for length in itertools.count(1):
+        levels.append((cur, parent))
+        nxt = succ[cur]
+        closing = np.nonzero(nxt == root[:, None])[0]
+        if len(closing):
+            walks = np.empty((len(closing), length), dtype=np.int32)
+            node = closing
+            for i in range(length - 1, -1, -1):
+                walks[:, i] = levels[i][0][node]
+                node = levels[i][1][node]
+            out.append(walks[np.lexsort(walks.T[::-1])])
+        if length >= depth:
+            return out
+        node, col = np.nonzero(nxt > root[:, None])
+        cur, parent, root = nxt[node, col], node.astype(np.int32), root[node]
 
 
-def _strip_holonomy(m: ConeMetric, walk, corners, crossings):
-    """Compose the strip once around in the chart of its first triangle;
-    return (holonomy, crossed developed edges, deck word product or None)."""
-    surf = m.surface
-    M = np.eye(3)
-    edges = []
-    word = np.eye(4) if m.deck_words is not None else None
-    for i in range(len(walk)):
-        exit_he = surf.mate(walk[(i + 1) % len(walk)])
-        assert exit_he // 3 == walk[i] // 3
-        t, ke = divmod(exit_he, 3)
-        X = M @ corners[t]
-        edges.append((X[:, ke], X[:, (ke + 1) % 3]))
-        R, w = crossings[exit_he]
-        M = M @ R
+def _strip_holonomy(walks, mate, corners, rotations, words):
+    """Compose every strip of an (N, L) walk array once around in the chart
+    of its first triangle. Returns the holonomies projected onto SO(3)
+    (N, 3, 3), the ends A, B of the crossed developed edges (N, L, 3) each,
+    and the deck word products (N, 4, 4), or None without deck words."""
+    n, length = walks.shape
+    exits = mate[np.roll(walks, -1, axis=1)]    # exit half-edge of each step
+    rows = np.arange(n)
+    M = np.tile(np.eye(3), (n, 1, 1))
+    word = None if words is None else np.tile(np.eye(4), (n, 1, 1))
+    A, B = np.empty((n, length, 3)), np.empty((n, length, 3))
+    for i in range(length):
+        e = exits[:, i]
+        X = M @ corners[e // 3]
+        A[:, i], B[:, i] = X[rows, :, e % 3], X[rows, :, (e + 1) % 3]
+        M = M @ rotations[e]
         if word is not None:
-            word = word @ w
+            word = word @ words[e]
     # project to the rotation group to control drift
     u, _, vt = np.linalg.svd(M)
-    return u @ vt, edges, word
+    return u @ vt, A, B, word
 
 
-def _axis_of_rotation(H):
-    u, s, vt = np.linalg.svd(H - np.eye(3))
-    return vt[-1]
+def _max_deviation(X, Y) -> np.ndarray:
+    return np.max(np.abs(X - Y), axis=(-2, -1))
 
 
-def _fit_flat_normal(edges):
-    mids = np.array([(A + B) / np.linalg.norm(A + B) for A, B in edges])
-    w, v = np.linalg.eigh(mids.T @ mids)
-    return v[:, 0]
+def _fit_flat_normal(A, B) -> np.ndarray:
+    mids = A + B
+    mids = mids / np.sqrt(rowdot(mids, mids))[..., None]
+    return np.linalg.eigh(np.swapaxes(mids, -1, -2) @ mids)[1][..., 0]
 
 
-def _circle_length_through_strip(n, edges, H):
-    """Total length of the circle with normal n crossing every edge in order.
+def _crossing_points(n, A, B):
+    """Where the great circle with normal n (N, 3) meets each developed edge
+    AB (N, L, 3), and whether it crosses the edge strictly inside."""
+    nn = n[:, None, :]
+    fa, fb = rowdot(A, nn), rowdot(B, nn)
+    ok = (fa != 0.0) & (fb != 0.0) & ((fa > 0) != (fb > 0))
+    # where the chord AB meets the circle's plane; masked rows divide by one
+    q = A - (fa / np.where(ok, fa - fb, 1.0))[..., None] * (A - B)
+    nq = np.sqrt(rowdot(q, q))
+    ok &= ~(nq < CHORD_TOL)
+    q = q / np.where(ok, nq, 1.0)[..., None]
+    da, db = sphere_angle(A, q), sphere_angle(q, B)
+    ok &= ((np.abs(da + db - sphere_angle(A, B)) <= ON_SEGMENT_TOL)
+           & (da >= CROSSING_TOL) & (db >= CROSSING_TOL))
+    return q, ok
+
+
+def _circle_lengths(n, A, B, H):
+    """Per strip: whether the circle with normal n crosses every edge in order
+    and advances monotonically, and its total length.
 
     The strip develops once around, so the segment after the last crossing
-    ends at the holonomy image of the first one. Returns None unless the
-    circle crosses each developed edge strictly inside and advances
-    monotonically.
+    ends at the holonomy image H of the first one. Steps are summed in walk
+    order.
     """
-    pts = []
-    for A, B in edges:
-        fa, fb = float(A @ n), float(B @ n)
-        if fa == 0.0 or fb == 0.0 or (fa > 0) == (fb > 0):
-            return None
-        q = A - (fa / (fa - fb)) * (A - B)  # chord meets the circle plane
-        nq = np.linalg.norm(q)
-        if nq < 1e-12:
-            return None
-        q = q / nq
-        if not _strictly_inside(q, A, B):
-            return None
-        pts.append(q)
-    pts.append(H @ pts[0])
-    total = 0.0
-    sign_ref = None
-    for i in range(len(pts) - 1):
-        a, b = pts[i], pts[i + 1]
-        sgn = float(np.dot(n, np.cross(a, b)))
-        step = float(np.arctan2(abs(sgn), np.dot(a, b)))
-        if step < CROSSING_TOL or step > np.pi - 1e-12:
-            return None
-        if sign_ref is None:
-            sign_ref = np.sign(sgn)
-            if sign_ref == 0:
-                return None
-        elif np.sign(sgn) != sign_ref:
-            return None
-        total += step
-    return total
+    q, ok = _crossing_points(n, A, B)
+    ends = np.concatenate([q[:, 1:], (H @ q[:, 0, :, None])[:, None, :, 0]], axis=1)
+    sgn = rowdot(n[:, None, :], np.cross(q, ends))
+    step = np.arctan2(np.abs(sgn), rowdot(q, ends))
+    sign = np.sign(sgn)
+    found = (ok.all(axis=1)
+             & ~((step < CROSSING_TOL) | (step > MAX_STEP)).any(axis=1)
+             & (sign[:, 0] != 0) & (sign == sign[:, :1]).all(axis=1))
+    return found, np.cumsum(step, axis=1)[:, -1]
 
 
-def _rotation_about(n, angle):
-    n = n / np.linalg.norm(n)
-    K = np.array([[0, -n[2], n[1]], [n[2], 0, -n[0]], [-n[1], n[0], 0]])
-    return np.eye(3) + np.sin(angle) * K + (1 - np.cos(angle)) * K @ K
+def _rotation_about(n, angle) -> np.ndarray:
+    n = n / np.sqrt(rowdot(n, n))[:, None]
+    z = np.zeros(len(n))
+    K = np.stack([z, -n[:, 2], n[:, 1], n[:, 2], z, -n[:, 0],
+                  -n[:, 1], n[:, 0], z], axis=1).reshape(-1, 3, 3)
+    return (np.eye(3) + np.sin(angle)[:, None, None] * K
+            + ((1 - np.cos(angle))[:, None, None] * K) @ K)
+
+
+def _closed_geodesics(H, A, B):
+    """Per strip with holonomy H and crossed edges A, B: whether a great
+    circle invariant under H threads every crossed edge, and its length."""
+    flat = _max_deviation(H, np.eye(3)) < IDENTITY_TOL
+    normal = np.empty((len(H), 3))
+    normal[flat] = _fit_flat_normal(A[flat], B[flat])
+    normal[~flat] = np.linalg.svd(H[~flat] - np.eye(3))[2][:, -1]  # rotation axis
+    H = np.where(flat[:, None, None], np.eye(3), H)
+    found, length = _circle_lengths(normal, A, B, H)
+    # a holonomy must be the rotation by the traversed length about the
+    # effective axis (sign fixed by the traversal direction)
+    match = np.minimum(_max_deviation(_rotation_about(normal, length), H),
+                       _max_deviation(_rotation_about(-normal, length), H))
+    return found & (flat | ~(match > ROTATION_MATCH_TOL)), length
 
 
 def closed_geodesic_search(m: ConeMetric, depth: int = 8,
                            contractible_only: bool = True) -> SearchReport:
     """Depth-bounded search for closed geodesics of a spherical cone-metric.
 
-    Enumerates edge-crossing cycles up to the given depth, develops each
-    strip, and accepts a cycle when its holonomy admits an invariant great
+    Enumerates the edge-crossing cycles of up to `depth` crossings level by
+    level, then tests all cycles of one length together: it develops each
+    strip and accepts a cycle when its holonomy admits an invariant great
     circle threading every crossed edge. The result is a bounded search, not
     a completeness certificate. With contractible_only, cycles whose deck
     word is nontrivial are skipped (metrics without deck words treat every
-    cycle as contractible).
+    cycle as contractible). `geodesics` is sorted by walk length, then by
+    walk (the tuple of entering half-edges, starting from its least).
     """
     if m.geometry != SPHERICAL:
         raise InvalidConeMetric("closed geodesic search expects a spherical metric")
     report = SearchReport()
-    corners = [_develop(m, t) for t in range(m.surface.n_triangles)]
-    crossings = _crossings(m, corners)
-    for walk in _closed_walks(m, depth):
-        report.n_cycles_checked += 1
-        H, edges, word = _strip_holonomy(m, walk, corners, crossings)
-        contractible = True
+    corners = _develop(m)
+    mate = _mates(m)
+    rotations, words = _crossings(m, corners, mate)
+    for walks in _closed_walks(mate, depth):
+        report.n_cycles_checked += len(walks)
+        H, A, B, word = _strip_holonomy(walks, mate, corners, rotations, words)
+        contractible = np.ones(len(walks), dtype=bool)
         if word is not None:
-            contractible = np.max(np.abs(word - np.eye(4))) < IDENTITY_TOL
-        if contractible_only and not contractible:
-            continue
-        if np.max(np.abs(H - np.eye(3))) < IDENTITY_TOL:
-            normal = _fit_flat_normal(edges)
-            length = _circle_length_through_strip(normal, edges, np.eye(3))
-        else:
-            normal = _axis_of_rotation(H)
-            length = _circle_length_through_strip(normal, edges, H)
-            if length is not None:
-                # holonomy must be the rotation by the traversed length about
-                # the effective axis (sign fixed by the traversal direction)
-                ok = min(np.max(np.abs(_rotation_about(normal, length) - H)),
-                         np.max(np.abs(_rotation_about(-normal, length) - H)))
-                if ok > 1e-6:
-                    length = None
-        if length is None:
-            continue
-        report.geodesics.append(ClosedGeodesic(length, walk, contractible))
-        if report.min_length is None or length < report.min_length:
-            report.min_length = length
+            contractible = _max_deviation(word, np.eye(4)) < IDENTITY_TOL
+        keep = contractible if contractible_only else np.ones_like(contractible)
+        found, length = _closed_geodesics(H[keep], A[keep], B[keep])
+        for walk, ell, c in zip(walks[keep][found], length[found],
+                                contractible[keep][found]):
+            report.geodesics.append(
+                ClosedGeodesic(float(ell), tuple(walk.tolist()), bool(c)))
+    if report.geodesics:
+        report.min_length = min(g.length for g in report.geodesics)
     report.found_within_cap = (report.min_length is not None
                                and report.min_length <= LENGTH_CAP)
     return report

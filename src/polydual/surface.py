@@ -344,29 +344,42 @@ def double_triangle(a: float, b: float, c: float, geometry: str) -> ConeMetric:
 # -- spherical development and edge flip --------------------------------------
 
 
-def sphere_angle(u, w) -> float:
-    """Angle between two vectors of R^3; the distance of unit ones on S^2."""
-    return float(np.arctan2(np.linalg.norm(np.cross(u, w)), float(u @ w)))
+def rowdot(a, b):
+    """Dot products of vectors stacked along the leading axes, each with the
+    arithmetic of a 1-D `a @ b` (a stacked matmul of 1x3 by 3x1 blocks)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def base_pair(length: float):
-    """Two unit vectors of R^3 at sphere distance length, in the x-y plane."""
-    return np.array([1.0, 0.0, 0.0]), np.array([np.cos(length), np.sin(length), 0.0])
+def sphere_angle(u, w):
+    """Angle between vectors of R^3, stacked along the leading axes; the
+    distance of unit ones on S^2."""
+    c = np.cross(u, w)
+    return np.arctan2(np.sqrt(rowdot(c, c)), rowdot(u, w))
+
+
+def base_pair(length):
+    """Two unit vectors of R^3 at sphere distance length, in the x-y plane;
+    an array of lengths gives stacked pairs."""
+    one, zero = np.ones_like(length), np.zeros_like(length)
+    return (np.stack([one, zero, zero], axis=-1),
+            np.stack([np.cos(length), np.sin(length), zero], axis=-1))
 
 
 def develop_third_point(A, B, dist_a, dist_b, sign: float):
     """Place C on the unit sphere with |AC| = dist_a, |BC| = dist_b, on the
-    side of the great circle AB given by sign."""
-    gram = np.array([[A @ A, A @ B], [B @ A, B @ B]])
-    rhs = np.array([np.cos(dist_a), np.cos(dist_b)])
-    xy = np.linalg.solve(gram, rhs)
-    planar = xy[0] * A + xy[1] * B
-    z2 = 1.0 - planar @ planar
-    if z2 <= 0:
+    side of the great circle AB given by sign. A and B may be stacks of
+    vectors, with one pair of distances per stacked pair."""
+    gram = np.stack([np.stack([rowdot(A, A), rowdot(A, B)], axis=-1),
+                     np.stack([rowdot(B, A), rowdot(B, B)], axis=-1)], axis=-2)
+    rhs = np.stack([np.cos(dist_a), np.cos(dist_b)], axis=-1)
+    xy = np.linalg.solve(gram, rhs[..., None])[..., 0]
+    planar = xy[..., 0, None] * A + xy[..., 1, None] * B
+    z2 = 1.0 - rowdot(planar, planar)
+    if np.any(z2 <= 0):
         raise FlipBlocked("development degenerates (points nearly collinear)")
     normal = np.cross(A, B)
-    normal = normal / np.sqrt(normal @ normal)
-    return planar + sign * np.sqrt(z2) * normal
+    normal = normal / np.sqrt(rowdot(normal, normal))[..., None]
+    return planar + (sign * np.sqrt(z2))[..., None] * normal
 
 
 def _sphere_corner(P, Q, R) -> float:
