@@ -162,7 +162,7 @@ def cmd_realize(args):
         return INVALID
     if args.start:
         doc_in = serialize.read_document(args.start, expect_kind="polyhedron")
-        start = serialize.decode_polyhedron(doc_in["payload"])
+        start = serialize.decode_dual_points(doc_in["payload"])
     else:
         start = auto_start(metric)
     state, report = continuation(start, metric, steps=args.steps, tol=args.tol)

@@ -17,7 +17,7 @@ from scipy.spatial import ConvexHull
 
 from .errors import InvalidPolyhedron, OrbitBoundTooSmall
 from .minkowski import DSPoint, Isometry, J, clamped, corner_angle
-from .polyhedra import SphericalPolygon, order_face_cycle
+from .polyhedra import SphericalPolygon, order_face_cycles
 from .surface import SPHERICAL, CombSurface, ConeMetric, fan_triangulation, sphere_angle
 
 OCTAGON_HALF_WIDTH = float(np.arccosh(1.0 / np.tan(np.pi / 8)))
@@ -159,9 +159,13 @@ def _apex_star(data: FuchsianData, points: np.ndarray) -> ApexStar:
             if np.min(off) < 0:
                 raise InvalidPolyhedron("apex face plane does not support the orbit")
             n = -n
-        rows = points[list(members)]
-        cycle = order_face_cycle(n[1:], rows[:, 1:] / rows[:, [0]], list(members))
-        faces.append({"normal": n, "members": members, "cycle": cycle})
+        faces.append({"normal": n, "members": members})
+    incidence = np.zeros((len(faces), len(points)), dtype=bool)
+    for row, f in zip(incidence, faces):
+        row[list(f["members"])] = True
+    cycles = order_face_cycles([f["normal"][1:] for f in faces], klein, incidence)
+    for f, cycle in zip(faces, cycles):
+        f["cycle"] = cycle
 
     # cyclic order around the apex: follow, inside each face cycle, the
     # successor of the apex; the next face shares that edge

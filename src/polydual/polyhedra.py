@@ -26,6 +26,7 @@ from .minkowski import (
     corner_angle,
     h_distance,
     minkowski_inner,
+    minkowski_rows,
 )
 from .surface import SPHERICAL, CombSurface, ConeMetric, fan_triangulation, sphere_angle
 
@@ -202,13 +203,13 @@ def _build_lattice(duals, a, b, hull, essential, discarded):
         incidence[list(members), v] = True
     incidence = incidence[essential]        # face x vertex
 
-    faces = []
-    for f, orig in enumerate(essential):
-        idxs = np.flatnonzero(incidence[f]).tolist()
-        if len(idxs) < 3:
-            raise InvalidPolyhedron(f"face {orig} has fewer than three vertices")
-        cycle = order_face_cycle(a[orig], vertices_klein[idxs], idxs)
-        faces.append(Face(plane=duals[orig], vertex_cycle=cycle))
+    small = np.flatnonzero(incidence.sum(axis=1) < 3)
+    if small.size:
+        raise InvalidPolyhedron(
+            f"face {essential[small[0]]} has fewer than three vertices")
+    cycles = order_face_cycles(a[essential], vertices_klein, incidence)
+    faces = [Face(plane=duals[orig], vertex_cycle=cycle)
+             for orig, cycle in zip(essential, cycles)]
 
     edges = _edges_from_faces(faces)
     poly = ConvexPolyhedronH3(planes=[duals[i] for i in essential],
@@ -279,24 +280,95 @@ def chart_certifies(duals, triangles) -> bool:
     return bool(np.all(own | (resid < -CERTIFY_MARGIN * scale)))
 
 
-def order_face_cycle(normal, pts, idxs):
-    """Vertex cycle of a face, convex and ccw about the outward normal."""
-    e1 = np.zeros(3)
-    e1[np.argmin(np.abs(normal))] = 1.0
-    e1 = np.cross(normal, e1)
-    e1 /= np.linalg.norm(e1)
+def polyhedron_from_chart(duals, surface: CombSurface) -> ConvexPolyhedronH3:
+    """The polyhedron cut out by the planes dual to `duals`, for dual points
+    whose chart `surface` `chart_certifies` accepted; builds no hull.
+
+    Why it is sound: the certificate proves that the chart is exactly the
+    polyhedron's dual decomposition, with every plane essential and every
+    vertex simple (see `chart_certifies`). So the face lattice is read off
+    the chart instead of recovered by Qhull, an LP and a fit per vertex:
+    the planes are all of `duals`, converted as `hull_from_dual_points`
+    converts them; the vertices are the triangles' common points y_t,
+    lifted and in the hull's vertex order (sorted plane triples); face f is
+    chart vertex f, its cycle the triangles of f's star; edges follow from
+    the cycles. The chart's rotation is ccw seen from outside either about
+    every face or about none, and one corner decides which. The vertices
+    agree with the hull's within solve roundoff, and each cycle is the
+    hull's up to rotation.
+    """
+    planes = [d if isinstance(d, DSPoint) else DSPoint.from_vector(d)
+              for d in duals]
+    x = np.array([p.v for p in planes])
+    a, b = x[:, 1:], x[:, 0]
+    corners = np.sort(surface.triangle_array, axis=1)
+    order = np.lexsort(corners.T[::-1])
+    vertex_of = np.empty(len(order), dtype=int)
+    vertex_of[order] = np.arange(len(order))
+    tri = corners[order]
+    y = np.linalg.solve(a[tri], b[tri][..., None])[..., 0]
+    cycles = [vertex_of[star].tolist() for star in surface.vertex_stars()]
+    p0, p1, p2 = y[cycles[0][:3]]
+    if np.cross(p1 - p0, p2 - p1) @ a[0] < 0:
+        cycles = [c[::-1] for c in cycles]
+    faces = [Face(plane=p, vertex_cycle=c) for p, c in zip(planes, cycles)]
+    return ConvexPolyhedronH3(planes=planes,
+                              vertices=[_lift_klein(v) for v in y],
+                              faces=faces, edges=_edges_from_faces(faces))
+
+
+def order_face_cycles(normals, points, incidence) -> list:
+    """Vertex cycles of faces, each convex and ccw about its outward normal.
+
+    Face f holds the points that row f of the boolean `incidence` marks, at
+    least three of them, and has the outward normal normals[f]. Its cycle
+    lists their indices into `points` sorted by angle about their centroid,
+    in a plane basis (e1, e2) that makes (e1, e2, normal) right-handed, from
+    the smallest angle up; every corner must turn left about the normal.
+    All faces run in one pass, padded to the longest, and each face gets
+    the arithmetic it would get on its own (stacked matmul reproduces the
+    single-face dot products bit for bit).
+    """
+    normals = np.asarray(normals, dtype=float)
+    count = incidence.sum(axis=1)
+    face, member = np.nonzero(incidence)        # each face's points ascending
+    slot = np.arange(len(face)) - np.repeat(np.cumsum(count) - count, count)
+    shape = (len(normals), int(count.max()))
+    idx = np.zeros(shape, dtype=int)
+    idx[face, slot] = member
+    real = np.zeros(shape, dtype=bool)
+    real[face, slot] = True
+    pts = np.where(real[..., None], points[idx], 0.0)
+
+    e1 = np.zeros(normals.shape)
+    e1[np.arange(len(normals)), np.argmin(np.abs(normals), axis=1)] = 1.0
+    e1 = _unit_rows(np.cross(normals, e1))
     # e1 is orthogonal to the normal, so (e1, normal x e1, normal) is
     # right-handed and angle order is ccw seen from outside
-    e2 = np.cross(normal, e1)
-    e2 /= np.linalg.norm(e2)
-    center = pts.mean(axis=0)
-    ang = np.arctan2((pts - center) @ e2, (pts - center) @ e1)
-    order = np.argsort(ang)
-    sides = np.diff(pts[order], axis=0, append=pts[order[:1]])
-    # every corner turns left about the normal
-    if np.any(np.cross(sides, np.roll(sides, -1, axis=0)) @ normal <= 0):
+    e2 = _unit_rows(np.cross(normals, e1))
+    rel = pts - (pts.sum(axis=1) / count[:, None])[:, None]
+    ang = np.arctan2(_row_products(rel, e2), _row_products(rel, e1))
+    order = np.argsort(np.where(real, ang, np.inf), axis=1)   # padding last
+
+    k = np.arange(shape[1])
+    after = np.where(k + 1 < count[:, None], k + 1, 0)[..., None]
+    ordered = np.take_along_axis(pts, order[..., None], axis=1)
+    sides = np.take_along_axis(ordered, after, axis=1) - ordered
+    turns = np.cross(sides, np.take_along_axis(sides, after, axis=1))
+    if np.any((k < count[:, None]) & (_row_products(turns, normals) <= 0)):
         raise InvalidPolyhedron("face cycle is not convex about its normal")
-    return [idxs[i] for i in order]
+    cycles = np.take_along_axis(idx, order, axis=1).tolist()
+    return [c[:m] for c, m in zip(cycles, count.tolist())]
+
+
+def _row_products(u, w):
+    """u[f] @ w[f] for stacks of points u (F, K, 3) and vectors w (F, 3)."""
+    return (u @ w[..., None])[..., 0]
+
+
+def _unit_rows(v):
+    """Each row of v divided by its norm, as np.linalg.norm gives it."""
+    return v / np.sqrt((v[:, None, :] @ v[..., None])[:, 0])
 
 
 def _edges_from_faces(faces):
@@ -327,9 +399,7 @@ def _validate_lattice(poly, incidence, merge_tol):
         raise InvalidPolyhedron("face lattice is not a 2-sphere")
     n = np.array([p.v for p in poly.planes])[:, None, :]
     x = np.array([p.v for p in poly.vertices])[None, :, :]
-    # <n_f, x_v>, term by term in minkowski_inner's order
-    inner = (-n[..., 0] * x[..., 0] + n[..., 1] * x[..., 1]
-             + n[..., 2] * x[..., 2] + n[..., 3] * x[..., 3])
+    inner = minkowski_rows(n, x)                     # <n_f, x_v>
     scale = x[..., 0]
     off = incidence & (np.abs(inner) > 10 * merge_tol * scale)
     outside = ~incidence & (inner >= -merge_tol * scale / 10)

@@ -120,13 +120,18 @@ def encode_polyhedron(P: ConvexPolyhedronH3) -> dict:
     return {"dual_points": [[float(x) for x in p.v] for p in P.planes]}
 
 
-def decode_polyhedron(payload: dict) -> ConvexPolyhedronH3:
+def decode_dual_points(payload: dict) -> list:
+    """The dual points of a polyhedron payload, each validated as a DSPoint;
+    builds no hull."""
     try:
-        duals = [DSPoint(np.array(p, dtype=float))
-                 for p in payload["dual_points"]]
+        return [DSPoint(np.array(p, dtype=float))
+                for p in payload["dual_points"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed polyhedron payload: {exc}") from exc
-    return hull_from_dual_points(duals)
+
+
+def decode_polyhedron(payload: dict) -> ConvexPolyhedronH3:
+    return hull_from_dual_points(decode_dual_points(payload))
 
 
 # -- Fuchsian group data -----------------------------------------------------------

@@ -5,10 +5,14 @@ spherical cone-metric.
 Unknowns are the positions of one point per marked dual vertex, moved inside
 3-parameter tangent charts. Tangent frames are built from the configuration
 itself (Minkowski Gram-Schmidt on directions toward the other points), which
-makes every derived quantity exactly equivariant under global isometries.
-The gauge pins 3+2+1 chart coordinates of three independent points, chosen
-so the pinned directions span the isometry orbit exactly. The Jacobian of
-the chart lengths in the free coordinates is taken in closed form.
+makes every derived quantity exactly equivariant under global isometries;
+the frames of all points come out of one stacked, masked Gram-Schmidt. The
+gauge pins 3+2+1 chart coordinates of three independent points, chosen so
+the pinned directions span the isometry orbit exactly; it is held as the
+index of the 3n - 6 free chart coordinates plus the free directions of the
+two partly pinned points. The Jacobian of the chart lengths in the free
+coordinates is taken in closed form, and a chart move of all points is one
+stacked update, so a Newton iteration does no Python work per point.
 """
 from __future__ import annotations
 
@@ -28,11 +32,12 @@ from .errors import (
     StepStalled,
 )
 from .geodesic import closed_geodesic_search
-from .minkowski import J, minkowski_inner
+from .minkowski import J, minkowski_rows
 from .polyhedra import (
     ConvexPolyhedronH3,
     chart_certifies,
     hull_from_dual_points,
+    polyhedron_from_chart,
 )
 from .surface import SPHERICAL, CombSurface, ConeMetric, is_concave
 
@@ -42,6 +47,10 @@ DAMPING_FLOOR = 1e-12
 NEWTON_MAX_ITER = 50
 PERTURB_TRIES = 60
 PERTURB_EDGE_SHARE = 0.1     # largest perturbation, per unit of shortest edge
+FRAME_TOL = 1e-10            # |<t, t>| below which a frame candidate is skipped
+GAUGE_RANK_TOL = 1e-8        # singular values below this count as zero
+GAUGE_PLANE_TOL = 1e-6       # relative third singular value of a pinned plane
+TRIPLE_TOL = 1e-6            # smallest singular value of an independent triple
 
 
 def _so31_basis():
@@ -61,31 +70,43 @@ def _so31_basis():
 SO31_BASIS = _so31_basis()
 
 
-def _tangent_frame(positions: np.ndarray, i: int) -> tuple:
-    """Minkowski-orthonormal frame of the tangent space at positions[i].
+def _tangent_frames(positions: np.ndarray) -> tuple:
+    """Minkowski-orthonormal frames of the tangent spaces at all points.
 
-    Directions toward the other points are orthonormalized in deterministic
-    order, falling back to ambient axes for degenerate configurations.
-    Returns (frame 4x3, signs length-3 with entries +-1).
+    Point i orthonormalizes, in this order, the directions toward
+    positions[(i + k) % n] for k = 1, ..., n - 1 and then the ambient axes,
+    skipping every candidate whose remainder has |<t, t>| < FRAME_TOL, until
+    it holds three vectors. All points run as one masked Gram-Schmidt in
+    which each point keeps its own count and gets the arithmetic it would
+    get alone. Returns frames (n, 4, 3), C-contiguous with column k the k-th
+    vector, and signs (n, 3), the signs of the vectors' squares.
     """
-    x = positions[i]
     n = len(positions)
-    cands = [positions[(i + k) % n] for k in range(1, n)]
-    cands += [np.eye(4)[k] for k in range(4)]
-    frame = []
-    signs = []
-    for y in cands:
-        t = y - minkowski_inner(x, y) * x          # tangent projection, <x,x>=1
-        for f, s in zip(frame, signs):
-            t = t - s * minkowski_inner(f, t) * f
-        q = minkowski_inner(t, t)
-        if abs(q) < 1e-10:
-            continue
-        frame.append(t / np.sqrt(abs(q)))
-        signs.append(1.0 if q > 0 else -1.0)
-        if len(frame) == 3:
-            return np.stack(frame, axis=1), np.array(signs)
-    raise SolverError("tangent frame construction degenerated")
+    vectors = np.zeros((n, 3, 4))
+    signs = np.zeros((n, 3))
+    count = np.zeros(n, dtype=int)
+    for c in range(n + 3):
+        rows = np.flatnonzero(count < 3)
+        if not rows.size:
+            break
+        x = positions[rows]
+        y = (positions[(rows + c + 1) % n] if c < n - 1
+             else np.broadcast_to(np.eye(4)[c - n + 1], x.shape))
+        t = y - minkowski_rows(x, y)[:, None] * x     # tangent projection
+        for k in range(2):
+            f = vectors[rows, k]
+            s = signs[rows, k]
+            t = np.where((count[rows] > k)[:, None],
+                         t - (s * minkowski_rows(f, t))[:, None] * f, t)
+        q = minkowski_rows(t, t)
+        keep = np.abs(q) >= FRAME_TOL
+        rows, t, q = rows[keep], t[keep], q[keep]
+        vectors[rows, count[rows]] = t / np.sqrt(np.abs(q))[:, None]
+        signs[rows, count[rows]] = np.where(q > 0, 1.0, -1.0)
+        count[rows] += 1
+    if np.any(count < 3):
+        raise SolverError("tangent frame construction degenerated")
+    return np.ascontiguousarray(vectors.transpose(0, 2, 1)), signs
 
 
 def _coords_in_frame(frame, signs, v) -> np.ndarray:
@@ -95,10 +116,31 @@ def _coords_in_frame(frame, signs, v) -> np.ndarray:
 
 @dataclass
 class Gauge:
-    directions: dict             # point index -> 3 x k matrix of free directions
+    """The chart coordinates left free by pinning 3+2+1 of them.
+
+    Every point has three chart coordinates, 3n in all, and `free` indexes
+    the 3n - 6 free ones in point order. Point pinned[0] does not move;
+    pinned[1] moves along the one column of free1 and pinned[2] along the
+    two of free2, their first one and two chart coordinates holding the
+    weights; every other point moves freely.
+    """
+    pinned: tuple                # (i0, i1, i2)
+    free1: np.ndarray            # 3 x 1
+    free2: np.ndarray            # 3 x 2
+    free: np.ndarray             # indices of the free coordinates among 3n
 
     def n_free(self):
-        return sum(d.shape[1] for d in self.directions.values())
+        return len(self.free)
+
+    def chart_steps(self, delta: np.ndarray) -> np.ndarray:
+        """(n, 3) chart steps of all points for free coordinates delta."""
+        _, i1, i2 = self.pinned
+        xi = np.zeros(len(self.free) + 6)
+        xi[self.free] = delta
+        xi = xi.reshape(-1, 3)
+        xi[i1] = self.free1 @ xi[i1, :1]
+        xi[i2] = self.free2 @ xi[i2, :2]
+        return xi
 
 
 def build_gauge(positions: np.ndarray, frames) -> Gauge:
@@ -107,42 +149,38 @@ def build_gauge(positions: np.ndarray, frames) -> Gauge:
     The second point's pinned plane is the orbit of the first point's
     stabilizer; the third point's pinned line is the orbit of the residual
     one-parameter stabilizer. This removes exactly the six isometry degrees
-    of freedom at generic configurations.
+    of freedom at generic configurations. `frames` is the pair that
+    `_tangent_frames` returns.
     """
-    n = len(positions)
+    vectors, signs = frames
     for i0, i1, i2 in _independent_triples(positions):
         acts0 = np.stack([A @ positions[i0] for A in SO31_BASIS], axis=1)
         _, sv, vt = np.linalg.svd(acts0)
-        rank = int(np.sum(sv >= 1e-8 * sv[0]))
+        rank = int(np.sum(sv >= GAUGE_RANK_TOL * sv[0]))
         if 6 - rank != 3:
             continue
         stab0 = [sum(c[k] * SO31_BASIS[k] for k in range(6)) for c in vt[3:]]
-        p1 = np.stack([_coords_in_frame(frames[i1][0], frames[i1][1],
+        p1 = np.stack([_coords_in_frame(vectors[i1], signs[i1],
                                         A @ positions[i1]) for A in stab0],
                       axis=1)
         u1, sv1, vt1 = np.linalg.svd(p1)
-        if sv1[1] < 1e-8 or (len(sv1) > 2 and sv1[2] > 1e-6 * sv1[0]):
+        if sv1[1] < GAUGE_RANK_TOL or (len(sv1) > 2
+                                       and sv1[2] > GAUGE_PLANE_TOL * sv1[0]):
             continue
         free1 = u1[:, 2:]
         c2 = vt1[2]
         stab1 = sum(c2[k] * np.asarray(stab0[k]) for k in range(3))
-        v2 = _coords_in_frame(frames[i2][0], frames[i2][1],
-                              stab1 @ positions[i2])
-        if np.linalg.norm(v2) < 1e-8:
+        v2 = _coords_in_frame(vectors[i2], signs[i2], stab1 @ positions[i2])
+        if np.linalg.norm(v2) < GAUGE_RANK_TOL:
             continue
         u2, _, _ = np.linalg.svd(v2[:, None], full_matrices=True)
         free2 = u2[:, 1:]
-        directions = {}
-        for i in range(n):
-            if i == i0:
-                directions[i] = np.zeros((3, 0))
-            elif i == i1:
-                directions[i] = free1
-            elif i == i2:
-                directions[i] = free2
-            else:
-                directions[i] = np.eye(3)
-        return Gauge(directions=directions)
+        free = np.ones((len(positions), 3), dtype=bool)
+        free[i0] = False
+        free[i1, 1:] = False
+        free[i2, 2:] = False
+        return Gauge(pinned=(i0, i1, i2), free1=free1, free2=free2,
+                     free=np.flatnonzero(free))
     raise SolverError("no independent point triple found for the gauge")
 
 
@@ -152,7 +190,7 @@ def _independent_triples(positions):
         for i1 in range(i0 + 1, n):
             for i2 in range(i1 + 1, n):
                 m = np.stack([positions[i0], positions[i1], positions[i2]])
-                if np.linalg.svd(m, compute_uv=False)[2] > 1e-6:
+                if np.linalg.svd(m, compute_uv=False)[2] > TRIPLE_TOL:
                     yield (i0, i1, i2)
 
 
@@ -171,17 +209,17 @@ class SolverState:
         norms = np.einsum("ij,jk,ik->i", self.positions, J, self.positions)
         if np.max(np.abs(norms - 1.0)) > 1e-10:
             raise SolverError("dual points must lie on the de Sitter quadric")
-        pairs = [surface.edge_endpoints(e) for e in range(surface.n_edges)]
-        if len({frozenset(p) for p in pairs}) != len(pairs):
+        if surface.has_parallel_edges:
             raise SolverError(
                 "chart has two edges with the same endpoints; the extrinsic "
                 "parametrization cannot separate them")
-        self.edge_pairs = np.array(pairs)
-        self.triangles = np.array(surface.triangles)
+        self.edge_pairs = surface.edge_pairs
+        self.triangles = surface.triangle_array
         if surface.n_edges != 3 * n - 6:
             raise SolverError("chart dimension is not 3n - 6; genus-0 required")
-        # frames, gauge, the feasibility verdict and the polyhedron depend
-        # only on positions and chart: built once, shared with every retarget
+        # frames, gauge, Jacobian, the feasibility verdict and the polyhedron
+        # depend only on positions and chart: built once, shared with every
+        # retarget
         self.cache = {}
 
     # -- geometry ----------------------------------------------------------------
@@ -201,9 +239,9 @@ class SolverState:
         return self.current_lengths() - self.target
 
     def frames(self):
+        """(frames, signs) of all points, as `_tangent_frames` returns them."""
         if "frames" not in self.cache:
-            self.cache["frames"] = [_tangent_frame(self.positions, i)
-                                    for i in range(len(self.positions))]
+            self.cache["frames"] = _tangent_frames(self.positions)
         return self.cache["frames"]
 
     def gauge(self) -> Gauge:
@@ -213,27 +251,30 @@ class SolverState:
 
     def retarget(self, target_lengths) -> "SolverState":
         """The same positions and chart with new target lengths, sharing this
-        state's frames, gauge and feasibility verdict."""
+        state's frames, gauge, Jacobian and feasibility verdict."""
         out = copy.copy(self)
         out.target = np.asarray(target_lengths, dtype=float).copy()
         return out
 
     def moved(self, delta: np.ndarray, gauge: Gauge, frames) -> "SolverState":
         """New state with free chart coordinates shifted by delta."""
-        out = self.positions.copy()
-        ofs = 0
-        for i in range(len(out)):
-            d = gauge.directions[i]
-            k = d.shape[1]
-            if k:
-                xi = d @ delta[ofs:ofs + k]
-                v = out[i] + frames[i][0] @ xi
-                q = minkowski_inner(v, v)
-                if q <= 0:
-                    raise FeasibilityLost(f"point {i} left the quadric chart")
-                out[i] = v / np.sqrt(q)
-            ofs += k
+        x = self.positions
+        v, q = _chart_moves(x, frames[0], gauge.chart_steps(delta))
+        left = np.flatnonzero(q <= 0)
+        if left.size:
+            raise FeasibilityLost(f"point {left[0]} left the quadric chart")
+        out = v / np.sqrt(q)[:, None]
+        # the fully pinned point stays put, not even renormalized
+        out[gauge.pinned[0]] = x[gauge.pinned[0]]
         return SolverState(out, self.surface, self.target)
+
+
+def _chart_moves(x: np.ndarray, frames: np.ndarray, xi: np.ndarray) -> tuple:
+    """Every point x[i] moved by frames[i] @ xi[i], before renormalizing:
+    the moved points and their Minkowski squares. The stacked matmul gives
+    each point the bits of its own matrix-vector product."""
+    v = x + (frames @ xi[..., None])[..., 0]
+    return v, minkowski_rows(v, v)
 
 
 def check_feasible(state: SolverState):
@@ -296,20 +337,34 @@ def jacobian(state: SolverState) -> np.ndarray:
     """Jacobian of the residual in the gauged chart coordinates, in closed form.
 
     cos l_e = <x_i, x_j>, and a chart move of x_i runs along the columns of
-    F_i D_i (frame times free directions), which are tangent at x_i. Hence
-    dl_e/dxi_i = -<x_j, F_i D_i> / sin l_e, and row e is nonzero only in the
-    free columns of its two endpoints.
+    its frame (for a pinned point, the frame times its free directions),
+    which are tangent at x_i. Hence dl_e/dxi_i = -<x_j, move of x_i> /
+    sin l_e, and row e is nonzero only in the free columns of its two
+    endpoints. The result depends on positions and chart alone, so it is
+    built once per state and shared with its retargets; do not modify it.
     """
-    frames = state.frames()
+    if "jacobian" in state.cache:
+        return state.cache["jacobian"]
+    vectors, _ = state.frames()
     gauge = state.gauge()
-    n = len(state.positions)
-    moves = [frames[i][0] @ gauge.directions[i] for i in range(n)]
-    owner = np.repeat(np.arange(n), [m.shape[1] for m in moves])
-    inner = state.positions @ J @ np.hstack(moves)   # <x_j, column c>
+    x = state.positions
+    n = len(x)
+    _, i1, i2 = gauge.pinned
+    moves = vectors.transpose(1, 0, 2).reshape(4, 3 * n)   # column 3i + k
+    moves[:, 3 * i1:3 * i1 + 1] = vectors[i1] @ gauge.free1
+    moves[:, 3 * i2:3 * i2 + 2] = vectors[i2] @ gauge.free2
+    inner = np.zeros((n, 3 * n))                  # <x_j, move column>
+    inner[:, gauge.free] = x @ J @ moves[:, gauge.free]
     i, j = state.edge_pairs.T
-    d_cos = (np.where(owner == i[:, None], inner[j], 0.0)
-             + np.where(owner == j[:, None], inner[i], 0.0))
-    return -d_cos / np.sin(state.current_lengths())[:, None]
+    rows = np.arange(len(i))[:, None]
+    own_i = 3 * i[:, None] + np.arange(3)
+    own_j = 3 * j[:, None] + np.arange(3)
+    d_cos = np.zeros((len(i), 3 * n))
+    d_cos[rows, own_i] += inner[j[:, None], own_i]
+    d_cos[rows, own_j] += inner[i[:, None], own_j]
+    jac = -d_cos[:, gauge.free] / np.sin(state.current_lengths())[:, None]
+    state.cache["jacobian"] = jac
+    return jac
 
 
 @dataclass
@@ -465,22 +520,22 @@ def _flip_chart(state: SolverState, l1: np.ndarray, exc, s: float):
     return None
 
 
-def continuation(start: ConvexPolyhedronH3, target: ConeMetric,
+def continuation(start, target: ConeMetric,
                  steps: int = 10, tol: float = NEWTON_TOL) -> tuple:
     """Follow the straight edge-length homotopy from the start polyhedron's
     dual metric to the target, Newton-correcting at each step.
 
-    Returns (state, report). The start polyhedron must realize the target's
-    chart: every chart edge a chord of its dual decomposition. A concavity
-    dip along the way retries with a uniform upscaling bump; a hull edge
-    missing from the chart triggers an edge flip of the chart and target,
-    re-anchoring the homotopy at the current parameter.
+    `start` is a ConvexPolyhedronH3 or its dual points, a sequence of
+    DSPoints. Returns (state, report). The start polyhedron must realize the
+    target's chart: every chart edge a chord of its dual decomposition. A
+    concavity dip along the way retries with a uniform upscaling bump; a
+    hull edge missing from the chart triggers an edge flip of the chart and
+    target, re-anchoring the homotopy at the current parameter.
     """
     validate_target(target)
-    state = SolverState(np.stack([p.v for p in start.planes]),
-                        target.surface, target.lengths)
+    planes = start.planes if isinstance(start, ConvexPolyhedronH3) else start
     try:
-        check_feasible(state)
+        state = _realizing_state(np.array([p.v for p in planes]), target)
     except (FeasibilityLost, InvalidConeMetric) as exc:
         raise HomotopyBlocked(
             f"start polyhedron does not realize the target chart: {exc}",
@@ -574,42 +629,53 @@ def perturbed_polyhedron(P: ConvexPolyhedronH3, rng: np.random.RandomState,
     magnitude = min(magnitude, PERTURB_EDGE_SHARE
                     * min(P.edge_length(e) for e in range(P.n_edges)))
     base = np.stack([p.v for p in P.planes])
+    frames, _ = _tangent_frames(base)
     want = {frozenset(e.faces) for e in P.edges}
     for _ in range(PERTURB_TRIES):
-        pts = base.copy()
-        for i in range(len(pts)):
-            frame, _ = _tangent_frame(base, i)
-            v = pts[i] + frame @ (magnitude * rng.randn(3))
-            q = minkowski_inner(v, v)
-            if q <= 0:
-                break
-            pts[i] = v / np.sqrt(q)
-        else:
-            if chart is not None:
-                try:
-                    state = SolverState(pts, chart.surface, chart.lengths)
-                    check_feasible(state)
-                except SolverError:
-                    continue
-                return recovered_polyhedron(state)
+        drawn = rng.get_state()
+        v, q = _chart_moves(base, frames, magnitude * rng.randn(len(base), 3))
+        left = np.flatnonzero(q <= 0)
+        if left.size:
+            # keep the draws of a point-by-point try, which stops at the
+            # first point that leaves its chart
+            rng.set_state(drawn)
+            rng.randn(left[0] + 1, 3)
+            continue
+        pts = v / np.sqrt(q)[:, None]
+        if chart is not None:
             try:
-                poly = hull_from_dual_points(pts)
-            except InvalidPolyhedron:
+                state = _realizing_state(pts, chart)
+            except SolverError:
                 continue
-            if poly.discarded:
-                continue
-            if {frozenset(e.faces) for e in poly.edges} != want:
-                continue
-            return poly
+            return recovered_polyhedron(state)
+        try:
+            poly = hull_from_dual_points(pts)
+        except InvalidPolyhedron:
+            continue
+        if poly.discarded:
+            continue
+        if {frozenset(e.faces) for e in poly.edges} != want:
+            continue
+        return poly
     raise SolverError("failed to perturb into a usable start")
+
+
+def _realizing_state(points: np.ndarray, chart: ConeMetric) -> SolverState:
+    """The state of dual points on a chart, checked by `check_feasible` to
+    realize it: the start of a solve."""
+    state = SolverState(points, chart.surface, chart.lengths)
+    check_feasible(state)
+    return state
 
 
 def recovered_polyhedron(state: SolverState) -> ConvexPolyhedronH3:
     """The polyhedron cut out by a feasible state's dual points, built once
-    per state."""
+    per state: read off the chart when `chart_certifies` accepted the state,
+    and otherwise the hull that `check_feasible` rebuilt and kept."""
     check_feasible(state)
     if "polyhedron" not in state.cache:
-        state.cache["polyhedron"] = hull_from_dual_points(state.positions)
+        state.cache["polyhedron"] = polyhedron_from_chart(state.positions,
+                                                          state.surface)
     return state.cache["polyhedron"]
 
 

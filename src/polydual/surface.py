@@ -11,6 +11,7 @@ on their smaller half-edge index, and all per-edge arrays follow that order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -153,6 +154,44 @@ class CombSurface:
     def vertex_corners(self, v: int) -> list:
         return [(t, k) for t, tri in enumerate(self.triangles)
                 for k in range(3) if tri[k] == v]
+
+    def vertex_stars(self) -> list:
+        """Per vertex, its triangles in rotation order: each next triangle
+        lies across the edge that leaves the vertex in the one before."""
+        # corner 3t + k sits at the start of half-edge 3t + k; its mate m
+        # ends at the same vertex, at the next corner of the mate's triangle
+        after = [3 * (m // 3) + (m + 1) % 3
+                 for m in map(self.gluing.get, range(3 * self.n_triangles))]
+        stars = [None] * self.n_vertices
+        for c in range(3 * self.n_triangles):
+            v = self.triangles[c // 3][c % 3]
+            if stars[v] is None:
+                star = stars[v] = [c // 3]
+                nxt = after[c]
+                while nxt != c:
+                    star.append(nxt // 3)
+                    nxt = after[nxt]
+        return stars
+
+    @cached_property
+    def edge_pairs(self) -> np.ndarray:
+        """(n_edges, 2) endpoints of every edge, in edge order; read-only."""
+        pairs = np.array([self.edge_endpoints(e) for e in range(self.n_edges)])
+        pairs.setflags(write=False)
+        return pairs
+
+    @cached_property
+    def triangle_array(self) -> np.ndarray:
+        """(n_triangles, 3) corners of every triangle; read-only."""
+        tris = np.array(self.triangles)
+        tris.setflags(write=False)
+        return tris
+
+    @cached_property
+    def has_parallel_edges(self) -> bool:
+        """True when two edges join the same two vertices."""
+        pairs = {frozenset(p) for p in self.edge_pairs.tolist()}
+        return len(pairs) != self.n_edges
 
 
 def triangle_angles(a: float, b: float, c: float, geometry: str) -> np.ndarray:

@@ -23,6 +23,27 @@ def tetra_files(tmp_path):
     return poly_path, dual_path
 
 
+def count_hull_builds(monkeypatch):
+    """Record every hull build, through each module that binds the builder."""
+    from polydual import polyhedra, solver
+
+    calls = []
+    build = polyhedra.hull_from_dual_points
+
+    def counting(duals):
+        calls.append(1)
+        return build(duals)
+
+    for module in (polyhedra, serialize, solver):
+        monkeypatch.setattr(module, "hull_from_dual_points", counting)
+    return calls
+
+
+def write_polyhedron_payload(path, payload):
+    serialize.write_document(str(path), serialize.envelope(
+        "polyhedron", payload, {"command": "t", "parameters": {}, "seed": 0}))
+
+
 class TestSerializeRoundTrip:
     def test_cone_metric_bit_exact(self):
         m = dualize(regular_tetrahedron(1.17)).metric
@@ -114,6 +135,57 @@ class TestCommands:
         doc = json.loads(report.read_text())
         assert doc["kind"] == "solver_report"
         assert doc["payload"]["rigidity"]["smallest_singular_value"] > 1e-8
+
+    def test_realize_start_builds_no_hull(self, tetra_files, tmp_path,
+                                          monkeypatch):
+        poly_path, dual_path = tetra_files
+        calls = count_hull_builds(monkeypatch)
+        assert main(["realize", str(dual_path), "--start", str(poly_path),
+                     "--steps", "4", "--out", str(tmp_path / "r.json")]) == 0
+        assert calls == []
+
+    def test_realize_start_without_dual_points(self, tetra_files, tmp_path):
+        _, dual_path = tetra_files
+        start = tmp_path / "start.json"
+        write_polyhedron_payload(start, {})
+        assert main(["realize", str(dual_path), "--start", str(start),
+                     "--out", str(tmp_path / "r.json")]) == 2
+
+    def test_realize_start_off_the_quadric(self, tetra_files, tmp_path):
+        poly_path, dual_path = tetra_files
+        payload = json.loads(poly_path.read_text())["payload"]
+        payload["dual_points"][2] = [0.0, 2.0, 0.0, 0.0]     # <v, v> = 4
+        start = tmp_path / "start.json"
+        write_polyhedron_payload(start, payload)
+        assert main(["realize", str(dual_path), "--start", str(start),
+                     "--out", str(tmp_path / "r.json")]) == 2
+
+    def test_realize_start_not_realizing_the_chart(self, tetra_files,
+                                                   tmp_path, capsys):
+        # planes 0.5 from the origin: the tetrahedron's vertices lie beyond
+        # the sphere at infinity
+        from polydual.polyhedra import TETRA_DIRECTIONS
+
+        _, dual_path = tetra_files
+        start = tmp_path / "start.json"
+        write_polyhedron_payload(start, {"dual_points": [
+            [float(np.sinh(0.5)), *(float(np.cosh(0.5) * x) for x in u)]
+            for u in TETRA_DIRECTIONS]})
+        assert main(["realize", str(dual_path), "--start", str(start),
+                     "--out", str(tmp_path / "r.json")]) == 1
+        err = capsys.readouterr().err
+        assert "does not realize the target chart" in err
+        assert "chart validity lost" in err
+
+    @pytest.mark.parametrize("shape", ["tetrahedron", "hexahedron"])
+    def test_roundtrip_builds_only_the_input_hull(self, shape, tmp_path,
+                                                  monkeypatch):
+        poly_path = tmp_path / "p.json"
+        assert main(["gen", shape, "--out", str(poly_path)]) == 0
+        calls = count_hull_builds(monkeypatch)
+        assert main(["roundtrip", str(poly_path), "--seed", "2",
+                     "--steps", "6"]) == 0
+        assert len(calls) == 1
 
     def test_realize_auto(self, tetra_files, tmp_path):
         _, dual_path = tetra_files

@@ -16,7 +16,7 @@ from polydual.polyhedra import (
     hexahedron,
     _validate_lattice,
     hull_from_dual_points,
-    order_face_cycle,
+    order_face_cycles,
     polar_dual_polygon,
     random_polyhedron,
     regular_tetrahedron,
@@ -184,13 +184,54 @@ def pentagon(radii):
     return n, pts
 
 
+def order_face_cycle(normal, pts, idxs):
+    """The single-face orderer `order_face_cycles` replaced: the oracle its
+    cycles must equal, list for list."""
+    e1 = np.zeros(3)
+    e1[np.argmin(np.abs(normal))] = 1.0
+    e1 = np.cross(normal, e1)
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(normal, e1)
+    e2 /= np.linalg.norm(e2)
+    center = pts.mean(axis=0)
+    ang = np.arctan2((pts - center) @ e2, (pts - center) @ e1)
+    order = np.argsort(ang)
+    sides = np.diff(pts[order], axis=0, append=pts[order[:1]])
+    if np.any(np.cross(sides, np.roll(sides, -1, axis=0)) @ normal <= 0):
+        raise InvalidPolyhedron("face cycle is not convex about its normal")
+    return [idxs[i] for i in order]
+
+
+def one_face(n, pts, labels):
+    cycle, = order_face_cycles(n[None], pts, np.ones((1, len(pts)), dtype=bool))
+    return [labels[i] for i in cycle]
+
+
+def oracle_polyhedra():
+    import os
+    import sys
+
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                                    "bench"))
+    try:
+        from solids import fibonacci_solid
+    finally:
+        sys.path.pop(0)
+    polys = [regular_tetrahedron(1.15), hexahedron(0.5), triangular_bipyramid()]
+    polys += [random_polyhedron(np.random.RandomState(s), n)
+              for s, n in ((2, 7), (3, 9), (4, 12))]
+    polys += [fibonacci_solid(np.random.RandomState([1, 0, n]), n, 0.02).poly
+              for n in (30, 50)]
+    return polys
+
+
 class TestFaceCycle:
     def test_every_input_order_gives_one_ccw_cycle(self):
         n, pts = pentagon([1.0, 0.8, 1.1, 0.9, 1.0])
         cycles = set()
         for perm in itertools.permutations(range(5)):
-            cycles.add(tuple(order_face_cycle(n, pts[list(perm)],
-                                              ["abcde"[i] for i in perm])))
+            cycles.add(tuple(one_face(n, pts[list(perm)],
+                                      ["abcde"[i] for i in perm])))
         assert len(cycles) == 1
         cycle = "".join(cycles.pop())
         assert cycle in "abcdeabcde"
@@ -199,7 +240,19 @@ class TestFaceCycle:
         # corner c is pulled in past the chord bd
         n, pts = pentagon([1.0, 1.0, 0.2, 1.0, 1.0])
         with pytest.raises(InvalidPolyhedron, match="not convex"):
-            order_face_cycle(n, pts, list("abcde"))
+            one_face(n, pts, "abcde")
+
+    def test_one_pass_matches_the_single_face_orderer(self):
+        # faces of three to many corners in one batch, including the
+        # axis-aligned hexahedron and bipyramid whose coordinates hit zeros
+        for P in oracle_polyhedra():
+            normals = np.array([p.v[1:] for p in P.planes])
+            points = np.array([v.v[1:] / v.v[0] for v in P.vertices])
+            inc = incidence(P)
+            want = [order_face_cycle(normals[f], points[np.flatnonzero(row)],
+                                     np.flatnonzero(row).tolist())
+                    for f, row in enumerate(inc)]
+            assert order_face_cycles(normals, points, inc) == want
 
 
 class TestDihedral:

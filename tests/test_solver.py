@@ -1,3 +1,6 @@
+import os
+import sys
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,8 @@ from polydual.polyhedra import (
     chart_certifies,
     dualize,
     hexahedron,
+    hull_from_dual_points,
+    polyhedron_from_chart,
     random_polyhedron,
     regular_tetrahedron,
     triangular_bipyramid,
@@ -32,11 +37,110 @@ from polydual.solver import (
 )
 from polydual.surface import ConeMetric, SPHERICAL, scale
 
+BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench")
+
 
 def state_of(P, out=None):
     out = out or dualize(P)
     return SolverState(np.stack([p.v for p in P.planes]),
                        out.metric.surface, out.metric.lengths)
+
+
+# -- the scalar code the stacked solver replaced, kept as oracles ----------------
+
+
+def scalar_tangent_frame(positions, i):
+    """Frame and signs of point i alone: the scalar Gram-Schmidt."""
+    x = positions[i]
+    n = len(positions)
+    cands = [positions[(i + k) % n] for k in range(1, n)]
+    cands += [np.eye(4)[k] for k in range(4)]
+    frame = []
+    signs = []
+    for y in cands:
+        t = y - minkowski_inner(x, y) * x
+        for f, s in zip(frame, signs):
+            t = t - s * minkowski_inner(f, t) * f
+        q = minkowski_inner(t, t)
+        if abs(q) < 1e-10:
+            continue
+        frame.append(t / np.sqrt(abs(q)))
+        signs.append(1.0 if q > 0 else -1.0)
+        if len(frame) == 3:
+            return np.stack(frame, axis=1), np.array(signs)
+    raise SolverError("tangent frame construction degenerated")
+
+
+def point_directions(gauge, n):
+    """Per point, the 3 x k matrix of its free chart directions."""
+    i0, i1, i2 = gauge.pinned
+    directions = {i: np.eye(3) for i in range(n)}
+    directions.update({i0: np.zeros((3, 0)), i1: gauge.free1, i2: gauge.free2})
+    return directions
+
+
+def masked_jacobian(state):
+    """The Jacobian assembled from per-point moves and E x F owner masks."""
+    n = len(state.positions)
+    frames = [scalar_tangent_frame(state.positions, i) for i in range(n)]
+    directions = point_directions(state.gauge(), n)
+    moves = [frames[i][0] @ directions[i] for i in range(n)]
+    owner = np.repeat(np.arange(n), [m.shape[1] for m in moves])
+    inner = state.positions @ J @ np.hstack(moves)
+    i, j = state.edge_pairs.T
+    d_cos = (np.where(owner == i[:, None], inner[j], 0.0)
+             + np.where(owner == j[:, None], inner[i], 0.0))
+    return -d_cos / np.sin(state.current_lengths())[:, None]
+
+
+def moved_point_by_point(state, delta):
+    """Positions after a chart move, one point at a time."""
+    n = len(state.positions)
+    frames = [scalar_tangent_frame(state.positions, i) for i in range(n)]
+    directions = point_directions(state.gauge(), n)
+    out = state.positions.copy()
+    ofs = 0
+    for i in range(n):
+        d = directions[i]
+        k = d.shape[1]
+        if k:
+            v = out[i] + frames[i][0] @ (d @ delta[ofs:ofs + k])
+            q = minkowski_inner(v, v)
+            if q <= 0:
+                raise FeasibilityLost(f"point {i} left the quadric chart")
+            out[i] = v / np.sqrt(q)
+        ofs += k
+    return out
+
+
+def draw_point_by_point(P, rng, magnitude):
+    """Make the draws of every try of perturbed_polyhedron, one point at a
+    time, a try ending at the first point that leaves its chart; returns
+    the number of tries that ended so."""
+    magnitude = min(magnitude, solver.PERTURB_EDGE_SHARE
+                    * min(P.edge_length(e) for e in range(P.n_edges)))
+    base = np.stack([p.v for p in P.planes])
+    left = 0
+    for _ in range(solver.PERTURB_TRIES):
+        for i in range(len(base)):
+            frame, _ = scalar_tangent_frame(base, i)
+            v = base[i] + frame @ (magnitude * rng.randn(3))
+            if minkowski_inner(v, v) <= 0:
+                left += 1
+                break
+    return left
+
+
+def solid_state(n_faces):
+    """The start of a bench/solids.py solid on its dual chart."""
+    sys.path.insert(0, BENCH_DIR)
+    try:
+        from solids import fibonacci_solid
+    finally:
+        sys.path.pop(0)
+    solid = fibonacci_solid(np.random.RandomState([1, 0, n_faces]), n_faces,
+                            0.02)
+    return state_of(solid.start, solid.dual)
 
 
 @pytest.fixture(scope="module")
@@ -154,16 +258,21 @@ class TestRetarget:
         continuation(start, out.metric, steps=4)
         assert calls == []
 
-    def test_recovered_polyhedron_builds_one_hull(self, tetra, monkeypatch):
+    def test_recovered_polyhedron_builds_no_hull(self, tetra, monkeypatch):
         P, out = tetra
         start = perturbed_polyhedron(P, np.random.RandomState(3), 1e-2)
         final, _ = continuation(start, out.metric, steps=4)
         calls = count_hull_builds(monkeypatch)
         Q = recovered_polyhedron(final)
         assert match_dihedral_angles(P, Q)
-        assert len(calls) == 1
         assert recovered_polyhedron(final) is Q
-        assert len(calls) == 1
+        assert calls == []
+
+    def test_jacobian_is_shared_with_retargets(self, tetra):
+        P, out = tetra
+        st = state_of(P, out)
+        Jm = jacobian(st)
+        assert jacobian(st.retarget(scale(out.metric, 1e-3).lengths)) is Jm
 
     def test_wall_state_check_builds_one_hull(self, monkeypatch):
         st = state_of(triangular_bipyramid())
@@ -179,7 +288,7 @@ def moved_planes(pts, rng, magnitude):
     its tangent frame."""
     pts = pts.copy()
     for i in range(len(pts)):
-        fr, _ = solver._tangent_frame(pts, i)
+        fr, _ = scalar_tangent_frame(pts, i)
         v = pts[i] + fr @ (magnitude * rng.randn(3))
         pts[i] = v / np.sqrt(minkowski_inner(v, v))
     return pts
@@ -187,6 +296,23 @@ def moved_planes(pts, rng, magnitude):
 
 def certified(st):
     return chart_certifies(st.positions, st.triangles)
+
+
+def assert_same_polyhedron(chart_built, hull):
+    """Bit-equal planes, vertices within 1e-12, equal edges, and each face
+    cycle the hull's up to rotation."""
+    assert len(chart_built.planes) == len(hull.planes)
+    for p, q in zip(chart_built.planes, hull.planes):
+        assert np.array_equal(p.v, q.v)
+    got = np.array([v.v for v in chart_built.vertices])
+    want = np.array([v.v for v in hull.vertices])
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12
+    assert chart_built.edges == hull.edges
+    for f, g in zip(chart_built.faces, hull.faces):
+        c = f.vertex_cycle
+        k = c.index(g.vertex_cycle[0])
+        assert c[k:] + c[:k] == g.vertex_cycle
 
 
 CERTIFY_SOLIDS = {
@@ -222,6 +348,32 @@ class TestCertificate:
                             == {frozenset(p) for p in st.edge_pairs})
         # not vacuous: the certificate decides most feasible states
         assert accepted >= 0.75 * feasible > 0
+
+    @pytest.mark.parametrize("name", CERTIFY_SOLIDS)
+    def test_chart_polyhedron_matches_the_hull(self, name):
+        P = CERTIFY_SOLIDS[name]()
+        chart = dualize(P).metric
+        pts = np.stack([p.v for p in P.planes])
+        rng = np.random.RandomState(13)
+        checked = 0
+        for magnitude in (1e-4, 1e-3, 1e-2):
+            for _ in range(4):
+                st = SolverState(moved_planes(pts, rng, magnitude),
+                                 chart.surface, chart.lengths)
+                if not certified(st):
+                    continue
+                checked += 1
+                assert_same_polyhedron(
+                    polyhedron_from_chart(st.positions, st.surface),
+                    hull_from_dual_points(st.positions))
+        assert checked > 0
+
+    @pytest.mark.parametrize("n_faces", [30, 50])
+    def test_chart_polyhedron_matches_the_hull_on_solids(self, n_faces):
+        st = solid_state(n_faces)
+        assert certified(st)
+        assert_same_polyhedron(polyhedron_from_chart(st.positions, st.surface),
+                               hull_from_dual_points(st.positions))
 
     def test_hyperideal_vertices_are_not_certified(self):
         # planes 0.5 from the origin cut out a tetrahedron whose vertices lie
@@ -307,10 +459,7 @@ class TestJacobian:
     def test_rows_touch_only_endpoint_columns(self, name):
         st = JACOBIAN_STATES[name]()
         Jm = jacobian(st)
-        gauge = st.gauge()
-        n = len(st.positions)
-        widths = [gauge.directions[i].shape[1] for i in range(n)]
-        owner = np.repeat(np.arange(n), widths)
+        owner = st.gauge().free // 3
         for e, (i, j) in enumerate(st.edge_pairs):
             outside = (owner != i) & (owner != j)
             assert not np.any(Jm[e, outside])
@@ -345,6 +494,91 @@ class TestJacobian:
         r1, r2 = rigidity_report(st), rigidity_report(st2)
         assert abs(r1.smallest_singular_value
                    - r2.smallest_singular_value) < 1e-9
+
+
+STACKED_STATES = {**JACOBIAN_STATES,
+                  "solid-30": lambda: solid_state(30),
+                  "solid-50": lambda: solid_state(50)}
+
+
+def first_candidates_degenerate():
+    """Four points in which every point's opposite is its first or third
+    candidate, so its first candidates project to zero tangent remainders
+    and its frame is completed from the ambient axes."""
+    return np.array([[0, 1.0, 0, 0], [0, -1.0, 0, 0],
+                     [0, 0, 1.0, 0], [0, 0, -1.0, 0]])
+
+
+class TestStackedSolver:
+    """The stacked frames, Jacobian and chart move against the per-point
+    code they replaced, bit for bit."""
+
+    @pytest.mark.parametrize("name", STACKED_STATES)
+    def test_frames_match_scalar_gram_schmidt(self, name):
+        st = STACKED_STATES[name]()
+        frames, signs = st.frames()
+        assert frames.flags.c_contiguous
+        for i in range(len(st.positions)):
+            frame, sign = scalar_tangent_frame(st.positions, i)
+            assert np.array_equal(frames[i], frame)
+            assert np.array_equal(signs[i], sign)
+
+    def test_frames_skip_degenerate_candidates(self):
+        pts = first_candidates_degenerate()
+        frames, signs = solver._tangent_frames(pts)
+        for i in range(len(pts)):
+            frame, sign = scalar_tangent_frame(pts, i)
+            assert np.array_equal(frames[i], frame)
+            assert np.array_equal(signs[i], sign)
+        # point 0 skips point 1 and keeps the timelike axis e0
+        assert np.array_equal(frames[0][:, 1], [1.0, 0, 0, 0])
+        assert signs[0][1] == -1.0
+
+    @pytest.mark.parametrize("name", STACKED_STATES)
+    def test_jacobian_matches_masked_assembly(self, name):
+        st = STACKED_STATES[name]()
+        assert np.array_equal(jacobian(st), masked_jacobian(st))
+
+    @pytest.mark.parametrize("name", STACKED_STATES)
+    def test_moved_matches_point_by_point(self, name):
+        st = STACKED_STATES[name]()
+        gauge = st.gauge()
+        rng = np.random.RandomState(9)
+        for size in (1e-6, 1e-3):
+            delta = size * rng.randn(gauge.n_free())
+            got = st.moved(delta, gauge, st.frames()).positions
+            assert np.array_equal(got, moved_point_by_point(st, delta))
+            # the fully pinned point keeps its bits
+            i0 = gauge.pinned[0]
+            assert np.array_equal(got[i0], st.positions[i0])
+
+    def test_moved_names_the_first_point_leaving_its_chart(self, hexa):
+        P, out = hexa
+        st = state_of(P, out)
+        gauge = st.gauge()
+        # two units along every timelike frame vector: <v, v> = 1 - 4
+        _, signs = st.frames()
+        delta = np.where(signs < 0, 2.0, 0.0).ravel()[gauge.free]
+        with pytest.raises(FeasibilityLost) as exc:
+            moved_point_by_point(st, delta)
+        with pytest.raises(FeasibilityLost, match=f"^{exc.value}$"):
+            st.moved(delta, gauge, st.frames())
+
+
+class TestPerturbation:
+    def test_draws_like_point_by_point(self):
+        # edges near 6.4 let the step reach 0.64 per unit normal: about a
+        # tenth of the points leave their chart, and no try realizes it
+        P = regular_tetrahedron(np.pi / 3 + 1e-3)
+        chart = dualize(P).metric
+        left = 0
+        for seed in range(4):
+            rng, oracle_rng = (np.random.RandomState(seed) for _ in range(2))
+            with pytest.raises(SolverError, match="failed to perturb"):
+                perturbed_polyhedron(P, rng, 1.0, chart=chart)
+            left += draw_point_by_point(P, oracle_rng, 1.0)
+            assert rng.randn() == oracle_rng.randn()
+        assert left > 0
 
 
 class TestNewton:
@@ -428,16 +662,13 @@ class TestContinuation:
         # target: dual of a perturbed bipyramid whose equator vertex split the
         # opposite way from the start chart's diagonal; the solution path
         # crosses the wall and the chart must flip once
-        from polydual.minkowski import minkowski_inner
-        from polydual.polyhedra import hull_from_dual_points
-        from polydual.solver import _tangent_frame
         from polydual.surface import flip_edge
 
         B = triangular_bipyramid()
         rng = np.random.RandomState(42)
         pts = np.stack([p.v for p in B.planes])
         for i in range(len(pts)):
-            fr, _ = _tangent_frame(pts, i)
+            fr, _ = scalar_tangent_frame(pts, i)
             v = pts[i] + fr @ (0.03 * rng.randn(3))
             pts[i] = v / np.sqrt(minkowski_inner(v, v))
         B3 = hull_from_dual_points(pts)

@@ -66,6 +66,29 @@ class TestCombSurface:
             assert s.gluing[mate] == h
             assert s.halfedge_endpoints(h) == s.halfedge_endpoints(mate)[::-1]
 
+    @pytest.mark.parametrize("surface", [octahedron_sphere().surface,
+                                         k4_metric(1.0).surface],
+                             ids=["octahedron", "k4"])
+    def test_vertex_stars_rotate_through_shared_edges(self, surface):
+        stars = surface.vertex_stars()
+        for v, star in enumerate(stars):
+            assert sorted(star) == [t for t, tri in enumerate(surface.triangles)
+                                    if v in tri]
+            for t, nxt in zip(star, star[1:] + star[:1]):
+                # consecutive triangles share the edge leaving v in the first
+                tri = surface.triangles[t]
+                w = tri[(tri.index(v) + 1) % 3]
+                assert {v, w} <= set(surface.triangles[nxt])
+
+    def test_chart_arrays_are_read_only_and_flag_parallel_edges(self):
+        s = octahedron_sphere().surface
+        assert s.edge_pairs.tolist() == [list(s.edge_endpoints(e))
+                                         for e in range(s.n_edges)]
+        assert not s.edge_pairs.flags.writeable
+        assert not s.triangle_array.flags.writeable
+        assert not s.has_parallel_edges
+        assert quad_double(1.0, 1.2)[0].surface.has_parallel_edges
+
     def test_rejects_bad_orientation(self):
         # two triangles glued without reversing: both listed (0,1,2)
         with pytest.raises(InvalidSurface):
