@@ -5,7 +5,8 @@ The group is generated by the eight translations pairing opposite sides of
 the regular octagon with vertex angle pi/4 centered at the origin of the
 invariant plane x3 = 0. The hull of the orbit of a point at height h above
 that plane is an equivariant polyhedral dome; its quotient carries a genus-2
-polyhedral structure whose dual metric this module assembles explicitly.
+polyhedral structure whose dual metric this module assembles explicitly,
+every edge length the de Sitter distance of two apex face normals.
 """
 from __future__ import annotations
 
@@ -16,14 +17,22 @@ import numpy as np
 from scipy.spatial import ConvexHull
 
 from .errors import InvalidPolyhedron, OrbitBoundTooSmall
-from .minkowski import DSPoint, Isometry, J, clamped, corner_angle
-from .polyhedra import SphericalPolygon, order_face_cycles
-from .surface import SPHERICAL, CombSurface, ConeMetric, fan_triangulation, sphere_angle
+from .minkowski import DSPoint, Isometry, J, corner_angle, ds_distances
+from .polyhedra import order_face_cycles
+from .surface import SPHERICAL, CombSurface, ConeMetric, fan_triangulation
 
 OCTAGON_HALF_WIDTH = float(np.arccosh(1.0 / np.tan(np.pi / 8)))
 OCTAGON_CIRCUMRADIUS = float(np.arccosh(1.0 / np.tan(np.pi / 8) ** 2))
 TRANSLATION_LENGTH = 2.0 * OCTAGON_HALF_WIDTH
 MAX_FACE_CORNERS = 64           # _trace_face_polygon's walk
+RELATION_TOL = 1e-8             # max |entry| of the relation product minus I
+ORBIT_DIGITS = 9                # orbit matrices are equal when equal rounded
+SIGNATURE_DIGITS = 8            # apex stars are equal when equal rounded
+MEMBER_TOL = 1e-9               # relative |<x, n>| of an orbit point on a face
+WORD_MATCH_TOL = 1e-8           # max |entry| difference of equal edge words
+PAIRING_TOL = 1e-7              # max |entry| of a paired normal's mismatch
+WALK_TOL = 1e-8                 # relative: corner on the face plane, or at apex
+NEW_CORNER_TOL = 1e-6           # relative distance of a step from its corner
 
 
 @dataclass
@@ -81,7 +90,7 @@ def fuchsian_octagon_group() -> FuchsianData:
     data = FuchsianData(generators=gens,
                         invariant_plane=DSPoint(np.array([0.0, 0, 0, 1.0])),
                         relation=relation)
-    if data.relation_residual() > 1e-8:
+    if data.relation_residual() > RELATION_TOL:
         raise InvalidPolyhedron("octagon relation failed to close")
     return data
 
@@ -92,7 +101,7 @@ def fuchsian_octagon_group() -> FuchsianData:
 def _orbit(data: FuchsianData, h: float, word_bound: int):
     """Orbit of the apex at height h, deduplicated by matrix, identity first."""
     apex = np.array([np.cosh(h), 0.0, 0.0, np.sinh(h)])
-    seen = {tuple(np.round(np.eye(4).ravel(), 9))}
+    seen = {tuple(np.round(np.eye(4).ravel(), ORBIT_DIGITS))}
     mats = [np.eye(4)]
     frontier = [np.eye(4)]
     for _ in range(word_bound):
@@ -100,7 +109,7 @@ def _orbit(data: FuchsianData, h: float, word_bound: int):
         for m in frontier:
             for g in data.generators:
                 cand = m @ g.m
-                key = tuple(np.round(cand.ravel(), 9))
+                key = tuple(np.round(cand.ravel(), ORBIT_DIGITS))
                 if key not in seen:
                     seen.add(key)
                     mats.append(cand)
@@ -124,7 +133,7 @@ def _plane_through_points(rows: np.ndarray) -> np.ndarray:
 def _members_on_plane(points: np.ndarray, n: np.ndarray) -> tuple:
     resid = np.abs(points @ J @ n)
     scale = np.linalg.norm(points, axis=1)
-    return tuple(int(i) for i in np.where(resid <= 1e-9 * scale)[0])
+    return tuple(int(i) for i in np.where(resid <= MEMBER_TOL * scale)[0])
 
 
 @dataclass
@@ -132,8 +141,6 @@ class ApexStar:
     faces: list          # per face: dict(normal, members, cycle)
     order: list          # cyclic order of faces around the apex
     neighbors: list      # orbit index of the edge endpoint between consecutive faces
-    side_lengths: np.ndarray
-    angles: np.ndarray
 
 
 def _apex_star(data: FuchsianData, points: np.ndarray) -> ApexStar:
@@ -193,26 +200,14 @@ def _apex_star(data: FuchsianData, points: np.ndarray) -> ApexStar:
             order.append(cur)
     if cur != 0:
         raise InvalidPolyhedron("apex face fan did not close")
-    sides = []
-    angles = []
-    for i, idx in enumerate(order):
-        cyc = faces[idx]["cycle"]
-        i0 = cyc.index(0)
-        sides.append(corner_angle(points[0], points[cyc[i0 - 1]],
-                                  points[cyc[(i0 + 1) % len(cyc)]]))
-        n1 = faces[idx]["normal"]
-        n2 = faces[order[(i + 1) % len(order)]]["normal"]
-        x = clamped(float(n1 @ J @ n2), -1.0, 1.0, 1e-9)
-        angles.append(np.pi - float(np.arccos(x)))
-    return ApexStar(faces=faces, order=order, neighbors=neighbors,
-                    side_lengths=np.array(sides), angles=np.array(angles))
+    return ApexStar(faces=faces, order=order, neighbors=neighbors)
 
 
 def _star_signature(star: ApexStar, points, mats):
     sig = []
     for i, idx in enumerate(star.order):
-        sig.append((tuple(np.round(star.faces[idx]["normal"], 8)),
-                    tuple(np.round(points[star.neighbors[i]], 8))))
+        sig.append((tuple(np.round(star.faces[idx]["normal"], SIGNATURE_DIGITS)),
+                    tuple(np.round(points[star.neighbors[i]], SIGNATURE_DIGITS))))
     return sorted(sig)
 
 
@@ -222,8 +217,6 @@ class FuchsianDualOutput:
     marking: list                  # dual vertex -> representative apex face index
     core_distance: float
     word_bound: int
-    apex_side_lengths: np.ndarray = field(repr=False)
-    apex_angles: np.ndarray = field(repr=False)
     face_areas: list = field(repr=False, default_factory=list)
 
 
@@ -262,7 +255,7 @@ def fuchsian_dualize(data: FuchsianData, h: float,
 
     def match_gamma(target):
         for j in range(m):
-            if np.max(np.abs(gammas[j] - target)) < 1e-8:
+            if np.max(np.abs(gammas[j] - target)) < WORD_MATCH_TOL:
                 return j
         raise InvalidPolyhedron("side pairing leaves the apex star")
 
@@ -274,7 +267,7 @@ def fuchsian_dualize(data: FuchsianData, h: float,
         ginv = np.linalg.inv(gammas[i])
         mapped = ginv @ normals[i]
         j = sigma[i]
-        if np.max(np.abs(mapped - normals[(j + 1) % m])) > 1e-7:
+        if np.max(np.abs(mapped - normals[(j + 1) % m])) > PAIRING_TOL:
             raise InvalidPolyhedron(
                 "side pairing does not reverse the polygon orientation")
 
@@ -298,13 +291,6 @@ def fuchsian_dualize(data: FuchsianData, h: float,
     class_of = {i: classes.index(find(i)) for i in range(m)}
     n_vertices = len(classes)
 
-    poly = SphericalPolygon(sides=np.pi - star.angles,
-                            angles=np.pi - star.side_lengths)
-    corners, resid = poly.develop()
-    if resid > 1e-8:
-        raise InvalidPolyhedron(
-            f"dual polygon fails to close (residual {resid:.2e})")
-
     fan, sides, diagonals = fan_triangulation(m)
     tris = [tuple(class_of[c] for c in tri) for tri in fan]
     gluing = {}
@@ -317,18 +303,16 @@ def fuchsian_dualize(data: FuchsianData, h: float,
         gluing[b] = a
     surf = CombSurface(n_vertices, tris, gluing)
 
-    side_of = {he: j for j, he in enumerate(sides)}
-    diagonal_to = {he_a: j for j, (he_a, _) in enumerate(diagonals, start=2)}
-    lengths = np.empty(surf.n_edges)
-    words = {}
-    for e, (ha, _) in enumerate(surf.edge_halfedges):
-        if ha in side_of:
-            lengths[e] = np.pi - star.angles[side_of[ha]]
-            words[e] = gammas[side_of[ha]]
-        else:
-            lengths[e] = sphere_angle(corners[0], corners[diagonal_to[ha]])
-            words[e] = np.eye(4)
-    metric = ConeMetric(surf, SPHERICAL, lengths, deck_words=words)
+    # an edge's length is the de Sitter distance of its corners' normals, as
+    # in `polyhedra.dualize`: side i joins corners i, i + 1 and carries
+    # gamma_i, diagonal j joins corners 0, j
+    ends = {he: (i, (i + 1) % m, gammas[i]) for i, he in enumerate(sides)}
+    ends.update({a: (0, j, np.eye(4))
+                 for j, (a, _) in enumerate(diagonals, start=2)})
+    u, w, words = zip(*(ends[ha] for ha, _ in surf.edge_halfedges))
+    x = np.array(normals)
+    metric = ConeMetric(surf, SPHERICAL, ds_distances(x[list(u)], x[list(w)]),
+                        deck_words=dict(enumerate(words)))
 
     core_distance = min(
         float(np.arccosh(abs(f["normal"][3])))
@@ -347,8 +331,6 @@ def fuchsian_dualize(data: FuchsianData, h: float,
         marking.append(idx)
     return FuchsianDualOutput(metric=metric, marking=marking,
                               core_distance=core_distance, word_bound=used,
-                              apex_side_lengths=star.side_lengths,
-                              apex_angles=star.angles,
                               face_areas=face_areas)
 
 
@@ -360,7 +342,7 @@ def _trace_face_polygon(gammas, normal, apex):
     previous corner and the next one.
     """
     def on_plane(x):
-        return abs(float(x @ J @ normal)) <= 1e-8 * np.linalg.norm(x)
+        return abs(float(x @ J @ normal)) <= WALK_TOL * np.linalg.norm(x)
 
     starts = [g for g in gammas if on_plane(g @ apex)]
     if len(starts) != 2:
@@ -371,15 +353,15 @@ def _trace_face_polygon(gammas, normal, apex):
     cur = starts[0]
     for _ in range(MAX_FACE_CORNERS):
         cur_pt = cur @ apex
-        if np.max(np.abs(cur_pt - apex)) < 1e-8 * np.linalg.norm(apex):
+        if np.max(np.abs(cur_pt - apex)) < WALK_TOL * np.linalg.norm(apex):
             return corners
         corners.append(cur)
         nxt = None
         for g in gammas:
             cand = cur @ g
             x = cand @ apex
-            if on_plane(x) and \
-                    np.max(np.abs(x - prev_pt)) > 1e-6 * np.linalg.norm(prev_pt):
+            if on_plane(x) and (np.max(np.abs(x - prev_pt))
+                                > NEW_CORNER_TOL * np.linalg.norm(prev_pt)):
                 nxt = cand
         if nxt is None:
             raise InvalidPolyhedron("face boundary walk lost the plane")

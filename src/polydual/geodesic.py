@@ -12,7 +12,7 @@ parent index per node), and only the walks that close are read back along
 their parent pointers, into one (N, L) array per walk length L. Then every
 closed walk of a length is tested at once on stacked arrays: holonomy and
 deck word by stacked matrix products, crossing points, strictly-inside and
-monotone-advance tests, step lengths and the rotation match.
+monotone-advance tests, and step lengths.
 """
 from __future__ import annotations
 
@@ -35,7 +35,6 @@ from .surface import (
 CROSSING_TOL = 1e-9              # shortest crossing offset and circle step
 IDENTITY_TOL = 1e-8              # holonomy or deck word taken as the identity
 ON_SEGMENT_TOL = 1e-7            # |Aq| + |qB| - |AB| for q on segment AB
-ROTATION_MATCH_TOL = 1e-6        # holonomy vs rotation by the circle's length
 CHORD_TOL = 1e-12                # shortest chord point projected to the sphere
 MAX_STEP = np.pi - 1e-12         # longest step between consecutive crossings
 LENGTH_CAP = 2 * np.pi           # largeness: no closed geodesic this short
@@ -197,29 +196,25 @@ def _circle_lengths(n, A, B, H):
     return found, np.cumsum(step, axis=1)[:, -1]
 
 
-def _rotation_about(n, angle) -> np.ndarray:
-    n = n / np.sqrt(rowdot(n, n))[:, None]
-    z = np.zeros(len(n))
-    K = np.stack([z, -n[:, 2], n[:, 1], n[:, 2], z, -n[:, 0],
-                  -n[:, 1], n[:, 0], z], axis=1).reshape(-1, 3, 3)
-    return (np.eye(3) + np.sin(angle)[:, None, None] * K
-            + ((1 - np.cos(angle))[:, None, None] * K) @ K)
-
-
 def _closed_geodesics(H, A, B):
     """Per strip with holonomy H and crossed edges A, B: whether a great
-    circle invariant under H threads every crossed edge, and its length."""
+    circle invariant under H threads every crossed edge, and its length.
+
+    Off the flat branch the normal n is H's own axis, so H is the rotation
+    by the traversed length L, untested: a monotone traversal about +-n from
+    q0 (orthogonal to n) ends at H q0, so the rotation by L about that way
+    of n agrees with H on q0; both fix n, so they are equal, for lengths
+    near 2 pi too. Numerically, n is H - I's singular vector for its zero
+    singular value; the other two are 2 sin(phi / 2) >= |H - I|_max >=
+    IDENTITY_TOL for a rotation by phi, so a roundoff eps in H moves n by
+    about eps / |H - I| (1e-8 for eps = 1e-16), and L matches H to that.
+    """
     flat = _max_deviation(H, np.eye(3)) < IDENTITY_TOL
     normal = np.empty((len(H), 3))
     normal[flat] = _fit_flat_normal(A[flat], B[flat])
     normal[~flat] = np.linalg.svd(H[~flat] - np.eye(3))[2][:, -1]  # rotation axis
     H = np.where(flat[:, None, None], np.eye(3), H)
-    found, length = _circle_lengths(normal, A, B, H)
-    # a holonomy must be the rotation by the traversed length about the
-    # effective axis (sign fixed by the traversal direction)
-    match = np.minimum(_max_deviation(_rotation_about(normal, length), H),
-                       _max_deviation(_rotation_about(-normal, length), H))
-    return found & (flat | ~(match > ROTATION_MATCH_TOL)), length
+    return _circle_lengths(normal, A, B, H)
 
 
 def closed_geodesic_search(m: ConeMetric, depth: int = 8,

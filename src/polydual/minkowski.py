@@ -6,7 +6,9 @@ Conventions used throughout the package:
 * H^3 is the upper sheet of <x,x> = -1 (x0 > 0), dS^3 is the quadric <x,x> = +1;
 * a point of dS^3 doubles as an oriented plane of H^3: the plane is its
   orthogonal complement, and the positive side of the plane is where <n,x> > 0.
-  Face planes of convex bodies are oriented with the positive side OUTWARD.
+  Face planes of convex bodies are oriented with the positive side OUTWARD;
+* `ds_distances` is the one de Sitter distance: every dual edge length,
+  dihedral angle (pi minus it) and solver chart length is read from it.
 """
 from __future__ import annotations
 
@@ -132,21 +134,24 @@ def corner_angle(at, pred, succ) -> float:
     return float(np.arccos(clamped(float(t1 @ J @ t2), -1.0, 1.0)))
 
 
-def ds_distance(p: DSPoint, q: DSPoint) -> float:
-    """Spacelike de Sitter distance in (0, pi).
+def ds_distances(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Spacelike de Sitter distances in (0, pi) between the rows of u and w,
+    two (N, 4) arrays of points on the quadric, in the chord form
+    2*arcsin(|u-w|_M / 2): arccos(<u, w>), exact and stable for nearby points.
 
-    Raises NotSpacelikeSeparated when the connecting geodesic is not
-    spacelike of length below pi, which signals a degenerate polyhedron.
+    Raises NotSpacelikeSeparated, naming the first pair, when a pair is not
+    joined by a spacelike geodesic shorter than pi (a degenerate polyhedron).
     """
-    u, w = _as_vec4(p), _as_vec4(q)
-    dm = u - w
-    dp = u + w
-    c2m = minkowski_inner(dm, dm)  # = 2 - 2<p,q>
-    c2p = minkowski_inner(dp, dp)  # = 2 + 2<p,q>
-    if c2m <= 0 or c2p <= 0:
+    diff = u - w
+    csum = u + w
+    c2m = np.einsum("ij,jk,ik->i", diff, J, diff)    # = 2 - 2<u,w>
+    c2p = np.einsum("ij,jk,ik->i", csum, J, csum)    # = 2 + 2<u,w>
+    bad = (c2m <= 0) | (c2p <= 0)
+    if np.any(bad):
+        k = int(np.argmax(bad))
         raise NotSpacelikeSeparated(
-            f"<p,q> = {minkowski_inner(u, w)} outside (-1, 1)")
-    return 2.0 * float(np.arcsin(min(np.sqrt(c2m) / 2.0, 1.0)))
+            f"pair {k}: <p,q> = {minkowski_rows(u[k], w[k])} outside (-1, 1)")
+    return 2.0 * np.arcsin(np.minimum(np.sqrt(c2m) / 2.0, 1.0))
 
 
 def side_of(n: DSPoint, x) -> float:

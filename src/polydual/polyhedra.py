@@ -1,5 +1,7 @@
 """Compact convex polyhedra in H^3 given by outward face planes, their face
-lattice, vertex links, and the induced dual spherical cone-metric.
+lattice, and the induced dual spherical cone-metric. Every dual edge length
+and every dihedral angle is read off the dual points in closed form, as a
+de Sitter distance (`minkowski.ds_distances`), in one stacked pass.
 
 The hull runs in the Klein chart y = (x1,x2,x3)/x0, where a face plane with
 de Sitter normal n becomes the Euclidean half-space n_sp . y <= n0 and
@@ -18,17 +20,22 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
 
-from .errors import EmptyInterior, InvalidPolyhedron, UnboundedPolyhedron
+from .errors import (
+    EmptyInterior,
+    InvalidPolyhedron,
+    NotSpacelikeSeparated,
+    UnboundedPolyhedron,
+)
 from .minkowski import (
     DSPoint,
     HPoint,
-    clamped,
     corner_angle,
+    ds_distances,
     h_distance,
     minkowski_inner,
     minkowski_rows,
 )
-from .surface import SPHERICAL, CombSurface, ConeMetric, fan_triangulation, sphere_angle
+from .surface import SPHERICAL, CombSurface, ConeMetric, fan_triangulation
 
 BALL_MARGIN = 1e-12
 MERGE_TOL = 1e-9                 # relative residual of a plane through a vertex
@@ -136,6 +143,18 @@ def _reject_recession_direction(a: np.ndarray):
             f"plane family recedes in direction {np.round(res.x[:3], 6)}")
 
 
+def _as_planes(duals) -> list:
+    """Each dual point as a DSPoint, a raw row normalized onto the quadric;
+    a row that does not land on it raises InvalidPolyhedron naming the row."""
+    planes = []
+    for k, d in enumerate(duals):
+        try:
+            planes.append(d if isinstance(d, DSPoint) else DSPoint.from_vector(d))
+        except ValueError as exc:
+            raise InvalidPolyhedron(f"dual point {k}: {exc}") from exc
+    return planes
+
+
 def hull_from_dual_points(duals) -> ConvexPolyhedronH3:
     """Polyhedron cut out by the planes dual to the given de Sitter points.
 
@@ -144,10 +163,10 @@ def hull_from_dual_points(duals) -> ConvexPolyhedronH3:
     when a lattice vertex escapes H^3. A vertex collects every plane within
     MERGE_TOL (relative) of it, so a configuration sitting within that of a
     coplanarity wall gets one merged vertex; a lattice that still comes out
-    inconsistent raises InvalidPolyhedron.
+    inconsistent raises InvalidPolyhedron, as does a raw row that does not
+    normalize onto the de Sitter quadric.
     """
-    duals = [d if isinstance(d, DSPoint) else DSPoint.from_vector(d)
-             for d in duals]
+    duals = _as_planes(duals)
     if len(duals) < 4:
         raise InvalidPolyhedron("need at least four face planes")
     a = np.array([d.v[1:] for d in duals])
@@ -297,8 +316,7 @@ def polyhedron_from_chart(duals, surface: CombSurface) -> ConvexPolyhedronH3:
     agree with the hull's within solve roundoff, and each cycle is the
     hull's up to rotation.
     """
-    planes = [d if isinstance(d, DSPoint) else DSPoint.from_vector(d)
-              for d in duals]
+    planes = _as_planes(duals)
     x = np.array([p.v for p in planes])
     a, b = x[:, 1:], x[:, 0]
     corners = np.sort(surface.triangle_array, axis=1)
@@ -412,107 +430,46 @@ def _validate_lattice(poly, incidence, merge_tol):
             f"vertex {v} not strictly inside plane {np.argmax(outside[:, v])}")
 
 
-# -- angles, links, duals -------------------------------------------------------
+# -- angles and the dual metric ------------------------------------------------
+
+
+def dihedral_angles(P: ConvexPolyhedronH3) -> np.ndarray:
+    """Interior dihedral angle at every edge, in (0, pi): pi minus the de
+    Sitter distance between the dual points of the edge's two faces."""
+    x = np.array([p.v for p in P.planes])
+    return np.pi - ds_distances(*x[np.array([e.faces for e in P.edges]).T])
 
 
 def dihedral_angle(P: ConvexPolyhedronH3, e: int) -> float:
-    """Interior dihedral angle at edge e, in (0, pi)."""
+    """Interior dihedral angle at edge e, in (0, pi), as in `dihedral_angles`."""
     f1, f2 = P.edges[e].faces
-    x = clamped(minkowski_inner(P.planes[f1], P.planes[f2]), -1.0, 1.0)
-    return np.pi - float(np.arccos(x))
-
-
-def face_corner_angle(P: ConvexPolyhedronH3, f: int, v: int) -> float:
-    """Interior angle of face f at its vertex v."""
-    cyc = P.faces[f].vertex_cycle
-    i = cyc.index(v)
-    return corner_angle(P.vertices[v].v, P.vertices[cyc[i - 1]].v,
-                        P.vertices[cyc[(i + 1) % len(cyc)]].v)
+    return float(np.pi - ds_distances(P.planes[f1].v[None], P.planes[f2].v[None])[0])
 
 
 def face_area(P: ConvexPolyhedronH3, f: int) -> float:
     """Area of the hyperbolic face polygon by angle defect."""
-    cyc = P.faces[f].vertex_cycle
-    angles = [face_corner_angle(P, f, v) for v in cyc]
-    return (len(cyc) - 2) * np.pi - float(sum(angles))
+    x = [P.vertices[v].v for v in P.faces[f].vertex_cycle]
+    angles = [corner_angle(x[k], x[k - 1], x[(k + 1) % len(x)])
+              for k in range(len(x))]
+    return (len(x) - 2) * np.pi - float(sum(angles))
 
 
-@dataclass
-class VertexLink:
-    """Spherical polygon of directions at a polyhedron vertex.
-
-    Side i is the face angle of faces[i]; the corner between sides i and i+1
-    is the dihedral angle of primal edge edges[i], shared by both faces.
-    """
-
-    faces: list
-    edges: list
-    side_lengths: np.ndarray
-    angles: np.ndarray
-
-    def __post_init__(self):
-        if np.any(self.side_lengths <= 0) or np.any(self.side_lengths >= np.pi):
-            raise InvalidPolyhedron("link side outside (0, pi)")
-        if np.any(self.angles <= 0) or np.any(self.angles >= np.pi):
-            raise InvalidPolyhedron("link angle outside (0, pi)")
-
-
-def vertex_link(P: ConvexPolyhedronH3, v: int) -> VertexLink:
-    """Link polygon at vertex v: face angles as sides, dihedral angles at corners."""
+def _vertex_fan(P: ConvexPolyhedronH3, v: int) -> tuple:
+    """The faces at vertex v in cyclic order, and the edges between them:
+    edges[i] is the edge at v shared by faces[i] and faces[i + 1]."""
     faces_at = P.faces_at_vertex(v)
     f = faces_at[0]
-    order = []
-    edges = []
+    faces, edges = [], []
     for _ in range(len(faces_at)):
-        order.append(f)
+        faces.append(f)
         cyc = P.faces[f].vertex_cycle
         k = P.edge_at(v, cyc[(cyc.index(v) + 1) % len(cyc)])
         edges.append(k)
         f1, f2 = P.edges[k].faces
         f = f1 if f2 == f else f2
-    if f != order[0]:
+    if f != faces[0]:
         raise InvalidPolyhedron(f"face fan at vertex {v} does not close")
-    sides = np.array([face_corner_angle(P, fi, v) for fi in order])
-    angs = np.array([dihedral_angle(P, k) for k in edges])
-    return VertexLink(faces=order, edges=edges,
-                      side_lengths=sides, angles=angs)
-
-
-@dataclass
-class SphericalPolygon:
-    sides: np.ndarray
-    angles: np.ndarray
-
-    def develop(self):
-        """Corner positions on the unit sphere, walking ccw with the interior
-        on the left; returns (corners, closure_residual)."""
-        m = len(self.sides)
-        P = np.array([1.0, 0.0, 0.0])
-        H = np.array([0.0, 1.0, 0.0])
-        corners = [P]
-        for i in range(m):
-            L = self.sides[i]
-            P, H = (np.cos(L) * P + np.sin(L) * H,
-                    -np.sin(L) * P + np.cos(L) * H)
-            tau = np.pi - self.angles[(i + 1) % m]
-            H = np.cos(tau) * H + np.sin(tau) * np.cross(P, H)
-            corners.append(P)
-        residual = float(np.linalg.norm(corners[-1] - corners[0]))
-        return corners[:-1], residual
-
-
-def polar_dual_polygon(link) -> SphericalPolygon:
-    """Spherical polar dual: sides and angles swap through pi-complements.
-
-    Corner i of the dual corresponds to side i of the input (a face of the
-    vertex), and side i of the dual to corner i (an edge of the vertex).
-    """
-    if isinstance(link, VertexLink):
-        sides, angles = link.side_lengths, link.angles
-    else:
-        sides, angles = link.sides, link.angles
-    return SphericalPolygon(sides=np.pi - np.asarray(angles, dtype=float),
-                            angles=np.pi - np.asarray(sides, dtype=float))
+    return faces, edges
 
 
 @dataclass
@@ -525,39 +482,36 @@ class DualMetricOutput:
 def dualize(P: ConvexPolyhedronH3) -> DualMetricOutput:
     """Glue the polar duals of all vertex links into the dual cone-metric.
 
-    One dual vertex per face; sides dual to primal edges get length pi minus
-    the dihedral angle; each polygon is fan-triangulated from its
-    lowest-index corner with intrinsically developed diagonal lengths.
+    One dual vertex per face; the polar dual of the link at vertex v has a
+    corner per face and a side per edge at v, and is fan-triangulated from
+    its lowest-index face. Every length, side or diagonal, is the de Sitter
+    distance of two faces' dual points, in one stacked pass, and exactly so:
+    the dual points of v's faces are unit vectors in v's orthogonal
+    complement, a Euclidean 3-space as v is timelike, and are the corners of
+    the polar dual of v's link, so each side and diagonal is the angle
+    between two of them. A side is thus pi minus its primal dihedral angle.
     """
     triangles = []
     side_tag = {}        # primal edge index -> the half-edges of its dual sides
     gluing = {}
-    lengths_by_he = {}
     provenance_by_he = {}
 
     for v in range(P.n_vertices):
-        link = vertex_link(P, v)
-        poly = polar_dual_polygon(link)
-        corners, resid = poly.develop()
-        if resid > 1e-9:
-            raise InvalidPolyhedron(
-                f"dual polygon at vertex {v} fails to close (residual {resid:.2e})")
-        m = len(link.faces)
-        anchor = int(np.argmin(link.faces))
+        faces, edges = _vertex_fan(P, v)
+        m = len(faces)
+        anchor = int(np.argmin(faces))
         local = [(anchor + j) % m for j in range(m)]
         fan, sides, diagonals = fan_triangulation(m, base=len(triangles))
-        triangles += [tuple(link.faces[local[c]] for c in tri) for tri in fan]
+        triangles += [tuple(faces[local[c]] for c in tri) for tri in fan]
         # polygon boundary side i joins corners i, i+1 and is dual to the
-        # primal edge link.edges[i]
-        for i, e_primal in enumerate(link.edges):
+        # primal edge edges[i]
+        for i, e_primal in enumerate(edges):
             he = sides[(i - anchor) % m]
             side_tag.setdefault(e_primal, []).append(he)
-            lengths_by_he[he] = np.pi - link.angles[i]
             provenance_by_he[he] = ("primal", P.edges[e_primal].faces)
-        for j, (he_a, he_b) in enumerate(diagonals, start=2):
+        for he_a, he_b in diagonals:
             gluing[he_a] = he_b
             gluing[he_b] = he_a
-            lengths_by_he[he_a] = sphere_angle(corners[local[0]], corners[local[j]])
             provenance_by_he[he_a] = ("fan", v)
 
     for e_primal, hes in side_tag.items():
@@ -568,13 +522,10 @@ def dualize(P: ConvexPolyhedronH3) -> DualMetricOutput:
         gluing[hes[1]] = hes[0]
 
     surf = CombSurface(P.n_faces, triangles, gluing)
-    lengths = np.empty(surf.n_edges)
-    provenance = [None] * surf.n_edges
-    for e, (ha, hb) in enumerate(surf.edge_halfedges):
-        src = ha if ha in lengths_by_he else hb
-        lengths[e] = lengths_by_he[src]
-        provenance[e] = provenance_by_he[src]
-    metric = ConeMetric(surf, SPHERICAL, lengths)
+    provenance = [provenance_by_he[ha] if ha in provenance_by_he
+                  else provenance_by_he[hb] for ha, hb in surf.edge_halfedges]
+    x = np.array([p.v for p in P.planes])
+    metric = ConeMetric(surf, SPHERICAL, ds_distances(*x[surf.edge_pairs.T]))
     return DualMetricOutput(metric=metric, marking=list(range(P.n_faces)),
                             edge_provenance=provenance)
 
@@ -704,9 +655,8 @@ def random_polyhedron(rng: np.random.RandomState, n_faces: int = 6,
             continue
         if max_dual_length is not None:
             try:
-                worst = max(np.pi - dihedral_angle(poly, e)
-                            for e in range(poly.n_edges))
-            except Exception:
+                worst = np.max(np.pi - dihedral_angles(poly))
+            except NotSpacelikeSeparated:
                 continue
             if worst > max_dual_length:
                 continue

@@ -32,10 +32,11 @@ from .errors import (
     StepStalled,
 )
 from .geodesic import closed_geodesic_search
-from .minkowski import J, minkowski_rows
+from .minkowski import J, ds_distances, minkowski_rows
 from .polyhedra import (
     ConvexPolyhedronH3,
     chart_certifies,
+    dihedral_angles,
     hull_from_dual_points,
     polyhedron_from_chart,
 )
@@ -225,15 +226,11 @@ class SolverState:
     # -- geometry ----------------------------------------------------------------
 
     def current_lengths(self) -> np.ndarray:
-        u = self.positions[self.edge_pairs[:, 0]]
-        w = self.positions[self.edge_pairs[:, 1]]
-        diff = u - w
-        csum = u + w
-        c2m = np.einsum("ij,jk,ik->i", diff, J, diff)
-        c2p = np.einsum("ij,jk,ik->i", csum, J, csum)
-        if np.any(c2m <= 0) or np.any(c2p <= 0):
-            raise NotSpacelikeSeparated("a chart edge is no longer spacelike")
-        return 2.0 * np.arcsin(np.minimum(np.sqrt(c2m) / 2.0, 1.0))
+        try:
+            return ds_distances(*self.positions[self.edge_pairs.T])
+        except NotSpacelikeSeparated:
+            raise NotSpacelikeSeparated(
+                "a chart edge is no longer spacelike") from None
 
     def residual(self) -> np.ndarray:
         return self.current_lengths() - self.target
@@ -762,12 +759,10 @@ def auto_start(target: ConeMetric) -> ConvexPolyhedronH3:
 def match_dihedral_angles(P: ConvexPolyhedronH3, Q: ConvexPolyhedronH3,
                           tol: float = MATCH_TOL) -> bool:
     """Congruence check through sorted dihedral-angle and edge-length multisets."""
-    from .polyhedra import dihedral_angle
-
     if P.n_edges != Q.n_edges:
         return False
-    ang_p = sorted(dihedral_angle(P, e) for e in range(P.n_edges))
-    ang_q = sorted(dihedral_angle(Q, e) for e in range(Q.n_edges))
+    ang_p = sorted(dihedral_angles(P))
+    ang_q = sorted(dihedral_angles(Q))
     len_p = sorted(P.edge_length(e) for e in range(P.n_edges))
     len_q = sorted(Q.edge_length(e) for e in range(Q.n_edges))
     return (max(abs(a - b) for a, b in zip(ang_p, ang_q)) < tol

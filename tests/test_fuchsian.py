@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from polydual import fuchsian
 from polydual.errors import InvalidPolyhedron, OrbitBoundTooSmall
 from polydual.fuchsian import (
     TRANSLATION_LENGTH,
@@ -8,8 +9,15 @@ from polydual.fuchsian import (
     fuchsian_octagon_group,
 )
 from polydual.geodesic import closed_geodesic_search
-from polydual.minkowski import HPoint, h_distance
-from polydual.surface import gauss_bonnet_residual, is_concave
+from polydual.minkowski import HPoint, J, clamped, corner_angle, h_distance
+from polydual.surface import (
+    fan_triangulation,
+    gauss_bonnet_residual,
+    is_concave,
+    sphere_angle,
+)
+
+from test_polyhedra import SphericalPolygon
 
 
 @pytest.fixture(scope="module")
@@ -76,8 +84,13 @@ class TestFuchsianDual:
         assert d[0] < d[1] < d[2]
 
     def test_link_regular_by_symmetry(self, outputs):
+        # the side edges carry the deck words; the octagonal link gives four
         for out in outputs.values():
-            spread = np.max(out.apex_side_lengths) - np.min(out.apex_side_lengths)
+            m = out.metric
+            sides = [e for e in range(m.surface.n_edges)
+                     if np.max(np.abs(m.deck_words[e] - np.eye(4))) > 0.5]
+            assert len(sides) == 4
+            spread = np.ptp(m.lengths[sides])
             assert spread < 1e-6
 
     def test_stable_link_accepts_small_bound(self, group):
@@ -118,3 +131,43 @@ class TestFuchsianDual:
                                          contractible_only=False)
         assert rep_all.min_length is not None
         assert rep_all.min_length < 2 * np.pi
+
+
+def reference_lengths(data, h, out):
+    """Edge lengths of out's surface from the developed polar dual of the
+    apex link, as fuchsian_dualize computed them before the closed form:
+    sides pi minus the apex dihedral angles, diagonals read off the
+    development."""
+    _, points = fuchsian._orbit(data, h, out.word_bound)
+    star = fuchsian._apex_star(data, points)
+    normals = [star.faces[idx]["normal"] for idx in star.order]
+    m = len(normals)
+    face_angles, dihedrals = [], []
+    for i, idx in enumerate(star.order):
+        cyc = star.faces[idx]["cycle"]
+        i0 = cyc.index(0)
+        face_angles.append(corner_angle(points[0], points[cyc[i0 - 1]],
+                                        points[cyc[(i0 + 1) % len(cyc)]]))
+        x = clamped(float(normals[i] @ J @ normals[(i + 1) % m]), -1.0, 1.0, 1e-9)
+        dihedrals.append(np.pi - float(np.arccos(x)))
+    corners, resid = SphericalPolygon(sides=np.pi - np.array(dihedrals),
+                                      angles=np.pi - np.array(face_angles)).develop()
+    assert resid < 1e-8
+    _, sides, diagonals = fan_triangulation(m)
+    side_of = {he: j for j, he in enumerate(sides)}
+    diagonal_to = {he_a: j for j, (he_a, _) in enumerate(diagonals, start=2)}
+    return np.array([np.pi - dihedrals[side_of[ha]] if ha in side_of
+                     else sphere_angle(corners[0], corners[diagonal_to[ha]])
+                     for ha, _ in out.metric.surface.edge_halfedges])
+
+
+# The development's own roundoff grows with the height: at h = 3 its longest
+# diagonal (2.94) is 1.2e-13 off a 50-digit arccos of the same normals, which
+# the closed form meets within 3e-15.
+@pytest.mark.parametrize("h, tol", [(0.5, 1e-13), (1.0, 1e-13), (2.0, 1e-13),
+                                    (3.0, 2e-13)])
+def test_lengths_match_the_link_development(group, h, tol):
+    out = fuchsian_dualize(group, h)
+    np.testing.assert_allclose(out.metric.lengths,
+                               reference_lengths(group, h, out),
+                               rtol=0, atol=tol)

@@ -10,10 +10,10 @@ from polydual.geodesic import (
     LENGTH_CAP,
     MAX_STEP,
     ON_SEGMENT_TOL,
-    ROTATION_MATCH_TOL,
     ClosedGeodesic,
     SearchReport,
     _circle_lengths,
+    _closed_geodesics,
     _closed_walks,
     _crossing_points,
     _crossings,
@@ -198,6 +198,9 @@ def reference_circle_length(n, edges, H):
     return total
 
 
+ROTATION_MATCH_TOL = 1e-6        # reference_search: holonomy vs rotation by L
+
+
 def reference_rotation_about(n, angle):
     n = n / np.linalg.norm(n)
     K = np.array([[0, -n[2], n[1]], [n[2], 0, -n[0]], [-n[1], n[0], 0]])
@@ -206,7 +209,9 @@ def reference_rotation_about(n, angle):
 
 def reference_search(m, depth, contractible_only=True):
     """The search one walk at a time: depth-first enumeration, then each strip
-    developed and tested on single vectors."""
+    developed and tested on single vectors, and every circle found checked
+    against the rotation by its length, which the batched search proves
+    instead of testing."""
     report = SearchReport()
     corners = _develop(m)
     rotations, words = _crossings(m, corners, _mates(m))
@@ -369,16 +374,38 @@ def test_circle_must_advance_monotonically():
     """Edges crossing the equator at longitudes 0, 1, 2 give a closed circle
     of length 3 under the rotation by 3 about the pole; crossing them in the
     order 0, 2, 1 turns back and is rejected."""
-    def edges(longitudes):
-        phi = np.array(longitudes)[None, :, None]
-        ring = np.concatenate([np.cos(phi), np.sin(phi)], axis=-1)
-        return (np.concatenate([0.99 * ring, np.full_like(phi, -0.1)], axis=-1),
-                np.concatenate([0.99 * ring, np.full_like(phi, 0.1)], axis=-1))
-
     pole = np.array([[0.0, 0.0, 1.0]])
     H = np.array([[[np.cos(3.0), -np.sin(3.0), 0.0],
                    [np.sin(3.0), np.cos(3.0), 0.0], [0.0, 0.0, 1.0]]])
-    found, length = _circle_lengths(pole, *edges([0.0, 1.0, 2.0]), H)
+    found, length = _circle_lengths(pole, *equator_edges([0.0, 1.0, 2.0]), H)
     assert found.tolist() == [True] and length[0] == pytest.approx(3.0, abs=1e-12)
-    found, _ = _circle_lengths(pole, *edges([0.0, 2.0, 1.0]), H)
+    found, _ = _circle_lengths(pole, *equator_edges([0.0, 2.0, 1.0]), H)
     assert found.tolist() == [False]
+
+
+def equator_edges(longitudes):
+    """Short edges across the equator at the given longitudes, (1, L, 3) each."""
+    phi = np.array(longitudes)[None, :, None]
+    ring = np.concatenate([np.cos(phi), np.sin(phi)], axis=-1)
+    return (np.concatenate([0.99 * ring, np.full_like(phi, -0.1)], axis=-1),
+            np.concatenate([0.99 * ring, np.full_like(phi, 0.1)], axis=-1))
+
+
+@pytest.mark.parametrize("eta", [1e-3, 1e-6, 1e-7])
+def test_near_identity_holonomy_closes_with_its_length(eta):
+    """A holonomy rotating by 2 pi - eta about a generic axis, off the flat
+    branch for every eta here, is accepted with length 2 pi - eta from its
+    own axis alone, and agrees with the rotation by that length."""
+    total = 2 * np.pi - eta
+    Q, _ = np.linalg.qr(np.random.RandomState(1).randn(3, 3))
+    A, B = (X @ Q.T for X in equator_edges(total * np.arange(7) / 7))
+    H = Q @ np.array([[[np.cos(total), -np.sin(total), 0.0],
+                       [np.sin(total), np.cos(total), 0.0],
+                       [0.0, 0.0, 1.0]]]) @ Q.T
+    assert np.max(np.abs(H - np.eye(3))) > IDENTITY_TOL
+    found, length = _closed_geodesics(H, A, B)
+    assert found.tolist() == [True]
+    assert length[0] == pytest.approx(total, rel=0, abs=1e-9)
+    axis = np.linalg.svd(H - np.eye(3))[2][:, -1][0]
+    assert min(np.max(np.abs(reference_rotation_about(s * axis, length[0]) - H[0]))
+               for s in (1, -1)) < 1e-8

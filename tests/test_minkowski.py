@@ -6,7 +6,7 @@ from polydual.minkowski import (
     DSPoint,
     HPoint,
     Isometry,
-    ds_distance,
+    ds_distances,
     h_distance,
     minkowski_inner,
     plane_basis_points,
@@ -22,6 +22,11 @@ def random_dspoint(rng):
         v = rng.randn(4)
         if minkowski_inner(v, v) > 0.1:
             return DSPoint.from_vector(v)
+
+
+def ds_distance(p, q):
+    """The de Sitter distance of one pair, through the stacked form."""
+    return float(ds_distances(p.v[None], q.v[None])[0])
 
 
 def random_hpoint(rng, scale=1.0):
@@ -97,6 +102,24 @@ class TestDsDistance:
         r = DSPoint(np.array([np.sinh(0.5), np.cosh(0.5), 0, 0]))
         with pytest.raises(NotSpacelikeSeparated):
             ds_distance(p, r)
+
+    def test_rows_are_independent_and_first_bad_pair_named(self):
+        rng = np.random.RandomState(3)
+        u = np.array([random_dspoint(rng).v for _ in range(5)])
+        w = np.array([random_dspoint(rng).v for _ in range(5)])
+        ok = np.abs(np.einsum("ij,ij->i", u @ np.diag([-1.0, 1, 1, 1]), w)) < 1
+        u, w = u[ok], w[ok]
+        assert len(u) >= 2
+        d = ds_distances(u, w)
+        assert d.shape == (len(u),)
+        for k in range(len(u)):
+            assert d[k] == ds_distance(DSPoint(u[k]), DSPoint(w[k]))
+            assert d[k] == pytest.approx(
+                np.arccos(minkowski_inner(u[k], w[k])), abs=1e-12)
+        w = w.copy()
+        w[-1] = u[-1]
+        with pytest.raises(NotSpacelikeSeparated, match=f"^pair {len(u) - 1}: "):
+            ds_distances(u, w)
 
     def test_dihedral_complement(self):
         # planes through a common geodesic meeting at angle psi have duals

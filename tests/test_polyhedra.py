@@ -1,30 +1,44 @@
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from polydual.errors import EmptyInterior, InvalidPolyhedron, UnboundedPolyhedron
 from polydual.geodesic import closed_geodesic_search
-from polydual.minkowski import DSPoint, Isometry, ds_distance, minkowski_inner
+from polydual.minkowski import (
+    DSPoint,
+    Isometry,
+    clamped,
+    corner_angle,
+    minkowski_inner,
+)
 from polydual.polyhedra import (
     EUCLIDEAN_TETRA_ANGLE,
     MERGE_TOL,
-    SphericalPolygon,
+    DualMetricOutput,
     dihedral_angle,
+    dihedral_angles,
     dualize,
     face_area,
     hexahedron,
     _validate_lattice,
     hull_from_dual_points,
     order_face_cycles,
-    polar_dual_polygon,
     random_polyhedron,
     regular_tetrahedron,
     regular_tetrahedron_data,
     triangular_bipyramid,
-    vertex_link,
 )
-from polydual.surface import gauss_bonnet_residual, is_concave
+from polydual.surface import (
+    SPHERICAL,
+    CombSurface,
+    ConeMetric,
+    fan_triangulation,
+    gauss_bonnet_residual,
+    is_concave,
+    sphere_angle,
+)
 
 
 def tetra_normals(t):
@@ -50,6 +64,12 @@ class TestHull:
         P = hexahedron(0.5)
         assert (P.n_faces, P.n_edges, P.n_vertices) == (6, 12, 8)
         assert all(len(f.vertex_cycle) == 4 for f in P.faces)
+
+    def test_off_quadric_row_is_named(self):
+        rows = [p.v for p in tetra_normals(0.5)] + [np.array([2.0, 1.0, 0, 0])]
+        with pytest.raises(InvalidPolyhedron,
+                           match="^dual point 4: vector is not spacelike$"):
+            hull_from_dual_points(rows)
 
     def test_empty_interior(self):
         # inward-facing tetrahedral cage: negative sides cannot all hold
@@ -268,12 +288,146 @@ class TestDihedral:
             for e in range(P.n_edges):
                 assert dihedral_angle(P, e) == pytest.approx(theta, abs=1e-9)
 
-    def test_duality_identity(self):
-        P = random_polyhedron(np.random.RandomState(5), 6)
-        for e, edge in enumerate(P.edges):
-            f1, f2 = edge.faces
-            s = ds_distance(P.planes[f1], P.planes[f2])
-            assert s + dihedral_angle(P, e) == pytest.approx(np.pi, abs=1e-10)
+    def test_stacked_matches_arccos_and_each_edge(self):
+        for P in oracle_polyhedra():
+            angles = dihedral_angles(P)
+            assert angles.shape == (P.n_edges,)
+            for e in range(P.n_edges):
+                assert angles[e] == dihedral_angle(P, e)
+                assert angles[e] == pytest.approx(reference_dihedral(P, e),
+                                                  rel=0, abs=1e-13)
+
+
+# -- the link development: the dualize that the closed form replaced ------------
+
+
+def reference_dihedral(P, e):
+    f1, f2 = P.edges[e].faces
+    x = clamped(minkowski_inner(P.planes[f1], P.planes[f2]), -1.0, 1.0)
+    return np.pi - float(np.arccos(x))
+
+
+def reference_face_angle(P, f, v):
+    cyc = P.faces[f].vertex_cycle
+    i = cyc.index(v)
+    return corner_angle(P.vertices[v].v, P.vertices[cyc[i - 1]].v,
+                        P.vertices[cyc[(i + 1) % len(cyc)]].v)
+
+
+@dataclass
+class VertexLink:
+    """Spherical polygon of directions at a polyhedron vertex.
+
+    Side i is the face angle of faces[i]; the corner between sides i and i+1
+    is the dihedral angle of primal edge edges[i], shared by both faces.
+    """
+
+    faces: list
+    edges: list
+    side_lengths: np.ndarray
+    angles: np.ndarray
+
+
+def vertex_link(P, v) -> VertexLink:
+    """Link polygon at vertex v: face angles as sides, dihedral angles at corners."""
+    faces_at = P.faces_at_vertex(v)
+    f = faces_at[0]
+    order = []
+    edges = []
+    for _ in range(len(faces_at)):
+        order.append(f)
+        cyc = P.faces[f].vertex_cycle
+        k = P.edge_at(v, cyc[(cyc.index(v) + 1) % len(cyc)])
+        edges.append(k)
+        f1, f2 = P.edges[k].faces
+        f = f1 if f2 == f else f2
+    assert f == order[0]
+    sides = np.array([reference_face_angle(P, fi, v) for fi in order])
+    angs = np.array([reference_dihedral(P, k) for k in edges])
+    return VertexLink(faces=order, edges=edges, side_lengths=sides, angles=angs)
+
+
+@dataclass
+class SphericalPolygon:
+    sides: np.ndarray
+    angles: np.ndarray
+
+    def develop(self):
+        """Corner positions on the unit sphere, walking ccw with the interior
+        on the left; returns (corners, closure_residual)."""
+        m = len(self.sides)
+        P = np.array([1.0, 0.0, 0.0])
+        H = np.array([0.0, 1.0, 0.0])
+        corners = [P]
+        for i in range(m):
+            L = self.sides[i]
+            P, H = (np.cos(L) * P + np.sin(L) * H,
+                    -np.sin(L) * P + np.cos(L) * H)
+            tau = np.pi - self.angles[(i + 1) % m]
+            H = np.cos(tau) * H + np.sin(tau) * np.cross(P, H)
+            corners.append(P)
+        residual = float(np.linalg.norm(corners[-1] - corners[0]))
+        return corners[:-1], residual
+
+
+def polar_dual_polygon(link) -> SphericalPolygon:
+    """Spherical polar dual: sides and angles swap through pi-complements.
+
+    Corner i of the dual corresponds to side i of the input (a face of the
+    vertex), and side i of the dual to corner i (an edge of the vertex).
+    """
+    if isinstance(link, VertexLink):
+        sides, angles = link.side_lengths, link.angles
+    else:
+        sides, angles = link.sides, link.angles
+    return SphericalPolygon(sides=np.pi - np.asarray(angles, dtype=float),
+                            angles=np.pi - np.asarray(sides, dtype=float))
+
+
+def reference_dualize(P) -> DualMetricOutput:
+    """The dual metric from developed link polygons: sides are pi minus the
+    dihedral angles, diagonals are read off each developed polar dual."""
+    triangles = []
+    side_tag = {}
+    gluing = {}
+    lengths_by_he = {}
+    provenance_by_he = {}
+
+    for v in range(P.n_vertices):
+        link = vertex_link(P, v)
+        corners, resid = polar_dual_polygon(link).develop()
+        assert resid < 1e-9
+        m = len(link.faces)
+        anchor = int(np.argmin(link.faces))
+        local = [(anchor + j) % m for j in range(m)]
+        fan, sides, diagonals = fan_triangulation(m, base=len(triangles))
+        triangles += [tuple(link.faces[local[c]] for c in tri) for tri in fan]
+        for i, e_primal in enumerate(link.edges):
+            he = sides[(i - anchor) % m]
+            side_tag.setdefault(e_primal, []).append(he)
+            lengths_by_he[he] = np.pi - link.angles[i]
+            provenance_by_he[he] = ("primal", P.edges[e_primal].faces)
+        for j, (he_a, he_b) in enumerate(diagonals, start=2):
+            gluing[he_a] = he_b
+            gluing[he_b] = he_a
+            lengths_by_he[he_a] = sphere_angle(corners[local[0]], corners[local[j]])
+            provenance_by_he[he_a] = ("fan", v)
+
+    for hes in side_tag.values():
+        assert len(hes) == 2
+        gluing[hes[0]] = hes[1]
+        gluing[hes[1]] = hes[0]
+
+    surf = CombSurface(P.n_faces, triangles, gluing)
+    lengths = np.empty(surf.n_edges)
+    provenance = [None] * surf.n_edges
+    for e, (ha, hb) in enumerate(surf.edge_halfedges):
+        src = ha if ha in lengths_by_he else hb
+        lengths[e] = lengths_by_he[src]
+        provenance[e] = provenance_by_he[src]
+    return DualMetricOutput(metric=ConeMetric(surf, SPHERICAL, lengths),
+                            marking=list(range(P.n_faces)),
+                            edge_provenance=provenance)
 
 
 class TestVertexLink:
@@ -345,14 +499,17 @@ class TestDualize:
         assert np.allclose(sorted(out1.metric.lengths),
                            sorted(out2.metric.lengths), atol=1e-10)
 
-    def test_extrinsic_lengths_agree(self):
-        P = random_polyhedron(np.random.RandomState(13), 7)
-        out = dualize(P)
-        m = out.metric
-        for e in range(m.surface.n_edges):
-            u, w = m.surface.edge_endpoints(e)
-            assert ds_distance(P.planes[u], P.planes[w]) == pytest.approx(
-                m.lengths[e], abs=1e-9)
+    def test_matches_the_link_development(self):
+        # the fixtures, random solids of 7 to 12 faces and the 30- and
+        # 50-face bench solids
+        for P in oracle_polyhedra():
+            out, ref = dualize(P), reference_dualize(P)
+            assert out.metric.surface.triangles == ref.metric.surface.triangles
+            assert out.metric.surface.gluing == ref.metric.surface.gluing
+            assert out.edge_provenance == ref.edge_provenance
+            assert out.marking == ref.marking
+            np.testing.assert_allclose(out.metric.lengths, ref.metric.lengths,
+                                       rtol=0, atol=1e-13)
 
     def test_dual_is_concave_with_valid_gauss_bonnet(self):
         for P in [regular_tetrahedron(1.15), hexahedron(0.4),

@@ -581,6 +581,16 @@ class TestPerturbation:
         assert left > 0
 
 
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_draw_that_misses_the_quadric_is_retried(self, seed):
+        # these draws put a point where <v, v> is so near 0 that normalizing
+        # it twice leaves the quadric by more than NORM_TOL; the hull rejects
+        # it as an invalid polyhedron, and the search fails as a solver error
+        P = regular_tetrahedron(np.pi / 3 + 1e-3)
+        with pytest.raises(SolverError, match="failed to perturb"):
+            perturbed_polyhedron(P, np.random.RandomState(seed), 1.0)
+
+
 class TestNewton:
     def test_zero_iterations_at_truth(self, tetra):
         P, out = tetra
