@@ -102,10 +102,18 @@ class DSPoint:
     def from_vector(cls, v) -> "DSPoint":
         """Normalize a spacelike vector onto the de Sitter quadric."""
         v = _as_vec4(v)
+        if not np.all(np.isfinite(v)):
+            raise ValueError("DSPoint needs 4 finite components")
         q = minkowski_inner(v, v)
         if q <= 0:
             raise ValueError("vector is not spacelike")
-        return cls(v / np.sqrt(q))
+        try:
+            return cls(v / np.sqrt(q))
+        except ValueError:
+            # roundoff in v's entries swamps a <v, v> this small
+            raise ValueError(
+                f"vector is too close to the light cone to normalize within "
+                f"NORM_TOL = {NORM_TOL} (<v,v> = {q!r})") from None
 
 
 def h_distance(p: HPoint, q: HPoint) -> float:
@@ -119,6 +127,17 @@ def h_distance(p: HPoint, q: HPoint) -> float:
     if c2 < -CLAMP_SLACK:
         raise DomainExceeded(f"chord norm {c2} negative beyond slack")
     return 2.0 * float(np.arcsinh(np.sqrt(max(c2, 0.0)) / 2.0))
+
+
+def h_distances(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Hyperbolic distances between the rows of u and w, two (N, 4) arrays
+    of points of H^3, in `h_distance`'s chord form and with its bits."""
+    d = u - w
+    c2 = minkowski_rows(d, d)
+    bad = c2 < -CLAMP_SLACK
+    if np.any(bad):
+        raise DomainExceeded(f"chord norm {c2[np.argmax(bad)]} negative beyond slack")
+    return 2.0 * np.arcsinh(np.sqrt(np.maximum(c2, 0.0)) / 2.0)
 
 
 def corner_angle(at, pred, succ) -> float:

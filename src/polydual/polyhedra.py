@@ -5,11 +5,16 @@ de Sitter distance (`minkowski.ds_distances`), in one stacked pass.
 
 The hull runs in the Klein chart y = (x1,x2,x3)/x0, where a face plane with
 de Sitter normal n becomes the Euclidean half-space n_sp . y <= n0 and
-hyperbolic convexity coincides with Euclidean convexity. Vertices of the
-polyhedron are recovered as merged coplanar facets of the polar point hull,
-with planes re-collected per point at relative tolerance rather than trusting
-the raw facet equations (symmetric inputs make exactly-coplanar facets that
-plain equation grouping splits arbitrarily).
+hyperbolic convexity coincides with Euclidean convexity. One Qhull call
+builds the hull of the polar points about an interior point: the Klein
+origin when every plane keeps it at ORIGIN_CLEARANCE, else a Chebyshev LP
+point. That interior point rides along as one more polar point, and the
+polyhedron is unbounded exactly when it comes out a hull vertex. Vertices of
+the polyhedron are recovered as merged coplanar facets of the polar point
+hull, all facets in one stacked solve, with planes re-collected per point at
+relative tolerance rather than trusting the raw facet equations (symmetric
+inputs make exactly-coplanar facets that plain equation grouping splits
+arbitrarily).
 """
 from __future__ import annotations
 
@@ -32,13 +37,16 @@ from .minkowski import (
     corner_angle,
     ds_distances,
     h_distance,
+    h_distances,
     minkowski_inner,
     minkowski_rows,
 )
 from .surface import SPHERICAL, CombSurface, ConeMetric, fan_triangulation
 
 BALL_MARGIN = 1e-12
+ORIGIN_CLEARANCE = 0.1           # least plane distance that keeps the Klein origin
 MERGE_TOL = 1e-9                 # relative residual of a plane through a vertex
+SOLVE_RESIDUAL = 1e-6            # largest plane residual of a solved vertex
 CERTIFY_MARGIN = 100 * MERGE_TOL
 RANDOM_RADII = (0.25, 0.5)       # plane distances from the origin
 RANDOM_TRIES = 200
@@ -110,37 +118,43 @@ class ConvexPolyhedronH3:
         v1, v2 = self.edges[k].vertices
         return h_distance(self.vertices[v1], self.vertices[v2])
 
+    def edge_lengths(self) -> np.ndarray:
+        """Length of every edge, in edge order, as `edge_length` gives it."""
+        x = np.array([p.v for p in self.vertices])
+        ends = np.array([e.vertices for e in self.edges])
+        return h_distances(x[ends[:, 0]], x[ends[:, 1]])
 
-def _lift_klein(y: np.ndarray) -> HPoint:
-    r2 = float(y @ y)
-    if r2 >= 1.0 - BALL_MARGIN:
+
+def _lift_klein(y: np.ndarray) -> list:
+    """The points of H^3 over the Klein points y (rows), lifted in one pass;
+    raises UnboundedPolyhedron at the first one not inside the ball."""
+    r2 = (y[:, None, :] @ y[..., None])[:, 0, 0]     # each row's own y @ y
+    out = np.flatnonzero(r2 >= 1.0 - BALL_MARGIN)
+    if out.size:
         raise UnboundedPolyhedron(
-            f"lattice vertex at Klein radius {np.sqrt(r2):.12f} leaves H^3")
+            f"lattice vertex at Klein radius {np.sqrt(r2[out[0]]):.12f} leaves H^3")
     x0 = 1.0 / np.sqrt(1.0 - r2)
-    return HPoint(np.array([x0, *(x0 * y)]))
+    return [HPoint(x) for x in np.column_stack([x0, x0[:, None] * y])]
 
 
 def _interior_point(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Chebyshev-style strictly interior point of {y : a y <= b} near the ball."""
-    n = a.shape[0]
+    """Strictly interior point of {y : a y <= b}: the Klein origin when every
+    plane keeps it at a distance b_i / |a_i| of at least ORIGIN_CLEARANCE,
+    and otherwise a Chebyshev-style LP point near the ball.
+
+    A de Sitter point has b_i < |a_i|, so at the origin every polar point
+    a_i / b_i has a norm in (1, 1 / ORIGIN_CLEARANCE]: the clearance bounds
+    the polar points' spread.
+    """
     norms = np.linalg.norm(a, axis=1)
+    if np.all(b >= ORIGIN_CLEARANCE * norms):
+        return np.zeros(3)
     A_ub = np.hstack([a, norms[:, None]])
     res = linprog(c=[0.0, 0.0, 0.0, -1.0], A_ub=A_ub, b_ub=b,
                   bounds=[(-2, 2), (-2, 2), (-2, 2), (0, 3)], method="highs")
     if not res.success or res.x[3] <= 1e-9:
         raise EmptyInterior("plane family admits no common interior")
     return res.x[:3]
-
-
-def _reject_recession_direction(a: np.ndarray):
-    """Unbounded whenever some direction recedes inside every half-space."""
-    norms = np.linalg.norm(a, axis=1)
-    A_ub = np.hstack([a, norms[:, None]])
-    res = linprog(c=[0.0, 0.0, 0.0, -1.0], A_ub=A_ub, b_ub=np.zeros(len(a)),
-                  bounds=[(-1, 1), (-1, 1), (-1, 1), (0, 2)], method="highs")
-    if res.success and res.x[3] > 1e-9:
-        raise UnboundedPolyhedron(
-            f"plane family recedes in direction {np.round(res.x[:3], 6)}")
 
 
 def _as_planes(duals) -> list:
@@ -158,69 +172,82 @@ def _as_planes(duals) -> list:
 def hull_from_dual_points(duals) -> ConvexPolyhedronH3:
     """Polyhedron cut out by the planes dual to the given de Sitter points.
 
-    Redundant planes are discarded and recorded. Raises EmptyInterior when
-    the negative half-spaces have no common interior and UnboundedPolyhedron
-    when a lattice vertex escapes H^3. A vertex collects every plane within
+    One Qhull call builds the hull of the polar points a_i / (b_i - a_i y0)
+    about an interior point y0 (`_interior_point`), with y0 itself appended
+    as the polar origin: the polyhedron is bounded exactly when y0 is not a
+    vertex of that hull. Planes that are no hull vertex are redundant; they
+    are discarded and recorded. The face lattice is then read off the hull's
+    facets in one stacked pass (`_build_lattice`).
+
+    Raises EmptyInterior when the negative half-spaces have no common
+    interior, and UnboundedPolyhedron when they recede to infinity or a
+    lattice vertex escapes H^3. A vertex collects every plane within
     MERGE_TOL (relative) of it, so a configuration sitting within that of a
     coplanarity wall gets one merged vertex; a lattice that still comes out
     inconsistent raises InvalidPolyhedron, as does a raw row that does not
     normalize onto the de Sitter quadric.
     """
     duals = _as_planes(duals)
-    if len(duals) < 4:
+    n = len(duals)
+    if n < 4:
         raise InvalidPolyhedron("need at least four face planes")
     a = np.array([d.v[1:] for d in duals])
     b = np.array([d.v[0] for d in duals])
     y0 = _interior_point(a, b)
-    _reject_recession_direction(a)
 
     gap = b - a @ y0
     if np.any(gap <= 0):
         raise EmptyInterior("interior point failed strict containment")
-    polar = a / gap[:, None]
     try:
-        hull = ConvexHull(polar)
+        hull = ConvexHull(np.vstack([a / gap[:, None], np.zeros(3)]))
     except QhullError as exc:
         raise EmptyInterior(f"degenerate dual configuration: {exc}") from exc
-    essential = sorted(set(int(v) for v in hull.vertices))
-    discarded = sorted(set(range(len(duals))) - set(essential))
+    if n in hull.vertices:
+        raise UnboundedPolyhedron(
+            "plane family recedes to infinity: its interior point is a "
+            "vertex of the polar hull")
+    essential = np.sort(hull.vertices)
     if len(essential) < 4:
         raise EmptyInterior("fewer than four essential planes")
+    discarded = np.setdiff1d(np.arange(n), essential).tolist()
+    return _build_lattice(duals, a, b, hull.simplices, essential, discarded)
 
-    return _build_lattice(duals, a, b, hull, essential, discarded)
 
-
-def _build_lattice(duals, a, b, hull, essential, discarded):
+def _build_lattice(duals, a, b, simplices, essential, discarded):
     # vertices of the polyhedron = merged coplanar facet groups of the polar
-    # hull; collect per-vertex plane sets at relative tolerance, and refit a
-    # vertex only where more planes than its facet's three pass through it
-    groups = {}
-    for simplex in hull.simplices:
-        tri = tuple(sorted(int(i) for i in simplex))
-        ys = _solve_vertex(a, b, tri)
+    # hull: solve every facet's three planes at once, collect each point's
+    # planes at relative tolerance, and refit a point only where more planes
+    # than its facet's three pass through it (a wall state)
+    tri = np.sort(simplices, axis=1)
+    y, ok = _solve_triples(a, b, tri)
+    members = _planes_through(a, b, y)
+    own = np.zeros(members.shape, dtype=bool)
+    np.put_along_axis(own, tri, True, axis=1)
+    for s in np.flatnonzero(ok & np.any(members != own, axis=1)):
+        ys = _solve_vertex(a, b, np.flatnonzero(members[s]))
         if ys is None:
+            ok[s] = False
             continue
-        members = _planes_through(a, b, ys)
-        if members != tri:
-            ys = _solve_vertex(a, b, members)
-            if ys is None:
-                continue
-            members = _planes_through(a, b, ys)
-        groups[frozenset(members)] = ys
+        y[s] = ys
+        members[s] = _planes_through(a, b, ys[None])[0]
+    y, members = y[ok], members[ok]
     # drop vertex candidates whose plane set is contained in a larger one
     # (a merge absorbs the split vertices of a near-coplanar cluster)
-    keys = sorted(groups, key=len, reverse=True)
-    kept = []
-    for k in keys:
-        if not any(k < other for other in kept):
-            kept.append(k)
-    kept.sort(key=sorted)
-    vertices_klein = np.array([groups[members] for members in kept])
-    vertices = [_lift_klein(y) for y in vertices_klein]
-    incidence = np.zeros((len(duals), len(kept)), dtype=bool)
-    for v, members in enumerate(kept):
-        incidence[list(members), v] = True
-    incidence = incidence[essential]        # face x vertex
+    m = members.astype(float)
+    count = m.sum(axis=1)
+    inside = (m @ m.T == count[:, None]) & (count > count[:, None])
+    maximal = ~inside.any(axis=1)
+    y, members = y[maximal], members[maximal]
+    # vertex order: plane sets as sorted index lists, ascending; a row with
+    # the first plane where two sets differ comes first. Of equal sets the
+    # last facet's point is kept.
+    order = np.lexsort((~members).T[::-1])
+    ranked = members[order]
+    last = np.ones(len(order), dtype=bool)
+    last[:-1] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    vertices_klein = y[order[last]]
+    vertices = _lift_klein(vertices_klein)
+    incidence = ranked[last].T[essential]           # face x vertex
 
     small = np.flatnonzero(incidence.sum(axis=1) < 3)
     if small.size:
@@ -228,7 +255,7 @@ def _build_lattice(duals, a, b, hull, essential, discarded):
             f"face {essential[small[0]]} has fewer than three vertices")
     cycles = order_face_cycles(a[essential], vertices_klein, incidence)
     faces = [Face(plane=duals[orig], vertex_cycle=cycle)
-             for orig, cycle in zip(essential, cycles)]
+             for orig, cycle in zip(essential.tolist(), cycles)]
 
     edges = _edges_from_faces(faces)
     poly = ConvexPolyhedronH3(planes=[duals[i] for i in essential],
@@ -238,20 +265,47 @@ def _build_lattice(duals, a, b, hull, essential, discarded):
     return poly
 
 
+def _solve_triples(a, b, tri):
+    """The common point of the three planes of each row of `tri`, and
+    whether it is one: lstsq's rank test (every singular value above
+    3 eps times the largest) and a residual of at most SOLVE_RESIDUAL."""
+    rows, rhs = a[tri], b[tri]
+    sv = np.linalg.svd(rows, compute_uv=False)
+    ok = sv[:, 2] > 3 * np.finfo(float).eps * sv[:, 0]
+    y = np.zeros((len(tri), 3))
+    y[ok] = np.linalg.solve(rows[ok], rhs[ok][..., None])[..., 0]
+    resid = (rows @ y[..., None])[..., 0] - rhs
+    return y, ok & (np.max(np.abs(resid), axis=1) <= SOLVE_RESIDUAL)
+
+
 def _solve_vertex(a, b, idxs):
-    rows = a[list(idxs)]
-    rhs = b[list(idxs)]
+    """Least-squares common point of the planes idxs, or None when their
+    normals have rank below 3 or the fit misses one by SOLVE_RESIDUAL."""
+    rows = a[idxs]
+    rhs = b[idxs]
     y, res, rank, _ = np.linalg.lstsq(rows, rhs, rcond=None)
     if rank < 3:
         return None
-    if np.max(np.abs(rows @ y - rhs)) > 1e-6:
+    if np.max(np.abs(rows @ y - rhs)) > SOLVE_RESIDUAL:
         return None
     return y
 
+
+def _plane_offsets(a, b, y):
+    """a y - b for every point (row of y) and plane, point x plane, with
+    the relative scale 1 + |b| + |a| |y| that both the lattice's membership
+    and `chart_certifies` measure it by."""
+    resid = y @ a.T - b
+    scale = (1.0 + np.abs(b)
+             + np.linalg.norm(y, axis=1)[:, None] * np.linalg.norm(a, axis=1))
+    return resid, scale
+
+
 def _planes_through(a, b, y):
-    resid = np.abs(a @ y - b)
-    scale = 1.0 + np.abs(b) + np.linalg.norm(a, axis=1) * np.linalg.norm(y)
-    return tuple(int(i) for i in np.where(resid <= MERGE_TOL * scale)[0])
+    """Point x plane: the planes through each point (row of y), within
+    MERGE_TOL relative."""
+    resid, scale = _plane_offsets(a, b, y)
+    return np.abs(resid) <= MERGE_TOL * scale
 
 
 def chart_certifies(duals, triangles) -> bool:
@@ -265,7 +319,7 @@ def chart_certifies(duals, triangles) -> bool:
     point y_t (Klein chart, a y <= b, as in the hull), and the certificate
     holds when every y_t lies inside the ball, |y_t|^2 < 1 - CERTIFY_MARGIN,
     and strictly inside every other plane, a y_t - b < -CERTIFY_MARGIN *
-    scale with the relative scale of `_planes_through`.
+    scale with the relative scale of `_plane_offsets`.
 
     Why this proves it: each y_t is then a point of P on exactly three
     planes with independent normals, a simple vertex. Along the line of a
@@ -291,9 +345,7 @@ def chart_certifies(duals, triangles) -> bool:
         return False
     if not np.all(np.einsum("ij,ij->i", y, y) < 1.0 - CERTIFY_MARGIN):
         return False
-    resid = y @ a.T - b                               # triangle x plane
-    scale = (1.0 + np.abs(b)
-             + np.linalg.norm(y, axis=1)[:, None] * np.linalg.norm(a, axis=1))
+    resid, scale = _plane_offsets(a, b, y)            # triangle x plane
     own = np.zeros(resid.shape, dtype=bool)
     np.put_along_axis(own, tri, True, axis=1)
     return bool(np.all(own | (resid < -CERTIFY_MARGIN * scale)))
@@ -331,7 +383,7 @@ def polyhedron_from_chart(duals, surface: CombSurface) -> ConvexPolyhedronH3:
         cycles = [c[::-1] for c in cycles]
     faces = [Face(plane=p, vertex_cycle=c) for p, c in zip(planes, cycles)]
     return ConvexPolyhedronH3(planes=planes,
-                              vertices=[_lift_klein(v) for v in y],
+                              vertices=_lift_klein(y),
                               faces=faces, edges=_edges_from_faces(faces))
 
 

@@ -623,8 +623,7 @@ def perturbed_polyhedron(P: ConvexPolyhedronH3, rng: np.random.RandomState,
     polyhedron only has to realize the chart (polyhedra sitting on
     combinatorial walls, like bipyramids with four faces at a vertex, split
     under every generic perturbation)."""
-    magnitude = min(magnitude, PERTURB_EDGE_SHARE
-                    * min(P.edge_length(e) for e in range(P.n_edges)))
+    magnitude = min(magnitude, PERTURB_EDGE_SHARE * float(P.edge_lengths().min()))
     base = np.stack([p.v for p in P.planes])
     frames, _ = _tangent_frames(base)
     want = {frozenset(e.faces) for e in P.edges}
@@ -761,9 +760,9 @@ def match_dihedral_angles(P: ConvexPolyhedronH3, Q: ConvexPolyhedronH3,
     """Congruence check through sorted dihedral-angle and edge-length multisets."""
     if P.n_edges != Q.n_edges:
         return False
-    ang_p = sorted(dihedral_angles(P))
-    ang_q = sorted(dihedral_angles(Q))
-    len_p = sorted(P.edge_length(e) for e in range(P.n_edges))
-    len_q = sorted(Q.edge_length(e) for e in range(Q.n_edges))
-    return (max(abs(a - b) for a, b in zip(ang_p, ang_q)) < tol
-            and max(abs(a - b) for a, b in zip(len_p, len_q)) < tol)
+
+    def spread(p, q):
+        return np.max(np.abs(np.sort(p) - np.sort(q)))
+
+    return bool(spread(dihedral_angles(P), dihedral_angles(Q)) < tol
+                and spread(P.edge_lengths(), Q.edge_lengths()) < tol)

@@ -188,31 +188,41 @@ class CombSurface:
         return tris
 
     @cached_property
+    def triangle_sides(self) -> np.ndarray:
+        """(n_triangles, 3) edge of the side opposite each corner; read-only."""
+        # the side opposite corner k is the half-edge (t, k + 1)
+        edge = [self.halfedge_edge[h] for h in range(3 * self.n_triangles)]
+        sides = np.roll(np.reshape(edge, (-1, 3)), -1, axis=1)
+        sides.setflags(write=False)
+        return sides
+
+    @cached_property
     def has_parallel_edges(self) -> bool:
         """True when two edges join the same two vertices."""
         pairs = {frozenset(p) for p in self.edge_pairs.tolist()}
         return len(pairs) != self.n_edges
 
 
-def triangle_angles(a: float, b: float, c: float, geometry: str) -> np.ndarray:
-    """Interior angles of a triangle with sides (a, b, c) opposite them."""
+def corner_angles(sides: np.ndarray, geometry: str) -> np.ndarray:
+    """Interior angles of triangles by the law of cosines, one row per
+    triangle: angle k is opposite sides[t, k]. A cosine beyond [-1, 1] by
+    more than ANG_SLACK raises DomainExceeded, the first in row order."""
     from .minkowski import clamped
 
     if geometry == SPHERICAL:
-        sa, sb, sc = np.sin([a, b, c])
-        ca, cb, cc = np.cos([a, b, c])
-        cos_a = clamped((ca - cb * cc) / (sb * sc), -1.0, 1.0, ANG_SLACK)
-        cos_b = clamped((cb - cc * ca) / (sc * sa), -1.0, 1.0, ANG_SLACK)
-        cos_c = clamped((cc - ca * cb) / (sa * sb), -1.0, 1.0, ANG_SLACK)
+        sin, cos = np.sin(sides), np.cos(sides)
     elif geometry == HYPERBOLIC:
-        sa, sb, sc = np.sinh([a, b, c])
-        ca, cb, cc = np.cosh([a, b, c])
-        cos_a = clamped((cb * cc - ca) / (sb * sc), -1.0, 1.0, ANG_SLACK)
-        cos_b = clamped((cc * ca - cb) / (sc * sa), -1.0, 1.0, ANG_SLACK)
-        cos_c = clamped((ca * cb - cc) / (sa * sb), -1.0, 1.0, ANG_SLACK)
+        sin, cos = np.sinh(sides), np.cosh(sides)
     else:
         raise ValueError(f"unknown geometry {geometry!r}")
-    return np.arccos([cos_a, cos_b, cos_c])
+    # corner k against the sides k + 1 and k + 2 that meet there
+    cos1, cos2 = np.roll(cos, -1, axis=1), np.roll(cos, -2, axis=1)
+    opposite = cos - cos1 * cos2 if geometry == SPHERICAL else cos1 * cos2 - cos
+    cosines = opposite / (np.roll(sin, -1, axis=1) * np.roll(sin, -2, axis=1))
+    beyond = np.abs(cosines) > 1.0 + ANG_SLACK
+    if np.any(beyond):
+        clamped(cosines.flat[np.argmax(beyond)], -1.0, 1.0, ANG_SLACK)
+    return np.arccos(np.clip(cosines, -1.0, 1.0))
 
 
 class ConeMetric:
@@ -247,18 +257,18 @@ class ConeMetric:
             raise InvalidConeMetric("edge lengths must be positive and finite")
         if self.geometry == SPHERICAL and np.any(self.lengths >= np.pi):
             raise InvalidConeMetric("spherical edge lengths must stay below pi")
-        for t in range(self.surface.n_triangles):
-            a, b, c = self.surface.triangle_edge_lengths(t, self.lengths)
-            if a + b <= c or b + c <= a or c + a <= b:
+        a, b, c = self.lengths[self.surface.triangle_sides].T
+        unequal = (a + b <= c) | (b + c <= a) | (c + a <= b)
+        too_long = (a + b + c >= 2 * np.pi) & (self.geometry == SPHERICAL)
+        if np.any(unequal | too_long):
+            t = int(np.argmax(unequal | too_long))
+            if unequal[t]:
                 raise InvalidConeMetric(f"triangle {t} violates the triangle inequality")
-            if self.geometry == SPHERICAL and a + b + c >= 2 * np.pi:
-                raise InvalidConeMetric(f"triangle {t} has perimeter >= 2*pi")
+            raise InvalidConeMetric(f"triangle {t} has perimeter >= 2*pi")
 
     def _compute_angles(self):
-        angles = np.empty((self.surface.n_triangles, 3))
-        for t in range(self.surface.n_triangles):
-            a, b, c = self.surface.triangle_edge_lengths(t, self.lengths)
-            angles[t] = triangle_angles(a, b, c, self.geometry)
+        angles = corner_angles(self.lengths[self.surface.triangle_sides],
+                               self.geometry)
         self.corner_angles = angles
         excess = angles.sum(axis=1) - np.pi
         if np.any(np.abs(excess) < MIN_TRIANGLE_AREA):

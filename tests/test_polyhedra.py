@@ -8,6 +8,7 @@ from polydual.errors import EmptyInterior, InvalidPolyhedron, UnboundedPolyhedro
 from polydual.geodesic import closed_geodesic_search
 from polydual.minkowski import (
     DSPoint,
+    HPoint,
     Isometry,
     clamped,
     corner_angle,
@@ -16,7 +17,11 @@ from polydual.minkowski import (
 from polydual.polyhedra import (
     EUCLIDEAN_TETRA_ANGLE,
     MERGE_TOL,
+    ORIGIN_CLEARANCE,
+    ConvexPolyhedronH3,
     DualMetricOutput,
+    Face,
+    _edges_from_faces,
     dihedral_angle,
     dihedral_angles,
     dualize,
@@ -69,6 +74,13 @@ class TestHull:
         rows = [p.v for p in tetra_normals(0.5)] + [np.array([2.0, 1.0, 0, 0])]
         with pytest.raises(InvalidPolyhedron,
                            match="^dual point 4: vector is not spacelike$"):
+            hull_from_dual_points(rows)
+
+    def test_row_on_the_light_cone_is_named(self):
+        rows = [p.v for p in tetra_normals(0.5)] + [np.array([1, 1 + 1e-7, 0, 0])]
+        with pytest.raises(InvalidPolyhedron,
+                           match="^dual point 4: vector is too close to the "
+                                 "light cone"):
             hull_from_dual_points(rows)
 
     def test_empty_interior(self):
@@ -189,6 +201,175 @@ class TestLattice:
             assert P.edge_at(u, w) == scan("vertices", (u, w))
         for f, g in itertools.product(range(P.n_faces), repeat=2):
             assert P.edge_between(f, g) == scan("faces", (f, g))
+
+
+def reference_hull(duals) -> ConvexPolyhedronH3:
+    """The hull `hull_from_dual_points` replaced: a Chebyshev LP for the
+    interior point, a second LP for a receding direction, and the lattice
+    built facet by facet with a lstsq fit and a plane scan per facet. The
+    oracle its lattices must equal."""
+    from scipy.optimize import linprog
+    from scipy.spatial import ConvexHull, QhullError
+
+    planes = [d if isinstance(d, DSPoint) else DSPoint.from_vector(d)
+              for d in duals]
+    a = np.array([d.v[1:] for d in planes])
+    b = np.array([d.v[0] for d in planes])
+    norms = np.linalg.norm(a, axis=1)
+    A_ub = np.hstack([a, norms[:, None]])
+    res = linprog(c=[0.0, 0.0, 0.0, -1.0], A_ub=A_ub, b_ub=b,
+                  bounds=[(-2, 2), (-2, 2), (-2, 2), (0, 3)], method="highs")
+    if not res.success or res.x[3] <= 1e-9:
+        raise EmptyInterior("plane family admits no common interior")
+    y0 = res.x[:3]
+    res = linprog(c=[0.0, 0.0, 0.0, -1.0], A_ub=A_ub, b_ub=np.zeros(len(a)),
+                  bounds=[(-1, 1), (-1, 1), (-1, 1), (0, 2)], method="highs")
+    if res.success and res.x[3] > 1e-9:
+        raise UnboundedPolyhedron("plane family recedes")
+    try:
+        hull = ConvexHull(a / (b - a @ y0)[:, None])
+    except QhullError as exc:
+        raise EmptyInterior("degenerate dual configuration") from exc
+    essential = sorted(set(int(v) for v in hull.vertices))
+    discarded = sorted(set(range(len(planes))) - set(essential))
+
+    def solve(idxs):
+        rows, rhs = a[list(idxs)], b[list(idxs)]
+        y, _, rank, _ = np.linalg.lstsq(rows, rhs, rcond=None)
+        if rank < 3 or np.max(np.abs(rows @ y - rhs)) > 1e-6:
+            return None
+        return y
+
+    def through(y):
+        scale = 1.0 + np.abs(b) + norms * np.linalg.norm(y)
+        return tuple(int(i) for i in
+                     np.where(np.abs(a @ y - b) <= MERGE_TOL * scale)[0])
+
+    groups = {}
+    for simplex in hull.simplices:
+        tri = tuple(sorted(int(i) for i in simplex))
+        ys = solve(tri)
+        if ys is None:
+            continue
+        members = through(ys)
+        if members != tri:
+            ys = solve(members)
+            if ys is None:
+                continue
+            members = through(ys)
+        groups[frozenset(members)] = ys
+    kept = []
+    for k in sorted(groups, key=len, reverse=True):
+        if not any(k < other for other in kept):
+            kept.append(k)
+    kept.sort(key=sorted)
+    klein = np.array([groups[members] for members in kept])
+    vertices = []
+    for y in klein:
+        x0 = 1.0 / np.sqrt(1.0 - float(y @ y))
+        vertices.append(HPoint(np.array([x0, *(x0 * y)])))
+    inc = np.zeros((len(planes), len(kept)), dtype=bool)
+    for v, members in enumerate(kept):
+        inc[list(members), v] = True
+    inc = inc[essential]
+    cycles = order_face_cycles(a[essential], klein, inc)
+    faces = [Face(plane=planes[orig], vertex_cycle=cycle)
+             for orig, cycle in zip(essential, cycles)]
+    poly = ConvexPolyhedronH3(planes=[planes[i] for i in essential],
+                              vertices=vertices, faces=faces,
+                              edges=_edges_from_faces(faces),
+                              discarded=discarded)
+    _validate_lattice(poly, inc, MERGE_TOL)
+    return poly
+
+
+def lattice(P, rotated=False):
+    """Face cycles (each from its least vertex when rotated), edges and
+    discarded planes of P."""
+    cycles = [f.vertex_cycle for f in P.faces]
+    if rotated:
+        cycles = [c[c.index(min(c)):] + c[:c.index(min(c))] for c in cycles]
+    return (cycles, [(e.vertices, e.faces) for e in P.edges], P.discarded)
+
+
+def vertex_array(P):
+    return np.array([v.v for v in P.vertices])
+
+
+def hull_outcome(build):
+    """The polyhedron build() returns, or the type of what it raised."""
+    try:
+        return build()
+    except InvalidPolyhedron as exc:
+        return type(exc)
+
+
+def wall_states():
+    """The bipyramid's dual points (two 4-plane vertices) moved in their
+    tangent charts by steps from far inside MERGE_TOL to far beyond it."""
+    base = np.array([p.v for p in triangular_bipyramid().planes])
+    rng = np.random.RandomState(11)
+    states = []
+    for step in (1e-14, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-6, 1e-4):
+        for _ in range(3):
+            moved = base + step * rng.randn(*base.shape)
+            q = np.einsum("ij,jk,ik->i", moved, np.diag([-1.0, 1, 1, 1]), moved)
+            states.append(moved / np.sqrt(q)[:, None])
+    return states
+
+
+class TestStackedHull:
+    def test_lattice_matches_the_facet_loop(self):
+        inputs = [P.planes for P in oracle_polyhedra()]
+        inputs.append(tetra_normals(0.25) + [DSPoint(np.array(
+            [np.sinh(2.0), *(np.cosh(2.0) * np.ones(3) / np.sqrt(3))]))])
+        inputs += [random_polyhedron(np.random.RandomState(s), 8).planes
+                   for s in range(5, 15)]
+        inputs += wall_states()
+        outcomes = set()
+        for duals in inputs:
+            got = hull_outcome(lambda: hull_from_dual_points(duals))
+            want = hull_outcome(lambda: reference_hull(duals))
+            if isinstance(want, type):
+                assert got is want
+                outcomes.add(want.__name__)
+                continue
+            assert lattice(got) == lattice(want)
+            assert np.max(np.abs(vertex_array(got) - vertex_array(want))) < 1e-13
+            outcomes.add((len(want.discarded), max(len(f.vertex_cycle) for f in
+                                                   want.faces) > 3))
+        # merged and split walls, a redundant plane, and generic solids
+        assert {(0, True), (0, False), (1, False)} <= outcomes
+
+    @pytest.mark.parametrize("t", [1.0, 0.25 - 1e-9])
+    def test_interior_point_lp(self, t, monkeypatch):
+        # a box of half-widths 0.25, 0.5, 0.5 boosted along x: by 1 the
+        # Klein origin leaves it, by 0.25 - 1e-9 its -x face passes 1e-9
+        # from the origin; either way the LP finds the interior point
+        import polydual.polyhedra as polyhedra
+
+        duals = [DSPoint(np.array([np.sinh(r), *(np.cosh(r) * s * u)]))
+                 for u, r in zip(np.eye(3), (0.25, 0.5, 0.5)) for s in (1, -1)]
+        P = hull_from_dual_points(duals)
+        g = Isometry.boost(1, t)
+        moved = [g.apply(p) for p in duals]
+        a = np.array([p.v[1:] for p in moved])
+        b = np.array([p.v[0] for p in moved])
+        assert np.min(b / np.linalg.norm(a, axis=1)) < ORIGIN_CLEARANCE
+        calls = []
+        real = polyhedra.linprog
+        monkeypatch.setattr(polyhedra, "linprog",
+                            lambda *args, **kw: calls.append(1) or real(*args, **kw))
+        Q = hull_from_dual_points(moved)
+        assert calls == [1]
+        assert lattice(Q, rotated=True) == lattice(P, rotated=True)
+        want = np.array([g.apply(v).v for v in P.vertices])
+        assert np.max(np.abs(vertex_array(Q) - want)) < 1e-12
+
+    def test_edge_lengths_match_each_edge(self):
+        for P in oracle_polyhedra():
+            want = [P.edge_length(k) for k in range(P.n_edges)]
+            assert np.array_equal(P.edge_lengths(), want)
 
 
 def pentagon(radii):

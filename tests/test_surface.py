@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from polydual.errors import (
+    DomainExceeded,
     FlipBlocked,
     InvalidConeMetric,
     InvalidSurface,
@@ -18,8 +19,65 @@ from polydual.surface import (
     is_concave,
     octahedron_sphere,
     scale,
-    triangle_angles,
 )
+
+
+def triangle_angles(a, b, c, geometry):
+    """The per-triangle law of cosines that `corner_angles` stacks: the
+    oracle its angles must equal bit for bit."""
+    from polydual.minkowski import clamped
+
+    if geometry == SPHERICAL:
+        sa, sb, sc = np.sin([a, b, c])
+        ca, cb, cc = np.cos([a, b, c])
+        cos_a = clamped((ca - cb * cc) / (sb * sc), -1.0, 1.0, 1e-12)
+        cos_b = clamped((cb - cc * ca) / (sc * sa), -1.0, 1.0, 1e-12)
+        cos_c = clamped((cc - ca * cb) / (sa * sb), -1.0, 1.0, 1e-12)
+    else:
+        sa, sb, sc = np.sinh([a, b, c])
+        ca, cb, cc = np.cosh([a, b, c])
+        cos_a = clamped((cb * cc - ca) / (sb * sc), -1.0, 1.0, 1e-12)
+        cos_b = clamped((cc * ca - cb) / (sc * sa), -1.0, 1.0, 1e-12)
+        cos_c = clamped((ca * cb - cc) / (sa * sb), -1.0, 1.0, 1e-12)
+    return np.arccos([cos_a, cos_b, cos_c])
+
+
+def reference_corner_angles(surf, geometry, lengths):
+    """The per-triangle validation and angle loop `ConeMetric` stacks:
+    returns the corner angles, or raises what that loop raised first."""
+    if geometry == SPHERICAL and np.any(lengths >= np.pi):
+        raise InvalidConeMetric("spherical edge lengths must stay below pi")
+    for t in range(surf.n_triangles):
+        a, b, c = surf.triangle_edge_lengths(t, lengths)
+        if a + b <= c or b + c <= a or c + a <= b:
+            raise InvalidConeMetric(f"triangle {t} violates the triangle inequality")
+        if geometry == SPHERICAL and a + b + c >= 2 * np.pi:
+            raise InvalidConeMetric(f"triangle {t} has perimeter >= 2*pi")
+    return np.array([triangle_angles(*surf.triangle_edge_lengths(t, lengths),
+                                     geometry)
+                     for t in range(surf.n_triangles)])
+
+
+def outcome(build):
+    """The result of build(), or the type and message of what it raised."""
+    try:
+        return build()
+    except (InvalidConeMetric, DomainExceeded) as exc:
+        return type(exc), str(exc)
+
+
+def dual_surfaces():
+    from polydual.polyhedra import (
+        dualize,
+        hexahedron,
+        random_polyhedron,
+        triangular_bipyramid,
+    )
+
+    polys = [hexahedron(0.5), triangular_bipyramid()]
+    polys += [random_polyhedron(np.random.RandomState(s), n)
+              for s, n in ((2, 7), (3, 12), (4, 20))]
+    return [dualize(P).metric for P in polys]
 
 
 def spherical_equilateral_angle(a):
@@ -262,3 +320,62 @@ class TestValidation:
     def test_chart_dimension_genus0(self):
         s = octahedron_sphere().surface
         assert s.n_edges == 3 * s.n_vertices - 6
+
+
+class TestStackedAngles:
+    def test_spherical_angles_match_each_triangle(self):
+        metrics = dual_surfaces() + [octahedron_sphere(), k4_metric(1.9),
+                                     scale(octahedron_sphere(), -0.3)]
+        for m in metrics:
+            want = reference_corner_angles(m.surface, SPHERICAL, m.lengths)
+            assert np.array_equal(m.corner_angles, want)
+
+    def test_hyperbolic_angles_match_each_triangle(self):
+        # sides within a factor two of each other always make triangles
+        rng = np.random.RandomState(5)
+        for m in dual_surfaces():
+            for low in (0.05, 1.0, 4.0):
+                lengths = rng.uniform(low, 1.9 * low, m.surface.n_edges)
+                got = ConeMetric(m.surface, HYPERBOLIC, lengths).corner_angles
+                want = reference_corner_angles(m.surface, HYPERBOLIC, lengths)
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("geometry", [SPHERICAL, HYPERBOLIC])
+    def test_first_failing_triangle_is_named(self, geometry):
+        # a dual metric with one or two edges stretched fails the triangle
+        # inequality or (spherical) the perimeter bound somewhere
+        rng = np.random.RandomState(6)
+        named = set()
+        for m in dual_surfaces():
+            for _ in range(10):
+                lengths = m.lengths.copy()
+                lengths[rng.randint(m.surface.n_edges, size=2)] *= 1.6
+                got = outcome(lambda: ConeMetric(m.surface, geometry, lengths))
+                want = outcome(lambda: reference_corner_angles(
+                    m.surface, geometry, lengths))
+                if isinstance(want, tuple):
+                    assert got == want
+                    named.add(want[1].split()[1])
+        assert len(named) > 5
+
+    @pytest.mark.parametrize("geometry", [SPHERICAL, HYPERBOLIC])
+    def test_first_cosine_beyond_one_is_named(self, geometry):
+        # triangles on the edge of degenerate with short sides, whose
+        # cosines miss [-1, 1] by roundoff far beyond the slack
+        rng = np.random.RandomState(7)
+        surf = dual_surfaces()[-1].surface
+        raised = 0
+        for _ in range(20):
+            lengths = 1e-5 * rng.uniform(1.0, 2.0, surf.n_edges)
+            a, b, c = surf.triangle_sides[rng.randint(surf.n_triangles)]
+            lengths[c] = np.nextafter(lengths[a] + lengths[b], 0.0)
+            want = outcome(lambda: reference_corner_angles(surf, geometry,
+                                                           lengths))
+            got = outcome(lambda: ConeMetric(surf, geometry,
+                                             lengths).corner_angles)
+            if isinstance(want, tuple):
+                assert got == want
+                raised += want[0] is DomainExceeded
+            else:
+                assert np.array_equal(got, want)
+        assert raised > 0
