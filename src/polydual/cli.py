@@ -7,6 +7,7 @@ Exit codes: 0 all checks passed, 1 a mathematical check or solve failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -305,8 +306,16 @@ def build_parser():
     return p
 
 
+@functools.cache
+def _parser():
+    """The parser of this process, built on first use. parse_args keeps no
+    state between calls and no option has a mutable default, so one parser
+    serves every `main` call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

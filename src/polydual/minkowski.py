@@ -41,9 +41,10 @@ def minkowski_inner(a, b) -> float:
 
 def minkowski_rows(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """<u, w> along the last axis of two broadcasting arrays of 4-vectors,
-    term by term in minkowski_inner's order, so each entry has its bits."""
-    return (-u[..., 0] * w[..., 0] + u[..., 1] * w[..., 1]
-            + u[..., 2] * w[..., 2] + u[..., 3] * w[..., 3])
+    term by term in minkowski_inner's order, so each entry has its bits:
+    IEEE arithmetic rounds -a + b exactly as b - a."""
+    p = u * w
+    return ((p[..., 1] - p[..., 0]) + p[..., 2]) + p[..., 3]
 
 
 def clamped(x: float, lo: float, hi: float, slack: float = CLAMP_SLACK) -> float:

@@ -19,6 +19,7 @@ arbitrarily).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -442,22 +443,35 @@ def _unit_rows(v):
 
 
 def _edges_from_faces(faces):
-    seen = {}
-    for f, face in enumerate(faces):
-        cyc = face.vertex_cycle
-        for k in range(len(cyc)):
-            u, w = cyc[k], cyc[(k + 1) % len(cyc)]
-            key = (min(u, w), max(u, w))
-            seen.setdefault(key, []).append((f, u < w))
-    edges = []
-    for (u, w), inc in sorted(seen.items()):
-        if len(inc) != 2 or inc[0][1] == inc[1][1]:
-            raise InvalidPolyhedron(
-                f"edge {(u, w)} is not shared by two consistently oriented faces")
-        f_fwd = [f for f, fwd in inc if fwd][0]
-        f_bwd = [f for f, fwd in inc if not fwd][0]
-        edges.append(Edge(vertices=(u, w), faces=(f_fwd, f_bwd)))
-    return edges
+    """The edges of a face lattice, sorted by vertex pair (u, w) with u < w,
+    each with the face that runs u -> w first, in one stacked pass over all
+    face corners. Raises InvalidPolyhedron at the first pair that two
+    consistently oriented faces do not share."""
+    cycles = [f.vertex_cycle for f in faces]
+    sizes = np.fromiter(map(len, cycles), dtype=int, count=len(cycles))
+    tail = np.fromiter(chain.from_iterable(cycles), dtype=int,
+                       count=int(sizes.sum()))
+    ends = np.cumsum(sizes)
+    after = np.arange(1, len(tail) + 1)
+    after[ends - 1] = ends - sizes                 # each cycle closes
+    head = tail[after]
+    fwd = tail < head
+    lo, hi = np.minimum(tail, head), np.maximum(tail, head)
+    order = np.lexsort((~fwd, hi, lo))      # by pair, forward corner first
+    lo, hi, fwd = lo[order], hi[order], fwd[order]
+    face = np.repeat(np.arange(len(cycles)), sizes)[order]
+    first = np.flatnonzero(np.r_[True, (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])])
+    second = np.minimum(first + 1, len(lo) - 1)
+    shared = ((np.diff(np.r_[first, len(lo)]) == 2)
+              & fwd[first] & ~fwd[second])
+    bad = np.flatnonzero(~shared)
+    if bad.size:
+        k = first[bad[0]]
+        raise InvalidPolyhedron(
+            f"edge {(int(lo[k]), int(hi[k]))} is not shared by two "
+            "consistently oriented faces")
+    return list(map(Edge, zip(lo[first].tolist(), hi[first].tolist()),
+                    zip(face[first].tolist(), face[second].tolist())))
 
 
 def _validate_lattice(poly, incidence, merge_tol):

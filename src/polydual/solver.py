@@ -8,11 +8,16 @@ itself (Minkowski Gram-Schmidt on directions toward the other points), which
 makes every derived quantity exactly equivariant under global isometries;
 the frames of all points come out of one stacked, masked Gram-Schmidt. The
 gauge pins 3+2+1 chart coordinates of three independent points, chosen so
-the pinned directions span the isometry orbit exactly; it is held as the
-index of the 3n - 6 free chart coordinates plus the free directions of the
-two partly pinned points. The Jacobian of the chart lengths in the free
-coordinates is taken in closed form, and a chart move of all points is one
-stacked update, so a Newton iteration does no Python work per point.
+the pinned directions span the isometry orbit exactly, and reads the free
+directions of the two partly pinned points off closed forms; it is held as
+the index of the 3n - 6 free chart coordinates plus those directions. The
+Jacobian of the chart lengths in the free coordinates is taken in closed
+form, and a chart move of all points is one stacked update, so a Newton
+iteration does no Python work per point.
+
+Newton takes chord steps in the chart of a base state, re-basing only when a
+step was damped or contracted the residual too little, so a continuation step
+builds its frames, gauge and Jacobian about once.
 """
 from __future__ import annotations
 
@@ -49,26 +54,8 @@ NEWTON_MAX_ITER = 50
 PERTURB_TRIES = 60
 PERTURB_EDGE_SHARE = 0.1     # largest perturbation, per unit of shortest edge
 FRAME_TOL = 1e-10            # |<t, t>| below which a frame candidate is skipped
-GAUGE_RANK_TOL = 1e-8        # singular values below this count as zero
-GAUGE_PLANE_TOL = 1e-6       # relative third singular value of a pinned plane
-TRIPLE_TOL = 1e-6            # smallest singular value of an independent triple
-
-
-def _so31_basis():
-    basis = []
-    for i in range(1, 4):          # boosts
-        m = np.zeros((4, 4))
-        m[0, i] = m[i, 0] = 1.0
-        basis.append(m)
-    for i, j in ((1, 2), (1, 3), (2, 3)):   # rotations
-        m = np.zeros((4, 4))
-        m[i, j] = -1.0
-        m[j, i] = 1.0
-        basis.append(m)
-    return basis
-
-
-SO31_BASIS = _so31_basis()
+GAUGE_TOL = 1e-6             # relative size below which a gauge triple is dependent
+CHORD_CONTRACTION = 0.25     # residual-norm ratio above which a chord step re-bases
 
 
 def _tangent_frames(positions: np.ndarray) -> tuple:
@@ -110,11 +97,6 @@ def _tangent_frames(positions: np.ndarray) -> tuple:
     return np.ascontiguousarray(vectors.transpose(0, 2, 1)), signs
 
 
-def _coords_in_frame(frame, signs, v) -> np.ndarray:
-    """Chart coordinates of a tangent vector v in a signed orthonormal frame."""
-    return signs * (frame.T @ J @ v)
-
-
 @dataclass
 class Gauge:
     """The chart coordinates left free by pinning 3+2+1 of them.
@@ -145,54 +127,48 @@ class Gauge:
 
 
 def build_gauge(positions: np.ndarray, frames) -> Gauge:
-    """Pin 3+2+1 chart coordinates of three independent points.
+    """Pin 3+2+1 chart coordinates of three independent points, in closed form.
 
-    The second point's pinned plane is the orbit of the first point's
-    stabilizer; the third point's pinned line is the orbit of the residual
-    one-parameter stabilizer. This removes exactly the six isometry degrees
-    of freedom at generic configurations. `frames` is the pair that
-    `_tangent_frames` returns.
+    Every generator A of so(3,1) is Minkowski-skew, so A x0 = 0 implies
+    <A x1, x0> = -<x1, A x0> = 0: the orbit of x1 under the stabilizer of
+    x0 is the tangent plane at x1 Minkowski-orthogonal to x0. In the chart
+    of x1 that plane has the normal g = F1^T J x0, and free1 = g / |g|.
+    Likewise the residual orbit at x2 is orthogonal to x0 and x1, with chart
+    direction h0 x h1 for h_a = F2^T J x_a, and free2 is an orthonormal basis
+    of span(h0, h1). This removes exactly the six isometry degrees of
+    freedom. Triples are tried in lexicographic order, and the first whose
+    |g| and |h0 x h1| both exceed GAUGE_TOL times their bounds
+    |F1| |x0| and |F2|^2 |x0| |x1| is pinned: g vanishes exactly when x0 and
+    x1 are dependent, h0 x h1 exactly when x2 is in their span. `frames` is
+    the pair that `_tangent_frames` returns.
     """
-    vectors, signs = frames
-    for i0, i1, i2 in _independent_triples(positions):
-        acts0 = np.stack([A @ positions[i0] for A in SO31_BASIS], axis=1)
-        _, sv, vt = np.linalg.svd(acts0)
-        rank = int(np.sum(sv >= GAUGE_RANK_TOL * sv[0]))
-        if 6 - rank != 3:
-            continue
-        stab0 = [sum(c[k] * SO31_BASIS[k] for k in range(6)) for c in vt[3:]]
-        p1 = np.stack([_coords_in_frame(vectors[i1], signs[i1],
-                                        A @ positions[i1]) for A in stab0],
-                      axis=1)
-        u1, sv1, vt1 = np.linalg.svd(p1)
-        if sv1[1] < GAUGE_RANK_TOL or (len(sv1) > 2
-                                       and sv1[2] > GAUGE_PLANE_TOL * sv1[0]):
-            continue
-        free1 = u1[:, 2:]
-        c2 = vt1[2]
-        stab1 = sum(c2[k] * np.asarray(stab0[k]) for k in range(3))
-        v2 = _coords_in_frame(vectors[i2], signs[i2], stab1 @ positions[i2])
-        if np.linalg.norm(v2) < GAUGE_RANK_TOL:
-            continue
-        u2, _, _ = np.linalg.svd(v2[:, None], full_matrices=True)
-        free2 = u2[:, 1:]
-        free = np.ones((len(positions), 3), dtype=bool)
-        free[i0] = False
-        free[i1, 1:] = False
-        free[i2, 2:] = False
-        return Gauge(pinned=(i0, i1, i2), free1=free1, free2=free2,
-                     free=np.flatnonzero(free))
-    raise SolverError("no independent point triple found for the gauge")
-
-
-def _independent_triples(positions):
-    n = len(positions)
+    vectors, _ = frames
+    x = positions
+    size = np.linalg.norm(x, axis=1)
+    n = len(x)
     for i0 in range(n):
         for i1 in range(i0 + 1, n):
+            g = vectors[i1].T @ J @ x[i0]
+            g_norm = np.linalg.norm(g)
+            if g_norm <= GAUGE_TOL * np.linalg.norm(vectors[i1]) * size[i0]:
+                continue
             for i2 in range(i1 + 1, n):
-                m = np.stack([positions[i0], positions[i1], positions[i2]])
-                if np.linalg.svd(m, compute_uv=False)[2] > TRIPLE_TOL:
-                    yield (i0, i1, i2)
+                h0, h1 = x[[i0, i1]] @ J @ vectors[i2]
+                c = np.cross(h0, h1)
+                c_norm = np.linalg.norm(c)
+                if c_norm <= (GAUGE_TOL * np.linalg.norm(vectors[i2]) ** 2
+                              * size[i0] * size[i1]):
+                    continue
+                e0 = h0 / np.linalg.norm(h0)
+                free = np.ones((n, 3), dtype=bool)
+                free[i0] = False
+                free[i1, 1:] = False
+                free[i2, 2:] = False
+                return Gauge(pinned=(i0, i1, i2), free1=(g / g_norm)[:, None],
+                             free2=np.stack([e0, np.cross(c / c_norm, e0)],
+                                            axis=1),
+                             free=np.flatnonzero(free))
+    raise SolverError("no independent point triple found for the gauge")
 
 
 class SolverState:
@@ -377,39 +353,57 @@ def rigidity_report(state: SolverState) -> RigidityReport:
 
 
 def newton_solve(state: SolverState, tol: float = NEWTON_TOL) -> SolverState:
-    """Damped Newton iteration on the gauged residual.
+    """Damped chord Newton iteration on the gauged residual.
+
+    The iterate is base.moved(xi) in the chart of a base state, and every
+    step solves the base's Jacobian against the current residual, so the
+    frames, gauge and Jacobian are built once per base. The base is the
+    given state, whose Jacobian a continuation step's rigidity report has
+    already built. The iteration re-bases on the current iterate when an
+    accepted step was damped or cut the residual norm by less than
+    CHORD_CONTRACTION, and when every damped step from a stale base failed;
+    that retries from the fresh base before raising, so every failure is one
+    a fresh Jacobian hit too.
 
     The step is halved until the residual norm decreases and the trial state
     stays feasible; StepStalled fires at the damping floor, FeasibilityLost
     when every retry leaves convex position.
     """
     check_feasible(state)
-    cur = state
+    cur = base = state
+    xi = 0.0                     # chart coordinates of cur in base's chart
+    jac = None
     r = cur.residual()
     for _ in range(NEWTON_MAX_ITER):
         if np.max(np.abs(r)) < tol:
             return cur
-        Jm = jacobian(cur)
+        if jac is None:
+            jac = jacobian(base)
         try:
-            delta = np.linalg.solve(Jm, -r)
+            delta = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError as exc:
             raise StepStalled(f"singular Jacobian: {exc}") from exc
+        r_norm = np.linalg.norm(r)
         step = 1.0
         last_feas_exc = None
         while step >= DAMPING_FLOOR:
+            move = xi + step * delta
             try:
-                trial = cur.moved(step * delta, cur.gauge(), cur.frames())
+                trial = base.moved(move, base.gauge(), base.frames())
                 check_feasible(trial)
                 r_trial = trial.residual()
             except SolverError as exc:
                 last_feas_exc = exc
                 step /= 2
                 continue
-            if np.linalg.norm(r_trial) < np.linalg.norm(r):
-                cur, r = trial, r_trial
+            trial_norm = np.linalg.norm(r_trial)
+            if trial_norm < r_norm:
                 break
             step /= 2
         else:
+            if base is not cur:
+                base, xi, jac = cur, 0.0, None
+                continue
             if last_feas_exc is not None:
                 missing = (last_feas_exc.missing_sides
                            if isinstance(last_feas_exc, FeasibilityLost) else None)
@@ -418,6 +412,12 @@ def newton_solve(state: SolverState, tol: float = NEWTON_TOL) -> SolverState:
                     missing_sides=missing) from last_feas_exc
             raise StepStalled(
                 f"damping floor reached at residual {np.max(np.abs(r)):.3e}")
+        rebase = step < 1.0 or trial_norm > CHORD_CONTRACTION * r_norm
+        cur, r = trial, r_trial
+        if rebase:
+            base, xi, jac = cur, 0.0, None
+        else:
+            xi = move
     if np.max(np.abs(r)) < tol:
         return cur
     raise StepStalled(

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from polydual import serialize
+from polydual import cli, serialize
 from polydual.cli import main
 from polydual.fuchsian import fuchsian_dualize, fuchsian_octagon_group
 from polydual.polyhedra import dualize, regular_tetrahedron
@@ -126,6 +126,31 @@ class TestCommands:
             for path in (a, b):
                 assert main(argv + ["--out", str(path)]) == 0
             assert a.read_bytes() == b.read_bytes()
+
+    def test_one_parser_serves_every_call(self, tetra_files, tmp_path,
+                                          capsys, monkeypatch):
+        # a subcommand run twice with different options, then with its
+        # defaults, gives what a freshly built parser gives for each call
+        poly_path, _ = tetra_files
+        assert cli._parser() is cli._parser()
+        runs = [["gen", "random", "--n", "8", "--seed", "2"],
+                ["gen", "random"],
+                ["roundtrip", str(poly_path), "--seed", "2", "--steps", "4"],
+                ["roundtrip", str(poly_path), "--steps", "4"]]
+
+        def outputs():
+            got = []
+            for i, argv in enumerate(runs):
+                path = tmp_path / f"out{i}.json"
+                out = ["--out", str(path)] if argv[0] == "gen" else []
+                code = main(argv + out)
+                got.append((code, capsys.readouterr(),
+                             path.read_bytes() if out else None))
+            return got
+
+        shared = outputs()
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        assert shared == outputs()
 
     def test_realize_roundtrip_fixture(self, tetra_files, tmp_path):
         poly_path, dual_path = tetra_files

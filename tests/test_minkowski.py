@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from polydual.minkowski import (
     ds_distances,
     h_distance,
     minkowski_inner,
+    minkowski_rows,
     plane_basis_points,
     plane_through,
     side_of,
@@ -53,6 +56,25 @@ class TestMinkowskiInner:
         a = (np.cosh(1), np.sinh(1), 0, 0)
         assert minkowski_inner(a, (1, 0, 0, 0)) == pytest.approx(-np.cosh(1), abs=1e-15)
         assert minkowski_inner(a, (1, 0, 0, 0)) == pytest.approx(-1.5430806348152437)
+
+
+class TestMinkowskiRows:
+    def test_bits_of_minkowski_inner(self):
+        rng = np.random.RandomState(3)
+        # mixed magnitudes, so sums round and cancel
+        u = rng.randn(500, 4) * 10.0 ** rng.randint(-12, 13, size=(500, 4))
+        w = rng.randn(500, 4) * 10.0 ** rng.randint(-12, 13, size=(500, 4))
+        # signed zeros in every position, down to rows of zero products
+        zeros = np.array(list(itertools.product((0.0, -0.0), repeat=4)))
+        ones = np.array(list(itertools.product((1.0, -1.0), repeat=4)))
+        u = np.vstack([u, np.repeat(zeros, 16, axis=0), zeros])
+        w = np.vstack([w, np.tile(ones, (16, 1)), zeros])
+        u[::7, 1], w[::5, 3] = 0.0, -0.0
+        got = minkowski_rows(u, w)
+        want = np.array([minkowski_inner(a, b) for a, b in zip(u, w)])
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert np.any(got == 0) and np.any(np.signbit(got[got == 0]))
 
 
 class TestHDistance:

@@ -20,6 +20,7 @@ from polydual.polyhedra import (
     ORIGIN_CLEARANCE,
     ConvexPolyhedronH3,
     DualMetricOutput,
+    Edge,
     Face,
     _edges_from_faces,
     dihedral_angle,
@@ -277,7 +278,7 @@ def reference_hull(duals) -> ConvexPolyhedronH3:
              for orig, cycle in zip(essential, cycles)]
     poly = ConvexPolyhedronH3(planes=[planes[i] for i in essential],
                               vertices=vertices, faces=faces,
-                              edges=_edges_from_faces(faces),
+                              edges=edges_by_corner_walk(faces),
                               discarded=discarded)
     _validate_lattice(poly, inc, MERGE_TOL)
     return poly
@@ -408,7 +409,8 @@ def one_face(n, pts, labels):
     return [labels[i] for i in cycle]
 
 
-def oracle_polyhedra():
+def fibonacci_solids(face_counts):
+    """The bench/solids.py solids with these face counts."""
     import os
     import sys
 
@@ -418,12 +420,66 @@ def oracle_polyhedra():
         from solids import fibonacci_solid
     finally:
         sys.path.pop(0)
+    return [fibonacci_solid(np.random.RandomState([1, 0, n]), n, 0.02).poly
+            for n in face_counts]
+
+
+def oracle_polyhedra():
     polys = [regular_tetrahedron(1.15), hexahedron(0.5), triangular_bipyramid()]
     polys += [random_polyhedron(np.random.RandomState(s), n)
               for s, n in ((2, 7), (3, 9), (4, 12))]
-    polys += [fibonacci_solid(np.random.RandomState([1, 0, n]), n, 0.02).poly
-              for n in (30, 50)]
-    return polys
+    return polys + fibonacci_solids((30, 50))
+
+
+def edges_by_corner_walk(faces):
+    """The face-corner walk `_edges_from_faces` replaced: the oracle its
+    edges and its error message must equal."""
+    seen = {}
+    for f, face in enumerate(faces):
+        cyc = face.vertex_cycle
+        for k in range(len(cyc)):
+            u, w = cyc[k], cyc[(k + 1) % len(cyc)]
+            key = (min(u, w), max(u, w))
+            seen.setdefault(key, []).append((f, u < w))
+    edges = []
+    for (u, w), inc in sorted(seen.items()):
+        if len(inc) != 2 or inc[0][1] == inc[1][1]:
+            raise InvalidPolyhedron(
+                f"edge {(u, w)} is not shared by two consistently oriented faces")
+        f_fwd = [f for f, fwd in inc if fwd][0]
+        f_bwd = [f for f, fwd in inc if not fwd][0]
+        edges.append(Edge(vertices=(u, w), faces=(f_fwd, f_bwd)))
+    return edges
+
+
+def edge_list(edges):
+    return [(e.vertices, e.faces) for e in edges]
+
+
+class TestEdgesFromFaces:
+    @pytest.fixture(scope="class")
+    def polys(self):
+        return oracle_polyhedra() + fibonacci_solids((8, 20, 40))
+
+    def test_matches_the_corner_walk(self, polys):
+        for P in polys:
+            got = _edges_from_faces(P.faces)
+            assert edge_list(got) == edge_list(edges_by_corner_walk(P.faces))
+            assert edge_list(got) == edge_list(P.edges)
+            assert all(type(k) is int for e in got for k in e.vertices + e.faces)
+
+    def test_unshared_edges_raise_the_corner_walk_message(self, polys):
+        for P in polys:
+            for f in (0, P.n_faces // 2, P.n_faces - 1):
+                reversed_face = Face(plane=P.faces[f].plane,
+                                     vertex_cycle=P.faces[f].vertex_cycle[::-1])
+                for faces in (P.faces[:f] + [reversed_face] + P.faces[f + 1:],
+                              P.faces[:f] + P.faces[f + 1:]):
+                    with pytest.raises(InvalidPolyhedron) as want:
+                        edges_by_corner_walk(faces)
+                    with pytest.raises(InvalidPolyhedron) as got:
+                        _edges_from_faces(faces)
+                    assert str(got.value) == str(want.value)
 
 
 class TestFaceCycle:

@@ -1,3 +1,4 @@
+import itertools
 import os
 import sys
 
@@ -9,6 +10,7 @@ from polydual.errors import (
     HomotopyBlocked,
     InvalidConeMetric,
     SolverError,
+    StepStalled,
 )
 from polydual.minkowski import DSPoint, Isometry, J, minkowski_inner
 from polydual.polyhedra import (
@@ -129,6 +131,90 @@ def draw_point_by_point(P, rng, magnitude):
                 left += 1
                 break
     return left
+
+
+def so31_basis():
+    basis = []
+    for i in range(1, 4):          # boosts
+        m = np.zeros((4, 4))
+        m[0, i] = m[i, 0] = 1.0
+        basis.append(m)
+    for i, j in ((1, 2), (1, 3), (2, 3)):   # rotations
+        m = np.zeros((4, 4))
+        m[i, j] = -1.0
+        m[j, i] = 1.0
+        basis.append(m)
+    return basis
+
+
+def svd_gauge(positions, frames):
+    """The gauge `build_gauge` replaced: stabilizers of the pinned points as
+    null spaces of so(3,1) actions, their orbits in chart coordinates, and
+    four kinds of SVD. Returns (pinned, free1, free2)."""
+    basis = so31_basis()
+    vectors, signs = frames
+
+    def coords(i, v):
+        return signs[i] * (vectors[i].T @ J @ v)
+
+    n = len(positions)
+    for i0, i1, i2 in itertools.combinations(range(n), 3):
+        m = positions[[i0, i1, i2]]
+        if np.linalg.svd(m, compute_uv=False)[2] <= 1e-6:
+            continue
+        acts0 = np.stack([A @ positions[i0] for A in basis], axis=1)
+        _, sv, vt = np.linalg.svd(acts0)
+        if 6 - int(np.sum(sv >= 1e-8 * sv[0])) != 3:
+            continue
+        stab0 = [sum(c[k] * basis[k] for k in range(6)) for c in vt[3:]]
+        p1 = np.stack([coords(i1, A @ positions[i1]) for A in stab0], axis=1)
+        u1, sv1, vt1 = np.linalg.svd(p1)
+        if sv1[1] < 1e-8 or sv1[2] > 1e-6 * sv1[0]:
+            continue
+        stab1 = sum(vt1[2][k] * stab0[k] for k in range(3))
+        v2 = coords(i2, stab1 @ positions[i2])
+        if np.linalg.norm(v2) < 1e-8:
+            continue
+        u2, _, _ = np.linalg.svd(v2[:, None], full_matrices=True)
+        return (i0, i1, i2), u1[:, 2:], u2[:, 1:]
+    raise SolverError("no independent point triple found for the gauge")
+
+
+def full_newton(state, tol=solver.NEWTON_TOL):
+    """Damped Newton with a fresh chart and Jacobian at every iterate: the
+    iteration the chord steps replaced, kept as their oracle."""
+    check_feasible(state)
+    cur = state
+    r = cur.residual()
+    for _ in range(solver.NEWTON_MAX_ITER):
+        if np.max(np.abs(r)) < tol:
+            return cur
+        delta = np.linalg.solve(jacobian(cur), -r)
+        step = 1.0
+        last_feas_exc = None
+        while step >= solver.DAMPING_FLOOR:
+            try:
+                trial = cur.moved(step * delta, cur.gauge(), cur.frames())
+                check_feasible(trial)
+                r_trial = trial.residual()
+            except SolverError as exc:
+                last_feas_exc = exc
+                step /= 2
+                continue
+            if np.linalg.norm(r_trial) < np.linalg.norm(r):
+                cur, r = trial, r_trial
+                break
+            step /= 2
+        else:
+            if last_feas_exc is not None:
+                raise FeasibilityLost(
+                    f"every damped step left the feasible set ({last_feas_exc})")
+            raise StepStalled(
+                f"damping floor reached at residual {np.max(np.abs(r)):.3e}")
+    if np.max(np.abs(r)) < tol:
+        return cur
+    raise StepStalled(f"no convergence after {solver.NEWTON_MAX_ITER} "
+                      f"iterations (residual {np.max(np.abs(r)):.3e})")
 
 
 def solid_state(n_faces):
@@ -563,6 +649,158 @@ class TestStackedSolver:
             moved_point_by_point(st, delta)
         with pytest.raises(FeasibilityLost, match=f"^{exc.value}$"):
             st.moved(delta, gauge, st.frames())
+
+
+def moved_hexahedron():
+    P = hexahedron(0.5)
+    st = state_of(P)
+    g = Isometry.boost(2, 0.7) @ Isometry.rotation(1, 3, 0.9)
+    moved = st.positions @ g.m.T
+    moved /= np.sqrt(np.einsum("ij,jk,ik->i", moved, J, moved))[:, None]
+    return moved
+
+
+def unit_rows(rows):
+    rows = np.array(rows, dtype=float)
+    return rows / np.sqrt(np.einsum("ij,jk,ik->i", rows, J, rows))[:, None]
+
+
+GAUGE_CONFIGURATIONS = {
+    **{name: (lambda make=make: make().positions)
+       for name, make in STACKED_STATES.items()},
+    "hexahedron-moved": moved_hexahedron,
+    # x2 = (x0 + x1) / sqrt(2): the triple (0, 1, 3) is pinned
+    "dependent-x2": lambda: unit_rows([
+        [0, 1, 0, 0], [0, 0, 1, 0], [0, 1, 1, 0], [0, 0, 0, 1],
+        [0.3, 0.2, -0.5, 1.0]]),
+    # x1 = -x0: every triple through points 0 and 1 is dependent
+    "antipodal-x1": lambda: unit_rows([
+        [0.2, 1, 0, 0], [-0.2, -1, 0, 0], [0, 0, 1, 0.3], [0.1, 0, 0, 1],
+        [0.3, 0.2, -0.5, 1.0]]),
+}
+
+
+class TestGauge:
+    """The closed-form gauge against the SVD construction it replaced."""
+
+    @pytest.mark.parametrize("name", GAUGE_CONFIGURATIONS)
+    def test_matches_the_svd_gauge(self, name):
+        x = GAUGE_CONFIGURATIONS[name]()
+        frames = solver._tangent_frames(x)
+        gauge = solver.build_gauge(x, frames)
+        pinned, free1, free2 = svd_gauge(x, frames)
+        assert gauge.pinned == pinned
+        if name == "dependent-x2":
+            assert pinned == (0, 1, 3)
+        if name == "antipodal-x1":
+            assert pinned == (0, 2, 3)
+        assert min(np.max(np.abs(gauge.free1 - free1)),
+                   np.max(np.abs(gauge.free1 + free1))) < 1e-12
+        assert np.max(np.abs(gauge.free2 @ gauge.free2.T
+                             - free2 @ free2.T)) < 1e-12
+        assert np.allclose(gauge.free2.T @ gauge.free2, np.eye(2),
+                           rtol=0, atol=1e-14)
+
+    def test_rejects_a_configuration_without_independent_triple(self):
+        x = unit_rows([[0, 1, 0, 0], [0, 0, 1, 0], [0, 1, 1, 0],
+                       [0, 1, -1, 0]])
+        frames = solver._tangent_frames(x)
+        with pytest.raises(SolverError, match="no independent point triple"):
+            solver.build_gauge(x, frames)
+
+
+def count_gauge_builds(monkeypatch):
+    calls = []
+    build = solver.build_gauge
+
+    def counting(positions, frames):
+        calls.append(1)
+        return build(positions, frames)
+
+    monkeypatch.setattr(solver, "build_gauge", counting)
+    return calls
+
+
+def scaled_solid_state():
+    st = solid_state(30)
+    return st.retarget(np.exp(2e-3) * st.target)
+
+
+NEWTON_STARTS = {
+    "tetrahedron": lambda: state_of(perturbed_polyhedron(
+        regular_tetrahedron(1.15), np.random.RandomState(7), 1e-3),
+        dualize(regular_tetrahedron(1.15))),
+    "hexahedron": lambda: state_of(perturbed_polyhedron(
+        hexahedron(0.5), np.random.RandomState(5), 5e-3), dualize(hexahedron(0.5))),
+    "off-solution": off_solution_state,
+    "solid-30-scaled": scaled_solid_state,
+}
+
+
+class TestChordNewton:
+    @pytest.mark.parametrize("name", NEWTON_STARTS)
+    def test_rebasing_every_step_is_full_newton(self, name, monkeypatch):
+        want = full_newton(NEWTON_STARTS[name]())
+        monkeypatch.setattr(solver, "CHORD_CONTRACTION", 0.0)
+        got = newton_solve(NEWTON_STARTS[name]())
+        assert np.array_equal(got.positions, want.positions)
+
+    @pytest.mark.parametrize("name", NEWTON_STARTS)
+    def test_chord_steps_converge_on_one_chart(self, name, monkeypatch):
+        st = NEWTON_STARTS[name]()
+        calls = count_gauge_builds(monkeypatch)
+        sol = newton_solve(st)
+        assert np.max(np.abs(sol.residual())) < solver.NEWTON_TOL
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("fixture", ["tetra", "hexa"])
+    def test_continuation_builds_one_gauge_per_step(self, fixture, request,
+                                                    monkeypatch):
+        P, out = request.getfixturevalue(fixture)
+        start = perturbed_polyhedron(P, np.random.RandomState(3), 1e-2)
+        calls = count_gauge_builds(monkeypatch)
+        _, report = continuation(start, out.metric, steps=4)
+        assert len(report.steps) == 4
+        assert len(calls) <= 4 + 1
+
+    def test_stale_base_failure_retries_from_a_fresh_base(self, monkeypatch):
+        st = NEWTON_STARTS["tetrahedron"]()
+        bases = []
+        moved = SolverState.moved
+
+        def failing_from_stale_start(self, delta, gauge, frames):
+            bases.append(self)
+            if self is st and len(bases) > 1:
+                raise FeasibilityLost("left the chart")
+            return moved(self, delta, gauge, frames)
+
+        monkeypatch.setattr(SolverState, "moved", failing_from_stale_start)
+        sol = newton_solve(st)
+        assert np.max(np.abs(sol.residual())) < solver.NEWTON_TOL
+        # the stale base failed at every damping level before the re-base
+        stale = [b is st for b in bases]
+        assert stale[:2] == [True, True] and sum(stale) > 40
+        assert bases[-1] is not st
+
+    def test_failure_from_a_fresh_base_is_raised(self, monkeypatch):
+        st = NEWTON_STARTS["tetrahedron"]()
+        bases = []
+        moved = SolverState.moved
+
+        def failing_after_first_step(self, delta, gauge, frames):
+            bases.append(self)
+            if len(bases) > 1:
+                raise FeasibilityLost("left the chart")
+            return moved(self, delta, gauge, frames)
+
+        monkeypatch.setattr(SolverState, "moved", failing_after_first_step)
+        with pytest.raises(FeasibilityLost,
+                           match=r"^every damped step left the feasible set "
+                                 r"\(left the chart\)$"):
+            newton_solve(st)
+        # first the stale start, then the fresh first iterate, fail alike
+        assert bases[1] is st and bases[-1] is not st
+        assert sum(b is not st for b in bases) == sum(b is st for b in bases) - 1
 
 
 class TestPerturbation:
