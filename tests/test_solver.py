@@ -651,18 +651,14 @@ class TestStackedSolver:
             st.moved(delta, gauge, st.frames())
 
 
-def moved_hexahedron():
-    P = hexahedron(0.5)
-    st = state_of(P)
-    g = Isometry.boost(2, 0.7) @ Isometry.rotation(1, 3, 0.9)
-    moved = st.positions @ g.m.T
-    moved /= np.sqrt(np.einsum("ij,jk,ik->i", moved, J, moved))[:, None]
-    return moved
-
-
 def unit_rows(rows):
     rows = np.array(rows, dtype=float)
     return rows / np.sqrt(np.einsum("ij,jk,ik->i", rows, J, rows))[:, None]
+
+
+def moved_hexahedron():
+    g = Isometry.boost(2, 0.7) @ Isometry.rotation(1, 3, 0.9)
+    return unit_rows(state_of(hexahedron(0.5)).positions @ g.m.T)
 
 
 GAUGE_CONFIGURATIONS = {
