@@ -19,7 +19,7 @@ from scipy.spatial import ConvexHull
 from .errors import InvalidPolyhedron, OrbitBoundTooSmall
 from .minkowski import DSPoint, Isometry, J, corner_angle, ds_distances
 from .polyhedra import order_face_cycles
-from .surface import SPHERICAL, CombSurface, ConeMetric, fan_triangulation
+from .surface import SPHERICAL, CombSurface, ConeMetric, fan_triangulation, rowdot
 
 OCTAGON_HALF_WIDTH = float(np.arccosh(1.0 / np.tan(np.pi / 8)))
 OCTAGON_CIRCUMRADIUS = float(np.arccosh(1.0 / np.tan(np.pi / 8) ** 2))
@@ -99,41 +99,39 @@ def fuchsian_octagon_group() -> FuchsianData:
 
 
 def _orbit(data: FuchsianData, h: float, word_bound: int):
-    """Orbit of the apex at height h, deduplicated by matrix, identity first."""
+    """Orbit of the apex at height h, deduplicated by matrix, identity first.
+
+    Each frontier is multiplied by every generator in one stacked product,
+    frontier element major; a candidate is kept at its first occurrence
+    when no earlier matrix rounds to the same key."""
     apex = np.array([np.cosh(h), 0.0, 0.0, np.sinh(h)])
-    seen = {tuple(np.round(np.eye(4).ravel(), ORBIT_DIGITS))}
-    mats = [np.eye(4)]
-    frontier = [np.eye(4)]
+    gens = np.array([g.m for g in data.generators])
+    mats = frontier = np.eye(4)[None]
     for _ in range(word_bound):
-        nxt = []
-        for m in frontier:
-            for g in data.generators:
-                cand = m @ g.m
-                key = tuple(np.round(cand.ravel(), ORBIT_DIGITS))
-                if key not in seen:
-                    seen.add(key)
-                    mats.append(cand)
-                    nxt.append(cand)
-        frontier = nxt
-    points = np.array([m @ apex for m in mats])
-    return mats, points
+        cand = (frontier[:, None] @ gens).reshape(-1, 4, 4)
+        keys = np.round(np.concatenate([mats, cand]).reshape(-1, 16), ORBIT_DIGITS)
+        first = np.unique(keys, axis=0, return_index=True)[1]
+        frontier = cand[np.sort(first[first >= len(mats)]) - len(mats)]
+        mats = np.concatenate([mats, frontier])
+    return mats, mats @ apex
 
 
 def _plane_through_points(rows: np.ndarray) -> np.ndarray:
-    """Best-fit Minkowski plane normal through the given points (spacelike)."""
-    scaled = rows / np.linalg.norm(rows, axis=1)[:, None]
-    _, _, vt = np.linalg.svd(scaled @ J)
-    n = vt[-1]
-    q = float(n @ J @ n)
-    if q <= 0:
+    """Best-fit Minkowski plane normal through the given points (spacelike);
+    stacked point sets (..., k, 4) give stacked normals (..., 4)."""
+    scaled = rows / np.linalg.norm(rows, axis=-1)[..., None]
+    n = np.linalg.svd(scaled @ J)[2][..., -1, :]
+    q = rowdot(n @ J, n)
+    if np.any(q <= 0):
         raise InvalidPolyhedron("support plane through apex is not spacelike")
-    return n / np.sqrt(q)
+    return n / np.sqrt(q)[..., None]
 
 
-def _members_on_plane(points: np.ndarray, n: np.ndarray) -> tuple:
-    resid = np.abs(points @ J @ n)
-    scale = np.linalg.norm(points, axis=1)
-    return tuple(int(i) for i in np.where(resid <= MEMBER_TOL * scale)[0])
+def _members_on_planes(points: np.ndarray, normals: np.ndarray) -> list:
+    """Per plane normal (F, 4): the indices of the points on it."""
+    on = (np.abs(points @ J @ normals.T)
+          <= MEMBER_TOL * np.linalg.norm(points, axis=1)[:, None])
+    return [tuple(np.nonzero(col)[0].tolist()) for col in on.T]
 
 
 @dataclass
@@ -148,28 +146,25 @@ def _apex_star(data: FuchsianData, points: np.ndarray) -> ApexStar:
     hull = ConvexHull(klein)
     if 0 not in set(int(v) for v in hull.vertices):
         raise InvalidPolyhedron("apex is not extreme in the sampled orbit")
-    groups = {}
-    for simplex in hull.simplices:
-        if 0 not in simplex:
-            continue
-        n = _plane_through_points(points[simplex])
-        members = _members_on_plane(points, n)
-        n = _plane_through_points(points[list(members)])
-        members = _members_on_plane(points, n)
-        groups[members] = n
-    faces = []
-    for members, n in sorted(groups.items()):
-        # orient outward: the rest of the orbit lies strictly on the negative side
-        vals = points @ J @ n
-        off = [v for i, v in enumerate(vals) if i not in members]
-        if np.max(off) > 0:
-            if np.min(off) < 0:
-                raise InvalidPolyhedron("apex face plane does not support the orbit")
-            n = -n
-        faces.append({"normal": n, "members": members})
-    incidence = np.zeros((len(faces), len(points)), dtype=bool)
-    for row, f in zip(incidence, faces):
-        row[list(f["members"])] = True
+    # fit each apex simplex's plane, collect the orbit points on it, and
+    # refit each distinct such set once; a face's last simplex sets its normal
+    apex_simplices = hull.simplices[(hull.simplices == 0).any(axis=1)]
+    firsts = _members_on_planes(points, _plane_through_points(points[apex_simplices]))
+    refit = {}
+    for f in set(firsts):
+        n = _plane_through_points(points[list(f)])
+        refit[f] = (_members_on_planes(points, n[None])[0], n)
+    members, normals = zip(*sorted(dict(refit[f] for f in firsts).items()))
+    incidence = np.zeros((len(members), len(points)), dtype=bool)
+    for row, m in zip(incidence, members):
+        row[list(m)] = True
+    # orient outward: the rest of the orbit lies strictly on the negative side
+    vals = np.array(normals) @ J @ points.T
+    above = np.max(vals, axis=1, where=~incidence, initial=-np.inf) > 0
+    if np.any(above & (np.min(vals, axis=1, where=~incidence, initial=np.inf) < 0)):
+        raise InvalidPolyhedron("apex face plane does not support the orbit")
+    faces = [{"normal": -n if flip else n, "members": m}
+             for n, m, flip in zip(normals, members, above)]
     cycles = order_face_cycles([f["normal"][1:] for f in faces], klein, incidence)
     for f, cycle in zip(faces, cycles):
         f["cycle"] = cycle

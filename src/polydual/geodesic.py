@@ -8,11 +8,14 @@ circle; the search solves for it from the rotation holonomy of the strip.
 
 The search is batched in two stages. The strip walks are enumerated level
 by level, the tree of walks held as int32 arrays (current half-edge, root,
-parent index per node), and only the walks that close are read back along
-their parent pointers, into one (N, L) array per walk length L. Then every
-closed walk of a length is tested at once on stacked arrays: holonomy and
-deck word by stacked matrix products, crossing points, strictly-inside and
-monotone-advance tests, and step lengths.
+parent index per node) and pruned where the root is out of reach, and only
+the walks that close are read back along their parent pointers, into one
+(N, L) array per walk length L. Then all closed walks, padded to the longest
+length with an identity step, are tested in one pass on stacked arrays:
+holonomy and deck word by stacked matrix products, the holonomy's axis in
+closed form (no SVD, and no projection back onto SO(3)), then crossing
+points, strictly-inside and monotone-advance tests, and step lengths, each
+reading only the steps of its own walk.
 """
 from __future__ import annotations
 
@@ -60,17 +63,25 @@ def _mates(m: ConeMetric) -> np.ndarray:
 
 
 def _crossings(m: ConeMetric, corners, mate):
-    """Per half-edge h = (t, k): the rotation R_h carrying the neighbour across
-    h, developed alone, into t's chart (the glued edge's corners onto their
-    images), stacked (3T, 3, 3); and the deck words picked up by crossing
-    each h, stacked (3T, 4, 4), or None when the metric has none."""
+    """Per half-edge h = (t, k), and one padding step after the last: the
+    frame [B, A, B x A] of h's edge AB in t's development, stacked
+    (3T + 1, 3, 3); the rotation R_h carrying the neighbour across h,
+    developed alone, into t's chart (the glued edge's corners onto their
+    images), stacked (3T + 1, 3, 3); and the deck words picked up by
+    crossing each h, stacked (3T + 1, 4, 4), or None when the metric has
+    none. The padding step is the identity in all three, so a walk padded
+    with it composes as if it had ended."""
     t, k = np.divmod(np.arange(3 * m.surface.n_triangles), 3)
     t2, k2 = np.divmod(mate, 3)
-    R = (_edge_frame(corners[t, :, (k + 1) % 3], corners[t, :, k])
-         @ np.linalg.inv(_edge_frame(corners[t2, :, k2], corners[t2, :, (k2 + 1) % 3])))
+    frame = _edge_frame(corners[t, :, (k + 1) % 3], corners[t, :, k])
+    R = frame @ np.linalg.inv(_edge_frame(corners[t2, :, k2],
+                                          corners[t2, :, (k2 + 1) % 3]))
+    frames = np.concatenate([frame, np.eye(3)[None]])
+    R = np.concatenate([R, np.eye(3)[None]])
     if m.deck_words is None:
-        return R, None
-    return R, np.array([m.edge_word(h) for h in range(len(t))])
+        return frames, R, None
+    return frames, R, np.array([m.edge_word(h) for h in range(len(t))]
+                               + [np.eye(4)])
 
 
 # -- closed geodesic search ----------------------------------------------------
@@ -98,14 +109,20 @@ def _closed_walks(mate: np.ndarray, depth: int) -> list:
 
     A walk from root h0 entering triangle t by half-edge (t, k) steps on to
     the mates of (t, k+1) and (t, k+2). It closes when the next half-edge is
-    h0, and extends while it is shorter than depth and the next half-edge
-    exceeds h0, so each cycle is found from its least half-edge. The tree is
-    grown one level at a time; a node keeps only its half-edge, root and
-    parent, and closed walks are read back along the parent pointers.
+    h0, and extends while it is shorter than depth, the next half-edge
+    exceeds h0, and h0 can still be reached within depth, so each cycle is
+    found from its least half-edge and no branch is grown that cannot close.
+    The tree is grown one level at a time; a node keeps only its half-edge,
+    root and parent, and closed walks are read back along the parent
+    pointers.
     """
     h = np.arange(len(mate))
     k = h % 3
     succ = mate[np.stack([h - k + (k + 1) % 3, h - k + (k + 2) % 3], axis=1)]
+    # steps from half-edge a to r, exact below depth and at least depth beyond
+    dist = np.where(np.eye(len(h), dtype=bool), 0, depth).astype(np.int32)
+    for _ in range(depth - 1):
+        dist = np.minimum(dist, 1 + np.minimum(dist[succ[:, 0]], dist[succ[:, 1]]))
     cur = root = h.astype(np.int32)
     levels = []                  # (half-edge, parent) of the nodes per level
     parent = np.full(len(h), -1, dtype=np.int32)
@@ -123,41 +140,69 @@ def _closed_walks(mate: np.ndarray, depth: int) -> list:
             out.append(walks[np.lexsort(walks.T[::-1])])
         if length >= depth:
             return out
-        node, col = np.nonzero(nxt > root[:, None])
+        node, col = np.nonzero((nxt > root[:, None])
+                               & (dist[nxt, root[:, None]] <= depth - length))
         cur, parent, root = nxt[node, col], node.astype(np.int32), root[node]
 
 
-def _strip_holonomy(walks, mate, corners, rotations, words):
-    """Compose every strip of an (N, L) walk array once around in the chart
-    of its first triangle. Returns the holonomies projected onto SO(3)
-    (N, 3, 3), the ends A, B of the crossed developed edges (N, L, 3) each,
-    and the deck word products (N, 4, 4), or None without deck words."""
-    n, length = walks.shape
-    exits = mate[np.roll(walks, -1, axis=1)]    # exit half-edge of each step
-    rows = np.arange(n)
-    M = np.tile(np.eye(3), (n, 1, 1))
-    word = None if words is None else np.tile(np.eye(4), (n, 1, 1))
-    A, B = np.empty((n, length, 3)), np.empty((n, length, 3))
-    for i in range(length):
-        e = exits[:, i]
-        X = M @ corners[e // 3]
-        A[:, i], B[:, i] = X[rows, :, e % 3], X[rows, :, (e + 1) % 3]
+def _padded_walks(groups: list, mate: np.ndarray):
+    """The closed walks of every length in one (N, Lmax) int32 array, in
+    length order, each row padded after its walk with the padding step
+    len(mate); their lengths (N,); and the exit half-edge of every step
+    (N, Lmax), the mate of the next entering half-edge, the first one's
+    after the last, and the padding step after that."""
+    pad = len(mate)
+    lengths = np.repeat([g.shape[1] for g in groups], [len(g) for g in groups])
+    valid = np.arange(lengths[-1]) < lengths[:, None]
+    walks = np.full(valid.shape, pad, dtype=np.int32)
+    walks[valid] = np.concatenate([g.ravel() for g in groups])
+    nxt = np.roll(walks, -1, axis=1)
+    nxt[np.arange(len(walks)), lengths - 1] = walks[:, 0]
+    return walks, lengths, np.where(valid, np.append(mate, pad)[nxt], pad)
+
+
+def _strip_holonomy(exits, frames, rotations):
+    """Compose every strip of a padded (N, Lmax) exit array once around in
+    the chart of its first triangle. Returns the holonomies (N, 3, 3) and
+    the ends A, B of the crossed developed edges (N, Lmax, 3) each, padding
+    steps included. A product of at most Lmax rotations stays orthogonal to
+    about Lmax roundoffs, so it is not projected back onto SO(3)."""
+    M = np.tile(np.eye(3), (len(exits), 1, 1))
+    X = np.empty(exits.shape + (3, 3))
+    for i, e in enumerate(exits.T):
+        X[:, i] = M @ frames[e]
         M = M @ rotations[e]
-        if word is not None:
-            word = word @ words[e]
-    # project to the rotation group to control drift
-    u, _, vt = np.linalg.svd(M)
-    return u @ vt, A, B, word
+    return M, X[..., 1], X[..., 0]
+
+
+def _word_products(exits, words) -> np.ndarray:
+    """The deck word product of every padded walk, (N, 4, 4)."""
+    W = np.tile(np.eye(4), (len(exits), 1, 1))
+    for e in exits.T:
+        W = W @ words[e]
+    return W
 
 
 def _max_deviation(X, Y) -> np.ndarray:
     return np.max(np.abs(X - Y), axis=(-2, -1))
 
 
-def _fit_flat_normal(A, B) -> np.ndarray:
+def _fit_flat_normal(A, B, valid) -> np.ndarray:
     mids = A + B
     mids = mids / np.sqrt(rowdot(mids, mids))[..., None]
+    mids = np.where(valid[..., None], mids, 0.0)       # padding steps
     return np.linalg.eigh(np.swapaxes(mids, -1, -2) @ mids)[1][..., 0]
+
+
+def _rotation_axis(H) -> np.ndarray:
+    """Unit axis n of each rotation H (N, 3, 3) off the identity, up to
+    sign. H - I has the adjugate (3 - tr H) n n^T, so the cross products of
+    its consecutive rows are (3 - tr H) n_k n for k = 0, 1, 2; the longest,
+    at least (3 - tr H) / sqrt(3) long, is normalized."""
+    K = H - np.eye(3)
+    c = np.cross(K, np.roll(K, -1, axis=1))
+    c = c[np.arange(len(c)), np.argmax(rowdot(c, c), axis=1)]
+    return c / np.sqrt(rowdot(c, c))[:, None]
 
 
 def _crossing_points(n, A, B):
@@ -177,44 +222,59 @@ def _crossing_points(n, A, B):
     return q, ok
 
 
-def _circle_lengths(n, A, B, H):
-    """Per strip: whether the circle with normal n crosses every edge in order
-    and advances monotonically, and its total length.
+def _circle_lengths(n, A, B, H, lengths):
+    """Per strip of a padded (N, Lmax) array: whether the circle with normal n
+    crosses every edge in order and advances monotonically, and its total
+    length. Only the first lengths[i] steps of row i are read.
 
     The strip develops once around, so the segment after the last crossing
     ends at the holonomy image H of the first one. Steps are summed in walk
     order.
     """
+    valid = np.arange(A.shape[1]) < lengths[:, None]
     q, ok = _crossing_points(n, A, B)
-    ends = np.concatenate([q[:, 1:], (H @ q[:, 0, :, None])[:, None, :, 0]], axis=1)
+    ends = np.roll(q, -1, axis=1)
+    ends[np.arange(len(q)), lengths - 1] = (H @ q[:, 0, :, None])[..., 0]
     sgn = rowdot(n[:, None, :], np.cross(q, ends))
     step = np.arctan2(np.abs(sgn), rowdot(q, ends))
     sign = np.sign(sgn)
-    found = (ok.all(axis=1)
-             & ~((step < CROSSING_TOL) | (step > MAX_STEP)).any(axis=1)
-             & (sign[:, 0] != 0) & (sign == sign[:, :1]).all(axis=1))
-    return found, np.cumsum(step, axis=1)[:, -1]
+    found = (ok.all(axis=1, where=valid)
+             & ~((step < CROSSING_TOL) | (step > MAX_STEP)).any(axis=1, where=valid)
+             & (sign[:, 0] != 0) & (sign == sign[:, :1]).all(axis=1, where=valid))
+    return found, np.cumsum(np.where(valid, step, 0.0), axis=1)[:, -1]
 
 
-def _closed_geodesics(H, A, B):
-    """Per strip with holonomy H and crossed edges A, B: whether a great
-    circle invariant under H threads every crossed edge, and its length.
+def _closed_geodesics(H, A, B, lengths):
+    """Per padded strip with holonomy H and crossed edges A, B: whether a
+    great circle invariant under H threads every crossed edge, and its
+    length.
 
     Off the flat branch the normal n is H's own axis, so H is the rotation
     by the traversed length L, untested: a monotone traversal about +-n from
     q0 (orthogonal to n) ends at H q0, so the rotation by L about that way
     of n agrees with H on q0; both fix n, so they are equal, for lengths
-    near 2 pi too. Numerically, n is H - I's singular vector for its zero
-    singular value; the other two are 2 sin(phi / 2) >= |H - I|_max >=
-    IDENTITY_TOL for a rotation by phi, so a roundoff eps in H moves n by
-    about eps / |H - I| (1e-8 for eps = 1e-16), and L matches H to that.
+    near 2 pi too. Numerically, n is the longest cross product of two rows
+    of H - I (`_rotation_axis`). For a rotation by phi the rows are at most
+    2 sin(phi / 2) long and the product at least 4 sin(phi / 2)^2 / sqrt(3),
+    with 2 sin(phi / 2) >= |H - I|_max >= IDENTITY_TOL, so a roundoff eps in
+    H moves n by about eps / |H - I| (1e-8 for eps = 1e-16), as an SVD
+    would, and L matches H to that. The sign of n is free: the crossing
+    points do not depend on it, and the monotone test asks only that every
+    step turn the same way.
     """
     flat = _max_deviation(H, np.eye(3)) < IDENTITY_TOL
+    valid = np.arange(A.shape[1]) < lengths[:, None]
     normal = np.empty((len(H), 3))
-    normal[flat] = _fit_flat_normal(A[flat], B[flat])
-    normal[~flat] = np.linalg.svd(H[~flat] - np.eye(3))[2][:, -1]  # rotation axis
+    normal[flat] = _fit_flat_normal(A[flat], B[flat], valid[flat])
+    normal[~flat] = _rotation_axis(H[~flat])
     H = np.where(flat[:, None, None], np.eye(3), H)
-    return _circle_lengths(normal, A, B, H)
+    # most circles leave some crossed edge on one side: test only the rest
+    fa, fb = rowdot(A, normal[:, None]), rowdot(B, normal[:, None])
+    live = np.nonzero(((fa > 0) != (fb > 0)).all(axis=1, where=valid))[0]
+    found, length = np.zeros(len(H), dtype=bool), np.zeros(len(H))
+    found[live], length[live] = _circle_lengths(
+        normal[live], A[live], B[live], H[live], lengths[live])
+    return found, length
 
 
 def closed_geodesic_search(m: ConeMetric, depth: int = 8,
@@ -222,32 +282,36 @@ def closed_geodesic_search(m: ConeMetric, depth: int = 8,
     """Depth-bounded search for closed geodesics of a spherical cone-metric.
 
     Enumerates the edge-crossing cycles of up to `depth` crossings level by
-    level, then tests all cycles of one length together: it develops each
-    strip and accepts a cycle when its holonomy admits an invariant great
-    circle threading every crossed edge. The result is a bounded search, not
-    a completeness certificate. With contractible_only, cycles whose deck
-    word is nontrivial are skipped (metrics without deck words treat every
-    cycle as contractible). `geodesics` is sorted by walk length, then by
-    walk (the tuple of entering half-edges, starting from its least).
+    level, then tests all of them together, padded to the longest: it
+    develops each strip and accepts a cycle when its holonomy admits an
+    invariant great circle threading every crossed edge. The result is a
+    bounded search, not a completeness certificate. With contractible_only,
+    cycles whose deck word is nontrivial are skipped (metrics without deck
+    words treat every cycle as contractible). `geodesics` is sorted by walk
+    length, then by walk (the tuple of entering half-edges, starting from
+    its least).
     """
     if m.geometry != SPHERICAL:
         raise InvalidConeMetric("closed geodesic search expects a spherical metric")
     report = SearchReport()
-    corners = _develop(m)
     mate = _mates(m)
-    rotations, words = _crossings(m, corners, mate)
-    for walks in _closed_walks(mate, depth):
-        report.n_cycles_checked += len(walks)
-        H, A, B, word = _strip_holonomy(walks, mate, corners, rotations, words)
+    groups = _closed_walks(mate, depth)
+    if groups:
+        frames, rotations, words = _crossings(m, _develop(m), mate)
+        walks, lengths, exits = _padded_walks(groups, mate)
+        report.n_cycles_checked = len(walks)
         contractible = np.ones(len(walks), dtype=bool)
-        if word is not None:
-            contractible = _max_deviation(word, np.eye(4)) < IDENTITY_TOL
+        if words is not None:
+            contractible = (_max_deviation(_word_products(exits, words), np.eye(4))
+                            < IDENTITY_TOL)
         keep = contractible if contractible_only else np.ones_like(contractible)
-        found, length = _closed_geodesics(H[keep], A[keep], B[keep])
-        for walk, ell, c in zip(walks[keep][found], length[found],
-                                contractible[keep][found]):
+        H, A, B = _strip_holonomy(exits[keep], frames, rotations)
+        found, length = _closed_geodesics(H, A, B, lengths[keep])
+        rows = np.nonzero(keep)[0][found]
+        for walk, n, ell, c in zip(walks[rows], lengths[rows], length[found],
+                                   contractible[rows]):
             report.geodesics.append(
-                ClosedGeodesic(float(ell), tuple(walk.tolist()), bool(c)))
+                ClosedGeodesic(float(ell), tuple(walk[:n].tolist()), bool(c)))
     if report.geodesics:
         report.min_length = min(g.length for g in report.geodesics)
     report.found_within_cap = (report.min_length is not None

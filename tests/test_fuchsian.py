@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 from polydual import fuchsian
 from polydual.errors import InvalidPolyhedron, OrbitBoundTooSmall
@@ -171,3 +172,64 @@ def test_lengths_match_the_link_development(group, h, tol):
     np.testing.assert_allclose(out.metric.lengths,
                                reference_lengths(group, h, out),
                                rtol=0, atol=tol)
+
+
+def reference_orbit(data, h, word_bound):
+    """The orbit one candidate at a time: each frontier matrix times each
+    generator, kept when its rounded entries are new."""
+    apex = np.array([np.cosh(h), 0.0, 0.0, np.sinh(h)])
+    seen = {tuple(np.round(np.eye(4).ravel(), fuchsian.ORBIT_DIGITS))}
+    mats = frontier = [np.eye(4)]
+    for _ in range(word_bound):
+        nxt = []
+        for m in frontier:
+            for g in data.generators:
+                cand = m @ g.m
+                key = tuple(np.round(cand.ravel(), fuchsian.ORBIT_DIGITS))
+                if key not in seen:
+                    seen.add(key)
+                    nxt.append(cand)
+        mats, frontier = mats + nxt, nxt
+    return np.array(mats), np.array([m @ apex for m in mats])
+
+
+def reference_apex_faces(points):
+    """The apex faces one hull simplex at a time: fit its plane, collect
+    the orbit points on it, refit through them and collect again; then
+    orient each face against the orbit points off it, one at a time."""
+    def fit(rows):
+        rows = rows / np.linalg.norm(rows, axis=1)[:, None]
+        n = np.linalg.svd(rows @ J)[2][-1]
+        return n / np.sqrt(float(n @ J @ n))
+
+    def members_on(n):
+        resid = np.abs(points @ J @ n)
+        on = resid <= fuchsian.MEMBER_TOL * np.linalg.norm(points, axis=1)
+        return tuple(int(i) for i in np.nonzero(on)[0])
+
+    groups = {}
+    for simplex in ConvexHull(points[:, 1:] / points[:, [0]]).simplices:
+        if 0 in simplex:
+            n = fit(points[list(members_on(fit(points[simplex])))])
+            groups[members_on(n)] = n
+    faces = []
+    for members, n in sorted(groups.items()):
+        off = [v for i, v in enumerate(points @ J @ n) if i not in members]
+        faces.append((-n if np.max(off) > 0 else n, members))
+    return faces
+
+
+@pytest.mark.parametrize("h", [0.5, 1.0, 2.0, 3.0])
+def test_stacked_orbit_and_apex_faces_match_one_at_a_time(group, h):
+    """Same orbit matrices in the same order and the same apex face normals,
+    bit for bit, at the word bounds fuchsian_dualize compares."""
+    for word_bound in (2, 3):
+        mats, points = fuchsian._orbit(group, h, word_bound)
+        ref_mats, ref_points = reference_orbit(group, h, word_bound)
+        np.testing.assert_array_equal(mats, ref_mats)
+        np.testing.assert_array_equal(points, ref_points)
+        faces = fuchsian._apex_star(group, points).faces
+        ref = reference_apex_faces(points)
+        assert [f["members"] for f in faces] == [m for _, m in ref]
+        for f, (n, _) in zip(faces, ref):
+            np.testing.assert_array_equal(f["normal"], n)

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,10 @@ from polydual.geodesic import (
     _crossings,
     _develop,
     _mates,
+    _padded_walks,
+    _rotation_axis,
     _strip_holonomy,
+    _word_products,
     closed_geodesic_search,
 )
 from polydual.polyhedra import (
@@ -38,9 +43,12 @@ from polydual.surface import (
     develop_third_point,
     he_index,
     octahedron_sphere,
+    rowdot,
     scale,
     sphere_angle,
 )
+
+from test_polyhedra import fibonacci_solids
 
 
 def k4_metric(length):
@@ -214,7 +222,7 @@ def reference_search(m, depth, contractible_only=True):
     instead of testing."""
     report = SearchReport()
     corners = _develop(m)
-    rotations, words = _crossings(m, corners, _mates(m))
+    _, rotations, words = _crossings(m, corners, _mates(m))
     for walk in reference_walks(m, depth):
         report.n_cycles_checked += 1
         H, edges, word = reference_holonomy(m, walk, corners, rotations, words)
@@ -258,25 +266,33 @@ SEARCH_METRICS = {
 }
 
 
+def padded_pass(m, depth):
+    """The closed walks of a metric padded into one array, and their strips
+    composed: walks, lengths, holonomies, crossed edges and deck words."""
+    corners = _develop(m)
+    mate = _mates(m)
+    frames, rotations, words = _crossings(m, corners, mate)
+    walks, lengths, exits = _padded_walks(_closed_walks(mate, depth), mate)
+    H, A, B = _strip_holonomy(exits, frames, rotations)
+    word = None if words is None else _word_products(exits, words)
+    return walks, lengths, H, A, B, word
+
+
 @pytest.mark.parametrize("name", sorted(ORACLE_METRICS))
 def test_composed_holonomy_matches_developed_strip(name):
     m = ORACLE_METRICS[name]()
-    corners = _develop(m)
-    mate = _mates(m)
-    rotations, words = _crossings(m, corners, mate)
-    groups = _closed_walks(mate, 6)
-    assert groups
-    for walks in groups:
-        H, A, B, word = _strip_holonomy(walks, mate, corners, rotations, words)
-        for i, walk in enumerate(walks.tolist()):
-            H_ref, edges_ref, word_ref = developed_strip(m, walk)
-            np.testing.assert_allclose(H[i], H_ref, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(np.stack([A[i], B[i]], axis=1),
-                                       np.array(edges_ref), rtol=0, atol=1e-12)
-            if word_ref is None:
-                assert word is None
-            else:
-                np.testing.assert_array_equal(word[i], word_ref)
+    walks, lengths, H, A, B, word = padded_pass(m, 6)
+    assert len(set(lengths.tolist())) > 1
+    for i, (walk, n) in enumerate(zip(walks.tolist(), lengths.tolist())):
+        assert all(h == len(_mates(m)) for h in walk[n:])
+        H_ref, edges_ref, word_ref = developed_strip(m, walk[:n])
+        np.testing.assert_allclose(H[i], H_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(np.stack([A[i, :n], B[i, :n]], axis=1),
+                                   np.array(edges_ref), rtol=0, atol=1e-12)
+        if word_ref is None:
+            assert word is None
+        else:
+            np.testing.assert_array_equal(word[i], word_ref)
 
 
 @pytest.mark.parametrize("name", sorted(SEARCH_METRICS))
@@ -290,6 +306,17 @@ def test_level_walks_match_depth_first_walks(name):
         assert set(walks) == set(reference_walks(m, depth))
         assert walks == sorted(walks, key=lambda w: (len(w), w))
         assert all(g.dtype == np.int32 and len(g) for g in groups)
+
+
+@pytest.mark.parametrize("name", ["hexahedron", "genus2-h1"])
+def test_pruned_walks_match_depth_first_walks_at_depth_12(name):
+    """Branches that cannot return to their root within the depth are not
+    grown; the walks closing at the last levels are still all found."""
+    m = SEARCH_METRICS[name]()
+    walks = [tuple(w.tolist()) for g in _closed_walks(_mates(m), 12) for w in g]
+    assert len(walks) == len(set(walks))
+    assert set(walks) == set(reference_walks(m, 12))
+    assert max(map(len, walks)) == 12
 
 
 @pytest.mark.parametrize("contractible_only", [True, False])
@@ -310,6 +337,149 @@ def test_batched_search_matches_reference(name, depth, contractible_only):
         assert rep.min_length == pytest.approx(ref.min_length, rel=0, abs=1e-12)
     keys = [(len(g.cycle), g.cycle) for g in rep.geodesics]
     assert keys == sorted(keys)
+
+
+# -- per-length oracle: one stacked pass per walk length, with SVDs -----------
+
+
+def per_length_holonomy(walks, mate, corners, rotations, words):
+    """Compose every strip of an (N, L) walk array once around in the chart
+    of its first triangle, and project the holonomies onto SO(3)."""
+    n, length = walks.shape
+    exits = mate[np.roll(walks, -1, axis=1)]
+    rows = np.arange(n)
+    M = np.tile(np.eye(3), (n, 1, 1))
+    word = None if words is None else np.tile(np.eye(4), (n, 1, 1))
+    A, B = np.empty((n, length, 3)), np.empty((n, length, 3))
+    for i in range(length):
+        e = exits[:, i]
+        X = M @ corners[e // 3]
+        A[:, i], B[:, i] = X[rows, :, e % 3], X[rows, :, (e + 1) % 3]
+        M = M @ rotations[e]
+        if word is not None:
+            word = word @ words[e]
+    u, _, vt = np.linalg.svd(M)
+    return u @ vt, A, B, word
+
+
+def per_length_geodesics(H, A, B):
+    """The tests of one walk length on unpadded (N, L) arrays, the normal
+    off the flat branch taken from an SVD of H - I."""
+    flat = np.max(np.abs(H - np.eye(3)), axis=(1, 2)) < IDENTITY_TOL
+    normal = np.empty((len(H), 3))
+    mids = A[flat] + B[flat]
+    mids = mids / np.sqrt(rowdot(mids, mids))[..., None]
+    normal[flat] = np.linalg.eigh(np.swapaxes(mids, -1, -2) @ mids)[1][..., 0]
+    normal[~flat] = np.linalg.svd(H[~flat] - np.eye(3))[2][:, -1]
+    H = np.where(flat[:, None, None], np.eye(3), H)
+    q, ok = _crossing_points(normal, A, B)
+    ends = np.concatenate([q[:, 1:], (H @ q[:, 0, :, None])[:, None, :, 0]], axis=1)
+    sgn = rowdot(normal[:, None, :], np.cross(q, ends))
+    step = np.arctan2(np.abs(sgn), rowdot(q, ends))
+    sign = np.sign(sgn)
+    found = (ok.all(axis=1)
+             & ~((step < CROSSING_TOL) | (step > MAX_STEP)).any(axis=1)
+             & (sign[:, 0] != 0) & (sign == sign[:, :1]).all(axis=1))
+    return found, np.cumsum(step, axis=1)[:, -1]
+
+
+def per_length_search(m, depth, contractible_only=True):
+    """The search as one stacked pass per walk length, two SVDs each."""
+    report = SearchReport()
+    corners = _develop(m)
+    mate = _mates(m)
+    _, rotations, words = _crossings(m, corners, mate)
+    for walks in _closed_walks(mate, depth):
+        report.n_cycles_checked += len(walks)
+        H, A, B, word = per_length_holonomy(walks, mate, corners, rotations, words)
+        contractible = np.ones(len(walks), dtype=bool)
+        if word is not None:
+            contractible = np.max(np.abs(word - np.eye(4)), axis=(1, 2)) < IDENTITY_TOL
+        keep = contractible if contractible_only else np.ones_like(contractible)
+        found, length = per_length_geodesics(H[keep], A[keep], B[keep])
+        for walk, ell, c in zip(walks[keep][found], length[found],
+                                contractible[keep][found]):
+            report.geodesics.append(
+                ClosedGeodesic(float(ell), tuple(walk.tolist()), bool(c)))
+    if report.geodesics:
+        report.min_length = min(g.length for g in report.geodesics)
+    report.found_within_cap = (report.min_length is not None
+                               and report.min_length <= LENGTH_CAP)
+    return report
+
+
+BENCH_SIZES = (8, 10, 12, 14, 16, 18, 20, 30, 40, 50)
+GENUS2_HEIGHTS = (0.25, 0.5, 1.0, 2.0, 3.0)
+PADDED_ORACLE_METRICS = (
+    ["tetrahedron", "hexahedron", "bipyramid"]
+    + [f"solid-{n}" for n in BENCH_SIZES]
+    + [f"genus2-h{h}" for h in GENUS2_HEIGHTS])
+
+
+@functools.lru_cache(maxsize=None)
+def padded_oracle_metric(name):
+    """The fixtures' duals, the duals of the bench/solids.py solids (seed 1,
+    round 0) and the genus-2 metrics, by name."""
+    kind, _, arg = name.partition("-")
+    if kind == "solid":
+        return dualize(fibonacci_solids((int(arg),))[0]).metric
+    if kind == "genus2":
+        return fuchsian_dualize(fuchsian_octagon_group(), float(arg[1:])).metric
+    return ORACLE_METRICS[name]()
+
+
+@pytest.mark.parametrize("contractible_only", [True, False])
+@pytest.mark.parametrize("name", PADDED_ORACLE_METRICS)
+def test_padded_search_matches_per_length_search(name, contractible_only):
+    """Same cycles, cycle count and contractible flags at every depth up to
+    12, lengths within 1e-13, with or without contractible_only."""
+    m = padded_oracle_metric(name)
+    for depth in range(1, 13):
+        rep = closed_geodesic_search(m, depth, contractible_only)
+        ref = per_length_search(m, depth, contractible_only)
+        assert rep.n_cycles_checked == ref.n_cycles_checked
+        assert ([(g.cycle, g.contractible) for g in rep.geodesics]
+                == [(g.cycle, g.contractible) for g in ref.geodesics])
+        np.testing.assert_allclose([g.length for g in rep.geodesics],
+                                   [g.length for g in ref.geodesics],
+                                   rtol=0, atol=1e-13)
+        assert rep.found_within_cap == ref.found_within_cap
+    assert rep.n_cycles_checked > 0
+
+
+def rotations_about(axes, angle):
+    """Rodrigues: the rotations by angle about unit axes (N, 3)."""
+    K = np.cross(axes[:, None, :], -np.eye(3))        # K v = axis x v
+    return np.eye(3) + np.sin(angle) * K + (1 - np.cos(angle)) * K @ K
+
+
+@pytest.mark.parametrize("angle", [2e-8, np.pi / 2, np.pi - 1e-9, np.pi])
+def test_rotation_axis_matches_svd_axis(angle):
+    """Up to sign, within about eps / |H - I|, on 200 random axes, from just
+    above the flat threshold to a half turn."""
+    axes = np.random.RandomState(3).randn(200, 3)
+    axes /= np.sqrt(rowdot(axes, axes))[:, None]
+    H = rotations_about(axes, angle)
+    assert np.all(np.max(np.abs(H - np.eye(3)), axis=(1, 2)) >= IDENTITY_TOL)
+    got = _rotation_axis(H)
+    svd = np.linalg.svd(H - np.eye(3))[2][:, -1]
+    tol = 1e-14 / (2 * np.sin(angle / 2))
+    np.testing.assert_allclose(rowdot(got, got), 1.0, rtol=0, atol=1e-15)
+    for ref in (svd, axes):
+        np.testing.assert_allclose(got * np.sign(rowdot(got, ref))[:, None], ref,
+                                   rtol=0, atol=tol)
+
+
+def test_composed_holonomy_stays_orthogonal():
+    """Without a projection back onto SO(3), every holonomy of the closed
+    walks of up to 12 steps of the bench duals is orthogonal within 1e-13."""
+    longest = 0
+    for name in [f"solid-{n}" for n in BENCH_SIZES[:7]] + ["genus2-h1.0"]:
+        _, lengths, H, _, _, _ = padded_pass(padded_oracle_metric(name), 12)
+        HtH = np.swapaxes(H, 1, 2) @ H
+        assert np.max(np.abs(HtH - np.eye(3))) <= 1e-13
+        longest = max(longest, lengths.max())
+    assert longest == 12
 
 
 # -- empty and degenerate length groups ----------------------------------------
@@ -342,14 +512,9 @@ def test_group_failing_every_crossing():
     has its rotation axis at the vertex, whose polar circle misses every
     crossed edge: every row of the length group fails the crossing test."""
     m = k4_metric(1.0)
-    corners = _develop(m)
-    mate = _mates(m)
-    rotations, words = _crossings(m, corners, mate)
-    (walks,) = _closed_walks(mate, 3)
-    H, A, B, _ = _strip_holonomy(walks, mate, corners, rotations, words)
-    axes = np.linalg.svd(H - np.eye(3))[2][:, -1]
-    _, crossed = _crossing_points(axes, A, B)
-    assert len(walks) == 8 and not crossed.any()
+    walks, lengths, H, A, B, _ = padded_pass(m, 3)
+    _, crossed = _crossing_points(_rotation_axis(H), A, B)
+    assert lengths.tolist() == [3] * 8 and not crossed.any()
     rep = closed_geodesic_search(m, depth=3)
     assert rep.n_cycles_checked == 8
     assert rep.min_length is None and rep.geodesics == []
@@ -377,10 +542,39 @@ def test_circle_must_advance_monotonically():
     pole = np.array([[0.0, 0.0, 1.0]])
     H = np.array([[[np.cos(3.0), -np.sin(3.0), 0.0],
                    [np.sin(3.0), np.cos(3.0), 0.0], [0.0, 0.0, 1.0]]])
-    found, length = _circle_lengths(pole, *equator_edges([0.0, 1.0, 2.0]), H)
+    three = np.array([3])
+    found, length = _circle_lengths(pole, *equator_edges([0.0, 1.0, 2.0]), H, three)
     assert found.tolist() == [True] and length[0] == pytest.approx(3.0, abs=1e-12)
-    found, _ = _circle_lengths(pole, *equator_edges([0.0, 2.0, 1.0]), H)
+    found, _ = _circle_lengths(pole, *equator_edges([0.0, 2.0, 1.0]), H, three)
     assert found.tolist() == [False]
+
+
+def test_padded_circle_reads_only_its_steps():
+    """The circle of a length-3 walk padded to 5 closes with the holonomy
+    image of its first crossing after step 3, whatever the padding holds:
+    here edges the circle misses, and one it would cross backwards."""
+    pole = np.array([[0.0, 0.0, 1.0]] * 2)
+    H = np.array([[[np.cos(3.0), -np.sin(3.0), 0.0],
+                   [np.sin(3.0), np.cos(3.0), 0.0], [0.0, 0.0, 1.0]]] * 2)
+    A, B = equator_edges([0.0, 1.0, 2.0, 0.5, 0.0])
+    B[0, 3] = A[0, 3]
+    A, B = np.concatenate([A, A]), np.concatenate([B, B])
+    found, length = _circle_lengths(pole, A, B, H, np.array([3, 5]))
+    assert found.tolist() == [True, False]
+    assert length[0] == pytest.approx(3.0, abs=1e-12)
+
+
+def test_flat_normal_fits_only_its_steps():
+    """A flat strip of three steps once around a great circle, padded to
+    five with edges near a pole of it: the normal is fitted to its own
+    crossed edges, so it closes with length 2 pi."""
+    Q, _ = np.linalg.qr(np.random.RandomState(2).randn(3, 3))
+    A, B = equator_edges(2 * np.pi * np.arange(5) / 3)
+    A[0, 3:], B[0, 3:] = [0.0, 0.0, 1.0], [0.0, 0.6, 0.8]
+    found, length = _closed_geodesics(np.eye(3)[None], A @ Q.T, B @ Q.T,
+                                      np.array([3]))
+    assert found.tolist() == [True]
+    assert length[0] == pytest.approx(2 * np.pi, rel=0, abs=1e-12)
 
 
 def equator_edges(longitudes):
@@ -403,9 +597,9 @@ def test_near_identity_holonomy_closes_with_its_length(eta):
                        [np.sin(total), np.cos(total), 0.0],
                        [0.0, 0.0, 1.0]]]) @ Q.T
     assert np.max(np.abs(H - np.eye(3))) > IDENTITY_TOL
-    found, length = _closed_geodesics(H, A, B)
+    found, length = _closed_geodesics(H, A, B, np.array([7]))
     assert found.tolist() == [True]
     assert length[0] == pytest.approx(total, rel=0, abs=1e-9)
-    axis = np.linalg.svd(H - np.eye(3))[2][:, -1][0]
+    axis = _rotation_axis(H)[0]
     assert min(np.max(np.abs(reference_rotation_about(s * axis, length[0]) - H[0]))
                for s in (1, -1)) < 1e-8
