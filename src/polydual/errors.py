@@ -41,10 +41,6 @@ class UnboundedPolyhedron(InvalidPolyhedron):
     pass
 
 
-class OrbitBoundTooSmall(GeometryError):
-    """The apex vertex link changed when the orbit word bound was raised."""
-
-
 class SolverError(Exception):
     """Base class for realization-solver failures."""
 

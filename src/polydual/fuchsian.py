@@ -7,32 +7,40 @@ invariant plane x3 = 0. The hull of the orbit of a point at height h above
 that plane is an equivariant polyhedral dome; its quotient carries a genus-2
 polyhedral structure whose dual metric this module assembles explicitly,
 every edge length the de Sitter distance of two apex face normals.
+
+The apex star is read off the hull of the orbit points whose projections lie
+within ORBIT_RADIUS of the octagon centre o, and it is proven exact: the part
+of the height-h equidistant surface on the positive side of a face plane
+projects to a disc, and when every such disc lies inside the ball no orbit
+point outside it can reach a face plane. Each face's disc is the circumdisc
+of the eight orbit points around a tile vertex, so it reaches 2R from o
+(R = OCTAGON_CIRCUMRADIUS) at every height, and the ball of radius just over
+2R holds its 49 orbit points.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from .errors import InvalidPolyhedron, OrbitBoundTooSmall
-from .minkowski import DSPoint, Isometry, J, corner_angle, ds_distances
-from .polyhedra import order_face_cycles
+from .errors import InvalidPolyhedron
+from .minkowski import DSPoint, Isometry, J, ds_distances
+from .polyhedra import order_face_cycles, polygon_area
 from .surface import SPHERICAL, CombSurface, ConeMetric, fan_triangulation, rowdot
 
 OCTAGON_HALF_WIDTH = float(np.arccosh(1.0 / np.tan(np.pi / 8)))
 OCTAGON_CIRCUMRADIUS = float(np.arccosh(1.0 / np.tan(np.pi / 8) ** 2))
 TRANSLATION_LENGTH = 2.0 * OCTAGON_HALF_WIDTH
-MAX_FACE_CORNERS = 64           # _trace_face_polygon's walk
+# the face discs reach exactly 2R, and the next orbit point past 2R lies at
+# 2.22 R, so the margin need only cover roundoff
+ORBIT_MARGIN = 1e-6             # relative slack of the ball over 2R
+ORBIT_RADIUS = 2.0 * OCTAGON_CIRCUMRADIUS * (1.0 + ORBIT_MARGIN)
 RELATION_TOL = 1e-8             # max |entry| of the relation product minus I
 ORBIT_DIGITS = 9                # orbit matrices are equal when equal rounded
-SIGNATURE_DIGITS = 8            # apex stars are equal when equal rounded
 MEMBER_TOL = 1e-9               # relative |<x, n>| of an orbit point on a face
 WORD_MATCH_TOL = 1e-8           # max |entry| difference of equal edge words
 PAIRING_TOL = 1e-7              # max |entry| of a paired normal's mismatch
-WALK_TOL = 1e-8                 # relative: corner on the face plane, or at apex
-NEW_CORNER_TOL = 1e-6           # relative distance of a step from its corner
 
 
 @dataclass
@@ -98,22 +106,48 @@ def fuchsian_octagon_group() -> FuchsianData:
 # -- the apex-orbit hull and its dual metric ------------------------------------
 
 
-def _orbit(data: FuchsianData, h: float, word_bound: int):
-    """Orbit of the apex at height h, deduplicated by matrix, identity first.
+def _orbit(data: FuchsianData, h: float):
+    """Every orbit point of the apex at height h whose foot lies within
+    ORBIT_RADIUS of o, with its matrix, deduplicated, identity first.
 
-    Each frontier is multiplied by every generator in one stacked product,
-    frontier element major; a candidate is kept at its first occurrence
-    when no earlier matrix rounds to the same key."""
+    Breadth first over side-adjacent tiles: each frontier is multiplied by
+    every generator in one stacked product, frontier element major; a
+    candidate is kept at its first occurrence when no earlier matrix rounds
+    to the same key and its tile centre lies within ORBIT_RADIUS + R of o
+    (gamma[0, 0] is cosh d(o, gamma o)). A tile that meets the ball is
+    joined to o's tile by side-adjacent tiles that meet it too, and each of
+    those has its centre within ORBIT_RADIUS + R, so the search reaches
+    every orbit point in the ball."""
     apex = np.array([np.cosh(h), 0.0, 0.0, np.sinh(h)])
     gens = np.array([g.m for g in data.generators])
+    bound = np.cosh(ORBIT_RADIUS + OCTAGON_CIRCUMRADIUS)
     mats = frontier = np.eye(4)[None]
-    for _ in range(word_bound):
+    while len(frontier):
         cand = (frontier[:, None] @ gens).reshape(-1, 4, 4)
+        cand = cand[cand[:, 0, 0] <= bound]
         keys = np.round(np.concatenate([mats, cand]).reshape(-1, 16), ORBIT_DIGITS)
         first = np.unique(keys, axis=0, return_index=True)[1]
         frontier = cand[np.sort(first[first >= len(mats)]) - len(mats)]
         mats = np.concatenate([mats, frontier])
+    mats = mats[mats[:, 0, 0] <= np.cosh(ORBIT_RADIUS)]
     return mats, mats @ apex
+
+
+def _face_reaches(normals: np.ndarray, h: float) -> np.ndarray:
+    """Per outward face normal n (F, 4), the farthest distance from o of the
+    disc {y in H^2 : cosh h <n, y> + sinh h n3 > 0}, the projection of the
+    height-h equidistant surface on n's positive side; inf where that set
+    is not a bounded disc.
+
+    It is a disc when n0 > 0 and n3 > 1: with k = sqrt(n3^2 - 1) its centre
+    is u = (n0, n1, n2) / k and its radius r has cosh r = n3 tanh h / k, so
+    it reaches d(o, u) + r = arccosh(n0 / k) + r."""
+    n0, n3 = normals[:, 0], normals[:, 3]
+    disc = (n0 > 0) & (n3 > 1)
+    k = np.sqrt(np.where(disc, n3 ** 2 - 1.0, 1.0))
+    reach = (np.arccosh(np.where(disc, n0 / k, 1.0))
+             + np.arccosh(np.where(disc, np.tanh(h) * n3 / k, 1.0)))
+    return np.where(disc, reach, np.inf)
 
 
 def _plane_through_points(rows: np.ndarray) -> np.ndarray:
@@ -141,7 +175,7 @@ class ApexStar:
     neighbors: list      # orbit index of the edge endpoint between consecutive faces
 
 
-def _apex_star(data: FuchsianData, points: np.ndarray) -> ApexStar:
+def _apex_star(points: np.ndarray) -> ApexStar:
     klein = points[:, 1:] / points[:, [0]]
     hull = ConvexHull(klein)
     if 0 not in set(int(v) for v in hull.vertices):
@@ -198,51 +232,39 @@ def _apex_star(data: FuchsianData, points: np.ndarray) -> ApexStar:
     return ApexStar(faces=faces, order=order, neighbors=neighbors)
 
 
-def _star_signature(star: ApexStar, points, mats):
-    sig = []
-    for i, idx in enumerate(star.order):
-        sig.append((tuple(np.round(star.faces[idx]["normal"], SIGNATURE_DIGITS)),
-                    tuple(np.round(points[star.neighbors[i]], SIGNATURE_DIGITS))))
-    return sorted(sig)
-
-
 @dataclass
 class FuchsianDualOutput:
     metric: ConeMetric
     marking: list                  # dual vertex -> representative apex face index
     core_distance: float
-    word_bound: int
     face_areas: list = field(repr=False, default_factory=list)
 
 
-def fuchsian_dualize(data: FuchsianData, h: float,
-                     word_bound: Optional[int] = None) -> FuchsianDualOutput:
+def fuchsian_dualize(data: FuchsianData, h: float) -> FuchsianDualOutput:
     """Dual spherical cone-metric of the equivariant hull of one apex orbit.
 
     The apex at height h above the invariant plane has a single vertex orbit;
     the polar dual of its link, glued to itself along the side pairing induced
-    by the group, is the genus-2 dual metric. The link must be stable between
-    the used word bound and the next one, else OrbitBoundTooSmall.
+    by the group, is the genus-2 dual metric. The link is read off the hull
+    of the orbit points whose feet lie within ORBIT_RADIUS of o, and it is
+    exact when, for every apex face, the part of the height-h equidistant
+    surface on the face plane's positive side projects into that ball: then
+    no orbit point outside the ball lies on or beyond a face plane, and every
+    face's full vertex set is inside it. Otherwise InvalidPolyhedron names
+    the face and its reach. Each face area is the angle defect of the face's
+    own vertex cycle.
     """
     if h <= 0:
         raise InvalidPolyhedron("apex height must be positive")
-    explicit = word_bound is not None
-    bounds = [word_bound] if explicit else [2, 3, 4, 5]
-    star = points = mats = None
-    used = None
-    for W in bounds:
-        mats, points = _orbit(data, h, W)
-        star = _apex_star(data, points)
-        mats2, points2 = _orbit(data, h, W + 1)
-        star2 = _apex_star(data, points2)
-        if _star_signature(star, points, mats) == _star_signature(star2, points2, mats2):
-            used = W
-            break
-        if explicit:
-            raise OrbitBoundTooSmall(
-                f"apex link changed between word bounds {W} and {W + 1}")
-    if used is None:
-        raise OrbitBoundTooSmall("apex link did not stabilize by word bound 5")
+    mats, points = _orbit(data, h)
+    star = _apex_star(points)
+    reach = _face_reaches(np.array([f["normal"] for f in star.faces]), h)
+    outside = np.nonzero(~(reach < ORBIT_RADIUS))[0]
+    if len(outside):
+        f = outside[0]
+        raise InvalidPolyhedron(
+            f"apex face {f} reaches {reach[f]:.9f} from the octagon centre,"
+            f" not inside the orbit radius {ORBIT_RADIUS:.9f}")
 
     m = len(star.order)
     # gamma_i carries the apex to the far endpoint of edge i
@@ -313,54 +335,9 @@ def fuchsian_dualize(data: FuchsianData, h: float,
         float(np.arccosh(abs(f["normal"][3])))
         for f in star.faces)
 
-    apex = np.array([np.cosh(h), 0.0, 0.0, np.sinh(h)])
-    marking = []
-    face_areas = []
-    for c in classes:
-        idx = star.order[c]
-        corners_m = _trace_face_polygon(gammas, star.faces[idx]["normal"], apex)
-        pts = [mm @ apex for mm in corners_m]
-        angs = [corner_angle(pts[k], pts[k - 1], pts[(k + 1) % len(pts)])
-                for k in range(len(pts))]
-        face_areas.append((len(pts) - 2) * np.pi - float(sum(angs)))
-        marking.append(idx)
+    marking = [star.order[c] for c in classes]
+    face_areas = [polygon_area(points[star.faces[idx]["cycle"]])
+                  for idx in marking]
     return FuchsianDualOutput(metric=metric, marking=marking,
-                              core_distance=core_distance, word_bound=used,
+                              core_distance=core_distance,
                               face_areas=face_areas)
-
-
-def _trace_face_polygon(gammas, normal, apex):
-    """Corner matrices of one full hull face, walked along its boundary.
-
-    Hull edges at any orbit point are the translates of the apex edges, so
-    from each corner exactly two generator steps stay on the face plane: the
-    previous corner and the next one.
-    """
-    def on_plane(x):
-        return abs(float(x @ J @ normal)) <= WALK_TOL * np.linalg.norm(x)
-
-    starts = [g for g in gammas if on_plane(g @ apex)]
-    if len(starts) != 2:
-        raise InvalidPolyhedron(
-            f"apex has {len(starts)} face-plane edges, expected 2")
-    corners = [np.eye(4)]
-    prev_pt = apex
-    cur = starts[0]
-    for _ in range(MAX_FACE_CORNERS):
-        cur_pt = cur @ apex
-        if np.max(np.abs(cur_pt - apex)) < WALK_TOL * np.linalg.norm(apex):
-            return corners
-        corners.append(cur)
-        nxt = None
-        for g in gammas:
-            cand = cur @ g
-            x = cand @ apex
-            if on_plane(x) and (np.max(np.abs(x - prev_pt))
-                                > NEW_CORNER_TOL * np.linalg.norm(prev_pt)):
-                nxt = cand
-        if nxt is None:
-            raise InvalidPolyhedron("face boundary walk lost the plane")
-        prev_pt = cur_pt
-        cur = nxt
-    raise InvalidPolyhedron("face boundary walk failed to close")
-

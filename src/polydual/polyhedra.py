@@ -23,7 +23,6 @@ from itertools import chain
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
 
 from .errors import (
@@ -150,6 +149,10 @@ def _interior_point(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(a, axis=1)
     if np.all(b >= ORIGIN_CLEARANCE * norms):
         return np.zeros(3)
+    # imported here: no benchmark input takes this branch, and importing
+    # scipy.optimize costs about 0.2 s and 12 MB
+    from scipy.optimize import linprog
+
     A_ub = np.hstack([a, norms[:, None]])
     res = linprog(c=[0.0, 0.0, 0.0, -1.0], A_ub=A_ub, b_ub=b,
                   bounds=[(-2, 2), (-2, 2), (-2, 2), (0, 3)], method="highs")
@@ -512,12 +515,17 @@ def dihedral_angle(P: ConvexPolyhedronH3, e: int) -> float:
     return float(np.pi - ds_distances(P.planes[f1].v[None], P.planes[f2].v[None])[0])
 
 
-def face_area(P: ConvexPolyhedronH3, f: int) -> float:
-    """Area of the hyperbolic face polygon by angle defect."""
-    x = [P.vertices[v].v for v in P.faces[f].vertex_cycle]
+def polygon_area(x) -> float:
+    """Area of a convex hyperbolic polygon by angle defect, its corners the
+    H^3 points x in cyclic order."""
     angles = [corner_angle(x[k], x[k - 1], x[(k + 1) % len(x)])
               for k in range(len(x))]
     return (len(x) - 2) * np.pi - float(sum(angles))
+
+
+def face_area(P: ConvexPolyhedronH3, f: int) -> float:
+    """Area of the hyperbolic face polygon by angle defect."""
+    return polygon_area([P.vertices[v].v for v in P.faces[f].vertex_cycle])
 
 
 def _vertex_fan(P: ConvexPolyhedronH3, v: int) -> tuple:

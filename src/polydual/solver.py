@@ -112,9 +112,6 @@ class Gauge:
     free2: np.ndarray            # 3 x 2
     free: np.ndarray             # indices of the free coordinates among 3n
 
-    def n_free(self):
-        return len(self.free)
-
     def chart_steps(self, delta: np.ndarray) -> np.ndarray:
         """(n, 3) chart steps of all points for free coordinates delta."""
         _, i1, i2 = self.pinned

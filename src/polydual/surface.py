@@ -151,10 +151,6 @@ class CombSurface:
         # side opposite corner k is the half-edge (t, k+1)
         return np.array([lengths[self.edge_of(t, (k + 1) % 3)] for k in range(3)])
 
-    def vertex_corners(self, v: int) -> list:
-        return [(t, k) for t, tri in enumerate(self.triangles)
-                for k in range(3) if tri[k] == v]
-
     def vertex_stars(self) -> list:
         """Per vertex, its triangles in rotation order: each next triangle
         lies across the edge that leaves the vertex in the one before."""
@@ -279,11 +275,6 @@ class ConeMetric:
             raise InvalidConeMetric("hyperbolic triangle with nonnegative defect")
 
     # -- intrinsic quantities --------------------------------------------------
-
-    def cone_angle(self, v: int) -> float:
-        """Total interior angle collected around vertex v."""
-        return float(sum(self.corner_angles[t, k]
-                         for t, k in self.surface.vertex_corners(v)))
 
     def cone_angles(self) -> np.ndarray:
         out = np.zeros(self.surface.n_vertices)

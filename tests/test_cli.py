@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -37,6 +39,16 @@ def count_hull_builds(monkeypatch):
     for module in (polyhedra, serialize, solver):
         monkeypatch.setattr(module, "hull_from_dual_points", counting)
     return calls
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # linprog serves only the hull's Chebyshev fallback, imported on use
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = "import sys, polydual.cli; print('scipy.optimize' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def write_polyhedron_payload(path, payload):

@@ -3,8 +3,9 @@ import pytest
 from scipy.spatial import ConvexHull
 
 from polydual import fuchsian
-from polydual.errors import InvalidPolyhedron, OrbitBoundTooSmall
+from polydual.errors import InvalidPolyhedron
 from polydual.fuchsian import (
+    OCTAGON_CIRCUMRADIUS,
     TRANSLATION_LENGTH,
     fuchsian_dualize,
     fuchsian_octagon_group,
@@ -54,7 +55,7 @@ class TestGroup:
 
 @pytest.fixture(scope="module")
 def outputs(group):
-    return {h: fuchsian_dualize(group, h) for h in (0.5, 1.0, 2.0)}
+    return {h: fuchsian_dualize(group, h) for h in (0.5, 1.0, 2.0, 3.0)}
 
 
 class TestFuchsianDual:
@@ -94,28 +95,6 @@ class TestFuchsianDual:
             spread = np.ptp(m.lengths[sides])
             assert spread < 1e-6
 
-    def test_stable_link_accepts_small_bound(self, group):
-        # the symmetric apex orbit has an octagonal link already visible at
-        # word bound 1, so the stabilization check passes there
-        small = fuchsian_dualize(group, 1.0, word_bound=1)
-        auto = fuchsian_dualize(group, 1.0)
-        assert np.allclose(sorted(small.metric.lengths),
-                           sorted(auto.metric.lengths), atol=1e-12)
-
-    def test_word_bound_too_small(self, group, monkeypatch):
-        import polydual.fuchsian as fu
-
-        calls = {"n": 0}
-        orig = fu._star_signature
-
-        def flaky(star, points, mats):
-            calls["n"] += 1
-            return orig(star, points, mats) + [("changed", calls["n"])]
-
-        monkeypatch.setattr(fu, "_star_signature", flaky)
-        with pytest.raises(OrbitBoundTooSmall):
-            fuchsian_dualize(group, 1.0, word_bound=2)
-
     def test_rejects_nonpositive_height(self, group):
         with pytest.raises(InvalidPolyhedron):
             fuchsian_dualize(group, 0.0)
@@ -139,8 +118,8 @@ def reference_lengths(data, h, out):
     apex link, as fuchsian_dualize computed them before the closed form:
     sides pi minus the apex dihedral angles, diagonals read off the
     development."""
-    _, points = fuchsian._orbit(data, h, out.word_bound)
-    star = fuchsian._apex_star(data, points)
+    _, points = fuchsian._orbit(data, h)
+    star = fuchsian._apex_star(points)
     normals = [star.faces[idx]["normal"] for idx in star.order]
     m = len(normals)
     face_angles, dihedrals = [], []
@@ -174,22 +153,32 @@ def test_lengths_match_the_link_development(group, h, tol):
                                rtol=0, atol=tol)
 
 
-def reference_orbit(data, h, word_bound):
+def reference_orbit(data, h, word_bound=None):
     """The orbit one candidate at a time: each frontier matrix times each
-    generator, kept when its rounded entries are new."""
+    generator, kept when its rounded entries are new. With a word bound,
+    every word up to that length, the orbit fuchsian_dualize took before
+    its distance ball; without, the ball of `fuchsian._orbit`: candidates
+    centred beyond ORBIT_RADIUS + R are dropped, and the rows beyond
+    ORBIT_RADIUS cut at the end."""
     apex = np.array([np.cosh(h), 0.0, 0.0, np.sinh(h)])
+    ball = word_bound is None
+    bound = np.cosh(fuchsian.ORBIT_RADIUS + OCTAGON_CIRCUMRADIUS) if ball else np.inf
     seen = {tuple(np.round(np.eye(4).ravel(), fuchsian.ORBIT_DIGITS))}
     mats = frontier = [np.eye(4)]
-    for _ in range(word_bound):
+    length = 0
+    while frontier and (ball or length < word_bound):
+        length += 1
         nxt = []
         for m in frontier:
             for g in data.generators:
                 cand = m @ g.m
                 key = tuple(np.round(cand.ravel(), fuchsian.ORBIT_DIGITS))
-                if key not in seen:
+                if cand[0, 0] <= bound and key not in seen:
                     seen.add(key)
                     nxt.append(cand)
         mats, frontier = mats + nxt, nxt
+    if ball:
+        mats = [m for m in mats if m[0, 0] <= np.cosh(fuchsian.ORBIT_RADIUS)]
     return np.array(mats), np.array([m @ apex for m in mats])
 
 
@@ -222,14 +211,93 @@ def reference_apex_faces(points):
 @pytest.mark.parametrize("h", [0.5, 1.0, 2.0, 3.0])
 def test_stacked_orbit_and_apex_faces_match_one_at_a_time(group, h):
     """Same orbit matrices in the same order and the same apex face normals,
-    bit for bit, at the word bounds fuchsian_dualize compares."""
-    for word_bound in (2, 3):
-        mats, points = fuchsian._orbit(group, h, word_bound)
-        ref_mats, ref_points = reference_orbit(group, h, word_bound)
-        np.testing.assert_array_equal(mats, ref_mats)
-        np.testing.assert_array_equal(points, ref_points)
-        faces = fuchsian._apex_star(group, points).faces
-        ref = reference_apex_faces(points)
-        assert [f["members"] for f in faces] == [m for _, m in ref]
-        for f, (n, _) in zip(faces, ref):
-            np.testing.assert_array_equal(f["normal"], n)
+    bit for bit, on the ball fuchsian_dualize uses."""
+    mats, points = fuchsian._orbit(group, h)
+    ref_mats, ref_points = reference_orbit(group, h)
+    assert len(mats) == 49
+    np.testing.assert_array_equal(mats, ref_mats)
+    np.testing.assert_array_equal(points, ref_points)
+    faces = fuchsian._apex_star(points).faces
+    ref = reference_apex_faces(points)
+    assert [f["members"] for f in faces] == [m for _, m in ref]
+    for f, (n, _) in zip(faces, ref):
+        np.testing.assert_array_equal(f["normal"], n)
+
+
+def sampled_reach(n, h, n_rays=1 << 14):
+    """The largest d(o, y) over points y of H^2 sampled in the cap
+    {cosh h <n, y> + sinh h n3 >= 0}: o lies on the cap's edge, so along
+    each ray from o the cap is an interval [0, t], found by bisection."""
+    theta = np.linspace(0.0, 2 * np.pi, n_rays, endpoint=False)
+    c, s = np.cos(theta), np.sin(theta)
+
+    def in_cap(t):
+        inner = -n[0] * np.cosh(t) + np.sinh(t) * (n[1] * c + n[2] * s)
+        return np.cosh(h) * inner + np.sinh(h) * n[3] >= 0
+
+    lo, hi = np.zeros(n_rays), np.full(n_rays, 20.0)
+    assert not np.any(in_cap(hi))
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        inside = in_cap(mid)
+        lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
+    return float(lo.max())
+
+
+@pytest.mark.parametrize("h", [0.25, 1.0, 3.0, 5.0])
+def test_face_reach_matches_the_sampled_cap(group, h):
+    _, points = fuchsian._orbit(group, h)
+    normals = np.array([f["normal"] for f in fuchsian._apex_star(points).faces])
+    reach = fuchsian._face_reaches(normals, h)
+    want = [sampled_reach(n, h) for n in normals]
+    np.testing.assert_allclose(reach, want, rtol=0, atol=1e-7)
+    np.testing.assert_allclose(reach, 2 * OCTAGON_CIRCUMRADIUS, rtol=0, atol=1e-12)
+    assert np.all(reach < fuchsian.ORBIT_RADIUS)
+
+
+def test_face_reach_unbounded_off_a_disc():
+    # unless n0 > 0 and n3 > 1 the cap is no disc about a point of H^2
+    tilted = np.array([[-0.5, 0.3, 0.0, 1.2], [0.5, 0.3, 0.0, -1.2]])
+    flat = np.array([[0.0, 0.0, 1.0, 0.0]])
+    assert np.all(np.isinf(fuchsian._face_reaches(np.vstack([tilted, flat]), 1.0)))
+
+
+def test_certificate_fires_on_a_small_ball(group, monkeypatch):
+    # identity and the eight generators: the faces are found, but their
+    # caps reach 2R, past the ball
+    monkeypatch.setattr(fuchsian, "ORBIT_RADIUS", 1.01 * TRANSLATION_LENGTH)
+    assert len(fuchsian._orbit(group, 1.0)[0]) == 9
+    with pytest.raises(InvalidPolyhedron, match="reaches 4.8969"):
+        fuchsian_dualize(group, 1.0)
+
+
+def orbit_keys(mats):
+    return [tuple(np.round(m.ravel(), fuchsian.ORBIT_DIGITS)) for m in mats]
+
+
+@pytest.mark.parametrize("h", [0.5, 1.0, 3.0])
+def test_ball_star_matches_the_word_bound_4_star(group, h):
+    """Soundness: the ball's apex faces are those of the far larger orbit of
+    all words up to length 4, normal for normal and member for member as
+    group elements."""
+    mats, points = fuchsian._orbit(group, h)
+    ref_mats, ref_points = reference_orbit(group, h, word_bound=4)
+    faces = fuchsian._apex_star(points).faces
+    ref = fuchsian._apex_star(ref_points).faces
+    assert len(faces) == len(ref) == 8
+    keys, ref_keys = orbit_keys(mats), orbit_keys(ref_mats)
+    for f in faces:
+        match = [g for g in ref if np.max(np.abs(g["normal"] - f["normal"])) < 1e-13]
+        assert len(match) == 1
+        assert ({keys[i] for i in f["members"]}
+                == {ref_keys[i] for i in match[0]["members"]})
+
+
+@pytest.mark.parametrize("h", [0.25, 0.5, 1.0, 2.0, 3.0, 5.0])
+def test_one_hull_per_call(group, h, monkeypatch):
+    calls = []
+    real = fuchsian.ConvexHull
+    monkeypatch.setattr(fuchsian, "ConvexHull",
+                        lambda *args, **kw: calls.append(1) or real(*args, **kw))
+    fuchsian_dualize(group, h)
+    assert calls == [1]

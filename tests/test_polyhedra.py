@@ -347,7 +347,7 @@ class TestStackedHull:
         # a box of half-widths 0.25, 0.5, 0.5 boosted along x: by 1 the
         # Klein origin leaves it, by 0.25 - 1e-9 its -x face passes 1e-9
         # from the origin; either way the LP finds the interior point
-        import polydual.polyhedra as polyhedra
+        import scipy.optimize
 
         duals = [DSPoint(np.array([np.sinh(r), *(np.cosh(r) * s * u)]))
                  for u, r in zip(np.eye(3), (0.25, 0.5, 0.5)) for s in (1, -1)]
@@ -358,8 +358,8 @@ class TestStackedHull:
         b = np.array([p.v[0] for p in moved])
         assert np.min(b / np.linalg.norm(a, axis=1)) < ORIGIN_CLEARANCE
         calls = []
-        real = polyhedra.linprog
-        monkeypatch.setattr(polyhedra, "linprog",
+        real = scipy.optimize.linprog
+        monkeypatch.setattr(scipy.optimize, "linprog",
                             lambda *args, **kw: calls.append(1) or real(*args, **kw))
         Q = hull_from_dual_points(moved)
         assert calls == [1]

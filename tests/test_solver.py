@@ -263,7 +263,7 @@ class TestState:
         frames = st.frames()
         gauge = st.gauge()
         rng = np.random.RandomState(4)
-        v = rng.randn(gauge.n_free())
+        v = rng.randn(len(gauge.free))
         v /= np.linalg.norm(v)
         moved = st.moved(1e-4 * v, gauge, frames)
         assert np.linalg.norm(moved.residual()) == pytest.approx(0, abs=1e-3)
@@ -274,7 +274,7 @@ class TestState:
             st = state_of(P, out)
             gauge = st.gauge()
             n = st.surface.n_vertices
-            assert gauge.n_free() == 3 * n - 6
+            assert len(gauge.free) == 3 * n - 6
             assert st.surface.n_edges == 3 * n - 6
 
     def test_rejects_duplicate_edge_pairs(self):
@@ -507,7 +507,7 @@ def fd_jacobian(state, h=1e-6):
     """Central-difference oracle for jacobian(), one column at a time."""
     frames, gauge = state.frames(), state.gauge()
     cols = []
-    for e_k in h * np.eye(gauge.n_free()):
+    for e_k in h * np.eye(len(gauge.free)):
         cols.append((state.moved(e_k, gauge, frames).current_lengths()
                      - state.moved(-e_k, gauge, frames).current_lengths())
                     / (2 * h))
@@ -631,7 +631,7 @@ class TestStackedSolver:
         gauge = st.gauge()
         rng = np.random.RandomState(9)
         for size in (1e-6, 1e-3):
-            delta = size * rng.randn(gauge.n_free())
+            delta = size * rng.randn(len(gauge.free))
             got = st.moved(delta, gauge, st.frames()).positions
             assert np.array_equal(got, moved_point_by_point(st, delta))
             # the fully pinned point keeps its bits

@@ -163,7 +163,7 @@ class TestConeAngle:
         # so the double has cone angle pi at each vertex
         m = double_triangle(np.pi / 2, np.pi / 2, np.pi / 2, SPHERICAL)
         for v in range(3):
-            assert m.cone_angle(v) == pytest.approx(np.pi, abs=1e-12)
+            assert m.cone_angles()[v] == pytest.approx(np.pi, abs=1e-12)
 
     def test_double_generic_spherical(self):
         a, b, c = 0.9, 1.1, 1.3
@@ -176,8 +176,8 @@ class TestConeAngle:
         m = double_triangle(1.0, 1.0, 1.0, HYPERBOLIC)
         expect = 2 * hyperbolic_equilateral_angle(1.0)
         for v in range(3):
-            assert m.cone_angle(v) == pytest.approx(expect, abs=1e-12)
-            assert m.cone_angle(v) < 2 * np.pi
+            assert m.cone_angles()[v] == pytest.approx(expect, abs=1e-12)
+            assert m.cone_angles()[v] < 2 * np.pi
 
     def test_octahedron_flat(self):
         m = octahedron_sphere()
