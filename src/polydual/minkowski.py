@@ -83,6 +83,15 @@ class HPoint:
             raise ValueError("timelike vector points to the lower sheet")
         return cls(w)
 
+    @classmethod
+    def from_rows(cls, x) -> list:
+        """`[HPoint(r) for r in x]` for an (N, 4) array, checked in one pass;
+        the first row that fails raises what `HPoint(row)` raises."""
+        x = np.asarray(x, dtype=float)
+        finite, q = _quadric_rows(x)
+        ok = finite & (np.abs(q + 1.0) <= NORM_TOL) & (x[:, 0] > 0)
+        return _points(cls, x, ok, cls)
+
 
 @dataclass(frozen=True, eq=False)
 class DSPoint:
@@ -115,6 +124,48 @@ class DSPoint:
             raise ValueError(
                 f"vector is too close to the light cone to normalize within "
                 f"NORM_TOL = {NORM_TOL} (<v,v> = {q!r})") from None
+
+    @classmethod
+    def from_rows(cls, x) -> list:
+        """`[DSPoint(r) for r in x]` for an (N, 4) array, checked in one pass;
+        the first row that fails raises what `DSPoint(row)` raises."""
+        x = np.asarray(x, dtype=float)
+        finite, q = _quadric_rows(x)
+        return _points(cls, x, finite & (np.abs(q - 1.0) <= NORM_TOL), cls)
+
+    @classmethod
+    def from_vectors(cls, v) -> list:
+        """`[DSPoint.from_vector(r) for r in v]` for an (N, 4) array,
+        normalized and checked in one pass, with `from_vector`'s bits; the
+        first row that fails raises what `from_vector(row)` raises."""
+        v = np.asarray(v, dtype=float)
+        finite, q = _quadric_rows(v)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            w = v / np.sqrt(q)[:, None]
+        ok = finite & (q > 0) & (np.abs(_quadric_rows(w)[1] - 1.0) <= NORM_TOL)
+        return _points(cls, w, ok, cls.from_vector, v)
+
+
+def _quadric_rows(x) -> tuple:
+    """Whether each row of x is finite, and its <x, x>; rows that are not
+    finite raise no warning."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return np.isfinite(x).all(axis=1), minkowski_rows(x, x)
+
+
+def _points(cls, rows, ok, one, given=None) -> list:
+    """Objects of the point class cls over `rows`, which the caller checked
+    in one pass (ok[k] for row k), built without re-running the checks. The
+    first row not ok is handed to the per-point constructor `one`, as given
+    (`given`, default `rows`), so it raises that constructor's error."""
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        one((rows if given is None else given)[bad[0]])
+        raise AssertionError(f"row {bad[0]} failed the stacked check only")
+    out = [object.__new__(cls) for _ in range(len(rows))]
+    for p, row in zip(out, rows):
+        object.__setattr__(p, "v", row)
+    return out
 
 
 def h_distance(p: HPoint, q: HPoint) -> float:
@@ -164,8 +215,8 @@ def ds_distances(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """
     diff = u - w
     csum = u + w
-    c2m = np.einsum("ij,jk,ik->i", diff, J, diff)    # = 2 - 2<u,w>
-    c2p = np.einsum("ij,jk,ik->i", csum, J, csum)    # = 2 + 2<u,w>
+    c2m = minkowski_rows(diff, diff)    # = 2 - 2<u,w>
+    c2p = minkowski_rows(csum, csum)    # = 2 + 2<u,w>
     bad = (c2m <= 0) | (c2p <= 0)
     if np.any(bad):
         k = int(np.argmax(bad))

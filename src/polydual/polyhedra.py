@@ -48,6 +48,7 @@ ORIGIN_CLEARANCE = 0.1           # least plane distance that keeps the Klein ori
 MERGE_TOL = 1e-9                 # relative residual of a plane through a vertex
 SOLVE_RESIDUAL = 1e-6            # largest plane residual of a solved vertex
 CERTIFY_MARGIN = 100 * MERGE_TOL
+CERTIFIED, UNDECIDED, VIOLATED = "certified", "undecided", "violated"
 RANDOM_RADII = (0.25, 0.5)       # plane distances from the origin
 RANDOM_TRIES = 200
 
@@ -134,7 +135,7 @@ def _lift_klein(y: np.ndarray) -> list:
         raise UnboundedPolyhedron(
             f"lattice vertex at Klein radius {np.sqrt(r2[out[0]]):.12f} leaves H^3")
     x0 = 1.0 / np.sqrt(1.0 - r2)
-    return [HPoint(x) for x in np.column_stack([x0, x0[:, None] * y])]
+    return HPoint.from_rows(np.column_stack([x0, x0[:, None] * y]))
 
 
 def _interior_point(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -162,8 +163,14 @@ def _interior_point(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _as_planes(duals) -> list:
-    """Each dual point as a DSPoint, a raw row normalized onto the quadric;
-    a row that does not land on it raises InvalidPolyhedron naming the row."""
+    """Each dual point as a DSPoint, a raw row normalized onto the quadric
+    (all rows of an (n, 4) array in one pass); a row that does not land on
+    it raises InvalidPolyhedron naming the row."""
+    if isinstance(duals, np.ndarray) and duals.ndim == 2 and duals.shape[1] == 4:
+        try:
+            return DSPoint.from_vectors(duals)
+        except ValueError:
+            pass                 # the loop below names the first bad row
     planes = []
     for k, d in enumerate(duals):
         try:
@@ -300,9 +307,14 @@ def _plane_offsets(a, b, y):
     the relative scale 1 + |b| + |a| |y| that both the lattice's membership
     and `chart_certifies` measure it by."""
     resid = y @ a.T - b
-    scale = (1.0 + np.abs(b)
-             + np.linalg.norm(y, axis=1)[:, None] * np.linalg.norm(a, axis=1))
+    scale = 1.0 + np.abs(b) + _row_norms(y)[:, None] * _row_norms(a)
     return resid, scale
+
+
+def _row_norms(v):
+    """np.linalg.norm(v, axis=1) with its bits (the square root of each
+    row's add.reduce of squares), without its per-call overhead."""
+    return np.sqrt(np.add.reduce(v * v, axis=1))
 
 
 def _planes_through(a, b, y):
@@ -312,18 +324,21 @@ def _planes_through(a, b, y):
     return np.abs(resid) <= MERGE_TOL * scale
 
 
-def chart_certifies(duals, triangles) -> bool:
-    """True when the chart is proven to be the dual decomposition of the
-    compact polyhedron P cut out by the planes dual to `duals`.
+def chart_certifies(duals, surface: CombSurface) -> str:
+    """What the chart `surface` proves about the polyhedron P cut out by the
+    planes dual to `duals`: CERTIFIED when the chart is P's dual
+    decomposition and P is compact, VIOLATED when the chart refines the
+    dual decomposition of no such P, and UNDECIDED otherwise.
 
-    `duals` holds one de Sitter point per row and `triangles` the chart's
-    triangles as triples of their indices; the chart must triangulate the
-    sphere with no two edges on the same endpoints, as `SolverState`
-    requires. Each triangle's three planes are solved for their common
-    point y_t (Klein chart, a y <= b, as in the hull), and the certificate
-    holds when every y_t lies inside the ball, |y_t|^2 < 1 - CERTIFY_MARGIN,
-    and strictly inside every other plane, a y_t - b < -CERTIFY_MARGIN *
-    scale with the relative scale of `_plane_offsets`.
+    `duals` holds one de Sitter point per row, indexed like the chart's
+    vertices; the chart must triangulate the sphere with no two edges on
+    the same endpoints, as `SolverState` requires. Each triangle's three
+    planes are solved for their common point y_t (Klein chart, a y <= b, as
+    in the hull). The certificate holds when every y_t lies inside the ball,
+    |y_t|^2 < 1 - CERTIFY_MARGIN, and strictly inside every other plane,
+    a y_t - b < -CERTIFY_MARGIN * scale with the relative scale of
+    `_plane_offsets`. The chart is violated when some y_t lies outside
+    another plane, a y_t - b > CERTIFY_MARGIN * scale.
 
     Why this proves it: each y_t is then a point of P on exactly three
     planes with independent normals, a simple vertex. Along the line of a
@@ -337,27 +352,43 @@ def chart_certifies(duals, triangles) -> bool:
     carries a vertex with a two-dimensional face, so none is redundant; and
     the chart is exactly P's dual decomposition.
 
-    False decides nothing: states on a wall (four or more planes through a
-    vertex) and states that left convex position both return it.
+    Why a violation refutes: if the chart refined the dual decomposition of
+    P, each chart triangle would lie in the dual polygon of a vertex v of P,
+    so its three planes would pass through v, and their common point y_t
+    would be v up to the solve's roundoff. A vertex of P lies inside every
+    plane, and the hull collects a vertex's planes at MERGE_TOL, a
+    hundredth of the margin, so a y_t outside a plane by the margin is a
+    vertex of no such P: the full check (the hull compared with the chart)
+    must reject the state, and it is rejected without a hull. The argument
+    needs the roundoff to stay below the margin, which holds unless a
+    triangle's three normals are nearly dependent; the tests check the
+    verdict against the hull on every violated state they meet.
+
+    UNDECIDED decides nothing: states on a wall (four or more planes
+    through a vertex), states within the margin of leaving convex position
+    and states with a vertex outside the ball all return it.
     """
     x = np.asarray(duals, dtype=float)
     a, b = x[:, 1:], x[:, 0]
-    tri = np.asarray(triangles)
+    tri = surface.triangle_array
     try:
         y = np.linalg.solve(a[tri], b[tri][..., None])[..., 0]
     except np.linalg.LinAlgError:
-        return False
-    if not np.all(np.einsum("ij,ij->i", y, y) < 1.0 - CERTIFY_MARGIN):
-        return False
+        return UNDECIDED
     resid, scale = _plane_offsets(a, b, y)            # triangle x plane
-    own = np.zeros(resid.shape, dtype=bool)
-    np.put_along_axis(own, tri, True, axis=1)
-    return bool(np.all(own | (resid < -CERTIFY_MARGIN * scale)))
+    limit = CERTIFY_MARGIN * scale
+    own = surface.triangle_vertex_mask
+    if np.any((resid > limit) & ~own):
+        return VIOLATED
+    if (np.all(np.einsum("ij,ij->i", y, y) < 1.0 - CERTIFY_MARGIN)
+            and np.all(own | (resid < -limit))):
+        return CERTIFIED
+    return UNDECIDED
 
 
 def polyhedron_from_chart(duals, surface: CombSurface) -> ConvexPolyhedronH3:
     """The polyhedron cut out by the planes dual to `duals`, for dual points
-    whose chart `surface` `chart_certifies` accepted; builds no hull.
+    whose chart `surface` `chart_certifies` certified; builds no hull.
 
     Why it is sound: the certificate proves that the chart is exactly the
     polyhedron's dual decomposition, with every plane essential and every

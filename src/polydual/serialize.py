@@ -121,11 +121,17 @@ def encode_polyhedron(P: ConvexPolyhedronH3) -> dict:
 
 
 def decode_dual_points(payload: dict) -> list:
-    """The dual points of a polyhedron payload, each validated as a DSPoint;
-    builds no hull."""
+    """The dual points of a polyhedron payload, each validated as a DSPoint,
+    all in one pass when they form an (n, 4) array; builds no hull."""
     try:
-        return [DSPoint(np.array(p, dtype=float))
-                for p in payload["dual_points"]]
+        points = payload["dual_points"]
+        try:
+            rows = np.array(points, dtype=float)
+        except ValueError:
+            rows = None          # ragged: the loop below names the bad point
+        if rows is not None and rows.ndim == 2 and rows.shape[1] == 4:
+            return DSPoint.from_rows(rows)
+        return [DSPoint(np.array(p, dtype=float)) for p in points]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed polyhedron payload: {exc}") from exc
 

@@ -6,7 +6,7 @@ Unknowns are the positions of one point per marked dual vertex, moved inside
 3-parameter tangent charts. Tangent frames are built from the configuration
 itself (Minkowski Gram-Schmidt on directions toward the other points), which
 makes every derived quantity exactly equivariant under global isometries;
-the frames of all points come out of one stacked, masked Gram-Schmidt. The
+the frames of all points come out of one stacked Gram-Schmidt. The
 gauge pins 3+2+1 chart coordinates of three independent points, chosen so
 the pinned directions span the isometry orbit exactly, and reads the free
 directions of the two partly pinned points off closed forms; it is held as
@@ -17,11 +17,16 @@ iteration does no Python work per point.
 
 Newton takes chord steps in the chart of a base state, re-basing only when a
 step was damped or contracted the residual too little, so a continuation step
-builds its frames, gauge and Jacobian about once.
+builds its frames, gauge and Jacobian about once. Each trial costs only what
+a chart move can change: `SolverState.moved` keeps its base's checked
+invariants and re-checks the moved rows' norms, and `check_feasible` decides
+the trial from the chart, rejecting one the chart refutes without a hull.
+Only a verdict that leaves the solver is rebuilt by the full hull check.
 """
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -39,6 +44,8 @@ from .errors import (
 from .geodesic import closed_geodesic_search
 from .minkowski import J, ds_distances, minkowski_rows
 from .polyhedra import (
+    UNDECIDED,
+    VIOLATED,
     ConvexPolyhedronH3,
     chart_certifies,
     dihedral_angles,
@@ -64,15 +71,31 @@ def _tangent_frames(positions: np.ndarray) -> tuple:
     Point i orthonormalizes, in this order, the directions toward
     positions[(i + k) % n] for k = 1, ..., n - 1 and then the ambient axes,
     skipping every candidate whose remainder has |<t, t>| < FRAME_TOL, until
-    it holds three vectors. All points run as one masked Gram-Schmidt in
-    which each point keeps its own count and gets the arithmetic it would
-    get alone. Returns frames (n, 4, 3), C-contiguous with column k the k-th
-    vector, and signs (n, 3), the signs of the vectors' squares.
+    it holds three vectors. All points first take the candidates k = 1, 2, 3
+    together, unmasked; the points that skip one of them then run one masked
+    Gram-Schmidt in which each point keeps its own count. Either way each
+    point gets the arithmetic it would get alone. Returns frames (n, 4, 3),
+    C-contiguous with column k the k-th vector, and signs (n, 3), the signs
+    of the vectors' squares.
     """
     n = len(positions)
     vectors = np.zeros((n, 3, 4))
     signs = np.zeros((n, 3))
-    count = np.zeros(n, dtype=int)
+    every = np.arange(n)
+    done = np.full(n, n > 3)
+    for c in range(min(3, n - 1)):
+        t = positions[(every + c + 1) % n]
+        t = t - minkowski_rows(positions, t)[:, None] * positions
+        for k in range(c):
+            f = vectors[:, k]
+            t = t - (signs[:, k] * minkowski_rows(f, t))[:, None] * f
+        q = minkowski_rows(t, t)
+        keep = np.abs(q) >= FRAME_TOL
+        done &= keep
+        vectors[:, c] = t / np.sqrt(np.where(keep, np.abs(q), 1.0))[:, None]
+        signs[:, c] = np.where(q > 0, 1.0, -1.0)
+    # the masked loop redoes the rest from scratch, overwriting every slot
+    count = np.where(done, 3, 0)
     for c in range(n + 3):
         rows = np.flatnonzero(count < 3)
         if not rows.size:
@@ -146,26 +169,39 @@ def build_gauge(positions: np.ndarray, frames) -> Gauge:
     for i0 in range(n):
         for i1 in range(i0 + 1, n):
             g = vectors[i1].T @ J @ x[i0]
-            g_norm = np.linalg.norm(g)
-            if g_norm <= GAUGE_TOL * np.linalg.norm(vectors[i1]) * size[i0]:
+            g_norm = _norm(g)
+            if g_norm <= GAUGE_TOL * _norm(vectors[i1]) * size[i0]:
                 continue
             for i2 in range(i1 + 1, n):
                 h0, h1 = x[[i0, i1]] @ J @ vectors[i2]
-                c = np.cross(h0, h1)
-                c_norm = np.linalg.norm(c)
-                if c_norm <= (GAUGE_TOL * np.linalg.norm(vectors[i2]) ** 2
+                c = _cross(h0, h1)
+                c_norm = _norm(c)
+                if c_norm <= (GAUGE_TOL * _norm(vectors[i2]) ** 2
                               * size[i0] * size[i1]):
                     continue
-                e0 = h0 / np.linalg.norm(h0)
+                e0 = h0 / _norm(h0)
                 free = np.ones((n, 3), dtype=bool)
                 free[i0] = False
                 free[i1, 1:] = False
                 free[i2, 2:] = False
                 return Gauge(pinned=(i0, i1, i2), free1=(g / g_norm)[:, None],
-                             free2=np.stack([e0, np.cross(c / c_norm, e0)],
+                             free2=np.stack([e0, _cross(c / c_norm, e0)],
                                             axis=1),
                              free=np.flatnonzero(free))
     raise SolverError("no independent point triple found for the gauge")
+
+
+def _norm(v: np.ndarray) -> float:
+    """np.linalg.norm(v) of a vector or a matrix (Frobenius), with its bits:
+    the square root of the flattened v's dot product with itself."""
+    v = v.ravel()
+    return math.sqrt(v @ v)
+
+
+def _cross(u, w) -> np.ndarray:
+    """u x w for two 3-vectors, with np.cross's arithmetic."""
+    return np.array([u[1] * w[2] - u[2] * w[1], u[2] * w[0] - u[0] * w[2],
+                     u[0] * w[1] - u[1] * w[0]])
 
 
 class SolverState:
@@ -180,15 +216,12 @@ class SolverState:
             raise SolverError(f"need {n} dual points, got {self.positions.shape}")
         if self.target.shape != (surface.n_edges,):
             raise SolverError("one target length per chart edge required")
-        norms = np.einsum("ij,jk,ik->i", self.positions, J, self.positions)
-        if np.max(np.abs(norms - 1.0)) > 1e-10:
-            raise SolverError("dual points must lie on the de Sitter quadric")
+        _check_quadric(self.positions)
         if surface.has_parallel_edges:
             raise SolverError(
                 "chart has two edges with the same endpoints; the extrinsic "
                 "parametrization cannot separate them")
         self.edge_pairs = surface.edge_pairs
-        self.triangles = surface.triangle_array
         if surface.n_edges != 3 * n - 6:
             raise SolverError("chart dimension is not 3n - 6; genus-0 required")
         # frames, gauge, Jacobian, the feasibility verdict and the polyhedron
@@ -227,7 +260,16 @@ class SolverState:
         return out
 
     def moved(self, delta: np.ndarray, gauge: Gauge, frames) -> "SolverState":
-        """New state with free chart coordinates shifted by delta."""
+        """New state with free chart coordinates shifted by delta: a lean
+        trial, not built by `SolverState(...)`.
+
+        A chart move changes the positions alone, so the trial inherits the
+        invariants its base was checked for (the array shapes, no parallel
+        edges, the chart dimension 3n - 6) and shares the base's surface,
+        edge pairs and target arrays. It re-checks only that the moved rows
+        lie on the de Sitter quadric, which roundoff near the light cone can
+        break, and starts with an empty cache.
+        """
         x = self.positions
         v, q = _chart_moves(x, frames[0], gauge.chart_steps(delta))
         left = np.flatnonzero(q <= 0)
@@ -236,7 +278,16 @@ class SolverState:
         out = v / np.sqrt(q)[:, None]
         # the fully pinned point stays put, not even renormalized
         out[gauge.pinned[0]] = x[gauge.pinned[0]]
-        return SolverState(out, self.surface, self.target)
+        _check_quadric(out)
+        trial = copy.copy(self)
+        trial.positions, trial.cache = out, {}
+        return trial
+
+
+def _check_quadric(positions: np.ndarray):
+    norms = minkowski_rows(positions, positions)
+    if np.max(np.abs(norms - 1.0)) > 1e-10:
+        raise SolverError("dual points must lie on the de Sitter quadric")
 
 
 def _chart_moves(x: np.ndarray, frames: np.ndarray, xi: np.ndarray) -> tuple:
@@ -252,20 +303,48 @@ def check_feasible(state: SolverState):
     polyhedron that keeps every plane and whose dual decomposition the chart
     refines. Violations raise FeasibilityLost.
 
-    A generic state is decided by `chart_certifies`, which builds no hull:
-    it proves the chart to be the polyhedron's dual decomposition, so the
-    chart lengths are its dual metric and need no validity check either.
-    Any state it does not certify (on a wall, or infeasible) takes the full
-    check: the chart lengths must form a valid metric, then the hull is
-    rebuilt and compared with the chart, and that hull is kept for
+    Most states are decided by `chart_certifies`, which builds no hull. A
+    certified state is proven feasible: the chart is the polyhedron's dual
+    decomposition, so the chart lengths are its dual metric and need no
+    validity check either. A violated state is proven infeasible, since a
+    chart vertex lies outside a plane, and raises ChartRefuted; the full
+    check would fail on it too, and `full_verdict` gives the exception it
+    raises. Any other state (on a wall, or near one) takes the full check:
+    the chart lengths must form a valid metric, then the hull is rebuilt and
+    compared with the chart, and that hull is kept for
     `recovered_polyhedron`. A state that passed keeps its verdict, so
     checking it or a retarget of it again does nothing.
     """
     if "feasible" in state.cache:
         return
-    if not chart_certifies(state.positions, state.triangles):
+    verdict = chart_certifies(state.positions, state.surface)
+    if verdict == VIOLATED:
+        raise ChartRefuted(state)
+    if verdict == UNDECIDED:
         state.cache["polyhedron"] = _checked_hull(state)
     state.cache["feasible"] = True
+
+
+class ChartRefuted(FeasibilityLost):
+    """A state that `chart_certifies` found violated, rejected by
+    `check_feasible` without a hull; `state` is that state."""
+
+    def __init__(self, state: SolverState):
+        super().__init__("a chart vertex lies outside a plane")
+        self.state = state
+
+
+def full_verdict(exc: SolverError) -> SolverError:
+    """The exception the full check raises on the state a ChartRefuted
+    rejected; any other exception as it is. Every feasibility verdict that
+    leaves the solver goes through it, so its message and missing_sides are
+    those of the hull compared with the chart."""
+    if isinstance(exc, ChartRefuted):
+        try:
+            _checked_hull(exc.state)
+        except FeasibilityLost as full:
+            return full
+    return exc
 
 
 def _checked_hull(state: SolverState) -> ConvexPolyhedronH3:
@@ -364,9 +443,15 @@ def newton_solve(state: SolverState, tol: float = NEWTON_TOL) -> SolverState:
 
     The step is halved until the residual norm decreases and the trial state
     stays feasible; StepStalled fires at the damping floor, FeasibilityLost
-    when every retry leaves convex position.
+    when every retry leaves convex position. Trials are lean (see
+    `SolverState.moved`), and a trial the chart refutes is rejected without
+    a hull; the FeasibilityLost raised carries the full check's verdict on
+    the last trial (`full_verdict`).
     """
-    check_feasible(state)
+    try:
+        check_feasible(state)
+    except ChartRefuted as exc:
+        raise full_verdict(exc)
     cur = base = state
     xi = 0.0                     # chart coordinates of cur in base's chart
     jac = None
@@ -402,6 +487,7 @@ def newton_solve(state: SolverState, tol: float = NEWTON_TOL) -> SolverState:
                 base, xi, jac = cur, 0.0, None
                 continue
             if last_feas_exc is not None:
+                last_feas_exc = full_verdict(last_feas_exc)
                 missing = (last_feas_exc.missing_sides
                            if isinstance(last_feas_exc, FeasibilityLost) else None)
                 raise FeasibilityLost(
@@ -532,8 +618,8 @@ def continuation(start, target: ConeMetric,
         state = _realizing_state(np.array([p.v for p in planes]), target)
     except (FeasibilityLost, InvalidConeMetric) as exc:
         raise HomotopyBlocked(
-            f"start polyhedron does not realize the target chart: {exc}",
-            s=0.0) from exc
+            "start polyhedron does not realize the target chart: "
+            f"{full_verdict(exc)}", s=0.0) from exc
     l0 = state.current_lengths()
     l1 = target.lengths.copy()
     report = ContinuationReport()

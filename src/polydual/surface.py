@@ -193,6 +193,15 @@ class CombSurface:
         return sides
 
     @cached_property
+    def triangle_vertex_mask(self) -> np.ndarray:
+        """(n_triangles, n_vertices): True where the vertex is a corner of
+        the triangle; read-only."""
+        own = np.zeros((self.n_triangles, self.n_vertices), dtype=bool)
+        np.put_along_axis(own, self.triangle_array, True, axis=1)
+        own.setflags(write=False)
+        return own
+
+    @cached_property
     def has_parallel_edges(self) -> bool:
         """True when two edges join the same two vertices."""
         pairs = {frozenset(p) for p in self.edge_pairs.tolist()}
@@ -212,9 +221,9 @@ def corner_angles(sides: np.ndarray, geometry: str) -> np.ndarray:
     else:
         raise ValueError(f"unknown geometry {geometry!r}")
     # corner k against the sides k + 1 and k + 2 that meet there
-    cos1, cos2 = np.roll(cos, -1, axis=1), np.roll(cos, -2, axis=1)
+    cos1, cos2 = cos[:, [1, 2, 0]], cos[:, [2, 0, 1]]
     opposite = cos - cos1 * cos2 if geometry == SPHERICAL else cos1 * cos2 - cos
-    cosines = opposite / (np.roll(sin, -1, axis=1) * np.roll(sin, -2, axis=1))
+    cosines = opposite / (sin[:, [1, 2, 0]] * sin[:, [2, 0, 1]])
     beyond = np.abs(cosines) > 1.0 + ANG_SLACK
     if np.any(beyond):
         clamped(cosines.flat[np.argmax(beyond)], -1.0, 1.0, ANG_SLACK)
@@ -277,11 +286,11 @@ class ConeMetric:
     # -- intrinsic quantities --------------------------------------------------
 
     def cone_angles(self) -> np.ndarray:
-        out = np.zeros(self.surface.n_vertices)
-        for t, tri in enumerate(self.surface.triangles):
-            for k in range(3):
-                out[tri[k]] += self.corner_angles[t, k]
-        return out
+        """Each vertex's sum of corner angles, added in triangle and corner
+        order."""
+        return np.bincount(self.surface.triangle_array.ravel(),
+                           weights=self.corner_angles.ravel(),
+                           minlength=self.surface.n_vertices)
 
     def triangle_area(self, t: int) -> float:
         excess = float(self.corner_angles[t].sum() - np.pi)

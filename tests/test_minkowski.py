@@ -17,6 +17,8 @@ from polydual.minkowski import (
     side_of,
 )
 
+from oracles import einsum_ds_distances, points_one_by_one
+
 RNG = np.random.RandomState(0)
 
 
@@ -208,3 +210,96 @@ class TestIsometry:
         g = random_isometry(rng)
         q = g.apply(p)
         assert abs(minkowski_inner(q, q) + 1.0) < 1e-12
+
+
+def boosted_dspoints(rng, n, reach):
+    """n random de Sitter points, each moved by a random isometry with
+    boosts up to `reach`, so entries run up to about cosh(2 reach)."""
+    pts = []
+    for _ in range(n):
+        g = Isometry.boost(1, rng.uniform(-reach, reach)) @ random_isometry(rng)
+        pts.append(g.m @ random_dspoint(rng).v)
+    return np.array(pts)
+
+
+class TestStackedDistance:
+    def test_matches_the_einsum_forms(self):
+        # pairs near each other (difference rows small against the entries)
+        # and far apart, with entries from about 1 to 1e2
+        rng = np.random.RandomState(21)
+        checked = 0
+        for reach in (0.0, 1.0, 2.5):
+            u = boosted_dspoints(rng, 60, reach)
+            for step in (1e-2, 1e-1, 1.0):
+                w = u + step * rng.randn(*u.shape)
+                w /= np.sqrt(np.abs(minkowski_rows(w, w)))[:, None]
+                ok = ((minkowski_rows(w, w) > 0)
+                      & (np.abs(minkowski_rows(u, w)) < 1))
+                d = ds_distances(u[ok], w[ok])
+                assert np.array_equal(d, einsum_ds_distances(u[ok], w[ok]))
+                checked += int(ok.sum())
+        assert checked > 200
+
+
+def row_error(make, row):
+    """The text of what the per-point constructor raises on one row."""
+    with pytest.raises(ValueError) as exc:
+        make(row)
+    return str(exc.value)
+
+
+TIMELIKE = [1.0, 0.2, 0.0, 0.0]
+# <v, v> = 1.45e-7: normalized, roundoff leaves the quadric by > NORM_TOL
+NEAR_CONE = [1.0, -0.953333849867981, -0.30191839267592446, 0.0]
+BAD_ROWS = {
+    "non-finite": [0.0, np.inf, 0.0, 0.0],
+    "timelike": TIMELIKE,
+    "near-light-cone": NEAR_CONE,
+    "lower-sheet": [-np.cosh(0.3), np.sinh(0.3), 0.0, 0.0],
+    "spacelike": [0.0, 1.0, 0.0, 0.0],
+}
+ARRAY_CONSTRUCTORS = {
+    "DSPoint.from_vectors": (DSPoint.from_vectors, DSPoint.from_vector,
+                             ("non-finite", "timelike", "near-light-cone")),
+    "DSPoint.from_rows": (DSPoint.from_rows, DSPoint,
+                          ("non-finite", "timelike", "near-light-cone")),
+    "HPoint.from_rows": (HPoint.from_rows, HPoint,
+                         ("non-finite", "spacelike", "near-light-cone",
+                          "lower-sheet")),
+}
+
+
+class TestStackedPoints:
+    @pytest.mark.parametrize("name", ARRAY_CONSTRUCTORS)
+    def test_builds_what_the_per_point_constructor_builds(self, name):
+        stacked, one, _ = ARRAY_CONSTRUCTORS[name]
+        rng = np.random.RandomState(4)
+        if one is HPoint:
+            rows = np.array([random_hpoint(rng).v for _ in range(7)])
+        else:
+            # raw rows for the normalizing constructor, quadric rows otherwise
+            rows = np.array([random_dspoint(rng).v for _ in range(7)])
+            if one is DSPoint.from_vector:
+                rows *= rng.uniform(0.5, 2.0, size=(7, 1))
+        got = stacked(rows)
+        want = points_one_by_one(one, rows)
+        assert [type(p) for p in got] == [type(p) for p in want]
+        for p, q in zip(got, want):
+            assert np.array_equal(p.v, q.v)
+
+    @pytest.mark.parametrize("name", ARRAY_CONSTRUCTORS)
+    def test_first_bad_row_raises_the_per_point_error(self, name):
+        stacked, one, kinds = ARRAY_CONSTRUCTORS[name]
+        rng = np.random.RandomState(5)
+        good = (random_hpoint(rng).v if one is HPoint
+                else random_dspoint(rng).v)
+        for kind in kinds:
+            for other in kinds:
+                # the first bad row is reported, whatever follows it
+                rows = np.array([good, BAD_ROWS[kind], good, BAD_ROWS[other]])
+                with pytest.raises(ValueError) as exc:
+                    stacked(rows)
+                assert str(exc.value) == row_error(one, rows[1])
+                with pytest.raises(ValueError) as exc:
+                    points_one_by_one(one, rows)
+                assert str(exc.value) == row_error(one, rows[1])

@@ -23,6 +23,7 @@ from polydual.polyhedra import (
     Edge,
     Face,
     _edges_from_faces,
+    _plane_offsets,
     dihedral_angle,
     dihedral_angles,
     dualize,
@@ -320,6 +321,15 @@ def wall_states():
 
 
 class TestStackedHull:
+    def test_plane_offset_scale_has_the_norms_bits(self):
+        rng = np.random.RandomState(8)
+        for size in (1e-3, 1.0, 1e3):
+            a, y = size * rng.randn(30, 3), rng.randn(40, 3)
+            b = rng.randn(30)
+            _, scale = _plane_offsets(a, b, y)
+            assert np.array_equal(scale, 1.0 + np.abs(b) + np.linalg.norm(
+                y, axis=1)[:, None] * np.linalg.norm(a, axis=1))
+
     def test_lattice_matches_the_facet_loop(self):
         inputs = [P.planes for P in oracle_polyhedra()]
         inputs.append(tetra_normals(0.25) + [DSPoint(np.array(

@@ -14,7 +14,10 @@ from polydual.errors import (
 )
 from polydual.minkowski import DSPoint, Isometry, J, minkowski_inner
 from polydual.polyhedra import (
+    CERTIFIED,
     TETRA_DIRECTIONS,
+    UNDECIDED,
+    VIOLATED,
     chart_certifies,
     dualize,
     hexahedron,
@@ -37,7 +40,9 @@ from polydual.solver import (
     rigidity_report,
     validate_target,
 )
-from polydual.surface import ConeMetric, SPHERICAL, scale
+from polydual.surface import ConeMetric, SPHERICAL, flip_edge, scale
+
+from oracles import masked_frames
 
 BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench")
 
@@ -381,7 +386,7 @@ def moved_planes(pts, rng, magnitude):
 
 
 def certified(st):
-    return chart_certifies(st.positions, st.triangles)
+    return chart_certifies(st.positions, st.surface) == CERTIFIED
 
 
 def assert_same_polyhedron(chart_built, hull):
@@ -595,6 +600,24 @@ def first_candidates_degenerate():
                      [0, 0, 1.0, 0], [0, 0, -1.0, 0]])
 
 
+def one_antipodal_pair():
+    """A 20-face start whose point 1 is replaced by -x0: point 0 skips its
+    first candidate and completes its frame in the masked loop, while every
+    other point keeps the frame of the first pass."""
+    x = solid_state(20).positions.copy()
+    x[1] = -x[0]
+    return x
+
+
+FRAME_CONFIGURATIONS = {
+    **{name: (lambda make=make: make().positions)
+       for name, make in STACKED_STATES.items()},
+    "first-candidates-degenerate": first_candidates_degenerate,
+    "one-antipodal-pair": one_antipodal_pair,
+    "three-points": lambda: first_candidates_degenerate()[[0, 2, 3]],
+}
+
+
 class TestStackedSolver:
     """The stacked frames, Jacobian and chart move against the per-point
     code they replaced, bit for bit."""
@@ -619,6 +642,15 @@ class TestStackedSolver:
         # point 0 skips point 1 and keeps the timelike axis e0
         assert np.array_equal(frames[0][:, 1], [1.0, 0, 0, 0])
         assert signs[0][1] == -1.0
+
+    @pytest.mark.parametrize("name", FRAME_CONFIGURATIONS)
+    def test_frames_match_the_masked_loop(self, name):
+        x = FRAME_CONFIGURATIONS[name]()
+        frames, signs = solver._tangent_frames(x)
+        want_frames, want_signs = masked_frames(x)
+        assert frames.flags.c_contiguous
+        assert np.array_equal(frames, want_frames)
+        assert np.array_equal(signs, want_signs)
 
     @pytest.mark.parametrize("name", STACKED_STATES)
     def test_jacobian_matches_masked_assembly(self, name):
@@ -939,3 +971,242 @@ class TestContinuation:
         round_sphere = octahedron_sphere()
         with pytest.raises(InvalidConeMetric, match="largeness"):
             validate_target(round_sphere, largeness_depth=6)
+
+
+def count_calls(monkeypatch, owner, name):
+    """Count the calls of owner.name while the test runs."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def without_refutation(monkeypatch):
+    """Make every violated verdict undecided, so that every state the chart
+    does not certify takes the full check: the solver before refutation."""
+    certify = solver.chart_certifies
+
+    def undecided(duals, surface):
+        verdict = certify(duals, surface)
+        return UNDECIDED if verdict == VIOLATED else verdict
+
+    monkeypatch.setattr(solver, "chart_certifies", undecided)
+
+
+def perturbed_bipyramid(seed):
+    """Every dual point of the bipyramid moved by 2e-2 times a standard
+    normal in its tangent frame, drawn from RandomState(seed)."""
+    base = state_of(triangular_bipyramid()).positions
+    frames, _ = solver._tangent_frames(base)
+    rng = np.random.RandomState(seed)
+    v, q = solver._chart_moves(base, frames, 2e-2 * rng.randn(len(base), 3))
+    return v / np.sqrt(q)[:, None]
+
+
+def wall_crossing_newton_start():
+    """Chart A of perturbed_bipyramid(1), retargeted halfway to the lengths
+    of perturbed_bipyramid(3) with its edges outside chart A flipped: every
+    damped Newton step from it crosses the wall at the chart pair (1, 3)."""
+    chart = dualize(hull_from_dual_points(perturbed_bipyramid(1))).metric
+    pairs = [frozenset(p) for p in chart.surface.edge_pairs.tolist()]
+    far = dualize(hull_from_dual_points(perturbed_bipyramid(3))).metric
+    while True:
+        outside = [e for e, p in enumerate(far.surface.edge_pairs.tolist())
+                   if frozenset(p) not in pairs]
+        if not outside:
+            break
+        far, _ = flip_edge(far, outside[0])
+    at = {frozenset(p): far.lengths[e]
+          for e, p in enumerate(far.surface.edge_pairs.tolist())}
+    target = np.array([at[p] for p in pairs])
+    st = SolverState(perturbed_bipyramid(1), chart.surface, chart.lengths)
+    return st.retarget(0.5 * chart.lengths + 0.5 * target)
+
+
+def far_tetrahedron_start():
+    """The regular tetrahedron retargeted to its lengths times exp(u), u
+    uniform in (-0.3, 0.3) from the eleventh draw of RandomState(0): the last
+    damped step that leaves the feasible set is one the chart refutes."""
+    P = regular_tetrahedron(1.15)
+    chart = dualize(P).metric
+    rng = np.random.RandomState(0)
+    for _ in range(11):
+        scaled = chart.lengths * np.exp(rng.uniform(-0.3, 0.3, len(chart.lengths)))
+    return state_of(P).retarget(scaled)
+
+
+FAILING_NEWTON_STARTS = {
+    "wall-crossing": (wall_crossing_newton_start,
+                      "hull edges [(1, 3)] missing from the chart", [(1, 3)]),
+    "far-tetrahedron": (far_tetrahedron_start,
+                        "hull reconstruction failed: plane family admits no "
+                        "common interior", None),
+}
+
+
+def refutation_corpus():
+    """Fixtures and seeded 8-20-face solids, each on its dual chart."""
+    sys.path.insert(0, BENCH_DIR)
+    try:
+        from solids import fibonacci_solid
+    finally:
+        sys.path.pop(0)
+    polys = [make() for make in CERTIFY_SOLIDS.values()]
+    polys += [fibonacci_solid(np.random.RandomState([7, 0, n]), n, 0.1).poly
+              for n in (8, 12, 16, 20)]
+    return [(np.stack([p.v for p in P.planes]), dualize(P).metric)
+            for P in polys]
+
+
+class TestRefutation:
+    """A violated chart rejects a state without a hull, and only where the
+    full check rejects it too; a verdict that leaves the solver is the full
+    check's."""
+
+    def test_violated_states_fail_the_full_check(self, monkeypatch):
+        violated = []
+        certify = solver.chart_certifies
+
+        def recording(duals, surface):
+            verdict = certify(duals, surface)
+            if verdict == VIOLATED:
+                violated.append((np.array(duals), surface))
+            return verdict
+
+        monkeypatch.setattr(solver, "chart_certifies", recording)
+        # every Newton trial of a solve that crosses a wall, and of the
+        # fixtures' round trips
+        with pytest.raises(FeasibilityLost):
+            newton_solve(wall_crossing_newton_start())
+        from_newton = len(violated)
+        for P in (regular_tetrahedron(1.15), hexahedron(0.5)):
+            start = perturbed_polyhedron(P, np.random.RandomState(3), 1e-2)
+            continuation(start, dualize(P).metric, steps=4)
+        # states drawn ever farther from the fixtures and the solids
+        rng = np.random.RandomState(17)
+        for pts, chart in refutation_corpus():
+            for magnitude in np.geomspace(1e-3, 1e-1, 5):
+                for _ in range(3):
+                    st = SolverState(moved_planes(pts, rng, magnitude),
+                                     chart.surface, chart.lengths)
+                    try:
+                        check_feasible(st)
+                    except FeasibilityLost:
+                        pass
+        assert from_newton > 0 and len(violated) > from_newton + 20
+        for pts, surface in violated:
+            st = SolverState(pts, surface, np.ones(surface.n_edges))
+            with pytest.raises(FeasibilityLost):
+                solver._checked_hull(st)
+
+    def test_violated_state_builds_no_hull_and_no_metric(self, monkeypatch):
+        rng = np.random.RandomState(17)
+        pts, chart = refutation_corpus()[-1]
+        st = next(st for st in (
+            SolverState(moved_planes(pts, rng, 0.1), chart.surface,
+                        chart.lengths) for _ in range(20))
+            if chart_certifies(st.positions, st.surface) == VIOLATED)
+        hulls = count_hull_builds(monkeypatch)
+        metrics = count_calls(monkeypatch, solver, "ConeMetric")
+        with pytest.raises(solver.ChartRefuted) as exc:
+            check_feasible(st)
+        assert exc.value.state is st
+        assert hulls == [] and metrics == []
+        # the full verdict on it is the full check's
+        with pytest.raises(FeasibilityLost) as full:
+            solver._checked_hull(st)
+        got = solver.full_verdict(exc.value)
+        assert type(got) is FeasibilityLost and str(got) == str(full.value)
+
+    @pytest.mark.parametrize("name", FAILING_NEWTON_STARTS)
+    def test_failed_newton_raises_the_full_verdict(self, name, monkeypatch):
+        start, why, missing = FAILING_NEWTON_STARTS[name]
+        hulls = count_hull_builds(monkeypatch)
+        with pytest.raises(FeasibilityLost) as lean:
+            newton_solve(start())
+        lean_hulls = len(hulls)
+        without_refutation(monkeypatch)
+        with pytest.raises(FeasibilityLost) as full:
+            newton_solve(start())
+        assert str(lean.value) == str(full.value)
+        assert str(lean.value) == (
+            f"every damped step left the feasible set ({why})")
+        assert lean.value.missing_sides == full.value.missing_sides == missing
+        assert type(lean.value) is FeasibilityLost
+        assert lean_hulls < len(hulls) - lean_hulls
+
+    def test_refuted_start_reports_the_full_verdict(self, monkeypatch):
+        # faces 1 and 4 swapped: the start does not realize the chart
+        P = random_polyhedron(np.random.RandomState(2), 10)
+        chart = dualize(P).metric
+        planes = [P.planes[i] for i in (0, 4, 2, 3, 1, 5, 6, 7, 8, 9)]
+        pts = np.stack([p.v for p in planes])
+        assert chart_certifies(pts, chart.surface) == VIOLATED
+        with pytest.raises(HomotopyBlocked) as lean:
+            continuation(planes, chart, steps=2)
+        without_refutation(monkeypatch)
+        with pytest.raises(HomotopyBlocked) as full:
+            continuation(planes, chart, steps=2)
+        assert str(lean.value) == str(full.value)
+        assert "missing from the chart" in str(lean.value)
+
+    def test_perturbation_skips_refuted_tries(self, monkeypatch):
+        P = random_polyhedron(np.random.RandomState(2), 7)
+        chart = dualize(P).metric
+        hulls = count_hull_builds(monkeypatch)
+        lean = perturbed_polyhedron(P, np.random.RandomState(5), 1.0,
+                                    chart=chart)
+        lean_hulls = len(hulls)
+        without_refutation(monkeypatch)
+        full = perturbed_polyhedron(P, np.random.RandomState(5), 1.0,
+                                    chart=chart)
+        assert_same_polyhedron(lean, full)
+        assert lean_hulls < len(hulls) - lean_hulls
+
+
+class TestLeanTrial:
+    def test_trials_are_not_built_by_the_constructor(self, monkeypatch):
+        st = NEWTON_STARTS["hexahedron"]()
+        builds = count_calls(monkeypatch, SolverState, "__init__")
+        trials = count_calls(monkeypatch, SolverState, "moved")
+        sol = newton_solve(st)
+        assert np.max(np.abs(sol.residual())) < solver.NEWTON_TOL
+        assert len(trials) > 0 and builds == []
+
+    def test_trial_shares_the_base_arrays(self, hexa):
+        st = state_of(*hexa)
+        check_feasible(st)
+        trial = st.moved(np.full(len(st.gauge().free), 1e-4), st.gauge(),
+                         st.frames())
+        for name in ("surface", "edge_pairs", "target"):
+            assert getattr(trial, name) is getattr(st, name)
+        assert trial.cache == {} and "feasible" in st.cache
+        assert not np.shares_memory(trial.positions, st.positions)
+
+    def test_trial_rechecks_the_quadric(self, hexa, monkeypatch):
+        # renormalizing by a square that is off by 1e-8 leaves the quadric
+        st = state_of(*hexa)
+        chart_moves = solver._chart_moves
+
+        def off(x, frames, xi):
+            v, q = chart_moves(x, frames, xi)
+            return v, q * (1 + 1e-8)
+
+        monkeypatch.setattr(solver, "_chart_moves", off)
+        with pytest.raises(SolverError, match="de Sitter quadric"):
+            st.moved(np.full(len(st.gauge().free), 1e-4), st.gauge(),
+                     st.frames())
+
+    def test_constructor_still_checks_everything(self, hexa):
+        st = state_of(*hexa)
+        with pytest.raises(SolverError, match="de Sitter quadric"):
+            SolverState(st.positions * (1 + 1e-9), st.surface, st.target)
+        with pytest.raises(SolverError, match="need 6 dual points"):
+            SolverState(st.positions[:5], st.surface, st.target)
+        with pytest.raises(SolverError, match="one target length"):
+            SolverState(st.positions, st.surface, st.target[:-1])

@@ -21,6 +21,8 @@ from polydual.surface import (
     scale,
 )
 
+from oracles import cone_angles_by_corner
+
 
 def triangle_angles(a, b, c, geometry):
     """The per-triangle law of cosines that `corner_angles` stacks: the
@@ -146,6 +148,14 @@ class TestCombSurface:
         assert not s.triangle_array.flags.writeable
         assert not s.has_parallel_edges
         assert quad_double(1.0, 1.2)[0].surface.has_parallel_edges
+
+    def test_triangle_vertex_mask_marks_corners(self):
+        s = k4_metric(1.0).surface
+        mask = s.triangle_vertex_mask
+        assert mask.tolist() == [[v in tri for v in range(s.n_vertices)]
+                                 for tri in s.triangles]
+        assert not mask.flags.writeable
+        assert s.triangle_vertex_mask is mask
 
     def test_rejects_bad_orientation(self):
         # two triangles glued without reversing: both listed (0,1,2)
@@ -339,6 +349,15 @@ class TestStackedAngles:
                 got = ConeMetric(m.surface, HYPERBOLIC, lengths).corner_angles
                 want = reference_corner_angles(m.surface, HYPERBOLIC, lengths)
                 assert np.array_equal(got, want)
+
+    def test_cone_angles_match_the_corner_loop(self):
+        rng = np.random.RandomState(8)
+        metrics = dual_surfaces() + [octahedron_sphere(), k4_metric(1.9)]
+        metrics += [ConeMetric(m.surface, HYPERBOLIC,
+                               rng.uniform(1.0, 1.9, m.surface.n_edges))
+                    for m in dual_surfaces()]
+        for m in metrics:
+            assert np.array_equal(m.cone_angles(), cone_angles_by_corner(m))
 
     @pytest.mark.parametrize("geometry", [SPHERICAL, HYPERBOLIC])
     def test_first_failing_triangle_is_named(self, geometry):
