@@ -31,7 +31,7 @@ from .solver import (
     auto_start,
     continuation,
     match_dihedral_angles,
-    perturbed_polyhedron,
+    perturbed_state,
     recovered_polyhedron,
     validate_target,
 )
@@ -196,8 +196,9 @@ def cmd_roundtrip(args):
     poly = serialize.decode_polyhedron(doc_in["payload"])
     target = dualize(poly).metric
     rng = np.random.RandomState(args.seed)
-    start = perturbed_polyhedron(poly, rng, args.magnitude, chart=target)
-    state, _ = continuation(start, target, steps=args.steps, tol=args.tol)
+    start = perturbed_state(poly, rng, args.magnitude, target)
+    state, _ = continuation(start.positions, target, steps=args.steps,
+                            tol=args.tol, rigidity=False)
     recovered = recovered_polyhedron(state)
     ok = match_dihedral_angles(poly, recovered, tol=args.match_tol)
     print(f"round trip {'recovered' if ok else 'FAILED to recover'} the "

@@ -119,10 +119,7 @@ def _closed_walks(mate: np.ndarray, depth: int) -> list:
     h = np.arange(len(mate))
     k = h % 3
     succ = mate[np.stack([h - k + (k + 1) % 3, h - k + (k + 2) % 3], axis=1)]
-    # steps from half-edge a to r, exact below depth and at least depth beyond
-    dist = np.where(np.eye(len(h), dtype=bool), 0, depth).astype(np.int32)
-    for _ in range(depth - 1):
-        dist = np.minimum(dist, 1 + np.minimum(dist[succ[:, 0]], dist[succ[:, 1]]))
+    dist = _step_distances(succ, depth)
     cur = root = h.astype(np.int32)
     levels = []                  # (half-edge, parent) of the nodes per level
     parent = np.full(len(h), -1, dtype=np.int32)
@@ -143,6 +140,21 @@ def _closed_walks(mate: np.ndarray, depth: int) -> list:
         node, col = np.nonzero((nxt > root[:, None])
                                & (dist[nxt, root[:, None]] <= depth - length))
         cur, parent, root = nxt[node, col], node.astype(np.int32), root[node]
+
+
+def _step_distances(succ: np.ndarray, depth: int) -> np.ndarray:
+    """Steps from half-edge a to half-edge r in the strip graph of successors
+    succ (H, 2), as table[a, r]: exact below depth and at least depth beyond.
+    Its entries never exceed depth, so it is held in the smallest signed
+    integer type that holds depth + 1, where 1 + an entry cannot overflow;
+    at the search's depths that is int8, a quarter of int32's memory
+    traffic."""
+    kind = next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                if np.iinfo(t).max > depth)
+    dist = np.where(np.eye(len(succ), dtype=bool), 0, depth).astype(kind)
+    for _ in range(depth - 1):
+        dist = np.minimum(dist, 1 + np.minimum(dist[succ[:, 0]], dist[succ[:, 1]]))
+    return dist
 
 
 def _padded_walks(groups: list, mate: np.ndarray):

@@ -48,6 +48,7 @@ ORIGIN_CLEARANCE = 0.1           # least plane distance that keeps the Klein ori
 MERGE_TOL = 1e-9                 # relative residual of a plane through a vertex
 SOLVE_RESIDUAL = 1e-6            # largest plane residual of a solved vertex
 CERTIFY_MARGIN = 100 * MERGE_TOL
+CERTIFY_ROUNDOFF = 1e-13         # relative roundoff allowance of a 3x3 solve
 CERTIFIED, UNDECIDED, VIOLATED = "certified", "undecided", "violated"
 RANDOM_RADII = (0.25, 0.5)       # plane distances from the origin
 RANDOM_TRIES = 200
@@ -135,7 +136,20 @@ def _lift_klein(y: np.ndarray) -> list:
         raise UnboundedPolyhedron(
             f"lattice vertex at Klein radius {np.sqrt(r2[out[0]]):.12f} leaves H^3")
     x0 = 1.0 / np.sqrt(1.0 - r2)
-    return HPoint.from_rows(np.column_stack([x0, x0[:, None] * y]))
+    rows = np.column_stack([x0, x0[:, None] * y])
+    try:
+        return HPoint.from_rows(rows)
+    except ValueError:
+        pass
+    # near the sphere at infinity the lift's roundoff can leave the hyperboloid
+    for k, row in enumerate(rows):
+        try:
+            HPoint(row)
+        except ValueError as exc:
+            raise UnboundedPolyhedron(
+                f"lattice vertex {k} at Klein radius {np.sqrt(r2[k]):.12f} "
+                f"does not lift onto H^3: {exc}") from None
+    raise AssertionError("the stacked lift check failed on no single row")
 
 
 def _interior_point(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -384,6 +398,96 @@ def chart_certifies(duals, surface: CombSurface) -> str:
             and np.all(own | (resid < -limit))):
         return CERTIFIED
     return UNDECIDED
+
+
+@dataclass(frozen=True, eq=False)
+class ChartCertificate:
+    """What a CERTIFIED verdict on the dual points `positions` has to spare:
+    enough to certify nearby points without `chart_certifies`.
+
+    Over the chart's triangles t (their plane rows A_t and offsets b_t, and
+    their common points y_t) and every plane p that is not a corner of t:
+    `slack` is sigma = min of -CERTIFY_MARGIN * scale - (a_p y_t - b_p),
+    `inverse_bound` is K >= max_t |A_t^-1|_2 (the largest Frobenius norm),
+    `klein_radius` is Y = max_t |y_t|, `normal_bound` is alpha = max_p |a_p| and
+    `roundoff` bounds by how much computed offsets can miss exact ones.
+    """
+    positions: np.ndarray
+    slack: float
+    inverse_bound: float
+    klein_radius: float
+    normal_bound: float
+    roundoff: float
+
+    def covers(self, positions) -> bool:
+        """True when `chart_certifies` certifies `positions`, by a bound.
+
+        Let every entry of the points differ from `positions` by at most
+        delta. Per triangle A' = A + E and b' = b + e with |E|_2 <= |E|_F
+        <= 3 delta and |e| <= sqrt(3) delta. When 3 K delta < 1, A' is
+        invertible with |A'^-1| <= K / (1 - 3 K delta) (Higham, *Accuracy
+        and Stability of Numerical Algorithms*, 2nd ed., 7.1), and
+        y' - y = A'^-1 (e - E y), so |y' - y| <= eta = K delta (sqrt(3) +
+        3 Y) / (1 - 3 K delta). The offset a'_p y' - b'_p then differs from
+        a_p y - b_p by at most |a'_p - a_p| |y'| + |a_p| |y' - y| + |b'_p -
+        b_p| <= rho = sqrt(3) delta (Y + eta) + alpha eta + delta, and the
+        scale 1 + |b_p| + |a_p| |y| by at most the same rho. So every
+        non-own offset stays below -CERTIFY_MARGIN * scale when
+        (1 + CERTIFY_MARGIN) rho < sigma, and every y' inside the ball when
+        (Y + eta)^2 < 1 - CERTIFY_MARGIN; that is `chart_certifies`'
+        certificate. Both verdicts are computed in floating point, so each
+        inequality must hold with the roundoff of both states to spare: the
+        certificate's and, K growing by at most 1 / (1 - 3 K delta), the new
+        points'.
+        """
+        delta = float(np.max(np.abs(positions - self.positions)))
+        grow = 3.0 * self.inverse_bound * delta
+        if grow >= 1.0:
+            return False
+        y = self.klein_radius
+        eta = self.inverse_bound * delta * (_SQRT3 + 3.0 * y) / (1.0 - grow)
+        rho = _SQRT3 * delta * (y + eta) + self.normal_bound * eta + delta
+        spare = self.roundoff * (1.0 + 1.0 / (1.0 - grow))
+        return ((1.0 + CERTIFY_MARGIN) * rho + spare < self.slack
+                and (y + eta) ** 2 + spare < 1.0 - CERTIFY_MARGIN)
+
+
+_SQRT3 = float(np.sqrt(3.0))
+
+
+def chart_certificate(duals, surface: CombSurface) -> Optional[ChartCertificate]:
+    """The ChartCertificate of dual points that `chart_certifies` certified
+    on the chart `surface`; None when its own numbers certify nothing.
+
+    The common points come from the stacked inverses that bound K, not from
+    `chart_certifies`' solve, and both differ from the exact points by
+    roundoff. `roundoff` bounds that: a 3x3 solve is backward stable, so y_t
+    is off by about K alpha (1 + Y) units of roundoff, and an offset by
+    alpha times that plus a few units of its scale. With CERTIFY_ROUNDOFF
+    (some 450 units) for one unit, that is CERTIFY_ROUNDOFF ((1 + K alpha)
+    (1 + Y) (1 + alpha) + the largest scale).
+    """
+    x = np.asarray(duals, dtype=float)
+    a, b = x[:, 1:], x[:, 0]
+    tri = surface.triangle_array
+    try:
+        inverse = np.linalg.inv(a[tri])
+    except np.linalg.LinAlgError:
+        return None
+    y = (inverse @ b[tri][..., None])[..., 0]
+    resid, scale = _plane_offsets(a, b, y)
+    own = surface.triangle_vertex_mask
+    slack = float(np.min(np.where(own, np.inf, -CERTIFY_MARGIN * scale - resid)))
+    inverse_bound = float(np.sqrt(np.max(np.einsum("tij,tij->t", inverse, inverse))))
+    klein_radius = float(np.sqrt(np.max(np.einsum("ij,ij->i", y, y))))
+    normal_bound = float(np.max(_row_norms(a)))
+    roundoff = CERTIFY_ROUNDOFF * (
+        (1.0 + inverse_bound * normal_bound) * (1.0 + klein_radius)
+        * (1.0 + normal_bound) + float(np.max(scale)))
+    if slack <= roundoff or klein_radius ** 2 >= 1.0 - CERTIFY_MARGIN:
+        return None
+    return ChartCertificate(x, slack, inverse_bound, klein_radius, normal_bound,
+                            roundoff)
 
 
 def polyhedron_from_chart(duals, surface: CombSurface) -> ConvexPolyhedronH3:

@@ -16,12 +16,17 @@ form, and a chart move of all points is one stacked update, so a Newton
 iteration does no Python work per point.
 
 Newton takes chord steps in the chart of a base state, re-basing only when a
-step was damped or contracted the residual too little, so a continuation step
-builds its frames, gauge and Jacobian about once. Each trial costs only what
-a chart move can change: `SolverState.moved` keeps its base's checked
-invariants and re-checks the moved rows' norms, and `check_feasible` decides
-the trial from the chart, rejecting one the chart refutes without a hull.
-Only a verdict that leaves the solver is rebuilt by the full hull check.
+step was damped or contracted the residual too little. A base's Jacobian is
+factored once (LAPACK dgetrf), and a solution keeps its base, so the next
+solve on the same chart continues in it: a continuation builds a base only
+when the contraction or a rigidity report needs one. A chord trial costs a
+back-substitution, a chart move and a residual: `SolverState.moved` keeps
+its base's checked invariants and re-checks the moved rows' norms, and a
+trial within the certified radius of the accepted iterate inherits its chart
+certificate (`ChartCertificate.covers`). Any other trial takes
+`check_feasible`, which decides it from the chart and rejects one the chart
+refutes without a hull. Only a verdict that leaves the solver is rebuilt by
+the full hull check.
 """
 from __future__ import annotations
 
@@ -31,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import (
     FeasibilityLost,
@@ -44,9 +50,11 @@ from .errors import (
 from .geodesic import closed_geodesic_search
 from .minkowski import J, ds_distances, minkowski_rows
 from .polyhedra import (
+    CERTIFIED,
     UNDECIDED,
     VIOLATED,
     ConvexPolyhedronH3,
+    chart_certificate,
     chart_certifies,
     dihedral_angles,
     hull_from_dual_points,
@@ -62,7 +70,7 @@ PERTURB_TRIES = 60
 PERTURB_EDGE_SHARE = 0.1     # largest perturbation, per unit of shortest edge
 FRAME_TOL = 1e-10            # |<t, t>| below which a frame candidate is skipped
 GAUGE_TOL = 1e-6             # relative size below which a gauge triple is dependent
-CHORD_CONTRACTION = 0.25     # residual-norm ratio above which a chord step re-bases
+CHORD_CONTRACTION = 0.05     # residual-norm ratio above which a chord step re-bases
 
 
 def _tangent_frames(positions: np.ndarray) -> tuple:
@@ -224,9 +232,10 @@ class SolverState:
         self.edge_pairs = surface.edge_pairs
         if surface.n_edges != 3 * n - 6:
             raise SolverError("chart dimension is not 3n - 6; genus-0 required")
-        # frames, gauge, Jacobian, the feasibility verdict and the polyhedron
-        # depend only on positions and chart: built once, shared with every
-        # retarget
+        # frames, gauge, Jacobian and its LU factors, the feasibility verdict,
+        # the chart certificate and the polyhedron depend only on positions
+        # and chart: built once, shared with every retarget; so is the base
+        # a solution was solved in (`newton_solve`)
         self.cache = {}
 
     # -- geometry ----------------------------------------------------------------
@@ -312,8 +321,11 @@ def check_feasible(state: SolverState):
     raises. Any other state (on a wall, or near one) takes the full check:
     the chart lengths must form a valid metric, then the hull is rebuilt and
     compared with the chart, and that hull is kept for
-    `recovered_polyhedron`. A state that passed keeps its verdict, so
-    checking it or a retarget of it again does nothing.
+    `recovered_polyhedron`. A state that passed keeps its verdict (CERTIFIED
+    or UNDECIDED), so checking it or a retarget of it again does nothing.
+    A Newton trial within the certified radius of the accepted iterate does
+    not come here at all: it inherits that iterate's certificate
+    (`_check_trial`).
     """
     if "feasible" in state.cache:
         return
@@ -322,7 +334,29 @@ def check_feasible(state: SolverState):
         raise ChartRefuted(state)
     if verdict == UNDECIDED:
         state.cache["polyhedron"] = _checked_hull(state)
-    state.cache["feasible"] = True
+    state.cache["feasible"] = verdict
+
+
+def _certificate(state: SolverState):
+    """The ChartCertificate of a feasible state, or None when the chart did
+    not certify it; taken once per state, only for states that serve as a
+    reference."""
+    if "certificate" not in state.cache:
+        state.cache["certificate"] = (
+            chart_certificate(state.positions, state.surface)
+            if state.cache["feasible"] == CERTIFIED else None)
+    return state.cache["certificate"]
+
+
+def _check_trial(trial: SolverState, reference: SolverState):
+    """check_feasible(trial), unless the reference's chart certificate
+    covers the trial (`ChartCertificate.covers`): then the trial is
+    certified, with that certificate as its own."""
+    cert = _certificate(reference)
+    if cert is not None and cert.covers(trial.positions):
+        trial.cache.update(feasible=CERTIFIED, certificate=cert)
+    else:
+        check_feasible(trial)
 
 
 class ChartRefuted(FeasibilityLost):
@@ -416,6 +450,20 @@ def jacobian(state: SolverState) -> np.ndarray:
     return jac
 
 
+def _chord_step(base: SolverState, r: np.ndarray) -> np.ndarray:
+    """The chord step -J^-1 r for the base's Jacobian J, by back-substitution
+    in its LU factors, which are taken once per base (LAPACK dgetrf, kept in
+    its cache beside the Jacobian). An exactly singular J raises
+    StepStalled."""
+    if "lu" not in base.cache:
+        lu, piv, info = dgetrf(jacobian(base))
+        if info > 0:
+            raise StepStalled("singular Jacobian: Singular matrix")
+        base.cache["lu"] = lu, piv
+    delta, _ = dgetrs(*base.cache["lu"], -r)
+    return delta
+
+
 @dataclass
 class RigidityReport:
     smallest_singular_value: float
@@ -432,39 +480,39 @@ def newton_solve(state: SolverState, tol: float = NEWTON_TOL) -> SolverState:
     """Damped chord Newton iteration on the gauged residual.
 
     The iterate is base.moved(xi) in the chart of a base state, and every
-    step solves the base's Jacobian against the current residual, so the
-    frames, gauge and Jacobian are built once per base. The base is the
-    given state, whose Jacobian a continuation step's rigidity report has
-    already built. The iteration re-bases on the current iterate when an
-    accepted step was damped or cut the residual norm by less than
-    CHORD_CONTRACTION, and when every damped step from a stale base failed;
-    that retries from the fresh base before raising, so every failure is one
-    a fresh Jacobian hit too.
+    step back-substitutes the current residual in the LU factors of the
+    base's Jacobian, so the frames, gauge, Jacobian and its factors are
+    built once per base. The base is the given state when it has a Jacobian
+    of its own (a continuation step's rigidity report builds one), and
+    otherwise the base in whose chart the given state was solved, which the
+    solution keeps in its cache for the next solve on the same chart. The
+    iteration re-bases on the current iterate when an accepted step was
+    damped or cut the residual norm by less than CHORD_CONTRACTION, and
+    when every damped step from a stale base failed; that retries from the
+    fresh base before raising, so every failure is one a fresh Jacobian hit
+    too.
 
     The step is halved until the residual norm decreases and the trial state
     stays feasible; StepStalled fires at the damping floor, FeasibilityLost
     when every retry leaves convex position. Trials are lean (see
-    `SolverState.moved`), and a trial the chart refutes is rejected without
-    a hull; the FeasibilityLost raised carries the full check's verdict on
-    the last trial (`full_verdict`).
+    `SolverState.moved`). A trial inherits the chart certificate of the
+    accepted iterate when it lies within that certificate's radius
+    (`ChartCertificate.covers`) and takes `check_feasible` otherwise, which
+    rejects a trial the chart refutes without a hull; the FeasibilityLost
+    raised carries the full check's verdict on the last trial
+    (`full_verdict`).
     """
     try:
         check_feasible(state)
     except ChartRefuted as exc:
         raise full_verdict(exc)
-    cur = base = state
-    xi = 0.0                     # chart coordinates of cur in base's chart
-    jac = None
+    cur = state
+    base, xi = _chart_base(state)
     r = cur.residual()
     for _ in range(NEWTON_MAX_ITER):
         if np.max(np.abs(r)) < tol:
-            return cur
-        if jac is None:
-            jac = jacobian(base)
-        try:
-            delta = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError as exc:
-            raise StepStalled(f"singular Jacobian: {exc}") from exc
+            break
+        delta = _chord_step(base, r)
         r_norm = np.linalg.norm(r)
         step = 1.0
         last_feas_exc = None
@@ -472,7 +520,7 @@ def newton_solve(state: SolverState, tol: float = NEWTON_TOL) -> SolverState:
             move = xi + step * delta
             try:
                 trial = base.moved(move, base.gauge(), base.frames())
-                check_feasible(trial)
+                _check_trial(trial, cur)
                 r_trial = trial.residual()
             except SolverError as exc:
                 last_feas_exc = exc
@@ -484,7 +532,8 @@ def newton_solve(state: SolverState, tol: float = NEWTON_TOL) -> SolverState:
             step /= 2
         else:
             if base is not cur:
-                base, xi, jac = cur, 0.0, None
+                base, xi = cur, 0.0
+                cur.cache.pop("chart", None)     # a base keeps no chart
                 continue
             if last_feas_exc is not None:
                 last_feas_exc = full_verdict(last_feas_exc)
@@ -498,21 +547,38 @@ def newton_solve(state: SolverState, tol: float = NEWTON_TOL) -> SolverState:
         rebase = step < 1.0 or trial_norm > CHORD_CONTRACTION * r_norm
         cur, r = trial, r_trial
         if rebase:
-            base, xi, jac = cur, 0.0, None
+            base, xi = cur, 0.0
         else:
             xi = move
-    if np.max(np.abs(r)) < tol:
-        return cur
-    raise StepStalled(
-        f"no convergence after {NEWTON_MAX_ITER} iterations "
-        f"(residual {np.max(np.abs(r)):.3e})")
+    else:
+        if np.max(np.abs(r)) >= tol:
+            raise StepStalled(
+                f"no convergence after {NEWTON_MAX_ITER} iterations "
+                f"(residual {np.max(np.abs(r)):.3e})")
+    if base is not cur:           # a state never refers to itself
+        cur.cache["chart"] = base, xi
+    return cur
+
+
+def _chart_base(state: SolverState) -> tuple:
+    """(base, xi): the chart a solve from `state` starts in. That is the
+    state's own (xi = 0) when it has a Jacobian or was not solved in another
+    state's chart; otherwise that base, retargeted to the state's target,
+    and the state's coordinates xi in its chart. A cache is shared only by
+    retargets, so the base is on the state's surface."""
+    chart = state.cache.get("chart")
+    if "jacobian" in state.cache or chart is None:
+        state.cache.pop("chart", None)           # a base keeps no chart
+        return state, 0.0
+    base, xi = chart
+    return base.retarget(state.target), xi
 
 
 @dataclass
 class ContinuationStep:
     s: float
     residual: float
-    smallest_singular_value: float
+    smallest_singular_value: Optional[float]     # None without rigidity
 
 
 @dataclass
@@ -600,22 +666,32 @@ def _flip_chart(state: SolverState, l1: np.ndarray, exc, s: float):
     return None
 
 
-def continuation(start, target: ConeMetric,
-                 steps: int = 10, tol: float = NEWTON_TOL) -> tuple:
+def continuation(start, target: ConeMetric, steps: int = 10,
+                 tol: float = NEWTON_TOL, rigidity: bool = True) -> tuple:
     """Follow the straight edge-length homotopy from the start polyhedron's
     dual metric to the target, Newton-correcting at each step.
 
     `start` is a ConvexPolyhedronH3 or its dual points, a sequence of
-    DSPoints. Returns (state, report). The start polyhedron must realize the
-    target's chart: every chart edge a chord of its dual decomposition. A
-    concavity dip along the way retries with a uniform upscaling bump; a
-    hull edge missing from the chart triggers an edge flip of the chart and
-    target, re-anchoring the homotopy at the current parameter.
+    DSPoints or an (n, 4) array of their rows. Returns (state, report). The
+    start polyhedron must realize the target's chart: every chart edge a
+    chord of its dual decomposition. A concavity dip along the way retries
+    with a uniform upscaling bump; a hull edge missing from the chart
+    triggers an edge flip of the chart and target, re-anchoring the homotopy
+    at the current parameter.
+
+    With `rigidity`, every step reports the smallest singular value of the
+    solution's Jacobian and the report keeps the last step's
+    `rigidity_report`; that Jacobian is then the next step's Newton base.
+    Without it, no step builds a report, each solve continues in the chart
+    of the last one (`newton_solve`), and the steps' singular values and
+    `final_rigidity` are None.
     """
     validate_target(target)
-    planes = start.planes if isinstance(start, ConvexPolyhedronH3) else start
+    points = start.planes if isinstance(start, ConvexPolyhedronH3) else start
+    if not isinstance(points, np.ndarray):
+        points = np.array([p.v for p in points])
     try:
-        state = _realizing_state(np.array([p.v for p in planes]), target)
+        state = _realizing_state(points, target)
     except (FeasibilityLost, InvalidConeMetric) as exc:
         raise HomotopyBlocked(
             "start polyhedron does not realize the target chart: "
@@ -683,10 +759,13 @@ def continuation(start, target: ConeMetric,
         state = solved
         s = s_next
         ds = min(2 * ds, 1.0 / steps)
-        rig = report.final_rigidity = rigidity_report(state)
+        sv_min = None
+        if rigidity:
+            report.final_rigidity = rigidity_report(state)
+            sv_min = report.final_rigidity.smallest_singular_value
         report.steps.append(ContinuationStep(
             s=s, residual=float(np.max(np.abs(state.residual()))),
-            smallest_singular_value=rig.smallest_singular_value))
+            smallest_singular_value=sv_min))
     report.bump = bump
     return state, report
 
@@ -705,28 +784,12 @@ def perturbed_polyhedron(P: ConvexPolyhedronH3, rng: np.random.RandomState,
     combinatorics must survive the perturbation. With one, the perturbed
     polyhedron only has to realize the chart (polyhedra sitting on
     combinatorial walls, like bipyramids with four faces at a vertex, split
-    under every generic perturbation)."""
-    magnitude = min(magnitude, PERTURB_EDGE_SHARE * float(P.edge_lengths().min()))
-    base = np.stack([p.v for p in P.planes])
-    frames, _ = _tangent_frames(base)
+    under every generic perturbation); it is the polyhedron of
+    `perturbed_state`."""
+    if chart is not None:
+        return recovered_polyhedron(perturbed_state(P, rng, magnitude, chart))
     want = {frozenset(e.faces) for e in P.edges}
-    for _ in range(PERTURB_TRIES):
-        drawn = rng.get_state()
-        v, q = _chart_moves(base, frames, magnitude * rng.randn(len(base), 3))
-        left = np.flatnonzero(q <= 0)
-        if left.size:
-            # keep the draws of a point-by-point try, which stops at the
-            # first point that leaves its chart
-            rng.set_state(drawn)
-            rng.randn(left[0] + 1, 3)
-            continue
-        pts = v / np.sqrt(q)[:, None]
-        if chart is not None:
-            try:
-                state = _realizing_state(pts, chart)
-            except SolverError:
-                continue
-            return recovered_polyhedron(state)
+    for pts in _perturbations(P, rng, magnitude):
         try:
             poly = hull_from_dual_points(pts)
         except InvalidPolyhedron:
@@ -737,6 +800,39 @@ def perturbed_polyhedron(P: ConvexPolyhedronH3, rng: np.random.RandomState,
             continue
         return poly
     raise SolverError("failed to perturb into a usable start")
+
+
+def perturbed_state(P: ConvexPolyhedronH3, rng: np.random.RandomState,
+                    magnitude: float, chart: ConeMetric) -> SolverState:
+    """The first perturbation of P's dual points (see `perturbed_polyhedron`)
+    that realizes the chart, as the checked state on it: a continuation's
+    start, with no polyhedron built."""
+    for pts in _perturbations(P, rng, magnitude):
+        try:
+            return _realizing_state(pts, chart)
+        except SolverError:
+            continue
+    raise SolverError("failed to perturb into a usable start")
+
+
+def _perturbations(P: ConvexPolyhedronH3, rng: np.random.RandomState,
+                   magnitude: float):
+    """Up to PERTURB_TRIES perturbed copies of P's dual points, (n, 4) rows;
+    a try in which a point leaves its chart yields nothing."""
+    magnitude = min(magnitude, PERTURB_EDGE_SHARE * float(P.edge_lengths().min()))
+    base = np.stack([p.v for p in P.planes])
+    frames, _ = _tangent_frames(base)
+    for _ in range(PERTURB_TRIES):
+        drawn = rng.get_state()
+        v, q = _chart_moves(base, frames, magnitude * rng.randn(len(base), 3))
+        left = np.flatnonzero(q <= 0)
+        if left.size:
+            # keep the draws of a point-by-point try, which stops at the
+            # first point that leaves its chart
+            rng.set_state(drawn)
+            rng.randn(left[0] + 1, 3)
+            continue
+        yield v / np.sqrt(q)[:, None]
 
 
 def _realizing_state(points: np.ndarray, chart: ConeMetric) -> SolverState:

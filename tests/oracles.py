@@ -2,7 +2,13 @@
 the oracles it must match bit for bit. Each names the function it checks."""
 import numpy as np
 
-from polydual.errors import NotSpacelikeSeparated, SolverError
+from polydual import solver
+from polydual.errors import (
+    FeasibilityLost,
+    NotSpacelikeSeparated,
+    SolverError,
+    StepStalled,
+)
 from polydual.minkowski import J, minkowski_rows
 from polydual.solver import FRAME_TOL
 
@@ -67,3 +73,62 @@ def einsum_ds_distances(u, w):
         raise NotSpacelikeSeparated(
             f"pair {k}: <p,q> = {minkowski_rows(u[k], w[k])} outside (-1, 1)")
     return 2.0 * np.arcsin(np.minimum(np.sqrt(c2m) / 2.0, 1.0))
+
+
+def chord_newton(state, tol=solver.NEWTON_TOL):
+    """Checks `solver.newton_solve`: chord Newton in one base chart per
+    solve, its steps from `np.linalg.solve` on the base's Jacobian, every
+    trial checked by `check_feasible`, re-basing below a contraction of
+    0.25."""
+    solver.check_feasible(state)
+    cur = base = state
+    xi = 0.0
+    r = cur.residual()
+    for _ in range(solver.NEWTON_MAX_ITER):
+        if np.max(np.abs(r)) < tol:
+            return cur
+        delta = np.linalg.solve(solver.jacobian(base), -r)
+        r_norm = np.linalg.norm(r)
+        step = 1.0
+        last_feas_exc = None
+        while step >= solver.DAMPING_FLOOR:
+            move = xi + step * delta
+            try:
+                trial = base.moved(move, base.gauge(), base.frames())
+                solver.check_feasible(trial)
+                r_trial = trial.residual()
+            except SolverError as exc:
+                last_feas_exc = exc
+                step /= 2
+                continue
+            trial_norm = np.linalg.norm(r_trial)
+            if trial_norm < r_norm:
+                break
+            step /= 2
+        else:
+            if base is not cur:
+                base, xi = cur, 0.0
+                continue
+            if last_feas_exc is not None:
+                raise FeasibilityLost(
+                    f"every damped step left the feasible set ({last_feas_exc})")
+            raise StepStalled(
+                f"damping floor reached at residual {np.max(np.abs(r)):.3e}")
+        rebase = step < 1.0 or trial_norm > 0.25 * r_norm
+        cur, r = trial, r_trial
+        if rebase:
+            base, xi = cur, 0.0
+        else:
+            xi = move
+    if np.max(np.abs(r)) < tol:
+        return cur
+    raise StepStalled(f"no convergence after {solver.NEWTON_MAX_ITER} "
+                      f"iterations (residual {np.max(np.abs(r)):.3e})")
+
+
+def step_distances_int64(succ, depth):
+    """Checks `geodesic._step_distances`: the same recurrence in int64."""
+    dist = np.where(np.eye(len(succ), dtype=bool), 0, depth).astype(np.int64)
+    for _ in range(depth - 1):
+        dist = np.minimum(dist, 1 + np.minimum(dist[succ[:, 0]], dist[succ[:, 1]]))
+    return dist

@@ -23,6 +23,7 @@ from polydual.geodesic import (
     _mates,
     _padded_walks,
     _rotation_axis,
+    _step_distances,
     _strip_holonomy,
     _word_products,
     closed_geodesic_search,
@@ -48,6 +49,7 @@ from polydual.surface import (
     sphere_angle,
 )
 
+from oracles import step_distances_int64
 from test_polyhedra import fibonacci_solids
 
 
@@ -306,6 +308,34 @@ def test_level_walks_match_depth_first_walks(name):
         assert set(walks) == set(reference_walks(m, depth))
         assert walks == sorted(walks, key=lambda w: (len(w), w))
         assert all(g.dtype == np.int32 and len(g) for g in groups)
+
+
+def successors(m):
+    """The two half-edges a walk entering by half-edge h steps on to, as
+    `_closed_walks` takes them."""
+    mate = _mates(m)
+    h = np.arange(len(mate))
+    k = h % 3
+    return mate[np.stack([h - k + (k + 1) % 3, h - k + (k + 2) % 3], axis=1)]
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_METRICS))
+def test_step_distances_match_an_int64_table(name):
+    succ = successors(SEARCH_METRICS[name]())
+    for depth in range(1, 13):
+        table = _step_distances(succ, depth)
+        assert table.dtype == np.int8
+        np.testing.assert_array_equal(table, step_distances_int64(succ, depth))
+
+
+@pytest.mark.parametrize("depth, kind", [(126, np.int8), (127, np.int16)])
+def test_step_distances_at_the_dtype_boundary(depth, kind):
+    # int8 holds depth + 1 up to depth 126; two disjoint 3-cycles leave
+    # pairs unreachable, whose entries stay at depth and get 1 added
+    succ = np.repeat([1, 2, 0, 4, 5, 3], 2).reshape(6, 2)
+    table = _step_distances(succ, depth)
+    assert table.dtype == kind and table.max() == depth
+    np.testing.assert_array_equal(table, step_distances_int64(succ, depth))
 
 
 @pytest.mark.parametrize("name", ["hexahedron", "genus2-h1"])

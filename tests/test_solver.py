@@ -1,12 +1,17 @@
+import functools
+import gc
 import itertools
 import os
 import sys
+import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 from polydual.errors import (
     FeasibilityLost,
+    GeometryError,
     HomotopyBlocked,
     InvalidConeMetric,
     SolverError,
@@ -18,6 +23,7 @@ from polydual.polyhedra import (
     TETRA_DIRECTIONS,
     UNDECIDED,
     VIOLATED,
+    chart_certificate,
     chart_certifies,
     dualize,
     hexahedron,
@@ -42,7 +48,7 @@ from polydual.solver import (
 )
 from polydual.surface import ConeMetric, SPHERICAL, flip_edge, scale
 
-from oracles import masked_frames
+from oracles import chord_newton, masked_frames
 
 BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench")
 
@@ -1210,3 +1216,184 @@ class TestLeanTrial:
             SolverState(st.positions[:5], st.surface, st.target)
         with pytest.raises(SolverError, match="one target length"):
             SolverState(st.positions, st.surface, st.target[:-1])
+
+
+def newton_corpus():
+    """Newton starts on the solver fixtures and on seeded 8-50-face solids."""
+    starts = dict(NEWTON_STARTS)
+    starts.update({f"solid-{n}": functools.partial(solid_state, n)
+                   for n in (8, 12, 20, 30, 50)})
+    return starts
+
+
+def certified_corpus():
+    """Dual points and charts that `chart_certifies` certifies: the
+    certifiable fixtures and seeded 8-50-face solids."""
+    states = [state_of(make()) for make in CERTIFY_SOLIDS.values()]
+    states += [solid_state(n) for n in (8, 20, 50)]
+    return [(st.positions, st.surface) for st in states if certified(st)]
+
+
+def certified_radius(cert, rng):
+    """The largest entry size of a random move of the certificate's points
+    that `covers` still accepts, by bisection, and that move's direction."""
+    direction = rng.uniform(-1.0, 1.0, cert.positions.shape)
+    direction /= np.max(np.abs(direction))
+    lo, hi = 0.0, 1.0
+    for _ in range(40):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if cert.covers(cert.positions + mid * direction) else (lo, mid)
+    return lo, direction
+
+
+class TestInheritedCertificate:
+    """A chord trial within the accepted iterate's certified radius is
+    certified without `chart_certifies`."""
+
+    def test_inherited_trials_are_certified(self, monkeypatch):
+        inherited, checked = [], []
+        check_trial = solver._check_trial
+
+        def recording(trial, reference):
+            cert = solver._certificate(reference)
+            covered = cert is not None and cert.covers(trial.positions)
+            check_trial(trial, reference)
+            (inherited if covered else checked).append(trial)
+
+        monkeypatch.setattr(solver, "_check_trial", recording)
+        for make in newton_corpus().values():
+            newton_solve(make())
+        for P in (regular_tetrahedron(1.15), hexahedron(0.5)):
+            start = perturbed_polyhedron(P, np.random.RandomState(3), 1e-2)
+            continuation(start, dualize(P).metric, steps=4, rigidity=False)
+        assert len(inherited) > len(checked) > 0
+        for trial in inherited:
+            assert trial.cache["feasible"] == CERTIFIED
+            assert chart_certifies(trial.positions, trial.surface) == CERTIFIED
+
+    def test_moves_within_the_radius_stay_certified(self):
+        rng = np.random.RandomState(11)
+        corpus = certified_corpus()
+        assert len(corpus) >= 5
+        for pts, surface in corpus:
+            cert = chart_certificate(pts, surface)
+            radius, _ = certified_radius(cert, rng)
+            assert radius > 1e-4
+            for _ in range(20):
+                move = rng.uniform(-radius, radius, pts.shape)
+                move[rng.rand(*pts.shape) < 0.5] = radius   # corners of the box
+                assert cert.covers(pts + move)
+                assert chart_certifies(pts + move, surface) == CERTIFIED
+            # past the radius, the bound gives up
+            assert not cert.covers(pts + 2 * radius * np.ones_like(pts))
+
+    def test_no_certificate_without_a_certified_chart(self):
+        st = state_of(triangular_bipyramid())       # on a wall: undecided
+        assert chart_certifies(st.positions, st.surface) == UNDECIDED
+        assert chart_certificate(st.positions, st.surface) is None
+        check_feasible(st)
+        assert solver._certificate(st) is None
+
+
+class TestOneFactorPerBase:
+    def test_singular_jacobian_keeps_its_message_without_a_warning(
+            self, monkeypatch):
+        jac = solver.jacobian
+
+        def singular(state):
+            out = jac(state).copy()
+            out[:, 0] = 0.0
+            return out
+
+        monkeypatch.setattr(solver, "jacobian", singular)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StepStalled) as exc:
+                newton_solve(NEWTON_STARTS["hexahedron"]())
+        assert str(exc.value) == "singular Jacobian: Singular matrix"
+
+    def test_one_factorization_per_base(self, monkeypatch):
+        factors = count_calls(monkeypatch, solver, "dgetrf")
+        gauges = count_gauge_builds(monkeypatch)
+        sol = newton_solve(NEWTON_STARTS["solid-30-scaled"]())
+        assert np.max(np.abs(sol.residual())) < solver.NEWTON_TOL
+        assert len(factors) == len(gauges) >= 1
+
+    @pytest.mark.parametrize("name", sorted(newton_corpus()))
+    def test_agrees_with_the_linalg_solve_newton(self, name):
+        got = newton_solve(newton_corpus()[name]())
+        want = chord_newton(newton_corpus()[name]())
+        assert np.max(np.abs(got.residual())) < solver.NEWTON_TOL
+        np.testing.assert_allclose(got.positions, want.positions, rtol=0,
+                                   atol=1e3 * solver.NEWTON_TOL)
+
+
+class TestChartAcrossSteps:
+    @pytest.mark.parametrize("fixture", ["tetra", "hexa"])
+    def test_without_rigidity_no_report_and_fewer_bases_than_steps(
+            self, fixture, request, monkeypatch):
+        P, out = request.getfixturevalue(fixture)
+        start = perturbed_polyhedron(P, np.random.RandomState(3), 1e-2)
+        reports = count_calls(monkeypatch, solver, "rigidity_report")
+        bases = count_gauge_builds(monkeypatch)
+        final, report = continuation(start, out.metric, steps=8, rigidity=False)
+        assert np.max(np.abs(final.residual())) < solver.NEWTON_TOL
+        assert len(report.steps) == 8 and reports == []
+        assert len(bases) < len(report.steps)
+        assert report.final_rigidity is None
+        assert all(s.smallest_singular_value is None for s in report.steps)
+        assert match_dihedral_angles(P, recovered_polyhedron(final))
+
+    @pytest.mark.parametrize("rigidity", [True, False])
+    def test_no_state_refers_to_itself(self, tetra, rigidity, monkeypatch):
+        P, out = tetra
+        solutions = []
+        solve = solver.newton_solve
+
+        def recording(state, tol=solver.NEWTON_TOL):
+            solutions.append(solve(state, tol))
+            return solutions[-1]
+
+        monkeypatch.setattr(solver, "newton_solve", recording)
+        start = perturbed_polyhedron(P, np.random.RandomState(3), 1e-2)
+        final, report = continuation(start, out.metric, steps=4,
+                                     rigidity=rigidity)
+        assert any("chart" in st.cache for st in solutions)
+        for st in solutions:
+            if "chart" in st.cache:
+                base, _ = st.cache["chart"]
+                assert base is not st and base.cache is not st.cache
+                assert "chart" not in base.cache          # bases keep none
+        # the report holds numbers, not states, and without cycles the
+        # solved states die with their last reference
+        gc.disable()
+        try:
+            alive = [weakref.ref(st) for st in solutions]
+            del solutions[:], final, st, base
+            assert [ref() for ref in alive] == [None] * len(alive)
+        finally:
+            gc.enable()
+        for step in report.steps:
+            assert {type(v) for v in vars(step).values()} <= {float, type(None)}
+
+
+class TestFarTargets:
+    def test_far_newton_solves_fail_as_solver_errors(self):
+        # fixture lengths times exp(u), u uniform in (-0.3, 0.3): some hulls
+        # put a vertex so near the sphere at infinity that its lift leaves
+        # the hyperboloid by more than NORM_TOL
+        polys = [regular_tetrahedron(1.15), hexahedron(0.5),
+                 random_polyhedron(np.random.RandomState(3), 7)]
+        states = [state_of(P) for P in polys]
+        rng = np.random.RandomState(0)
+        outcomes = []
+        for k in range(48):
+            st = states[k % 3]
+            st = st.retarget(st.target * np.exp(rng.uniform(-0.3, 0.3, len(st.target))))
+            try:
+                newton_solve(st)
+                outcomes.append(None)
+            except (SolverError, GeometryError) as exc:
+                outcomes.append(str(exc))
+        assert None in outcomes
+        assert any("does not lift onto H^3" in str(o) for o in outcomes)
