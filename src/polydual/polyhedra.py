@@ -319,7 +319,7 @@ def _solve_vertex(a, b, idxs):
 def _plane_offsets(a, b, y):
     """a y - b for every point (row of y) and plane, point x plane, with
     the relative scale 1 + |b| + |a| |y| that both the lattice's membership
-    and `chart_certifies` measure it by."""
+    and `chart_verdict` measure it by."""
     resid = y @ a.T - b
     scale = 1.0 + np.abs(b) + _row_norms(y)[:, None] * _row_norms(a)
     return resid, scale
@@ -338,72 +338,10 @@ def _planes_through(a, b, y):
     return np.abs(resid) <= MERGE_TOL * scale
 
 
-def chart_certifies(duals, surface: CombSurface) -> str:
-    """What the chart `surface` proves about the polyhedron P cut out by the
-    planes dual to `duals`: CERTIFIED when the chart is P's dual
-    decomposition and P is compact, VIOLATED when the chart refines the
-    dual decomposition of no such P, and UNDECIDED otherwise.
-
-    `duals` holds one de Sitter point per row, indexed like the chart's
-    vertices; the chart must triangulate the sphere with no two edges on
-    the same endpoints, as `SolverState` requires. Each triangle's three
-    planes are solved for their common point y_t (Klein chart, a y <= b, as
-    in the hull). The certificate holds when every y_t lies inside the ball,
-    |y_t|^2 < 1 - CERTIFY_MARGIN, and strictly inside every other plane,
-    a y_t - b < -CERTIFY_MARGIN * scale with the relative scale of
-    `_plane_offsets`. The chart is violated when some y_t lies outside
-    another plane, a y_t - b > CERTIFY_MARGIN * scale.
-
-    Why this proves it: each y_t is then a point of P on exactly three
-    planes with independent normals, a simple vertex. Along the line of a
-    chart edge, the two triangles at that edge give two vertices, and the
-    segment between them is an edge of P, since its interior is strictly
-    inside every other plane and each end is cut off by its third plane.
-    So every y_t has all three of its P-edges among the chart's edges: the
-    chart's triangles and edges form a closed 3-regular subgraph of P's
-    connected 1-skeleton, hence all of it. P therefore has no unbounded edge
-    and no vertex outside the ball, so it is compact in H^3; every plane
-    carries a vertex with a two-dimensional face, so none is redundant; and
-    the chart is exactly P's dual decomposition.
-
-    Why a violation refutes: if the chart refined the dual decomposition of
-    P, each chart triangle would lie in the dual polygon of a vertex v of P,
-    so its three planes would pass through v, and their common point y_t
-    would be v up to the solve's roundoff. A vertex of P lies inside every
-    plane, and the hull collects a vertex's planes at MERGE_TOL, a
-    hundredth of the margin, so a y_t outside a plane by the margin is a
-    vertex of no such P: the full check (the hull compared with the chart)
-    must reject the state, and it is rejected without a hull. The argument
-    needs the roundoff to stay below the margin, which holds unless a
-    triangle's three normals are nearly dependent; the tests check the
-    verdict against the hull on every violated state they meet.
-
-    UNDECIDED decides nothing: states on a wall (four or more planes
-    through a vertex), states within the margin of leaving convex position
-    and states with a vertex outside the ball all return it.
-    """
-    x = np.asarray(duals, dtype=float)
-    a, b = x[:, 1:], x[:, 0]
-    tri = surface.triangle_array
-    try:
-        y = np.linalg.solve(a[tri], b[tri][..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        return UNDECIDED
-    resid, scale = _plane_offsets(a, b, y)            # triangle x plane
-    limit = CERTIFY_MARGIN * scale
-    own = surface.triangle_vertex_mask
-    if np.any((resid > limit) & ~own):
-        return VIOLATED
-    if (np.all(np.einsum("ij,ij->i", y, y) < 1.0 - CERTIFY_MARGIN)
-            and np.all(own | (resid < -limit))):
-        return CERTIFIED
-    return UNDECIDED
-
-
 @dataclass(frozen=True, eq=False)
 class ChartCertificate:
     """What a CERTIFIED verdict on the dual points `positions` has to spare:
-    enough to certify nearby points without `chart_certifies`.
+    enough to certify nearby points without `chart_verdict`.
 
     Over the chart's triangles t (their plane rows A_t and offsets b_t, and
     their common points y_t) and every plane p that is not a corner of t:
@@ -420,7 +358,7 @@ class ChartCertificate:
     roundoff: float
 
     def covers(self, positions) -> bool:
-        """True when `chart_certifies` certifies `positions`, by a bound.
+        """True when `chart_verdict` certifies `positions`, by a bound.
 
         Let every entry of the points differ from `positions` by at most
         delta. Per triangle A' = A + E and b' = b + e with |E|_2 <= |E|_F
@@ -434,7 +372,7 @@ class ChartCertificate:
         scale 1 + |b_p| + |a_p| |y| by at most the same rho. So every
         non-own offset stays below -CERTIFY_MARGIN * scale when
         (1 + CERTIFY_MARGIN) rho < sigma, and every y' inside the ball when
-        (Y + eta)^2 < 1 - CERTIFY_MARGIN; that is `chart_certifies`'
+        (Y + eta)^2 < 1 - CERTIFY_MARGIN; that is `chart_verdict`'s
         certificate. Both verdicts are computed in floating point, so each
         inequality must hold with the roundoff of both states to spare: the
         certificate's and, K growing by at most 1 / (1 - 3 K delta), the new
@@ -455,17 +393,66 @@ class ChartCertificate:
 _SQRT3 = float(np.sqrt(3.0))
 
 
-def chart_certificate(duals, surface: CombSurface) -> Optional[ChartCertificate]:
-    """The ChartCertificate of dual points that `chart_certifies` certified
-    on the chart `surface`; None when its own numbers certify nothing.
+def chart_verdict(duals, surface: CombSurface) -> tuple:
+    """What the chart `surface` proves about the polyhedron P cut out by the
+    planes dual to `duals`, as (verdict, certificate): CERTIFIED when the
+    chart is P's dual decomposition and P is compact, VIOLATED when the
+    chart refines the dual decomposition of no such P, and UNDECIDED
+    otherwise. The certificate is the CERTIFIED verdict's ChartCertificate,
+    None with any other verdict or when its own numbers certify nothing.
 
-    The common points come from the stacked inverses that bound K, not from
-    `chart_certifies`' solve, and both differ from the exact points by
-    roundoff. `roundoff` bounds that: a 3x3 solve is backward stable, so y_t
-    is off by about K alpha (1 + Y) units of roundoff, and an offset by
-    alpha times that plus a few units of its scale. With CERTIFY_ROUNDOFF
-    (some 450 units) for one unit, that is CERTIFY_ROUNDOFF ((1 + K alpha)
-    (1 + Y) (1 + alpha) + the largest scale).
+    `duals` holds one de Sitter point per row, indexed like the chart's
+    vertices; the chart must triangulate the sphere with no two edges on
+    the same endpoints, as `SolverState` requires. Each triangle's three
+    planes A_t y = b_t (Klein chart, a y <= b, as in the hull) are inverted
+    in one stacked pass, and their common point is y_t = A_t^-1 b_t. The
+    chart is certified when every y_t lies inside the ball, |y_t|^2 < 1 -
+    CERTIFY_MARGIN, and strictly inside every other plane, a y_t - b <
+    -CERTIFY_MARGIN * scale with the relative scale of `_plane_offsets`. It
+    is violated when some y_t lies outside another plane, a y_t - b >
+    CERTIFY_MARGIN * scale.
+
+    Why a certificate proves: each y_t is then a point of P on exactly three
+    planes with independent normals, a simple vertex. Along the line of a
+    chart edge, the two triangles at that edge give two vertices, and the
+    segment between them is an edge of P, since its interior is strictly
+    inside every other plane and each end is cut off by its third plane.
+    So every y_t has all three of its P-edges among the chart's edges: the
+    chart's triangles and edges form a closed 3-regular subgraph of P's
+    connected 1-skeleton, hence all of it. P therefore has no unbounded edge
+    and no vertex outside the ball, so it is compact in H^3; every plane
+    carries a vertex with a two-dimensional face, so none is redundant; and
+    the chart is exactly P's dual decomposition.
+
+    Why a violation refutes: if the chart refined the dual decomposition of
+    P, each chart triangle would lie in the dual polygon of a vertex v of P,
+    so its three planes would pass through v, and their common point y_t
+    would be v up to roundoff. A vertex of P lies inside every plane, and
+    the hull collects a vertex's planes at MERGE_TOL, a hundredth of the
+    margin, so a y_t outside a plane by the margin is a vertex of no such
+    P: the full check (the hull compared with the chart) must reject the
+    state, and it is rejected without a hull.
+
+    Why the roundoff stays below the margin: y_t is the computed inverse
+    times b_t. That misses the exact point by about K alpha K |b_t| units of
+    roundoff (Higham, 14.1: K |b_t| / |y_t| times a backward-stable solve's
+    error), and an offset by alpha times that plus a few units of its scale,
+    with K and alpha as in ChartCertificate. CERTIFY_MARGIN is some 10^9
+    units, so both arguments hold unless a triangle's three normals are
+    nearly dependent. The tests check the verdict against the hull on every
+    violated state they meet, and against a batched `np.linalg.solve` on
+    every state the solver decides in their corpora. The certificate keeps
+    `roundoff` to spare: with CERTIFY_ROUNDOFF (some 450 units) for one
+    unit, CERTIFY_ROUNDOFF ((1 + K alpha) (1 + Y) (1 + alpha) + the largest
+    scale). That covers the error above, up to a small constant, while
+    K |b_t| stays below 450 (below 230 on every certified state of the
+    solver tests' corpora), and the certificate is withheld unless the slack
+    exceeds it. Like the rest, these are floating-point estimates, not
+    directed-rounding bounds.
+
+    UNDECIDED decides nothing: states on a wall (four or more planes
+    through a vertex), states within the margin of leaving convex position
+    and states with a vertex outside the ball all return it.
     """
     x = np.asarray(duals, dtype=float)
     a, b = x[:, 1:], x[:, 0]
@@ -473,30 +460,37 @@ def chart_certificate(duals, surface: CombSurface) -> Optional[ChartCertificate]
     try:
         inverse = np.linalg.inv(a[tri])
     except np.linalg.LinAlgError:
-        return None
+        return UNDECIDED, None
     y = (inverse @ b[tri][..., None])[..., 0]
-    resid, scale = _plane_offsets(a, b, y)
+    resid, scale = _plane_offsets(a, b, y)            # triangle x plane
+    limit = CERTIFY_MARGIN * scale
     own = surface.triangle_vertex_mask
-    slack = float(np.min(np.where(own, np.inf, -CERTIFY_MARGIN * scale - resid)))
+    if np.any((resid > limit) & ~own):
+        return VIOLATED, None
+    squares = np.einsum("ij,ij->i", y, y)
+    if not (np.all(squares < 1.0 - CERTIFY_MARGIN)
+            and np.all(own | (resid < -limit))):
+        return UNDECIDED, None
+    slack = float(np.min(np.where(own, np.inf, -limit - resid)))
     inverse_bound = float(np.sqrt(np.max(np.einsum("tij,tij->t", inverse, inverse))))
-    klein_radius = float(np.sqrt(np.max(np.einsum("ij,ij->i", y, y))))
+    klein_radius = float(np.sqrt(np.max(squares)))
     normal_bound = float(np.max(_row_norms(a)))
     roundoff = CERTIFY_ROUNDOFF * (
         (1.0 + inverse_bound * normal_bound) * (1.0 + klein_radius)
         * (1.0 + normal_bound) + float(np.max(scale)))
     if slack <= roundoff or klein_radius ** 2 >= 1.0 - CERTIFY_MARGIN:
-        return None
-    return ChartCertificate(x, slack, inverse_bound, klein_radius, normal_bound,
-                            roundoff)
+        return CERTIFIED, None
+    return CERTIFIED, ChartCertificate(x, slack, inverse_bound, klein_radius,
+                                       normal_bound, roundoff)
 
 
 def polyhedron_from_chart(duals, surface: CombSurface) -> ConvexPolyhedronH3:
     """The polyhedron cut out by the planes dual to `duals`, for dual points
-    whose chart `surface` `chart_certifies` certified; builds no hull.
+    whose chart `surface` `chart_verdict` certified; builds no hull.
 
     Why it is sound: the certificate proves that the chart is exactly the
     polyhedron's dual decomposition, with every plane essential and every
-    vertex simple (see `chart_certifies`). So the face lattice is read off
+    vertex simple (see `chart_verdict`). So the face lattice is read off
     the chart instead of recovered by Qhull, an LP and a fit per vertex:
     the planes are all of `duals`, converted as `hull_from_dual_points`
     converts them; the vertices are the triangles' common points y_t,

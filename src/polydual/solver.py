@@ -25,8 +25,11 @@ its base's checked invariants and re-checks the moved rows' norms, and a
 trial within the certified radius of the accepted iterate inherits its chart
 certificate (`ChartCertificate.covers`). Any other trial takes
 `check_feasible`, which decides it from the chart and rejects one the chart
-refutes without a hull. Only a verdict that leaves the solver is rebuilt by
-the full hull check.
+refutes without a hull: one stacked inverse of the chart's triangle systems
+(`chart_verdict`) gives the verdict and, on a certified state, the
+certificate that later trials may inherit, kept together as the state's one
+verdict. Only a verdict that leaves the solver is rebuilt by the full hull
+check.
 """
 from __future__ import annotations
 
@@ -54,8 +57,7 @@ from .polyhedra import (
     UNDECIDED,
     VIOLATED,
     ConvexPolyhedronH3,
-    chart_certificate,
-    chart_certifies,
+    chart_verdict,
     dihedral_angles,
     hull_from_dual_points,
     polyhedron_from_chart,
@@ -232,10 +234,10 @@ class SolverState:
         self.edge_pairs = surface.edge_pairs
         if surface.n_edges != 3 * n - 6:
             raise SolverError("chart dimension is not 3n - 6; genus-0 required")
-        # frames, gauge, Jacobian and its LU factors, the feasibility verdict,
-        # the chart certificate and the polyhedron depend only on positions
-        # and chart: built once, shared with every retarget; so is the base
-        # a solution was solved in (`newton_solve`)
+        # frames, gauge, Jacobian and its LU factors, the chart verdict with
+        # its certificate, and the polyhedron depend only on positions and
+        # chart: built once, shared with every retarget; so is the base a
+        # solution was solved in (`newton_solve`)
         self.cache = {}
 
     # -- geometry ----------------------------------------------------------------
@@ -312,7 +314,8 @@ def check_feasible(state: SolverState):
     polyhedron that keeps every plane and whose dual decomposition the chart
     refines. Violations raise FeasibilityLost.
 
-    Most states are decided by `chart_certifies`, which builds no hull. A
+    Most states are decided by `chart_verdict`, which builds no hull, and
+    the state keeps its (verdict, certificate) pair under one cache key. A
     certified state is proven feasible: the chart is the polyhedron's dual
     decomposition, so the chart lengths are its dual metric and need no
     validity check either. A violated state is proven infeasible, since a
@@ -327,41 +330,32 @@ def check_feasible(state: SolverState):
     not come here at all: it inherits that iterate's certificate
     (`_check_trial`).
     """
-    if "feasible" in state.cache:
+    if "verdict" in state.cache:
         return
-    verdict = chart_certifies(state.positions, state.surface)
-    if verdict == VIOLATED:
+    verdict = chart_verdict(state.positions, state.surface)
+    if verdict[0] == VIOLATED:
         raise ChartRefuted(state)
-    if verdict == UNDECIDED:
+    if verdict[0] == UNDECIDED:
         state.cache["polyhedron"] = _checked_hull(state)
-    state.cache["feasible"] = verdict
-
-
-def _certificate(state: SolverState):
-    """The ChartCertificate of a feasible state, or None when the chart did
-    not certify it; taken once per state, only for states that serve as a
-    reference."""
-    if "certificate" not in state.cache:
-        state.cache["certificate"] = (
-            chart_certificate(state.positions, state.surface)
-            if state.cache["feasible"] == CERTIFIED else None)
-    return state.cache["certificate"]
+    state.cache["verdict"] = verdict
 
 
 def _check_trial(trial: SolverState, reference: SolverState):
-    """check_feasible(trial), unless the reference's chart certificate
-    covers the trial (`ChartCertificate.covers`): then the trial is
-    certified, with that certificate as its own."""
-    cert = _certificate(reference)
+    """check_feasible(trial), unless the chart certificate in the checked
+    reference's verdict covers the trial (`ChartCertificate.covers`): then
+    the trial is certified, with that certificate as its own."""
+    _, cert = reference.cache["verdict"]
     if cert is not None and cert.covers(trial.positions):
-        trial.cache.update(feasible=CERTIFIED, certificate=cert)
+        trial.cache["verdict"] = CERTIFIED, cert
     else:
         check_feasible(trial)
 
 
 class ChartRefuted(FeasibilityLost):
-    """A state that `chart_certifies` found violated, rejected by
-    `check_feasible` without a hull; `state` is that state."""
+    """A state that `chart_verdict` found violated, rejected by
+    `check_feasible` without a hull; `state` is that state. No solve or
+    continuation reports its message: `full_verdict` replaces it with the
+    full check's."""
 
     def __init__(self, state: SolverState):
         super().__init__("a chart vertex lies outside a plane")
@@ -845,7 +839,7 @@ def _realizing_state(points: np.ndarray, chart: ConeMetric) -> SolverState:
 
 def recovered_polyhedron(state: SolverState) -> ConvexPolyhedronH3:
     """The polyhedron cut out by a feasible state's dual points, built once
-    per state: read off the chart when `chart_certifies` accepted the state,
+    per state: read off the chart when `chart_verdict` certified the state,
     and otherwise the hull that `check_feasible` rebuilt and kept."""
     check_feasible(state)
     if "polyhedron" not in state.cache:

@@ -292,14 +292,6 @@ class ConeMetric:
                            weights=self.corner_angles.ravel(),
                            minlength=self.surface.n_vertices)
 
-    def triangle_area(self, t: int) -> float:
-        excess = float(self.corner_angles[t].sum() - np.pi)
-        return excess if self.geometry == SPHERICAL else -excess
-
-    def total_area(self) -> float:
-        return float(sum(self.triangle_area(t)
-                         for t in range(self.surface.n_triangles)))
-
     def edge_word(self, h: int) -> Optional[np.ndarray]:
         """Deck holonomy picked up when crossing half-edge h out of its triangle."""
         if self.deck_words is None:

@@ -1,6 +1,5 @@
 import functools
 import gc
-import itertools
 import os
 import sys
 import warnings
@@ -23,8 +22,7 @@ from polydual.polyhedra import (
     TETRA_DIRECTIONS,
     UNDECIDED,
     VIOLATED,
-    chart_certificate,
-    chart_certifies,
+    chart_verdict,
     dualize,
     hexahedron,
     hull_from_dual_points,
@@ -48,7 +46,8 @@ from polydual.solver import (
 )
 from polydual.surface import ConeMetric, SPHERICAL, flip_edge, scale
 
-from oracles import chord_newton, masked_frames
+import oracles
+from oracles import chord_newton, full_newton, masked_frames, svd_gauge
 
 BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench")
 
@@ -142,90 +141,6 @@ def draw_point_by_point(P, rng, magnitude):
                 left += 1
                 break
     return left
-
-
-def so31_basis():
-    basis = []
-    for i in range(1, 4):          # boosts
-        m = np.zeros((4, 4))
-        m[0, i] = m[i, 0] = 1.0
-        basis.append(m)
-    for i, j in ((1, 2), (1, 3), (2, 3)):   # rotations
-        m = np.zeros((4, 4))
-        m[i, j] = -1.0
-        m[j, i] = 1.0
-        basis.append(m)
-    return basis
-
-
-def svd_gauge(positions, frames):
-    """The gauge `build_gauge` replaced: stabilizers of the pinned points as
-    null spaces of so(3,1) actions, their orbits in chart coordinates, and
-    four kinds of SVD. Returns (pinned, free1, free2)."""
-    basis = so31_basis()
-    vectors, signs = frames
-
-    def coords(i, v):
-        return signs[i] * (vectors[i].T @ J @ v)
-
-    n = len(positions)
-    for i0, i1, i2 in itertools.combinations(range(n), 3):
-        m = positions[[i0, i1, i2]]
-        if np.linalg.svd(m, compute_uv=False)[2] <= 1e-6:
-            continue
-        acts0 = np.stack([A @ positions[i0] for A in basis], axis=1)
-        _, sv, vt = np.linalg.svd(acts0)
-        if 6 - int(np.sum(sv >= 1e-8 * sv[0])) != 3:
-            continue
-        stab0 = [sum(c[k] * basis[k] for k in range(6)) for c in vt[3:]]
-        p1 = np.stack([coords(i1, A @ positions[i1]) for A in stab0], axis=1)
-        u1, sv1, vt1 = np.linalg.svd(p1)
-        if sv1[1] < 1e-8 or sv1[2] > 1e-6 * sv1[0]:
-            continue
-        stab1 = sum(vt1[2][k] * stab0[k] for k in range(3))
-        v2 = coords(i2, stab1 @ positions[i2])
-        if np.linalg.norm(v2) < 1e-8:
-            continue
-        u2, _, _ = np.linalg.svd(v2[:, None], full_matrices=True)
-        return (i0, i1, i2), u1[:, 2:], u2[:, 1:]
-    raise SolverError("no independent point triple found for the gauge")
-
-
-def full_newton(state, tol=solver.NEWTON_TOL):
-    """Damped Newton with a fresh chart and Jacobian at every iterate: the
-    iteration the chord steps replaced, kept as their oracle."""
-    check_feasible(state)
-    cur = state
-    r = cur.residual()
-    for _ in range(solver.NEWTON_MAX_ITER):
-        if np.max(np.abs(r)) < tol:
-            return cur
-        delta = np.linalg.solve(jacobian(cur), -r)
-        step = 1.0
-        last_feas_exc = None
-        while step >= solver.DAMPING_FLOOR:
-            try:
-                trial = cur.moved(step * delta, cur.gauge(), cur.frames())
-                check_feasible(trial)
-                r_trial = trial.residual()
-            except SolverError as exc:
-                last_feas_exc = exc
-                step /= 2
-                continue
-            if np.linalg.norm(r_trial) < np.linalg.norm(r):
-                cur, r = trial, r_trial
-                break
-            step /= 2
-        else:
-            if last_feas_exc is not None:
-                raise FeasibilityLost(
-                    f"every damped step left the feasible set ({last_feas_exc})")
-            raise StepStalled(
-                f"damping floor reached at residual {np.max(np.abs(r)):.3e}")
-    if np.max(np.abs(r)) < tol:
-        return cur
-    raise StepStalled(f"no convergence after {solver.NEWTON_MAX_ITER} "
-                      f"iterations (residual {np.max(np.abs(r)):.3e})")
 
 
 def solid_state(n_faces):
@@ -392,7 +307,7 @@ def moved_planes(pts, rng, magnitude):
 
 
 def certified(st):
-    return chart_certifies(st.positions, st.surface) == CERTIFIED
+    return chart_verdict(st.positions, st.surface)[0] == CERTIFIED
 
 
 def assert_same_polyhedron(chart_built, hull):
@@ -811,9 +726,11 @@ class TestChordNewton:
         monkeypatch.setattr(SolverState, "moved", failing_from_stale_start)
         sol = newton_solve(st)
         assert np.max(np.abs(sol.residual())) < solver.NEWTON_TOL
-        # the stale base failed at every damping level before the re-base
+        # the stale base failed at every damping level before the re-base:
+        # the steps 1, 1/2, ... down to DAMPING_FLOOR
+        ladder = 1 + int(-np.log2(solver.DAMPING_FLOOR))
         stale = [b is st for b in bases]
-        assert stale[:2] == [True, True] and sum(stale) > 40
+        assert stale[:2] == [True, True] and sum(stale) > ladder
         assert bases[-1] is not st
 
     def test_failure_from_a_fresh_base_is_raised(self, monkeypatch):
@@ -995,13 +912,13 @@ def count_calls(monkeypatch, owner, name):
 def without_refutation(monkeypatch):
     """Make every violated verdict undecided, so that every state the chart
     does not certify takes the full check: the solver before refutation."""
-    certify = solver.chart_certifies
+    decide = solver.chart_verdict
 
     def undecided(duals, surface):
-        verdict = certify(duals, surface)
-        return UNDECIDED if verdict == VIOLATED else verdict
+        verdict = decide(duals, surface)
+        return (UNDECIDED, None) if verdict[0] == VIOLATED else verdict
 
-    monkeypatch.setattr(solver, "chart_certifies", undecided)
+    monkeypatch.setattr(solver, "chart_verdict", undecided)
 
 
 def perturbed_bipyramid(seed):
@@ -1076,15 +993,15 @@ class TestRefutation:
 
     def test_violated_states_fail_the_full_check(self, monkeypatch):
         violated = []
-        certify = solver.chart_certifies
+        decide = solver.chart_verdict
 
         def recording(duals, surface):
-            verdict = certify(duals, surface)
-            if verdict == VIOLATED:
+            verdict = decide(duals, surface)
+            if verdict[0] == VIOLATED:
                 violated.append((np.array(duals), surface))
             return verdict
 
-        monkeypatch.setattr(solver, "chart_certifies", recording)
+        monkeypatch.setattr(solver, "chart_verdict", recording)
         # every Newton trial of a solve that crosses a wall, and of the
         # fixtures' round trips
         with pytest.raises(FeasibilityLost):
@@ -1116,7 +1033,7 @@ class TestRefutation:
         st = next(st for st in (
             SolverState(moved_planes(pts, rng, 0.1), chart.surface,
                         chart.lengths) for _ in range(20))
-            if chart_certifies(st.positions, st.surface) == VIOLATED)
+            if chart_verdict(st.positions, st.surface)[0] == VIOLATED)
         hulls = count_hull_builds(monkeypatch)
         metrics = count_calls(monkeypatch, solver, "ConeMetric")
         with pytest.raises(solver.ChartRefuted) as exc:
@@ -1152,7 +1069,7 @@ class TestRefutation:
         chart = dualize(P).metric
         planes = [P.planes[i] for i in (0, 4, 2, 3, 1, 5, 6, 7, 8, 9)]
         pts = np.stack([p.v for p in planes])
-        assert chart_certifies(pts, chart.surface) == VIOLATED
+        assert chart_verdict(pts, chart.surface)[0] == VIOLATED
         with pytest.raises(HomotopyBlocked) as lean:
             continuation(planes, chart, steps=2)
         without_refutation(monkeypatch)
@@ -1191,7 +1108,7 @@ class TestLeanTrial:
                          st.frames())
         for name in ("surface", "edge_pairs", "target"):
             assert getattr(trial, name) is getattr(st, name)
-        assert trial.cache == {} and "feasible" in st.cache
+        assert trial.cache == {} and "verdict" in st.cache
         assert not np.shares_memory(trial.positions, st.positions)
 
     def test_trial_rechecks_the_quadric(self, hexa, monkeypatch):
@@ -1227,7 +1144,7 @@ def newton_corpus():
 
 
 def certified_corpus():
-    """Dual points and charts that `chart_certifies` certifies: the
+    """Dual points and charts that `chart_verdict` certifies: the
     certifiable fixtures and seeded 8-50-face solids."""
     states = [state_of(make()) for make in CERTIFY_SOLIDS.values()]
     states += [solid_state(n) for n in (8, 20, 50)]
@@ -1248,14 +1165,14 @@ def certified_radius(cert, rng):
 
 class TestInheritedCertificate:
     """A chord trial within the accepted iterate's certified radius is
-    certified without `chart_certifies`."""
+    certified without `chart_verdict`."""
 
     def test_inherited_trials_are_certified(self, monkeypatch):
         inherited, checked = [], []
         check_trial = solver._check_trial
 
         def recording(trial, reference):
-            cert = solver._certificate(reference)
+            _, cert = reference.cache["verdict"]
             covered = cert is not None and cert.covers(trial.positions)
             check_trial(trial, reference)
             (inherited if covered else checked).append(trial)
@@ -1268,31 +1185,91 @@ class TestInheritedCertificate:
             continuation(start, dualize(P).metric, steps=4, rigidity=False)
         assert len(inherited) > len(checked) > 0
         for trial in inherited:
-            assert trial.cache["feasible"] == CERTIFIED
-            assert chart_certifies(trial.positions, trial.surface) == CERTIFIED
+            assert trial.cache["verdict"][0] == CERTIFIED
+            assert chart_verdict(trial.positions, trial.surface)[0] == CERTIFIED
 
     def test_moves_within_the_radius_stay_certified(self):
         rng = np.random.RandomState(11)
         corpus = certified_corpus()
         assert len(corpus) >= 5
         for pts, surface in corpus:
-            cert = chart_certificate(pts, surface)
+            _, cert = chart_verdict(pts, surface)
             radius, _ = certified_radius(cert, rng)
             assert radius > 1e-4
             for _ in range(20):
                 move = rng.uniform(-radius, radius, pts.shape)
                 move[rng.rand(*pts.shape) < 0.5] = radius   # corners of the box
                 assert cert.covers(pts + move)
-                assert chart_certifies(pts + move, surface) == CERTIFIED
+                assert chart_verdict(pts + move, surface)[0] == CERTIFIED
             # past the radius, the bound gives up
             assert not cert.covers(pts + 2 * radius * np.ones_like(pts))
 
     def test_no_certificate_without_a_certified_chart(self):
         st = state_of(triangular_bipyramid())       # on a wall: undecided
-        assert chart_certifies(st.positions, st.surface) == UNDECIDED
-        assert chart_certificate(st.positions, st.surface) is None
+        assert chart_verdict(st.positions, st.surface) == (UNDECIDED, None)
         check_feasible(st)
-        assert solver._certificate(st) is None
+        assert st.cache["verdict"] == (UNDECIDED, None)
+
+
+def certificate_fields(cert):
+    """A ChartCertificate's numbers and points, for a bitwise comparison."""
+    return (None if cert is None else
+            (cert.positions.tobytes(), cert.slack, cert.inverse_bound,
+             cert.klein_radius, cert.normal_bound, cert.roundoff))
+
+
+def assert_oracle_verdict(pts, surface, verdict):
+    """`verdict` is chart_verdict's on (pts, surface): the verdict of the
+    solve-based oracle and, when certified, the oracle's certificate bit
+    for bit."""
+    assert verdict[0] == oracles.chart_certifies(pts, surface)
+    want = (oracles.chart_certificate(pts, surface)
+            if verdict[0] == CERTIFIED else None)
+    assert certificate_fields(verdict[1]) == certificate_fields(want)
+
+
+class TestOneVerdict:
+    """One stacked inverse per state gives the verdict of the solve-based
+    oracle and the certificate of the inverse-based one."""
+
+    def test_agrees_with_the_oracles_on_every_solver_state(self, monkeypatch):
+        decided = []
+        decide = solver.chart_verdict
+
+        def recording(duals, surface):
+            verdict = decide(duals, surface)
+            decided.append((np.array(duals), surface, verdict))
+            return verdict
+
+        monkeypatch.setattr(solver, "chart_verdict", recording)
+        for make in newton_corpus().values():
+            newton_solve(make())
+        with pytest.raises(FeasibilityLost):
+            newton_solve(wall_crossing_newton_start())
+        rng = np.random.RandomState(17)
+        for pts, chart in refutation_corpus():
+            for magnitude in np.geomspace(1e-3, 1e-1, 5):
+                for _ in range(3):
+                    moved = moved_planes(pts, rng, magnitude)
+                    decided.append((moved, chart.surface,
+                                    decide(moved, chart.surface)))
+        verdicts = {verdict[0] for _, _, verdict in decided}
+        assert verdicts == {CERTIFIED, UNDECIDED, VIOLATED}
+        for pts, surface, verdict in decided:
+            assert_oracle_verdict(pts, surface, verdict)
+
+    def test_certificates_equal_the_oracle_bit_for_bit(self):
+        for pts, surface in certified_corpus():
+            verdict = chart_verdict(pts, surface)
+            assert verdict[0] == CERTIFIED and verdict[1] is not None
+            assert_oracle_verdict(pts, surface, verdict)
+
+    def test_a_state_keeps_one_verdict(self):
+        st = NEWTON_STARTS["hexahedron"]()
+        check_feasible(st)
+        assert st.cache.keys() == {"verdict"}
+        assert st.cache["verdict"][0] == CERTIFIED
+        assert st.retarget(st.target).cache["verdict"] is st.cache["verdict"]
 
 
 class TestOneFactorPerBase:
