@@ -39,6 +39,9 @@ from .surface import gauss_bonnet_residual, is_concave, scale as scale_metric
 
 PASS, FAIL, INVALID = 0, 1, 2
 GAUSS_BONNET_TOL = 1e-8      # largest accepted |gauss_bonnet_residual|
+STEPS_HELP = ("continuation steps from the start to the target; the steps "
+              "before s = 1 are only tracked near the path, and only s = 1 "
+              "is solved to --tol")
 
 
 def _provenance(args, command, **params):
@@ -276,7 +279,7 @@ def build_parser():
     r = sub.add_parser("realize", help="recover a polyhedron from a dual metric")
     r.add_argument("target")
     r.add_argument("--start", default=None)
-    r.add_argument("--steps", type=int, default=10)
+    r.add_argument("--steps", type=int, default=10, help=STEPS_HELP)
     r.add_argument("--tol", type=float, default=NEWTON_TOL)
     r.add_argument("--depth", type=int, default=6,
                    help="largeness search depth for target validation")
@@ -292,7 +295,7 @@ def build_parser():
                    help="upper bound on the start perturbation of the dual "
                         f"points; capped at {PERTURB_EDGE_SHARE:g} times the "
                         "shortest primal edge")
-    t.add_argument("--steps", type=int, default=10)
+    t.add_argument("--steps", type=int, default=10, help=STEPS_HELP)
     t.add_argument("--tol", type=float, default=NEWTON_TOL)
     t.add_argument("--match-tol", type=float, default=MATCH_TOL)
     t.set_defaults(func=cmd_roundtrip)

@@ -22,11 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from .errors import InvalidPolyhedron
 from .minkowski import DSPoint, Isometry, J, ds_distances
-from .polyhedra import order_face_cycles, polygon_area
+from .polyhedra import order_face_cycles, polygon_area, qhull
 from .surface import SPHERICAL, CombSurface, ConeMetric, fan_triangulation, rowdot
 
 OCTAGON_HALF_WIDTH = float(np.arccosh(1.0 / np.tan(np.pi / 8)))
@@ -177,6 +176,7 @@ class ApexStar:
 
 def _apex_star(points: np.ndarray) -> ApexStar:
     klein = points[:, 1:] / points[:, [0]]
+    ConvexHull, _ = qhull()
     hull = ConvexHull(klein)
     if 0 not in set(int(v) for v in hull.vertices):
         raise InvalidPolyhedron("apex is not extreme in the sampled orbit")

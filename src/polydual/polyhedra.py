@@ -23,7 +23,6 @@ from itertools import chain
 from typing import Optional
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .errors import (
     EmptyInterior,
@@ -176,6 +175,15 @@ def _interior_point(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return res.x[:3]
 
 
+def qhull() -> tuple:
+    """scipy.spatial's (ConvexHull, QhullError), imported at first use:
+    scipy.spatial is most of the import time of `polydual.cli`, and commands
+    such as `check` and `scale` build no hull. Every hull goes through this
+    one lookup."""
+    from scipy.spatial import ConvexHull, QhullError
+    return ConvexHull, QhullError
+
+
 def _as_planes(duals) -> list:
     """Each dual point as a DSPoint, a raw row normalized onto the quadric
     (all rows of an (n, 4) array in one pass); a row that does not land on
@@ -223,6 +231,7 @@ def hull_from_dual_points(duals) -> ConvexPolyhedronH3:
     gap = b - a @ y0
     if np.any(gap <= 0):
         raise EmptyInterior("interior point failed strict containment")
+    ConvexHull, QhullError = qhull()
     try:
         hull = ConvexHull(np.vstack([a / gap[:, None], np.zeros(3)]))
     except QhullError as exc:

@@ -30,6 +30,10 @@ refutes without a hull: one stacked inverse of the chart's triangle systems
 certificate that later trials may inherit, kept together as the state's one
 verdict. Only a verdict that leaves the solver is rebuilt by the full hull
 check.
+
+A continuation solves only its end to the tolerance: the solves of its
+intermediate steps are tracked, and return once their iterate is certified
+near the path (`newton_solve(track=True)`).
 """
 from __future__ import annotations
 
@@ -39,7 +43,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import (
     FeasibilityLost,
@@ -444,11 +447,19 @@ def jacobian(state: SolverState) -> np.ndarray:
     return jac
 
 
+def _lapack() -> tuple:
+    """LAPACK's (dgetrf, dgetrs) from scipy, imported at the first
+    factorization, so that `import polydual.cli` loads no scipy module."""
+    from scipy.linalg.lapack import dgetrf, dgetrs
+    return dgetrf, dgetrs
+
+
 def _chord_step(base: SolverState, r: np.ndarray) -> np.ndarray:
     """The chord step -J^-1 r for the base's Jacobian J, by back-substitution
     in its LU factors, which are taken once per base (LAPACK dgetrf, kept in
     its cache beside the Jacobian). An exactly singular J raises
     StepStalled."""
+    dgetrf, dgetrs = _lapack()
     if "lu" not in base.cache:
         lu, piv, info = dgetrf(jacobian(base))
         if info > 0:
@@ -470,7 +481,8 @@ def rigidity_report(state: SolverState) -> RigidityReport:
                           condition_number=float(sv[0] / sv[-1]))
 
 
-def newton_solve(state: SolverState, tol: float = NEWTON_TOL) -> SolverState:
+def newton_solve(state: SolverState, tol: float = NEWTON_TOL,
+                 track: bool = False) -> SolverState:
     """Damped chord Newton iteration on the gauged residual.
 
     The iterate is base.moved(xi) in the chart of a base state, and every
@@ -495,6 +507,12 @@ def newton_solve(state: SolverState, tol: float = NEWTON_TOL) -> SolverState:
     rejects a trial the chart refutes without a hull; the FeasibilityLost
     raised carries the full check's verdict on the last trial
     (`full_verdict`).
+
+    A tracked solve (`track`, a continuation's intermediate steps) only
+    keeps its iterate near the path: it returns once the residual norm (max)
+    is at most CHORD_CONTRACTION times the starting one and the iterate's
+    chart certificate covers the next chord iterate (`_covers_next`). A
+    state without a certificate (undecided, or on a wall) is solved to tol.
     """
     try:
         check_feasible(state)
@@ -503,10 +521,14 @@ def newton_solve(state: SolverState, tol: float = NEWTON_TOL) -> SolverState:
     cur = state
     base, xi = _chart_base(state)
     r = cur.residual()
+    near = CHORD_CONTRACTION * np.max(np.abs(r))
     for _ in range(NEWTON_MAX_ITER):
-        if np.max(np.abs(r)) < tol:
+        r_max = np.max(np.abs(r))
+        if r_max < tol:
             break
         delta = _chord_step(base, r)
+        if track and r_max <= near and _covers_next(cur, base, xi + delta):
+            break
         r_norm = np.linalg.norm(r)
         step = 1.0
         last_feas_exc = None
@@ -552,6 +574,20 @@ def newton_solve(state: SolverState, tol: float = NEWTON_TOL) -> SolverState:
     if base is not cur:           # a state never refers to itself
         cur.cache["chart"] = base, xi
     return cur
+
+
+def _covers_next(cur: SolverState, base: SolverState, move) -> bool:
+    """Whether the checked iterate's chart certificate covers the chord
+    iterate base.moved(move); a move that leaves the quadric is not
+    covered."""
+    _, cert = cur.cache["verdict"]
+    if cert is None:
+        return False
+    try:
+        probe = base.moved(move, base.gauge(), base.frames())
+    except SolverError:
+        return False
+    return cert.covers(probe.positions)
 
 
 def _chart_base(state: SolverState) -> tuple:
@@ -665,6 +701,12 @@ def continuation(start, target: ConeMetric, steps: int = 10,
     """Follow the straight edge-length homotopy from the start polyhedron's
     dual metric to the target, Newton-correcting at each step.
 
+    Only the end of the path, s = 1, is solved to `tol`. The steps before it
+    are tracked (`newton_solve(track=True)`): each is corrected only until
+    its residual is at most CHORD_CONTRACTION times its starting one and its
+    chart certificate covers the next chord iterate, which keeps the next
+    step in Newton's basin; a step without a certificate is solved to `tol`.
+
     `start` is a ConvexPolyhedronH3 or its dual points, a sequence of
     DSPoints or an (n, 4) array of their rows. Returns (state, report). The
     start polyhedron must realize the target's chart: every chart edge a
@@ -732,7 +774,8 @@ def continuation(start, target: ConeMetric, steps: int = 10,
                     s=s_next, edge=edge)
             l_next = schedule(surface, s_next, bump)
         try:
-            solved = newton_solve(state.retarget(l_next), tol=tol)
+            solved = newton_solve(state.retarget(l_next), tol=tol,
+                                  track=s_next < 1.0 - 1e-14)
         except (StepStalled, FeasibilityLost) as exc:
             recovered = None
             if isinstance(exc, FeasibilityLost):

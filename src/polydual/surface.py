@@ -371,17 +371,6 @@ def octahedron_sphere() -> ConeMetric:
     return ConeMetric(surf, SPHERICAL, np.full(surf.n_edges, np.pi / 2))
 
 
-def double_triangle(a: float, b: float, c: float, geometry: str) -> ConeMetric:
-    """Double of a triangle across its boundary: two faces, three edges."""
-    surf = CombSurface(3, [(0, 1, 2), (0, 2, 1)])
-    lengths = np.empty(3)
-    for e in range(3):
-        u, w = surf.edge_endpoints(e)
-        lengths[e] = {frozenset((1, 2)): a, frozenset((0, 2)): b,
-                      frozenset((0, 1)): c}[frozenset((u, w))]
-    return ConeMetric(surf, geometry, lengths)
-
-
 # -- spherical development and edge flip --------------------------------------
 
 

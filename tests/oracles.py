@@ -140,6 +140,22 @@ def chord_newton(state, tol=solver.NEWTON_TOL):
                       f"iterations (residual {np.max(np.abs(r)):.3e})")
 
 
+def tight_continuation(start, target, **kwargs):
+    """Checks `solver.continuation`: the continuation with every step solved
+    to its tol, the tracked intermediate steps included; `kwargs` are
+    continuation's."""
+    solve = solver.newton_solve
+
+    def tight(state, tol=solver.NEWTON_TOL, track=False):
+        return solve(state, tol)
+
+    solver.newton_solve = tight
+    try:
+        return solver.continuation(start, target, **kwargs)
+    finally:
+        solver.newton_solve = solve
+
+
 def so31_basis():
     """A basis of so(3,1), three boosts and three rotations, for `svd_gauge`."""
     basis = []

@@ -41,14 +41,40 @@ def count_hull_builds(monkeypatch):
     return calls
 
 
+SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+
+
+def run_python(code, *args):
+    """Run `code` in a fresh interpreter on this checkout's sources."""
+    env = dict(os.environ, PYTHONPATH=SRC_DIR)
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True)
+
+
 def test_cli_import_leaves_out_scipy_optimize():
-    # linprog serves only the hull's Chebyshev fallback, imported on use
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    code = "import sys, polydual.cli; print('scipy.optimize' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    # scipy serves only the hulls, their Chebyshev fallback and the chord
+    # step's LU, each imported on use
+    code = ("import sys, polydual.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    out = run_python(code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+def test_check_and_scale_run_without_scipy(tetra_files, tmp_path):
+    _, dual_path = tetra_files
+    code = ("import sys; sys.modules['scipy'] = None; "
+            "from polydual.cli import main; sys.exit(main(sys.argv[1:]))")
+    scaled = tmp_path / "scaled.json"
+    for argv in (["check", str(dual_path), "--depth", "6"],
+                 ["scale", str(dual_path), "0.01", "--out", str(scaled)]):
+        out = run_python(code, *argv)
+        assert out.returncode == 0, out.stderr
+    assert scaled.exists()
+    # the guard holds: a command that builds a hull cannot run
+    out = run_python(code, "dualize", str(tetra_files[0]),
+                     "--out", str(tmp_path / "dual.json"))
+    assert out.returncode != 0 and "scipy" in out.stderr
 
 
 def write_polyhedron_payload(path, payload):

@@ -296,8 +296,8 @@ def test_ball_star_matches_the_word_bound_4_star(group, h):
 @pytest.mark.parametrize("h", [0.25, 0.5, 1.0, 2.0, 3.0, 5.0])
 def test_one_hull_per_call(group, h, monkeypatch):
     calls = []
-    real = fuchsian.ConvexHull
-    monkeypatch.setattr(fuchsian, "ConvexHull",
-                        lambda *args, **kw: calls.append(1) or real(*args, **kw))
+    real, qhull_error = fuchsian.qhull()
+    monkeypatch.setattr(fuchsian, "qhull", lambda: (
+        lambda *args, **kw: calls.append(1) or real(*args, **kw), qhull_error))
     fuchsian_dualize(group, h)
     assert calls == [1]

@@ -878,7 +878,7 @@ class TestContinuation:
         target, _ = flip_edge(m3, e_conflict)
 
         final, report = continuation(B, target, steps=10)
-        assert len(report.flips) == 1
+        assert len(report.flips) == 1 and report.flips[0].s == 0.0
         assert report.flips[0].flipped_edge_pair == (0, 5)
         assert report.flips[0].new_edge_pair == (2, 3)
         assert np.max(np.abs(final.residual())) < 1e-10
@@ -1290,7 +1290,10 @@ class TestOneFactorPerBase:
         assert str(exc.value) == "singular Jacobian: Singular matrix"
 
     def test_one_factorization_per_base(self, monkeypatch):
-        factors = count_calls(monkeypatch, solver, "dgetrf")
+        factors = []
+        dgetrf, dgetrs = solver._lapack()
+        monkeypatch.setattr(solver, "_lapack", lambda: (
+            lambda *args: factors.append(1) or dgetrf(*args), dgetrs))
         gauges = count_gauge_builds(monkeypatch)
         sol = newton_solve(NEWTON_STARTS["solid-30-scaled"]())
         assert np.max(np.abs(sol.residual())) < solver.NEWTON_TOL
@@ -1327,8 +1330,8 @@ class TestChartAcrossSteps:
         solutions = []
         solve = solver.newton_solve
 
-        def recording(state, tol=solver.NEWTON_TOL):
-            solutions.append(solve(state, tol))
+        def recording(state, tol=solver.NEWTON_TOL, track=False):
+            solutions.append(solve(state, tol, track))
             return solutions[-1]
 
         monkeypatch.setattr(solver, "newton_solve", recording)
@@ -1352,6 +1355,131 @@ class TestChartAcrossSteps:
             gc.enable()
         for step in report.steps:
             assert {type(v) for v in vars(step).values()} <= {float, type(None)}
+
+
+@functools.lru_cache(maxsize=None)
+def roundtrip_inputs():
+    """(name, start points, target) as `roundtrip --steps 8` makes them on
+    the solve-small inputs: the fixtures and seed-1-3 8-20-face
+    bench/solids.py solids, each start perturbed by 1e-2 in its charts."""
+    sys.path.insert(0, BENCH_DIR)
+    try:
+        from solids import fibonacci_solid
+    finally:
+        sys.path.pop(0)
+    polys = {"tetrahedron": regular_tetrahedron(1.15),
+             "hexahedron": hexahedron(0.5), "bipyramid": triangular_bipyramid()}
+    polys.update({f"solid-{n}-seed{seed}": fibonacci_solid(
+                      np.random.RandomState([seed, 0, n]), n, 0.1).poly
+                  for seed in (1, 2, 3) for n in (8, 12, 16, 20)})
+    inputs = []
+    for name, P in polys.items():
+        target = dualize(P).metric
+        start = solver.perturbed_state(P, np.random.RandomState(1), 1e-2,
+                                       target)
+        inputs.append((name, start.positions, target))
+    return inputs
+
+
+def gram(state):
+    return state.positions @ J @ state.positions.T
+
+
+def never_certified(monkeypatch):
+    """Make every certified verdict undecided: no state has a certificate,
+    and each takes the full check."""
+    decide = solver.chart_verdict
+
+    def uncertified(duals, surface):
+        verdict = decide(duals, surface)
+        return (UNDECIDED, None) if verdict[0] == CERTIFIED else verdict
+
+    monkeypatch.setattr(solver, "chart_verdict", uncertified)
+
+
+def recording_solves(monkeypatch):
+    """Record (starting residual, track, solved residual, certificate of
+    the solution) of every solve a continuation makes, each residual as its
+    max norm."""
+    solves = []
+    solve = solver.newton_solve
+
+    def recording(state, tol=solver.NEWTON_TOL, track=False):
+        r0 = np.max(np.abs(state.residual()))
+        out = solve(state, tol, track)
+        solves.append((r0, track, np.max(np.abs(out.residual())),
+                       out.cache["verdict"][1]))
+        return out
+
+    monkeypatch.setattr(solver, "newton_solve", recording)
+    return solves
+
+
+class TestTrackedContinuation:
+    """Intermediate continuation steps are tracked, only s = 1 is solved
+    to tol, and the end agrees with the continuation that solves every step
+    to tol."""
+
+    @pytest.mark.parametrize("rigidity", [True, False])
+    def test_final_states_agree_with_the_tight_continuation(self, rigidity):
+        for name, start, target in roundtrip_inputs():
+            got, report = continuation(start, target, steps=8,
+                                       rigidity=rigidity)
+            want, tight = oracles.tight_continuation(start, target, steps=8,
+                                                     rigidity=rigidity)
+            assert [s.s for s in report.steps] == [s.s for s in tight.steps]
+            assert report.steps[-1].residual < solver.NEWTON_TOL
+            assert np.max(np.abs(gram(got) - gram(want))) <= (
+                1e3 * solver.NEWTON_TOL), name
+
+    def test_tracked_steps_stop_near_the_path(self, monkeypatch):
+        solves = recording_solves(monkeypatch)
+        ends = []
+        for _, start, target in roundtrip_inputs():
+            continuation(start, target, steps=8, rigidity=False)
+            ends.append(len(solves) - 1)
+        for k, (r0, track, r, cert) in enumerate(solves):
+            assert track == (k not in ends)
+            if track and cert is not None:
+                assert r <= solver.CHORD_CONTRACTION * r0 or r < solver.NEWTON_TOL
+            else:
+                assert r < solver.NEWTON_TOL
+        # not vacuous: most tracked steps stop short of tol
+        stopped = [r >= solver.NEWTON_TOL for _, track, r, _ in solves if track]
+        assert sum(stopped) > len(stopped) / 2
+
+    @pytest.mark.parametrize("name", NEWTON_STARTS)
+    def test_an_iterate_without_a_certificate_runs_to_tol(self, name,
+                                                          monkeypatch):
+        never_certified(monkeypatch)
+        got = newton_solve(NEWTON_STARTS[name](), track=True)
+        want = newton_solve(NEWTON_STARTS[name]())
+        assert got.cache["verdict"] == (UNDECIDED, None)
+        assert np.max(np.abs(got.residual())) < solver.NEWTON_TOL
+        assert np.array_equal(got.positions, want.positions)
+
+    @pytest.mark.parametrize("fixture", ["tetra", "hexa"])
+    def test_uncertified_steps_are_the_tight_continuation(self, fixture,
+                                                          request, monkeypatch):
+        P, out = request.getfixturevalue(fixture)
+        start = perturbed_polyhedron(P, np.random.RandomState(3), 1e-2)
+        never_certified(monkeypatch)
+        want, _ = oracles.tight_continuation(start, out.metric, steps=4)
+        solves = recording_solves(monkeypatch)
+        got, _ = continuation(start, out.metric, steps=4)
+        assert [track for _, track, _, _ in solves] == [True] * 3 + [False]
+        assert all(cert is None and r < solver.NEWTON_TOL
+                   for _, _, r, cert in solves)
+        assert np.array_equal(got.positions, want.positions)
+
+    def test_trials_fall_on_the_solve_small_inputs(self, monkeypatch):
+        trials = count_calls(monkeypatch, SolverState, "moved")
+        for _, start, target in roundtrip_inputs():
+            continuation(start, target, steps=8, rigidity=False)
+        tracked = len(trials)
+        for _, start, target in roundtrip_inputs():
+            oracles.tight_continuation(start, target, steps=8, rigidity=False)
+        assert tracked < len(trials) - tracked
 
 
 class TestFarTargets:

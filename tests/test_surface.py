@@ -13,7 +13,6 @@ from polydual.surface import (
     SPHERICAL,
     CombSurface,
     ConeMetric,
-    double_triangle,
     flip_edge,
     gauss_bonnet_residual,
     is_concave,
@@ -22,6 +21,17 @@ from polydual.surface import (
 )
 
 from oracles import cone_angles_by_corner
+
+
+def double_triangle(a, b, c, geometry):
+    """Double of a triangle across its boundary: two faces, three edges."""
+    surf = CombSurface(3, [(0, 1, 2), (0, 2, 1)])
+    lengths = np.empty(3)
+    for e in range(3):
+        u, w = surf.edge_endpoints(e)
+        lengths[e] = {frozenset((1, 2)): a, frozenset((0, 2)): b,
+                      frozenset((0, 1)): c}[frozenset((u, w))]
+    return ConeMetric(surf, geometry, lengths)
 
 
 def triangle_angles(a, b, c, geometry):

@@ -13,7 +13,9 @@ the tree:
 * otherwise `payload differs`, and then one indented line per number that
   differs, named by its place in the payload with list indices left out
   (`steps[].residual`): the largest absolute and relative difference over
-  all its instances. Under a `dual_points` key a line also gives the
+  all its instances. The last entry of a `steps` list, the end of a
+  continuation and the only step solved to `--tol`, has places of its own
+  (`steps[-1].residual`). Under a `dual_points` key a line also gives the
   largest difference of the points' Minkowski Gram matrices, which an
   isometry of the whole configuration leaves unchanged. A payload whose
   structure or non-numeric values differ is reported as such.
@@ -28,6 +30,7 @@ import sys
 import numpy as np
 
 J = np.diag([-1.0, 1.0, 1.0, 1.0])     # the Minkowski form of the documents
+LAST_APART = "steps"        # the list whose last entry is reported apart
 
 
 class StructureDiffers(Exception):
@@ -51,8 +54,10 @@ def numeric_pairs(a, b, path, out):
     elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
             raise StructureDiffers(f"length of {path}")
-        for x, y in zip(a, b):
-            numeric_pairs(x, y, path if path.endswith("[]") else path + "[]", out)
+        place = path if path.endswith("[]") else path + "[]"
+        for i, (x, y) in enumerate(zip(a, b)):
+            last = i == len(a) - 1 and path.rsplit(".", 1)[-1] == LAST_APART
+            numeric_pairs(x, y, path + "[-1]" if last else place, out)
     elif (isinstance(a, (int, float)) and isinstance(b, (int, float))
           and not isinstance(a, bool) and not isinstance(b, bool)):
         out.setdefault(path, []).append((float(a), float(b)))
