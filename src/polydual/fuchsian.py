@@ -49,7 +49,6 @@ class FuchsianData:
     generators: list                 # eight translations, [k+4] inverse to [k]
     invariant_plane: DSPoint
     relation: list                   # generator indices multiplying to identity
-    word_bound: int = 3
 
     def relation_residual(self) -> float:
         prod = np.eye(4)

@@ -148,11 +148,13 @@ def encode_fuchsian_data(data) -> dict:
         "generators": [[float(x) for x in g.m.ravel()] for g in data.generators],
         "invariant_plane": [float(x) for x in data.invariant_plane.v],
         "relation": [int(k) for k in data.relation],
-        "word_bound": int(data.word_bound),
     }
 
 
 def decode_fuchsian_data(payload: dict):
+    """The group data of a `fuchsian_data` payload. A `word_bound` key,
+    which documents written before the orbit became a distance ball carry,
+    is ignored."""
     from .fuchsian import FuchsianData
     from .minkowski import Isometry
 
@@ -161,8 +163,7 @@ def decode_fuchsian_data(payload: dict):
                 for g in payload["generators"]]
         plane = DSPoint(np.array(payload["invariant_plane"], dtype=float))
         return FuchsianData(generators=gens, invariant_plane=plane,
-                            relation=[int(k) for k in payload["relation"]],
-                            word_bound=int(payload["word_bound"]))
+                            relation=[int(k) for k in payload["relation"]])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed fuchsian_data payload: {exc}") from exc
 

@@ -19,8 +19,8 @@ Newton takes chord steps in the chart of a base state, re-basing only when a
 step was damped or contracted the residual too little. A base's Jacobian is
 factored once (LAPACK dgetrf), and a solution keeps its base, so the next
 solve on the same chart continues in it: a continuation builds a base only
-when the contraction or a rigidity report needs one. A chord trial costs a
-back-substitution, a chart move and a residual: `SolverState.moved` keeps
+when the contraction needs one. A chord trial costs a back-substitution, a
+chart move and a residual: `SolverState.moved` keeps
 its base's checked invariants and re-checks the moved rows' norms, and a
 trial within the certified radius of the accepted iterate inherits its chart
 certificate (`ChartCertificate.covers`). Any other trial takes
@@ -33,7 +33,8 @@ check.
 
 A continuation solves only its end to the tolerance: the solves of its
 intermediate steps are tracked, and return once their iterate is certified
-near the path (`newton_solve(track=True)`).
+near the path (`newton_solve(track=True)`). No step builds a rigidity report;
+`rigidity_report` is taken once, on the solution.
 """
 from __future__ import annotations
 
@@ -476,6 +477,9 @@ class RigidityReport:
 
 
 def rigidity_report(state: SolverState) -> RigidityReport:
+    """The extreme singular values of the state's gauged Jacobian, by one
+    dense SVD: infinitesimal rigidity of the realization a solved state
+    gives (`realize` takes it once, on the continuation's end)."""
     sv = np.linalg.svd(jacobian(state), compute_uv=False)
     return RigidityReport(smallest_singular_value=float(sv[-1]),
                           condition_number=float(sv[0] / sv[-1]))
@@ -488,15 +492,13 @@ def newton_solve(state: SolverState, tol: float = NEWTON_TOL,
     The iterate is base.moved(xi) in the chart of a base state, and every
     step back-substitutes the current residual in the LU factors of the
     base's Jacobian, so the frames, gauge, Jacobian and its factors are
-    built once per base. The base is the given state when it has a Jacobian
-    of its own (a continuation step's rigidity report builds one), and
-    otherwise the base in whose chart the given state was solved, which the
-    solution keeps in its cache for the next solve on the same chart. The
-    iteration re-bases on the current iterate when an accepted step was
-    damped or cut the residual norm by less than CHORD_CONTRACTION, and
-    when every damped step from a stale base failed; that retries from the
-    fresh base before raising, so every failure is one a fresh Jacobian hit
-    too.
+    built once per base. The base is the one in whose chart the given state
+    was solved, which the solution keeps in its cache for the next solve on
+    the same chart, and otherwise the given state itself. The iteration
+    re-bases on the current iterate when an accepted step was damped or cut
+    the residual norm by less than CHORD_CONTRACTION, and when every damped
+    step from a stale base failed; that retries from the fresh base before
+    raising, so every failure is one a fresh Jacobian hit too.
 
     The step is halved until the residual norm decreases and the trial state
     stays feasible; StepStalled fires at the damping floor, FeasibilityLost
@@ -592,13 +594,12 @@ def _covers_next(cur: SolverState, base: SolverState, move) -> bool:
 
 def _chart_base(state: SolverState) -> tuple:
     """(base, xi): the chart a solve from `state` starts in. That is the
-    state's own (xi = 0) when it has a Jacobian or was not solved in another
-    state's chart; otherwise that base, retargeted to the state's target,
-    and the state's coordinates xi in its chart. A cache is shared only by
+    base the state was solved in, retargeted to the state's target, and the
+    state's coordinates xi in its chart; for a state not solved in another
+    state's chart, the state's own (xi = 0). A cache is shared only by
     retargets, so the base is on the state's surface."""
     chart = state.cache.get("chart")
-    if "jacobian" in state.cache or chart is None:
-        state.cache.pop("chart", None)           # a base keeps no chart
+    if chart is None:
         return state, 0.0
     base, xi = chart
     return base.retarget(state.target), xi
@@ -608,7 +609,6 @@ def _chart_base(state: SolverState) -> tuple:
 class ContinuationStep:
     s: float
     residual: float
-    smallest_singular_value: Optional[float]     # None without rigidity
 
 
 @dataclass
@@ -623,7 +623,6 @@ class ContinuationReport:
     steps: list = field(default_factory=list)
     flips: list = field(default_factory=list)
     bump: float = 0.0
-    final_rigidity: Optional[RigidityReport] = None
 
 
 def validate_target(target: ConeMetric, largeness_depth: Optional[int] = None):
@@ -697,7 +696,7 @@ def _flip_chart(state: SolverState, l1: np.ndarray, exc, s: float):
 
 
 def continuation(start, target: ConeMetric, steps: int = 10,
-                 tol: float = NEWTON_TOL, rigidity: bool = True) -> tuple:
+                 tol: float = NEWTON_TOL) -> tuple:
     """Follow the straight edge-length homotopy from the start polyhedron's
     dual metric to the target, Newton-correcting at each step.
 
@@ -706,6 +705,9 @@ def continuation(start, target: ConeMetric, steps: int = 10,
     its residual is at most CHORD_CONTRACTION times its starting one and its
     chart certificate covers the next chord iterate, which keeps the next
     step in Newton's basin; a step without a certificate is solved to `tol`.
+    Each solve continues in the chart of the last one (`newton_solve`), and
+    no step builds a rigidity report: the rigidity of the realization is
+    `rigidity_report` of the returned state.
 
     `start` is a ConvexPolyhedronH3 or its dual points, a sequence of
     DSPoints or an (n, 4) array of their rows. Returns (state, report). The
@@ -714,13 +716,6 @@ def continuation(start, target: ConeMetric, steps: int = 10,
     with a uniform upscaling bump; a hull edge missing from the chart
     triggers an edge flip of the chart and target, re-anchoring the homotopy
     at the current parameter.
-
-    With `rigidity`, every step reports the smallest singular value of the
-    solution's Jacobian and the report keeps the last step's
-    `rigidity_report`; that Jacobian is then the next step's Newton base.
-    Without it, no step builds a report, each solve continues in the chart
-    of the last one (`newton_solve`), and the steps' singular values and
-    `final_rigidity` are None.
     """
     validate_target(target)
     points = start.planes if isinstance(start, ConvexPolyhedronH3) else start
@@ -796,13 +791,8 @@ def continuation(start, target: ConeMetric, steps: int = 10,
         state = solved
         s = s_next
         ds = min(2 * ds, 1.0 / steps)
-        sv_min = None
-        if rigidity:
-            report.final_rigidity = rigidity_report(state)
-            sv_min = report.final_rigidity.smallest_singular_value
         report.steps.append(ContinuationStep(
-            s=s, residual=float(np.max(np.abs(state.residual()))),
-            smallest_singular_value=sv_min))
+            s=s, residual=float(np.max(np.abs(state.residual())))))
     report.bump = bump
     return state, report
 

@@ -12,7 +12,7 @@ from polydual.errors import (
     SolverError,
     StepStalled,
 )
-from polydual.minkowski import J, minkowski_rows
+from polydual.minkowski import J, minkowski_inner, minkowski_rows
 from polydual.polyhedra import (
     CERTIFIED,
     CERTIFY_MARGIN,
@@ -56,6 +56,74 @@ def masked_frames(positions):
     if np.any(count < 3):
         raise SolverError("tangent frame construction degenerated")
     return np.ascontiguousarray(vectors.transpose(0, 2, 1)), signs
+
+
+def scalar_tangent_frame(positions, i):
+    """Checks `solver._tangent_frames`: the frame and signs of point i
+    alone, by the scalar Gram-Schmidt."""
+    x = positions[i]
+    n = len(positions)
+    cands = [positions[(i + k) % n] for k in range(1, n)]
+    cands += [np.eye(4)[k] for k in range(4)]
+    frame = []
+    signs = []
+    for y in cands:
+        t = y - minkowski_inner(x, y) * x
+        for f, s in zip(frame, signs):
+            t = t - s * minkowski_inner(f, t) * f
+        q = minkowski_inner(t, t)
+        if abs(q) < 1e-10:
+            continue
+        frame.append(t / np.sqrt(abs(q)))
+        signs.append(1.0 if q > 0 else -1.0)
+        if len(frame) == 3:
+            return np.stack(frame, axis=1), np.array(signs)
+    raise SolverError("tangent frame construction degenerated")
+
+
+def point_directions(gauge, n):
+    """Checks `solver.Gauge.chart_steps`: per point, the 3 x k matrix of its
+    free chart directions."""
+    i0, i1, i2 = gauge.pinned
+    directions = {i: np.eye(3) for i in range(n)}
+    directions.update({i0: np.zeros((3, 0)), i1: gauge.free1, i2: gauge.free2})
+    return directions
+
+
+def masked_jacobian(state):
+    """Checks `solver.jacobian`: the Jacobian assembled from per-point moves
+    and E x F owner masks."""
+    n = len(state.positions)
+    frames = [scalar_tangent_frame(state.positions, i) for i in range(n)]
+    directions = point_directions(state.gauge(), n)
+    moves = [frames[i][0] @ directions[i] for i in range(n)]
+    owner = np.repeat(np.arange(n), [m.shape[1] for m in moves])
+    inner = state.positions @ J @ np.hstack(moves)
+    i, j = state.edge_pairs.T
+    d_cos = (np.where(owner == i[:, None], inner[j], 0.0)
+             + np.where(owner == j[:, None], inner[i], 0.0))
+    return -d_cos / np.sin(state.current_lengths())[:, None]
+
+
+def moved_point_by_point(state, delta):
+    """Checks `solver.SolverState.moved`: the positions after a chart move,
+    one point at a time."""
+    n = len(state.positions)
+    frames = [scalar_tangent_frame(state.positions, i) for i in range(n)]
+    directions = point_directions(state.gauge(), n)
+    out = state.positions.copy()
+    ofs = 0
+    for i in range(n):
+        d = directions[i]
+        k = d.shape[1]
+        if k:
+            v = out[i] + frames[i][0] @ (d @ delta[ofs:ofs + k])
+            q = minkowski_inner(v, v)
+            if q <= 0:
+                raise FeasibilityLost(f"point {i} left the quadric chart")
+            out[i] = v / np.sqrt(q)
+        ofs += k
+    return out
 
 
 def cone_angles_by_corner(metric):

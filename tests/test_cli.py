@@ -77,6 +77,22 @@ def test_check_and_scale_run_without_scipy(tetra_files, tmp_path):
     assert out.returncode != 0 and "scipy" in out.stderr
 
 
+def realize_large_files(tmp_path, monkeypatch, n_faces):
+    """(start, target) documents of a seed-1 realize-large job on an
+    n-face bench/solids.py solid."""
+    monkeypatch.syspath_prepend(BENCH_DIR)
+    from solids import fibonacci_solid
+
+    solid = fibonacci_solid(np.random.RandomState([1, 0, n_faces]), n_faces,
+                            0.02)
+    start, target = tmp_path / "start.json", tmp_path / "target.json"
+    prov = {"command": "test", "parameters": {}, "seed": 0}
+    write_polyhedron_payload(start, serialize.encode_polyhedron(solid.start))
+    serialize.write_document(str(target), serialize.envelope(
+        "dual_output", serialize.encode_dual_output(solid.dual), prov))
+    return start, target
+
+
 def write_polyhedron_payload(path, payload):
     serialize.write_document(str(path), serialize.envelope(
         "polyhedron", payload, {"command": "t", "parameters": {}, "seed": 0}))
@@ -106,6 +122,18 @@ class TestSerializeRoundTrip:
         assert back.n_faces == P.n_faces
         for p, q in zip(back.planes, P.planes):
             assert np.array_equal(p.v, q.v)
+
+    def test_fuchsian_data_with_a_word_bound_decodes(self):
+        # documents written before the orbit became a distance ball carry a
+        # word bound, which the reader ignores
+        data = fuchsian_octagon_group()
+        payload = serialize.encode_fuchsian_data(data)
+        back = serialize.decode_fuchsian_data(
+            json.loads(json.dumps({**payload, "word_bound": 3})))
+        assert back.relation == data.relation
+        for g, h in zip(back.generators, data.generators):
+            assert np.array_equal(g.m, h.m)
+        assert np.array_equal(back.invariant_plane.v, data.invariant_plane.v)
 
     def test_dual_output_round_trip(self):
         out = dualize(regular_tetrahedron(1.1))
@@ -198,6 +226,56 @@ class TestCommands:
         doc = json.loads(report.read_text())
         assert doc["kind"] == "solver_report"
         assert doc["payload"]["rigidity"]["smallest_singular_value"] > 1e-8
+
+    @pytest.mark.parametrize("target", ["tetrahedron", "solid-30"])
+    def test_realize_takes_one_rigidity_report_at_the_solution(
+            self, target, tetra_files, tmp_path, monkeypatch):
+        # no continuation step builds a report: the document's rigidity is
+        # the one report taken on the solved state, and the steps keep
+        # continuing in their chart, so there are fewer bases than steps
+        from polydual import solver
+
+        if target == "tetrahedron":
+            _, target_path = tetra_files
+            P = regular_tetrahedron(1.2)
+            start = tmp_path / "start.json"
+            write_polyhedron_payload(start, serialize.encode_polyhedron(
+                solver.perturbed_polyhedron(P, np.random.RandomState(3), 1e-2,
+                                            chart=dualize(P).metric)))
+        else:
+            start, target_path = realize_large_files(tmp_path, monkeypatch, 30)
+        solved, reports = [], []
+        follow, report_of = cli.continuation, solver.rigidity_report
+
+        def recording_continuation(*args, **kwargs):
+            solved.append(follow(*args, **kwargs))
+            return solved[-1]
+
+        def counting_report(state):
+            reports.append(state)
+            return report_of(state)
+
+        monkeypatch.setattr(cli, "continuation", recording_continuation)
+        for module in (cli, solver):
+            monkeypatch.setattr(module, "rigidity_report", counting_report)
+        gauges = []
+        build = solver.build_gauge
+        monkeypatch.setattr(solver, "build_gauge", lambda *args: (
+            gauges.append(1) or build(*args)))
+        out = tmp_path / "report.json"
+        assert main(["realize", str(target_path), "--start", str(start),
+                     "--steps", "4", "--out", str(out)]) == 0
+        [(state, report)] = solved
+        assert reports == [state]
+        assert len(report.steps) == 4 and len(gauges) < len(report.steps)
+        payload = json.loads(out.read_text())["payload"]
+        assert [sorted(step) for step in payload["steps"]] == [
+            ["residual", "s"]] * 4
+        fresh = solver.SolverState(state.positions, state.surface, state.target)
+        want = report_of(fresh)
+        assert payload["rigidity"] == {
+            "smallest_singular_value": want.smallest_singular_value,
+            "condition_number": want.condition_number}
 
     def test_realize_start_builds_no_hull(self, tetra_files, tmp_path,
                                           monkeypatch):
@@ -300,8 +378,11 @@ class TestCommands:
                      "--group-out", str(group_out)]) == 0
         assert main(["check", str(out), "--depth", "5"]) == 0
         doc = serialize.read_document(str(group_out), expect_kind="fuchsian_data")
+        assert "word_bound" not in doc["payload"]
         data = serialize.decode_fuchsian_data(doc["payload"])
         assert data.relation_residual() < 1e-8
+        assert (data.relation_residual()
+                == fuchsian_octagon_group().relation_residual())
 
     def test_unbounded_gen_reports_error(self, tmp_path, capsys):
         # hexahedron beyond the compactness bound must exit with a math error

@@ -47,7 +47,15 @@ from polydual.solver import (
 from polydual.surface import ConeMetric, SPHERICAL, flip_edge, scale
 
 import oracles
-from oracles import chord_newton, full_newton, masked_frames, svd_gauge
+from oracles import (
+    chord_newton,
+    full_newton,
+    masked_frames,
+    masked_jacobian,
+    moved_point_by_point,
+    scalar_tangent_frame,
+    svd_gauge,
+)
 
 BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench")
 
@@ -59,70 +67,6 @@ def state_of(P, out=None):
 
 
 # -- the scalar code the stacked solver replaced, kept as oracles ----------------
-
-
-def scalar_tangent_frame(positions, i):
-    """Frame and signs of point i alone: the scalar Gram-Schmidt."""
-    x = positions[i]
-    n = len(positions)
-    cands = [positions[(i + k) % n] for k in range(1, n)]
-    cands += [np.eye(4)[k] for k in range(4)]
-    frame = []
-    signs = []
-    for y in cands:
-        t = y - minkowski_inner(x, y) * x
-        for f, s in zip(frame, signs):
-            t = t - s * minkowski_inner(f, t) * f
-        q = minkowski_inner(t, t)
-        if abs(q) < 1e-10:
-            continue
-        frame.append(t / np.sqrt(abs(q)))
-        signs.append(1.0 if q > 0 else -1.0)
-        if len(frame) == 3:
-            return np.stack(frame, axis=1), np.array(signs)
-    raise SolverError("tangent frame construction degenerated")
-
-
-def point_directions(gauge, n):
-    """Per point, the 3 x k matrix of its free chart directions."""
-    i0, i1, i2 = gauge.pinned
-    directions = {i: np.eye(3) for i in range(n)}
-    directions.update({i0: np.zeros((3, 0)), i1: gauge.free1, i2: gauge.free2})
-    return directions
-
-
-def masked_jacobian(state):
-    """The Jacobian assembled from per-point moves and E x F owner masks."""
-    n = len(state.positions)
-    frames = [scalar_tangent_frame(state.positions, i) for i in range(n)]
-    directions = point_directions(state.gauge(), n)
-    moves = [frames[i][0] @ directions[i] for i in range(n)]
-    owner = np.repeat(np.arange(n), [m.shape[1] for m in moves])
-    inner = state.positions @ J @ np.hstack(moves)
-    i, j = state.edge_pairs.T
-    d_cos = (np.where(owner == i[:, None], inner[j], 0.0)
-             + np.where(owner == j[:, None], inner[i], 0.0))
-    return -d_cos / np.sin(state.current_lengths())[:, None]
-
-
-def moved_point_by_point(state, delta):
-    """Positions after a chart move, one point at a time."""
-    n = len(state.positions)
-    frames = [scalar_tangent_frame(state.positions, i) for i in range(n)]
-    directions = point_directions(state.gauge(), n)
-    out = state.positions.copy()
-    ofs = 0
-    for i in range(n):
-        d = directions[i]
-        k = d.shape[1]
-        if k:
-            v = out[i] + frames[i][0] @ (d @ delta[ofs:ofs + k])
-            q = minkowski_inner(v, v)
-            if q <= 0:
-                raise FeasibilityLost(f"point {i} left the quadric chart")
-            out[i] = v / np.sqrt(q)
-        ofs += k
-    return out
 
 
 def draw_point_by_point(P, rng, magnitude):
@@ -817,7 +761,7 @@ class TestContinuation:
         start = perturbed_polyhedron(P, rng, 1e-2)
         final, rep = continuation(start, out.metric, steps=8)
         assert match_dihedral_angles(P, recovered_polyhedron(final))
-        assert all(s.smallest_singular_value > 1e-8 for s in rep.steps)
+        assert rigidity_report(final).smallest_singular_value > 1e-8
 
     def test_hexahedron_round_trip(self, hexa):
         P, out = hexa
@@ -1182,7 +1126,7 @@ class TestInheritedCertificate:
             newton_solve(make())
         for P in (regular_tetrahedron(1.15), hexahedron(0.5)):
             start = perturbed_polyhedron(P, np.random.RandomState(3), 1e-2)
-            continuation(start, dualize(P).metric, steps=4, rigidity=False)
+            continuation(start, dualize(P).metric, steps=4)
         assert len(inherited) > len(checked) > 0
         for trial in inherited:
             assert trial.cache["verdict"][0] == CERTIFIED
@@ -1316,16 +1260,13 @@ class TestChartAcrossSteps:
         start = perturbed_polyhedron(P, np.random.RandomState(3), 1e-2)
         reports = count_calls(monkeypatch, solver, "rigidity_report")
         bases = count_gauge_builds(monkeypatch)
-        final, report = continuation(start, out.metric, steps=8, rigidity=False)
+        final, report = continuation(start, out.metric, steps=8)
         assert np.max(np.abs(final.residual())) < solver.NEWTON_TOL
         assert len(report.steps) == 8 and reports == []
         assert len(bases) < len(report.steps)
-        assert report.final_rigidity is None
-        assert all(s.smallest_singular_value is None for s in report.steps)
         assert match_dihedral_angles(P, recovered_polyhedron(final))
 
-    @pytest.mark.parametrize("rigidity", [True, False])
-    def test_no_state_refers_to_itself(self, tetra, rigidity, monkeypatch):
+    def test_no_state_refers_to_itself(self, tetra, monkeypatch):
         P, out = tetra
         solutions = []
         solve = solver.newton_solve
@@ -1336,8 +1277,7 @@ class TestChartAcrossSteps:
 
         monkeypatch.setattr(solver, "newton_solve", recording)
         start = perturbed_polyhedron(P, np.random.RandomState(3), 1e-2)
-        final, report = continuation(start, out.metric, steps=4,
-                                     rigidity=rigidity)
+        final, report = continuation(start, out.metric, steps=4)
         assert any("chart" in st.cache for st in solutions)
         for st in solutions:
             if "chart" in st.cache:
@@ -1354,7 +1294,7 @@ class TestChartAcrossSteps:
         finally:
             gc.enable()
         for step in report.steps:
-            assert {type(v) for v in vars(step).values()} <= {float, type(None)}
+            assert {type(v) for v in vars(step).values()} == {float}
 
 
 @functools.lru_cache(maxsize=None)
@@ -1420,13 +1360,10 @@ class TestTrackedContinuation:
     to tol, and the end agrees with the continuation that solves every step
     to tol."""
 
-    @pytest.mark.parametrize("rigidity", [True, False])
-    def test_final_states_agree_with_the_tight_continuation(self, rigidity):
+    def test_final_states_agree_with_the_tight_continuation(self):
         for name, start, target in roundtrip_inputs():
-            got, report = continuation(start, target, steps=8,
-                                       rigidity=rigidity)
-            want, tight = oracles.tight_continuation(start, target, steps=8,
-                                                     rigidity=rigidity)
+            got, report = continuation(start, target, steps=8)
+            want, tight = oracles.tight_continuation(start, target, steps=8)
             assert [s.s for s in report.steps] == [s.s for s in tight.steps]
             assert report.steps[-1].residual < solver.NEWTON_TOL
             assert np.max(np.abs(gram(got) - gram(want))) <= (
@@ -1436,7 +1373,7 @@ class TestTrackedContinuation:
         solves = recording_solves(monkeypatch)
         ends = []
         for _, start, target in roundtrip_inputs():
-            continuation(start, target, steps=8, rigidity=False)
+            continuation(start, target, steps=8)
             ends.append(len(solves) - 1)
         for k, (r0, track, r, cert) in enumerate(solves):
             assert track == (k not in ends)
@@ -1475,10 +1412,10 @@ class TestTrackedContinuation:
     def test_trials_fall_on_the_solve_small_inputs(self, monkeypatch):
         trials = count_calls(monkeypatch, SolverState, "moved")
         for _, start, target in roundtrip_inputs():
-            continuation(start, target, steps=8, rigidity=False)
+            continuation(start, target, steps=8)
         tracked = len(trials)
         for _, start, target in roundtrip_inputs():
-            oracles.tight_continuation(start, target, steps=8, rigidity=False)
+            oracles.tight_continuation(start, target, steps=8)
         assert tracked < len(trials) - tracked
 
 

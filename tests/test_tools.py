@@ -63,3 +63,33 @@ def test_payload_differs_reports_the_last_step_apart(compare, capsys, tmp_path):
                            "dual_points[]"}
     assert "max abs diff 2.000e-04" in places["steps[].residual"]
     assert "max abs diff 3.000e-11" in places["steps[-1].residual"]
+
+
+def test_keys_on_one_side_are_named_and_the_rest_compared(compare, capsys,
+                                                          tmp_path):
+    # a field dropped from every step is one line per place, and the
+    # numbers both sides still share are compared as before
+    a, b = report([1e-4, 1e-11]), report([1e-4, 2e-11])
+    for step in a["steps"]:
+        step["smallest_singular_value"] = 0.25
+    b["bump"] = 0.0
+    write_tree(tmp_path / "a", a)
+    write_tree(tmp_path / "b", b)
+    code, lines = run(compare, capsys, tmp_path / "a", tmp_path / "b")
+    assert code == 1
+    assert lines == [
+        "realize-large-seed1/report.json: payload differs",
+        "  bump: only in B",
+        "  steps[].smallest_singular_value: only in A",
+        "  steps[-1].smallest_singular_value: only in A",
+        "  steps[-1].residual: max abs diff 1.000e-11, max rel diff 5.000e-01"]
+
+
+def test_keys_on_one_side_alone_still_fail(compare, capsys, tmp_path):
+    a, b = report([1e-4, 1e-11]), report([1e-4, 1e-11])
+    a["steps"][0]["smallest_singular_value"] = 0.25
+    write_tree(tmp_path / "a", a)
+    write_tree(tmp_path / "b", b)
+    code, lines = run(compare, capsys, tmp_path / "a", tmp_path / "b")
+    assert code == 1
+    assert lines[1:] == ["  steps[].smallest_singular_value: only in A"]

@@ -17,8 +17,11 @@ the tree:
   continuation and the only step solved to `--tol`, has places of its own
   (`steps[-1].residual`). Under a `dual_points` key a line also gives the
   largest difference of the points' Minkowski Gram matrices, which an
-  isometry of the whole configuration leaves unchanged. A payload whose
-  structure or non-numeric values differ is reported as such.
+  isometry of the whole configuration leaves unchanged. A key that only one
+  side's dict has gets a line of its own (`steps[].smallest_singular_value:
+  only in A`, A being the first tree), and the keys both sides have are
+  compared as above. A payload whose list lengths or non-numeric values
+  differ is reported as such.
 
 A file present in one tree only is reported too. Exits 0 when every file is
 identical or provenance-only, 1 otherwise, 2 on bad arguments.
@@ -37,16 +40,17 @@ class StructureDiffers(Exception):
     pass
 
 
-def numeric_pairs(a, b, path, out):
+def numeric_pairs(a, b, path, out, only):
     """Append (a, b) under out[place] for every pair of numbers at the same
     place in a and b, and the Gram matrix entries of every `dual_points`
-    pair under out[place + " Gram"]; raise StructureDiffers where their shapes or
+    pair under out[place + " Gram"]; set only[place] to "A" or "B" for a dict
+    key that a or b alone has; raise StructureDiffers where list lengths or
     other values differ."""
     if isinstance(a, dict) and isinstance(b, dict):
-        if a.keys() != b.keys():
-            raise StructureDiffers(f"keys of {path or 'payload'}")
-        for k in a:
-            numeric_pairs(a[k], b[k], f"{path}.{k}" if path else k, out)
+        for k in sorted(a.keys() ^ b.keys()):
+            only[f"{path}.{k}" if path else k] = "A" if k in a else "B"
+        for k in (k for k in a if k in b):
+            numeric_pairs(a[k], b[k], f"{path}.{k}" if path else k, out, only)
             if k == "dual_points":
                 pa, pb = np.array(a[k], dtype=float), np.array(b[k], dtype=float)
                 out.setdefault(f"{path}.{k} Gram", []).extend(
@@ -57,7 +61,7 @@ def numeric_pairs(a, b, path, out):
         place = path if path.endswith("[]") else path + "[]"
         for i, (x, y) in enumerate(zip(a, b)):
             last = i == len(a) - 1 and path.rsplit(".", 1)[-1] == LAST_APART
-            numeric_pairs(x, y, path + "[-1]" if last else place, out)
+            numeric_pairs(x, y, path + "[-1]" if last else place, out, only)
     elif (isinstance(a, (int, float)) and isinstance(b, (int, float))
           and not isinstance(a, bool) and not isinstance(b, bool)):
         out.setdefault(path, []).append((float(a), float(b)))
@@ -66,13 +70,14 @@ def numeric_pairs(a, b, path, out):
 
 
 def payload_report(a, b) -> list:
-    """The indented lines of every number place that differs."""
-    places = {}
+    """The indented lines of every key on one side only and of every number
+    place that differs."""
+    places, only = {}, {}
     try:
-        numeric_pairs(a, b, "", places)
+        numeric_pairs(a, b, "", places, only)
     except StructureDiffers as exc:
         return [f"  structure differs ({exc})"]
-    lines = []
+    lines = [f"  {place}: only in {side}" for place, side in only.items()]
     for place, pairs in places.items():
         x, y = np.array(pairs).T
         diff = np.abs(x - y)
