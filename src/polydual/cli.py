@@ -17,6 +17,7 @@ from .errors import GeometryError, SolverError
 from .fuchsian import fuchsian_dualize, fuchsian_octagon_group
 from .geodesic import closed_geodesic_search
 from .polyhedra import (
+    dual_rows,
     dualize,
     hexahedron,
     random_polyhedron,
@@ -29,6 +30,7 @@ from .solver import (
     NEWTON_TOL,
     PERTURB_EDGE_SHARE,
     auto_start,
+    check_feasible,
     continuation,
     match_dihedral_angles,
     perturbed_state,
@@ -142,6 +144,9 @@ def cmd_dualize(args):
         "dual_output", serialize.encode_dual_output(out),
         _provenance(args, "dualize", source=args.polyhedron))
     serialize.write_document(args.out, doc)
+    if poly.discarded:
+        print(f"discarded redundant dual points {poly.discarded}; "
+              "marking[i] is the input index of dual vertex i")
     print(f"dual metric: {out.metric.surface.n_vertices} vertices, "
           f"{out.metric.surface.n_edges} edges")
     return PASS
@@ -171,10 +176,12 @@ def cmd_realize(args):
     else:
         start = auto_start(metric)
     state, report = continuation(start, metric, steps=args.steps, tol=args.tol)
-    poly = recovered_polyhedron(state)
+    # a polyhedron document holds dual points only: write the solved
+    # state's, normalized as a polyhedron built on them holds them
+    check_feasible(state)
     rig = rigidity_report(state)
     payload = {
-        "polyhedron": serialize.encode_polyhedron(poly),
+        "polyhedron": serialize.encode_dual_points(dual_rows(state.positions)),
         "steps": [{"s": s.s, "residual": s.residual} for s in report.steps],
         "bump": report.bump,
         "rigidity": {"smallest_singular_value": rig.smallest_singular_value,

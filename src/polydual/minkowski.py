@@ -139,11 +139,17 @@ class DSPoint:
         normalized and checked in one pass, with `from_vector`'s bits; the
         first row that fails raises what `from_vector(row)` raises."""
         v = np.asarray(v, dtype=float)
-        finite, q = _quadric_rows(v)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            w = v / np.sqrt(q)[:, None]
-        ok = finite & (q > 0) & (np.abs(_quadric_rows(w)[1] - 1.0) <= NORM_TOL)
-        return _points(cls, w, ok, cls.from_vector, v)
+        return _points(cls, *ds_normalized(v), cls.from_vector, v)
+
+
+def ds_normalized(v: np.ndarray) -> tuple:
+    """The rows of the (N, 4) array v normalized onto the de Sitter quadric,
+    with `DSPoint.from_vector`'s bits, and whether each row passes its
+    checks."""
+    finite, q = _quadric_rows(v)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        w = v / np.sqrt(q)[:, None]
+    return w, finite & (q > 0) & (np.abs(_quadric_rows(w)[1] - 1.0) <= NORM_TOL)
 
 
 def _quadric_rows(x) -> tuple:

@@ -1,26 +1,34 @@
 """Compact convex polyhedra in H^3 given by outward face planes, their face
-lattice, and the induced dual spherical cone-metric. Every dual edge length
-and every dihedral angle is read off the dual points in closed form, as a
-de Sitter distance (`minkowski.ds_distances`), in one stacked pass.
+lattice, and the induced dual spherical cone-metric. A polyhedron is held in
+arrays: plane rows, vertex rows, edge pairs and face cycles. Every dual edge
+length and every dihedral angle is read off the dual points in closed form,
+as a de Sitter distance (`minkowski.ds_distances`), in one stacked pass.
+
+The face lattice of a simple polyhedron is a triangulation of the sphere,
+one triangle per vertex: the polar duals of the vertex links. Both
+producers hand such a triangulation to one builder (`_face_lattice`), which
+solves each triangle's vertex and reads edges off glued half-edges and face
+cycles off vertex stars:
+- `hull_from_dual_points` passes the simplices of the polar hull, which one
+  Qhull call returns, oriented by their facet normals;
+- `polyhedron_from_chart` passes a certified chart's triangles.
 
 The hull runs in the Klein chart y = (x1,x2,x3)/x0, where a face plane with
 de Sitter normal n becomes the Euclidean half-space n_sp . y <= n0 and
-hyperbolic convexity coincides with Euclidean convexity. One Qhull call
-builds the hull of the polar points about an interior point: the Klein
-origin when every plane keeps it at ORIGIN_CLEARANCE, else a Chebyshev LP
-point. That interior point rides along as one more polar point, and the
-polyhedron is unbounded exactly when it comes out a hull vertex. Vertices of
-the polyhedron are recovered as merged coplanar facets of the polar point
-hull, all facets in one stacked solve, with planes re-collected per point at
-relative tolerance rather than trusting the raw facet equations (symmetric
-inputs make exactly-coplanar facets that plain equation grouping splits
-arbitrarily).
+hyperbolic convexity coincides with Euclidean convexity. The polar points
+are taken about an interior point: the Klein origin when every plane keeps
+it at ORIGIN_CLEARANCE, else a Chebyshev LP point. That interior point rides
+along as one more polar point, and the polyhedron is unbounded exactly when
+it comes out a hull vertex. A vertex collects every plane through it at
+relative tolerance rather than trusting the facets Qhull returns (symmetric
+inputs make exactly-coplanar facets that Qhull splits arbitrarily), so the
+triangles of one vertex on a wall, where more than three planes meet, merge.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Optional
+from functools import cached_property
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -31,21 +39,24 @@ from .errors import (
     UnboundedPolyhedron,
 )
 from .minkowski import (
+    NORM_TOL,
     DSPoint,
     HPoint,
     corner_angle,
     ds_distances,
-    h_distance,
+    ds_normalized,
     h_distances,
     minkowski_inner,
     minkowski_rows,
 )
-from .surface import SPHERICAL, CombSurface, ConeMetric, fan_triangulation
+from .surface import SPHERICAL, CombSurface, ConeMetric, fan_triangulations
 
 BALL_MARGIN = 1e-12
 ORIGIN_CLEARANCE = 0.1           # least plane distance that keeps the Klein origin
 MERGE_TOL = 1e-9                 # relative residual of a plane through a vertex
 SOLVE_RESIDUAL = 1e-6            # largest plane residual of a solved vertex
+RANK_CUTOFF = 3 * np.finfo(float).eps    # lstsq's relative singular value cutoff
+DET_CUTOFF = 100 * np.finfo(float).eps   # |det| / |A|_F^3 that proves full rank
 CERTIFY_MARGIN = 100 * MERGE_TOL
 CERTIFY_ROUNDOFF = 1e-13         # relative roundoff allowance of a 3x3 solve
 CERTIFIED, UNDECIDED, VIOLATED = "certified", "undecided", "violated"
@@ -53,102 +64,178 @@ RANDOM_RADII = (0.25, 0.5)       # plane distances from the origin
 RANDOM_TRIES = 200
 
 
-@dataclass
-class Face:
+class Face(NamedTuple):
     plane: DSPoint
     vertex_cycle: list          # vertex indices, ccw seen from outside
 
 
-@dataclass
-class Edge:
-    vertices: tuple              # (v1, v2)
-    faces: tuple                 # (f1, f2)
+class Edge(NamedTuple):
+    vertices: tuple              # (u, w), u < w
+    faces: tuple                 # (f1, f2), f1 the face whose cycle runs u -> w
 
 
 class ConvexPolyhedronH3:
-    """Bounded convex polyhedron with a computed face lattice.
+    """Bounded convex polyhedron with its face lattice, held in arrays.
 
-    Faces keep the index order of the (non-redundant) input planes; edge k of
-    `edges` joins `edges[k].faces` and its dual length is pi minus the
-    dihedral angle there.
+    - `plane_rows` (F, 4): the faces' de Sitter rows, in the order of the
+      essential input planes. Face f is input plane `essential[f]`;
+      `discarded` lists the redundant input planes.
+    - `vertex_rows` (V, 4): the vertices on the hyperboloid, ordered by
+      their sorted plane sets.
+    - `edge_vertices`, `edge_faces` (E, 2): edge k joins vertices u < w,
+      sorted by that pair, and faces (f1, f2), f1 the face whose cycle
+      runs u -> w. Its dual length is pi minus the dihedral angle there.
+    - `triangles` (T, 3), `triangle_vertex` (T,): the oriented triangulation
+      of the sphere (face indices) the lattice was read off, and the vertex
+      each triangle lies at.
+    - `stars` (F, K), `star_sizes` (F,): each face's vertices in ccw order
+      seen from outside, padded: its vertex star in the triangulation.
+
+    `cycle_vertices` and `cycle_offsets` hold the face cycles as
+    `order_face_cycles` orders them, face f's cycle being
+    cycle_vertices[cycle_offsets[f]:cycle_offsets[f + 1]]: each star
+    rotated to start at its point of least angle (`_angular_start`, about
+    the vertices' Klein points `klein`). They, `planes`, `vertices`, `faces`
+    and `edges` are views of the arrays, built on first use.
     """
 
-    def __init__(self, planes, vertices, faces, edges, discarded=None):
-        self.planes = planes
-        self.vertices = vertices
-        self.faces = faces
-        self.edges = edges
-        self.discarded = discarded or []
-        self._vertex_faces = None
-        # each edge under its vertex pair and its face pair, in both orders
-        self._by_vertices = {p: k for k, e in enumerate(edges)
-                             for p in (e.vertices, e.vertices[::-1])}
-        self._by_faces = {p: k for k, e in enumerate(edges)
-                          for p in (e.faces, e.faces[::-1])}
+    def __init__(self, plane_rows, vertex_rows, klein, edge_vertices,
+                 edge_faces, triangles, triangle_vertex, stars, star_sizes,
+                 essential, discarded=()):
+        self.plane_rows = plane_rows
+        self.vertex_rows = vertex_rows
+        self.klein = klein
+        self.edge_vertices = edge_vertices
+        self.edge_faces = edge_faces
+        self.triangles = triangles
+        self.triangle_vertex = triangle_vertex
+        self.stars = stars
+        self.star_sizes = star_sizes
+        self.essential = essential
+        self.discarded = list(discarded)
 
     @property
     def n_faces(self):
-        return len(self.faces)
+        return len(self.plane_rows)
 
     @property
     def n_vertices(self):
-        return len(self.vertices)
+        return len(self.vertex_rows)
 
     @property
     def n_edges(self):
-        return len(self.edges)
+        return len(self.edge_vertices)
+
+    @cached_property
+    def planes(self) -> list:
+        return DSPoint.from_rows(self.plane_rows)
+
+    @cached_property
+    def vertices(self) -> list:
+        return HPoint.from_rows(self.vertex_rows)
+
+    @cached_property
+    def faces(self) -> list:
+        cycles = np.split(self.cycle_vertices, self.cycle_offsets[1:-1])
+        return [Face(p, c.tolist()) for p, c in zip(self.planes, cycles)]
+
+    @cached_property
+    def edges(self) -> list:
+        return list(map(Edge, map(tuple, self.edge_vertices.tolist()),
+                        map(tuple, self.edge_faces.tolist())))
+
+    @cached_property
+    def cycle_vertices(self) -> np.ndarray:
+        rotated = _angular_start(self.plane_rows[:, 1:], self.klein, self.stars,
+                                 self.star_sizes)
+        return rotated[np.arange(rotated.shape[1]) < self.star_sizes[:, None]]
+
+    @cached_property
+    def cycle_offsets(self) -> np.ndarray:
+        return np.cumsum(np.append(0, self.star_sizes))
+
+    def cycle(self, f: int) -> np.ndarray:
+        """Face f's vertex cycle, ccw seen from outside."""
+        return self.cycle_vertices[self.cycle_offsets[f]:self.cycle_offsets[f + 1]]
+
+    @cached_property
+    def incidence(self) -> np.ndarray:
+        """(F, V) face x vertex incidence; read-only."""
+        inc = np.zeros((self.n_faces, self.n_vertices), dtype=bool)
+        inc[self.triangles.ravel(), np.repeat(self.triangle_vertex, 3)] = True
+        inc.setflags(write=False)
+        return inc
 
     def faces_at_vertex(self, v: int) -> list:
-        if self._vertex_faces is None:
-            vf = [[] for _ in range(self.n_vertices)]
-            for f, face in enumerate(self.faces):
-                for u in face.vertex_cycle:
-                    vf[u].append(f)
-            self._vertex_faces = vf
-        return self._vertex_faces[v]
+        """The faces at vertex v, ascending."""
+        return np.flatnonzero(self.incidence[:, v]).tolist()
+
+    @cached_property
+    def _edge_maps(self) -> tuple:
+        """Edge index by vertex pair and by face pair, both orders; -1 where
+        no edge."""
+        k = np.arange(self.n_edges)
+        by_vertices = np.full((self.n_vertices,) * 2, -1)
+        by_faces = np.full((self.n_faces,) * 2, -1)
+        for table, (p, q) in ((by_vertices, self.edge_vertices.T),
+                              (by_faces, self.edge_faces.T)):
+            table[p, q] = k
+            table[q, p] = k
+        return by_vertices, by_faces
 
     def edge_at(self, u: int, w: int) -> Optional[int]:
         """Index of the edge joining vertices u and w, or None."""
-        return self._by_vertices.get((u, w))
+        k = int(self._edge_maps[0][u, w])
+        return None if k < 0 else k
 
     def edge_between(self, f1: int, f2: int) -> Optional[int]:
         """Index of the edge where faces f1 and f2 meet, or None."""
-        return self._by_faces.get((f1, f2))
+        k = int(self._edge_maps[1][f1, f2])
+        return None if k < 0 else k
 
     def edge_length(self, k: int) -> float:
-        v1, v2 = self.edges[k].vertices
-        return h_distance(self.vertices[v1], self.vertices[v2])
+        return float(self._edge_lengths[k])
 
     def edge_lengths(self) -> np.ndarray:
-        """Length of every edge, in edge order, as `edge_length` gives it."""
-        x = np.array([p.v for p in self.vertices])
-        ends = np.array([e.vertices for e in self.edges])
-        return h_distances(x[ends[:, 0]], x[ends[:, 1]])
+        """Length of every edge, in edge order, in `h_distance`'s chord form
+        and with its bits; read-only."""
+        return self._edge_lengths
+
+    @cached_property
+    def _edge_lengths(self) -> np.ndarray:
+        x, (u, w) = self.vertex_rows, self.edge_vertices.T
+        lengths = h_distances(x[u], x[w])
+        lengths.setflags(write=False)
+        return lengths
 
 
-def _lift_klein(y: np.ndarray) -> list:
-    """The points of H^3 over the Klein points y (rows), lifted in one pass;
-    raises UnboundedPolyhedron at the first one not inside the ball."""
+def _lift_klein(y: np.ndarray) -> np.ndarray:
+    """The points of H^3 over the Klein points y (rows), lifted in one pass
+    as hyperboloid rows; raises UnboundedPolyhedron at the first one not
+    inside the ball."""
     r2 = (y[:, None, :] @ y[..., None])[:, 0, 0]     # each row's own y @ y
     out = np.flatnonzero(r2 >= 1.0 - BALL_MARGIN)
     if out.size:
         raise UnboundedPolyhedron(
             f"lattice vertex at Klein radius {np.sqrt(r2[out[0]]):.12f} leaves H^3")
     x0 = 1.0 / np.sqrt(1.0 - r2)
-    rows = np.column_stack([x0, x0[:, None] * y])
-    try:
-        return HPoint.from_rows(rows)
-    except ValueError:
-        pass
-    # near the sphere at infinity the lift's roundoff can leave the hyperboloid
-    for k, row in enumerate(rows):
+    rows = np.empty((len(y), 4))
+    rows[:, 0] = x0
+    rows[:, 1:] = x0[:, None] * y
+    # the rows are finite and x0 > 0, so HPoint checks only the quadric
+    bad = np.flatnonzero(np.abs(minkowski_rows(rows, rows) + 1.0) > NORM_TOL)
+    if bad.size:
+        # near the sphere at infinity the lift's roundoff can leave the
+        # hyperboloid
+        k = bad[0]
         try:
-            HPoint(row)
+            HPoint(rows[k])
         except ValueError as exc:
             raise UnboundedPolyhedron(
                 f"lattice vertex {k} at Klein radius {np.sqrt(r2[k]):.12f} "
                 f"does not lift onto H^3: {exc}") from None
-    raise AssertionError("the stacked lift check failed on no single row")
+        raise AssertionError("the stacked lift check failed on no single row")
+    return rows
 
 
 def _interior_point(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -184,33 +271,37 @@ def qhull() -> tuple:
     return ConvexHull, QhullError
 
 
-def _as_planes(duals) -> list:
-    """Each dual point as a DSPoint, a raw row normalized onto the quadric
-    (all rows of an (n, 4) array in one pass); a row that does not land on
-    it raises InvalidPolyhedron naming the row."""
+def dual_rows(duals) -> np.ndarray:
+    """The dual points as (n, 4) rows on the de Sitter quadric: DSPoints as
+    they are, raw rows normalized onto the quadric (all rows of an (n, 4)
+    array in one pass, with `DSPoint.from_vector`'s bits). A row that does
+    not land on it raises InvalidPolyhedron naming the row."""
     if isinstance(duals, np.ndarray) and duals.ndim == 2 and duals.shape[1] == 4:
-        try:
-            return DSPoint.from_vectors(duals)
-        except ValueError:
-            pass                 # the loop below names the first bad row
-    planes = []
+        rows, ok = ds_normalized(duals.astype(float))
+        if ok.all():
+            return rows
+    elif all(isinstance(d, DSPoint) for d in duals):
+        return np.array([d.v for d in duals])
+    rows = []
     for k, d in enumerate(duals):
         try:
-            planes.append(d if isinstance(d, DSPoint) else DSPoint.from_vector(d))
+            rows.append(d.v if isinstance(d, DSPoint) else DSPoint.from_vector(d).v)
         except ValueError as exc:
             raise InvalidPolyhedron(f"dual point {k}: {exc}") from exc
-    return planes
+    return np.array(rows)
 
 
 def hull_from_dual_points(duals) -> ConvexPolyhedronH3:
-    """Polyhedron cut out by the planes dual to the given de Sitter points.
+    """Polyhedron cut out by the planes dual to the given de Sitter points
+    (DSPoints, raw rows, or an (n, 4) array of rows; see `dual_rows`).
 
     One Qhull call builds the hull of the polar points a_i / (b_i - a_i y0)
     about an interior point y0 (`_interior_point`), with y0 itself appended
     as the polar origin: the polyhedron is bounded exactly when y0 is not a
     vertex of that hull. Planes that are no hull vertex are redundant; they
-    are discarded and recorded. The face lattice is then read off the hull's
-    facets in one stacked pass (`_build_lattice`).
+    are discarded and recorded. The hull's simplices, each oriented by its
+    facet normal, are the polyhedron's triangulated face lattice, which
+    `_face_lattice` reads off.
 
     Raises EmptyInterior when the negative half-spaces have no common
     interior, and UnboundedPolyhedron when they recede to infinity or a
@@ -220,20 +311,20 @@ def hull_from_dual_points(duals) -> ConvexPolyhedronH3:
     inconsistent raises InvalidPolyhedron, as does a raw row that does not
     normalize onto the de Sitter quadric.
     """
-    duals = _as_planes(duals)
-    n = len(duals)
+    rows = dual_rows(duals)
+    n = len(rows)
     if n < 4:
         raise InvalidPolyhedron("need at least four face planes")
-    a = np.array([d.v[1:] for d in duals])
-    b = np.array([d.v[0] for d in duals])
+    a, b = rows[:, 1:].copy(), rows[:, 0].copy()
     y0 = _interior_point(a, b)
 
     gap = b - a @ y0
     if np.any(gap <= 0):
         raise EmptyInterior("interior point failed strict containment")
     ConvexHull, QhullError = qhull()
+    polar = np.vstack([a / gap[:, None], np.zeros(3)])
     try:
-        hull = ConvexHull(np.vstack([a / gap[:, None], np.zeros(3)]))
+        hull = ConvexHull(polar)
     except QhullError as exc:
         raise EmptyInterior(f"degenerate dual configuration: {exc}") from exc
     if n in hull.vertices:
@@ -243,20 +334,141 @@ def hull_from_dual_points(duals) -> ConvexPolyhedronH3:
     essential = np.sort(hull.vertices)
     if len(essential) < 4:
         raise EmptyInterior("fewer than four essential planes")
-    discarded = np.setdiff1d(np.arange(n), essential).tolist()
-    return _build_lattice(duals, a, b, hull.simplices, essential, discarded)
+    redundant = np.ones(n, dtype=bool)
+    redundant[essential] = False
+    tri = hull.simplices
+    p = polar[tri]
+    turn = _row_dots(_cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]),
+                     hull.equations[:, :3])
+    tri = np.where((turn < 0)[:, None], tri[:, ::-1], tri)
+    return _face_lattice(rows, a, b, essential,
+                         np.flatnonzero(redundant).tolist(), tri)
 
 
-def _build_lattice(duals, a, b, simplices, essential, discarded):
-    # vertices of the polyhedron = merged coplanar facet groups of the polar
-    # hull: solve every facet's three planes at once, collect each point's
-    # planes at relative tolerance, and refit a point only where more planes
-    # than its facet's three pass through it (a wall state)
-    tri = np.sort(simplices, axis=1)
-    y, ok = _solve_triples(a, b, tri)
+def polyhedron_from_chart(duals, surface: CombSurface) -> ConvexPolyhedronH3:
+    """The polyhedron cut out by the planes dual to `duals`, for dual points
+    whose chart `surface` `chart_verdict` certified; builds no hull.
+
+    Why it is sound: the certificate proves that the chart is exactly the
+    polyhedron's dual decomposition, with every plane essential and every
+    vertex simple (see `chart_verdict`). So the chart's triangles are the
+    triangulated face lattice that `_face_lattice` reads, as it reads the
+    hull's: the planes are all of `duals`, converted as
+    `hull_from_dual_points` converts them, and the result equals the hull's
+    array for array. The chart's triangles are all ccw seen from outside or
+    all cw, and one decides which: three planes meeting at a vertex run ccw
+    seen from outside exactly when their normals' determinant is positive.
+    """
+    rows = dual_rows(duals)
+    a, b = rows[:, 1:].copy(), rows[:, 0].copy()
+    tri = surface.triangle_array
+    p, q, r = a[tri[0]]
+    if p @ _cross(q, r) < 0:
+        tri = tri[:, ::-1]
+    return _face_lattice(rows, a, b, np.arange(len(rows)), [], tri)
+
+
+def _row_dots(u, w):
+    """u[i] @ w[i] for two (N, 3) arrays."""
+    return np.einsum("ij,ij->i", u, w)
+
+
+_CYCLE = np.array([1, 2, 0])
+_CYCLE2 = np.array([2, 0, 1])
+
+
+def _cross(u, w):
+    """u x w along the last axis of two arrays of 3-vectors, with
+    np.cross's arithmetic and bits."""
+    return u[..., _CYCLE] * w[..., _CYCLE2] - u[..., _CYCLE2] * w[..., _CYCLE]
+
+
+def _face_lattice(rows, a, b, essential, discarded, tri) -> ConvexPolyhedronH3:
+    """The polyhedron of the planes `rows` (a y <= b in the Klein chart),
+    read off `tri`, a triangulation of the sphere on the essential planes
+    with every triangle ccw seen from outside.
+
+    Each triangle's three planes are solved for its vertex (`_solve_triples`).
+    Vertices are ordered by sorted plane triple. Where more planes than a
+    triangle's three pass through its point, within MERGE_TOL, the
+    triangles of that point merge into one vertex (`_merged_vertices`).
+    Edges come from glued half-edges: the two triangles at a half-edge and
+    its mate are the edge's ends, unless they lie at one vertex. Face f's
+    cycle is its vertex star: the triangles around f, runs of one merged
+    vertex collapsed; its rotation to where `order_face_cycles` starts it
+    is a view, taken on first use.
+
+    Every check of the lattice holds: its vertices inside the ball, every
+    face with three vertices and a convex cycle, every edge between two
+    vertices once, Euler's formula, and each vertex on its own planes and
+    strictly inside every other one (`_validate_lattice`).
+    """
+    corners = np.sort(tri, axis=1)
+    y, ok = _solve_triples(a, b, corners)
     members = _planes_through(a, b, y)
     own = np.zeros(members.shape, dtype=bool)
-    np.put_along_axis(own, tri, True, axis=1)
+    own[np.arange(len(corners))[:, None], corners] = True
+    if ok.all() and np.array_equal(members, own):
+        # every vertex simple, one per triangle
+        order = np.lexsort(corners.T[::-1])
+        vertex_of = np.empty(len(order), dtype=int)
+        vertex_of[order] = np.arange(len(order))
+        y = y[order]
+    else:
+        y, vertex_of = _merged_vertices(a, b, corners, y, ok, members, own)
+    vertex_rows = _lift_klein(y)
+
+    face_of = np.full(len(rows), -1)
+    face_of[essential] = np.arange(len(essential))
+    tri = face_of[tri]
+    mate = _mates(tri, len(essential))
+    stars, sizes = _stars(tri, mate, vertex_of, len(essential))
+    small = np.flatnonzero(sizes < 3)
+    if small.size:
+        raise InvalidPolyhedron(
+            f"face {essential[small[0]]} has fewer than three vertices")
+    _check_turns(a[essential], y[stars], sizes)
+
+    # half-edge 3t + k runs from face tri[t, k] to face tri[t, k + 1]; the
+    # edge between those faces joins t's vertex u to the vertex w of its
+    # mate's triangle, and the head face runs u -> w. Each edge is read off
+    # its half-edge with u < w.
+    t_end = vertex_of[mate // 3]
+    t_start = np.repeat(vertex_of, 3)
+    keep = t_start < t_end
+    tail = tri.ravel()[keep]
+    head = tri[:, _CYCLE].ravel()[keep]
+    u, w = t_start[keep], t_end[keep]
+    order = np.lexsort((w, u))
+    edge_vertices = np.stack([u[order], w[order]], axis=1)
+    edge_faces = np.stack([head[order], tail[order]], axis=1)
+    twice = np.flatnonzero(np.all(edge_vertices[1:] == edge_vertices[:-1], axis=1))
+    if twice.size:
+        raise InvalidPolyhedron(
+            f"edge {tuple(edge_vertices[twice[0]].tolist())} is not shared by "
+            "two consistently oriented faces")
+
+    poly = ConvexPolyhedronH3(
+        plane_rows=rows[essential], vertex_rows=vertex_rows, klein=y,
+        edge_vertices=edge_vertices, edge_faces=edge_faces, triangles=tri,
+        triangle_vertex=vertex_of, stars=stars, star_sizes=sizes,
+        essential=essential, discarded=discarded)
+    _validate_lattice(poly, poly.incidence, MERGE_TOL)
+    return poly
+
+
+def _merged_vertices(a, b, corners, y, ok, members, own) -> tuple:
+    """The vertices of a triangulation whose points include walls, and the
+    vertex each triangle lies at.
+
+    A point is refit where more planes than its triangle's three pass
+    through it (its plane set collected at relative tolerance); a point
+    whose plane set lies in a larger one is absorbed by it (a merge absorbs
+    the split vertices of a near-coplanar cluster). Vertices are ordered by
+    their plane sets as sorted index lists, ascending, and of equal sets the
+    last triangle's point is kept. A triangle lies at the first vertex whose
+    plane set holds its three planes.
+    """
     for s in np.flatnonzero(ok & np.any(members != own, axis=1)):
         ys = _solve_vertex(a, b, np.flatnonzero(members[s]))
         if ys is None:
@@ -264,52 +476,115 @@ def _build_lattice(duals, a, b, simplices, essential, discarded):
             continue
         y[s] = ys
         members[s] = _planes_through(a, b, ys[None])[0]
-    y, members = y[ok], members[ok]
-    # drop vertex candidates whose plane set is contained in a larger one
-    # (a merge absorbs the split vertices of a near-coplanar cluster)
-    m = members.astype(float)
+    kept = np.flatnonzero(ok)
+    m = members[kept].astype(float)
     count = m.sum(axis=1)
     inside = (m @ m.T == count[:, None]) & (count > count[:, None])
-    maximal = ~inside.any(axis=1)
-    y, members = y[maximal], members[maximal]
-    # vertex order: plane sets as sorted index lists, ascending; a row with
-    # the first plane where two sets differ comes first. Of equal sets the
-    # last facet's point is kept.
-    order = np.lexsort((~members).T[::-1])
-    ranked = members[order]
+    kept = kept[~inside.any(axis=1)]
+    # a row with the first plane where two sets differ comes first
+    order = np.lexsort((~members[kept]).T[::-1])
+    ranked = members[kept[order]]
     last = np.ones(len(order), dtype=bool)
     last[:-1] = np.any(ranked[1:] != ranked[:-1], axis=1)
-    vertices_klein = y[order[last]]
-    vertices = _lift_klein(vertices_klein)
-    incidence = ranked[last].T[essential]           # face x vertex
-
-    small = np.flatnonzero(incidence.sum(axis=1) < 3)
-    if small.size:
+    kept = kept[order[last]]
+    at = members[kept][:, corners].all(axis=2)          # vertex x triangle
+    lost = np.flatnonzero(~at.any(axis=0))
+    if lost.size:
         raise InvalidPolyhedron(
-            f"face {essential[small[0]]} has fewer than three vertices")
-    cycles = order_face_cycles(a[essential], vertices_klein, incidence)
-    faces = [Face(plane=duals[orig], vertex_cycle=cycle)
-             for orig, cycle in zip(essential.tolist(), cycles)]
+            f"the planes {corners[lost[0]].tolist()} of a triangle meet at "
+            "no vertex")
+    return y[kept], np.argmax(at, axis=0)
 
-    edges = _edges_from_faces(faces)
-    poly = ConvexPolyhedronH3(planes=[duals[i] for i in essential],
-                              vertices=vertices, faces=faces, edges=edges,
-                              discarded=discarded)
-    _validate_lattice(poly, incidence, MERGE_TOL)
-    return poly
+
+def _mates(tri, n_faces) -> np.ndarray:
+    """The mate of every half-edge 3t + k (face tri[t, k] to face
+    tri[t, k + 1]): the half-edge running back between the same two faces.
+    Raises InvalidPolyhedron when the triangles do not glue into a closed
+    oriented surface."""
+    tail, head = tri.ravel(), tri[:, _CYCLE].ravel()
+    key = tail * n_faces + head
+    back = head * n_faces + tail
+    order = np.argsort(key)
+    ranked = key[order]
+    spot = np.minimum(np.searchsorted(ranked, back), len(key) - 1)
+    twice = np.append(ranked[1:] == ranked[:-1], False)
+    bad = np.flatnonzero((ranked[spot] != back) | twice[spot])
+    if bad.size:
+        h = bad[0]
+        raise InvalidPolyhedron(
+            f"faces {int(tail[h])} and {int(head[h])} do not meet in two "
+            "consistently oriented triangles")
+    return order[spot]
+
+
+def _stars(tri, mate, vertex_of, n_faces) -> tuple:
+    """Each face's vertices in ccw order seen from outside, padded: the
+    triangles around the face, each at its vertex, with runs at one vertex
+    collapsed; and their counts. Every face is a corner of some triangle."""
+    tail = tri.ravel()
+    prev = 3 * (np.arange(len(tail)) // 3) + (np.arange(len(tail)) + 2) % 3
+    turn = mate[prev]                  # the next half-edge out of the same face
+    degree = np.bincount(tail, minlength=n_faces)
+    first = np.argsort(tail, kind="stable")[np.cumsum(degree) - degree]
+    walk = np.empty((n_faces, int(degree.max())), dtype=int)
+    walk[:, 0] = first
+    for k in range(1, walk.shape[1]):
+        walk[:, k] = turn[walk[:, k - 1]]
+    star = vertex_of[walk // 3]
+    k = np.arange(walk.shape[1])
+    real = k < degree[:, None]
+    new = real & (star != star[np.arange(n_faces)[:, None], (k - 1) % degree[:, None]])
+    if np.array_equal(new, real):
+        return star, degree
+    count = new.sum(axis=1)
+    cycles = np.zeros((n_faces, max(int(count.max()), 1)), dtype=int)
+    cycles[np.nonzero(new)[0], (np.cumsum(new, axis=1) - 1)[new]] = star[new]
+    return cycles, count
+
+
+def _angular_start(normals, points, cycles, count) -> np.ndarray:
+    """The padded face cycles, each rotated to start where
+    `order_face_cycles` starts it: at the point of least angle about the
+    face's centroid, in the same arithmetic."""
+    k = np.arange(cycles.shape[1])
+    pad = k >= count[:, None]
+    # the centroid sums the points in ascending index order, as
+    # order_face_cycles does, padded with zeros
+    ascending = np.sort(np.where(pad, len(points), cycles), axis=1)
+    ascending[pad] = 0
+    pts = points[ascending]
+    pts[pad] = 0.0
+    ang = _face_angles(normals, pts, count)
+    ang[pad] = np.inf
+    f = np.arange(len(cycles))
+    start = ascending[f, ang.argmin(axis=1)]
+    shift = (cycles == start[:, None]).argmax(axis=1)
+    return cycles[f[:, None], (k + shift[:, None]) % count[:, None]]
 
 
 def _solve_triples(a, b, tri):
     """The common point of the three planes of each row of `tri`, and
     whether it is one: lstsq's rank test (every singular value above
-    3 eps times the largest) and a residual of at most SOLVE_RESIDUAL."""
+    RANK_CUTOFF times the largest) and a residual of at most SOLVE_RESIDUAL.
+
+    Only rows the determinant leaves in doubt take an SVD: with singular
+    values s1 >= s2 >= s3, s3 / s1 >= |det| / s1^3 >= |det| / |A|_F^3, and
+    the closed-form determinant misses by a few eps |A|_F^3, so a row with
+    |det| > DET_CUTOFF |A|_F^3 passes the rank test, its SVD's roundoff
+    included."""
     rows, rhs = a[tri], b[tri]
-    sv = np.linalg.svd(rows, compute_uv=False)
-    ok = sv[:, 2] > 3 * np.finfo(float).eps * sv[:, 0]
-    y = np.zeros((len(tri), 3))
-    y[ok] = np.linalg.solve(rows[ok], rhs[ok][..., None])[..., 0]
+    det = _row_dots(rows[:, 0], _cross(rows[:, 1], rows[:, 2]))
+    ok = np.abs(det) > DET_CUTOFF * np.einsum("tij,tij->t", rows, rows) ** 1.5
+    if ok.all():
+        y = np.linalg.solve(rows, rhs[..., None])[..., 0]
+    else:
+        doubt = np.flatnonzero(~ok)
+        sv = np.linalg.svd(rows[doubt], compute_uv=False)
+        ok[doubt] = sv[:, 2] > RANK_CUTOFF * sv[:, 0]
+        y = np.zeros((len(tri), 3))
+        y[ok] = np.linalg.solve(rows[ok], rhs[ok][..., None])[..., 0]
     resid = (rows @ y[..., None])[..., 0] - rhs
-    return y, ok & (np.max(np.abs(resid), axis=1) <= SOLVE_RESIDUAL)
+    return y, ok & (np.abs(resid).max(axis=1) <= SOLVE_RESIDUAL)
 
 
 def _solve_vertex(a, b, idxs):
@@ -493,42 +768,6 @@ def chart_verdict(duals, surface: CombSurface) -> tuple:
                                        normal_bound, roundoff)
 
 
-def polyhedron_from_chart(duals, surface: CombSurface) -> ConvexPolyhedronH3:
-    """The polyhedron cut out by the planes dual to `duals`, for dual points
-    whose chart `surface` `chart_verdict` certified; builds no hull.
-
-    Why it is sound: the certificate proves that the chart is exactly the
-    polyhedron's dual decomposition, with every plane essential and every
-    vertex simple (see `chart_verdict`). So the face lattice is read off
-    the chart instead of recovered by Qhull, an LP and a fit per vertex:
-    the planes are all of `duals`, converted as `hull_from_dual_points`
-    converts them; the vertices are the triangles' common points y_t,
-    lifted and in the hull's vertex order (sorted plane triples); face f is
-    chart vertex f, its cycle the triangles of f's star; edges follow from
-    the cycles. The chart's rotation is ccw seen from outside either about
-    every face or about none, and one corner decides which. The vertices
-    agree with the hull's within solve roundoff, and each cycle is the
-    hull's up to rotation.
-    """
-    planes = _as_planes(duals)
-    x = np.array([p.v for p in planes])
-    a, b = x[:, 1:], x[:, 0]
-    corners = np.sort(surface.triangle_array, axis=1)
-    order = np.lexsort(corners.T[::-1])
-    vertex_of = np.empty(len(order), dtype=int)
-    vertex_of[order] = np.arange(len(order))
-    tri = corners[order]
-    y = np.linalg.solve(a[tri], b[tri][..., None])[..., 0]
-    cycles = [vertex_of[star].tolist() for star in surface.vertex_stars()]
-    p0, p1, p2 = y[cycles[0][:3]]
-    if np.cross(p1 - p0, p2 - p1) @ a[0] < 0:
-        cycles = [c[::-1] for c in cycles]
-    faces = [Face(plane=p, vertex_cycle=c) for p, c in zip(planes, cycles)]
-    return ConvexPolyhedronH3(planes=planes,
-                              vertices=_lift_klein(y),
-                              faces=faces, edges=_edges_from_faces(faces))
-
-
 def order_face_cycles(normals, points, incidence) -> list:
     """Vertex cycles of faces, each convex and ccw about its outward normal.
 
@@ -551,26 +790,39 @@ def order_face_cycles(normals, points, incidence) -> list:
     real = np.zeros(shape, dtype=bool)
     real[face, slot] = True
     pts = np.where(real[..., None], points[idx], 0.0)
+    ang = _face_angles(normals, pts, count)
+    order = np.argsort(np.where(real, ang, np.inf), axis=1)   # padding last
+    f = np.arange(len(normals))[:, None]
+    _check_turns(normals, pts[f, order], count)
+    cycles = idx[f, order].tolist()
+    return [c[:m] for c, m in zip(cycles, count.tolist())]
 
+
+def _face_angles(normals, pts, count):
+    """The angle of each of the padded face points pts (F, K, 3) about its
+    face's centroid (the first count[f] points' mean), in a basis (e1, e2)
+    of the face's plane that makes (e1, e2, normal) right-handed."""
     e1 = np.zeros(normals.shape)
     e1[np.arange(len(normals)), np.argmin(np.abs(normals), axis=1)] = 1.0
-    e1 = _unit_rows(np.cross(normals, e1))
+    e1 = _unit_rows(_cross(normals, e1))
     # e1 is orthogonal to the normal, so (e1, normal x e1, normal) is
     # right-handed and angle order is ccw seen from outside
-    e2 = _unit_rows(np.cross(normals, e1))
+    e2 = _unit_rows(_cross(normals, e1))
     rel = pts - (pts.sum(axis=1) / count[:, None])[:, None]
-    ang = np.arctan2(_row_products(rel, e2), _row_products(rel, e1))
-    order = np.argsort(np.where(real, ang, np.inf), axis=1)   # padding last
+    return np.arctan2(_row_products(rel, e2), _row_products(rel, e1))
 
-    k = np.arange(shape[1])
-    after = np.where(k + 1 < count[:, None], k + 1, 0)[..., None]
-    ordered = np.take_along_axis(pts, order[..., None], axis=1)
-    sides = np.take_along_axis(ordered, after, axis=1) - ordered
-    turns = np.cross(sides, np.take_along_axis(sides, after, axis=1))
-    if np.any((k < count[:, None]) & (_row_products(turns, normals) <= 0)):
+
+def _check_turns(normals, ordered, count):
+    """Raise InvalidPolyhedron unless every corner of the padded cycles
+    `ordered` (F, K, 3), the first count[f] points of each, turns left about
+    its face's normal."""
+    k = np.arange(ordered.shape[1])
+    f = np.arange(len(ordered))[:, None]
+    after = (k + 1) % count[:, None]
+    sides = ordered[f, after] - ordered
+    turns = _cross(sides, sides[f, after])
+    if ((k < count[:, None]) & (_row_products(turns, normals) <= 0)).any():
         raise InvalidPolyhedron("face cycle is not convex about its normal")
-    cycles = np.take_along_axis(idx, order, axis=1).tolist()
-    return [c[:m] for c, m in zip(cycles, count.tolist())]
 
 
 def _row_products(u, w):
@@ -583,48 +835,15 @@ def _unit_rows(v):
     return v / np.sqrt((v[:, None, :] @ v[..., None])[:, 0])
 
 
-def _edges_from_faces(faces):
-    """The edges of a face lattice, sorted by vertex pair (u, w) with u < w,
-    each with the face that runs u -> w first, in one stacked pass over all
-    face corners. Raises InvalidPolyhedron at the first pair that two
-    consistently oriented faces do not share."""
-    cycles = [f.vertex_cycle for f in faces]
-    sizes = np.fromiter(map(len, cycles), dtype=int, count=len(cycles))
-    tail = np.fromiter(chain.from_iterable(cycles), dtype=int,
-                       count=int(sizes.sum()))
-    ends = np.cumsum(sizes)
-    after = np.arange(1, len(tail) + 1)
-    after[ends - 1] = ends - sizes                 # each cycle closes
-    head = tail[after]
-    fwd = tail < head
-    lo, hi = np.minimum(tail, head), np.maximum(tail, head)
-    order = np.lexsort((~fwd, hi, lo))      # by pair, forward corner first
-    lo, hi, fwd = lo[order], hi[order], fwd[order]
-    face = np.repeat(np.arange(len(cycles)), sizes)[order]
-    first = np.flatnonzero(np.r_[True, (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])])
-    second = np.minimum(first + 1, len(lo) - 1)
-    shared = ((np.diff(np.r_[first, len(lo)]) == 2)
-              & fwd[first] & ~fwd[second])
-    bad = np.flatnonzero(~shared)
-    if bad.size:
-        k = first[bad[0]]
-        raise InvalidPolyhedron(
-            f"edge {(int(lo[k]), int(hi[k]))} is not shared by two "
-            "consistently oriented faces")
-    return list(map(Edge, zip(lo[first].tolist(), hi[first].tolist()),
-                    zip(face[first].tolist(), face[second].tolist())))
-
-
 def _validate_lattice(poly, incidence, merge_tol):
-    """Each vertex lies on the planes of its incident faces, within 10 *
-    merge_tol, and strictly inside every other plane, by merge_tol / 10,
-    both relative to its x0. The first failing vertex is reported, its own
-    planes checked first."""
+    """Euler's formula holds, and each vertex lies on the planes of its
+    incident faces, within 10 * merge_tol, and strictly inside every other
+    plane, by merge_tol / 10, both relative to its x0. The first failing
+    vertex is reported, its own planes checked first."""
     if poly.n_vertices - poly.n_edges + poly.n_faces != 2:
         raise InvalidPolyhedron("face lattice is not a 2-sphere")
-    n = np.array([p.v for p in poly.planes])[:, None, :]
-    x = np.array([p.v for p in poly.vertices])[None, :, :]
-    inner = minkowski_rows(n, x)                     # <n_f, x_v>
+    x = poly.vertex_rows[None, :, :]
+    inner = minkowski_rows(poly.plane_rows[:, None, :], x)     # <n_f, x_v>
     scale = x[..., 0]
     off = incidence & (np.abs(inner) > 10 * merge_tol * scale)
     outside = ~incidence & (inner >= -merge_tol * scale / 10)
@@ -643,14 +862,14 @@ def _validate_lattice(poly, incidence, merge_tol):
 def dihedral_angles(P: ConvexPolyhedronH3) -> np.ndarray:
     """Interior dihedral angle at every edge, in (0, pi): pi minus the de
     Sitter distance between the dual points of the edge's two faces."""
-    x = np.array([p.v for p in P.planes])
-    return np.pi - ds_distances(*x[np.array([e.faces for e in P.edges]).T])
+    return np.pi - ds_distances(*P.plane_rows[P.edge_faces.T])
 
 
 def dihedral_angle(P: ConvexPolyhedronH3, e: int) -> float:
     """Interior dihedral angle at edge e, in (0, pi), as in `dihedral_angles`."""
-    f1, f2 = P.edges[e].faces
-    return float(np.pi - ds_distances(P.planes[f1].v[None], P.planes[f2].v[None])[0])
+    f1, f2 = P.edge_faces[e]
+    return float(np.pi - ds_distances(P.plane_rows[f1][None],
+                                      P.plane_rows[f2][None])[0])
 
 
 def polygon_area(x) -> float:
@@ -663,82 +882,91 @@ def polygon_area(x) -> float:
 
 def face_area(P: ConvexPolyhedronH3, f: int) -> float:
     """Area of the hyperbolic face polygon by angle defect."""
-    return polygon_area([P.vertices[v].v for v in P.faces[f].vertex_cycle])
+    return polygon_area(P.vertex_rows[P.cycle(f)])
 
 
-def _vertex_fan(P: ConvexPolyhedronH3, v: int) -> tuple:
-    """The faces at vertex v in cyclic order, and the edges between them:
-    edges[i] is the edge at v shared by faces[i] and faces[i + 1]."""
-    faces_at = P.faces_at_vertex(v)
-    f = faces_at[0]
-    faces, edges = [], []
-    for _ in range(len(faces_at)):
-        faces.append(f)
-        cyc = P.faces[f].vertex_cycle
-        k = P.edge_at(v, cyc[(cyc.index(v) + 1) % len(cyc)])
-        edges.append(k)
-        f1, f2 = P.edges[k].faces
-        f = f1 if f2 == f else f2
-    if f != faces[0]:
-        raise InvalidPolyhedron(f"face fan at vertex {v} does not close")
-    return faces, edges
+def _vertex_fans(P: ConvexPolyhedronH3) -> tuple:
+    """The faces at each vertex in cyclic order, from the lowest, and the
+    edges between them, padded: edges[v, i] is the edge at v shared by
+    faces[v, i] and faces[v, i + 1]; and the number at each vertex.
+
+    Edge k runs u -> w in its first face and w -> u in its second, so at u
+    the first face's successor across k is the second, and at w the
+    second's is the first."""
+    u, w = P.edge_vertices.T
+    f1, f2 = P.edge_faces.T
+    k = np.arange(P.n_edges)
+    after = np.full((P.n_vertices, P.n_faces), -1)
+    via = np.empty_like(after)
+    after[u, f1], via[u, f1] = f2, k
+    after[w, f2], via[w, f2] = f1, k
+    degree = np.bincount(P.edge_vertices.ravel(), minlength=P.n_vertices)
+    at = np.arange(P.n_vertices)
+    faces = np.empty((P.n_vertices, int(degree.max())), dtype=int)
+    edges = np.empty_like(faces)
+    f = np.argmax(after >= 0, axis=1)
+    for i in range(faces.shape[1]):
+        faces[:, i], edges[:, i] = f, via[at, f]
+        f = after[at, f]
+    open_ = np.flatnonzero(after[at, faces[at, degree - 1]] != faces[:, 0])
+    if open_.size:
+        raise InvalidPolyhedron(f"face fan at vertex {open_[0]} does not close")
+    return faces, edges, degree
 
 
 @dataclass
 class DualMetricOutput:
     metric: ConeMetric
-    marking: list               # marking[dual vertex] = face index (identity)
+    marking: list               # marking[dual vertex] = input index of its plane
     edge_provenance: list = field(repr=False)
 
 
 def dualize(P: ConvexPolyhedronH3) -> DualMetricOutput:
     """Glue the polar duals of all vertex links into the dual cone-metric.
 
-    One dual vertex per face; the polar dual of the link at vertex v has a
-    corner per face and a side per edge at v, and is fan-triangulated from
-    its lowest-index face. Every length, side or diagonal, is the de Sitter
-    distance of two faces' dual points, in one stacked pass, and exactly so:
-    the dual points of v's faces are unit vectors in v's orthogonal
-    complement, a Euclidean 3-space as v is timelike, and are the corners of
-    the polar dual of v's link, so each side and diagonal is the angle
-    between two of them. A side is thus pi minus its primal dihedral angle.
+    One dual vertex per face; `marking[i]` is the index of face i's plane
+    among the input planes of P (`essential`). The polar dual of the link
+    at vertex v has a corner per face and a side per edge at v, and is
+    fan-triangulated from its lowest-index face; all vertices' fans are
+    built in one stacked pass (`fan_triangulations`). Every length, side or
+    diagonal, is the de Sitter distance of two faces' dual points, in one
+    stacked pass, and exactly so: the dual points of v's faces are unit
+    vectors in v's orthogonal complement, a Euclidean 3-space as v is
+    timelike, and are the corners of the polar dual of v's link, so each
+    side and diagonal is the angle between two of them. A side is thus pi
+    minus its primal dihedral angle.
     """
-    triangles = []
-    side_tag = {}        # primal edge index -> the half-edges of its dual sides
-    gluing = {}
-    provenance_by_he = {}
+    fans, fan_edges, degree = _vertex_fans(P)
+    owner, corners, sides, diagonals, diagonal_owner = fan_triangulations(degree)
+    triangles = fans[owner[:, None], corners]
+    # side i of v's polygon joins corners i, i + 1 and is dual to the primal
+    # edge fan_edges[v, i]; the two sides of each primal edge are glued
+    real = sides >= 0
+    side, primal = sides[real], fan_edges[real]
+    matched = np.bincount(primal, minlength=P.n_edges)
+    bad = np.flatnonzero(matched != 2)
+    if bad.size:
+        raise InvalidPolyhedron(
+            f"primal edge {bad[0]} matched {matched[bad[0]]} dual sides")
+    glued = side[np.argsort(primal, kind="stable")].reshape(-1, 2)
+    pairs = np.vstack([glued, diagonals])
+    gluing = dict(zip(pairs.ravel().tolist(), pairs[:, ::-1].ravel().tolist()))
+    surf = CombSurface(P.n_faces, triangles.tolist(), gluing)
 
-    for v in range(P.n_vertices):
-        faces, edges = _vertex_fan(P, v)
-        m = len(faces)
-        anchor = int(np.argmin(faces))
-        local = [(anchor + j) % m for j in range(m)]
-        fan, sides, diagonals = fan_triangulation(m, base=len(triangles))
-        triangles += [tuple(faces[local[c]] for c in tri) for tri in fan]
-        # polygon boundary side i joins corners i, i+1 and is dual to the
-        # primal edge edges[i]
-        for i, e_primal in enumerate(edges):
-            he = sides[(i - anchor) % m]
-            side_tag.setdefault(e_primal, []).append(he)
-            provenance_by_he[he] = ("primal", P.edges[e_primal].faces)
-        for he_a, he_b in diagonals:
-            gluing[he_a] = he_b
-            gluing[he_b] = he_a
-            provenance_by_he[he_a] = ("fan", v)
-
-    for e_primal, hes in side_tag.items():
-        if len(hes) != 2:
-            raise InvalidPolyhedron(
-                f"primal edge {e_primal} matched {len(hes)} dual sides")
-        gluing[hes[0]] = hes[1]
-        gluing[hes[1]] = hes[0]
-
-    surf = CombSurface(P.n_faces, triangles, gluing)
-    provenance = [provenance_by_he[ha] if ha in provenance_by_he
-                  else provenance_by_he[hb] for ha, hb in surf.edge_halfedges]
-    x = np.array([p.v for p in P.planes])
-    metric = ConeMetric(surf, SPHERICAL, ds_distances(*x[surf.edge_pairs.T]))
-    return DualMetricOutput(metric=metric, marking=list(range(P.n_faces)),
+    # an edge's provenance is its smaller half-edge's: a side's primal edge,
+    # or the vertex of a diagonal, whose first half-edge is the smaller
+    n_he = 3 * len(triangles)
+    edge_of = np.full(n_he, -1)
+    edge_of[side] = primal
+    vertex_of = np.full(n_he, -1)
+    vertex_of[diagonals[:, 0]] = diagonal_owner
+    first = np.array(surf.edge_halfedges)[:, 0]
+    faces = list(map(tuple, P.edge_faces.tolist()))
+    provenance = [("primal", faces[k]) if k >= 0 else ("fan", v)
+                  for k, v in zip(edge_of[first].tolist(),
+                                  vertex_of[first].tolist())]
+    metric = ConeMetric(surf, SPHERICAL, ds_distances(*P.plane_rows[surf.edge_pairs.T]))
+    return DualMetricOutput(metric=metric, marking=P.essential.tolist(),
                             edge_provenance=provenance)
 
 

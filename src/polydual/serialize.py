@@ -117,7 +117,13 @@ def decode_cone_metric(payload: dict) -> ConeMetric:
 
 
 def encode_polyhedron(P: ConvexPolyhedronH3) -> dict:
-    return {"dual_points": [[float(x) for x in p.v] for p in P.planes]}
+    return encode_dual_points(P.plane_rows)
+
+
+def encode_dual_points(rows) -> dict:
+    """The polyhedron payload of the dual points `rows`, an (n, 4) array of
+    rows on the de Sitter quadric (see `polyhedra.dual_rows`)."""
+    return {"dual_points": np.asarray(rows, dtype=float).tolist()}
 
 
 def decode_dual_points(payload: dict) -> list:

@@ -397,21 +397,26 @@ def _checked_hull(state: SolverState) -> ConvexPolyhedronH3:
 
 
 def _check_refinement(poly: ConvexPolyhedronH3, state: SolverState):
-    sides = {frozenset(e.faces) for e in poly.edges}
-    chart = [frozenset(p) for p in state.edge_pairs]
-    chart_set = set(chart)
-    missing = sides - chart_set
-    if missing:
+    """Raise FeasibilityLost unless the chart refines the hull's dual
+    decomposition: every hull edge's face pair is a chart edge (else the
+    missing ones, sorted, are named), and every other chart edge joins two
+    faces of one vertex, a chord of its dual polygon (else the first one in
+    chart order is named)."""
+    n = poly.n_faces
+    sides = np.sort(poly.edge_faces, axis=1)
+    chart = np.sort(state.edge_pairs, axis=1)
+    side_keys, chart_keys = sides @ [n, 1], chart @ [n, 1]
+    missing = ~np.isin(side_keys, chart_keys)
+    if missing.any():
+        pairs = sorted(map(tuple, sides[missing].tolist()))
+        raise FeasibilityLost(f"hull edges {pairs} missing from the chart",
+                              missing_sides=pairs)
+    inc = poly.incidence
+    chord = (inc[chart[:, 0]] & inc[chart[:, 1]]).any(axis=1)
+    bad = np.flatnonzero(~chord & ~np.isin(chart_keys, side_keys))
+    if bad.size:
         raise FeasibilityLost(
-            f"hull edges {sorted(tuple(s) for s in missing)} missing from the chart",
-            missing_sides=[tuple(sorted(s)) for s in missing])
-    links = [set(poly.faces_at_vertex(v)) for v in range(poly.n_vertices)]
-    for pair in chart:
-        if pair in sides:
-            continue
-        if not any(pair <= link for link in links):
-            raise FeasibilityLost(
-                f"chart edge {sorted(pair)} is not a chord of any dual polygon")
+            f"chart edge {chart[bad[0]].tolist()} is not a chord of any dual polygon")
 
 
 def jacobian(state: SolverState) -> np.ndarray:
@@ -718,7 +723,7 @@ def continuation(start, target: ConeMetric, steps: int = 10,
     at the current parameter.
     """
     validate_target(target)
-    points = start.planes if isinstance(start, ConvexPolyhedronH3) else start
+    points = start.plane_rows if isinstance(start, ConvexPolyhedronH3) else start
     if not isinstance(points, np.ndarray):
         points = np.array([p.v for p in points])
     try:
@@ -815,7 +820,7 @@ def perturbed_polyhedron(P: ConvexPolyhedronH3, rng: np.random.RandomState,
     `perturbed_state`."""
     if chart is not None:
         return recovered_polyhedron(perturbed_state(P, rng, magnitude, chart))
-    want = {frozenset(e.faces) for e in P.edges}
+    want = _side_keys(P)
     for pts in _perturbations(P, rng, magnitude):
         try:
             poly = hull_from_dual_points(pts)
@@ -823,10 +828,15 @@ def perturbed_polyhedron(P: ConvexPolyhedronH3, rng: np.random.RandomState,
             continue
         if poly.discarded:
             continue
-        if {frozenset(e.faces) for e in poly.edges} != want:
+        if not np.array_equal(_side_keys(poly), want):
             continue
         return poly
     raise SolverError("failed to perturb into a usable start")
+
+
+def _side_keys(P: ConvexPolyhedronH3) -> np.ndarray:
+    """The face pairs of P's edges as sorted keys f * n + g, f < g."""
+    return np.sort(np.sort(P.edge_faces, axis=1) @ [P.n_faces, 1])
 
 
 def perturbed_state(P: ConvexPolyhedronH3, rng: np.random.RandomState,
@@ -847,7 +857,7 @@ def _perturbations(P: ConvexPolyhedronH3, rng: np.random.RandomState,
     """Up to PERTURB_TRIES perturbed copies of P's dual points, (n, 4) rows;
     a try in which a point leaves its chart yields nothing."""
     magnitude = min(magnitude, PERTURB_EDGE_SHARE * float(P.edge_lengths().min()))
-    base = np.stack([p.v for p in P.planes])
+    base = P.plane_rows
     frames, _ = _tangent_frames(base)
     for _ in range(PERTURB_TRIES):
         drawn = rng.get_state()
@@ -890,13 +900,12 @@ def _relabelings(poly: ConvexPolyhedronH3, surface: CombSurface):
     n = poly.n_faces
     if n != surface.n_vertices:
         return
-    pairs = {frozenset(surface.edge_endpoints(e))
-             for e in range(surface.n_edges)}
-    adj = [set() for _ in range(n)]
-    for e in poly.edges:
-        f1, f2 = e.faces
-        adj[f1].add(f2)
-        adj[f2].add(f1)
+    pairs = np.zeros((n, n), dtype=bool)
+    pairs[tuple(surface.edge_pairs.T)] = True
+    pairs |= pairs.T
+    adjacent = np.zeros((n, n), dtype=bool)
+    adjacent[tuple(poly.edge_faces.T)] = True
+    adj = [np.flatnonzero(row).tolist() for row in adjacent | adjacent.T]
 
     sigma = [None] * n
     used = [False] * n
@@ -908,8 +917,7 @@ def _relabelings(poly: ConvexPolyhedronH3, surface: CombSurface):
         for cand in range(n):
             if used[cand]:
                 continue
-            if any(sigma[g] is not None
-                   and frozenset((cand, sigma[g])) not in pairs
+            if any(sigma[g] is not None and not pairs[cand, sigma[g]]
                    for g in adj[f]):
                 continue
             sigma[f] = cand
@@ -946,10 +954,8 @@ def auto_start(target: ConeMetric) -> ConvexPolyhedronH3:
     for poly in candidates:
         for sigma in _relabelings(poly, target.surface):
             inverse = np.argsort(sigma)
-            relabeled = hull_from_dual_points(
-                [poly.planes[inverse[j]] for j in range(n)])
-            state = SolverState(np.stack([p.v for p in relabeled.planes]),
-                                target.surface,
+            relabeled = hull_from_dual_points([poly.planes[i] for i in inverse])
+            state = SolverState(relabeled.plane_rows, target.surface,
                                 target.lengths)
             try:
                 check_feasible(state)

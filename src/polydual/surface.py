@@ -151,24 +151,6 @@ class CombSurface:
         # side opposite corner k is the half-edge (t, k+1)
         return np.array([lengths[self.edge_of(t, (k + 1) % 3)] for k in range(3)])
 
-    def vertex_stars(self) -> list:
-        """Per vertex, its triangles in rotation order: each next triangle
-        lies across the edge that leaves the vertex in the one before."""
-        # corner 3t + k sits at the start of half-edge 3t + k; its mate m
-        # ends at the same vertex, at the next corner of the mate's triangle
-        after = [3 * (m // 3) + (m + 1) % 3
-                 for m in map(self.gluing.get, range(3 * self.n_triangles))]
-        stars = [None] * self.n_vertices
-        for c in range(3 * self.n_triangles):
-            v = self.triangles[c // 3][c % 3]
-            if stars[v] is None:
-                star = stars[v] = [c // 3]
-                nxt = after[c]
-                while nxt != c:
-                    star.append(nxt // 3)
-                    nxt = after[nxt]
-        return stars
-
     @cached_property
     def edge_pairs(self) -> np.ndarray:
         """(n_edges, 2) endpoints of every edge, in edge order; read-only."""
@@ -351,13 +333,41 @@ def fan_triangulation(m: int, base: int = 0) -> tuple:
     diagonals[j - 2] is the glued pair (j -> 0, 0 -> j) of half-edges of the
     diagonal to corner j, the first one lying in the earlier triangle.
     """
-    corners = [(0, j, j + 1) for j in range(1, m - 1)]
-    sides = ([he_index(base, 0)]
-             + [he_index(base + j - 1, 1) for j in range(1, m - 1)]
-             + [he_index(base + m - 3, 2)])
-    diagonals = [(he_index(base + j - 2, 2), he_index(base + j - 1, 0))
-                 for j in range(2, m - 1)]
-    return corners, sides, diagonals
+    _, corners, sides, diagonals, _ = fan_triangulations([m])
+    return (list(map(tuple, corners.tolist())), (sides[0] + 3 * base).tolist(),
+            list(map(tuple, (diagonals + 3 * base).tolist())))
+
+
+def fan_triangulations(sizes) -> tuple:
+    """The fans of polygons with the given corner counts, numbered one
+    polygon after the other, as `fan_triangulation` numbers one: polygon p's
+    triangles follow those of polygons 0, ..., p - 1.
+
+    Returns (owner, corners, sides, diagonals, diagonal_owner): triangle t
+    lies in polygon owner[t] with the polygon corners corners[t]; sides[p, j]
+    is the half-edge of polygon p's side from corner j to corner j + 1 (-1
+    past its corners); diagonals[d] is a glued pair of half-edges, as in
+    `fan_triangulation`, in polygon diagonal_owner[d].
+    """
+    sizes = np.asarray(sizes, dtype=int)
+    count = sizes - 2
+    base = np.cumsum(count) - count            # each polygon's first triangle
+    owner = np.repeat(np.arange(len(sizes)), count)
+    corners = np.zeros((len(owner), 3), dtype=int)
+    corners[:, 1] = np.arange(len(owner)) - base[owner] + 1
+    corners[:, 2] = corners[:, 1] + 1
+    # side 0 is half-edge 0 of the first triangle, side i < m - 1 half-edge
+    # 1 of triangle i - 1, and side m - 1 half-edge 2 of the last
+    sides = 3 * base[:, None] + 3 * np.arange(int(sizes.max())) - 2
+    sides[:, 0] = 3 * base
+    sides[np.arange(len(sizes)), sizes - 1] = 3 * (base + count - 1) + 2
+    sides[np.arange(sides.shape[1]) >= sizes[:, None]] = -1
+    # polygon p's diagonals sit between its consecutive triangles
+    diagonal_owner = np.repeat(np.arange(len(sizes)), count - 1)
+    first = np.repeat(base - (np.cumsum(count - 1) - (count - 1)), count - 1)
+    d = 3 * (np.arange(len(diagonal_owner)) + first) + 2
+    diagonals = np.stack([d, d + 1], axis=1)
+    return owner, corners, sides, diagonals, diagonal_owner
 
 
 # -- canned builders ----------------------------------------------------------

@@ -1,30 +1,62 @@
 """Reference implementations that stacked or leaner code replaced, kept as
 the oracles it must match bit for bit. Each names the function it checks."""
 import itertools
+from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 import numpy as np
 
 from polydual import solver
 from polydual.errors import (
+    EmptyInterior,
     FeasibilityLost,
+    InvalidPolyhedron,
     NotSpacelikeSeparated,
     SolverError,
     StepStalled,
+    UnboundedPolyhedron,
 )
-from polydual.minkowski import J, minkowski_inner, minkowski_rows
+from polydual.minkowski import (
+    DSPoint,
+    HPoint,
+    J,
+    clamped,
+    corner_angle,
+    minkowski_inner,
+    minkowski_rows,
+)
 from polydual.polyhedra import (
     CERTIFIED,
     CERTIFY_MARGIN,
     CERTIFY_ROUNDOFF,
+    MERGE_TOL,
+    SOLVE_RESIDUAL,
     UNDECIDED,
     VIOLATED,
     ChartCertificate,
+    DualMetricOutput,
+    Edge,
+    Face,
+    _interior_point,
+    _lift_klein,
     _plane_offsets,
+    _planes_through,
     _row_norms,
+    _solve_vertex,
+    _validate_lattice,
+    dual_rows,
+    order_face_cycles,
+    qhull,
 )
 from polydual.solver import FRAME_TOL
-from polydual.surface import CombSurface
+from polydual.surface import (
+    SPHERICAL,
+    CombSurface,
+    ConeMetric,
+    fan_triangulation,
+    sphere_angle,
+)
 
 
 def masked_frames(positions):
@@ -366,3 +398,417 @@ def step_distances_int64(succ, depth):
     for _ in range(depth - 1):
         dist = np.minimum(dist, 1 + np.minimum(dist[succ[:, 0]], dist[succ[:, 1]]))
     return dist
+
+
+# -- the face lattice and the dual metric ----------------------------------------
+
+
+@dataclass
+class ReferenceLattice:
+    """What an oracle hull returns: the planes, vertices, faces, edges and
+    discarded planes of a polyhedron, in the views' types."""
+    planes: list
+    vertices: list
+    faces: list
+    edges: list
+    discarded: list
+
+    @property
+    def plane_rows(self):
+        return np.array([p.v for p in self.planes])
+
+    @property
+    def vertex_rows(self):
+        return np.array([v.v for v in self.vertices])
+
+    @property
+    def n_faces(self):
+        return len(self.faces)
+
+    @property
+    def n_vertices(self):
+        return len(self.vertices)
+
+    @property
+    def n_edges(self):
+        return len(self.edges)
+
+
+def svd_solve_triples(a, b, tri):
+    """Checks `polyhedra._solve_triples`: every row's rank by SVD."""
+    rows, rhs = a[tri], b[tri]
+    sv = np.linalg.svd(rows, compute_uv=False)
+    ok = sv[:, 2] > 3 * np.finfo(float).eps * sv[:, 0]
+    y = np.zeros((len(tri), 3))
+    y[ok] = np.linalg.solve(rows[ok], rhs[ok][..., None])[..., 0]
+    resid = (rows @ y[..., None])[..., 0] - rhs
+    return y, ok & (np.max(np.abs(resid), axis=1) <= SOLVE_RESIDUAL)
+
+
+def angle_sorted_hull(duals) -> ReferenceLattice:
+    """Checks `polyhedra.hull_from_dual_points` bit for bit: the hull it
+    replaced, which merged the polar hull's facets into vertices, ordered
+    each face's vertices by angle (`order_face_cycles`) and walked the face
+    corners into edges (`edges_from_faces`)."""
+    rows = dual_rows(duals)
+    planes = DSPoint.from_rows(rows)
+    n = len(rows)
+    if n < 4:
+        raise InvalidPolyhedron("need at least four face planes")
+    a, b = rows[:, 1:].copy(), rows[:, 0].copy()
+    y0 = _interior_point(a, b)
+    gap = b - a @ y0
+    if np.any(gap <= 0):
+        raise EmptyInterior("interior point failed strict containment")
+    ConvexHull, QhullError = qhull()
+    try:
+        hull = ConvexHull(np.vstack([a / gap[:, None], np.zeros(3)]))
+    except QhullError as exc:
+        raise EmptyInterior(f"degenerate dual configuration: {exc}") from exc
+    if n in hull.vertices:
+        raise UnboundedPolyhedron("plane family recedes to infinity")
+    essential = np.sort(hull.vertices)
+    if len(essential) < 4:
+        raise EmptyInterior("fewer than four essential planes")
+    discarded = np.setdiff1d(np.arange(n), essential).tolist()
+
+    tri = np.sort(hull.simplices, axis=1)
+    y, ok = svd_solve_triples(a, b, tri)
+    members = _planes_through(a, b, y)
+    own = np.zeros(members.shape, dtype=bool)
+    np.put_along_axis(own, tri, True, axis=1)
+    for s in np.flatnonzero(ok & np.any(members != own, axis=1)):
+        ys = _solve_vertex(a, b, np.flatnonzero(members[s]))
+        if ys is None:
+            ok[s] = False
+            continue
+        y[s] = ys
+        members[s] = _planes_through(a, b, ys[None])[0]
+    y, members = y[ok], members[ok]
+    m = members.astype(float)
+    count = m.sum(axis=1)
+    inside = (m @ m.T == count[:, None]) & (count > count[:, None])
+    maximal = ~inside.any(axis=1)
+    y, members = y[maximal], members[maximal]
+    order = np.lexsort((~members).T[::-1])
+    ranked = members[order]
+    last = np.ones(len(order), dtype=bool)
+    last[:-1] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    klein = y[order[last]]
+    vertices = HPoint.from_rows(_lift_klein(klein))
+    incidence = ranked[last].T[essential]
+    small = np.flatnonzero(incidence.sum(axis=1) < 3)
+    if small.size:
+        raise InvalidPolyhedron(
+            f"face {essential[small[0]]} has fewer than three vertices")
+    cycles = order_face_cycles(a[essential], klein, incidence)
+    faces = [Face(plane=planes[i], vertex_cycle=c)
+             for i, c in zip(essential.tolist(), cycles)]
+    poly = ReferenceLattice([planes[i] for i in essential], vertices, faces,
+                            edges_from_faces(faces), discarded)
+    _validate_lattice(poly, incidence, MERGE_TOL)
+    return poly
+
+
+def edges_from_faces(faces):
+    """Checks the edges `polyhedra._face_lattice` glues from half-edges:
+    the stacked pass over all face corners it replaced, sorted by vertex
+    pair with the face that runs u -> w first. Raises InvalidPolyhedron at
+    the first pair that two consistently oriented faces do not share."""
+    cycles = [f.vertex_cycle for f in faces]
+    sizes = np.fromiter(map(len, cycles), dtype=int, count=len(cycles))
+    tail = np.fromiter(chain.from_iterable(cycles), dtype=int,
+                       count=int(sizes.sum()))
+    ends = np.cumsum(sizes)
+    after = np.arange(1, len(tail) + 1)
+    after[ends - 1] = ends - sizes                 # each cycle closes
+    head = tail[after]
+    fwd = tail < head
+    lo, hi = np.minimum(tail, head), np.maximum(tail, head)
+    order = np.lexsort((~fwd, hi, lo))      # by pair, forward corner first
+    lo, hi, fwd = lo[order], hi[order], fwd[order]
+    face = np.repeat(np.arange(len(cycles)), sizes)[order]
+    first = np.flatnonzero(np.r_[True, (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])])
+    second = np.minimum(first + 1, len(lo) - 1)
+    shared = ((np.diff(np.r_[first, len(lo)]) == 2)
+              & fwd[first] & ~fwd[second])
+    bad = np.flatnonzero(~shared)
+    if bad.size:
+        k = first[bad[0]]
+        raise InvalidPolyhedron(
+            f"edge {(int(lo[k]), int(hi[k]))} is not shared by two "
+            "consistently oriented faces")
+    return list(map(Edge, zip(lo[first].tolist(), hi[first].tolist()),
+                    zip(face[first].tolist(), face[second].tolist())))
+
+
+def edges_by_corner_walk(faces):
+    """Checks `edges_from_faces`: the face-corner walk it replaced, with
+    its error message."""
+    seen = {}
+    for f, face in enumerate(faces):
+        cyc = face.vertex_cycle
+        for k in range(len(cyc)):
+            u, w = cyc[k], cyc[(k + 1) % len(cyc)]
+            key = (min(u, w), max(u, w))
+            seen.setdefault(key, []).append((f, u < w))
+    edges = []
+    for (u, w), inc in sorted(seen.items()):
+        if len(inc) != 2 or inc[0][1] == inc[1][1]:
+            raise InvalidPolyhedron(
+                f"edge {(u, w)} is not shared by two consistently oriented faces")
+        f_fwd = [f for f, fwd in inc if fwd][0]
+        f_bwd = [f for f, fwd in inc if not fwd][0]
+        edges.append(Edge(vertices=(u, w), faces=(f_fwd, f_bwd)))
+    return edges
+
+
+def reference_hull(duals) -> ReferenceLattice:
+    """Checks `polyhedra.hull_from_dual_points`' lattices and vertices
+    (within 1e-13): the hull before the stacked one, with a Chebyshev LP for
+    the interior point, a second LP for a receding direction, and the
+    lattice built facet by facet with a lstsq fit and a plane scan per
+    facet."""
+    from scipy.optimize import linprog
+    from scipy.spatial import ConvexHull, QhullError
+
+    planes = [d if isinstance(d, DSPoint) else DSPoint.from_vector(d)
+              for d in duals]
+    a = np.array([d.v[1:] for d in planes])
+    b = np.array([d.v[0] for d in planes])
+    norms = np.linalg.norm(a, axis=1)
+    A_ub = np.hstack([a, norms[:, None]])
+    res = linprog(c=[0.0, 0.0, 0.0, -1.0], A_ub=A_ub, b_ub=b,
+                  bounds=[(-2, 2), (-2, 2), (-2, 2), (0, 3)], method="highs")
+    if not res.success or res.x[3] <= 1e-9:
+        raise EmptyInterior("plane family admits no common interior")
+    y0 = res.x[:3]
+    res = linprog(c=[0.0, 0.0, 0.0, -1.0], A_ub=A_ub, b_ub=np.zeros(len(a)),
+                  bounds=[(-1, 1), (-1, 1), (-1, 1), (0, 2)], method="highs")
+    if res.success and res.x[3] > 1e-9:
+        raise UnboundedPolyhedron("plane family recedes")
+    try:
+        hull = ConvexHull(a / (b - a @ y0)[:, None])
+    except QhullError as exc:
+        raise EmptyInterior("degenerate dual configuration") from exc
+    essential = sorted(set(int(v) for v in hull.vertices))
+    discarded = sorted(set(range(len(planes))) - set(essential))
+
+    def solve(idxs):
+        rows, rhs = a[list(idxs)], b[list(idxs)]
+        y, _, rank, _ = np.linalg.lstsq(rows, rhs, rcond=None)
+        if rank < 3 or np.max(np.abs(rows @ y - rhs)) > 1e-6:
+            return None
+        return y
+
+    def through(y):
+        scale = 1.0 + np.abs(b) + norms * np.linalg.norm(y)
+        return tuple(int(i) for i in
+                     np.where(np.abs(a @ y - b) <= MERGE_TOL * scale)[0])
+
+    groups = {}
+    for simplex in hull.simplices:
+        tri = tuple(sorted(int(i) for i in simplex))
+        ys = solve(tri)
+        if ys is None:
+            continue
+        members = through(ys)
+        if members != tri:
+            ys = solve(members)
+            if ys is None:
+                continue
+            members = through(ys)
+        groups[frozenset(members)] = ys
+    kept = []
+    for k in sorted(groups, key=len, reverse=True):
+        if not any(k < other for other in kept):
+            kept.append(k)
+    kept.sort(key=sorted)
+    klein = np.array([groups[members] for members in kept])
+    vertices = []
+    for y in klein:
+        x0 = 1.0 / np.sqrt(1.0 - float(y @ y))
+        vertices.append(HPoint(np.array([x0, *(x0 * y)])))
+    inc = np.zeros((len(planes), len(kept)), dtype=bool)
+    for v, members in enumerate(kept):
+        inc[list(members), v] = True
+    inc = inc[essential]
+    cycles = order_face_cycles(a[essential], klein, inc)
+    faces = [Face(plane=planes[orig], vertex_cycle=cycle)
+             for orig, cycle in zip(essential, cycles)]
+    poly = ReferenceLattice([planes[i] for i in essential], vertices, faces,
+                            edges_by_corner_walk(faces), discarded)
+    _validate_lattice(poly, inc, MERGE_TOL)
+    return poly
+
+
+def order_face_cycle(normal, pts, idxs):
+    """Checks `polyhedra.order_face_cycles`, list for list: the single-face
+    orderer it replaced."""
+    e1 = np.zeros(3)
+    e1[np.argmin(np.abs(normal))] = 1.0
+    e1 = np.cross(normal, e1)
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(normal, e1)
+    e2 /= np.linalg.norm(e2)
+    center = pts.mean(axis=0)
+    ang = np.arctan2((pts - center) @ e2, (pts - center) @ e1)
+    order = np.argsort(ang)
+    sides = np.diff(pts[order], axis=0, append=pts[order[:1]])
+    if np.any(np.cross(sides, np.roll(sides, -1, axis=0)) @ normal <= 0):
+        raise InvalidPolyhedron("face cycle is not convex about its normal")
+    return [idxs[i] for i in order]
+
+
+def reference_dihedral(P, e):
+    """Checks `polyhedra.dihedral_angles` (within 1e-13): the clamped
+    arccos of one edge."""
+    f1, f2 = P.edges[e].faces
+    x = clamped(minkowski_inner(P.planes[f1], P.planes[f2]), -1.0, 1.0)
+    return np.pi - float(np.arccos(x))
+
+
+def reference_face_angle(P, f, v):
+    cyc = P.faces[f].vertex_cycle
+    i = cyc.index(v)
+    return corner_angle(P.vertices[v].v, P.vertices[cyc[i - 1]].v,
+                        P.vertices[cyc[(i + 1) % len(cyc)]].v)
+
+
+@dataclass
+class VertexLink:
+    """Spherical polygon of directions at a polyhedron vertex.
+
+    Side i is the face angle of faces[i]; the corner between sides i and i+1
+    is the dihedral angle of primal edge edges[i], shared by both faces.
+    """
+
+    faces: list
+    edges: list
+    side_lengths: np.ndarray
+    angles: np.ndarray
+
+
+def vertex_link(P, v) -> VertexLink:
+    """Link polygon at vertex v: face angles as sides, dihedral angles at
+    corners; its face walk checks `polyhedra._vertex_fans`."""
+    faces_at = P.faces_at_vertex(v)
+    f = faces_at[0]
+    order = []
+    edges = []
+    for _ in range(len(faces_at)):
+        order.append(f)
+        cyc = P.faces[f].vertex_cycle
+        k = P.edge_at(v, cyc[(cyc.index(v) + 1) % len(cyc)])
+        edges.append(k)
+        f1, f2 = P.edges[k].faces
+        f = f1 if f2 == f else f2
+    assert f == order[0]
+    sides = np.array([reference_face_angle(P, fi, v) for fi in order])
+    angs = np.array([reference_dihedral(P, k) for k in edges])
+    return VertexLink(faces=order, edges=edges, side_lengths=sides, angles=angs)
+
+
+@dataclass
+class SphericalPolygon:
+    sides: np.ndarray
+    angles: np.ndarray
+
+    def develop(self):
+        """Corner positions on the unit sphere, walking ccw with the interior
+        on the left; returns (corners, closure_residual)."""
+        m = len(self.sides)
+        P = np.array([1.0, 0.0, 0.0])
+        H = np.array([0.0, 1.0, 0.0])
+        corners = [P]
+        for i in range(m):
+            L = self.sides[i]
+            P, H = (np.cos(L) * P + np.sin(L) * H,
+                    -np.sin(L) * P + np.cos(L) * H)
+            tau = np.pi - self.angles[(i + 1) % m]
+            H = np.cos(tau) * H + np.sin(tau) * np.cross(P, H)
+            corners.append(P)
+        residual = float(np.linalg.norm(corners[-1] - corners[0]))
+        return corners[:-1], residual
+
+
+def polar_dual_polygon(link) -> SphericalPolygon:
+    """Spherical polar dual: sides and angles swap through pi-complements.
+
+    Corner i of the dual corresponds to side i of the input (a face of the
+    vertex), and side i of the dual to corner i (an edge of the vertex).
+    """
+    if isinstance(link, VertexLink):
+        sides, angles = link.side_lengths, link.angles
+    else:
+        sides, angles = link.sides, link.angles
+    return SphericalPolygon(sides=np.pi - np.asarray(angles, dtype=float),
+                            angles=np.pi - np.asarray(sides, dtype=float))
+
+
+def reference_dualize(P) -> DualMetricOutput:
+    """Checks `polyhedra.dualize`: the dual metric from developed link
+    polygons, sides pi minus the dihedral angles and diagonals read off each
+    developed polar dual, glued one vertex at a time."""
+    triangles = []
+    side_tag = {}
+    gluing = {}
+    lengths_by_he = {}
+    provenance_by_he = {}
+
+    for v in range(P.n_vertices):
+        link = vertex_link(P, v)
+        corners, resid = polar_dual_polygon(link).develop()
+        assert resid < 1e-9
+        m = len(link.faces)
+        anchor = int(np.argmin(link.faces))
+        local = [(anchor + j) % m for j in range(m)]
+        fan, sides, diagonals = fan_triangulation(m, base=len(triangles))
+        triangles += [tuple(link.faces[local[c]] for c in tri) for tri in fan]
+        for i, e_primal in enumerate(link.edges):
+            he = sides[(i - anchor) % m]
+            side_tag.setdefault(e_primal, []).append(he)
+            lengths_by_he[he] = np.pi - link.angles[i]
+            provenance_by_he[he] = ("primal", P.edges[e_primal].faces)
+        for j, (he_a, he_b) in enumerate(diagonals, start=2):
+            gluing[he_a] = he_b
+            gluing[he_b] = he_a
+            lengths_by_he[he_a] = sphere_angle(corners[local[0]], corners[local[j]])
+            provenance_by_he[he_a] = ("fan", v)
+
+    for hes in side_tag.values():
+        assert len(hes) == 2
+        gluing[hes[0]] = hes[1]
+        gluing[hes[1]] = hes[0]
+
+    surf = CombSurface(P.n_faces, triangles, gluing)
+    lengths = np.empty(surf.n_edges)
+    provenance = [None] * surf.n_edges
+    for e, (ha, hb) in enumerate(surf.edge_halfedges):
+        src = ha if ha in lengths_by_he else hb
+        lengths[e] = lengths_by_he[src]
+        provenance[e] = provenance_by_he[src]
+    return DualMetricOutput(metric=ConeMetric(surf, SPHERICAL, lengths),
+                            marking=list(range(P.n_faces)),
+                            edge_provenance=provenance)
+
+
+def vertex_stars(surface):
+    """Checks `polyhedra._stars`: per vertex of a chart, its triangles in
+    rotation order by a walk over the gluing, each next triangle across the
+    edge that leaves the vertex in the one before (the rotation opposite to
+    `_stars`')."""
+    # corner 3t + k sits at the start of half-edge 3t + k; its mate m
+    # ends at the same vertex, at the next corner of the mate's triangle
+    after = [3 * (m // 3) + (m + 1) % 3
+             for m in map(surface.gluing.get, range(3 * surface.n_triangles))]
+    stars = [None] * surface.n_vertices
+    for c in range(3 * surface.n_triangles):
+        v = surface.triangles[c // 3][c % 3]
+        if stars[v] is None:
+            star = stars[v] = [c // 3]
+            nxt = after[c]
+            while nxt != c:
+                star.append(nxt // 3)
+                nxt = after[nxt]
+    return stars

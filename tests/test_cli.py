@@ -277,6 +277,67 @@ class TestCommands:
             "smallest_singular_value": want.smallest_singular_value,
             "condition_number": want.condition_number}
 
+    @pytest.mark.parametrize("target", ["tetrahedron", "solid-30"])
+    def test_realize_builds_no_polyhedron(self, target, tetra_files, tmp_path,
+                                          monkeypatch):
+        # the report's polyhedron is the solved state's dual points, written
+        # as the polyhedron built on them would write them
+        from polydual import polyhedra, solver
+
+        if target == "tetrahedron":
+            _, target_path = tetra_files
+            P = regular_tetrahedron(1.2)
+            start = tmp_path / "start.json"
+            write_polyhedron_payload(start, serialize.encode_polyhedron(
+                solver.perturbed_polyhedron(P, np.random.RandomState(3), 1e-2,
+                                            chart=dualize(P).metric)))
+        else:
+            start, target_path = realize_large_files(tmp_path, monkeypatch, 30)
+        solved = []
+        follow = cli.continuation
+
+        def recording_continuation(*args, **kwargs):
+            solved.append(follow(*args, **kwargs))
+            return solved[-1]
+
+        def no_polyhedron(*args):
+            raise AssertionError("realize built a polyhedron")
+
+        monkeypatch.setattr(cli, "continuation", recording_continuation)
+        builders = {name: getattr(polyhedra, name)
+                    for name in ("hull_from_dual_points", "polyhedron_from_chart")}
+        for module in (polyhedra, serialize, solver):
+            for name in builders:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, no_polyhedron)
+        out = tmp_path / "report.json"
+        assert main(["realize", str(target_path), "--start", str(start),
+                     "--steps", "4", "--out", str(out)]) == 0
+        for module in (polyhedra, serialize, solver):
+            for name, build in builders.items():
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, build)
+        [(state, _)] = solved
+        fresh = solver.SolverState(state.positions, state.surface, state.target)
+        payload = json.loads(out.read_text())["payload"]["polyhedron"]
+        assert json.dumps(payload) == json.dumps(serialize.encode_polyhedron(
+            solver.recovered_polyhedron(fresh)))
+
+    def test_dualize_names_discarded_points(self, tmp_path, capsys):
+        # dual point 0 is a redundant plane: dual vertex i is input point
+        # marking[i], and the command says which point it dropped
+        P = regular_tetrahedron(1.15)
+        far = np.array([np.sinh(2.0), *(np.cosh(2.0) * np.ones(3) / np.sqrt(3))])
+        path, out = tmp_path / "redundant.json", tmp_path / "dual.json"
+        write_polyhedron_payload(path, {"dual_points": [far.tolist()] + [
+            p.v.tolist() for p in P.planes]})
+        assert main(["dualize", str(path), "--out", str(out)]) == 0
+        assert "discarded redundant dual points [0]" in capsys.readouterr().out
+        payload = json.loads(out.read_text())["payload"]
+        assert payload["marking"] == [1, 2, 3, 4]
+        assert (payload["metric"]["lengths"]
+                == serialize.encode_dual_output(dualize(P))["metric"]["lengths"])
+
     def test_realize_start_builds_no_hull(self, tetra_files, tmp_path,
                                           monkeypatch):
         poly_path, dual_path = tetra_files

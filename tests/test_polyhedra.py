@@ -1,35 +1,38 @@
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from oracles import (
+    SphericalPolygon,
+    angle_sorted_hull,
+    edges_by_corner_walk,
+    edges_from_faces,
+    order_face_cycle,
+    polar_dual_polygon,
+    reference_dihedral,
+    reference_dualize,
+    reference_hull,
+    svd_solve_triples,
+    vertex_link,
+)
 from polydual.errors import EmptyInterior, InvalidPolyhedron, UnboundedPolyhedron
 from polydual.geodesic import closed_geodesic_search
-from polydual.minkowski import (
-    DSPoint,
-    HPoint,
-    Isometry,
-    clamped,
-    corner_angle,
-    minkowski_inner,
-)
+from polydual.minkowski import DSPoint, Isometry, h_distance, minkowski_inner
 from polydual.polyhedra import (
     EUCLIDEAN_TETRA_ANGLE,
     MERGE_TOL,
     ORIGIN_CLEARANCE,
-    ConvexPolyhedronH3,
-    DualMetricOutput,
-    Edge,
     Face,
-    _edges_from_faces,
+    _mates,
     _plane_offsets,
+    _solve_triples,
+    _validate_lattice,
     dihedral_angle,
     dihedral_angles,
     dualize,
     face_area,
     hexahedron,
-    _validate_lattice,
     hull_from_dual_points,
     order_face_cycles,
     random_polyhedron,
@@ -37,15 +40,7 @@ from polydual.polyhedra import (
     regular_tetrahedron_data,
     triangular_bipyramid,
 )
-from polydual.surface import (
-    SPHERICAL,
-    CombSurface,
-    ConeMetric,
-    fan_triangulation,
-    gauss_bonnet_residual,
-    is_concave,
-    sphere_angle,
-)
+from polydual.surface import gauss_bonnet_residual, is_concave
 
 
 def tetra_normals(t):
@@ -205,86 +200,6 @@ class TestLattice:
             assert P.edge_between(f, g) == scan("faces", (f, g))
 
 
-def reference_hull(duals) -> ConvexPolyhedronH3:
-    """The hull `hull_from_dual_points` replaced: a Chebyshev LP for the
-    interior point, a second LP for a receding direction, and the lattice
-    built facet by facet with a lstsq fit and a plane scan per facet. The
-    oracle its lattices must equal."""
-    from scipy.optimize import linprog
-    from scipy.spatial import ConvexHull, QhullError
-
-    planes = [d if isinstance(d, DSPoint) else DSPoint.from_vector(d)
-              for d in duals]
-    a = np.array([d.v[1:] for d in planes])
-    b = np.array([d.v[0] for d in planes])
-    norms = np.linalg.norm(a, axis=1)
-    A_ub = np.hstack([a, norms[:, None]])
-    res = linprog(c=[0.0, 0.0, 0.0, -1.0], A_ub=A_ub, b_ub=b,
-                  bounds=[(-2, 2), (-2, 2), (-2, 2), (0, 3)], method="highs")
-    if not res.success or res.x[3] <= 1e-9:
-        raise EmptyInterior("plane family admits no common interior")
-    y0 = res.x[:3]
-    res = linprog(c=[0.0, 0.0, 0.0, -1.0], A_ub=A_ub, b_ub=np.zeros(len(a)),
-                  bounds=[(-1, 1), (-1, 1), (-1, 1), (0, 2)], method="highs")
-    if res.success and res.x[3] > 1e-9:
-        raise UnboundedPolyhedron("plane family recedes")
-    try:
-        hull = ConvexHull(a / (b - a @ y0)[:, None])
-    except QhullError as exc:
-        raise EmptyInterior("degenerate dual configuration") from exc
-    essential = sorted(set(int(v) for v in hull.vertices))
-    discarded = sorted(set(range(len(planes))) - set(essential))
-
-    def solve(idxs):
-        rows, rhs = a[list(idxs)], b[list(idxs)]
-        y, _, rank, _ = np.linalg.lstsq(rows, rhs, rcond=None)
-        if rank < 3 or np.max(np.abs(rows @ y - rhs)) > 1e-6:
-            return None
-        return y
-
-    def through(y):
-        scale = 1.0 + np.abs(b) + norms * np.linalg.norm(y)
-        return tuple(int(i) for i in
-                     np.where(np.abs(a @ y - b) <= MERGE_TOL * scale)[0])
-
-    groups = {}
-    for simplex in hull.simplices:
-        tri = tuple(sorted(int(i) for i in simplex))
-        ys = solve(tri)
-        if ys is None:
-            continue
-        members = through(ys)
-        if members != tri:
-            ys = solve(members)
-            if ys is None:
-                continue
-            members = through(ys)
-        groups[frozenset(members)] = ys
-    kept = []
-    for k in sorted(groups, key=len, reverse=True):
-        if not any(k < other for other in kept):
-            kept.append(k)
-    kept.sort(key=sorted)
-    klein = np.array([groups[members] for members in kept])
-    vertices = []
-    for y in klein:
-        x0 = 1.0 / np.sqrt(1.0 - float(y @ y))
-        vertices.append(HPoint(np.array([x0, *(x0 * y)])))
-    inc = np.zeros((len(planes), len(kept)), dtype=bool)
-    for v, members in enumerate(kept):
-        inc[list(members), v] = True
-    inc = inc[essential]
-    cycles = order_face_cycles(a[essential], klein, inc)
-    faces = [Face(plane=planes[orig], vertex_cycle=cycle)
-             for orig, cycle in zip(essential, cycles)]
-    poly = ConvexPolyhedronH3(planes=[planes[i] for i in essential],
-                              vertices=vertices, faces=faces,
-                              edges=edges_by_corner_walk(faces),
-                              discarded=discarded)
-    _validate_lattice(poly, inc, MERGE_TOL)
-    return poly
-
-
 def lattice(P, rotated=False):
     """Face cycles (each from its least vertex when rotated), edges and
     discarded planes of P."""
@@ -320,6 +235,20 @@ def wall_states():
     return states
 
 
+@pytest.fixture(scope="module")
+def lattice_inputs():
+    """Dual points of the oracle solids, the 100-face bench solid (the 30-
+    and 50-face ones are among the oracle solids), a tetrahedron with a
+    redundant plane, random 8-face solids, and the bipyramid's wall
+    states."""
+    inputs = [P.planes for P in oracle_polyhedra() + fibonacci_solids((100,))]
+    inputs.append(tetra_normals(0.25) + [DSPoint(np.array(
+        [np.sinh(2.0), *(np.cosh(2.0) * np.ones(3) / np.sqrt(3))]))])
+    inputs += [random_polyhedron(np.random.RandomState(s), 8).planes
+               for s in range(5, 15)]
+    return inputs + wall_states()
+
+
 class TestStackedHull:
     def test_plane_offset_scale_has_the_norms_bits(self):
         rng = np.random.RandomState(8)
@@ -330,15 +259,9 @@ class TestStackedHull:
             assert np.array_equal(scale, 1.0 + np.abs(b) + np.linalg.norm(
                 y, axis=1)[:, None] * np.linalg.norm(a, axis=1))
 
-    def test_lattice_matches_the_facet_loop(self):
-        inputs = [P.planes for P in oracle_polyhedra()]
-        inputs.append(tetra_normals(0.25) + [DSPoint(np.array(
-            [np.sinh(2.0), *(np.cosh(2.0) * np.ones(3) / np.sqrt(3))]))])
-        inputs += [random_polyhedron(np.random.RandomState(s), 8).planes
-                   for s in range(5, 15)]
-        inputs += wall_states()
+    def test_lattice_matches_the_facet_loop(self, lattice_inputs):
         outcomes = set()
-        for duals in inputs:
+        for duals in lattice_inputs:
             got = hull_outcome(lambda: hull_from_dual_points(duals))
             want = hull_outcome(lambda: reference_hull(duals))
             if isinstance(want, type):
@@ -351,6 +274,56 @@ class TestStackedHull:
                                                    want.faces) > 3))
         # merged and split walls, a redundant plane, and generic solids
         assert {(0, True), (0, False), (1, False)} <= outcomes
+
+    def test_lattice_matches_the_angle_sorted_hull(self, lattice_inputs):
+        # bit for bit: the half-edge lattice is the one the angle sort and
+        # the corner walk gave, vertex rows and cycle starts included
+        for duals in lattice_inputs:
+            got = hull_outcome(lambda: hull_from_dual_points(duals))
+            want = hull_outcome(lambda: angle_sorted_hull(duals))
+            if isinstance(want, type):
+                assert got is want
+                continue
+            assert lattice(got) == lattice(want)
+            assert np.array_equal(got.vertex_rows, want.vertex_rows)
+            assert np.array_equal(got.plane_rows, want.plane_rows)
+
+    def test_views_give_the_angle_sorted_values(self, lattice_inputs):
+        # what bench/solids.py and the acceptance suite read: edge order
+        # and orientation, the faces at each vertex, edge lengths with
+        # h_distance's bits, and the discarded planes
+        for duals in lattice_inputs:
+            P = hull_outcome(lambda: hull_from_dual_points(duals))
+            if isinstance(P, type):
+                continue
+            want = angle_sorted_hull(duals)
+            assert P.edges == want.edges
+            assert all(type(k) is int for e in P.edges for k in e.vertices + e.faces)
+            assert P.discarded == want.discarded
+            for v in range(P.n_vertices):
+                assert P.faces_at_vertex(v) == [
+                    f for f, face in enumerate(want.faces) if v in face.vertex_cycle]
+            for k, e in enumerate(want.edges):
+                u, w = e.vertices
+                assert P.edge_length(k) == h_distance(want.vertices[u],
+                                                      want.vertices[w])
+            assert np.array_equal(
+                P.essential, np.setdiff1d(np.arange(len(duals)), want.discarded))
+
+    def test_rank_test_matches_the_svd(self):
+        rng = np.random.RandomState(4)
+        a = rng.randn(40, 3)
+        b = rng.randn(40)
+        # rows of rank 2 and 1, and rank 3 rows from well to ill conditioned
+        a[1] = a[0] + a[2]
+        a[3] = 2.0 * a[4]
+        for k, scale in enumerate(np.geomspace(1e-17, 1e-3, 12)):
+            a[10 + k] = a[8] + a[9] + scale * a[7]
+        tri = np.array(list(itertools.combinations(range(15), 3))
+                       + [(8, 9, 10 + k) for k in range(12)])
+        got, want = _solve_triples(a, b, tri), svd_solve_triples(a, b, tri)
+        assert np.array_equal(got[1], want[1]) and np.array_equal(got[0], want[0])
+        assert 0 < got[1].sum() < len(tri)
 
     @pytest.mark.parametrize("t", [1.0, 0.25 - 1e-9])
     def test_interior_point_lp(self, t, monkeypatch):
@@ -396,24 +369,6 @@ def pentagon(radii):
     return n, pts
 
 
-def order_face_cycle(normal, pts, idxs):
-    """The single-face orderer `order_face_cycles` replaced: the oracle its
-    cycles must equal, list for list."""
-    e1 = np.zeros(3)
-    e1[np.argmin(np.abs(normal))] = 1.0
-    e1 = np.cross(normal, e1)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(normal, e1)
-    e2 /= np.linalg.norm(e2)
-    center = pts.mean(axis=0)
-    ang = np.arctan2((pts - center) @ e2, (pts - center) @ e1)
-    order = np.argsort(ang)
-    sides = np.diff(pts[order], axis=0, append=pts[order[:1]])
-    if np.any(np.cross(sides, np.roll(sides, -1, axis=0)) @ normal <= 0):
-        raise InvalidPolyhedron("face cycle is not convex about its normal")
-    return [idxs[i] for i in order]
-
-
 def one_face(n, pts, labels):
     cycle, = order_face_cycles(n[None], pts, np.ones((1, len(pts)), dtype=bool))
     return [labels[i] for i in cycle]
@@ -441,27 +396,6 @@ def oracle_polyhedra():
     return polys + fibonacci_solids((30, 50))
 
 
-def edges_by_corner_walk(faces):
-    """The face-corner walk `_edges_from_faces` replaced: the oracle its
-    edges and its error message must equal."""
-    seen = {}
-    for f, face in enumerate(faces):
-        cyc = face.vertex_cycle
-        for k in range(len(cyc)):
-            u, w = cyc[k], cyc[(k + 1) % len(cyc)]
-            key = (min(u, w), max(u, w))
-            seen.setdefault(key, []).append((f, u < w))
-    edges = []
-    for (u, w), inc in sorted(seen.items()):
-        if len(inc) != 2 or inc[0][1] == inc[1][1]:
-            raise InvalidPolyhedron(
-                f"edge {(u, w)} is not shared by two consistently oriented faces")
-        f_fwd = [f for f, fwd in inc if fwd][0]
-        f_bwd = [f for f, fwd in inc if not fwd][0]
-        edges.append(Edge(vertices=(u, w), faces=(f_fwd, f_bwd)))
-    return edges
-
-
 def edge_list(edges):
     return [(e.vertices, e.faces) for e in edges]
 
@@ -472,11 +406,12 @@ class TestEdgesFromFaces:
         return oracle_polyhedra() + fibonacci_solids((8, 20, 40))
 
     def test_matches_the_corner_walk(self, polys):
+        # the edges glued from the triangulation's half-edges are the ones
+        # the corner walk and its stacked pass read off the face cycles
         for P in polys:
-            got = _edges_from_faces(P.faces)
-            assert edge_list(got) == edge_list(edges_by_corner_walk(P.faces))
-            assert edge_list(got) == edge_list(P.edges)
-            assert all(type(k) is int for e in got for k in e.vertices + e.faces)
+            assert edge_list(P.edges) == edge_list(edges_by_corner_walk(P.faces))
+            assert edge_list(edges_from_faces(P.faces)) == edge_list(P.edges)
+            assert all(type(k) is int for e in P.edges for k in e.vertices + e.faces)
 
     def test_unshared_edges_raise_the_corner_walk_message(self, polys):
         for P in polys:
@@ -488,8 +423,30 @@ class TestEdgesFromFaces:
                     with pytest.raises(InvalidPolyhedron) as want:
                         edges_by_corner_walk(faces)
                     with pytest.raises(InvalidPolyhedron) as got:
-                        _edges_from_faces(faces)
+                        edges_from_faces(faces)
                     assert str(got.value) == str(want.value)
+
+    def test_mates_reverse_each_half_edge(self, polys):
+        for P in polys:
+            tri = P.triangles
+            mate = _mates(tri, P.n_faces)
+            h = np.arange(3 * len(tri))
+            assert np.array_equal(mate[mate], h) and np.all(mate != h)
+            tail, head = tri.ravel(), tri[:, [1, 2, 0]].ravel()
+            assert np.array_equal(tail[mate], head)
+            assert np.array_equal(head[mate], tail)
+
+    def test_unglued_triangles_raise(self, polys):
+        for P in polys:
+            for t in (0, len(P.triangles) // 2, len(P.triangles) - 1):
+                flipped = P.triangles.copy()
+                flipped[t] = flipped[t, ::-1]
+                dropped = np.delete(P.triangles, t, axis=0)
+                for tri in (flipped, dropped):
+                    with pytest.raises(InvalidPolyhedron,
+                                       match="do not meet in two consistently "
+                                             "oriented triangles$"):
+                        _mates(tri, P.n_faces)
 
 
 class TestFaceCycle:
@@ -546,135 +503,6 @@ class TestDihedral:
 
 
 # -- the link development: the dualize that the closed form replaced ------------
-
-
-def reference_dihedral(P, e):
-    f1, f2 = P.edges[e].faces
-    x = clamped(minkowski_inner(P.planes[f1], P.planes[f2]), -1.0, 1.0)
-    return np.pi - float(np.arccos(x))
-
-
-def reference_face_angle(P, f, v):
-    cyc = P.faces[f].vertex_cycle
-    i = cyc.index(v)
-    return corner_angle(P.vertices[v].v, P.vertices[cyc[i - 1]].v,
-                        P.vertices[cyc[(i + 1) % len(cyc)]].v)
-
-
-@dataclass
-class VertexLink:
-    """Spherical polygon of directions at a polyhedron vertex.
-
-    Side i is the face angle of faces[i]; the corner between sides i and i+1
-    is the dihedral angle of primal edge edges[i], shared by both faces.
-    """
-
-    faces: list
-    edges: list
-    side_lengths: np.ndarray
-    angles: np.ndarray
-
-
-def vertex_link(P, v) -> VertexLink:
-    """Link polygon at vertex v: face angles as sides, dihedral angles at corners."""
-    faces_at = P.faces_at_vertex(v)
-    f = faces_at[0]
-    order = []
-    edges = []
-    for _ in range(len(faces_at)):
-        order.append(f)
-        cyc = P.faces[f].vertex_cycle
-        k = P.edge_at(v, cyc[(cyc.index(v) + 1) % len(cyc)])
-        edges.append(k)
-        f1, f2 = P.edges[k].faces
-        f = f1 if f2 == f else f2
-    assert f == order[0]
-    sides = np.array([reference_face_angle(P, fi, v) for fi in order])
-    angs = np.array([reference_dihedral(P, k) for k in edges])
-    return VertexLink(faces=order, edges=edges, side_lengths=sides, angles=angs)
-
-
-@dataclass
-class SphericalPolygon:
-    sides: np.ndarray
-    angles: np.ndarray
-
-    def develop(self):
-        """Corner positions on the unit sphere, walking ccw with the interior
-        on the left; returns (corners, closure_residual)."""
-        m = len(self.sides)
-        P = np.array([1.0, 0.0, 0.0])
-        H = np.array([0.0, 1.0, 0.0])
-        corners = [P]
-        for i in range(m):
-            L = self.sides[i]
-            P, H = (np.cos(L) * P + np.sin(L) * H,
-                    -np.sin(L) * P + np.cos(L) * H)
-            tau = np.pi - self.angles[(i + 1) % m]
-            H = np.cos(tau) * H + np.sin(tau) * np.cross(P, H)
-            corners.append(P)
-        residual = float(np.linalg.norm(corners[-1] - corners[0]))
-        return corners[:-1], residual
-
-
-def polar_dual_polygon(link) -> SphericalPolygon:
-    """Spherical polar dual: sides and angles swap through pi-complements.
-
-    Corner i of the dual corresponds to side i of the input (a face of the
-    vertex), and side i of the dual to corner i (an edge of the vertex).
-    """
-    if isinstance(link, VertexLink):
-        sides, angles = link.side_lengths, link.angles
-    else:
-        sides, angles = link.sides, link.angles
-    return SphericalPolygon(sides=np.pi - np.asarray(angles, dtype=float),
-                            angles=np.pi - np.asarray(sides, dtype=float))
-
-
-def reference_dualize(P) -> DualMetricOutput:
-    """The dual metric from developed link polygons: sides are pi minus the
-    dihedral angles, diagonals are read off each developed polar dual."""
-    triangles = []
-    side_tag = {}
-    gluing = {}
-    lengths_by_he = {}
-    provenance_by_he = {}
-
-    for v in range(P.n_vertices):
-        link = vertex_link(P, v)
-        corners, resid = polar_dual_polygon(link).develop()
-        assert resid < 1e-9
-        m = len(link.faces)
-        anchor = int(np.argmin(link.faces))
-        local = [(anchor + j) % m for j in range(m)]
-        fan, sides, diagonals = fan_triangulation(m, base=len(triangles))
-        triangles += [tuple(link.faces[local[c]] for c in tri) for tri in fan]
-        for i, e_primal in enumerate(link.edges):
-            he = sides[(i - anchor) % m]
-            side_tag.setdefault(e_primal, []).append(he)
-            lengths_by_he[he] = np.pi - link.angles[i]
-            provenance_by_he[he] = ("primal", P.edges[e_primal].faces)
-        for j, (he_a, he_b) in enumerate(diagonals, start=2):
-            gluing[he_a] = he_b
-            gluing[he_b] = he_a
-            lengths_by_he[he_a] = sphere_angle(corners[local[0]], corners[local[j]])
-            provenance_by_he[he_a] = ("fan", v)
-
-    for hes in side_tag.values():
-        assert len(hes) == 2
-        gluing[hes[0]] = hes[1]
-        gluing[hes[1]] = hes[0]
-
-    surf = CombSurface(P.n_faces, triangles, gluing)
-    lengths = np.empty(surf.n_edges)
-    provenance = [None] * surf.n_edges
-    for e, (ha, hb) in enumerate(surf.edge_halfedges):
-        src = ha if ha in lengths_by_he else hb
-        lengths[e] = lengths_by_he[src]
-        provenance[e] = provenance_by_he[src]
-    return DualMetricOutput(metric=ConeMetric(surf, SPHERICAL, lengths),
-                            marking=list(range(P.n_faces)),
-                            edge_provenance=provenance)
 
 
 class TestVertexLink:

@@ -255,20 +255,17 @@ def certified(st):
 
 
 def assert_same_polyhedron(chart_built, hull):
-    """Bit-equal planes, vertices within 1e-12, equal edges, and each face
-    cycle the hull's up to rotation."""
-    assert len(chart_built.planes) == len(hull.planes)
-    for p, q in zip(chart_built.planes, hull.planes):
-        assert np.array_equal(p.v, q.v)
-    got = np.array([v.v for v in chart_built.vertices])
-    want = np.array([v.v for v in hull.vertices])
-    assert got.shape == want.shape
-    assert np.max(np.abs(got - want)) <= 1e-12
+    """Equal arrays: bit-equal planes and vertices, equal edges and face
+    cycles, the same essential planes and none discarded. Both are read
+    off a triangulation by one builder, from the chart's triangles and from
+    the polar hull's."""
+    for name in ("plane_rows", "vertex_rows", "edge_vertices", "edge_faces",
+                 "cycle_vertices", "cycle_offsets", "essential"):
+        assert np.array_equal(getattr(chart_built, name), getattr(hull, name)), name
+    assert chart_built.discarded == hull.discarded == []
     assert chart_built.edges == hull.edges
-    for f, g in zip(chart_built.faces, hull.faces):
-        c = f.vertex_cycle
-        k = c.index(g.vertex_cycle[0])
-        assert c[k:] + c[:k] == g.vertex_cycle
+    assert ([f.vertex_cycle for f in chart_built.faces]
+            == [f.vertex_cycle for f in hull.faces])
 
 
 CERTIFY_SOLIDS = {

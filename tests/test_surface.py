@@ -8,6 +8,7 @@ from polydual.errors import (
     InvalidSurface,
     LengthOverflow,
 )
+from polydual.polyhedra import _mates, _stars
 from polydual.surface import (
     HYPERBOLIC,
     SPHERICAL,
@@ -20,7 +21,7 @@ from polydual.surface import (
     scale,
 )
 
-from oracles import cone_angles_by_corner
+from oracles import cone_angles_by_corner, vertex_stars
 
 
 def double_triangle(a, b, c, geometry):
@@ -140,15 +141,23 @@ class TestCombSurface:
                                          k4_metric(1.0).surface],
                              ids=["octahedron", "k4"])
     def test_vertex_stars_rotate_through_shared_edges(self, surface):
-        stars = surface.vertex_stars()
-        for v, star in enumerate(stars):
+        # the lattice builder's stars, with each triangle its own vertex
+        tri = np.array(surface.triangles)
+        stars, count = _stars(tri, _mates(tri, surface.n_vertices),
+                              np.arange(len(tri)), surface.n_vertices)
+        walked = vertex_stars(surface)
+        for v, (star, m) in enumerate(zip(stars.tolist(), count.tolist())):
+            star = star[:m]
             assert sorted(star) == [t for t, tri in enumerate(surface.triangles)
                                     if v in tri]
             for t, nxt in zip(star, star[1:] + star[:1]):
-                # consecutive triangles share the edge leaving v in the first
+                # consecutive triangles share the edge entering v in the first
                 tri = surface.triangles[t]
-                w = tri[(tri.index(v) + 1) % 3]
+                w = tri[(tri.index(v) - 1) % 3]
                 assert {v, w} <= set(surface.triangles[nxt])
+            back = walked[v][::-1]
+            k = back.index(star[0])
+            assert back[k:] + back[:k] == star
 
     def test_chart_arrays_are_read_only_and_flag_parallel_edges(self):
         s = octahedron_sphere().surface
