@@ -205,7 +205,7 @@ def cmd_roundtrip(args):
     target = dualize(poly).metric
     rng = np.random.RandomState(args.seed)
     start = perturbed_state(poly, rng, args.magnitude, target)
-    state, _ = continuation(start.positions, target, steps=args.steps,
+    state, _ = continuation(start, target, steps=args.steps,
                             tol=args.tol)
     recovered = recovered_polyhedron(state)
     ok = match_dihedral_angles(poly, recovered, tol=args.match_tol)

@@ -26,7 +26,14 @@ import numpy as np
 from .errors import InvalidPolyhedron
 from .minkowski import DSPoint, Isometry, J, ds_distances
 from .polyhedra import order_face_cycles, polygon_area, qhull
-from .surface import SPHERICAL, CombSurface, ConeMetric, fan_triangulation, rowdot
+from .surface import (
+    SPHERICAL,
+    CombSurface,
+    ConeMetric,
+    fan_triangulations,
+    least_labels,
+    rowdot,
+)
 
 OCTAGON_HALF_WIDTH = float(np.arccosh(1.0 / np.tan(np.pi / 8)))
 OCTAGON_CIRCUMRADIUS = float(np.arccosh(1.0 / np.tan(np.pi / 8) ** 2))
@@ -36,7 +43,7 @@ TRANSLATION_LENGTH = 2.0 * OCTAGON_HALF_WIDTH
 ORBIT_MARGIN = 1e-6             # relative slack of the ball over 2R
 ORBIT_RADIUS = 2.0 * OCTAGON_CIRCUMRADIUS * (1.0 + ORBIT_MARGIN)
 RELATION_TOL = 1e-8             # max |entry| of the relation product minus I
-ORBIT_DIGITS = 9                # orbit matrices are equal when equal rounded
+CENTRE_DIGITS = 2               # decimals of a tile centre's key (`_centre_keys`)
 MEMBER_TOL = 1e-9               # relative |<x, n>| of an orbit point on a face
 WORD_MATCH_TOL = 1e-8           # max |entry| difference of equal edge words
 PAIRING_TOL = 1e-7              # max |entry| of a paired normal's mismatch
@@ -110,12 +117,12 @@ def _orbit(data: FuchsianData, h: float):
 
     Breadth first over side-adjacent tiles: each frontier is multiplied by
     every generator in one stacked product, frontier element major; a
-    candidate is kept at its first occurrence when no earlier matrix rounds
-    to the same key and its tile centre lies within ORBIT_RADIUS + R of o
-    (gamma[0, 0] is cosh d(o, gamma o)). A tile that meets the ball is
-    joined to o's tile by side-adjacent tiles that meet it too, and each of
-    those has its centre within ORBIT_RADIUS + R, so the search reaches
-    every orbit point in the ball."""
+    candidate is kept at its first occurrence when no earlier element has
+    its tile centre (`_centre_keys`) and its tile centre lies within
+    ORBIT_RADIUS + R of o (gamma[0, 0] is cosh d(o, gamma o)). A tile that
+    meets the ball is joined to o's tile by side-adjacent tiles that meet it
+    too, and each of those has its centre within ORBIT_RADIUS + R, so the
+    search reaches every orbit point in the ball."""
     apex = np.array([np.cosh(h), 0.0, 0.0, np.sinh(h)])
     gens = np.array([g.m for g in data.generators])
     bound = np.cosh(ORBIT_RADIUS + OCTAGON_CIRCUMRADIUS)
@@ -123,12 +130,20 @@ def _orbit(data: FuchsianData, h: float):
     while len(frontier):
         cand = (frontier[:, None] @ gens).reshape(-1, 4, 4)
         cand = cand[cand[:, 0, 0] <= bound]
-        keys = np.round(np.concatenate([mats, cand]).reshape(-1, 16), ORBIT_DIGITS)
-        first = np.unique(keys, axis=0, return_index=True)[1]
+        keys = _centre_keys(np.concatenate([mats, cand]))
+        first = np.unique(keys, return_index=True)[1]
         frontier = cand[np.sort(first[first >= len(mats)]) - len(mats)]
         mats = np.concatenate([mats, frontier])
     mats = mats[mats[:, 0, 0] <= np.cosh(ORBIT_RADIUS)]
     return mats, mats @ apex
+
+
+def _centre_keys(mats: np.ndarray) -> np.ndarray:
+    """Each group element's tile centre gamma o = (x0, x1, x2, 0) as the key
+    x1 + i x2 rounded to CENTRE_DIGITS decimals: distinct elements' (x1, x2)
+    lie more than 4 apart (their centres at least 2 OCTAGON_HALF_WIDTH), and
+    the products' roundoff is about 1e-10 in the farthest centres."""
+    return np.round(mats[:, 1, 0] + 1j * mats[:, 2, 0], CENTRE_DIGITS)
 
 
 def _face_reaches(normals: np.ndarray, h: float) -> np.ndarray:
@@ -231,6 +246,16 @@ def _apex_star(points: np.ndarray) -> ApexStar:
     return ApexStar(faces=faces, order=order, neighbors=neighbors)
 
 
+def _corner_classes(sigma: np.ndarray) -> tuple:
+    """The least corner of each vertex of the glued polygon, ascending, and
+    each corner's vertex: gluing side i to side sigma(i), an involution,
+    identifies corner j with corners sigma(j) + 1 and sigma(j - 1)."""
+    m = len(sigma)
+    label = least_labels(np.stack([(sigma + 1) % m, sigma[np.arange(m) - 1]], axis=1))
+    classes = np.unique(label)
+    return classes, np.searchsorted(classes, label)
+
+
 @dataclass
 class FuchsianDualOutput:
     metric: ConeMetric
@@ -266,75 +291,51 @@ def fuchsian_dualize(data: FuchsianData, h: float) -> FuchsianDualOutput:
             f" not inside the orbit radius {ORBIT_RADIUS:.9f}")
 
     m = len(star.order)
-    # gamma_i carries the apex to the far endpoint of edge i
-    gammas = [mats[star.neighbors[i]] for i in range(m)]
-
-    def match_gamma(target):
-        for j in range(m):
-            if np.max(np.abs(gammas[j] - target)) < WORD_MATCH_TOL:
-                return j
+    # gamma_i carries the apex to the far endpoint of edge i; side i is glued
+    # to side sigma(i), the one whose gamma is gamma_i^-1, found by centre
+    gammas = mats[star.neighbors]
+    inverses = np.linalg.inv(gammas)
+    keys = _centre_keys(gammas)
+    order = np.argsort(keys)
+    sigma = order[np.minimum(np.searchsorted(keys[order], _centre_keys(inverses)),
+                             m - 1)]
+    if np.any(np.max(np.abs(gammas[sigma] - inverses), axis=(1, 2))
+              >= WORD_MATCH_TOL):
         raise InvalidPolyhedron("side pairing leaves the apex star")
 
-    sigma = [match_gamma(np.linalg.inv(g)) for g in gammas]
-
     # corner identification: side i glued to side sigma(i) reversing direction
-    normals = [star.faces[idx]["normal"] for idx in star.order]
-    for i in range(m):
-        ginv = np.linalg.inv(gammas[i])
-        mapped = ginv @ normals[i]
-        j = sigma[i]
-        if np.max(np.abs(mapped - normals[(j + 1) % m])) > PAIRING_TOL:
-            raise InvalidPolyhedron(
-                "side pairing does not reverse the polygon orientation")
+    normals = np.array([star.faces[idx]["normal"] for idx in star.order])
+    mapped = (inverses @ normals[:, :, None])[..., 0]
+    if np.any(np.max(np.abs(mapped - normals[(sigma + 1) % m]), axis=1)
+              > PAIRING_TOL):
+        raise InvalidPolyhedron(
+            "side pairing does not reverse the polygon orientation")
+    classes, class_of = _corner_classes(sigma)
 
-    parent = list(range(m))
+    _, corners, sides, diagonals, _ = fan_triangulations([m])
+    sides = sides[0]
+    mate = np.full(3 * len(corners), -1)
+    pairs = np.vstack([diagonals, np.stack([sides, sides[sigma]], axis=1)])
+    mate[pairs] = pairs[:, ::-1]
+    surf = CombSurface(len(classes), class_of[corners], mate)
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    for i in range(m):
-        union(i, (sigma[i] + 1) % m)
-        union((i + 1) % m, sigma[i])
-    classes = sorted({find(i) for i in range(m)})
-    class_of = {i: classes.index(find(i)) for i in range(m)}
-    n_vertices = len(classes)
-
-    fan, sides, diagonals = fan_triangulation(m)
-    tris = [tuple(class_of[c] for c in tri) for tri in fan]
-    gluing = {}
-    for he_a, he_b in diagonals:
-        gluing[he_a] = he_b
-        gluing[he_b] = he_a
-    for i in range(m):
-        a, b = sides[i], sides[sigma[i]]
-        gluing[a] = b
-        gluing[b] = a
-    surf = CombSurface(n_vertices, tris, gluing)
-
-    # an edge's length is the de Sitter distance of its corners' normals, as
-    # in `polyhedra.dualize`: side i joins corners i, i + 1 and carries
-    # gamma_i, diagonal j joins corners 0, j
-    ends = {he: (i, (i + 1) % m, gammas[i]) for i, he in enumerate(sides)}
-    ends.update({a: (0, j, np.eye(4))
-                 for j, (a, _) in enumerate(diagonals, start=2)})
-    u, w, words = zip(*(ends[ha] for ha, _ in surf.edge_halfedges))
-    x = np.array(normals)
-    metric = ConeMetric(surf, SPHERICAL, ds_distances(x[list(u)], x[list(w)]),
-                        deck_words=dict(enumerate(words)))
+    # an edge's length is the de Sitter distance of the normals at its
+    # polygon corners, as in `polyhedra.dualize`, read off its smaller
+    # half-edge; a side's half-edge carries gamma_i
+    first = surf.edge_halfedges[:, 0]
+    ends = np.stack([corners, np.roll(corners, -1, axis=1)]).reshape(2, -1)[:, first]
+    side_of = np.full(len(mate), -1)
+    side_of[sides] = np.arange(m)
+    words = {e: gammas[i] if i >= 0 else np.eye(4)
+             for e, i in enumerate(side_of[first].tolist())}
+    metric = ConeMetric(surf, SPHERICAL, ds_distances(*normals[ends]),
+                        deck_words=words)
 
     core_distance = min(
         float(np.arccosh(abs(f["normal"][3])))
         for f in star.faces)
 
-    marking = [star.order[c] for c in classes]
+    marking = [star.order[c] for c in classes.tolist()]
     face_areas = [polygon_area(points[star.faces[idx]["cycle"]])
                   for idx in marking]
     return FuchsianDualOutput(metric=metric, marking=marking,

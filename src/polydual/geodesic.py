@@ -7,19 +7,18 @@ closed geodesic crossing a cycle of edges develops onto a single great
 circle; the search solves for it from the rotation holonomy of the strip.
 
 The search is batched in two stages. The strip walks are enumerated level
-by level, the tree of walks held as int32 arrays (current half-edge, root,
-parent index per node) and pruned where the root is out of reach, and only
-the walks that close are read back along their parent pointers, into one
-(N, L) array per walk length L. Then all closed walks, padded to the longest
-length with an identity step, are tested in one pass on stacked arrays:
-holonomy and deck word by stacked matrix products, the holonomy's axis in
-closed form (no SVD, and no projection back onto SO(3)), then crossing
-points, strictly-inside and monotone-advance tests, and step lengths, each
-reading only the steps of its own walk.
+by level, the tree of walks held as one int32 array of paths per level, in
+lexicographic order, and pruned where the root is out of reach; the walks
+that close at length L are one (N, L) array. Then all closed walks, padded
+to the longest length with an identity step, are tested in one pass on
+stacked arrays: holonomy and deck word by stacked matrix products, the
+holonomy's axis in closed form (no SVD, and no projection back onto SO(3)),
+then crossing points, strictly-inside and monotone-advance tests, and step
+lengths, each reading only the steps of its own walk. A stage with no rows
+left is skipped.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -30,6 +29,7 @@ from .surface import (
     SPHERICAL,
     ConeMetric,
     base_pair,
+    cross,
     develop_third_point,
     rowdot,
     sphere_angle,
@@ -46,20 +46,13 @@ LENGTH_CAP = 2 * np.pi           # largeness: no closed geodesic this short
 def _develop(m: ConeMetric) -> np.ndarray:
     """Every triangle developed alone, positively oriented: (T, 3, 3), the
     corners of triangle t as the columns of [t]."""
-    surf = m.surface
-    edges = [[surf.edge_of(t, k) for k in range(3)] for t in range(surf.n_triangles)]
-    l01, l12, l20 = m.lengths[np.array(edges)].T
+    l01, l12, l20 = m.lengths[m.surface.halfedge_edge.reshape(-1, 3)].T
     A, B = base_pair(l01)
     return np.stack([A, B, develop_third_point(A, B, l20, l12, +1.0)], axis=-1)
 
 
 def _edge_frame(P, Q) -> np.ndarray:
-    return np.stack([P, Q, np.cross(P, Q)], axis=-1)
-
-
-def _mates(m: ConeMetric) -> np.ndarray:
-    return np.array([m.surface.mate(h) for h in range(3 * m.surface.n_triangles)],
-                    dtype=np.int32)
+    return np.stack([P, Q, cross(P, Q)], axis=-1)
 
 
 def _crossings(m: ConeMetric, corners, mate):
@@ -70,7 +63,9 @@ def _crossings(m: ConeMetric, corners, mate):
     images), stacked (3T + 1, 3, 3); and the deck words picked up by
     crossing each h, stacked (3T + 1, 4, 4), or None when the metric has
     none. The padding step is the identity in all three, so a walk padded
-    with it composes as if it had ended."""
+    with it composes as if it had ended. An edge's word is crossed out of
+    its smaller half-edge, and its inverse, one stacked inverse for all
+    edges, out of the larger."""
     t, k = np.divmod(np.arange(3 * m.surface.n_triangles), 3)
     t2, k2 = np.divmod(mate, 3)
     frame = _edge_frame(corners[t, :, (k + 1) % 3], corners[t, :, k])
@@ -80,8 +75,11 @@ def _crossings(m: ConeMetric, corners, mate):
     R = np.concatenate([R, np.eye(3)[None]])
     if m.deck_words is None:
         return frames, R, None
-    return frames, R, np.array([m.edge_word(h) for h in range(len(t))]
-                               + [np.eye(4)])
+    edge, first = m.surface.halfedge_edge, m.surface.edge_halfedges[:, 0]
+    words = np.array([m.deck_words.get(e, np.eye(4)) for e in range(len(first))])
+    smaller = (first[edge] == np.arange(len(edge)))[:, None, None]
+    words = np.where(smaller, words[edge], np.linalg.inv(words)[edge])
+    return frames, R, np.concatenate([words, np.eye(4)[None]])
 
 
 # -- closed geodesic search ----------------------------------------------------
@@ -112,34 +110,36 @@ def _closed_walks(mate: np.ndarray, depth: int) -> list:
     h0, and extends while it is shorter than depth, the next half-edge
     exceeds h0, and h0 can still be reached within depth, so each cycle is
     found from its least half-edge and no branch is grown that cannot close.
-    The tree is grown one level at a time; a node keeps only its half-edge,
-    root and parent, and closed walks are read back along the parent
-    pointers.
+    The tree is grown one level at a time, each node's path carried as a
+    row. Roots come in increasing order and every node's successors too, so
+    each level's rows, and the closed walks among them, are in
+    lexicographic order.
     """
     h = np.arange(len(mate))
     k = h % 3
-    succ = mate[np.stack([h - k + (k + 1) % 3, h - k + (k + 2) % 3], axis=1)]
-    dist = _step_distances(succ, depth)
-    cur = root = h.astype(np.int32)
-    levels = []                  # (half-edge, parent) of the nodes per level
-    parent = np.full(len(h), -1, dtype=np.int32)
+    succ = np.sort(mate[np.stack([h - k + (k + 1) % 3, h - k + (k + 2) % 3],
+                                 axis=1)], axis=1)
+    # one lookup per step and root: 0 back at the root, the steps back to it
+    # from a larger half-edge, and out of reach from a smaller one
+    reach = np.where(h[:, None] < h, depth + 1,
+                     _step_distances(succ, depth)).ravel()
+    cur = root = h
+    paths = h[:, None].astype(np.int32)
     out = []
-    for length in itertools.count(1):
-        levels.append((cur, parent))
-        nxt = succ[cur]
-        closing = np.nonzero(nxt == root[:, None])[0]
-        if len(closing):
-            walks = np.empty((len(closing), length), dtype=np.int32)
-            node = closing
-            for i in range(length - 1, -1, -1):
-                walks[:, i] = levels[i][0][node]
-                node = levels[i][1][node]
-            out.append(walks[np.lexsort(walks.T[::-1])])
-        if length >= depth:
-            return out
-        node, col = np.nonzero((nxt > root[:, None])
-                               & (dist[nxt, root[:, None]] <= depth - length))
-        cur, parent, root = nxt[node, col], node.astype(np.int32), root[node]
+    for length in range(1, depth + 1):
+        nxt = np.take(succ, cur, axis=0)
+        d = reach[nxt * len(h) + root[:, None]]
+        back = d == 0
+        closing = back[:, 0] | back[:, 1]
+        if closing.any():
+            out.append(paths[closing])
+        node, col = np.nonzero((d > 0) & (d <= depth - length))
+        if not len(node):
+            break
+        cur, root = nxt[node, col], root[node]
+        paths = np.concatenate([np.take(paths, node, axis=0),
+                                cur[:, None].astype(np.int32)], axis=1)
+    return out
 
 
 def _step_distances(succ: np.ndarray, depth: int) -> np.ndarray:
@@ -178,13 +178,16 @@ def _strip_holonomy(exits, frames, rotations):
     the chart of its first triangle. Returns the holonomies (N, 3, 3) and
     the ends A, B of the crossed developed edges (N, Lmax, 3) each, padding
     steps included. A product of at most Lmax rotations stays orthogonal to
-    about Lmax roundoffs, so it is not projected back onto SO(3)."""
+    about Lmax roundoffs, so it is not projected back onto SO(3). Each step
+    is one product with the frame's two edge ends and the rotation side by
+    side, (3, 5)."""
+    steps = np.concatenate([frames[..., :2], rotations], axis=-1)
+    A, B = np.empty(exits.shape + (3,)), np.empty(exits.shape + (3,))
     M = np.tile(np.eye(3), (len(exits), 1, 1))
-    X = np.empty(exits.shape + (3, 3))
     for i, e in enumerate(exits.T):
-        X[:, i] = M @ frames[e]
-        M = M @ rotations[e]
-    return M, X[..., 1], X[..., 0]
+        P = M @ steps[e]
+        B[:, i], A[:, i], M = P[..., 0], P[..., 1], P[..., 2:]
+    return M, A, B
 
 
 def _word_products(exits, words) -> np.ndarray:
@@ -212,7 +215,7 @@ def _rotation_axis(H) -> np.ndarray:
     its consecutive rows are (3 - tr H) n_k n for k = 0, 1, 2; the longest,
     at least (3 - tr H) / sqrt(3) long, is normalized."""
     K = H - np.eye(3)
-    c = np.cross(K, np.roll(K, -1, axis=1))
+    c = cross(K, K[:, [1, 2, 0]])
     c = c[np.arange(len(c)), np.argmax(rowdot(c, c), axis=1)]
     return c / np.sqrt(rowdot(c, c))[:, None]
 
@@ -247,7 +250,7 @@ def _circle_lengths(n, A, B, H, lengths):
     q, ok = _crossing_points(n, A, B)
     ends = np.roll(q, -1, axis=1)
     ends[np.arange(len(q)), lengths - 1] = (H @ q[:, 0, :, None])[..., 0]
-    sgn = rowdot(n[:, None, :], np.cross(q, ends))
+    sgn = rowdot(n[:, None, :], cross(q, ends))
     step = np.arctan2(np.abs(sgn), rowdot(q, ends))
     sign = np.sign(sgn)
     found = (ok.all(axis=1, where=valid)
@@ -277,15 +280,17 @@ def _closed_geodesics(H, A, B, lengths):
     flat = _max_deviation(H, np.eye(3)) < IDENTITY_TOL
     valid = np.arange(A.shape[1]) < lengths[:, None]
     normal = np.empty((len(H), 3))
-    normal[flat] = _fit_flat_normal(A[flat], B[flat], valid[flat])
     normal[~flat] = _rotation_axis(H[~flat])
-    H = np.where(flat[:, None, None], np.eye(3), H)
+    if flat.any():
+        normal[flat] = _fit_flat_normal(A[flat], B[flat], valid[flat])
+        H = np.where(flat[:, None, None], np.eye(3), H)
     # most circles leave some crossed edge on one side: test only the rest
     fa, fb = rowdot(A, normal[:, None]), rowdot(B, normal[:, None])
     live = np.nonzero(((fa > 0) != (fb > 0)).all(axis=1, where=valid))[0]
     found, length = np.zeros(len(H), dtype=bool), np.zeros(len(H))
-    found[live], length[live] = _circle_lengths(
-        normal[live], A[live], B[live], H[live], lengths[live])
+    if len(live):
+        found[live], length[live] = _circle_lengths(
+            normal[live], A[live], B[live], H[live], lengths[live])
     return found, length
 
 
@@ -306,7 +311,7 @@ def closed_geodesic_search(m: ConeMetric, depth: int = 8,
     if m.geometry != SPHERICAL:
         raise InvalidConeMetric("closed geodesic search expects a spherical metric")
     report = SearchReport()
-    mate = _mates(m)
+    mate = m.surface.mate
     groups = _closed_walks(mate, depth)
     if groups:
         frames, rotations, words = _crossings(m, _develop(m), mate)
@@ -316,14 +321,16 @@ def closed_geodesic_search(m: ConeMetric, depth: int = 8,
         if words is not None:
             contractible = (_max_deviation(_word_products(exits, words), np.eye(4))
                             < IDENTITY_TOL)
-        keep = contractible if contractible_only else np.ones_like(contractible)
-        H, A, B = _strip_holonomy(exits[keep], frames, rotations)
-        found, length = _closed_geodesics(H, A, B, lengths[keep])
-        rows = np.nonzero(keep)[0][found]
-        for walk, n, ell, c in zip(walks[rows], lengths[rows], length[found],
-                                   contractible[rows]):
-            report.geodesics.append(
-                ClosedGeodesic(float(ell), tuple(walk[:n].tolist()), bool(c)))
+        kept = (np.flatnonzero(contractible) if contractible_only
+                else np.arange(len(walks)))
+        if len(kept):
+            H, A, B = _strip_holonomy(exits[kept], frames, rotations)
+            found, length = _closed_geodesics(H, A, B, lengths[kept])
+            rows = kept[found]
+            for walk, n, ell, c in zip(walks[rows], lengths[rows], length[found],
+                                       contractible[rows]):
+                report.geodesics.append(
+                    ClosedGeodesic(float(ell), tuple(walk[:n].tolist()), bool(c)))
     if report.geodesics:
         report.min_length = min(g.length for g in report.geodesics)
     report.found_within_cap = (report.min_length is not None

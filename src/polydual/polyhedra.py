@@ -49,7 +49,14 @@ from .minkowski import (
     minkowski_inner,
     minkowski_rows,
 )
-from .surface import SPHERICAL, CombSurface, ConeMetric, fan_triangulations
+from .surface import (
+    SPHERICAL,
+    CombSurface,
+    ConeMetric,
+    cross,
+    directed_mates,
+    fan_triangulations,
+)
 
 BALL_MARGIN = 1e-12
 ORIGIN_CLEARANCE = 0.1           # least plane distance that keeps the Klein origin
@@ -338,7 +345,7 @@ def hull_from_dual_points(duals) -> ConvexPolyhedronH3:
     redundant[essential] = False
     tri = hull.simplices
     p = polar[tri]
-    turn = _row_dots(_cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]),
+    turn = _row_dots(cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]),
                      hull.equations[:, :3])
     tri = np.where((turn < 0)[:, None], tri[:, ::-1], tri)
     return _face_lattice(rows, a, b, essential,
@@ -361,9 +368,9 @@ def polyhedron_from_chart(duals, surface: CombSurface) -> ConvexPolyhedronH3:
     """
     rows = dual_rows(duals)
     a, b = rows[:, 1:].copy(), rows[:, 0].copy()
-    tri = surface.triangle_array
+    tri = surface.triangles
     p, q, r = a[tri[0]]
-    if p @ _cross(q, r) < 0:
+    if p @ cross(q, r) < 0:
         tri = tri[:, ::-1]
     return _face_lattice(rows, a, b, np.arange(len(rows)), [], tri)
 
@@ -374,13 +381,6 @@ def _row_dots(u, w):
 
 
 _CYCLE = np.array([1, 2, 0])
-_CYCLE2 = np.array([2, 0, 1])
-
-
-def _cross(u, w):
-    """u x w along the last axis of two arrays of 3-vectors, with
-    np.cross's arithmetic and bits."""
-    return u[..., _CYCLE] * w[..., _CYCLE2] - u[..., _CYCLE2] * w[..., _CYCLE]
 
 
 def _face_lattice(rows, a, b, essential, discarded, tri) -> ConvexPolyhedronH3:
@@ -501,20 +501,14 @@ def _mates(tri, n_faces) -> np.ndarray:
     tri[t, k + 1]): the half-edge running back between the same two faces.
     Raises InvalidPolyhedron when the triangles do not glue into a closed
     oriented surface."""
-    tail, head = tri.ravel(), tri[:, _CYCLE].ravel()
-    key = tail * n_faces + head
-    back = head * n_faces + tail
-    order = np.argsort(key)
-    ranked = key[order]
-    spot = np.minimum(np.searchsorted(ranked, back), len(key) - 1)
-    twice = np.append(ranked[1:] == ranked[:-1], False)
-    bad = np.flatnonzero((ranked[spot] != back) | twice[spot])
+    mate = directed_mates(tri, n_faces)
+    bad = np.flatnonzero(mate < 0)
     if bad.size:
         h = bad[0]
         raise InvalidPolyhedron(
-            f"faces {int(tail[h])} and {int(head[h])} do not meet in two "
-            "consistently oriented triangles")
-    return order[spot]
+            f"faces {int(tri.flat[h])} and {int(tri[:, _CYCLE].flat[h])} do not "
+            "meet in two consistently oriented triangles")
+    return mate
 
 
 def _stars(tri, mate, vertex_of, n_faces) -> tuple:
@@ -573,7 +567,7 @@ def _solve_triples(a, b, tri):
     |det| > DET_CUTOFF |A|_F^3 passes the rank test, its SVD's roundoff
     included."""
     rows, rhs = a[tri], b[tri]
-    det = _row_dots(rows[:, 0], _cross(rows[:, 1], rows[:, 2]))
+    det = _row_dots(rows[:, 0], cross(rows[:, 1], rows[:, 2]))
     ok = np.abs(det) > DET_CUTOFF * np.einsum("tij,tij->t", rows, rows) ** 1.5
     if ok.all():
         y = np.linalg.solve(rows, rhs[..., None])[..., 0]
@@ -740,7 +734,7 @@ def chart_verdict(duals, surface: CombSurface) -> tuple:
     """
     x = np.asarray(duals, dtype=float)
     a, b = x[:, 1:], x[:, 0]
-    tri = surface.triangle_array
+    tri = surface.triangles
     try:
         inverse = np.linalg.inv(a[tri])
     except np.linalg.LinAlgError:
@@ -804,10 +798,10 @@ def _face_angles(normals, pts, count):
     of the face's plane that makes (e1, e2, normal) right-handed."""
     e1 = np.zeros(normals.shape)
     e1[np.arange(len(normals)), np.argmin(np.abs(normals), axis=1)] = 1.0
-    e1 = _unit_rows(_cross(normals, e1))
+    e1 = _unit_rows(cross(normals, e1))
     # e1 is orthogonal to the normal, so (e1, normal x e1, normal) is
     # right-handed and angle order is ccw seen from outside
-    e2 = _unit_rows(_cross(normals, e1))
+    e2 = _unit_rows(cross(normals, e1))
     rel = pts - (pts.sum(axis=1) / count[:, None])[:, None]
     return np.arctan2(_row_products(rel, e2), _row_products(rel, e1))
 
@@ -820,7 +814,7 @@ def _check_turns(normals, ordered, count):
     f = np.arange(len(ordered))[:, None]
     after = (k + 1) % count[:, None]
     sides = ordered[f, after] - ordered
-    turns = _cross(sides, sides[f, after])
+    turns = cross(sides, sides[f, after])
     if ((k < count[:, None]) & (_row_products(turns, normals) <= 0)).any():
         raise InvalidPolyhedron("face cycle is not convex about its normal")
 
@@ -950,8 +944,9 @@ def dualize(P: ConvexPolyhedronH3) -> DualMetricOutput:
             f"primal edge {bad[0]} matched {matched[bad[0]]} dual sides")
     glued = side[np.argsort(primal, kind="stable")].reshape(-1, 2)
     pairs = np.vstack([glued, diagonals])
-    gluing = dict(zip(pairs.ravel().tolist(), pairs[:, ::-1].ravel().tolist()))
-    surf = CombSurface(P.n_faces, triangles.tolist(), gluing)
+    mate = np.full(3 * len(triangles), -1)
+    mate[pairs] = pairs[:, ::-1]
+    surf = CombSurface(P.n_faces, triangles, mate)
 
     # an edge's provenance is its smaller half-edge's: a side's primal edge,
     # or the vertex of a diagonal, whose first half-edge is the smaller
@@ -960,7 +955,7 @@ def dualize(P: ConvexPolyhedronH3) -> DualMetricOutput:
     edge_of[side] = primal
     vertex_of = np.full(n_he, -1)
     vertex_of[diagonals[:, 0]] = diagonal_owner
-    first = np.array(surf.edge_halfedges)[:, 0]
+    first = surf.edge_halfedges[:, 0]
     faces = list(map(tuple, P.edge_faces.tolist()))
     provenance = [("primal", faces[k]) if k >= 0 else ("fan", v)
                   for k, v in zip(edge_of[first].tolist(),

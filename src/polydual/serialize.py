@@ -83,8 +83,8 @@ def encode_cone_metric(m: ConeMetric) -> dict:
     payload = {
         "geometry": m.geometry,
         "n_vertices": surf.n_vertices,
-        "triangles": [list(t) for t in surf.triangles],
-        "gluing": sorted([a, b] for a, b in surf.edge_halfedges),
+        "triangles": surf.triangles.tolist(),
+        "gluing": surf.edge_halfedges.tolist(),
         "lengths": [float(x) for x in m.lengths],
     }
     if m.deck_words is not None:
@@ -96,12 +96,9 @@ def encode_cone_metric(m: ConeMetric) -> dict:
 
 def decode_cone_metric(payload: dict) -> ConeMetric:
     try:
-        gluing = {}
-        for a, b in payload["gluing"]:
-            gluing[int(a)] = int(b)
-            gluing[int(b)] = int(a)
-        surf = CombSurface(int(payload["n_vertices"]),
-                           [tuple(t) for t in payload["triangles"]], gluing)
+        pairs = np.array(payload["gluing"], dtype=int).reshape(len(payload["gluing"]), 2)
+        gluing = dict(zip(pairs.ravel().tolist(), pairs[:, ::-1].ravel().tolist()))
+        surf = CombSurface(int(payload["n_vertices"]), payload["triangles"], gluing)
         words = None
         if "deck_words" in payload:
             words = {int(e): np.array(w, dtype=float).reshape(4, 4)

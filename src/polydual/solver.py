@@ -66,7 +66,7 @@ from .polyhedra import (
     hull_from_dual_points,
     polyhedron_from_chart,
 )
-from .surface import SPHERICAL, CombSurface, ConeMetric, is_concave
+from .surface import SPHERICAL, CombSurface, ConeMetric, cross, is_concave
 
 NEWTON_TOL = 1e-10
 MATCH_TOL = 1e-8             # dihedral angle and edge length agreement
@@ -188,7 +188,7 @@ def build_gauge(positions: np.ndarray, frames) -> Gauge:
                 continue
             for i2 in range(i1 + 1, n):
                 h0, h1 = x[[i0, i1]] @ J @ vectors[i2]
-                c = _cross(h0, h1)
+                c = cross(h0, h1)
                 c_norm = _norm(c)
                 if c_norm <= (GAUGE_TOL * _norm(vectors[i2]) ** 2
                               * size[i0] * size[i1]):
@@ -199,7 +199,7 @@ def build_gauge(positions: np.ndarray, frames) -> Gauge:
                 free[i1, 1:] = False
                 free[i2, 2:] = False
                 return Gauge(pinned=(i0, i1, i2), free1=(g / g_norm)[:, None],
-                             free2=np.stack([e0, _cross(c / c_norm, e0)],
+                             free2=np.stack([e0, cross(c / c_norm, e0)],
                                             axis=1),
                              free=np.flatnonzero(free))
     raise SolverError("no independent point triple found for the gauge")
@@ -210,12 +210,6 @@ def _norm(v: np.ndarray) -> float:
     the square root of the flattened v's dot product with itself."""
     v = v.ravel()
     return math.sqrt(v @ v)
-
-
-def _cross(u, w) -> np.ndarray:
-    """u x w for two 3-vectors, with np.cross's arithmetic."""
-    return np.array([u[1] * w[2] - u[2] * w[1], u[2] * w[0] - u[0] * w[2],
-                     u[0] * w[1] - u[1] * w[0]])
 
 
 class SolverState:
@@ -656,15 +650,11 @@ def validate_target(target: ConeMetric, largeness_depth: Optional[int] = None):
 
 def _edge_with_opposite_corners(surface: CombSurface, pair) -> Optional[int]:
     """Chart edge whose two adjacent triangles have the given opposite corners."""
-    want = frozenset(pair)
-    for e, (h1, h2) in enumerate(surface.edge_halfedges):
-        t1, k1 = divmod(h1, 3)
-        t2, k2 = divmod(h2, 3)
-        c1 = surface.triangles[t1][(k1 + 2) % 3]
-        c2 = surface.triangles[t2][(k2 + 2) % 3]
-        if frozenset((c1, c2)) == want:
-            return e
-    return None
+    # the corner opposite half-edge 3t + k is corner k + 2 of t
+    h = surface.edge_halfedges
+    opposite = np.sort(surface.triangles.ravel()[h - h % 3 + (h + 2) % 3], axis=1)
+    e = np.flatnonzero(np.all(opposite == sorted(pair), axis=1))
+    return int(e[0]) if e.size else None
 
 
 def _flip_chart(state: SolverState, l1: np.ndarray, exc, s: float):
@@ -694,8 +684,8 @@ def _flip_chart(state: SolverState, l1: np.ndarray, exc, s: float):
             continue
         ev = FlipEvent(
             s=s,
-            flipped_edge_pair=tuple(sorted(state.surface.edge_endpoints(e))),
-            new_edge_pair=tuple(sorted(new_surface.edge_endpoints(e_new))))
+            flipped_edge_pair=tuple(sorted(state.surface.edge_pairs[e].tolist())),
+            new_edge_pair=tuple(sorted(new_surface.edge_pairs[e_new].tolist())))
         return new_state, flipped_target.lengths, ev
     return None
 
@@ -715,19 +705,19 @@ def continuation(start, target: ConeMetric, steps: int = 10,
     `rigidity_report` of the returned state.
 
     `start` is a ConvexPolyhedronH3 or its dual points, a sequence of
-    DSPoints or an (n, 4) array of their rows. Returns (state, report). The
-    start polyhedron must realize the target's chart: every chart edge a
-    chord of its dual decomposition. A concavity dip along the way retries
-    with a uniform upscaling bump; a hull edge missing from the chart
-    triggers an edge flip of the chart and target, re-anchoring the homotopy
-    at the current parameter.
+    DSPoints or an (n, 4) array of their rows, or a SolverState on the
+    target's chart (its surface), used as it is once `check_feasible`
+    passes, as it does at once for a state already checked
+    (`perturbed_state`'s). Returns (state, report). The start polyhedron
+    must realize the target's chart: every chart edge a chord of its dual
+    decomposition. A concavity dip along the way retries with a uniform
+    upscaling bump; a hull edge missing from the chart triggers an edge flip
+    of the chart and target, re-anchoring the homotopy at the current
+    parameter.
     """
     validate_target(target)
-    points = start.plane_rows if isinstance(start, ConvexPolyhedronH3) else start
-    if not isinstance(points, np.ndarray):
-        points = np.array([p.v for p in points])
     try:
-        state = _realizing_state(points, target)
+        state = _start_state(start, target)
     except (FeasibilityLost, InvalidConeMetric) as exc:
         raise HomotopyBlocked(
             "start polyhedron does not realize the target chart: "
@@ -802,6 +792,21 @@ def continuation(start, target: ConeMetric, steps: int = 10,
     return state, report
 
 
+def _start_state(start, target: ConeMetric) -> SolverState:
+    """The state of a start (see `continuation`) on the target's chart,
+    checked by `check_feasible` to realize it."""
+    if isinstance(start, SolverState) and start.surface is target.surface:
+        check_feasible(start)
+        return start
+    if isinstance(start, ConvexPolyhedronH3):
+        start = start.plane_rows
+    elif not isinstance(start, np.ndarray):
+        start = np.array([p.v for p in start])
+    state = SolverState(start, target.surface, target.lengths)
+    check_feasible(state)
+    return state
+
+
 # -- helpers for round trips and start construction -----------------------------
 
 
@@ -846,7 +851,7 @@ def perturbed_state(P: ConvexPolyhedronH3, rng: np.random.RandomState,
     start, with no polyhedron built."""
     for pts in _perturbations(P, rng, magnitude):
         try:
-            return _realizing_state(pts, chart)
+            return _start_state(pts, chart)
         except SolverError:
             continue
     raise SolverError("failed to perturb into a usable start")
@@ -870,14 +875,6 @@ def _perturbations(P: ConvexPolyhedronH3, rng: np.random.RandomState,
             rng.randn(left[0] + 1, 3)
             continue
         yield v / np.sqrt(q)[:, None]
-
-
-def _realizing_state(points: np.ndarray, chart: ConeMetric) -> SolverState:
-    """The state of dual points on a chart, checked by `check_feasible` to
-    realize it: the start of a solve."""
-    state = SolverState(points, chart.surface, chart.lengths)
-    check_feasible(state)
-    return state
 
 
 def recovered_polyhedron(state: SolverState) -> ConvexPolyhedronH3:

@@ -25,91 +25,76 @@ ANG_SLACK = 1e-12
 MIN_TRIANGLE_AREA = 1e-12
 
 
-def he_index(t: int, k: int) -> int:
-    return 3 * t + k
+_NEXT = np.array([1, 2, 0])      # corner k + 1, or the side after side k
+_PREV = np.array([2, 0, 1])
+
+
+def cross(u, w):
+    """u x w along the last axis of two arrays of 3-vectors, with np.cross's
+    arithmetic and bits (not its C memory order), without its axis
+    handling."""
+    return u[..., _NEXT] * w[..., _PREV] - u[..., _PREV] * w[..., _NEXT]
+
+
+def directed_mates(tri, n_vertices) -> np.ndarray:
+    """Per half-edge 3t + k, running from vertex tri[t, k] to tri[t, k + 1]:
+    the half-edge running back between the same two vertices, by one sort;
+    -1 where no half-edge or several run back."""
+    tail, head = tri.ravel(), tri[:, _NEXT].ravel()
+    key = tail * n_vertices + head
+    back = head * n_vertices + tail
+    order = np.argsort(key)
+    ranked = key[order]
+    spot = np.minimum(np.searchsorted(ranked, back), len(key) - 1)
+    twice = np.append(ranked[1:] == ranked[:-1], False)
+    return np.where((ranked[spot] == back) & ~twice[spot], order[spot], -1)
 
 
 class CombSurface:
-    """Combinatorics of a closed oriented triangulated surface.
+    """Combinatorics of a closed oriented triangulated surface, as arrays.
 
-    triangles: list of (v0, v1, v2) vertex ids per triangle.
-    gluing: involution pairing half-edge linear indices; if omitted it is
+    triangles (T, 3): the vertex ids of each triangle's corners.
+    mate (3T,): the half-edge glued to each half-edge.
+    halfedge_edge (3T,): the edge of each half-edge.
+    edge_halfedges (E, 2): the two half-edges of each edge, smaller first.
+
+    gluing is the involution pairing half-edges: a mapping h -> mate, or a
+    sequence of every half-edge's mate (-1 for none). If omitted it is
     derived by matching each directed edge (u, w) with its reverse (w, u),
-    which works whenever that matching is unambiguous.
+    which works whenever that matching is unambiguous. The arrays are
+    read-only.
     """
 
-    def __init__(self, n_vertices: int, triangles, gluing: Optional[dict] = None):
-        self.n_vertices = int(n_vertices)
-        self.triangles = [tuple(int(v) for v in t) for t in triangles]
-        if any(len(t) != 3 for t in self.triangles):
+    def __init__(self, n_vertices: int, triangles, gluing=None):
+        self.n_vertices = n = int(n_vertices)
+        if isinstance(triangles, np.ndarray):
+            three = triangles.ndim == 2 and triangles.shape[1] == 3
+        else:
+            triangles = [tuple(t) for t in triangles]
+            three = all(len(t) == 3 for t in triangles)
+        if not three:
             raise InvalidSurface("triangles need exactly three corners")
-        used = {v for t in self.triangles for v in t}
-        if used and (min(used) < 0 or max(used) >= self.n_vertices):
+        # C order, as every per-triangle array built from it
+        tri = np.array(triangles, dtype=int, order="C").reshape(-1, 3)
+        if tri.size and (tri.min() < 0 or tri.max() >= n):
             raise InvalidSurface("vertex id out of range")
-        if used != set(range(self.n_vertices)):
+        if np.count_nonzero(np.bincount(tri.ravel(), minlength=n)) != n:
             raise InvalidSurface("every vertex id must appear in some triangle")
         if gluing is None:
-            gluing = self._derive_gluing()
-        self.gluing = {int(a): int(b) for a, b in gluing.items()}
-        self._validate_gluing()
-        self._build_edges()
-        self._check_connected()
-
-    # -- construction helpers -------------------------------------------------
-
-    def _derive_gluing(self) -> dict:
-        directed = {}
-        for t, tri in enumerate(self.triangles):
-            for k in range(3):
-                key = (tri[k], tri[(k + 1) % 3])
-                directed.setdefault(key, []).append(he_index(t, k))
-        gluing = {}
-        for (u, w), hes in directed.items():
-            if len(hes) != 1:
-                raise InvalidSurface(
-                    f"directed edge {(u, w)} appears {len(hes)} times; "
-                    "pass an explicit gluing")
-            mates = directed.get((w, u), [])
-            if len(mates) != 1:
-                raise InvalidSurface(f"directed edge {(u, w)} has no unique mate")
-            gluing[hes[0]] = mates[0]
-        return gluing
-
-    def _validate_gluing(self):
-        n_he = 3 * len(self.triangles)
-        if set(self.gluing) != set(range(n_he)):
-            raise InvalidSurface("gluing must cover every half-edge")
-        for a, b in self.gluing.items():
-            if a == b or self.gluing[b] != a:
-                raise InvalidSurface("gluing must be a fixed-point-free involution")
-            ua, wa = self.halfedge_endpoints(a)
-            ub, wb = self.halfedge_endpoints(b)
-            if (ua, wa) != (wb, ub):
-                raise InvalidSurface(
-                    f"half-edges {a} and {b} glued without reversing orientation")
-
-    def _build_edges(self):
-        pairs = sorted({tuple(sorted((a, b))) for a, b in self.gluing.items()})
-        self.edge_halfedges = pairs
-        self.halfedge_edge = {}
-        for e, (a, b) in enumerate(pairs):
-            self.halfedge_edge[a] = e
-            self.halfedge_edge[b] = e
-
-    def _check_connected(self):
-        if not self.triangles:
-            raise InvalidSurface("empty surface")
-        seen = {0}
-        stack = [0]
-        while stack:
-            t = stack.pop()
-            for k in range(3):
-                t2 = self.gluing[he_index(t, k)] // 3
-                if t2 not in seen:
-                    seen.add(t2)
-                    stack.append(t2)
-        if len(seen) != len(self.triangles):
-            raise InvalidSurface("surface is not connected")
+            mate = _derived_gluing(tri, n)
+        else:
+            mate = _checked_gluing(tri, gluing)
+        # edges numbered by their smaller half-edge
+        first = np.flatnonzero(np.arange(len(mate)) < mate)
+        edge = np.empty(len(mate), dtype=int)
+        edge[first] = edge[mate[first]] = np.arange(len(first))
+        _check_connected(mate)
+        self.triangles = tri
+        self.mate = mate
+        self.halfedge_edge = edge
+        self.edge_halfedges = np.stack([first, mate[first]], axis=1)
+        for a in (tri, mate, edge, self.edge_halfedges):
+            a.setflags(write=False)
 
     # -- queries ---------------------------------------------------------------
 
@@ -132,45 +117,25 @@ class CombSurface:
             raise InvalidSurface(f"Euler characteristic {chi} is not closed-orientable")
         return (2 - chi) // 2
 
-    def halfedge_endpoints(self, h: int) -> tuple:
-        t, k = divmod(h, 3)
-        tri = self.triangles[t]
-        return tri[k], tri[(k + 1) % 3]
-
-    def mate(self, h: int) -> int:
-        return self.gluing[h]
-
-    def edge_endpoints(self, e: int) -> tuple:
-        return self.halfedge_endpoints(self.edge_halfedges[e][0])
-
-    def edge_of(self, t: int, k: int) -> int:
-        return self.halfedge_edge[he_index(t, k)]
-
     def triangle_edge_lengths(self, t: int, lengths: np.ndarray) -> np.ndarray:
         """Side lengths (a, b, c) opposite corners 0, 1, 2 of triangle t."""
-        # side opposite corner k is the half-edge (t, k+1)
-        return np.array([lengths[self.edge_of(t, (k + 1) % 3)] for k in range(3)])
+        return lengths[self.triangle_sides[t]]
 
     @cached_property
     def edge_pairs(self) -> np.ndarray:
-        """(n_edges, 2) endpoints of every edge, in edge order; read-only."""
-        pairs = np.array([self.edge_endpoints(e) for e in range(self.n_edges)])
+        """(n_edges, 2) endpoints of every edge, in edge order, as its smaller
+        half-edge runs; read-only."""
+        h = self.edge_halfedges[:, 0]
+        pairs = np.stack([self.triangles.ravel()[h],
+                          self.triangles[:, _NEXT].ravel()[h]], axis=1)
         pairs.setflags(write=False)
         return pairs
-
-    @cached_property
-    def triangle_array(self) -> np.ndarray:
-        """(n_triangles, 3) corners of every triangle; read-only."""
-        tris = np.array(self.triangles)
-        tris.setflags(write=False)
-        return tris
 
     @cached_property
     def triangle_sides(self) -> np.ndarray:
         """(n_triangles, 3) edge of the side opposite each corner; read-only."""
         # the side opposite corner k is the half-edge (t, k + 1)
-        edge = [self.halfedge_edge[h] for h in range(3 * self.n_triangles)]
-        sides = np.roll(np.reshape(edge, (-1, 3)), -1, axis=1)
+        sides = np.roll(self.halfedge_edge.reshape(-1, 3), -1, axis=1)
         sides.setflags(write=False)
         return sides
 
@@ -179,15 +144,84 @@ class CombSurface:
         """(n_triangles, n_vertices): True where the vertex is a corner of
         the triangle; read-only."""
         own = np.zeros((self.n_triangles, self.n_vertices), dtype=bool)
-        np.put_along_axis(own, self.triangle_array, True, axis=1)
+        np.put_along_axis(own, self.triangles, True, axis=1)
         own.setflags(write=False)
         return own
 
     @cached_property
     def has_parallel_edges(self) -> bool:
         """True when two edges join the same two vertices."""
-        pairs = {frozenset(p) for p in self.edge_pairs.tolist()}
-        return len(pairs) != self.n_edges
+        keys = np.sort(self.edge_pairs, axis=1) @ [self.n_vertices, 1]
+        return len(np.unique(keys)) != self.n_edges
+
+
+def _derived_gluing(tri, n_vertices) -> np.ndarray:
+    """The mates of `directed_mates`, or InvalidSurface naming the first
+    half-edge whose directed edge is repeated or has no unique reverse."""
+    mate = directed_mates(tri, n_vertices)
+    if np.all(mate >= 0):
+        return mate
+    # a repeated directed edge leaves some half-edge without a mate
+    key = tri.ravel() * n_vertices + tri[:, _NEXT].ravel()
+    _, at, count = np.unique(key, return_inverse=True, return_counts=True)
+    h = np.argmax((count[at] != 1) | (mate < 0))
+    uw = (int(tri.flat[h]), int(tri[:, _NEXT].flat[h]))
+    if count[at[h]] != 1:
+        raise InvalidSurface(f"directed edge {uw} appears {count[at[h]]} times; "
+                             "pass an explicit gluing")
+    raise InvalidSurface(f"directed edge {uw} has no unique mate")
+
+
+def _checked_gluing(tri, gluing) -> np.ndarray:
+    """The mate array of an explicit gluing, checked in its own order (a
+    mapping's item order, a sequence's index order) to be an involution
+    without fixed points covering every half-edge and reversing
+    orientation; InvalidSurface names the first pair that is not."""
+    n_he = 3 * len(tri)
+    if isinstance(gluing, dict):
+        heads = np.fromiter(gluing, dtype=int, count=len(gluing))
+        mates = np.fromiter(gluing.values(), dtype=int, count=len(gluing))
+    else:
+        mates = np.asarray(gluing, dtype=int).ravel()
+        heads = np.where(mates >= 0, np.arange(len(mates)), -1)
+    # the heads are distinct: n_he of them in range cover every half-edge
+    if len(heads) != n_he or np.any((heads < 0) | (heads >= n_he)):
+        raise InvalidSurface("gluing must cover every half-edge")
+    mate = np.empty(n_he, dtype=int)
+    mate[heads] = mates
+    back = np.where((mates >= 0) & (mates < n_he), mates, heads)
+    twisted = (back == heads) | (mate[back] != heads)
+    tail, head = tri.ravel(), tri[:, _NEXT].ravel()
+    bad = twisted | (tail[heads] != head[back]) | (head[heads] != tail[back])
+    if bad.any():
+        i = np.argmax(bad)
+        if twisted[i]:
+            raise InvalidSurface("gluing must be a fixed-point-free involution")
+        raise InvalidSurface(f"half-edges {heads[i]} and {mates[i]} glued "
+                             "without reversing orientation")
+    return mate
+
+
+def _check_connected(mate):
+    """InvalidSurface unless the triangles are connected across their mates."""
+    if not len(mate):
+        raise InvalidSurface("empty surface")
+    if least_labels(mate.reshape(-1, 3) // 3).any():
+        raise InvalidSurface("surface is not connected")
+
+
+def least_labels(neighbours: np.ndarray) -> np.ndarray:
+    """The least node of each node's component in a graph given by a
+    symmetric neighbour table (n, k), by label propagation: each label
+    falls to the least label among its node's neighbours, then jumps to
+    its label's label, until no label changes."""
+    label = np.arange(len(neighbours))
+    while True:
+        low = np.minimum(label, label[neighbours].min(axis=1))
+        low = low[low]
+        if np.array_equal(low, label):
+            return label
+        label = low
 
 
 def corner_angles(sides: np.ndarray, geometry: str) -> np.ndarray:
@@ -270,7 +304,7 @@ class ConeMetric:
     def cone_angles(self) -> np.ndarray:
         """Each vertex's sum of corner angles, added in triangle and corner
         order."""
-        return np.bincount(self.surface.triangle_array.ravel(),
+        return np.bincount(self.surface.triangles.ravel(),
                            weights=self.corner_angles.ravel(),
                            minlength=self.surface.n_vertices)
 
@@ -279,11 +313,10 @@ class ConeMetric:
         if self.deck_words is None:
             return None
         e = self.surface.halfedge_edge[h]
-        w = self.deck_words.get(e)
+        w = self.deck_words.get(int(e))
         if w is None:
             return np.eye(4)
-        a, _ = self.surface.edge_halfedges[e]
-        return w if h == a else np.linalg.inv(w)
+        return w if h == self.surface.edge_halfedges[e, 0] else np.linalg.inv(w)
 
 
 @dataclass(frozen=True)
@@ -324,30 +357,18 @@ def scale(m: ConeMetric, lam: float) -> ConeMetric:
     return ConeMetric(m.surface, m.geometry, new_lengths, deck_words=m.deck_words)
 
 
-def fan_triangulation(m: int, base: int = 0) -> tuple:
-    """Fan of an m-gon from its corner 0, as triangles base, ..., base + m - 3.
-
-    Triangle base + j - 1 has the polygon corners (0, j, j + 1). Returns
-    (corners, sides, diagonals): corners lists those corner triples; sides[j]
-    is the half-edge carrying the polygon side from corner j to corner j + 1;
-    diagonals[j - 2] is the glued pair (j -> 0, 0 -> j) of half-edges of the
-    diagonal to corner j, the first one lying in the earlier triangle.
-    """
-    _, corners, sides, diagonals, _ = fan_triangulations([m])
-    return (list(map(tuple, corners.tolist())), (sides[0] + 3 * base).tolist(),
-            list(map(tuple, (diagonals + 3 * base).tolist())))
-
-
 def fan_triangulations(sizes) -> tuple:
-    """The fans of polygons with the given corner counts, numbered one
-    polygon after the other, as `fan_triangulation` numbers one: polygon p's
-    triangles follow those of polygons 0, ..., p - 1.
+    """The fans of polygons with the given corner counts, each from its
+    corner 0, numbered one polygon after the other: polygon p's triangles
+    follow those of polygons 0, ..., p - 1, and its j-th triangle has the
+    polygon corners (0, j + 1, j + 2).
 
     Returns (owner, corners, sides, diagonals, diagonal_owner): triangle t
     lies in polygon owner[t] with the polygon corners corners[t]; sides[p, j]
     is the half-edge of polygon p's side from corner j to corner j + 1 (-1
-    past its corners); diagonals[d] is a glued pair of half-edges, as in
-    `fan_triangulation`, in polygon diagonal_owner[d].
+    past its corners); diagonals[d] is the glued pair (j -> 0, 0 -> j) of
+    half-edges of a diagonal to corner j, the first one in the earlier
+    triangle, in polygon diagonal_owner[d], in order of j.
     """
     sizes = np.asarray(sizes, dtype=int)
     count = sizes - 2
@@ -393,7 +414,7 @@ def rowdot(a, b):
 def sphere_angle(u, w):
     """Angle between vectors of R^3, stacked along the leading axes; the
     distance of unit ones on S^2."""
-    c = np.cross(u, w)
+    c = cross(u, w)
     return np.arctan2(np.sqrt(rowdot(c, c)), rowdot(u, w))
 
 
@@ -417,7 +438,7 @@ def develop_third_point(A, B, dist_a, dist_b, sign: float):
     z2 = 1.0 - rowdot(planar, planar)
     if np.any(z2 <= 0):
         raise FlipBlocked("development degenerates (points nearly collinear)")
-    normal = np.cross(A, B)
+    normal = cross(A, B)
     normal = normal / np.sqrt(rowdot(normal, normal))[..., None]
     return planar + (sign * np.sqrt(z2))[..., None] * normal
 
@@ -455,11 +476,12 @@ def flip_edge(m: ConeMetric, e: int) -> tuple:
     C_id = tri1[(k1 + 2) % 3]
     D_id = tri2[(k2 + 2) % 3]
 
+    edge = surf.halfedge_edge
     len_AB = m.lengths[e]
-    len_BC = m.lengths[surf.edge_of(t1, (k1 + 1) % 3)]
-    len_CA = m.lengths[surf.edge_of(t1, (k1 + 2) % 3)]
-    len_AD = m.lengths[surf.edge_of(t2, (k2 + 1) % 3)]
-    len_DB = m.lengths[surf.edge_of(t2, (k2 + 2) % 3)]
+    len_BC = m.lengths[edge[3 * t1 + (k1 + 1) % 3]]
+    len_CA = m.lengths[edge[3 * t1 + (k1 + 2) % 3]]
+    len_AD = m.lengths[edge[3 * t2 + (k2 + 1) % 3]]
+    len_DB = m.lengths[edge[3 * t2 + (k2 + 2) % 3]]
 
     A, B = base_pair(len_AB)
     C = develop_third_point(A, B, len_CA, len_BC, +1.0)
@@ -478,63 +500,40 @@ def flip_edge(m: ConeMetric, e: int) -> tuple:
 
     # rebuild combinatorics: t1 -> (A, D, C), t2 -> (D, B, C); both new
     # triangles keep developing in t1's chart, so the diagonal's word is I
-    new_tris = list(surf.triangles)
+    new_tris = surf.triangles.copy()
     new_tris[t1] = (A_id, D_id, C_id)
     new_tris[t2] = (D_id, B_id, C_id)
 
-    # boundary sides, old half-edge -> new half-edge carrying the same
-    # geometric edge (True marks sides that belonged to t2's old chart)
-    bmap = {
-        he_index(t2, (k2 + 1) % 3): he_index(t1, 0),  # A->D
-        he_index(t1, (k1 + 2) % 3): he_index(t1, 2),  # C->A
-        he_index(t2, (k2 + 2) % 3): he_index(t2, 0),  # D->B
-        he_index(t1, (k1 + 1) % 3): he_index(t2, 1),  # B->C
-    }
-    from_t2_chart = {he_index(t1, 0), he_index(t2, 0)}
+    # the half-edges of t1 and t2 renumbered: each boundary side keeps its
+    # geometric edge, and the old diagonal becomes the new one, D->C with
+    # C->D; the sides A->D and D->B belonged to t2's old chart
+    moved = [3 * t2 + (k2 + 1) % 3, 3 * t1 + (k1 + 2) % 3,
+             3 * t2 + (k2 + 2) % 3, 3 * t1 + (k1 + 1) % 3, h1, h2]
+    renamed = np.arange(len(surf.mate))
+    renamed[moved] = [3 * t1, 3 * t1 + 2, 3 * t2, 3 * t2 + 1, 3 * t1 + 1, 3 * t2 + 2]
+    new_mate = np.empty_like(renamed)
+    new_mate[renamed] = renamed[surf.mate]
+    new_surf = CombSurface(surf.n_vertices, new_tris, new_mate)
+    old_of = np.argsort(renamed)
 
-    new_gluing = {}
-    for h, mate in surf.gluing.items():
-        if h // 3 in (t1, t2) or mate // 3 in (t1, t2):
-            continue
-        new_gluing[h] = mate
-    for hb, hb_new in bmap.items():
-        mate = surf.mate(hb)
-        mate_new = bmap.get(mate, mate)
-        new_gluing[hb_new] = mate_new
-        new_gluing[mate_new] = hb_new
-    new_gluing[he_index(t1, 1)] = he_index(t2, 2)  # D->C with C->D
-    new_gluing[he_index(t2, 2)] = he_index(t1, 1)
+    diag_edge = int(new_surf.halfedge_edge[3 * t1 + 1])
+    new_lengths = m.lengths[edge[old_of[new_surf.edge_halfedges[:, 0]]]]
+    new_lengths[diag_edge] = new_len
+    new_words = None
+    if m.deck_words is not None:
+        word_into_t2 = m.edge_word(h1)  # crossing from t1's chart into t2's
+        from_t2_chart = (3 * t1, 3 * t2)
 
-    new_surf = CombSurface(surf.n_vertices, new_tris, new_gluing)
+        def crossing_word(h_new: int):
+            """Deck word for crossing out of half-edge h_new in the new complex."""
+            w = m.edge_word(old_of[h_new])
+            if h_new in from_t2_chart:
+                w = word_into_t2 @ w
+            if new_mate[h_new] in from_t2_chart:
+                w = w @ np.linalg.inv(word_into_t2)
+            return w
 
-    inv_bmap = {new: old for old, new in bmap.items()}
-    word_into_t2 = m.edge_word(h1)  # crossing from t1's chart into t2's
-
-    def crossing_word(h_new: int):
-        """Deck word for crossing out of half-edge h_new in the new complex."""
-        h_old = inv_bmap.get(h_new, h_new)
-        w = m.edge_word(h_old)
-        if w is None:
-            return None
-        if h_new in from_t2_chart:
-            w = word_into_t2 @ w
-        mate_new = new_gluing[h_new]
-        if mate_new in from_t2_chart:
-            w = w @ np.linalg.inv(word_into_t2)
-        return w
-
-    new_lengths = np.empty(new_surf.n_edges)
-    new_words = {} if m.deck_words is not None else None
-    diag_edge = new_surf.halfedge_edge[he_index(t1, 1)]
-    for enew, (a, b) in enumerate(new_surf.edge_halfedges):
-        if enew == diag_edge:
-            new_lengths[enew] = new_len
-            if new_words is not None:
-                new_words[enew] = np.eye(4)
-            continue
-        h_old = inv_bmap.get(a, a)
-        new_lengths[enew] = m.lengths[surf.halfedge_edge[h_old]]
-        if new_words is not None:
-            new_words[enew] = crossing_word(a)
+        new_words = {enew: np.eye(4) if enew == diag_edge else crossing_word(a)
+                     for enew, a in enumerate(new_surf.edge_halfedges[:, 0].tolist())}
     return (ConeMetric(new_surf, m.geometry, new_lengths, deck_words=new_words),
             diag_edge)

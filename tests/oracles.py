@@ -6,16 +6,34 @@ from itertools import chain
 from typing import Optional
 
 import numpy as np
+from scipy.spatial import ConvexHull
 
-from polydual import solver
+from polydual import fuchsian, geodesic, solver
 from polydual.errors import (
     EmptyInterior,
     FeasibilityLost,
+    InvalidConeMetric,
     InvalidPolyhedron,
+    InvalidSurface,
     NotSpacelikeSeparated,
     SolverError,
     StepStalled,
     UnboundedPolyhedron,
+)
+from polydual.fuchsian import OCTAGON_CIRCUMRADIUS
+from polydual.geodesic import (
+    CHORD_TOL,
+    CROSSING_TOL,
+    IDENTITY_TOL,
+    LENGTH_CAP,
+    MAX_STEP,
+    ON_SEGMENT_TOL,
+    ClosedGeodesic,
+    SearchReport,
+    _closed_walks,
+    _crossing_points,
+    _crossings,
+    _develop,
 )
 from polydual.minkowski import (
     DSPoint,
@@ -54,7 +72,9 @@ from polydual.surface import (
     SPHERICAL,
     CombSurface,
     ConeMetric,
-    fan_triangulation,
+    base_pair,
+    develop_third_point,
+    rowdot,
     sphere_angle,
 )
 
@@ -349,7 +369,7 @@ def chart_certifies(duals, surface: CombSurface) -> str:
     instead of the stacked inverse."""
     x = np.asarray(duals, dtype=float)
     a, b = x[:, 1:], x[:, 0]
-    tri = surface.triangle_array
+    tri = surface.triangles
     try:
         y = np.linalg.solve(a[tri], b[tri][..., None])[..., 0]
     except np.linalg.LinAlgError:
@@ -371,7 +391,7 @@ def chart_certificate(duals, surface: CombSurface) -> Optional[ChartCertificate]
     a second stacked inverse; None when its own numbers certify nothing."""
     x = np.asarray(duals, dtype=float)
     a, b = x[:, 1:], x[:, 0]
-    tri = surface.triangle_array
+    tri = surface.triangles
     try:
         inverse = np.linalg.inv(a[tri])
     except np.linalg.LinAlgError:
@@ -746,6 +766,20 @@ def polar_dual_polygon(link) -> SphericalPolygon:
                             angles=np.pi - np.asarray(sides, dtype=float))
 
 
+def fan_triangulation(m: int, base: int = 0) -> tuple:
+    """Checks `surface.fan_triangulations` and serves the dual oracles: the
+    fan of one m-gon from its corner 0, as triangles base, ..., base + m - 3,
+    triangle base + j - 1 with the polygon corners (0, j, j + 1). Returns
+    (corners, sides, diagonals): those corner triples; sides[j], the
+    half-edge of the side from corner j to corner j + 1; and diagonals[j - 2],
+    the glued pair (j -> 0, 0 -> j) of the diagonal to corner j."""
+    corners = [(0, j, j + 1) for j in range(1, m - 1)]
+    sides = [3 * base] + [3 * (base + j - 1) + 1 for j in range(1, m - 1)]
+    sides.append(3 * (base + m - 3) + 2)
+    diagonals = [(3 * (base + j - 2) + 2, 3 * (base + j - 1)) for j in range(2, m - 1)]
+    return corners, sides, diagonals
+
+
 def reference_dualize(P) -> DualMetricOutput:
     """Checks `polyhedra.dualize`: the dual metric from developed link
     polygons, sides pi minus the dihedral angles and diagonals read off each
@@ -801,7 +835,7 @@ def vertex_stars(surface):
     # corner 3t + k sits at the start of half-edge 3t + k; its mate m
     # ends at the same vertex, at the next corner of the mate's triangle
     after = [3 * (m // 3) + (m + 1) % 3
-             for m in map(surface.gluing.get, range(3 * surface.n_triangles))]
+             for m in surface.mate.tolist()]
     stars = [None] * surface.n_vertices
     for c in range(3 * surface.n_triangles):
         v = surface.triangles[c // 3][c % 3]
@@ -812,3 +846,609 @@ def vertex_stars(surface):
                 star.append(nxt // 3)
                 nxt = after[nxt]
     return stars
+
+
+# -- the half-edge mesh ------------------------------------------------------------
+
+
+class DictCombSurface:
+    """Checks `surface.CombSurface`: the mesh it replaced, a gluing dict and
+    edge lists built and validated in Python loops over half-edges and
+    triangles, with the same InvalidSurface messages."""
+
+    def __init__(self, n_vertices, triangles, gluing=None):
+        self.n_vertices = int(n_vertices)
+        self.triangles = [tuple(int(v) for v in t) for t in triangles]
+        if any(len(t) != 3 for t in self.triangles):
+            raise InvalidSurface("triangles need exactly three corners")
+        used = {v for t in self.triangles for v in t}
+        if used and (min(used) < 0 or max(used) >= self.n_vertices):
+            raise InvalidSurface("vertex id out of range")
+        if used != set(range(self.n_vertices)):
+            raise InvalidSurface("every vertex id must appear in some triangle")
+        if gluing is None:
+            gluing = self._derive_gluing()
+        self.gluing = {int(a): int(b) for a, b in gluing.items()}
+        self._validate_gluing()
+        pairs = sorted({tuple(sorted((a, b))) for a, b in self.gluing.items()})
+        self.edge_halfedges = pairs
+        self.halfedge_edge = {}
+        for e, (a, b) in enumerate(pairs):
+            self.halfedge_edge[a] = e
+            self.halfedge_edge[b] = e
+        self._check_connected()
+
+    def _derive_gluing(self) -> dict:
+        directed = {}
+        for t, tri in enumerate(self.triangles):
+            for k in range(3):
+                key = (tri[k], tri[(k + 1) % 3])
+                directed.setdefault(key, []).append(3 * t + k)
+        gluing = {}
+        for (u, w), hes in directed.items():
+            if len(hes) != 1:
+                raise InvalidSurface(
+                    f"directed edge {(u, w)} appears {len(hes)} times; "
+                    "pass an explicit gluing")
+            mates = directed.get((w, u), [])
+            if len(mates) != 1:
+                raise InvalidSurface(f"directed edge {(u, w)} has no unique mate")
+            gluing[hes[0]] = mates[0]
+        return gluing
+
+    def _validate_gluing(self):
+        n_he = 3 * len(self.triangles)
+        if set(self.gluing) != set(range(n_he)):
+            raise InvalidSurface("gluing must cover every half-edge")
+        for a, b in self.gluing.items():
+            if a == b or self.gluing[b] != a:
+                raise InvalidSurface("gluing must be a fixed-point-free involution")
+            ua, wa = self.halfedge_endpoints(a)
+            ub, wb = self.halfedge_endpoints(b)
+            if (ua, wa) != (wb, ub):
+                raise InvalidSurface(
+                    f"half-edges {a} and {b} glued without reversing orientation")
+
+    def _check_connected(self):
+        if not self.triangles:
+            raise InvalidSurface("empty surface")
+        seen = {0}
+        stack = [0]
+        while stack:
+            t = stack.pop()
+            for k in range(3):
+                t2 = self.gluing[3 * t + k] // 3
+                if t2 not in seen:
+                    seen.add(t2)
+                    stack.append(t2)
+        if len(seen) != len(self.triangles):
+            raise InvalidSurface("surface is not connected")
+
+    def halfedge_endpoints(self, h: int) -> tuple:
+        t, k = divmod(h, 3)
+        tri = self.triangles[t]
+        return tri[k], tri[(k + 1) % 3]
+
+    def edge_pairs(self) -> np.ndarray:
+        return np.array([self.halfedge_endpoints(a) for a, _ in self.edge_halfedges])
+
+    def triangle_sides(self) -> np.ndarray:
+        return np.array([[self.halfedge_edge[3 * t + (k + 1) % 3] for k in range(3)]
+                         for t in range(len(self.triangles))])
+
+    def has_parallel_edges(self) -> bool:
+        pairs = {frozenset(p) for p in self.edge_pairs().tolist()}
+        return len(pairs) != len(self.edge_halfedges)
+
+
+# -- closed geodesic search ----------------------------------------------------
+
+
+def lexsort_closed_walks(mate, depth) -> list:
+    """Checks `geodesic._closed_walks`: the tree held as (half-edge, root,
+    parent) per node, successors in the triangle's corner order, each
+    length's closed walks read back along the parent pointers and sorted
+    by `np.lexsort`."""
+    h = np.arange(len(mate))
+    k = h % 3
+    succ = mate[np.stack([h - k + (k + 1) % 3, h - k + (k + 2) % 3], axis=1)]
+    dist = geodesic._step_distances(succ, depth)
+    cur = root = h.astype(np.int32)
+    levels = []
+    parent = np.full(len(h), -1, dtype=np.int32)
+    out = []
+    for length in itertools.count(1):
+        levels.append((cur, parent))
+        nxt = succ[cur]
+        closing = np.nonzero(nxt == root[:, None])[0]
+        if len(closing):
+            walks = np.empty((len(closing), length), dtype=np.int32)
+            node = closing
+            for i in range(length - 1, -1, -1):
+                walks[:, i] = levels[i][0][node]
+                node = levels[i][1][node]
+            out.append(walks[np.lexsort(walks.T[::-1])])
+        if length >= depth:
+            return out
+        node, col = np.nonzero((nxt > root[:, None])
+                               & (dist[nxt, root[:, None]] <= depth - length))
+        cur, parent, root = nxt[node, col], node.astype(np.int32), root[node]
+
+
+def padded_search(m, depth, contractible_only=True) -> SearchReport:
+    """Checks `geodesic.closed_geodesic_search` bit for bit: the padded
+    pass as it was before the walk tree carried its paths, with the walks of
+    `lexsort_closed_walks`, each half-edge's deck word from
+    `ConeMetric.edge_word`, two products per strip step, `np.cross`, and
+    every stage run on its rows, empty or not."""
+    report = SearchReport()
+    mate = m.surface.mate
+    groups = lexsort_closed_walks(mate, depth)
+    if not groups:
+        return report
+    corners = _develop(m)
+    t, k = np.divmod(np.arange(len(mate)), 3)
+    t2, k2 = np.divmod(mate, 3)
+
+    def frame(P, Q):
+        return np.stack([P, Q, np.cross(P, Q)], axis=-1)
+
+    frames = frame(corners[t, :, (k + 1) % 3], corners[t, :, k])
+    R = frames @ np.linalg.inv(frame(corners[t2, :, k2], corners[t2, :, (k2 + 1) % 3]))
+    frames = np.concatenate([frames, np.eye(3)[None]])
+    R = np.concatenate([R, np.eye(3)[None]])
+    walks, lengths, exits = geodesic._padded_walks(groups, mate)
+    report.n_cycles_checked = len(walks)
+    contractible = np.ones(len(walks), dtype=bool)
+    if m.deck_words is not None:
+        words = np.array([m.edge_word(h) for h in range(len(mate))] + [np.eye(4)])
+        contractible = (geodesic._max_deviation(
+            geodesic._word_products(exits, words), np.eye(4)) < IDENTITY_TOL)
+    keep = contractible if contractible_only else np.ones_like(contractible)
+    M = np.tile(np.eye(3), (np.count_nonzero(keep), 1, 1))
+    X = np.empty(exits[keep].shape + (3, 3))
+    for i, e in enumerate(exits[keep].T):
+        X[:, i] = M @ frames[e]
+        M = M @ R[e]
+    H, A, B, kept_lengths = M, X[..., 1], X[..., 0], lengths[keep]
+    flat = geodesic._max_deviation(H, np.eye(3)) < IDENTITY_TOL
+    valid = np.arange(A.shape[1]) < kept_lengths[:, None]
+    normal = np.empty((len(H), 3))
+    normal[flat] = geodesic._fit_flat_normal(A[flat], B[flat], valid[flat])
+    K = H[~flat] - np.eye(3)
+    c = np.cross(K, np.roll(K, -1, axis=1))
+    c = c[np.arange(len(c)), np.argmax(rowdot(c, c), axis=1)]
+    normal[~flat] = c / np.sqrt(rowdot(c, c))[:, None]
+    H = np.where(flat[:, None, None], np.eye(3), H)
+    fa, fb = rowdot(A, normal[:, None]), rowdot(B, normal[:, None])
+    live = np.nonzero(((fa > 0) != (fb > 0)).all(axis=1, where=valid))[0]
+    found, length = np.zeros(len(H), dtype=bool), np.zeros(len(H))
+    n, A, B, H, ell = normal[live], A[live], B[live], H[live], kept_lengths[live]
+    valid = np.arange(A.shape[1]) < ell[:, None]
+    q, ok = _crossing_points(n, A, B)
+    ends = np.roll(q, -1, axis=1)
+    ends[np.arange(len(q)), ell - 1] = (H @ q[:, 0, :, None])[..., 0]
+    sgn = rowdot(n[:, None, :], np.cross(q, ends))
+    step = np.arctan2(np.abs(sgn), rowdot(q, ends))
+    sign = np.sign(sgn)
+    found[live] = (ok.all(axis=1, where=valid)
+                   & ~((step < CROSSING_TOL)
+                       | (step > MAX_STEP)).any(axis=1, where=valid)
+                   & (sign[:, 0] != 0) & (sign == sign[:, :1]).all(axis=1, where=valid))
+    length[live] = np.cumsum(np.where(valid, step, 0.0), axis=1)[:, -1]
+    rows = np.nonzero(keep)[0][found]
+    for walk, n, ell, c in zip(walks[rows], lengths[rows], length[found],
+                               contractible[rows]):
+        report.geodesics.append(
+            ClosedGeodesic(float(ell), tuple(walk[:n].tolist()), bool(c)))
+    if report.geodesics:
+        report.min_length = min(g.length for g in report.geodesics)
+    report.found_within_cap = (report.min_length is not None
+                               and report.min_length <= LENGTH_CAP)
+    return report
+
+
+def developed_strip(m, walk):
+    """Checks `geodesic._strip_holonomy` and `geodesic._word_products`:
+    develop the strip triangle by triangle from its first one, each
+    neighbour placed from the two corners it shares with the last; returns
+    (holonomy, crossed developed edges, deck word product or None)."""
+    surf = m.surface
+    t0 = walk[0] // 3
+    l01, l12, l20 = m.lengths[surf.halfedge_edge[3 * t0:3 * t0 + 3]]
+    A, B = base_pair(l01)
+    X = [A, B, develop_third_point(A, B, l20, l12, +1.0)]
+    X0 = np.stack(X, axis=1)
+    edges = []
+    word = np.eye(4) if m.deck_words is not None else None
+    for i in range(len(walk)):
+        exit_he = surf.mate[walk[(i + 1) % len(walk)]]
+        ke = exit_he % 3
+        t2, k2 = divmod(surf.mate[exit_he], 3)
+        u, w = X[ke], X[(ke + 1) % 3]
+        edges.append((u, w))
+        if word is not None:
+            word = word @ m.edge_word(exit_he)
+        side = -np.sign(np.linalg.det(np.stack([u, w, X[(ke + 2) % 3]])))
+        C = develop_third_point(u, w, m.lengths[surf.halfedge_edge[3 * t2 + (k2 + 1) % 3]],
+                                m.lengths[surf.halfedge_edge[3 * t2 + (k2 + 2) % 3]], side)
+        X = [None] * 3
+        X[k2], X[(k2 + 1) % 3], X[(k2 + 2) % 3] = w, u, C
+    return np.stack(X, axis=1) @ np.linalg.inv(X0), edges, word
+
+
+# -- reference search: one walk at a time, depth-first -------------------------
+
+
+def reference_walks(m, depth):
+    """Checks `geodesic._closed_walks`: closed walks in the strip graph,
+    canonical up to rotation, found by a depth-first search from each root
+    half-edge."""
+    surf = m.surface
+    for h0 in range(3 * surf.n_triangles):
+        stack = [(h0, (h0,))]
+        while stack:
+            h, walk = stack.pop()
+            t, k = divmod(h, 3)
+            for off in (1, 2):
+                nxt = int(surf.mate[3 * t + (k + off) % 3])
+                if nxt == h0:
+                    yield walk
+                    continue
+                if len(walk) < depth and nxt >= h0:
+                    stack.append((nxt, walk + (nxt,)))
+
+
+def reference_holonomy(m, walk, corners, rotations, words):
+    """Checks `geodesic._strip_holonomy`: compose one strip once around in
+    the chart of its first triangle, and project onto SO(3)."""
+    surf = m.surface
+    M = np.eye(3)
+    edges = []
+    word = np.eye(4) if words is not None else None
+    for i in range(len(walk)):
+        exit_he = surf.mate[walk[(i + 1) % len(walk)]]
+        assert exit_he // 3 == walk[i] // 3
+        t, ke = divmod(exit_he, 3)
+        X = M @ corners[t]
+        edges.append((X[:, ke], X[:, (ke + 1) % 3]))
+        M = M @ rotations[exit_he]
+        if word is not None:
+            word = word @ words[exit_he]
+    u, _, vt = np.linalg.svd(M)
+    return u @ vt, edges, word
+
+
+def reference_strictly_inside(q, A, B) -> bool:
+    """Checks `_crossing_points`' strictly-inside test on one
+    crossing."""
+    da = sphere_angle(A, q)
+    db = sphere_angle(q, B)
+    return (abs(da + db - sphere_angle(A, B)) <= ON_SEGMENT_TOL
+            and da >= CROSSING_TOL and db >= CROSSING_TOL)
+
+
+def reference_circle_length(n, edges, H):
+    """Checks `geodesic._circle_lengths` on one strip: its length, or None
+    where the circle misses an edge or turns back."""
+    pts = []
+    for A, B in edges:
+        fa, fb = float(A @ n), float(B @ n)
+        if fa == 0.0 or fb == 0.0 or (fa > 0) == (fb > 0):
+            return None
+        q = A - (fa / (fa - fb)) * (A - B)
+        nq = np.linalg.norm(q)
+        if nq < CHORD_TOL:
+            return None
+        q = q / nq
+        if not reference_strictly_inside(q, A, B):
+            return None
+        pts.append(q)
+    pts.append(H @ pts[0])
+    total = 0.0
+    sign_ref = None
+    for a, b in zip(pts, pts[1:]):
+        sgn = float(np.dot(n, np.cross(a, b)))
+        step = float(np.arctan2(abs(sgn), np.dot(a, b)))
+        if step < CROSSING_TOL or step > MAX_STEP:
+            return None
+        if sign_ref is None:
+            sign_ref = np.sign(sgn)
+            if sign_ref == 0:
+                return None
+        elif np.sign(sgn) != sign_ref:
+            return None
+        total += step
+    return total
+
+
+ROTATION_MATCH_TOL = 1e-6        # reference_search: holonomy vs rotation by L
+
+
+def reference_rotation_about(n, angle):
+    """Checks `geodesic._closed_geodesics`' rotation argument: the rotation
+    by angle about n."""
+    n = n / np.linalg.norm(n)
+    K = np.array([[0, -n[2], n[1]], [n[2], 0, -n[0]], [-n[1], n[0], 0]])
+    return np.eye(3) + np.sin(angle) * K + (1 - np.cos(angle)) * K @ K
+
+
+def reference_search(m, depth, contractible_only=True):
+    """Checks `geodesic.closed_geodesic_search`: the search one walk at a
+    time, depth-first enumeration, then each strip developed and tested on
+    single vectors, and every circle found checked
+    against the rotation by its length, which the batched search proves
+    instead of testing."""
+    report = SearchReport()
+    corners = _develop(m)
+    _, rotations, words = _crossings(m, corners, m.surface.mate)
+    for walk in reference_walks(m, depth):
+        report.n_cycles_checked += 1
+        H, edges, word = reference_holonomy(m, walk, corners, rotations, words)
+        contractible = True
+        if word is not None:
+            contractible = np.max(np.abs(word - np.eye(4))) < IDENTITY_TOL
+        if contractible_only and not contractible:
+            continue
+        if np.max(np.abs(H - np.eye(3))) < IDENTITY_TOL:
+            mids = np.array([(A + B) / np.linalg.norm(A + B) for A, B in edges])
+            normal = np.linalg.eigh(mids.T @ mids)[1][:, 0]
+            length = reference_circle_length(normal, edges, np.eye(3))
+        else:
+            normal = np.linalg.svd(H - np.eye(3))[2][-1]
+            length = reference_circle_length(normal, edges, H)
+            if length is not None:
+                ok = min(np.max(np.abs(reference_rotation_about(normal, length) - H)),
+                         np.max(np.abs(reference_rotation_about(-normal, length) - H)))
+                if ok > ROTATION_MATCH_TOL:
+                    length = None
+        if length is None:
+            continue
+        report.geodesics.append(ClosedGeodesic(length, walk, bool(contractible)))
+        if report.min_length is None or length < report.min_length:
+            report.min_length = length
+    report.found_within_cap = (report.min_length is not None
+                               and report.min_length <= LENGTH_CAP)
+    return report
+
+
+def per_length_holonomy(walks, mate, corners, rotations, words):
+    """Checks `geodesic._strip_holonomy`: compose every strip of an (N, L)
+    walk array once around in the chart of its first triangle, and project
+    the holonomies onto SO(3)."""
+    n, length = walks.shape
+    exits = mate[np.roll(walks, -1, axis=1)]
+    rows = np.arange(n)
+    M = np.tile(np.eye(3), (n, 1, 1))
+    word = None if words is None else np.tile(np.eye(4), (n, 1, 1))
+    A, B = np.empty((n, length, 3)), np.empty((n, length, 3))
+    for i in range(length):
+        e = exits[:, i]
+        X = M @ corners[e // 3]
+        A[:, i], B[:, i] = X[rows, :, e % 3], X[rows, :, (e + 1) % 3]
+        M = M @ rotations[e]
+        if word is not None:
+            word = word @ words[e]
+    u, _, vt = np.linalg.svd(M)
+    return u @ vt, A, B, word
+
+
+def per_length_geodesics(H, A, B):
+    """Checks `geodesic._closed_geodesics`: the tests of one walk length on
+    unpadded (N, L) arrays, the normal off the flat branch taken from an SVD
+    of H - I."""
+    flat = np.max(np.abs(H - np.eye(3)), axis=(1, 2)) < IDENTITY_TOL
+    normal = np.empty((len(H), 3))
+    mids = A[flat] + B[flat]
+    mids = mids / np.sqrt(rowdot(mids, mids))[..., None]
+    normal[flat] = np.linalg.eigh(np.swapaxes(mids, -1, -2) @ mids)[1][..., 0]
+    normal[~flat] = np.linalg.svd(H[~flat] - np.eye(3))[2][:, -1]
+    H = np.where(flat[:, None, None], np.eye(3), H)
+    q, ok = _crossing_points(normal, A, B)
+    ends = np.concatenate([q[:, 1:], (H @ q[:, 0, :, None])[:, None, :, 0]], axis=1)
+    sgn = rowdot(normal[:, None, :], np.cross(q, ends))
+    step = np.arctan2(np.abs(sgn), rowdot(q, ends))
+    sign = np.sign(sgn)
+    found = (ok.all(axis=1)
+             & ~((step < CROSSING_TOL) | (step > MAX_STEP)).any(axis=1)
+             & (sign[:, 0] != 0) & (sign == sign[:, :1]).all(axis=1))
+    return found, np.cumsum(step, axis=1)[:, -1]
+
+
+def per_length_search(m, depth, contractible_only=True):
+    """Checks `geodesic.closed_geodesic_search`: the search as one stacked
+    pass per walk length, two SVDs each."""
+    report = SearchReport()
+    corners = _develop(m)
+    mate = m.surface.mate
+    _, rotations, words = _crossings(m, corners, mate)
+    for walks in _closed_walks(mate, depth):
+        report.n_cycles_checked += len(walks)
+        H, A, B, word = per_length_holonomy(walks, mate, corners, rotations, words)
+        contractible = np.ones(len(walks), dtype=bool)
+        if word is not None:
+            contractible = np.max(np.abs(word - np.eye(4)), axis=(1, 2)) < IDENTITY_TOL
+        keep = contractible if contractible_only else np.ones_like(contractible)
+        found, length = per_length_geodesics(H[keep], A[keep], B[keep])
+        for walk, ell, c in zip(walks[keep][found], length[found],
+                                contractible[keep][found]):
+            report.geodesics.append(
+                ClosedGeodesic(float(ell), tuple(walk.tolist()), bool(c)))
+    if report.geodesics:
+        report.min_length = min(g.length for g in report.geodesics)
+    report.found_within_cap = (report.min_length is not None
+                               and report.min_length <= LENGTH_CAP)
+    return report
+
+
+# -- the genus-2 dual ------------------------------------------------------------
+
+
+ORBIT_DIGITS = 9                # reference_orbit: equal matrices round equal
+
+
+def reference_orbit(data, h, word_bound=None):
+    """Checks `fuchsian._orbit`: the orbit one candidate at a time, each
+    frontier matrix times each generator, kept when its rounded entries are new. With a word bound,
+    every word up to that length, the orbit fuchsian_dualize took before
+    its distance ball; without, the ball of `fuchsian._orbit`: candidates
+    centred beyond ORBIT_RADIUS + R are dropped, and the rows beyond
+    ORBIT_RADIUS cut at the end."""
+    apex = np.array([np.cosh(h), 0.0, 0.0, np.sinh(h)])
+    ball = word_bound is None
+    bound = np.cosh(fuchsian.ORBIT_RADIUS + OCTAGON_CIRCUMRADIUS) if ball else np.inf
+    seen = {tuple(np.round(np.eye(4).ravel(), ORBIT_DIGITS))}
+    mats = frontier = [np.eye(4)]
+    length = 0
+    while frontier and (ball or length < word_bound):
+        length += 1
+        nxt = []
+        for m in frontier:
+            for g in data.generators:
+                cand = m @ g.m
+                key = tuple(np.round(cand.ravel(), ORBIT_DIGITS))
+                if cand[0, 0] <= bound and key not in seen:
+                    seen.add(key)
+                    nxt.append(cand)
+        mats, frontier = mats + nxt, nxt
+    if ball:
+        mats = [m for m in mats if m[0, 0] <= np.cosh(fuchsian.ORBIT_RADIUS)]
+    return np.array(mats), np.array([m @ apex for m in mats])
+
+
+def reference_apex_faces(points):
+    """Checks `fuchsian._apex_star`'s faces: the apex faces one hull simplex
+    at a time: fit its plane, collect
+    the orbit points on it, refit through them and collect again; then
+    orient each face against the orbit points off it, one at a time."""
+    def fit(rows):
+        rows = rows / np.linalg.norm(rows, axis=1)[:, None]
+        n = np.linalg.svd(rows @ J)[2][-1]
+        return n / np.sqrt(float(n @ J @ n))
+
+    def members_on(n):
+        resid = np.abs(points @ J @ n)
+        on = resid <= fuchsian.MEMBER_TOL * np.linalg.norm(points, axis=1)
+        return tuple(int(i) for i in np.nonzero(on)[0])
+
+    groups = {}
+    for simplex in ConvexHull(points[:, 1:] / points[:, [0]]).simplices:
+        if 0 in simplex:
+            n = fit(points[list(members_on(fit(points[simplex])))])
+            groups[members_on(n)] = n
+    faces = []
+    for members, n in sorted(groups.items()):
+        off = [v for i, v in enumerate(points @ J @ n) if i not in members]
+        faces.append((-n if np.max(off) > 0 else n, members))
+    return faces
+
+
+def matrix_key_orbit(data, h):
+    """Checks `fuchsian._orbit` bit for bit: the stacked breadth-first orbit
+    it replaced, each level's candidates kept at their first occurrence
+    when no earlier matrix has the same 16 entries rounded to ORBIT_DIGITS
+    (one `np.unique` over those rows per level)."""
+    apex = np.array([np.cosh(h), 0.0, 0.0, np.sinh(h)])
+    gens = np.array([g.m for g in data.generators])
+    bound = np.cosh(fuchsian.ORBIT_RADIUS + OCTAGON_CIRCUMRADIUS)
+    mats = frontier = np.eye(4)[None]
+    while len(frontier):
+        cand = (frontier[:, None] @ gens).reshape(-1, 4, 4)
+        cand = cand[cand[:, 0, 0] <= bound]
+        keys = np.round(np.concatenate([mats, cand]).reshape(-1, 16), ORBIT_DIGITS)
+        first = np.unique(keys, axis=0, return_index=True)[1]
+        frontier = cand[np.sort(first[first >= len(mats)]) - len(mats)]
+        mats = np.concatenate([mats, frontier])
+    mats = mats[mats[:, 0, 0] <= np.cosh(fuchsian.ORBIT_RADIUS)]
+    return mats, mats @ apex
+
+
+def union_find_classes(sigma):
+    """Checks `fuchsian._corner_classes`: the Python union-find it replaced,
+    each class rooted at its least corner."""
+    m = len(sigma)
+    parent = list(range(m))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[max(rx, ry)] = min(rx, ry)
+
+    for i in range(m):
+        union(i, (sigma[i] + 1) % m)
+        union((i + 1) % m, sigma[i])
+    classes = sorted({find(i) for i in range(m)})
+    return classes, [classes.index(find(i)) for i in range(m)]
+
+
+def reference_lengths(data, h, out):
+    """Checks `fuchsian.fuchsian_dualize`'s edge lengths: those of out's
+    surface from the developed polar dual of the apex link, as
+    fuchsian_dualize computed them before the closed form:
+    sides pi minus the apex dihedral angles, diagonals read off the
+    development."""
+    _, points = fuchsian._orbit(data, h)
+    star = fuchsian._apex_star(points)
+    normals = [star.faces[idx]["normal"] for idx in star.order]
+    m = len(normals)
+    face_angles, dihedrals = [], []
+    for i, idx in enumerate(star.order):
+        cyc = star.faces[idx]["cycle"]
+        i0 = cyc.index(0)
+        face_angles.append(corner_angle(points[0], points[cyc[i0 - 1]],
+                                        points[cyc[(i0 + 1) % len(cyc)]]))
+        x = clamped(float(normals[i] @ J @ normals[(i + 1) % m]), -1.0, 1.0, 1e-9)
+        dihedrals.append(np.pi - float(np.arccos(x)))
+    corners, resid = SphericalPolygon(sides=np.pi - np.array(dihedrals),
+                                      angles=np.pi - np.array(face_angles)).develop()
+    assert resid < 1e-8
+    _, sides, diagonals = fan_triangulation(m)
+    side_of = {he: j for j, he in enumerate(sides)}
+    diagonal_to = {he_a: j for j, (he_a, _) in enumerate(diagonals, start=2)}
+    return np.array([np.pi - dihedrals[side_of[ha]] if ha in side_of
+                     else sphere_angle(corners[0], corners[diagonal_to[ha]])
+                     for ha in out.metric.surface.edge_halfedges[:, 0].tolist()])
+
+
+# -- cone angles ----------------------------------------------------------------
+
+
+def triangle_angles(a, b, c, geometry):
+    """Checks `surface.corner_angles`: the per-triangle law of cosines that
+    it stacks, to be equalled bit for bit."""
+    if geometry == SPHERICAL:
+        sa, sb, sc = np.sin([a, b, c])
+        ca, cb, cc = np.cos([a, b, c])
+        cos_a = clamped((ca - cb * cc) / (sb * sc), -1.0, 1.0, 1e-12)
+        cos_b = clamped((cb - cc * ca) / (sc * sa), -1.0, 1.0, 1e-12)
+        cos_c = clamped((cc - ca * cb) / (sa * sb), -1.0, 1.0, 1e-12)
+    else:
+        sa, sb, sc = np.sinh([a, b, c])
+        ca, cb, cc = np.cosh([a, b, c])
+        cos_a = clamped((cb * cc - ca) / (sb * sc), -1.0, 1.0, 1e-12)
+        cos_b = clamped((cc * ca - cb) / (sc * sa), -1.0, 1.0, 1e-12)
+        cos_c = clamped((ca * cb - cc) / (sa * sb), -1.0, 1.0, 1e-12)
+    return np.arccos([cos_a, cos_b, cos_c])
+
+
+def reference_corner_angles(surf, geometry, lengths):
+    """Checks `ConeMetric`'s validation and angles: the per-triangle loop it
+    stacks; returns the corner angles, or raises what that loop raised
+    first."""
+    if geometry == SPHERICAL and np.any(lengths >= np.pi):
+        raise InvalidConeMetric("spherical edge lengths must stay below pi")
+    for t in range(surf.n_triangles):
+        a, b, c = surf.triangle_edge_lengths(t, lengths)
+        if a + b <= c or b + c <= a or c + a <= b:
+            raise InvalidConeMetric(f"triangle {t} violates the triangle inequality")
+        if geometry == SPHERICAL and a + b + c >= 2 * np.pi:
+            raise InvalidConeMetric(f"triangle {t} has perimeter >= 2*pi")
+    return np.array([triangle_angles(*surf.triangle_edge_lengths(t, lengths),
+                                     geometry)
+                     for t in range(surf.n_triangles)])

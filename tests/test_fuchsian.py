@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.spatial import ConvexHull
 
 from polydual import fuchsian
 from polydual.errors import InvalidPolyhedron
@@ -11,15 +10,17 @@ from polydual.fuchsian import (
     fuchsian_octagon_group,
 )
 from polydual.geodesic import closed_geodesic_search
-from polydual.minkowski import HPoint, J, clamped, corner_angle, h_distance
-from polydual.surface import (
-    fan_triangulation,
-    gauss_bonnet_residual,
-    is_concave,
-    sphere_angle,
-)
+from polydual.minkowski import HPoint, h_distance
+from polydual.surface import gauss_bonnet_residual, is_concave
 
-from test_polyhedra import SphericalPolygon
+from oracles import (
+    ORBIT_DIGITS,
+    matrix_key_orbit,
+    reference_apex_faces,
+    reference_lengths,
+    reference_orbit,
+    union_find_classes,
+)
 
 
 @pytest.fixture(scope="module")
@@ -113,34 +114,6 @@ class TestFuchsianDual:
         assert rep_all.min_length < 2 * np.pi
 
 
-def reference_lengths(data, h, out):
-    """Edge lengths of out's surface from the developed polar dual of the
-    apex link, as fuchsian_dualize computed them before the closed form:
-    sides pi minus the apex dihedral angles, diagonals read off the
-    development."""
-    _, points = fuchsian._orbit(data, h)
-    star = fuchsian._apex_star(points)
-    normals = [star.faces[idx]["normal"] for idx in star.order]
-    m = len(normals)
-    face_angles, dihedrals = [], []
-    for i, idx in enumerate(star.order):
-        cyc = star.faces[idx]["cycle"]
-        i0 = cyc.index(0)
-        face_angles.append(corner_angle(points[0], points[cyc[i0 - 1]],
-                                        points[cyc[(i0 + 1) % len(cyc)]]))
-        x = clamped(float(normals[i] @ J @ normals[(i + 1) % m]), -1.0, 1.0, 1e-9)
-        dihedrals.append(np.pi - float(np.arccos(x)))
-    corners, resid = SphericalPolygon(sides=np.pi - np.array(dihedrals),
-                                      angles=np.pi - np.array(face_angles)).develop()
-    assert resid < 1e-8
-    _, sides, diagonals = fan_triangulation(m)
-    side_of = {he: j for j, he in enumerate(sides)}
-    diagonal_to = {he_a: j for j, (he_a, _) in enumerate(diagonals, start=2)}
-    return np.array([np.pi - dihedrals[side_of[ha]] if ha in side_of
-                     else sphere_angle(corners[0], corners[diagonal_to[ha]])
-                     for ha, _ in out.metric.surface.edge_halfedges])
-
-
 # The development's own roundoff grows with the height: at h = 3 its longest
 # diagonal (2.94) is 1.2e-13 off a 50-digit arccos of the same normals, which
 # the closed form meets within 3e-15.
@@ -151,61 +124,6 @@ def test_lengths_match_the_link_development(group, h, tol):
     np.testing.assert_allclose(out.metric.lengths,
                                reference_lengths(group, h, out),
                                rtol=0, atol=tol)
-
-
-def reference_orbit(data, h, word_bound=None):
-    """The orbit one candidate at a time: each frontier matrix times each
-    generator, kept when its rounded entries are new. With a word bound,
-    every word up to that length, the orbit fuchsian_dualize took before
-    its distance ball; without, the ball of `fuchsian._orbit`: candidates
-    centred beyond ORBIT_RADIUS + R are dropped, and the rows beyond
-    ORBIT_RADIUS cut at the end."""
-    apex = np.array([np.cosh(h), 0.0, 0.0, np.sinh(h)])
-    ball = word_bound is None
-    bound = np.cosh(fuchsian.ORBIT_RADIUS + OCTAGON_CIRCUMRADIUS) if ball else np.inf
-    seen = {tuple(np.round(np.eye(4).ravel(), fuchsian.ORBIT_DIGITS))}
-    mats = frontier = [np.eye(4)]
-    length = 0
-    while frontier and (ball or length < word_bound):
-        length += 1
-        nxt = []
-        for m in frontier:
-            for g in data.generators:
-                cand = m @ g.m
-                key = tuple(np.round(cand.ravel(), fuchsian.ORBIT_DIGITS))
-                if cand[0, 0] <= bound and key not in seen:
-                    seen.add(key)
-                    nxt.append(cand)
-        mats, frontier = mats + nxt, nxt
-    if ball:
-        mats = [m for m in mats if m[0, 0] <= np.cosh(fuchsian.ORBIT_RADIUS)]
-    return np.array(mats), np.array([m @ apex for m in mats])
-
-
-def reference_apex_faces(points):
-    """The apex faces one hull simplex at a time: fit its plane, collect
-    the orbit points on it, refit through them and collect again; then
-    orient each face against the orbit points off it, one at a time."""
-    def fit(rows):
-        rows = rows / np.linalg.norm(rows, axis=1)[:, None]
-        n = np.linalg.svd(rows @ J)[2][-1]
-        return n / np.sqrt(float(n @ J @ n))
-
-    def members_on(n):
-        resid = np.abs(points @ J @ n)
-        on = resid <= fuchsian.MEMBER_TOL * np.linalg.norm(points, axis=1)
-        return tuple(int(i) for i in np.nonzero(on)[0])
-
-    groups = {}
-    for simplex in ConvexHull(points[:, 1:] / points[:, [0]]).simplices:
-        if 0 in simplex:
-            n = fit(points[list(members_on(fit(points[simplex])))])
-            groups[members_on(n)] = n
-    faces = []
-    for members, n in sorted(groups.items()):
-        off = [v for i, v in enumerate(points @ J @ n) if i not in members]
-        faces.append((-n if np.max(off) > 0 else n, members))
-    return faces
 
 
 @pytest.mark.parametrize("h", [0.5, 1.0, 2.0, 3.0])
@@ -222,6 +140,30 @@ def test_stacked_orbit_and_apex_faces_match_one_at_a_time(group, h):
     assert [f["members"] for f in faces] == [m for _, m in ref]
     for f, (n, _) in zip(faces, ref):
         np.testing.assert_array_equal(f["normal"], n)
+
+
+@pytest.mark.parametrize("h", [0.05, 0.25, 0.5, 1.0, 2.0, 3.0, 5.0])
+def test_orbit_keyed_by_tile_centre_matches_the_matrix_keys(group, h):
+    mats, points = fuchsian._orbit(group, h)
+    ref_mats, ref_points = matrix_key_orbit(group, h)
+    np.testing.assert_array_equal(mats, ref_mats)
+    np.testing.assert_array_equal(points, ref_points)
+
+
+def test_corner_classes_match_the_union_find():
+    """On the octagon's side pairing and on random side pairings (fixed-
+    point-free involutions) of 4 to 20 sides."""
+    rng = np.random.RandomState(4)
+    pairings = [np.array([4, 5, 6, 7, 0, 1, 2, 3])]
+    for m in range(4, 21, 2):
+        for _ in range(5):
+            order = rng.permutation(m)
+            sigma = np.empty(m, dtype=int)
+            sigma[order[0::2]], sigma[order[1::2]] = order[1::2], order[0::2]
+            pairings.append(sigma)
+    for sigma in pairings:
+        classes, class_of = fuchsian._corner_classes(sigma)
+        assert (classes.tolist(), class_of.tolist()) == union_find_classes(sigma)
 
 
 def sampled_reach(n, h, n_rays=1 << 14):
@@ -272,7 +214,7 @@ def test_certificate_fires_on_a_small_ball(group, monkeypatch):
 
 
 def orbit_keys(mats):
-    return [tuple(np.round(m.ravel(), fuchsian.ORBIT_DIGITS)) for m in mats]
+    return [tuple(np.round(m.ravel(), ORBIT_DIGITS)) for m in mats]
 
 
 @pytest.mark.parametrize("h", [0.5, 1.0, 3.0])

@@ -6,13 +6,7 @@ import pytest
 from polydual.errors import InvalidConeMetric
 from polydual.fuchsian import fuchsian_dualize, fuchsian_octagon_group
 from polydual.geodesic import (
-    CHORD_TOL,
-    CROSSING_TOL,
     IDENTITY_TOL,
-    LENGTH_CAP,
-    MAX_STEP,
-    ON_SEGMENT_TOL,
-    ClosedGeodesic,
     SearchReport,
     _circle_lengths,
     _closed_geodesics,
@@ -20,7 +14,6 @@ from polydual.geodesic import (
     _crossing_points,
     _crossings,
     _develop,
-    _mates,
     _padded_walks,
     _rotation_axis,
     _step_distances,
@@ -40,17 +33,22 @@ from polydual.surface import (
     SPHERICAL,
     CombSurface,
     ConeMetric,
-    base_pair,
-    develop_third_point,
-    he_index,
     octahedron_sphere,
     rowdot,
     scale,
-    sphere_angle,
 )
 
-from oracles import step_distances_int64
-from test_polyhedra import fibonacci_solids
+from bench_solids import fibonacci_solids
+from oracles import (
+    developed_strip,
+    lexsort_closed_walks,
+    padded_search,
+    per_length_search,
+    reference_rotation_about,
+    reference_search,
+    reference_walks,
+    step_distances_int64,
+)
 
 
 def k4_metric(length):
@@ -101,160 +99,6 @@ class TestSearch:
         assert rep.min_length == pytest.approx(rep2.min_length, abs=1e-8)
 
 
-def developed_strip(m, walk):
-    """Test oracle: develop the strip triangle by triangle from its first one,
-    each neighbour placed from the two corners it shares with the last;
-    returns (holonomy, crossed developed edges, deck word product or None)."""
-    surf = m.surface
-    t0 = walk[0] // 3
-    l01, l12, l20 = (m.lengths[surf.edge_of(t0, k)] for k in range(3))
-    A, B = base_pair(l01)
-    X = [A, B, develop_third_point(A, B, l20, l12, +1.0)]
-    X0 = np.stack(X, axis=1)
-    edges = []
-    word = np.eye(4) if m.deck_words is not None else None
-    for i in range(len(walk)):
-        exit_he = surf.mate(walk[(i + 1) % len(walk)])
-        ke = exit_he % 3
-        t2, k2 = divmod(surf.mate(exit_he), 3)
-        u, w = X[ke], X[(ke + 1) % 3]
-        edges.append((u, w))
-        if word is not None:
-            word = word @ m.edge_word(exit_he)
-        side = -np.sign(np.linalg.det(np.stack([u, w, X[(ke + 2) % 3]])))
-        C = develop_third_point(u, w, m.lengths[surf.edge_of(t2, (k2 + 1) % 3)],
-                                m.lengths[surf.edge_of(t2, (k2 + 2) % 3)], side)
-        X = [None] * 3
-        X[k2], X[(k2 + 1) % 3], X[(k2 + 2) % 3] = w, u, C
-    return np.stack(X, axis=1) @ np.linalg.inv(X0), edges, word
-
-
-# -- reference search: one walk at a time, depth-first -------------------------
-
-
-def reference_walks(m, depth):
-    """Closed walks in the strip graph, canonical up to rotation, found by a
-    depth-first search from each root half-edge."""
-    surf = m.surface
-    for h0 in range(3 * surf.n_triangles):
-        stack = [(h0, (h0,))]
-        while stack:
-            h, walk = stack.pop()
-            t, k = divmod(h, 3)
-            for off in (1, 2):
-                nxt = surf.mate(he_index(t, (k + off) % 3))
-                if nxt == h0:
-                    yield walk
-                    continue
-                if len(walk) < depth and nxt >= h0:
-                    stack.append((nxt, walk + (nxt,)))
-
-
-def reference_holonomy(m, walk, corners, rotations, words):
-    """Compose one strip once around in the chart of its first triangle."""
-    surf = m.surface
-    M = np.eye(3)
-    edges = []
-    word = np.eye(4) if words is not None else None
-    for i in range(len(walk)):
-        exit_he = surf.mate(walk[(i + 1) % len(walk)])
-        assert exit_he // 3 == walk[i] // 3
-        t, ke = divmod(exit_he, 3)
-        X = M @ corners[t]
-        edges.append((X[:, ke], X[:, (ke + 1) % 3]))
-        M = M @ rotations[exit_he]
-        if word is not None:
-            word = word @ words[exit_he]
-    u, _, vt = np.linalg.svd(M)
-    return u @ vt, edges, word
-
-
-def reference_strictly_inside(q, A, B) -> bool:
-    da = sphere_angle(A, q)
-    db = sphere_angle(q, B)
-    return (abs(da + db - sphere_angle(A, B)) <= ON_SEGMENT_TOL
-            and da >= CROSSING_TOL and db >= CROSSING_TOL)
-
-
-def reference_circle_length(n, edges, H):
-    pts = []
-    for A, B in edges:
-        fa, fb = float(A @ n), float(B @ n)
-        if fa == 0.0 or fb == 0.0 or (fa > 0) == (fb > 0):
-            return None
-        q = A - (fa / (fa - fb)) * (A - B)
-        nq = np.linalg.norm(q)
-        if nq < CHORD_TOL:
-            return None
-        q = q / nq
-        if not reference_strictly_inside(q, A, B):
-            return None
-        pts.append(q)
-    pts.append(H @ pts[0])
-    total = 0.0
-    sign_ref = None
-    for a, b in zip(pts, pts[1:]):
-        sgn = float(np.dot(n, np.cross(a, b)))
-        step = float(np.arctan2(abs(sgn), np.dot(a, b)))
-        if step < CROSSING_TOL or step > MAX_STEP:
-            return None
-        if sign_ref is None:
-            sign_ref = np.sign(sgn)
-            if sign_ref == 0:
-                return None
-        elif np.sign(sgn) != sign_ref:
-            return None
-        total += step
-    return total
-
-
-ROTATION_MATCH_TOL = 1e-6        # reference_search: holonomy vs rotation by L
-
-
-def reference_rotation_about(n, angle):
-    n = n / np.linalg.norm(n)
-    K = np.array([[0, -n[2], n[1]], [n[2], 0, -n[0]], [-n[1], n[0], 0]])
-    return np.eye(3) + np.sin(angle) * K + (1 - np.cos(angle)) * K @ K
-
-
-def reference_search(m, depth, contractible_only=True):
-    """The search one walk at a time: depth-first enumeration, then each strip
-    developed and tested on single vectors, and every circle found checked
-    against the rotation by its length, which the batched search proves
-    instead of testing."""
-    report = SearchReport()
-    corners = _develop(m)
-    _, rotations, words = _crossings(m, corners, _mates(m))
-    for walk in reference_walks(m, depth):
-        report.n_cycles_checked += 1
-        H, edges, word = reference_holonomy(m, walk, corners, rotations, words)
-        contractible = True
-        if word is not None:
-            contractible = np.max(np.abs(word - np.eye(4))) < IDENTITY_TOL
-        if contractible_only and not contractible:
-            continue
-        if np.max(np.abs(H - np.eye(3))) < IDENTITY_TOL:
-            mids = np.array([(A + B) / np.linalg.norm(A + B) for A, B in edges])
-            normal = np.linalg.eigh(mids.T @ mids)[1][:, 0]
-            length = reference_circle_length(normal, edges, np.eye(3))
-        else:
-            normal = np.linalg.svd(H - np.eye(3))[2][-1]
-            length = reference_circle_length(normal, edges, H)
-            if length is not None:
-                ok = min(np.max(np.abs(reference_rotation_about(normal, length) - H)),
-                         np.max(np.abs(reference_rotation_about(-normal, length) - H)))
-                if ok > ROTATION_MATCH_TOL:
-                    length = None
-        if length is None:
-            continue
-        report.geodesics.append(ClosedGeodesic(length, walk, bool(contractible)))
-        if report.min_length is None or length < report.min_length:
-            report.min_length = length
-    report.found_within_cap = (report.min_length is not None
-                               and report.min_length <= LENGTH_CAP)
-    return report
-
-
 ORACLE_METRICS = {
     "tetrahedron": lambda: dualize(regular_tetrahedron(1.15)).metric,
     "hexahedron": lambda: dualize(hexahedron(0.5)).metric,
@@ -272,7 +116,7 @@ def padded_pass(m, depth):
     """The closed walks of a metric padded into one array, and their strips
     composed: walks, lengths, holonomies, crossed edges and deck words."""
     corners = _develop(m)
-    mate = _mates(m)
+    mate = m.surface.mate
     frames, rotations, words = _crossings(m, corners, mate)
     walks, lengths, exits = _padded_walks(_closed_walks(mate, depth), mate)
     H, A, B = _strip_holonomy(exits, frames, rotations)
@@ -286,7 +130,7 @@ def test_composed_holonomy_matches_developed_strip(name):
     walks, lengths, H, A, B, word = padded_pass(m, 6)
     assert len(set(lengths.tolist())) > 1
     for i, (walk, n) in enumerate(zip(walks.tolist(), lengths.tolist())):
-        assert all(h == len(_mates(m)) for h in walk[n:])
+        assert all(h == len(m.surface.mate) for h in walk[n:])
         H_ref, edges_ref, word_ref = developed_strip(m, walk[:n])
         np.testing.assert_allclose(H[i], H_ref, rtol=0, atol=1e-12)
         np.testing.assert_allclose(np.stack([A[i, :n], B[i, :n]], axis=1),
@@ -302,7 +146,7 @@ def test_level_walks_match_depth_first_walks(name):
     """Same walk set, each walk once, grouped by length in lexicographic order."""
     m = SEARCH_METRICS[name]()
     for depth in range(1, 9):
-        groups = _closed_walks(_mates(m), depth)
+        groups = _closed_walks(m.surface.mate, depth)
         walks = [tuple(w.tolist()) for g in groups for w in g]
         assert len(set(walks)) == len(walks)
         assert set(walks) == set(reference_walks(m, depth))
@@ -313,7 +157,7 @@ def test_level_walks_match_depth_first_walks(name):
 def successors(m):
     """The two half-edges a walk entering by half-edge h steps on to, as
     `_closed_walks` takes them."""
-    mate = _mates(m)
+    mate = m.surface.mate
     h = np.arange(len(mate))
     k = h % 3
     return mate[np.stack([h - k + (k + 1) % 3, h - k + (k + 2) % 3], axis=1)]
@@ -343,7 +187,7 @@ def test_pruned_walks_match_depth_first_walks_at_depth_12(name):
     """Branches that cannot return to their root within the depth are not
     grown; the walks closing at the last levels are still all found."""
     m = SEARCH_METRICS[name]()
-    walks = [tuple(w.tolist()) for g in _closed_walks(_mates(m), 12) for w in g]
+    walks = [tuple(w.tolist()) for g in _closed_walks(m.surface.mate, 12) for w in g]
     assert len(walks) == len(set(walks))
     assert set(walks) == set(reference_walks(m, 12))
     assert max(map(len, walks)) == 12
@@ -367,75 +211,6 @@ def test_batched_search_matches_reference(name, depth, contractible_only):
         assert rep.min_length == pytest.approx(ref.min_length, rel=0, abs=1e-12)
     keys = [(len(g.cycle), g.cycle) for g in rep.geodesics]
     assert keys == sorted(keys)
-
-
-# -- per-length oracle: one stacked pass per walk length, with SVDs -----------
-
-
-def per_length_holonomy(walks, mate, corners, rotations, words):
-    """Compose every strip of an (N, L) walk array once around in the chart
-    of its first triangle, and project the holonomies onto SO(3)."""
-    n, length = walks.shape
-    exits = mate[np.roll(walks, -1, axis=1)]
-    rows = np.arange(n)
-    M = np.tile(np.eye(3), (n, 1, 1))
-    word = None if words is None else np.tile(np.eye(4), (n, 1, 1))
-    A, B = np.empty((n, length, 3)), np.empty((n, length, 3))
-    for i in range(length):
-        e = exits[:, i]
-        X = M @ corners[e // 3]
-        A[:, i], B[:, i] = X[rows, :, e % 3], X[rows, :, (e + 1) % 3]
-        M = M @ rotations[e]
-        if word is not None:
-            word = word @ words[e]
-    u, _, vt = np.linalg.svd(M)
-    return u @ vt, A, B, word
-
-
-def per_length_geodesics(H, A, B):
-    """The tests of one walk length on unpadded (N, L) arrays, the normal
-    off the flat branch taken from an SVD of H - I."""
-    flat = np.max(np.abs(H - np.eye(3)), axis=(1, 2)) < IDENTITY_TOL
-    normal = np.empty((len(H), 3))
-    mids = A[flat] + B[flat]
-    mids = mids / np.sqrt(rowdot(mids, mids))[..., None]
-    normal[flat] = np.linalg.eigh(np.swapaxes(mids, -1, -2) @ mids)[1][..., 0]
-    normal[~flat] = np.linalg.svd(H[~flat] - np.eye(3))[2][:, -1]
-    H = np.where(flat[:, None, None], np.eye(3), H)
-    q, ok = _crossing_points(normal, A, B)
-    ends = np.concatenate([q[:, 1:], (H @ q[:, 0, :, None])[:, None, :, 0]], axis=1)
-    sgn = rowdot(normal[:, None, :], np.cross(q, ends))
-    step = np.arctan2(np.abs(sgn), rowdot(q, ends))
-    sign = np.sign(sgn)
-    found = (ok.all(axis=1)
-             & ~((step < CROSSING_TOL) | (step > MAX_STEP)).any(axis=1)
-             & (sign[:, 0] != 0) & (sign == sign[:, :1]).all(axis=1))
-    return found, np.cumsum(step, axis=1)[:, -1]
-
-
-def per_length_search(m, depth, contractible_only=True):
-    """The search as one stacked pass per walk length, two SVDs each."""
-    report = SearchReport()
-    corners = _develop(m)
-    mate = _mates(m)
-    _, rotations, words = _crossings(m, corners, mate)
-    for walks in _closed_walks(mate, depth):
-        report.n_cycles_checked += len(walks)
-        H, A, B, word = per_length_holonomy(walks, mate, corners, rotations, words)
-        contractible = np.ones(len(walks), dtype=bool)
-        if word is not None:
-            contractible = np.max(np.abs(word - np.eye(4)), axis=(1, 2)) < IDENTITY_TOL
-        keep = contractible if contractible_only else np.ones_like(contractible)
-        found, length = per_length_geodesics(H[keep], A[keep], B[keep])
-        for walk, ell, c in zip(walks[keep][found], length[found],
-                                contractible[keep][found]):
-            report.geodesics.append(
-                ClosedGeodesic(float(ell), tuple(walk.tolist()), bool(c)))
-    if report.geodesics:
-        report.min_length = min(g.length for g in report.geodesics)
-    report.found_within_cap = (report.min_length is not None
-                               and report.min_length <= LENGTH_CAP)
-    return report
 
 
 BENCH_SIZES = (8, 10, 12, 14, 16, 18, 20, 30, 40, 50)
@@ -475,6 +250,25 @@ def test_padded_search_matches_per_length_search(name, contractible_only):
                                    rtol=0, atol=1e-13)
         assert rep.found_within_cap == ref.found_within_cap
     assert rep.n_cycles_checked > 0
+
+
+@pytest.mark.parametrize("name", PADDED_ORACLE_METRICS)
+def test_walk_tree_and_search_match_the_lexsort_pass(name):
+    """Bit for bit at every depth up to 12, with or without
+    contractible_only: the closed walks of the lexicographic tree against
+    the parent-pointer readback sorted by np.lexsort, and the search's
+    reports against the padded pass before it."""
+    m = padded_oracle_metric(name)
+    mate = m.surface.mate
+    for depth in range(1, 13):
+        got, want = _closed_walks(mate, depth), lexsort_closed_walks(mate, depth)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype == np.int32
+            np.testing.assert_array_equal(g, w)
+        for contractible_only in (True, False):
+            assert (closed_geodesic_search(m, depth, contractible_only)
+                    == padded_search(m, depth, contractible_only))
 
 
 def rotations_about(axes, angle):
@@ -530,7 +324,7 @@ def test_depth_with_no_closed_walk():
     """Two triangles of a tetrahedron share one edge, so no walk closes at
     depth 2; the first cycles run around a vertex, either way, at depth 3."""
     m = k4_metric(2.0)
-    assert _closed_walks(_mates(m), 2) == []
+    assert _closed_walks(m.surface.mate, 2) == []
     rep = closed_geodesic_search(m, depth=2)
     assert rep == SearchReport()
     assert closed_geodesic_search(m, depth=3).n_cycles_checked == 8

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from bench_solids import fibonacci_solids
 from oracles import (
     SphericalPolygon,
     angle_sorted_hull,
@@ -374,21 +375,6 @@ def one_face(n, pts, labels):
     return [labels[i] for i in cycle]
 
 
-def fibonacci_solids(face_counts):
-    """The bench/solids.py solids with these face counts."""
-    import os
-    import sys
-
-    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)),
-                                    "bench"))
-    try:
-        from solids import fibonacci_solid
-    finally:
-        sys.path.pop(0)
-    return [fibonacci_solid(np.random.RandomState([1, 0, n]), n, 0.02).poly
-            for n in face_counts]
-
-
 def oracle_polyhedra():
     polys = [regular_tetrahedron(1.15), hexahedron(0.5), triangular_bipyramid()]
     polys += [random_polyhedron(np.random.RandomState(s), n)
@@ -579,8 +565,9 @@ class TestDualize:
         # 50-face bench solids
         for P in oracle_polyhedra():
             out, ref = dualize(P), reference_dualize(P)
-            assert out.metric.surface.triangles == ref.metric.surface.triangles
-            assert out.metric.surface.gluing == ref.metric.surface.gluing
+            assert np.array_equal(out.metric.surface.triangles,
+                                  ref.metric.surface.triangles)
+            assert np.array_equal(out.metric.surface.mate, ref.metric.surface.mate)
             assert out.edge_provenance == ref.edge_provenance
             assert out.marking == ref.marking
             np.testing.assert_allclose(out.metric.lengths, ref.metric.lengths,
@@ -631,8 +618,8 @@ class TestDistortion:
         m2 = dualize(regular_tetrahedron(1.16)).metric
         # both duals share one canonical combinatorics, so the lengths of
         # edge e compare directly
-        assert m2.surface.triangles == m1.surface.triangles
-        assert m2.surface.gluing == m1.surface.gluing
+        assert np.array_equal(m2.surface.triangles, m1.surface.triangles)
+        assert np.array_equal(m2.surface.mate, m1.surface.mate)
         d = float(np.max(np.abs(np.log(m2.lengths / m1.lengths))))
         # |ln((pi - 1.16)/(pi - 1.15))| on every edge
         expect = abs(np.log((np.pi - 1.16) / (np.pi - 1.15)))

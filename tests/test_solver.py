@@ -1,7 +1,5 @@
 import functools
 import gc
-import os
-import sys
 import warnings
 import weakref
 
@@ -47,6 +45,7 @@ from polydual.solver import (
 from polydual.surface import ConeMetric, SPHERICAL, flip_edge, scale
 
 import oracles
+from bench_solids import fibonacci_solid
 from oracles import (
     chord_newton,
     full_newton,
@@ -56,9 +55,6 @@ from oracles import (
     scalar_tangent_frame,
     svd_gauge,
 )
-
-BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench")
-
 
 def state_of(P, out=None):
     out = out or dualize(P)
@@ -89,11 +85,6 @@ def draw_point_by_point(P, rng, magnitude):
 
 def solid_state(n_faces):
     """The start of a bench/solids.py solid on its dual chart."""
-    sys.path.insert(0, BENCH_DIR)
-    try:
-        from solids import fibonacci_solid
-    finally:
-        sys.path.pop(0)
     solid = fibonacci_solid(np.random.RandomState([1, 0, n_faces]), n_faces,
                             0.02)
     return state_of(solid.start, solid.dual)
@@ -766,6 +757,23 @@ class TestContinuation:
         final, _ = continuation(start, out.metric, steps=8)
         assert match_dihedral_angles(P, recovered_polyhedron(final))
 
+    def test_checked_start_state_is_used_as_it_is(self, hexa, monkeypatch):
+        """A start state on the target's chart, as `roundtrip` passes it,
+        gets no second chart verdict; its points give the same end."""
+        P, out = hexa
+        start = solver.perturbed_state(P, np.random.RandomState(1), 1e-2,
+                                       out.metric)
+        verdicts = []
+        decide = solver.chart_verdict
+        monkeypatch.setattr(solver, "chart_verdict",
+                            lambda *args: verdicts.append(1) or decide(*args))
+        final, rep = continuation(start, out.metric, steps=8)
+        reused = len(verdicts)
+        again, rep_again = continuation(start.positions, out.metric, steps=8)
+        assert len(verdicts) - reused == reused + 1
+        np.testing.assert_array_equal(final.positions, again.positions)
+        assert rep == rep_again
+
     def test_scaled_target(self, tetra):
         P, out = tetra
         target = scale(out.metric, 0.05)
@@ -786,8 +794,8 @@ class TestContinuation:
         surf = out.metric.surface
         bad = out.metric.lengths.copy()
         # shrink two sides of triangle 0 far below the third
-        bad[surf.edge_of(0, 0)] = 0.1
-        bad[surf.edge_of(0, 1)] = 0.1
+        bad[surf.halfedge_edge[0]] = 0.1
+        bad[surf.halfedge_edge[1]] = 0.1
         with pytest.raises(InvalidConeMetric):
             ConeMetric(surf, SPHERICAL, bad)
 
@@ -815,7 +823,7 @@ class TestContinuation:
         assert B3.n_vertices == 8  # all three quad vertices split
         m3 = dualize(B3).metric
         e_conflict = next(e for e in range(m3.surface.n_edges)
-                          if set(m3.surface.edge_endpoints(e)) == {2, 3})
+                          if set(m3.surface.edge_pairs[e].tolist()) == {2, 3})
         target, _ = flip_edge(m3, e_conflict)
 
         final, report = continuation(B, target, steps=10)
@@ -915,11 +923,6 @@ FAILING_NEWTON_STARTS = {
 
 def refutation_corpus():
     """Fixtures and seeded 8-20-face solids, each on its dual chart."""
-    sys.path.insert(0, BENCH_DIR)
-    try:
-        from solids import fibonacci_solid
-    finally:
-        sys.path.pop(0)
     polys = [make() for make in CERTIFY_SOLIDS.values()]
     polys += [fibonacci_solid(np.random.RandomState([7, 0, n]), n, 0.1).poly
               for n in (8, 12, 16, 20)]
@@ -1299,11 +1302,6 @@ def roundtrip_inputs():
     """(name, start points, target) as `roundtrip --steps 8` makes them on
     the solve-small inputs: the fixtures and seed-1-3 8-20-face
     bench/solids.py solids, each start perturbed by 1e-2 in its charts."""
-    sys.path.insert(0, BENCH_DIR)
-    try:
-        from solids import fibonacci_solid
-    finally:
-        sys.path.pop(0)
     polys = {"tetrahedron": regular_tetrahedron(1.15),
              "hexahedron": hexahedron(0.5), "bipyramid": triangular_bipyramid()}
     polys.update({f"solid-{n}-seed{seed}": fibonacci_solid(

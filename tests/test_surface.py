@@ -14,6 +14,7 @@ from polydual.surface import (
     SPHERICAL,
     CombSurface,
     ConeMetric,
+    fan_triangulations,
     flip_edge,
     gauss_bonnet_residual,
     is_concave,
@@ -21,7 +22,15 @@ from polydual.surface import (
     scale,
 )
 
-from oracles import cone_angles_by_corner, vertex_stars
+from bench_solids import fibonacci_solids
+from oracles import (
+    DictCombSurface,
+    cone_angles_by_corner,
+    fan_triangulation,
+    reference_corner_angles,
+    triangle_angles,
+    vertex_stars,
+)
 
 
 def double_triangle(a, b, c, geometry):
@@ -29,46 +38,10 @@ def double_triangle(a, b, c, geometry):
     surf = CombSurface(3, [(0, 1, 2), (0, 2, 1)])
     lengths = np.empty(3)
     for e in range(3):
-        u, w = surf.edge_endpoints(e)
+        u, w = surf.edge_pairs[e].tolist()
         lengths[e] = {frozenset((1, 2)): a, frozenset((0, 2)): b,
                       frozenset((0, 1)): c}[frozenset((u, w))]
     return ConeMetric(surf, geometry, lengths)
-
-
-def triangle_angles(a, b, c, geometry):
-    """The per-triangle law of cosines that `corner_angles` stacks: the
-    oracle its angles must equal bit for bit."""
-    from polydual.minkowski import clamped
-
-    if geometry == SPHERICAL:
-        sa, sb, sc = np.sin([a, b, c])
-        ca, cb, cc = np.cos([a, b, c])
-        cos_a = clamped((ca - cb * cc) / (sb * sc), -1.0, 1.0, 1e-12)
-        cos_b = clamped((cb - cc * ca) / (sc * sa), -1.0, 1.0, 1e-12)
-        cos_c = clamped((cc - ca * cb) / (sa * sb), -1.0, 1.0, 1e-12)
-    else:
-        sa, sb, sc = np.sinh([a, b, c])
-        ca, cb, cc = np.cosh([a, b, c])
-        cos_a = clamped((cb * cc - ca) / (sb * sc), -1.0, 1.0, 1e-12)
-        cos_b = clamped((cc * ca - cb) / (sc * sa), -1.0, 1.0, 1e-12)
-        cos_c = clamped((ca * cb - cc) / (sa * sb), -1.0, 1.0, 1e-12)
-    return np.arccos([cos_a, cos_b, cos_c])
-
-
-def reference_corner_angles(surf, geometry, lengths):
-    """The per-triangle validation and angle loop `ConeMetric` stacks:
-    returns the corner angles, or raises what that loop raised first."""
-    if geometry == SPHERICAL and np.any(lengths >= np.pi):
-        raise InvalidConeMetric("spherical edge lengths must stay below pi")
-    for t in range(surf.n_triangles):
-        a, b, c = surf.triangle_edge_lengths(t, lengths)
-        if a + b <= c or b + c <= a or c + a <= b:
-            raise InvalidConeMetric(f"triangle {t} violates the triangle inequality")
-        if geometry == SPHERICAL and a + b + c >= 2 * np.pi:
-            raise InvalidConeMetric(f"triangle {t} has perimeter >= 2*pi")
-    return np.array([triangle_angles(*surf.triangle_edge_lengths(t, lengths),
-                                     geometry)
-                     for t in range(surf.n_triangles)])
 
 
 def outcome(build):
@@ -116,8 +89,7 @@ def quad_double(side, diag):
               8: 11, 11: 8}        # back diagonal
     surf = CombSurface(4, tris, gluing)
     lengths = np.empty(surf.n_edges)
-    for e, (a, _) in enumerate(surf.edge_halfedges):
-        u, w = surf.edge_endpoints(e)
+    for e, (u, w) in enumerate(surf.edge_pairs.tolist()):
         lengths[e] = diag if {u, w} == {0, 1} else side
     diag_edge = surf.halfedge_edge[0]
     return ConeMetric(surf, SPHERICAL, lengths), diag_edge
@@ -133,38 +105,38 @@ class TestCombSurface:
 
     def test_gluing_is_involution_reversed(self):
         s = octahedron_sphere().surface
-        for h, mate in s.gluing.items():
-            assert s.gluing[mate] == h
-            assert s.halfedge_endpoints(h) == s.halfedge_endpoints(mate)[::-1]
+        ends = np.stack([s.triangles.ravel(), s.triangles[:, [1, 2, 0]].ravel()], 1)
+        assert np.array_equal(s.mate[s.mate], np.arange(3 * s.n_triangles))
+        assert np.array_equal(ends[s.mate], ends[:, ::-1])
 
     @pytest.mark.parametrize("surface", [octahedron_sphere().surface,
                                          k4_metric(1.0).surface],
                              ids=["octahedron", "k4"])
     def test_vertex_stars_rotate_through_shared_edges(self, surface):
         # the lattice builder's stars, with each triangle its own vertex
-        tri = np.array(surface.triangles)
+        tri = surface.triangles
         stars, count = _stars(tri, _mates(tri, surface.n_vertices),
                               np.arange(len(tri)), surface.n_vertices)
         walked = vertex_stars(surface)
+        triangles = tri.tolist()
         for v, (star, m) in enumerate(zip(stars.tolist(), count.tolist())):
             star = star[:m]
-            assert sorted(star) == [t for t, tri in enumerate(surface.triangles)
-                                    if v in tri]
+            assert sorted(star) == [t for t, tri in enumerate(triangles) if v in tri]
             for t, nxt in zip(star, star[1:] + star[:1]):
                 # consecutive triangles share the edge entering v in the first
-                tri = surface.triangles[t]
+                tri = triangles[t]
                 w = tri[(tri.index(v) - 1) % 3]
-                assert {v, w} <= set(surface.triangles[nxt])
+                assert {v, w} <= set(triangles[nxt])
             back = walked[v][::-1]
             k = back.index(star[0])
             assert back[k:] + back[:k] == star
 
     def test_chart_arrays_are_read_only_and_flag_parallel_edges(self):
         s = octahedron_sphere().surface
-        assert s.edge_pairs.tolist() == [list(s.edge_endpoints(e))
-                                         for e in range(s.n_edges)]
+        tail = s.triangles.ravel()[s.edge_halfedges[:, 0]]
+        assert np.array_equal(s.edge_pairs[:, 0], tail)
         assert not s.edge_pairs.flags.writeable
-        assert not s.triangle_array.flags.writeable
+        assert not s.triangles.flags.writeable
         assert not s.has_parallel_edges
         assert quad_double(1.0, 1.2)[0].surface.has_parallel_edges
 
@@ -172,7 +144,7 @@ class TestCombSurface:
         s = k4_metric(1.0).surface
         mask = s.triangle_vertex_mask
         assert mask.tolist() == [[v in tri for v in range(s.n_vertices)]
-                                 for tri in s.triangles]
+                                 for tri in s.triangles.tolist()]
         assert not mask.flags.writeable
         assert s.triangle_vertex_mask is mask
 
@@ -184,6 +156,128 @@ class TestCombSurface:
     def test_rejects_unused_vertex(self):
         with pytest.raises(InvalidSurface):
             CombSurface(4, [(0, 1, 2), (0, 2, 1)])
+
+
+def mesh_fixtures():
+    """(name, n_vertices, triangles, mate) of every test surface: the
+    canned ones, the fixtures' and the bench solids' duals at 8-100 faces,
+    and the genus-2 dual."""
+    from polydual.fuchsian import fuchsian_dualize, fuchsian_octagon_group
+    from polydual.polyhedra import (
+        dualize,
+        hexahedron,
+        regular_tetrahedron,
+        triangular_bipyramid,
+    )
+
+    surfaces = {"octahedron": octahedron_sphere().surface,
+                "k4": k4_metric(1.0).surface,
+                "quad-double": quad_double(1.0, 1.2)[0].surface,
+                "triangle-double": double_triangle(1, 1, 1, SPHERICAL).surface,
+                "genus2": fuchsian_dualize(fuchsian_octagon_group(), 1.0).metric.surface}
+    polys = {"tetrahedron": regular_tetrahedron(1.15), "hexahedron": hexahedron(0.5),
+             "bipyramid": triangular_bipyramid()}
+    sizes = (8, 10, 12, 14, 16, 18, 20, 30, 40, 50, 100)
+    polys.update(zip((f"solid-{n}" for n in sizes), fibonacci_solids(sizes)))
+    surfaces.update((k, dualize(P).metric.surface) for k, P in polys.items())
+    return [(k, s.n_vertices, s.triangles.tolist(), s.mate.tolist())
+            for k, s in surfaces.items()]
+
+
+MESH_FIXTURES = mesh_fixtures()
+
+
+def mesh_outcome(make):
+    """The arrays of the mesh make() builds, in the oracle's terms, or the
+    message of the InvalidSurface it raises."""
+    try:
+        s = make()
+    except InvalidSurface as exc:
+        return str(exc)
+    if isinstance(s, DictCombSurface):
+        return (s.triangles, [s.gluing[h] for h in range(3 * len(s.triangles))],
+                s.edge_halfedges, [s.halfedge_edge[h] for h in sorted(s.halfedge_edge)],
+                s.edge_pairs().tolist(), s.triangle_sides().tolist(),
+                s.has_parallel_edges())
+    return (list(map(tuple, s.triangles.tolist())), s.mate.tolist(),
+            list(map(tuple, s.edge_halfedges.tolist())), s.halfedge_edge.tolist(),
+            s.edge_pairs.tolist(), s.triangle_sides.tolist(), s.has_parallel_edges)
+
+
+def corrupted_gluings(mate, rng):
+    """Gluings, in dict form, that each break one rule: an unglued
+    half-edge, a fixed point, a broken involution, and a gluing that keeps
+    the orientation, once in index order and once in shuffled item order."""
+    n_he = len(mate)
+    h, g = rng.choice(n_he, 2, replace=False)
+    base = dict(enumerate(mate))
+    dropped = dict(base)
+    del dropped[h]
+    fixed = {**base, h: h}
+    broken = {**base, h: g}
+    # glue h to g, and their mates to each other: an involution, but one
+    # that pairs half-edges running the same way wherever they do
+    swapped = {**base, h: g, g: h, mate[h]: mate[g], mate[g]: mate[h]}
+    shuffled = dict(sorted(swapped.items(), key=lambda item: rng.rand()))
+    return [dropped, fixed, broken, swapped, shuffled]
+
+
+@pytest.mark.parametrize("name, n, triangles, mate", MESH_FIXTURES,
+                         ids=[f[0] for f in MESH_FIXTURES])
+def test_mesh_matches_the_dict_mesh(name, n, triangles, mate):
+    """Array for array, from the gluing given as a dict or as mates, and
+    derived where the surface has no parallel edges; and on corrupted
+    gluings and triangles, the same InvalidSurface message."""
+    gluing = dict(enumerate(mate))
+    want = mesh_outcome(lambda: DictCombSurface(n, triangles, gluing))
+    assert isinstance(want, tuple)
+    assert mesh_outcome(lambda: CombSurface(n, triangles, gluing)) == want
+    assert mesh_outcome(lambda: CombSurface(n, np.array(triangles), mate)) == want
+    derived = mesh_outcome(lambda: DictCombSurface(n, triangles))
+    assert mesh_outcome(lambda: CombSurface(n, triangles)) == derived
+    assert derived == want or derived.startswith("directed edge")
+    rng = np.random.RandomState(len(triangles))
+    bad_triangles = [triangles[:1] + triangles[1:-1], triangles + [triangles[0]],
+                     [t[::-1] for t in triangles[:1]] + triangles[1:],
+                     [(0, 1, n)] + triangles[1:], [(0, 1, 2, 3)] + triangles[1:],
+                     triangles + [tuple(v + n for v in t) for t in triangles]]
+    cases = [(n, triangles, g) for g in corrupted_gluings(mate, rng)]
+    cases += [(n, t, None) for t in bad_triangles]
+    cases += [(n + 1, triangles, gluing), (2 * n, bad_triangles[-1], None),
+              (0, [], None)]
+    rejected = set()
+    for case in cases:
+        want = mesh_outcome(lambda: DictCombSurface(*case))
+        got = mesh_outcome(lambda: CombSurface(*case))
+        assert got == want
+        if isinstance(want, str):
+            rejected.add(want.split()[0])
+    assert len(rejected) >= 5
+
+
+def test_mesh_rejects_a_mate_out_of_range():
+    # the dict mesh raised KeyError reading the mate's own mate
+    s = octahedron_sphere().surface
+    for bad in (-1, 3 * s.n_triangles):
+        gluing = {**dict(enumerate(s.mate.tolist())), 0: bad}
+        with pytest.raises(InvalidSurface, match="fixed-point-free involution"):
+            CombSurface(s.n_vertices, s.triangles, gluing)
+    with pytest.raises(InvalidSurface, match="cover every half-edge"):
+        CombSurface(s.n_vertices, s.triangles, np.full(3 * s.n_triangles, -1))
+
+
+def test_fans_are_numbered_one_polygon_after_another():
+    sizes = [3, 4, 7, 5, 12, 3]
+    owner, corners, sides, diagonals, diagonal_owner = fan_triangulations(sizes)
+    base = 0
+    for p, m in enumerate(sizes):
+        fan, want_sides, want_diagonals = fan_triangulation(m, base)
+        assert list(map(tuple, corners[owner == p].tolist())) == fan
+        assert sides[p, :m].tolist() == want_sides
+        assert np.all(sides[p, m:] == -1)
+        assert (list(map(tuple, diagonals[diagonal_owner == p].tolist()))
+                == want_diagonals)
+        base += m - 2
 
 
 class TestConeAngle:
@@ -294,7 +388,7 @@ class TestFlip:
         m, e = quad_double(1.1, 0.9)
         flipped, e_new = flip_edge(m, e)
         back, e_back = flip_edge(flipped, e_new)
-        assert set(back.surface.edge_endpoints(e_back)) == {0, 1}
+        assert set(back.surface.edge_pairs[e_back].tolist()) == {0, 1}
         assert sorted(np.round(back.lengths, 10)) == pytest.approx(
             sorted(np.round(m.lengths, 10)), abs=1e-10)
         assert np.allclose(sorted(back.cone_angles()), sorted(m.cone_angles()),
