@@ -15,7 +15,10 @@ projects to a disc, and when every such disc lies inside the ball no orbit
 point outside it can reach a face plane. Each face's disc is the circumdisc
 of the eight orbit points around a tile vertex, so it reaches 2R from o
 (R = OCTAGON_CIRCUMRADIUS) at every height, and the ball of radius just over
-2R holds its 49 orbit points.
+2R holds its 49 orbit points. The hull's simplices, grouped into apex faces
+and glued, give an edge table, and the walk that orders every cycle of a
+polyhedron (`polyhedra.cycle_walk`) reads off it the faces around the apex
+and each face's vertex cycle.
 """
 from __future__ import annotations
 
@@ -25,11 +28,19 @@ import numpy as np
 
 from .errors import InvalidPolyhedron
 from .minkowski import DSPoint, Isometry, J, ds_distances
-from .polyhedra import order_face_cycles, polygon_area, qhull
+from .polyhedra import (
+    _check_turns,
+    cycle_walk,
+    glued_edges,
+    oriented_simplices,
+    polygon_area,
+    qhull,
+)
 from .surface import (
     SPHERICAL,
     CombSurface,
     ConeMetric,
+    directed_mates,
     fan_triangulations,
     least_labels,
     rowdot,
@@ -213,37 +224,30 @@ def _apex_star(points: np.ndarray) -> ApexStar:
         raise InvalidPolyhedron("apex face plane does not support the orbit")
     faces = [{"normal": -n if flip else n, "members": m}
              for n, m, flip in zip(normals, members, above)]
-    cycles = order_face_cycles([f["normal"][1:] for f in faces], klein, incidence)
-    for f, cycle in zip(faces, cycles):
-        f["cycle"] = cycle
 
-    # cyclic order around the apex: follow, inside each face cycle, the
-    # successor of the apex; the next face shares that edge
-    by_edge = {}
-    for idx, f in enumerate(faces):
-        cyc = f["cycle"]
-        i0 = cyc.index(0)
-        succ, pred = cyc[(i0 + 1) % len(cyc)], cyc[i0 - 1]
-        by_edge.setdefault(frozenset((0, succ)), []).append(idx)
-        by_edge.setdefault(frozenset((0, pred)), []).append(idx)
-    order = [0]
-    neighbors = []
-    cur = 0
-    for _ in range(len(faces)):
-        cyc = faces[cur]["cycle"]
-        succ = cyc[(cyc.index(0) + 1) % len(cyc)]
-        neighbors.append(succ)
-        pair = by_edge[frozenset((0, succ))]
-        if len(pair) != 2:
-            raise InvalidPolyhedron("apex edge not shared by exactly two faces")
-        cur = pair[0] if pair[1] == cur else pair[1]
-        if cur == 0 and len(order) < len(faces):
-            raise InvalidPolyhedron("apex face fan closed early")
-        if len(order) < len(faces):
-            order.append(cur)
-    if cur != 0:
-        raise InvalidPolyhedron("apex face fan did not close")
-    return ApexStar(faces=faces, order=order, neighbors=neighbors)
+    # each hull simplex lies in the apex face whose members hold its
+    # corners, or in a group of its own. An edge's head corner turns ccw
+    # from its first group to its second (`glued_edges`), so with the
+    # corners reversed the walk reads each face's cycle ccw seen from
+    # outside, from the apex, and the faces around the apex cw, the order
+    # the side pairing reads them in
+    tri = oriented_simplices(hull)
+    at = incidence[:, tri].all(axis=2)                  # face x simplex
+    alone = ~at.any(axis=0)
+    group = np.where(alone, len(faces) + np.cumsum(alone) - 1, np.argmax(at, axis=0))
+    pairs, corners = glued_edges(tri, directed_mates(tri, len(points)), group)
+    corners = corners[:, ::-1]
+    order, via, count = cycle_walk(corners, pairs, len(points))
+    order, via = order[:count[0]], via[:count[0]]
+    cycles, _, sizes = cycle_walk(pairs, corners, len(faces) + int(alone.sum()))
+    sizes = sizes[:len(faces)]
+    cycles = cycles[:sizes.sum()]
+    _check_turns(np.array([f["normal"][1:] for f in faces]), klein, cycles, sizes)
+    for f, cycle in zip(faces, np.split(cycles, np.cumsum(sizes)[:-1])):
+        f["cycle"] = cycle.tolist()
+    # the far end of the edge between consecutive faces at the apex
+    neighbors = corners[via].sum(axis=1)
+    return ApexStar(faces=faces, order=order.tolist(), neighbors=neighbors.tolist())
 
 
 def _corner_classes(sigma: np.ndarray) -> tuple:

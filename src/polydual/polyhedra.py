@@ -7,11 +7,16 @@ as a de Sitter distance (`minkowski.ds_distances`), in one stacked pass.
 The face lattice of a simple polyhedron is a triangulation of the sphere,
 one triangle per vertex: the polar duals of the vertex links. Both
 producers hand such a triangulation to one builder (`_face_lattice`), which
-solves each triangle's vertex and reads edges off glued half-edges and face
-cycles off vertex stars:
+solves each triangle's vertex and glues half-edges into an edge table:
 - `hull_from_dual_points` passes the simplices of the polar hull, which one
   Qhull call returns, oriented by their facet normals;
 - `polyhedron_from_chart` passes a certified chart's triangles.
+
+Every cyclic order comes from that table by one walk (`cycle_walk`): read
+face first it gives the face cycles, read vertex first the fans of faces
+that `dualize` glues into the dual metric (the polar polygons of the vertex
+links), and `fuchsian` reads the genus-2 apex star off its hull's table the
+same two ways.
 
 The hull runs in the Klein chart y = (x1,x2,x3)/x0, where a face plane with
 de Sitter normal n becomes the Euclidean half-space n_sp . y <= n0 and
@@ -56,6 +61,7 @@ from .surface import (
     cross,
     directed_mates,
     fan_triangulations,
+    rowdot,
 )
 
 BALL_MARGIN = 1e-12
@@ -95,29 +101,25 @@ class ConvexPolyhedronH3:
     - `triangles` (T, 3), `triangle_vertex` (T,): the oriented triangulation
       of the sphere (face indices) the lattice was read off, and the vertex
       each triangle lies at.
-    - `stars` (F, K), `star_sizes` (F,): each face's vertices in ccw order
-      seen from outside, padded: its vertex star in the triangulation.
+    - `cycle_vertices`, `cycle_offsets`: the face cycles, face f's being
+      cycle_vertices[cycle_offsets[f]:cycle_offsets[f + 1]], its vertices
+      ccw seen from outside from its least one (`cycle_walk`).
 
-    `cycle_vertices` and `cycle_offsets` hold the face cycles as
-    `order_face_cycles` orders them, face f's cycle being
-    cycle_vertices[cycle_offsets[f]:cycle_offsets[f + 1]]: each star
-    rotated to start at its point of least angle (`_angular_start`, about
-    the vertices' Klein points `klein`). They, `planes`, `vertices`, `faces`
-    and `edges` are views of the arrays, built on first use.
+    `planes`, `vertices`, `faces` and `edges` are views of the arrays,
+    built on first use.
     """
 
-    def __init__(self, plane_rows, vertex_rows, klein, edge_vertices,
-                 edge_faces, triangles, triangle_vertex, stars, star_sizes,
+    def __init__(self, plane_rows, vertex_rows, edge_vertices, edge_faces,
+                 triangles, triangle_vertex, cycle_vertices, cycle_offsets,
                  essential, discarded=()):
         self.plane_rows = plane_rows
         self.vertex_rows = vertex_rows
-        self.klein = klein
         self.edge_vertices = edge_vertices
         self.edge_faces = edge_faces
         self.triangles = triangles
         self.triangle_vertex = triangle_vertex
-        self.stars = stars
-        self.star_sizes = star_sizes
+        self.cycle_vertices = cycle_vertices
+        self.cycle_offsets = cycle_offsets
         self.essential = essential
         self.discarded = list(discarded)
 
@@ -150,16 +152,6 @@ class ConvexPolyhedronH3:
     def edges(self) -> list:
         return list(map(Edge, map(tuple, self.edge_vertices.tolist()),
                         map(tuple, self.edge_faces.tolist())))
-
-    @cached_property
-    def cycle_vertices(self) -> np.ndarray:
-        rotated = _angular_start(self.plane_rows[:, 1:], self.klein, self.stars,
-                                 self.star_sizes)
-        return rotated[np.arange(rotated.shape[1]) < self.star_sizes[:, None]]
-
-    @cached_property
-    def cycle_offsets(self) -> np.ndarray:
-        return np.cumsum(np.append(0, self.star_sizes))
 
     def cycle(self, f: int) -> np.ndarray:
         """Face f's vertex cycle, ccw seen from outside."""
@@ -343,13 +335,9 @@ def hull_from_dual_points(duals) -> ConvexPolyhedronH3:
         raise EmptyInterior("fewer than four essential planes")
     redundant = np.ones(n, dtype=bool)
     redundant[essential] = False
-    tri = hull.simplices
-    p = polar[tri]
-    turn = _row_dots(cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]),
-                     hull.equations[:, :3])
-    tri = np.where((turn < 0)[:, None], tri[:, ::-1], tri)
     return _face_lattice(rows, a, b, essential,
-                         np.flatnonzero(redundant).tolist(), tri)
+                         np.flatnonzero(redundant).tolist(),
+                         oriented_simplices(hull))
 
 
 def polyhedron_from_chart(duals, surface: CombSurface) -> ConvexPolyhedronH3:
@@ -375,9 +363,14 @@ def polyhedron_from_chart(duals, surface: CombSurface) -> ConvexPolyhedronH3:
     return _face_lattice(rows, a, b, np.arange(len(rows)), [], tri)
 
 
-def _row_dots(u, w):
-    """u[i] @ w[i] for two (N, 3) arrays."""
-    return np.einsum("ij,ij->i", u, w)
+def oriented_simplices(hull) -> np.ndarray:
+    """The simplices of a Qhull hull, each ccw seen from outside: reversed
+    where its corners turn against its facet normal."""
+    tri = hull.simplices
+    p = hull.points[tri]
+    turn = rowdot(cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]),
+                  hull.equations[:, :3])
+    return np.where((turn < 0)[:, None], tri[:, ::-1], tri)
 
 
 _CYCLE = np.array([1, 2, 0])
@@ -392,11 +385,10 @@ def _face_lattice(rows, a, b, essential, discarded, tri) -> ConvexPolyhedronH3:
     Vertices are ordered by sorted plane triple. Where more planes than a
     triangle's three pass through its point, within MERGE_TOL, the
     triangles of that point merge into one vertex (`_merged_vertices`).
-    Edges come from glued half-edges: the two triangles at a half-edge and
-    its mate are the edge's ends, unless they lie at one vertex. Face f's
-    cycle is its vertex star: the triangles around f, runs of one merged
-    vertex collapsed; its rotation to where `order_face_cycles` starts it
-    is a view, taken on first use.
+    Edges come from glued half-edges (`glued_edges`): the two triangles at
+    a half-edge and its mate are the edge's ends, unless they lie at one
+    vertex. The face cycles are read off the edges, face first
+    (`cycle_walk`), each from its least vertex.
 
     Every check of the lattice holds: its vertices inside the ball, every
     face with three vertices and a convex cycle, every edge between two
@@ -421,38 +413,21 @@ def _face_lattice(rows, a, b, essential, discarded, tri) -> ConvexPolyhedronH3:
     face_of = np.full(len(rows), -1)
     face_of[essential] = np.arange(len(essential))
     tri = face_of[tri]
-    mate = _mates(tri, len(essential))
-    stars, sizes = _stars(tri, mate, vertex_of, len(essential))
+    edge_vertices, edge_faces = glued_edges(tri, _mates(tri, len(essential)),
+                                            vertex_of)
+    cycles, _, sizes = cycle_walk(edge_faces, edge_vertices, len(essential))
     small = np.flatnonzero(sizes < 3)
     if small.size:
         raise InvalidPolyhedron(
             f"face {essential[small[0]]} has fewer than three vertices")
-    _check_turns(a[essential], y[stars], sizes)
-
-    # half-edge 3t + k runs from face tri[t, k] to face tri[t, k + 1]; the
-    # edge between those faces joins t's vertex u to the vertex w of its
-    # mate's triangle, and the head face runs u -> w. Each edge is read off
-    # its half-edge with u < w.
-    t_end = vertex_of[mate // 3]
-    t_start = np.repeat(vertex_of, 3)
-    keep = t_start < t_end
-    tail = tri.ravel()[keep]
-    head = tri[:, _CYCLE].ravel()[keep]
-    u, w = t_start[keep], t_end[keep]
-    order = np.lexsort((w, u))
-    edge_vertices = np.stack([u[order], w[order]], axis=1)
-    edge_faces = np.stack([head[order], tail[order]], axis=1)
-    twice = np.flatnonzero(np.all(edge_vertices[1:] == edge_vertices[:-1], axis=1))
-    if twice.size:
-        raise InvalidPolyhedron(
-            f"edge {tuple(edge_vertices[twice[0]].tolist())} is not shared by "
-            "two consistently oriented faces")
+    _check_turns(a[essential], y, cycles, sizes)
 
     poly = ConvexPolyhedronH3(
-        plane_rows=rows[essential], vertex_rows=vertex_rows, klein=y,
+        plane_rows=rows[essential], vertex_rows=vertex_rows,
         edge_vertices=edge_vertices, edge_faces=edge_faces, triangles=tri,
-        triangle_vertex=vertex_of, stars=stars, star_sizes=sizes,
-        essential=essential, discarded=discarded)
+        triangle_vertex=vertex_of, cycle_vertices=cycles,
+        cycle_offsets=np.cumsum(np.append(0, sizes)), essential=essential,
+        discarded=discarded)
     _validate_lattice(poly, poly.incidence, MERGE_TOL)
     return poly
 
@@ -511,49 +486,84 @@ def _mates(tri, n_faces) -> np.ndarray:
     return mate
 
 
-def _stars(tri, mate, vertex_of, n_faces) -> tuple:
-    """Each face's vertices in ccw order seen from outside, padded: the
-    triangles around the face, each at its vertex, with runs at one vertex
-    collapsed; and their counts. Every face is a corner of some triangle."""
-    tail = tri.ravel()
-    prev = 3 * (np.arange(len(tail)) // 3) + (np.arange(len(tail)) + 2) % 3
-    turn = mate[prev]                  # the next half-edge out of the same face
-    degree = np.bincount(tail, minlength=n_faces)
-    first = np.argsort(tail, kind="stable")[np.cumsum(degree) - degree]
-    walk = np.empty((n_faces, int(degree.max())), dtype=int)
-    walk[:, 0] = first
-    for k in range(1, walk.shape[1]):
-        walk[:, k] = turn[walk[:, k - 1]]
-    star = vertex_of[walk // 3]
-    k = np.arange(walk.shape[1])
-    real = k < degree[:, None]
-    new = real & (star != star[np.arange(n_faces)[:, None], (k - 1) % degree[:, None]])
-    if np.array_equal(new, real):
-        return star, degree
-    count = new.sum(axis=1)
-    cycles = np.zeros((n_faces, max(int(count.max()), 1)), dtype=int)
-    cycles[np.nonzero(new)[0], (np.cumsum(new, axis=1) - 1)[new]] = star[new]
-    return cycles, count
+def glued_edges(tri, mate, group) -> tuple:
+    """The edges between the groups of a glued triangulation, sorted by
+    group pair: half-edge 3t + k runs from corner tri[t, k] to corner
+    tri[t, k + 1] of triangle t, which lies in group[t], and its mate runs
+    back. Where the two lie in groups u < w, an edge joins u to w; of its
+    two corners, the head's rotation of groups runs u -> w and the tail's
+    w -> u. Returns (pairs, corners), both (E, 2): (u, w) and (head, tail).
+    In a face lattice the groups are the vertices and the corners the
+    faces, so an edge's first face runs u -> w. Raises InvalidPolyhedron
+    when two edges join one pair of groups."""
+    t_end = group[mate // 3]
+    t_start = np.repeat(group, 3)
+    keep = t_start < t_end
+    tail = tri.ravel()[keep]
+    head = tri[:, _CYCLE].ravel()[keep]
+    u, w = t_start[keep], t_end[keep]
+    order = np.lexsort((w, u))
+    pairs = np.stack([u[order], w[order]], axis=1)
+    twice = np.flatnonzero(np.all(pairs[1:] == pairs[:-1], axis=1))
+    if twice.size:
+        raise InvalidPolyhedron(
+            f"edge {tuple(pairs[twice[0]].tolist())} is not shared by "
+            "two consistently oriented faces")
+    return pairs, np.stack([head[order], tail[order]], axis=1)
 
 
-def _angular_start(normals, points, cycles, count) -> np.ndarray:
-    """The padded face cycles, each rotated to start where
-    `order_face_cycles` starts it: at the point of least angle about the
-    face's centroid, in the same arithmetic."""
-    k = np.arange(cycles.shape[1])
-    pad = k >= count[:, None]
-    # the centroid sums the points in ascending index order, as
-    # order_face_cycles does, padded with zeros
-    ascending = np.sort(np.where(pad, len(points), cycles), axis=1)
-    ascending[pad] = 0
-    pts = points[ascending]
-    pts[pad] = 0.0
-    ang = _face_angles(normals, pts, count)
-    ang[pad] = np.inf
-    f = np.arange(len(cycles))
-    start = ascending[f, ang.argmin(axis=1)]
-    shift = (cycles == start[:, None]).argmax(axis=1)
-    return cycles[f[:, None], (k + shift[:, None]) % count[:, None]]
+def cycle_walk(ends, sides, n_ends) -> tuple:
+    """Each end's sides in cyclic order, read off an edge table.
+
+    Edge k joins the ends ends[k] = (u, w) and separates the sides
+    sides[k] = (f1, f2): at u the rotation crosses k from f1 to f2, at w
+    from f2 to f1. A polyhedron's table (`edge_vertices`, `edge_faces`)
+    read face first, `cycle_walk(edge_faces, edge_vertices, F)`, gives each
+    face's vertex cycle, ccw seen from outside; read vertex first, each
+    vertex's faces, the corners of the polar polygon of its link, cw seen
+    from outside.
+
+    Returns (order, via, count), flat, one end after the other: end e's
+    count[e] sides, from its lowest, and via[j] the edge from order[j] to
+    the next side of the same end. It takes one sort and count.max() steps
+    and holds arrays of the 2E half-edges and of the ends, no end x side
+    table. Raises InvalidPolyhedron naming the first end whose sides do
+    not close into one cycle.
+    """
+    # half-edge 2k + i lies at end ends[k, i] and runs from side
+    # sides[k, i] to side sides[k, 1 - i]. The one that stops at a side of
+    # an end is followed by the one that starts there: a permutation of
+    # each end's half-edges, its rotation when each (end, side) pair starts
+    # one half-edge and stops one and the permutation is one cycle
+    at, start = ends.ravel(), sides.ravel()
+    n = int(sides.max(initial=-1)) + 1
+    key, back = at * n + start, at * n + sides[:, ::-1].ravel()
+    by_start = np.argsort(key, kind="stable")
+    by_stop = np.argsort(back, kind="stable")
+    nxt = np.empty_like(by_start)
+    nxt[by_stop] = by_start
+    ranked = key[by_start]
+    bad = np.empty(len(key), dtype=bool)
+    bad[by_start] = ((ranked != back[by_stop])
+                     | np.append(ranked[1:] == ranked[:-1], False))
+    count = np.bincount(at, minlength=n_ends)
+    # the ends with edges, longest walk first, so that the walkers still
+    # going at step i are a prefix
+    live = np.argsort(-count, kind="stable")[:np.count_nonzero(count)]
+    first = (np.cumsum(count) - count)[live]
+    going = len(live) - np.cumsum(np.bincount(count[live]))[:-1]
+    half = np.empty(len(key), dtype=int)
+    cur = by_start[first]                   # each end's lowest side
+    for i, m in enumerate(going.tolist()):
+        cur = cur[:m]
+        half[first[:m] + i] = cur
+        cur = nxt[cur]
+    # one cycle: each end's walk meets each of its half-edges once
+    bad |= np.bincount(half, minlength=len(key)) != 1
+    if bad.any():
+        raise InvalidPolyhedron(f"the edges at end {int(at[bad].min())} do not "
+                                "close into one cycle")
+    return start[half], half // 2, count
 
 
 def _solve_triples(a, b, tri):
@@ -567,7 +577,7 @@ def _solve_triples(a, b, tri):
     |det| > DET_CUTOFF |A|_F^3 passes the rank test, its SVD's roundoff
     included."""
     rows, rhs = a[tri], b[tri]
-    det = _row_dots(rows[:, 0], cross(rows[:, 1], rows[:, 2]))
+    det = rowdot(rows[:, 0], cross(rows[:, 1], rows[:, 2]))
     ok = np.abs(det) > DET_CUTOFF * np.einsum("tij,tij->t", rows, rows) ** 1.5
     if ok.all():
         y = np.linalg.solve(rows, rhs[..., None])[..., 0]
@@ -762,71 +772,18 @@ def chart_verdict(duals, surface: CombSurface) -> tuple:
                                        normal_bound, roundoff)
 
 
-def order_face_cycles(normals, points, incidence) -> list:
-    """Vertex cycles of faces, each convex and ccw about its outward normal.
-
-    Face f holds the points that row f of the boolean `incidence` marks, at
-    least three of them, and has the outward normal normals[f]. Its cycle
-    lists their indices into `points` sorted by angle about their centroid,
-    in a plane basis (e1, e2) that makes (e1, e2, normal) right-handed, from
-    the smallest angle up; every corner must turn left about the normal.
-    All faces run in one pass, padded to the longest, and each face gets
-    the arithmetic it would get on its own (stacked matmul reproduces the
-    single-face dot products bit for bit).
-    """
-    normals = np.asarray(normals, dtype=float)
-    count = incidence.sum(axis=1)
-    face, member = np.nonzero(incidence)        # each face's points ascending
-    slot = np.arange(len(face)) - np.repeat(np.cumsum(count) - count, count)
-    shape = (len(normals), int(count.max()))
-    idx = np.zeros(shape, dtype=int)
-    idx[face, slot] = member
-    real = np.zeros(shape, dtype=bool)
-    real[face, slot] = True
-    pts = np.where(real[..., None], points[idx], 0.0)
-    ang = _face_angles(normals, pts, count)
-    order = np.argsort(np.where(real, ang, np.inf), axis=1)   # padding last
-    f = np.arange(len(normals))[:, None]
-    _check_turns(normals, pts[f, order], count)
-    cycles = idx[f, order].tolist()
-    return [c[:m] for c, m in zip(cycles, count.tolist())]
-
-
-def _face_angles(normals, pts, count):
-    """The angle of each of the padded face points pts (F, K, 3) about its
-    face's centroid (the first count[f] points' mean), in a basis (e1, e2)
-    of the face's plane that makes (e1, e2, normal) right-handed."""
-    e1 = np.zeros(normals.shape)
-    e1[np.arange(len(normals)), np.argmin(np.abs(normals), axis=1)] = 1.0
-    e1 = _unit_rows(cross(normals, e1))
-    # e1 is orthogonal to the normal, so (e1, normal x e1, normal) is
-    # right-handed and angle order is ccw seen from outside
-    e2 = _unit_rows(cross(normals, e1))
-    rel = pts - (pts.sum(axis=1) / count[:, None])[:, None]
-    return np.arctan2(_row_products(rel, e2), _row_products(rel, e1))
-
-
-def _check_turns(normals, ordered, count):
-    """Raise InvalidPolyhedron unless every corner of the padded cycles
-    `ordered` (F, K, 3), the first count[f] points of each, turns left about
-    its face's normal."""
-    k = np.arange(ordered.shape[1])
-    f = np.arange(len(ordered))[:, None]
-    after = (k + 1) % count[:, None]
-    sides = ordered[f, after] - ordered
-    turns = cross(sides, sides[f, after])
-    if ((k < count[:, None]) & (_row_products(turns, normals) <= 0)).any():
+def _check_turns(normals, points, cycles, count):
+    """Raise InvalidPolyhedron unless every corner of the flat cycles (face
+    f's count[f] > 0 indices into `points`, one face after the other)
+    turns left about its face's normal."""
+    end = np.cumsum(count)
+    after = np.arange(1, len(cycles) + 1)
+    after[end - 1] = end - count                # each cycle closes
+    p = points[cycles]
+    sides = p[after] - p
+    turns = cross(sides, sides[after])
+    if np.any(rowdot(turns, np.repeat(normals, count, axis=0)) <= 0):
         raise InvalidPolyhedron("face cycle is not convex about its normal")
-
-
-def _row_products(u, w):
-    """u[f] @ w[f] for stacks of points u (F, K, 3) and vectors w (F, 3)."""
-    return (u @ w[..., None])[..., 0]
-
-
-def _unit_rows(v):
-    """Each row of v divided by its norm, as np.linalg.norm gives it."""
-    return v / np.sqrt((v[:, None, :] @ v[..., None])[:, 0])
 
 
 def _validate_lattice(poly, incidence, merge_tol):
@@ -879,35 +836,6 @@ def face_area(P: ConvexPolyhedronH3, f: int) -> float:
     return polygon_area(P.vertex_rows[P.cycle(f)])
 
 
-def _vertex_fans(P: ConvexPolyhedronH3) -> tuple:
-    """The faces at each vertex in cyclic order, from the lowest, and the
-    edges between them, padded: edges[v, i] is the edge at v shared by
-    faces[v, i] and faces[v, i + 1]; and the number at each vertex.
-
-    Edge k runs u -> w in its first face and w -> u in its second, so at u
-    the first face's successor across k is the second, and at w the
-    second's is the first."""
-    u, w = P.edge_vertices.T
-    f1, f2 = P.edge_faces.T
-    k = np.arange(P.n_edges)
-    after = np.full((P.n_vertices, P.n_faces), -1)
-    via = np.empty_like(after)
-    after[u, f1], via[u, f1] = f2, k
-    after[w, f2], via[w, f2] = f1, k
-    degree = np.bincount(P.edge_vertices.ravel(), minlength=P.n_vertices)
-    at = np.arange(P.n_vertices)
-    faces = np.empty((P.n_vertices, int(degree.max())), dtype=int)
-    edges = np.empty_like(faces)
-    f = np.argmax(after >= 0, axis=1)
-    for i in range(faces.shape[1]):
-        faces[:, i], edges[:, i] = f, via[at, f]
-        f = after[at, f]
-    open_ = np.flatnonzero(after[at, faces[at, degree - 1]] != faces[:, 0])
-    if open_.size:
-        raise InvalidPolyhedron(f"face fan at vertex {open_[0]} does not close")
-    return faces, edges, degree
-
-
 @dataclass
 class DualMetricOutput:
     metric: ConeMetric
@@ -921,8 +849,9 @@ def dualize(P: ConvexPolyhedronH3) -> DualMetricOutput:
     One dual vertex per face; `marking[i]` is the index of face i's plane
     among the input planes of P (`essential`). The polar dual of the link
     at vertex v has a corner per face and a side per edge at v, and is
-    fan-triangulated from its lowest-index face; all vertices' fans are
-    built in one stacked pass (`fan_triangulations`). Every length, side or
+    fan-triangulated from its lowest-index face. The polygons are P's edge
+    table read vertex first (`cycle_walk`), and all their fans are built in
+    one stacked pass (`fan_triangulations`). Every length, side or
     diagonal, is the de Sitter distance of two faces' dual points, in one
     stacked pass, and exactly so: the dual points of v's faces are unit
     vectors in v's orthogonal complement, a Euclidean 3-space as v is
@@ -930,18 +859,13 @@ def dualize(P: ConvexPolyhedronH3) -> DualMetricOutput:
     side and diagonal is the angle between two of them. A side is thus pi
     minus its primal dihedral angle.
     """
-    fans, fan_edges, degree = _vertex_fans(P)
+    fans, primal, degree = cycle_walk(P.edge_vertices, P.edge_faces, P.n_vertices)
     owner, corners, sides, diagonals, diagonal_owner = fan_triangulations(degree)
-    triangles = fans[owner[:, None], corners]
+    triangles = fans[(np.cumsum(degree) - degree)[owner, None] + corners]
     # side i of v's polygon joins corners i, i + 1 and is dual to the primal
-    # edge fan_edges[v, i]; the two sides of each primal edge are glued
-    real = sides >= 0
-    side, primal = sides[real], fan_edges[real]
-    matched = np.bincount(primal, minlength=P.n_edges)
-    bad = np.flatnonzero(matched != 2)
-    if bad.size:
-        raise InvalidPolyhedron(
-            f"primal edge {bad[0]} matched {matched[bad[0]]} dual sides")
+    # edge between them; the walk meets each primal edge at its two ends,
+    # and those two sides are glued
+    side = sides[sides >= 0]
     glued = side[np.argsort(primal, kind="stable")].reshape(-1, 2)
     pairs = np.vstack([glued, diagonals])
     mate = np.full(3 * len(triangles), -1)

@@ -64,7 +64,6 @@ from polydual.polyhedra import (
     _solve_vertex,
     _validate_lattice,
     dual_rows,
-    order_face_cycles,
     qhull,
 )
 from polydual.solver import FRAME_TOL
@@ -468,8 +467,9 @@ def svd_solve_triples(a, b, tri):
 def angle_sorted_hull(duals) -> ReferenceLattice:
     """Checks `polyhedra.hull_from_dual_points` bit for bit: the hull it
     replaced, which merged the polar hull's facets into vertices, ordered
-    each face's vertices by angle (`order_face_cycles`) and walked the face
-    corners into edges (`edges_from_faces`)."""
+    each face's vertices by angle (`order_face_cycle`) and walked the face
+    corners into edges (`edges_from_faces`). Its cycles start where the
+    angular sort starts them."""
     rows = dual_rows(duals)
     planes = DSPoint.from_rows(rows)
     n = len(rows)
@@ -521,9 +521,9 @@ def angle_sorted_hull(duals) -> ReferenceLattice:
     if small.size:
         raise InvalidPolyhedron(
             f"face {essential[small[0]]} has fewer than three vertices")
-    cycles = order_face_cycles(a[essential], klein, incidence)
-    faces = [Face(plane=planes[i], vertex_cycle=c)
-             for i, c in zip(essential.tolist(), cycles)]
+    faces = [Face(plane=planes[i], vertex_cycle=order_face_cycle(
+                 a[i], klein[row], np.flatnonzero(row).tolist()))
+             for i, row in zip(essential.tolist(), incidence)]
     poly = ReferenceLattice([planes[i] for i in essential], vertices, faces,
                             edges_from_faces(faces), discarded)
     _validate_lattice(poly, incidence, MERGE_TOL)
@@ -653,9 +653,9 @@ def reference_hull(duals) -> ReferenceLattice:
     for v, members in enumerate(kept):
         inc[list(members), v] = True
     inc = inc[essential]
-    cycles = order_face_cycles(a[essential], klein, inc)
-    faces = [Face(plane=planes[orig], vertex_cycle=cycle)
-             for orig, cycle in zip(essential, cycles)]
+    faces = [Face(plane=planes[orig], vertex_cycle=order_face_cycle(
+                 a[orig], klein[row], np.flatnonzero(row).tolist()))
+             for orig, row in zip(essential, inc)]
     poly = ReferenceLattice([planes[i] for i in essential], vertices, faces,
                             edges_by_corner_walk(faces), discarded)
     _validate_lattice(poly, inc, MERGE_TOL)
@@ -663,8 +663,12 @@ def reference_hull(duals) -> ReferenceLattice:
 
 
 def order_face_cycle(normal, pts, idxs):
-    """Checks `polyhedra.order_face_cycles`, list for list: the single-face
-    orderer it replaced."""
+    """The angular sort the face cycles were ordered by before they were
+    read off the edge table (`polyhedra.cycle_walk`): the labels idxs of
+    the points pts of one face with outward normal `normal`, sorted by
+    angle about their centroid in a plane basis (e1, e2) that makes
+    (e1, e2, normal) right-handed, from the smallest angle up. Raises
+    InvalidPolyhedron unless every corner turns left about the normal."""
     e1 = np.zeros(3)
     e1[np.argmin(np.abs(normal))] = 1.0
     e1 = np.cross(normal, e1)
@@ -711,7 +715,8 @@ class VertexLink:
 
 def vertex_link(P, v) -> VertexLink:
     """Link polygon at vertex v: face angles as sides, dihedral angles at
-    corners; its face walk checks `polyhedra._vertex_fans`."""
+    corners; its face walk checks the fans `polyhedra.cycle_walk` reads
+    vertex first."""
     faces_at = P.faces_at_vertex(v)
     f = faces_at[0]
     order = []
@@ -828,10 +833,10 @@ def reference_dualize(P) -> DualMetricOutput:
 
 
 def vertex_stars(surface):
-    """Checks `polyhedra._stars`: per vertex of a chart, its triangles in
-    rotation order by a walk over the gluing, each next triangle across the
-    edge that leaves the vertex in the one before (the rotation opposite to
-    `_stars`')."""
+    """Checks `polyhedra.cycle_walk` on a chart's edge table read vertex
+    first: per vertex of a chart, its triangles in rotation order from the
+    lowest, by a walk over the gluing, each next triangle across the edge
+    that leaves the vertex in the one before."""
     # corner 3t + k sits at the start of half-edge 3t + k; its mate m
     # ends at the same vertex, at the next corner of the mate's triangle
     after = [3 * (m // 3) + (m + 1) % 3
@@ -1341,6 +1346,59 @@ def reference_apex_faces(points):
         off = [v for i, v in enumerate(points @ J @ n) if i not in members]
         faces.append((-n if np.max(off) > 0 else n, members))
     return faces
+
+
+def reference_apex_star(points):
+    """Checks `fuchsian._apex_star`: the star it replaced, which ordered
+    each apex face's members by angle (`order_face_cycle`) and walked the
+    apex's faces by a dict of the edges at the apex, each next face across
+    the edge from the apex to its successor in the face before."""
+    klein = points[:, 1:] / points[:, [0]]
+    hull = ConvexHull(klein)
+    if 0 not in set(int(v) for v in hull.vertices):
+        raise InvalidPolyhedron("apex is not extreme in the sampled orbit")
+    apex_simplices = hull.simplices[(hull.simplices == 0).any(axis=1)]
+    firsts = fuchsian._members_on_planes(
+        points, fuchsian._plane_through_points(points[apex_simplices]))
+    refit = {}
+    for f in set(firsts):
+        n = fuchsian._plane_through_points(points[list(f)])
+        refit[f] = (fuchsian._members_on_planes(points, n[None])[0], n)
+    members, normals = zip(*sorted(dict(refit[f] for f in firsts).items()))
+    incidence = np.zeros((len(members), len(points)), dtype=bool)
+    for row, m in zip(incidence, members):
+        row[list(m)] = True
+    vals = np.array(normals) @ J @ points.T
+    above = np.max(vals, axis=1, where=~incidence, initial=-np.inf) > 0
+    if np.any(above & (np.min(vals, axis=1, where=~incidence, initial=np.inf) < 0)):
+        raise InvalidPolyhedron("apex face plane does not support the orbit")
+    faces = [{"normal": -n if flip else n, "members": m,
+              "cycle": order_face_cycle((-n if flip else n)[1:], klein[list(m)],
+                                        list(m))}
+             for n, m, flip in zip(normals, members, above)]
+
+    by_edge = {}
+    for idx, f in enumerate(faces):
+        cyc = f["cycle"]
+        i0 = cyc.index(0)
+        by_edge.setdefault(frozenset((0, cyc[(i0 + 1) % len(cyc)])), []).append(idx)
+        by_edge.setdefault(frozenset((0, cyc[i0 - 1])), []).append(idx)
+    order, neighbors, cur = [0], [], 0
+    for _ in range(len(faces)):
+        cyc = faces[cur]["cycle"]
+        succ = cyc[(cyc.index(0) + 1) % len(cyc)]
+        neighbors.append(succ)
+        pair = by_edge[frozenset((0, succ))]
+        if len(pair) != 2:
+            raise InvalidPolyhedron("apex edge not shared by exactly two faces")
+        cur = pair[0] if pair[1] == cur else pair[1]
+        if cur == 0 and len(order) < len(faces):
+            raise InvalidPolyhedron("apex face fan closed early")
+        if len(order) < len(faces):
+            order.append(cur)
+    if cur != 0:
+        raise InvalidPolyhedron("apex face fan did not close")
+    return fuchsian.ApexStar(faces=faces, order=order, neighbors=neighbors)
 
 
 def matrix_key_orbit(data, h):

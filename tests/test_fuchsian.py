@@ -17,6 +17,7 @@ from oracles import (
     ORBIT_DIGITS,
     matrix_key_orbit,
     reference_apex_faces,
+    reference_apex_star,
     reference_lengths,
     reference_orbit,
     union_find_classes,
@@ -140,6 +141,29 @@ def test_stacked_orbit_and_apex_faces_match_one_at_a_time(group, h):
     assert [f["members"] for f in faces] == [m for _, m in ref]
     for f, (n, _) in zip(faces, ref):
         np.testing.assert_array_equal(f["normal"], n)
+
+
+def assert_same_star(star, ref):
+    """Equal order and neighbours, and each face's cycle the reference's
+    rotated to start at the apex."""
+    assert star.order == ref.order
+    assert star.neighbors == ref.neighbors
+    assert ([f["cycle"] for f in star.faces]
+            == [g["cycle"][g["cycle"].index(0):] + g["cycle"][:g["cycle"].index(0)]
+                for g in ref.faces])
+
+
+@pytest.mark.parametrize("h", [0.05, 0.25, 0.5, 1.0, 2.0, 3.0, 5.0])
+def test_apex_star_matches_the_angular_sort(group, h):
+    _, points = fuchsian._orbit(group, h)
+    assert_same_star(fuchsian._apex_star(points), reference_apex_star(points))
+
+
+@pytest.mark.parametrize("h", [0.5, 1.0, 3.0])
+def test_word_bound_4_apex_star_matches_the_angular_sort(group, h):
+    _, points = reference_orbit(group, h, word_bound=4)
+    assert len(points) == 3193
+    assert_same_star(fuchsian._apex_star(points), reference_apex_star(points))
 
 
 @pytest.mark.parametrize("h", [0.05, 0.25, 0.5, 1.0, 2.0, 3.0, 5.0])

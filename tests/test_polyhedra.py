@@ -25,17 +25,18 @@ from polydual.polyhedra import (
     MERGE_TOL,
     ORIGIN_CLEARANCE,
     Face,
+    _check_turns,
     _mates,
     _plane_offsets,
     _solve_triples,
     _validate_lattice,
+    cycle_walk,
     dihedral_angle,
     dihedral_angles,
     dualize,
     face_area,
     hexahedron,
     hull_from_dual_points,
-    order_face_cycles,
     random_polyhedron,
     regular_tetrahedron,
     regular_tetrahedron_data,
@@ -269,7 +270,7 @@ class TestStackedHull:
                 assert got is want
                 outcomes.add(want.__name__)
                 continue
-            assert lattice(got) == lattice(want)
+            assert lattice(got) == lattice(want, rotated=True)
             assert np.max(np.abs(vertex_array(got) - vertex_array(want))) < 1e-13
             outcomes.add((len(want.discarded), max(len(f.vertex_cycle) for f in
                                                    want.faces) > 3))
@@ -278,14 +279,15 @@ class TestStackedHull:
 
     def test_lattice_matches_the_angle_sorted_hull(self, lattice_inputs):
         # bit for bit: the half-edge lattice is the one the angle sort and
-        # the corner walk gave, vertex rows and cycle starts included
+        # the corner walk gave, vertex rows included, each cycle from its
+        # least vertex
         for duals in lattice_inputs:
             got = hull_outcome(lambda: hull_from_dual_points(duals))
             want = hull_outcome(lambda: angle_sorted_hull(duals))
             if isinstance(want, type):
                 assert got is want
                 continue
-            assert lattice(got) == lattice(want)
+            assert lattice(got) == lattice(want, rotated=True)
             assert np.array_equal(got.vertex_rows, want.vertex_rows)
             assert np.array_equal(got.plane_rows, want.plane_rows)
 
@@ -371,8 +373,7 @@ def pentagon(radii):
 
 
 def one_face(n, pts, labels):
-    cycle, = order_face_cycles(n[None], pts, np.ones((1, len(pts)), dtype=bool))
-    return [labels[i] for i in cycle]
+    return [labels[i] for i in order_face_cycle(n, pts, list(range(len(pts))))]
 
 
 def oracle_polyhedra():
@@ -447,22 +448,45 @@ class TestFaceCycle:
         assert cycle in "abcdeabcde"
 
     def test_reflex_corner_raises(self):
-        # corner c is pulled in past the chord bd
+        # corner c is pulled in past the chord bd; the convex pentagon and
+        # the reflex one sit in one batch, in either order
         n, pts = pentagon([1.0, 1.0, 0.2, 1.0, 1.0])
-        with pytest.raises(InvalidPolyhedron, match="not convex"):
-            one_face(n, pts, "abcde")
+        _, convex = pentagon([1.0, 0.8, 1.1, 0.9, 1.0])
+        normals, cycle = np.stack([n, n]), np.arange(5)
+        _check_turns(normals, convex, np.r_[cycle, cycle], np.array([5, 5]))
+        for first, second in ((pts, convex), (convex, pts)):
+            with pytest.raises(InvalidPolyhedron, match="not convex"):
+                _check_turns(normals, np.vstack([first, second]),
+                             np.r_[cycle, cycle + 5], np.array([5, 5]))
 
-    def test_one_pass_matches_the_single_face_orderer(self):
-        # faces of three to many corners in one batch, including the
-        # axis-aligned hexahedron and bipyramid whose coordinates hit zeros
+
+class TestCycleWalk:
+    def test_row_order_and_row_direction_do_not_matter(self):
+        # a row read from w to u, with its sides swapped, is the same edge
+        rng = np.random.RandomState(6)
         for P in oracle_polyhedra():
-            normals = np.array([p.v[1:] for p in P.planes])
-            points = np.array([v.v[1:] / v.v[0] for v in P.vertices])
-            inc = incidence(P)
-            want = [order_face_cycle(normals[f], points[np.flatnonzero(row)],
-                                     np.flatnonzero(row).tolist())
-                    for f, row in enumerate(inc)]
-            assert order_face_cycles(normals, points, inc) == want
+            for ends, sides, n in ((P.edge_faces, P.edge_vertices, P.n_faces),
+                                   (P.edge_vertices, P.edge_faces, P.n_vertices)):
+                want = cycle_walk(ends, sides, n)
+                perm = rng.permutation(P.n_edges)
+                turn = rng.rand(P.n_edges) < 0.5
+                ends2, sides2 = ends[perm], sides[perm]
+                ends2[turn], sides2[turn] = ends2[turn, ::-1], sides2[turn, ::-1]
+                got = cycle_walk(ends2, sides2, n)
+                assert np.array_equal(got[0], want[0])
+                assert np.array_equal(perm[got[1]], want[1])
+                assert np.array_equal(got[2], want[2])
+
+    def test_broken_tables_raise(self):
+        P = hexahedron(0.5)
+        twisted = P.edge_vertices.copy()
+        twisted[3] = twisted[3, ::-1]
+        for ends, sides in ((P.edge_faces[1:], P.edge_vertices[1:]),
+                            (P.edge_faces, twisted)):
+            with pytest.raises(InvalidPolyhedron,
+                               match="^the edges at end 0 do not close into "
+                                     "one cycle$"):
+                cycle_walk(ends, sides, P.n_faces)
 
 
 class TestDihedral:

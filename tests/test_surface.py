@@ -8,7 +8,9 @@ from polydual.errors import (
     InvalidSurface,
     LengthOverflow,
 )
-from polydual.polyhedra import _mates, _stars
+from polydual.fuchsian import fuchsian_dualize, fuchsian_octagon_group
+from polydual.polyhedra import cycle_walk, dualize
+from polydual.serialize import decode_cone_metric, encode_cone_metric
 from polydual.surface import (
     HYPERBOLIC,
     SPHERICAL,
@@ -109,27 +111,22 @@ class TestCombSurface:
         assert np.array_equal(s.mate[s.mate], np.arange(3 * s.n_triangles))
         assert np.array_equal(ends[s.mate], ends[:, ::-1])
 
-    @pytest.mark.parametrize("surface", [octahedron_sphere().surface,
-                                         k4_metric(1.0).surface],
-                             ids=["octahedron", "k4"])
+    @pytest.mark.parametrize(
+        "surface", [octahedron_sphere().surface, k4_metric(1.0).surface]
+        + [dualize(P).metric.surface for P in fibonacci_solids((8, 20))],
+        ids=["octahedron", "k4", "dual-8", "dual-20"])
     def test_vertex_stars_rotate_through_shared_edges(self, surface):
-        # the lattice builder's stars, with each triangle its own vertex
-        tri = surface.triangles
-        stars, count = _stars(tri, _mates(tri, surface.n_vertices),
-                              np.arange(len(tri)), surface.n_vertices)
-        walked = vertex_stars(surface)
-        triangles = tri.tolist()
-        for v, (star, m) in enumerate(zip(stars.tolist(), count.tolist())):
-            star = star[:m]
-            assert sorted(star) == [t for t, tri in enumerate(triangles) if v in tri]
-            for t, nxt in zip(star, star[1:] + star[:1]):
-                # consecutive triangles share the edge entering v in the first
-                tri = triangles[t]
-                w = tri[(tri.index(v) - 1) % 3]
-                assert {v, w} <= set(triangles[nxt])
-            back = walked[v][::-1]
-            k = back.index(star[0])
-            assert back[k:] + back[:k] == star
+        # each edge joins its smaller half-edge's ends and separates the
+        # triangles of its two half-edges
+        order, via, count = cycle_walk(surface.edge_pairs,
+                                       surface.edge_halfedges // 3,
+                                       surface.n_vertices)
+        stars = np.split(order, np.cumsum(count)[:-1])
+        assert [star.tolist() for star in stars] == vertex_stars(surface)
+        # consecutive triangles meet across the edge the walk names
+        after = np.concatenate([np.roll(star, -1) for star in stars])
+        assert np.array_equal(np.sort(surface.edge_halfedges[via] // 3, axis=1),
+                              np.sort(np.stack([order, after], axis=1), axis=1))
 
     def test_chart_arrays_are_read_only_and_flag_parallel_edges(self):
         s = octahedron_sphere().surface
@@ -139,6 +136,26 @@ class TestCombSurface:
         assert not s.triangles.flags.writeable
         assert not s.has_parallel_edges
         assert quad_double(1.0, 1.2)[0].surface.has_parallel_edges
+
+    def test_per_triangle_arrays_are_c_ordered(self):
+        # `check` prints a Gauss-Bonnet residual that is roundoff of sums
+        # over these arrays, whose order follows their memory layout
+        metrics = [dualize(P).metric for P in fibonacci_solids((8, 20))]
+        metrics += [fuchsian_dualize(fuchsian_octagon_group(), h).metric
+                    for h in (0.5, 2.0)]
+        metrics += [decode_cone_metric(encode_cone_metric(m)) for m in metrics]
+        flipped = []
+        for m in metrics:
+            for e in range(m.surface.n_edges):
+                try:
+                    flipped.append(flip_edge(m, e)[0])
+                    break
+                except FlipBlocked:
+                    continue
+        assert len(flipped) == len(metrics) == 8
+        for m in metrics + flipped:
+            for a in (m.surface.triangles, m.surface.triangle_sides, m.corner_angles):
+                assert a.flags.c_contiguous
 
     def test_triangle_vertex_mask_marks_corners(self):
         s = k4_metric(1.0).surface
