@@ -194,7 +194,7 @@ def cmd_realize(args):
     serialize.write_document(args.out, doc)
     for s in report.steps:
         print(f"s={s.s:.4f} residual={s.residual:.3e}")
-    print(f"final residual {np.max(np.abs(state.residual())):.3e}, "
+    print(f"final residual {np.abs(state.residual()).max():.3e}, "
           f"rigidity sv_min {rig.smallest_singular_value:.3e}")
     return PASS
 

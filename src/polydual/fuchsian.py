@@ -72,7 +72,7 @@ class FuchsianData:
         prod = np.eye(4)
         for k in self.relation:
             prod = prod @ self.generators[k].m
-        return float(np.max(np.abs(prod - np.eye(4))))
+        return float(np.abs(prod - np.eye(4)).max())
 
 
 def _octagon_vertices_h2():
@@ -105,7 +105,7 @@ def fuchsian_octagon_group() -> FuchsianData:
     for _ in range(8):
         ginv = gens[(s + 4) % 8].m
         img = ginv @ verts[v]
-        vnew = int(np.argmin([np.max(np.abs(img - w)) for w in verts]))
+        vnew = int(np.argmin([np.abs(img - w).max() for w in verts]))
         relation.append((s + 4) % 8)
         prod = prod @ ginv
         arrived = (s + 4) % 8
@@ -180,7 +180,7 @@ def _plane_through_points(rows: np.ndarray) -> np.ndarray:
     scaled = rows / np.linalg.norm(rows, axis=-1)[..., None]
     n = np.linalg.svd(scaled @ J)[2][..., -1, :]
     q = rowdot(n @ J, n)
-    if np.any(q <= 0):
+    if (q <= 0).any():
         raise InvalidPolyhedron("support plane through apex is not spacelike")
     return n / np.sqrt(q)[..., None]
 
@@ -189,7 +189,7 @@ def _members_on_planes(points: np.ndarray, normals: np.ndarray) -> list:
     """Per plane normal (F, 4): the indices of the points on it."""
     on = (np.abs(points @ J @ normals.T)
           <= MEMBER_TOL * np.linalg.norm(points, axis=1)[:, None])
-    return [tuple(np.nonzero(col)[0].tolist()) for col in on.T]
+    return [tuple(col.nonzero()[0].tolist()) for col in on.T]
 
 
 @dataclass
@@ -206,21 +206,25 @@ def _apex_star(points: np.ndarray) -> ApexStar:
     if 0 not in set(int(v) for v in hull.vertices):
         raise InvalidPolyhedron("apex is not extreme in the sampled orbit")
     # fit each apex simplex's plane, collect the orbit points on it, and
-    # refit each distinct such set once; a face's last simplex sets its normal
+    # refit each distinct such set once, the sets of one size in one stacked
+    # fit; a face's last simplex sets its normal
     apex_simplices = hull.simplices[(hull.simplices == 0).any(axis=1)]
     firsts = _members_on_planes(points, _plane_through_points(points[apex_simplices]))
-    refit = {}
-    for f in set(firsts):
-        n = _plane_through_points(points[list(f)])
-        refit[f] = (_members_on_planes(points, n[None])[0], n)
+    by_size = {}
+    for f in dict.fromkeys(firsts):
+        by_size.setdefault(len(f), []).append(f)
+    sets = [f for group in by_size.values() for f in group]
+    fits = np.concatenate([_plane_through_points(points[group])
+                           for group in by_size.values()])
+    refit = dict(zip(sets, zip(_members_on_planes(points, fits), fits)))
     members, normals = zip(*sorted(dict(refit[f] for f in firsts).items()))
     incidence = np.zeros((len(members), len(points)), dtype=bool)
     for row, m in zip(incidence, members):
         row[list(m)] = True
     # orient outward: the rest of the orbit lies strictly on the negative side
     vals = np.array(normals) @ J @ points.T
-    above = np.max(vals, axis=1, where=~incidence, initial=-np.inf) > 0
-    if np.any(above & (np.min(vals, axis=1, where=~incidence, initial=np.inf) < 0)):
+    above = vals.max(axis=1, where=~incidence, initial=-np.inf) > 0
+    if (above & (vals.min(axis=1, where=~incidence, initial=np.inf) < 0)).any():
         raise InvalidPolyhedron("apex face plane does not support the orbit")
     faces = [{"normal": -n if flip else n, "members": m}
              for n, m, flip in zip(normals, members, above)]
@@ -287,7 +291,7 @@ def fuchsian_dualize(data: FuchsianData, h: float) -> FuchsianDualOutput:
     mats, points = _orbit(data, h)
     star = _apex_star(points)
     reach = _face_reaches(np.array([f["normal"] for f in star.faces]), h)
-    outside = np.nonzero(~(reach < ORBIT_RADIUS))[0]
+    outside = (~(reach < ORBIT_RADIUS)).nonzero()[0]
     if len(outside):
         f = outside[0]
         raise InvalidPolyhedron(
@@ -303,15 +307,15 @@ def fuchsian_dualize(data: FuchsianData, h: float) -> FuchsianDualOutput:
     order = np.argsort(keys)
     sigma = order[np.minimum(np.searchsorted(keys[order], _centre_keys(inverses)),
                              m - 1)]
-    if np.any(np.max(np.abs(gammas[sigma] - inverses), axis=(1, 2))
-              >= WORD_MATCH_TOL):
+    if (np.abs(gammas[sigma] - inverses).max(axis=(1, 2))
+            >= WORD_MATCH_TOL).any():
         raise InvalidPolyhedron("side pairing leaves the apex star")
 
     # corner identification: side i glued to side sigma(i) reversing direction
     normals = np.array([star.faces[idx]["normal"] for idx in star.order])
     mapped = (inverses @ normals[:, :, None])[..., 0]
-    if np.any(np.max(np.abs(mapped - normals[(sigma + 1) % m]), axis=1)
-              > PAIRING_TOL):
+    if (np.abs(mapped - normals[(sigma + 1) % m]).max(axis=1)
+            > PAIRING_TOL).any():
         raise InvalidPolyhedron(
             "side pairing does not reverse the polygon orientation")
     classes, class_of = _corner_classes(sigma)

@@ -133,7 +133,7 @@ def _closed_walks(mate: np.ndarray, depth: int) -> list:
         closing = back[:, 0] | back[:, 1]
         if closing.any():
             out.append(paths[closing])
-        node, col = np.nonzero((d > 0) & (d <= depth - length))
+        node, col = ((d > 0) & (d <= depth - length)).nonzero()
         if not len(node):
             break
         cur, root = nxt[node, col], root[node]
@@ -199,7 +199,7 @@ def _word_products(exits, words) -> np.ndarray:
 
 
 def _max_deviation(X, Y) -> np.ndarray:
-    return np.max(np.abs(X - Y), axis=(-2, -1))
+    return np.abs(X - Y).max(axis=(-2, -1))
 
 
 def _fit_flat_normal(A, B, valid) -> np.ndarray:
@@ -286,7 +286,7 @@ def _closed_geodesics(H, A, B, lengths):
         H = np.where(flat[:, None, None], np.eye(3), H)
     # most circles leave some crossed edge on one side: test only the rest
     fa, fb = rowdot(A, normal[:, None]), rowdot(B, normal[:, None])
-    live = np.nonzero(((fa > 0) != (fb > 0)).all(axis=1, where=valid))[0]
+    live = ((fa > 0) != (fb > 0)).all(axis=1, where=valid).nonzero()[0]
     found, length = np.zeros(len(H), dtype=bool), np.zeros(len(H))
     if len(live):
         found[live], length[live] = _circle_lengths(
@@ -321,7 +321,7 @@ def closed_geodesic_search(m: ConeMetric, depth: int = 8,
         if words is not None:
             contractible = (_max_deviation(_word_products(exits, words), np.eye(4))
                             < IDENTITY_TOL)
-        kept = (np.flatnonzero(contractible) if contractible_only
+        kept = (contractible.nonzero()[0] if contractible_only
                 else np.arange(len(walks)))
         if len(kept):
             H, A, B = _strip_holonomy(exits[kept], frames, rotations)

@@ -63,7 +63,7 @@ class HPoint:
     def __post_init__(self):
         v = np.asarray(self.v, dtype=float)
         object.__setattr__(self, "v", v)
-        if v.shape != (4,) or not np.all(np.isfinite(v)):
+        if v.shape != (4,) or not np.isfinite(v).all():
             raise ValueError("HPoint needs 4 finite components")
         q = minkowski_inner(v, v)
         if abs(q + 1.0) > NORM_TOL:
@@ -102,7 +102,7 @@ class DSPoint:
     def __post_init__(self):
         v = np.asarray(self.v, dtype=float)
         object.__setattr__(self, "v", v)
-        if v.shape != (4,) or not np.all(np.isfinite(v)):
+        if v.shape != (4,) or not np.isfinite(v).all():
             raise ValueError("DSPoint needs 4 finite components")
         q = minkowski_inner(v, v)
         if abs(q - 1.0) > NORM_TOL:
@@ -112,7 +112,7 @@ class DSPoint:
     def from_vector(cls, v) -> "DSPoint":
         """Normalize a spacelike vector onto the de Sitter quadric."""
         v = _as_vec4(v)
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ValueError("DSPoint needs 4 finite components")
         q = minkowski_inner(v, v)
         if q <= 0:
@@ -164,7 +164,7 @@ def _points(cls, rows, ok, one, given=None) -> list:
     in one pass (ok[k] for row k), built without re-running the checks. The
     first row not ok is handed to the per-point constructor `one`, as given
     (`given`, default `rows`), so it raises that constructor's error."""
-    bad = np.flatnonzero(~ok)
+    bad = (~ok).nonzero()[0]
     if bad.size:
         one((rows if given is None else given)[bad[0]])
         raise AssertionError(f"row {bad[0]} failed the stacked check only")
@@ -193,7 +193,7 @@ def h_distances(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     d = u - w
     c2 = minkowski_rows(d, d)
     bad = c2 < -CLAMP_SLACK
-    if np.any(bad):
+    if bad.any():
         raise DomainExceeded(f"chord norm {c2[np.argmax(bad)]} negative beyond slack")
     return 2.0 * np.arcsinh(np.sqrt(np.maximum(c2, 0.0)) / 2.0)
 
@@ -224,7 +224,7 @@ def ds_distances(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     c2m = minkowski_rows(diff, diff)    # = 2 - 2<u,w>
     c2p = minkowski_rows(csum, csum)    # = 2 + 2<u,w>
     bad = (c2m <= 0) | (c2p <= 0)
-    if np.any(bad):
+    if bad.any():
         k = int(np.argmax(bad))
         raise NotSpacelikeSeparated(
             f"pair {k}: <p,q> = {minkowski_rows(u[k], w[k])} outside (-1, 1)")
@@ -298,7 +298,7 @@ class Isometry:
         m = np.asarray(m, dtype=float)
         if m.shape != (4, 4):
             raise ValueError("isometry needs a 4x4 matrix")
-        if np.max(np.abs(m.T @ J @ m - J)) > ISO_TOL:
+        if np.abs(m.T @ J @ m - J).max() > ISO_TOL:
             raise ValueError("matrix does not preserve the Minkowski form")
         if abs(np.linalg.det(m) - 1.0) > ISO_TOL:
             raise ValueError("matrix does not have determinant +1")

@@ -167,7 +167,7 @@ class ConvexPolyhedronH3:
 
     def faces_at_vertex(self, v: int) -> list:
         """The faces at vertex v, ascending."""
-        return np.flatnonzero(self.incidence[:, v]).tolist()
+        return self.incidence[:, v].nonzero()[0].tolist()
 
     @cached_property
     def _edge_maps(self) -> tuple:
@@ -213,7 +213,7 @@ def _lift_klein(y: np.ndarray) -> np.ndarray:
     as hyperboloid rows; raises UnboundedPolyhedron at the first one not
     inside the ball."""
     r2 = (y[:, None, :] @ y[..., None])[:, 0, 0]     # each row's own y @ y
-    out = np.flatnonzero(r2 >= 1.0 - BALL_MARGIN)
+    out = (r2 >= 1.0 - BALL_MARGIN).nonzero()[0]
     if out.size:
         raise UnboundedPolyhedron(
             f"lattice vertex at Klein radius {np.sqrt(r2[out[0]]):.12f} leaves H^3")
@@ -222,7 +222,7 @@ def _lift_klein(y: np.ndarray) -> np.ndarray:
     rows[:, 0] = x0
     rows[:, 1:] = x0[:, None] * y
     # the rows are finite and x0 > 0, so HPoint checks only the quadric
-    bad = np.flatnonzero(np.abs(minkowski_rows(rows, rows) + 1.0) > NORM_TOL)
+    bad = (np.abs(minkowski_rows(rows, rows) + 1.0) > NORM_TOL).nonzero()[0]
     if bad.size:
         # near the sphere at infinity the lift's roundoff can leave the
         # hyperboloid
@@ -247,7 +247,7 @@ def _interior_point(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     the polar points' spread.
     """
     norms = np.linalg.norm(a, axis=1)
-    if np.all(b >= ORIGIN_CLEARANCE * norms):
+    if (b >= ORIGIN_CLEARANCE * norms).all():
         return np.zeros(3)
     # imported here: no benchmark input takes this branch, and importing
     # scipy.optimize costs about 0.2 s and 12 MB
@@ -318,7 +318,7 @@ def hull_from_dual_points(duals) -> ConvexPolyhedronH3:
     y0 = _interior_point(a, b)
 
     gap = b - a @ y0
-    if np.any(gap <= 0):
+    if (gap <= 0).any():
         raise EmptyInterior("interior point failed strict containment")
     ConvexHull, QhullError = qhull()
     polar = np.vstack([a / gap[:, None], np.zeros(3)])
@@ -336,7 +336,7 @@ def hull_from_dual_points(duals) -> ConvexPolyhedronH3:
     redundant = np.ones(n, dtype=bool)
     redundant[essential] = False
     return _face_lattice(rows, a, b, essential,
-                         np.flatnonzero(redundant).tolist(),
+                         redundant.nonzero()[0].tolist(),
                          oriented_simplices(hull))
 
 
@@ -416,7 +416,7 @@ def _face_lattice(rows, a, b, essential, discarded, tri) -> ConvexPolyhedronH3:
     edge_vertices, edge_faces = glued_edges(tri, _mates(tri, len(essential)),
                                             vertex_of)
     cycles, _, sizes = cycle_walk(edge_faces, edge_vertices, len(essential))
-    small = np.flatnonzero(sizes < 3)
+    small = (sizes < 3).nonzero()[0]
     if small.size:
         raise InvalidPolyhedron(
             f"face {essential[small[0]]} has fewer than three vertices")
@@ -444,14 +444,14 @@ def _merged_vertices(a, b, corners, y, ok, members, own) -> tuple:
     last triangle's point is kept. A triangle lies at the first vertex whose
     plane set holds its three planes.
     """
-    for s in np.flatnonzero(ok & np.any(members != own, axis=1)):
-        ys = _solve_vertex(a, b, np.flatnonzero(members[s]))
+    for s in (ok & (members != own).any(axis=1)).nonzero()[0]:
+        ys = _solve_vertex(a, b, members[s].nonzero()[0])
         if ys is None:
             ok[s] = False
             continue
         y[s] = ys
         members[s] = _planes_through(a, b, ys[None])[0]
-    kept = np.flatnonzero(ok)
+    kept = ok.nonzero()[0]
     m = members[kept].astype(float)
     count = m.sum(axis=1)
     inside = (m @ m.T == count[:, None]) & (count > count[:, None])
@@ -460,10 +460,10 @@ def _merged_vertices(a, b, corners, y, ok, members, own) -> tuple:
     order = np.lexsort((~members[kept]).T[::-1])
     ranked = members[kept[order]]
     last = np.ones(len(order), dtype=bool)
-    last[:-1] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    last[:-1] = (ranked[1:] != ranked[:-1]).any(axis=1)
     kept = kept[order[last]]
     at = members[kept][:, corners].all(axis=2)          # vertex x triangle
-    lost = np.flatnonzero(~at.any(axis=0))
+    lost = (~at.any(axis=0)).nonzero()[0]
     if lost.size:
         raise InvalidPolyhedron(
             f"the planes {corners[lost[0]].tolist()} of a triangle meet at "
@@ -477,7 +477,7 @@ def _mates(tri, n_faces) -> np.ndarray:
     Raises InvalidPolyhedron when the triangles do not glue into a closed
     oriented surface."""
     mate = directed_mates(tri, n_faces)
-    bad = np.flatnonzero(mate < 0)
+    bad = (mate < 0).nonzero()[0]
     if bad.size:
         h = bad[0]
         raise InvalidPolyhedron(
@@ -504,7 +504,7 @@ def glued_edges(tri, mate, group) -> tuple:
     u, w = t_start[keep], t_end[keep]
     order = np.lexsort((w, u))
     pairs = np.stack([u[order], w[order]], axis=1)
-    twice = np.flatnonzero(np.all(pairs[1:] == pairs[:-1], axis=1))
+    twice = (pairs[1:] == pairs[:-1]).all(axis=1).nonzero()[0]
     if twice.size:
         raise InvalidPolyhedron(
             f"edge {tuple(pairs[twice[0]].tolist())} is not shared by "
@@ -582,7 +582,7 @@ def _solve_triples(a, b, tri):
     if ok.all():
         y = np.linalg.solve(rows, rhs[..., None])[..., 0]
     else:
-        doubt = np.flatnonzero(~ok)
+        doubt = (~ok).nonzero()[0]
         sv = np.linalg.svd(rows[doubt], compute_uv=False)
         ok[doubt] = sv[:, 2] > RANK_CUTOFF * sv[:, 0]
         y = np.zeros((len(tri), 3))
@@ -599,7 +599,7 @@ def _solve_vertex(a, b, idxs):
     y, res, rank, _ = np.linalg.lstsq(rows, rhs, rcond=None)
     if rank < 3:
         return None
-    if np.max(np.abs(rows @ y - rhs)) > SOLVE_RESIDUAL:
+    if np.abs(rows @ y - rhs).max() > SOLVE_RESIDUAL:
         return None
     return y
 
@@ -666,7 +666,7 @@ class ChartCertificate:
         certificate's and, K growing by at most 1 / (1 - 3 K delta), the new
         points'.
         """
-        delta = float(np.max(np.abs(positions - self.positions)))
+        delta = float(np.abs(positions - self.positions).max())
         grow = 3.0 * self.inverse_bound * delta
         if grow >= 1.0:
             return False
@@ -753,19 +753,19 @@ def chart_verdict(duals, surface: CombSurface) -> tuple:
     resid, scale = _plane_offsets(a, b, y)            # triangle x plane
     limit = CERTIFY_MARGIN * scale
     own = surface.triangle_vertex_mask
-    if np.any((resid > limit) & ~own):
+    if ((resid > limit) & ~own).any():
         return VIOLATED, None
     squares = np.einsum("ij,ij->i", y, y)
-    if not (np.all(squares < 1.0 - CERTIFY_MARGIN)
-            and np.all(own | (resid < -limit))):
+    if not ((squares < 1.0 - CERTIFY_MARGIN).all()
+            and (own | (resid < -limit)).all()):
         return UNDECIDED, None
-    slack = float(np.min(np.where(own, np.inf, -limit - resid)))
-    inverse_bound = float(np.sqrt(np.max(np.einsum("tij,tij->t", inverse, inverse))))
-    klein_radius = float(np.sqrt(np.max(squares)))
-    normal_bound = float(np.max(_row_norms(a)))
+    slack = float(np.where(own, np.inf, -limit - resid).min())
+    inverse_bound = float(np.sqrt(np.einsum("tij,tij->t", inverse, inverse).max()))
+    klein_radius = float(np.sqrt(squares.max()))
+    normal_bound = float(_row_norms(a).max())
     roundoff = CERTIFY_ROUNDOFF * (
         (1.0 + inverse_bound * normal_bound) * (1.0 + klein_radius)
-        * (1.0 + normal_bound) + float(np.max(scale)))
+        * (1.0 + normal_bound) + float(scale.max()))
     if slack <= roundoff or klein_radius ** 2 >= 1.0 - CERTIFY_MARGIN:
         return CERTIFIED, None
     return CERTIFIED, ChartCertificate(x, slack, inverse_bound, klein_radius,
@@ -782,7 +782,7 @@ def _check_turns(normals, points, cycles, count):
     p = points[cycles]
     sides = p[after] - p
     turns = cross(sides, sides[after])
-    if np.any(rowdot(turns, np.repeat(normals, count, axis=0)) <= 0):
+    if (rowdot(turns, np.repeat(normals, count, axis=0)) <= 0).any():
         raise InvalidPolyhedron("face cycle is not convex about its normal")
 
 
@@ -798,7 +798,7 @@ def _validate_lattice(poly, incidence, merge_tol):
     scale = x[..., 0]
     off = incidence & (np.abs(inner) > 10 * merge_tol * scale)
     outside = ~incidence & (inner >= -merge_tol * scale / 10)
-    bad = np.flatnonzero(off.any(axis=0) | outside.any(axis=0))
+    bad = (off.any(axis=0) | outside.any(axis=0)).nonzero()[0]
     if bad.size:
         v = bad[0]
         if off[:, v].any():
@@ -1014,7 +1014,7 @@ def random_polyhedron(rng: np.random.RandomState, n_faces: int = 6,
             continue
         if max_dual_length is not None:
             try:
-                worst = np.max(np.pi - dihedral_angles(poly))
+                worst = (np.pi - dihedral_angles(poly)).max()
             except NotSpacelikeSeparated:
                 continue
             if worst > max_dual_length:

@@ -15,6 +15,7 @@ import tempfile
 
 import numpy as np
 
+from .errors import InvalidConeMetric, InvalidSurface
 from .minkowski import DSPoint
 from .polyhedra import ConvexPolyhedronH3, DualMetricOutput, hull_from_dual_points
 from .surface import CombSurface, ConeMetric
@@ -95,6 +96,8 @@ def encode_cone_metric(m: ConeMetric) -> dict:
 
 
 def decode_cone_metric(payload: dict) -> ConeMetric:
+    """The metric of a cone_metric payload; ParseError when the payload
+    does not describe one, the surface or lengths invalid included."""
     try:
         pairs = np.array(payload["gluing"], dtype=int).reshape(len(payload["gluing"]), 2)
         gluing = dict(zip(pairs.ravel().tolist(), pairs[:, ::-1].ravel().tolist()))
@@ -106,7 +109,8 @@ def decode_cone_metric(payload: dict) -> ConeMetric:
         return ConeMetric(surf, payload["geometry"],
                           np.array(payload["lengths"], dtype=float),
                           deck_words=words)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, InvalidSurface,
+            InvalidConeMetric) as exc:
         raise ParseError(f"malformed cone_metric payload: {exc}") from exc
 
 

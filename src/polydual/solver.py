@@ -38,7 +38,6 @@ near the path (`newton_solve(track=True)`). No step builds a rigidity report;
 """
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -77,6 +76,9 @@ PERTURB_EDGE_SHARE = 0.1     # largest perturbation, per unit of shortest edge
 FRAME_TOL = 1e-10            # |<t, t>| below which a frame candidate is skipped
 GAUGE_TOL = 1e-6             # relative size below which a gauge triple is dependent
 CHORD_CONTRACTION = 0.05     # residual-norm ratio above which a chord step re-bases
+QUADRIC_TOL = 1e-10          # largest |<x, x> - 1| of a dual point
+PATH_END_SLACK = 1e-14       # a homotopy parameter within this of 1 is its end
+REANCHOR_SLACK = 1e-12       # a flip this close to s = 1 restarts from the chart lengths
 
 
 def _tangent_frames(positions: np.ndarray) -> tuple:
@@ -111,7 +113,7 @@ def _tangent_frames(positions: np.ndarray) -> tuple:
     # the masked loop redoes the rest from scratch, overwriting every slot
     count = np.where(done, 3, 0)
     for c in range(n + 3):
-        rows = np.flatnonzero(count < 3)
+        rows = (count < 3).nonzero()[0]
         if not rows.size:
             break
         x = positions[rows]
@@ -129,7 +131,7 @@ def _tangent_frames(positions: np.ndarray) -> tuple:
         vectors[rows, count[rows]] = t / np.sqrt(np.abs(q))[:, None]
         signs[rows, count[rows]] = np.where(q > 0, 1.0, -1.0)
         count[rows] += 1
-    if np.any(count < 3):
+    if (count < 3).any():
         raise SolverError("tangent frame construction degenerated")
     return np.ascontiguousarray(vectors.transpose(0, 2, 1)), signs
 
@@ -201,7 +203,7 @@ def build_gauge(positions: np.ndarray, frames) -> Gauge:
                 return Gauge(pinned=(i0, i1, i2), free1=(g / g_norm)[:, None],
                              free2=np.stack([e0, cross(c / c_norm, e0)],
                                             axis=1),
-                             free=np.flatnonzero(free))
+                             free=free.ravel().nonzero()[0])
     raise SolverError("no independent point triple found for the gauge")
 
 
@@ -232,20 +234,34 @@ class SolverState:
         self.edge_pairs = surface.edge_pairs
         if surface.n_edges != 3 * n - 6:
             raise SolverError("chart dimension is not 3n - 6; genus-0 required")
-        # frames, gauge, Jacobian and its LU factors, the chart verdict with
-        # its certificate, and the polyhedron depend only on positions and
-        # chart: built once, shared with every retarget; so is the base a
-        # solution was solved in (`newton_solve`)
+        # chart lengths, frames, gauge, Jacobian and its LU factors, the
+        # chart verdict with its certificate, and the polyhedron depend only
+        # on positions and chart: built once, shared with every retarget; so
+        # is the base a solution was solved in (`newton_solve`)
         self.cache = {}
+
+    def _copy(self) -> "SolverState":
+        """A shallow copy, its cache dict shared, built without `__init__`
+        and its checks, which a copy passes as its original did."""
+        out = object.__new__(type(self))
+        out.__dict__ = self.__dict__.copy()
+        return out
 
     # -- geometry ----------------------------------------------------------------
 
     def current_lengths(self) -> np.ndarray:
-        try:
-            return ds_distances(*self.positions[self.edge_pairs.T])
-        except NotSpacelikeSeparated:
-            raise NotSpacelikeSeparated(
-                "a chart edge is no longer spacelike") from None
+        """The de Sitter lengths of the chart edges, measured once per
+        state and kept, read-only, in its cache."""
+        lengths = self.cache.get("lengths")
+        if lengths is None:
+            try:
+                lengths = ds_distances(*self.positions[self.edge_pairs.T])
+            except NotSpacelikeSeparated:
+                raise NotSpacelikeSeparated(
+                    "a chart edge is no longer spacelike") from None
+            lengths.flags.writeable = False
+            self.cache["lengths"] = lengths
+        return lengths
 
     def residual(self) -> np.ndarray:
         return self.current_lengths() - self.target
@@ -263,8 +279,8 @@ class SolverState:
 
     def retarget(self, target_lengths) -> "SolverState":
         """The same positions and chart with new target lengths, sharing this
-        state's frames, gauge, Jacobian and feasibility verdict."""
-        out = copy.copy(self)
+        state's lengths, frames, gauge, Jacobian and feasibility verdict."""
+        out = self._copy()
         out.target = np.asarray(target_lengths, dtype=float).copy()
         return out
 
@@ -281,21 +297,21 @@ class SolverState:
         """
         x = self.positions
         v, q = _chart_moves(x, frames[0], gauge.chart_steps(delta))
-        left = np.flatnonzero(q <= 0)
+        left = (q <= 0).nonzero()[0]
         if left.size:
             raise FeasibilityLost(f"point {left[0]} left the quadric chart")
         out = v / np.sqrt(q)[:, None]
         # the fully pinned point stays put, not even renormalized
         out[gauge.pinned[0]] = x[gauge.pinned[0]]
         _check_quadric(out)
-        trial = copy.copy(self)
+        trial = self._copy()
         trial.positions, trial.cache = out, {}
         return trial
 
 
 def _check_quadric(positions: np.ndarray):
     norms = minkowski_rows(positions, positions)
-    if np.max(np.abs(norms - 1.0)) > 1e-10:
+    if np.abs(norms - 1.0).max() > QUADRIC_TOL:
         raise SolverError("dual points must lie on the de Sitter quadric")
 
 
@@ -407,7 +423,7 @@ def _check_refinement(poly: ConvexPolyhedronH3, state: SolverState):
                               missing_sides=pairs)
     inc = poly.incidence
     chord = (inc[chart[:, 0]] & inc[chart[:, 1]]).any(axis=1)
-    bad = np.flatnonzero(~chord & ~np.isin(chart_keys, side_keys))
+    bad = (~chord & ~np.isin(chart_keys, side_keys)).nonzero()[0]
     if bad.size:
         raise FeasibilityLost(
             f"chart edge {chart[bad[0]].tolist()} is not a chord of any dual polygon")
@@ -522,15 +538,15 @@ def newton_solve(state: SolverState, tol: float = NEWTON_TOL,
     cur = state
     base, xi = _chart_base(state)
     r = cur.residual()
-    near = CHORD_CONTRACTION * np.max(np.abs(r))
+    near = CHORD_CONTRACTION * np.abs(r).max()
     for _ in range(NEWTON_MAX_ITER):
-        r_max = np.max(np.abs(r))
+        r_max = np.abs(r).max()
         if r_max < tol:
             break
         delta = _chord_step(base, r)
         if track and r_max <= near and _covers_next(cur, base, xi + delta):
             break
-        r_norm = np.linalg.norm(r)
+        r_norm = _norm(r)
         step = 1.0
         last_feas_exc = None
         while step >= DAMPING_FLOOR:
@@ -543,7 +559,7 @@ def newton_solve(state: SolverState, tol: float = NEWTON_TOL,
                 last_feas_exc = exc
                 step /= 2
                 continue
-            trial_norm = np.linalg.norm(r_trial)
+            trial_norm = _norm(r_trial)
             if trial_norm < r_norm:
                 break
             step /= 2
@@ -560,7 +576,7 @@ def newton_solve(state: SolverState, tol: float = NEWTON_TOL,
                     f"every damped step left the feasible set ({last_feas_exc})",
                     missing_sides=missing) from last_feas_exc
             raise StepStalled(
-                f"damping floor reached at residual {np.max(np.abs(r)):.3e}")
+                f"damping floor reached at residual {np.abs(r).max():.3e}")
         rebase = step < 1.0 or trial_norm > CHORD_CONTRACTION * r_norm
         cur, r = trial, r_trial
         if rebase:
@@ -568,10 +584,10 @@ def newton_solve(state: SolverState, tol: float = NEWTON_TOL,
         else:
             xi = move
     else:
-        if np.max(np.abs(r)) >= tol:
+        if np.abs(r).max() >= tol:
             raise StepStalled(
                 f"no convergence after {NEWTON_MAX_ITER} iterations "
-                f"(residual {np.max(np.abs(r)):.3e})")
+                f"(residual {np.abs(r).max():.3e})")
     if base is not cur:           # a state never refers to itself
         cur.cache["chart"] = base, xi
     return cur
@@ -653,7 +669,7 @@ def _edge_with_opposite_corners(surface: CombSurface, pair) -> Optional[int]:
     # the corner opposite half-edge 3t + k is corner k + 2 of t
     h = surface.edge_halfedges
     opposite = np.sort(surface.triangles.ravel()[h - h % 3 + (h + 2) % 3], axis=1)
-    e = np.flatnonzero(np.all(opposite == sorted(pair), axis=1))
+    e = (opposite == sorted(pair)).all(axis=1).nonzero()[0]
     return int(e[0]) if e.size else None
 
 
@@ -744,7 +760,7 @@ def continuation(start, target: ConeMetric, steps: int = 10,
     s = 0.0
     ds = 1.0 / steps
     min_ds = ds / 64.0
-    while s < 1.0 - 1e-14:
+    while s < 1.0 - PATH_END_SLACK:
         surface = state.surface
         s_next = min(1.0, s + ds)
         l_next = schedule(surface, s_next, bump)
@@ -752,20 +768,20 @@ def continuation(start, target: ConeMetric, steps: int = 10,
         if not ok:
             fixed = False
             for cand in (0.005, 0.01, 0.02, 0.05):
-                if np.max(schedule(surface, s_next, cand)) < np.pi:
+                if schedule(surface, s_next, cand).max() < np.pi:
                     ok2, _ = step_valid(surface, schedule(surface, s_next, cand))
                     if ok2:
                         bump, fixed = cand, True
                         break
             if not fixed:
-                edge = int(np.argmax(l_next)) if np.max(l_next) >= np.pi else None
+                edge = int(np.argmax(l_next)) if l_next.max() >= np.pi else None
                 raise HomotopyBlocked(
                     f"interpolated metric leaves the chart at s={s_next:.4f}: {why}",
                     s=s_next, edge=edge)
             l_next = schedule(surface, s_next, bump)
         try:
             solved = newton_solve(state.retarget(l_next), tol=tol,
-                                  track=s_next < 1.0 - 1e-14)
+                                  track=s_next < 1.0 - PATH_END_SLACK)
         except (StepStalled, FeasibilityLost) as exc:
             recovered = None
             if isinstance(exc, FeasibilityLost):
@@ -774,7 +790,7 @@ def continuation(start, target: ConeMetric, steps: int = 10,
                 state, l1, ev = recovered
                 l_cur = state.current_lengths()
                 l0 = ((l_cur - s * l1) / (1.0 - s)
-                      if s < 1.0 - 1e-12 else l_cur)
+                      if s < 1.0 - REANCHOR_SLACK else l_cur)
                 report.flips.append(ev)
                 continue
             if ds / 2 < min_ds:
@@ -787,7 +803,7 @@ def continuation(start, target: ConeMetric, steps: int = 10,
         s = s_next
         ds = min(2 * ds, 1.0 / steps)
         report.steps.append(ContinuationStep(
-            s=s, residual=float(np.max(np.abs(state.residual())))))
+            s=s, residual=float(np.abs(state.residual()).max())))
     report.bump = bump
     return state, report
 
@@ -867,7 +883,7 @@ def _perturbations(P: ConvexPolyhedronH3, rng: np.random.RandomState,
     for _ in range(PERTURB_TRIES):
         drawn = rng.get_state()
         v, q = _chart_moves(base, frames, magnitude * rng.randn(len(base), 3))
-        left = np.flatnonzero(q <= 0)
+        left = (q <= 0).nonzero()[0]
         if left.size:
             # keep the draws of a point-by-point try, which stops at the
             # first point that leaves its chart
@@ -902,7 +918,7 @@ def _relabelings(poly: ConvexPolyhedronH3, surface: CombSurface):
     pairs |= pairs.T
     adjacent = np.zeros((n, n), dtype=bool)
     adjacent[tuple(poly.edge_faces.T)] = True
-    adj = [np.flatnonzero(row).tolist() for row in adjacent | adjacent.T]
+    adj = [row.nonzero()[0].tolist() for row in adjacent | adjacent.T]
 
     sigma = [None] * n
     used = [False] * n
@@ -971,7 +987,7 @@ def match_dihedral_angles(P: ConvexPolyhedronH3, Q: ConvexPolyhedronH3,
         return False
 
     def spread(p, q):
-        return np.max(np.abs(np.sort(p) - np.sort(q)))
+        return np.abs(np.sort(p) - np.sort(q)).max()
 
     return bool(spread(dihedral_angles(P), dihedral_angles(Q)) < tol
                 and spread(P.edge_lengths(), Q.edge_lengths()) < tol)

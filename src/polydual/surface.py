@@ -85,7 +85,7 @@ class CombSurface:
         else:
             mate = _checked_gluing(tri, gluing)
         # edges numbered by their smaller half-edge
-        first = np.flatnonzero(np.arange(len(mate)) < mate)
+        first = (np.arange(len(mate)) < mate).nonzero()[0]
         edge = np.empty(len(mate), dtype=int)
         edge[first] = edge[mate[first]] = np.arange(len(first))
         _check_connected(mate)
@@ -159,7 +159,7 @@ def _derived_gluing(tri, n_vertices) -> np.ndarray:
     """The mates of `directed_mates`, or InvalidSurface naming the first
     half-edge whose directed edge is repeated or has no unique reverse."""
     mate = directed_mates(tri, n_vertices)
-    if np.all(mate >= 0):
+    if (mate >= 0).all():
         return mate
     # a repeated directed edge leaves some half-edge without a mate
     key = tri.ravel() * n_vertices + tri[:, _NEXT].ravel()
@@ -185,7 +185,7 @@ def _checked_gluing(tri, gluing) -> np.ndarray:
         mates = np.asarray(gluing, dtype=int).ravel()
         heads = np.where(mates >= 0, np.arange(len(mates)), -1)
     # the heads are distinct: n_he of them in range cover every half-edge
-    if len(heads) != n_he or np.any((heads < 0) | (heads >= n_he)):
+    if len(heads) != n_he or ((heads < 0) | (heads >= n_he)).any():
         raise InvalidSurface("gluing must cover every half-edge")
     mate = np.empty(n_he, dtype=int)
     mate[heads] = mates
@@ -241,7 +241,7 @@ def corner_angles(sides: np.ndarray, geometry: str) -> np.ndarray:
     opposite = cos - cos1 * cos2 if geometry == SPHERICAL else cos1 * cos2 - cos
     cosines = opposite / (sin[:, [1, 2, 0]] * sin[:, [2, 0, 1]])
     beyond = np.abs(cosines) > 1.0 + ANG_SLACK
-    if np.any(beyond):
+    if beyond.any():
         clamped(cosines.flat[np.argmax(beyond)], -1.0, 1.0, ANG_SLACK)
     return np.arccos(np.clip(cosines, -1.0, 1.0))
 
@@ -274,14 +274,14 @@ class ConeMetric:
         self._compute_angles()
 
     def _validate(self):
-        if not np.all(np.isfinite(self.lengths)) or np.any(self.lengths <= 0):
+        if not np.isfinite(self.lengths).all() or (self.lengths <= 0).any():
             raise InvalidConeMetric("edge lengths must be positive and finite")
-        if self.geometry == SPHERICAL and np.any(self.lengths >= np.pi):
+        if self.geometry == SPHERICAL and (self.lengths >= np.pi).any():
             raise InvalidConeMetric("spherical edge lengths must stay below pi")
         a, b, c = self.lengths[self.surface.triangle_sides].T
         unequal = (a + b <= c) | (b + c <= a) | (c + a <= b)
         too_long = (a + b + c >= 2 * np.pi) & (self.geometry == SPHERICAL)
-        if np.any(unequal | too_long):
+        if (unequal | too_long).any():
             t = int(np.argmax(unequal | too_long))
             if unequal[t]:
                 raise InvalidConeMetric(f"triangle {t} violates the triangle inequality")
@@ -292,11 +292,11 @@ class ConeMetric:
                                self.geometry)
         self.corner_angles = angles
         excess = angles.sum(axis=1) - np.pi
-        if np.any(np.abs(excess) < MIN_TRIANGLE_AREA):
+        if (np.abs(excess) < MIN_TRIANGLE_AREA).any():
             raise InvalidConeMetric("degenerate triangle (area below 1e-12)")
-        if self.geometry == SPHERICAL and np.any(excess <= 0):
+        if self.geometry == SPHERICAL and (excess <= 0).any():
             raise InvalidConeMetric("spherical triangle with nonpositive excess")
-        if self.geometry == HYPERBOLIC and np.any(excess >= 0):
+        if self.geometry == HYPERBOLIC and (excess >= 0).any():
             raise InvalidConeMetric("hyperbolic triangle with nonnegative defect")
 
     # -- intrinsic quantities --------------------------------------------------
@@ -331,7 +331,7 @@ def is_concave(m: ConeMetric) -> ConcavityReport:
     if m.geometry != SPHERICAL:
         raise InvalidConeMetric("concavity is defined for spherical cone-metrics")
     margins = m.cone_angles() - 2 * np.pi
-    return ConcavityReport(concave=bool(np.all(margins > 0)),
+    return ConcavityReport(concave=bool((margins > 0).all()),
                            margins=margins,
                            min_margin=float(margins.min()))
 
@@ -350,7 +350,7 @@ def gauss_bonnet_residual(m: ConeMetric) -> float:
 def scale(m: ConeMetric, lam: float) -> ConeMetric:
     """Multiply every edge length by exp(lam)."""
     new_lengths = np.exp(lam) * m.lengths
-    if m.geometry == SPHERICAL and np.any(new_lengths >= np.pi):
+    if m.geometry == SPHERICAL and (new_lengths >= np.pi).any():
         raise LengthOverflow(
             f"scaling by exp({lam}) pushes an edge length to "
             f"{new_lengths.max():.6f} >= pi")
@@ -436,7 +436,7 @@ def develop_third_point(A, B, dist_a, dist_b, sign: float):
     xy = np.linalg.solve(gram, rhs[..., None])[..., 0]
     planar = xy[..., 0, None] * A + xy[..., 1, None] * B
     z2 = 1.0 - rowdot(planar, planar)
-    if np.any(z2 <= 0):
+    if (z2 <= 0).any():
         raise FlipBlocked("development degenerates (points nearly collinear)")
     normal = cross(A, B)
     normal = normal / np.sqrt(rowdot(normal, normal))[..., None]

@@ -158,6 +158,33 @@ class TestCommands:
         bad.write_text(dual_path.read_text()[:40])
         assert main(["check", str(bad)]) == 2
 
+    @pytest.mark.parametrize("defect", ["negative length", "NaN length",
+                                        "gluing kept orientation"])
+    @pytest.mark.parametrize("command", ["check", "scale", "realize"])
+    def test_malformed_metric_is_invalid(self, tetra_files, tmp_path, capsys,
+                                         command, defect):
+        _, dual_path = tetra_files
+        doc = json.loads(dual_path.read_text())
+        metric = doc["payload"]["metric"]
+        if defect == "negative length":
+            metric["lengths"][0] = -0.5
+        elif defect == "NaN length":
+            metric["lengths"][0] = float("nan")   # json writes the NaN token
+        else:
+            # swap the mates of two edges: still an involution, but a
+            # half-edge is glued to one running the same way
+            (a, b), (c, d) = metric["gluing"][:2]
+            metric["gluing"][:2] = [[a, d], [c, b]]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = str(tmp_path / "out.json")
+        argv = {"check": ["check", str(bad)],
+                "scale": ["scale", str(bad), "0.01", "--out", out],
+                "realize": ["realize", str(bad), "--out", out]}[command]
+        assert main(argv) == 2
+        assert "parse error: malformed cone_metric payload" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_scale_zero_identity(self, tetra_files, tmp_path):
         _, dual_path = tetra_files
         out = tmp_path / "scaled.json"

@@ -14,7 +14,14 @@ from polydual.errors import (
     SolverError,
     StepStalled,
 )
-from polydual.minkowski import DSPoint, Isometry, J, minkowski_inner
+from polydual.cli import main
+from polydual.minkowski import (
+    DSPoint,
+    Isometry,
+    J,
+    ds_distances,
+    minkowski_inner,
+)
 from polydual.polyhedra import (
     CERTIFIED,
     TETRA_DIRECTIONS,
@@ -1077,6 +1084,48 @@ class TestLeanTrial:
             SolverState(st.positions[:5], st.surface, st.target)
         with pytest.raises(SolverError, match="one target length"):
             SolverState(st.positions, st.surface, st.target[:-1])
+
+
+class TestLengthsMemo:
+    def test_retarget_shares_the_read_only_lengths(self, tetra, monkeypatch):
+        P, out = tetra
+        st = state_of(P, out)
+        lengths = st.current_lengths()
+        builds = count_calls(monkeypatch, SolverState, "__init__")
+        again = st.retarget(scale(out.metric, 1e-3).lengths)
+        assert builds == []
+        assert again.current_lengths() is lengths
+        assert not lengths.flags.writeable
+        with pytest.raises(ValueError):
+            lengths[0] = 1.0
+        fresh = ds_distances(*st.positions[st.edge_pairs.T])
+        assert lengths.tobytes() == fresh.tobytes()
+
+    def test_trials_start_without_lengths(self, hexa):
+        st = state_of(*hexa)
+        st.current_lengths()
+        trial = st.moved(np.full(len(st.gauge().free), 1e-4), st.gauge(),
+                         st.frames())
+        assert "lengths" not in trial.cache
+        got = trial.current_lengths()
+        assert trial.cache["lengths"] is got
+        assert not np.array_equal(got, st.current_lengths())
+
+    def test_roundtrip_measures_each_position_set_once(self, tmp_path,
+                                                      monkeypatch):
+        path = str(tmp_path / "tet.json")
+        assert main(["gen", "tetrahedron", "--out", path]) == 0
+        measured = []
+        measure = solver.ds_distances
+
+        def recording(u, w):
+            measured.append((u.tobytes(), w.tobytes()))
+            return measure(u, w)
+
+        monkeypatch.setattr(solver, "ds_distances", recording)
+        assert main(["roundtrip", path, "--seed", "1", "--steps", "8"]) == 0
+        assert len(measured) == 12
+        assert len(set(measured)) == len(measured)
 
 
 def newton_corpus():

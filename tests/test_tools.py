@@ -1,5 +1,6 @@
 import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -93,3 +94,21 @@ def test_keys_on_one_side_alone_still_fail(compare, capsys, tmp_path):
     code, lines = run(compare, capsys, tmp_path / "a", tmp_path / "b")
     assert code == 1
     assert lines[1:] == ["  steps[].smallest_singular_value: only in A"]
+
+
+def test_ab_rounds_runs_a_checkout_against_itself():
+    root = os.path.dirname(TOOLS_DIR)
+    src = os.path.join(root, "src")
+    done = subprocess.run(
+        [sys.executable, os.path.join(TOOLS_DIR, "ab_rounds.py"), src, src,
+         "--workload", "solve-small", "--seed", "1", "--pairs", "1"],
+        capture_output=True, text=True, cwd=root)
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == ("ab_rounds: workload solve-small, seed 1, "
+                        "1 pairs of 20 jobs a side")
+    assert lines[3].startswith("pair 1: A ")
+    won = [line.split("won ")[1] for line in lines[4:6]]
+    assert sorted(won) == ["0 of 1 pairs", "1 of 1 pairs"]
+    assert lines[6].startswith("median B/A ")
+    assert "FAILED" not in done.stdout
