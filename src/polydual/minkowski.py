@@ -198,19 +198,6 @@ def h_distances(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     return 2.0 * np.arcsinh(np.sqrt(np.maximum(c2, 0.0)) / 2.0)
 
 
-def corner_angle(at, pred, succ) -> float:
-    """Angle at the H^3 point `at` between the geodesics toward pred and succ.
-
-    All three are raw 4-vectors on the hyperboloid.
-    """
-    def tangent(q):
-        t = q + minkowski_inner(at, q) * at
-        return t / np.sqrt(minkowski_inner(t, t))
-
-    t1, t2 = tangent(pred), tangent(succ)
-    return float(np.arccos(clamped(float(t1 @ J @ t2), -1.0, 1.0)))
-
-
 def ds_distances(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Spacelike de Sitter distances in (0, pi) between the rows of u and w,
     two (N, 4) arrays of points on the quadric, in the chord form

@@ -6,11 +6,15 @@ as a de Sitter distance (`minkowski.ds_distances`), in one stacked pass.
 
 The face lattice of a simple polyhedron is a triangulation of the sphere,
 one triangle per vertex: the polar duals of the vertex links. Both
-producers hand such a triangulation to one builder (`_face_lattice`), which
-solves each triangle's vertex and glues half-edges into an edge table:
+producers read the lattice off such a triangulation, gluing half-edges
+into an edge table:
 - `hull_from_dual_points` passes the simplices of the polar hull, which one
-  Qhull call returns, oriented by their facet normals;
-- `polyhedron_from_chart` passes a certified chart's triangles.
+  Qhull call returns, oriented by their facet normals, to `_face_lattice`,
+  which solves each triangle's vertex, merges the vertices of a wall and
+  checks the lattice;
+- `polyhedron_from_chart` reads a certified chart's triangles, their
+  points as `chart_verdict` solved them and the chart's gluing as they
+  are, since the certificate proves every check.
 
 Every cyclic order comes from that table by one walk (`cycle_walk`): read
 face first it gives the face cycles, read vertex first the fans of faces
@@ -44,10 +48,11 @@ from .errors import (
     UnboundedPolyhedron,
 )
 from .minkowski import (
+    CLAMP_SLACK,
     NORM_TOL,
     DSPoint,
     HPoint,
-    corner_angle,
+    clamped,
     ds_distances,
     ds_normalized,
     h_distances,
@@ -65,6 +70,12 @@ from .surface import (
 )
 
 BALL_MARGIN = 1e-12
+# The Klein radius r within which a lift lands on the hyperboloid within
+# NORM_TOL / 10: with d = 1 - r^2, the lift of `_lift_klein` is on it up
+# to about 9 u / d (u = 2^-53; the roundoff of r^2, its root and the four
+# products and three sums of <x, x>, each some u / d), 1.0e-13 here. Both
+# `chart_verdict`'s ball test and `_lift_klein` read it.
+LIFT_RADIUS = 0.995
 ORIGIN_CLEARANCE = 0.1           # least plane distance that keeps the Klein origin
 MERGE_TOL = 1e-9                 # relative residual of a plane through a vertex
 SOLVE_RESIDUAL = 1e-6            # largest plane residual of a solved vertex
@@ -211,7 +222,8 @@ class ConvexPolyhedronH3:
 def _lift_klein(y: np.ndarray) -> np.ndarray:
     """The points of H^3 over the Klein points y (rows), lifted in one pass
     as hyperboloid rows; raises UnboundedPolyhedron at the first one not
-    inside the ball."""
+    inside the ball, or, of those beyond LIFT_RADIUS (within it the lift is
+    known to land), the first that does not land on the hyperboloid."""
     r2 = (y[:, None, :] @ y[..., None])[:, 0, 0]     # each row's own y @ y
     out = (r2 >= 1.0 - BALL_MARGIN).nonzero()[0]
     if out.size:
@@ -222,7 +234,9 @@ def _lift_klein(y: np.ndarray) -> np.ndarray:
     rows[:, 0] = x0
     rows[:, 1:] = x0[:, None] * y
     # the rows are finite and x0 > 0, so HPoint checks only the quadric
-    bad = (np.abs(minkowski_rows(rows, rows) + 1.0) > NORM_TOL).nonzero()[0]
+    far = (r2 >= LIFT_RADIUS ** 2).nonzero()[0]
+    x = rows[far]
+    bad = far[np.abs(minkowski_rows(x, x) + 1.0) > NORM_TOL]
     if bad.size:
         # near the sphere at infinity the lift's roundoff can leave the
         # hyperboloid
@@ -340,27 +354,45 @@ def hull_from_dual_points(duals) -> ConvexPolyhedronH3:
                          oriented_simplices(hull))
 
 
-def polyhedron_from_chart(duals, surface: CombSurface) -> ConvexPolyhedronH3:
+def polyhedron_from_chart(duals, surface: CombSurface,
+                          points: np.ndarray) -> ConvexPolyhedronH3:
     """The polyhedron cut out by the planes dual to `duals`, for dual points
-    whose chart `surface` `chart_verdict` certified; builds no hull.
+    whose chart `surface` `chart_verdict` certified, read off the chart:
+    `points` (T, 3) are the chart triangles' common points in the Klein
+    chart, as `triangle_points` solves them for `duals`.
 
-    Why it is sound: the certificate proves that the chart is exactly the
-    polyhedron's dual decomposition, with every plane essential and every
-    vertex simple (see `chart_verdict`). So the chart's triangles are the
-    triangulated face lattice that `_face_lattice` reads, as it reads the
-    hull's: the planes are all of `duals`, converted as
-    `hull_from_dual_points` converts them, and the result equals the hull's
-    array for array. The chart's triangles are all ccw seen from outside or
-    all cw, and one decides which: three planes meeting at a vertex run ccw
-    seen from outside exactly when their normals' determinant is positive.
+    Why it needs nothing more: the certificate proves that the chart is
+    exactly the polyhedron's dual decomposition, with every plane essential
+    and every vertex simple, strictly inside every other plane and inside
+    LIFT_RADIUS (see `chart_verdict`). So each triangle's point is a vertex
+    of its own three planes and no other, the chart's gluing gives the
+    edges, and no membership, turn, Euler or vertex x plane check of the
+    hull path can fail; the result equals that of the hull path's lattice
+    builder (`_face_lattice`) array for array, its vertices up to the
+    roundoff of the two solves. The planes are all of `duals`, converted as
+    `hull_from_dual_points` converts them. The chart's triangles are all ccw
+    seen from outside or all cw, and one decides which: three planes
+    meeting at a vertex run ccw seen from outside exactly when their
+    normals' determinant is positive. Reversing every triangle (c0, c1, c2)
+    to (c2, c1, c0) reverses each half-edge and swaps half-edges 0 and 1,
+    so glued pairs stay glued.
     """
     rows = dual_rows(duals)
-    a, b = rows[:, 1:].copy(), rows[:, 0].copy()
-    tri = surface.triangles
-    p, q, r = a[tri[0]]
+    tri, mate = surface.triangles, surface.mate
+    p, q, r = rows[tri[0], 1:]
     if p @ cross(q, r) < 0:
         tri = tri[:, ::-1]
-    return _face_lattice(rows, a, b, np.arange(len(rows)), [], tri)
+        swap = np.arange(len(mate)).reshape(-1, 3)[:, [1, 0, 2]].ravel()
+        mate = swap[mate[swap]]
+    order, vertex_of = _simple_vertices(np.sort(tri, axis=1))
+    edge_vertices, edge_faces = glued_edges(tri, mate, vertex_of)
+    cycles, _, sizes = cycle_walk(edge_faces, edge_vertices, len(rows))
+    return ConvexPolyhedronH3(
+        plane_rows=rows, vertex_rows=_lift_klein(points[order]),
+        edge_vertices=edge_vertices, edge_faces=edge_faces, triangles=tri,
+        triangle_vertex=vertex_of, cycle_vertices=cycles,
+        cycle_offsets=np.cumsum(np.append(0, sizes)),
+        essential=np.arange(len(rows)))
 
 
 def oriented_simplices(hull) -> np.ndarray:
@@ -401,10 +433,7 @@ def _face_lattice(rows, a, b, essential, discarded, tri) -> ConvexPolyhedronH3:
     own = np.zeros(members.shape, dtype=bool)
     own[np.arange(len(corners))[:, None], corners] = True
     if ok.all() and np.array_equal(members, own):
-        # every vertex simple, one per triangle
-        order = np.lexsort(corners.T[::-1])
-        vertex_of = np.empty(len(order), dtype=int)
-        vertex_of[order] = np.arange(len(order))
+        order, vertex_of = _simple_vertices(corners)
         y = y[order]
     else:
         y, vertex_of = _merged_vertices(a, b, corners, y, ok, members, own)
@@ -430,6 +459,17 @@ def _face_lattice(rows, a, b, essential, discarded, tri) -> ConvexPolyhedronH3:
         discarded=discarded)
     _validate_lattice(poly, poly.incidence, MERGE_TOL)
     return poly
+
+
+def _simple_vertices(corners) -> tuple:
+    """(order, vertex_of) of a triangulation whose vertices are all simple,
+    one per triangle, given each triangle's sorted plane triple: the
+    triangles in the order of their vertices, which is that of the triples,
+    and each triangle's vertex."""
+    order = np.lexsort(corners.T[::-1])
+    vertex_of = np.empty(len(order), dtype=int)
+    vertex_of[order] = np.arange(len(order))
+    return order, vertex_of
 
 
 def _merged_vertices(a, b, corners, y, ok, members, own) -> tuple:
@@ -635,8 +675,10 @@ class ChartCertificate:
     their common points y_t) and every plane p that is not a corner of t:
     `slack` is sigma = min of -CERTIFY_MARGIN * scale - (a_p y_t - b_p),
     `inverse_bound` is K >= max_t |A_t^-1|_2 (the largest Frobenius norm),
-    `klein_radius` is Y = max_t |y_t|, `normal_bound` is alpha = max_p |a_p| and
-    `roundoff` bounds by how much computed offsets can miss exact ones.
+    `klein_radius` is Y = max_t |y_t|, `normal_bound` is alpha = max_p |a_p|,
+    `roundoff` bounds by how much computed offsets can miss exact ones, and
+    `points` (T, 3) are the y_t themselves, from which `polyhedron_from_chart`
+    reads the polyhedron of `positions`.
     """
     positions: np.ndarray
     slack: float
@@ -644,6 +686,7 @@ class ChartCertificate:
     klein_radius: float
     normal_bound: float
     roundoff: float
+    points: np.ndarray
 
     def covers(self, positions) -> bool:
         """True when `chart_verdict` certifies `positions`, by a bound.
@@ -659,8 +702,8 @@ class ChartCertificate:
         b_p| <= rho = sqrt(3) delta (Y + eta) + alpha eta + delta, and the
         scale 1 + |b_p| + |a_p| |y| by at most the same rho. So every
         non-own offset stays below -CERTIFY_MARGIN * scale when
-        (1 + CERTIFY_MARGIN) rho < sigma, and every y' inside the ball when
-        (Y + eta)^2 < 1 - CERTIFY_MARGIN; that is `chart_verdict`'s
+        (1 + CERTIFY_MARGIN) rho < sigma, and every y' inside LIFT_RADIUS
+        when (Y + eta)^2 < LIFT_RADIUS^2; that is `chart_verdict`'s
         certificate. Both verdicts are computed in floating point, so each
         inequality must hold with the roundoff of both states to spare: the
         certificate's and, K growing by at most 1 / (1 - 3 K delta), the new
@@ -675,7 +718,7 @@ class ChartCertificate:
         rho = _SQRT3 * delta * (y + eta) + self.normal_bound * eta + delta
         spare = self.roundoff * (1.0 + 1.0 / (1.0 - grow))
         return ((1.0 + CERTIFY_MARGIN) * rho + spare < self.slack
-                and (y + eta) ** 2 + spare < 1.0 - CERTIFY_MARGIN)
+                and (y + eta) ** 2 + spare < LIFT_RADIUS ** 2)
 
 
 _SQRT3 = float(np.sqrt(3.0))
@@ -693,9 +736,11 @@ def chart_verdict(duals, surface: CombSurface) -> tuple:
     vertices; the chart must triangulate the sphere with no two edges on
     the same endpoints, as `SolverState` requires. Each triangle's three
     planes A_t y = b_t (Klein chart, a y <= b, as in the hull) are inverted
-    in one stacked pass, and their common point is y_t = A_t^-1 b_t. The
-    chart is certified when every y_t lies inside the ball, |y_t|^2 < 1 -
-    CERTIFY_MARGIN, and strictly inside every other plane, a y_t - b <
+    in one stacked pass, and their common point is y_t = A_t^-1 b_t
+    (`triangle_points`). The chart is certified when every y_t lies inside
+    LIFT_RADIUS, the Klein radius within which `_lift_klein` lifts every
+    point onto H^3, |y_t| < LIFT_RADIUS, and strictly inside every other
+    plane, a y_t - b <
     -CERTIFY_MARGIN * scale with the relative scale of `_plane_offsets`. It
     is violated when some y_t lies outside another plane, a y_t - b >
     CERTIFY_MARGIN * scale.
@@ -708,7 +753,8 @@ def chart_verdict(duals, surface: CombSurface) -> tuple:
     So every y_t has all three of its P-edges among the chart's edges: the
     chart's triangles and edges form a closed 3-regular subgraph of P's
     connected 1-skeleton, hence all of it. P therefore has no unbounded edge
-    and no vertex outside the ball, so it is compact in H^3; every plane
+    and no vertex outside LIFT_RADIUS, so it is compact in H^3 and its
+    vertices lift onto the hyperboloid (`polyhedron_from_chart`); every plane
     carries a vertex with a two-dimensional face, so none is redundant; and
     the chart is exactly P's dual decomposition.
 
@@ -740,23 +786,21 @@ def chart_verdict(duals, surface: CombSurface) -> tuple:
 
     UNDECIDED decides nothing: states on a wall (four or more planes
     through a vertex), states within the margin of leaving convex position
-    and states with a vertex outside the ball all return it.
+    and states with a vertex outside LIFT_RADIUS all return it.
     """
     x = np.asarray(duals, dtype=float)
     a, b = x[:, 1:], x[:, 0]
-    tri = surface.triangles
     try:
-        inverse = np.linalg.inv(a[tri])
+        inverse, y = triangle_points(x, surface)
     except np.linalg.LinAlgError:
         return UNDECIDED, None
-    y = (inverse @ b[tri][..., None])[..., 0]
     resid, scale = _plane_offsets(a, b, y)            # triangle x plane
     limit = CERTIFY_MARGIN * scale
     own = surface.triangle_vertex_mask
     if ((resid > limit) & ~own).any():
         return VIOLATED, None
     squares = np.einsum("ij,ij->i", y, y)
-    if not ((squares < 1.0 - CERTIFY_MARGIN).all()
+    if not ((squares < LIFT_RADIUS ** 2).all()
             and (own | (resid < -limit)).all()):
         return UNDECIDED, None
     slack = float(np.where(own, np.inf, -limit - resid).min())
@@ -766,10 +810,45 @@ def chart_verdict(duals, surface: CombSurface) -> tuple:
     roundoff = CERTIFY_ROUNDOFF * (
         (1.0 + inverse_bound * normal_bound) * (1.0 + klein_radius)
         * (1.0 + normal_bound) + float(scale.max()))
-    if slack <= roundoff or klein_radius ** 2 >= 1.0 - CERTIFY_MARGIN:
+    if slack <= roundoff or klein_radius ** 2 >= LIFT_RADIUS ** 2:
         return CERTIFIED, None
     return CERTIFIED, ChartCertificate(x, slack, inverse_bound, klein_radius,
-                                       normal_bound, roundoff)
+                                       normal_bound, roundoff, y)
+
+
+def wall_crossing(before, after, surface: CombSurface) -> float:
+    """The fraction of the way from the dual points `before` to `after` at
+    which the chart `surface` first meets a wall, by secant: over every
+    (triangle, plane) pair, the plane not a corner of the triangle, whose
+    relative offset (a y_t - b over the scale of `_plane_offsets`) is f0 < 0
+    at `before`, inside the plane, and f1 > 0 at `after`, outside it, the
+    least f0 / (f0 - f1). 0.0 when no pair crosses, or when a triangle's
+    planes are dependent at either end."""
+    offsets = []
+    for duals in (before, after):
+        try:
+            _, y = triangle_points(duals, surface)
+        except np.linalg.LinAlgError:
+            return 0.0
+        resid, scale = _plane_offsets(duals[:, 1:], duals[:, 0], y)
+        offsets.append(resid / scale)
+    f0, f1 = offsets
+    crossed = (f0 < 0) & (f1 > 0) & ~surface.triangle_vertex_mask
+    if not crossed.any():
+        return 0.0
+    f0, f1 = f0[crossed], f1[crossed]
+    return float((f0 / (f0 - f1)).min())
+
+
+def triangle_points(duals, surface: CombSurface) -> tuple:
+    """(inverse, points) of the chart `surface`'s triangles for the dual
+    points `duals` (rows): the stacked inverses of each triangle's three
+    plane rows A_t in the Klein chart, and the triangle's common point
+    y_t = A_t^-1 b_t. Raises LinAlgError when some A_t is singular."""
+    a, b = duals[:, 1:], duals[:, 0]
+    tri = surface.triangles
+    inverse = np.linalg.inv(a[tri])
+    return inverse, (inverse @ b[tri][..., None])[..., 0]
 
 
 def _check_turns(normals, points, cycles, count):
@@ -825,10 +904,28 @@ def dihedral_angle(P: ConvexPolyhedronH3, e: int) -> float:
 
 def polygon_area(x) -> float:
     """Area of a convex hyperbolic polygon by angle defect, its corners the
-    H^3 points x in cyclic order."""
-    angles = [corner_angle(x[k], x[k - 1], x[(k + 1) % len(x)])
-              for k in range(len(x))]
-    return (len(x) - 2) * np.pi - float(sum(angles))
+    H^3 points x (rows) in cyclic order.
+
+    Each corner's angle A comes from the half-angle law,
+    sin^2(A/2) = sinh((a - b + c)/2) sinh((a + b - c)/2) / (sinh b sinh c),
+    with b and c the sides that meet there and a the diagonal joining its
+    neighbours, all in `h_distances`' chord form. It stays well conditioned
+    where the corners lie far out, as on the genus-2 faces of large height,
+    where their coordinates reach about cosh h and a cosine of unit tangents
+    cancels. A sin^2(A/2) outside [0, 1] by more than CLAMP_SLACK raises
+    DomainExceeded, the first in corner order."""
+    x = np.asarray(x, dtype=float)
+    after = np.roll(x, -1, axis=0)
+    c = h_distances(x, after)                   # side k runs from corner k
+    b = np.roll(c, 1)
+    a = h_distances(np.roll(x, 1, axis=0), after)
+    half = (np.sinh((a - b + c) / 2) * np.sinh((a + b - c) / 2)
+            / (np.sinh(b) * np.sinh(c)))
+    beyond = (half < -CLAMP_SLACK) | (half > 1.0 + CLAMP_SLACK)
+    if beyond.any():
+        clamped(float(half[np.argmax(beyond)]), 0.0, 1.0)
+    angles = 2.0 * np.arcsin(np.sqrt(np.clip(half, 0.0, 1.0)))
+    return (len(x) - 2) * np.pi - float(angles.sum())
 
 
 def face_area(P: ConvexPolyhedronH3, f: int) -> float:

@@ -45,6 +45,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
+    DomainExceeded,
     FeasibilityLost,
     HomotopyBlocked,
     InvalidConeMetric,
@@ -64,8 +65,18 @@ from .polyhedra import (
     dihedral_angles,
     hull_from_dual_points,
     polyhedron_from_chart,
+    triangle_points,
+    wall_crossing,
 )
-from .surface import SPHERICAL, CombSurface, ConeMetric, cross, is_concave
+from .surface import (
+    SPHERICAL,
+    CombSurface,
+    ConeMetric,
+    cone_angle_rows,
+    cross,
+    is_concave,
+    metric_rows,
+)
 
 NEWTON_TOL = 1e-10
 MATCH_TOL = 1e-8             # dihedral angle and edge length agreement
@@ -517,7 +528,12 @@ def newton_solve(state: SolverState, tol: float = NEWTON_TOL,
 
     The step is halved until the residual norm decreases and the trial state
     stays feasible; StepStalled fires at the damping floor, FeasibilityLost
-    when every retry leaves convex position. Trials are lean (see
+    when every retry leaves convex position. A full step that the chart
+    refutes (ChartRefuted) first lands on the first wall it would cross:
+    the step becomes the least secant fraction of the (triangle, plane)
+    offsets that go from inside to outside (`wall_crossing`), computed only
+    then, and tried once per iteration when it exceeds the next halving,
+    1/2; if the landing fails too, halving goes on from 1/2. Trials are lean (see
     `SolverState.moved`). A trial inherits the chart certificate of the
     accepted iterate when it lies within that certificate's radius
     (`ChartCertificate.covers`) and takes `check_feasible` otherwise, which
@@ -547,7 +563,7 @@ def newton_solve(state: SolverState, tol: float = NEWTON_TOL,
         if track and r_max <= near and _covers_next(cur, base, xi + delta):
             break
         r_norm = _norm(r)
-        step = 1.0
+        step = ladder = 1.0
         last_feas_exc = None
         while step >= DAMPING_FLOOR:
             move = xi + step * delta
@@ -557,12 +573,20 @@ def newton_solve(state: SolverState, tol: float = NEWTON_TOL,
                 r_trial = trial.residual()
             except SolverError as exc:
                 last_feas_exc = exc
-                step /= 2
+                if step == 1.0 and isinstance(exc, ChartRefuted):
+                    landing = wall_crossing(cur.positions, trial.positions,
+                                            cur.surface)
+                    if landing > 0.5:
+                        step = landing
+                        continue
+                ladder /= 2
+                step = ladder
                 continue
             trial_norm = _norm(r_trial)
             if trial_norm < r_norm:
                 break
-            step /= 2
+            ladder /= 2
+            step = ladder
         else:
             if base is not cur:
                 base, xi = cur, 0.0
@@ -664,6 +688,37 @@ def validate_target(target: ConeMetric, largeness_depth: Optional[int] = None):
         raise InvalidConeMetric("; ".join(failures))
 
 
+def admitted_rows(surface: CombSurface, lengths: np.ndarray) -> tuple:
+    """What `continuation` admits of each row of an (S, E) stack of edge
+    lengths on the chart `surface`, in one stacked pass: (verdicts, margins).
+
+    ConeMetric's checks run on every row in ConeMetric's order and with its
+    messages (`metric_rows`), and concavity as `is_concave` tests it: the
+    cone angles of all rows come from one bincount (`cone_angle_rows`), and
+    margins (S, n) are the cone angles minus 2 pi, meaningful in the rows
+    that are metrics. verdicts[s] is (ok, why): (False, ConeMetric's
+    message) for a row that is no spherical cone-metric, (False, "concavity
+    lost ...") for one with a margin that is not positive, and (True, "")
+    otherwise. A row on which ConeMetric raises DomainExceeded holds that
+    exception in place of a verdict, for the reader of the row to raise.
+    """
+    errors, angles = metric_rows(surface, SPHERICAL, lengths)
+    margins = cone_angle_rows(surface, angles) - 2 * np.pi
+    concave = (margins > 0).all(axis=1)
+    least = margins.min(axis=1)
+    verdicts = []
+    for error, good, low in zip(errors, concave.tolist(), least.tolist()):
+        if isinstance(error, InvalidConeMetric):
+            verdicts.append((False, str(error)))
+        elif error is not None:
+            verdicts.append(error)
+        elif good:
+            verdicts.append((True, ""))
+        else:
+            verdicts.append((False, f"concavity lost (margin {low:.3e})"))
+    return verdicts, margins
+
+
 def _edge_with_opposite_corners(surface: CombSurface, pair) -> Optional[int]:
     """Chart edge whose two adjacent triangles have the given opposite corners."""
     # the corner opposite half-edge 3t + k is corner k + 2 of t
@@ -730,6 +785,12 @@ def continuation(start, target: ConeMetric, steps: int = 10,
     upscaling bump; a hull edge missing from the chart triggers an edge flip
     of the chart and target, re-anchoring the homotopy at the current
     parameter.
+
+    The planned path, the s values the loop visits when no step fails and
+    no bump is taken, is admitted in one stacked pass (`admitted_rows`)
+    before the loop; a step reads its row, and raises a row's
+    DomainExceeded only when it reaches that row. A halved step, a bump
+    candidate and every step after a flip take the same pass on one row.
     """
     validate_target(target)
     try:
@@ -742,34 +803,39 @@ def continuation(start, target: ConeMetric, steps: int = 10,
     l1 = target.lengths.copy()
     report = ContinuationReport()
 
-    def schedule(surface, s, bump):
+    def schedule(s, bump):
         lam = bump * 4.0 * s * (1.0 - s)
         return np.exp(lam) * ((1.0 - s) * l0 + s * l1)
 
-    def step_valid(surface, lengths):
-        try:
-            m = ConeMetric(surface, SPHERICAL, lengths)
-        except InvalidConeMetric as exc:
-            return False, str(exc)
-        rep = is_concave(m)
-        if not rep.concave:
-            return False, f"concavity lost (margin {rep.min_margin:.3e})"
-        return True, ""
+    def admitted(lengths, verdict=None):
+        """(ok, why) of interpolated lengths: `verdict`, their row of the
+        planned path's pass, or else a pass over them alone."""
+        if verdict is None:
+            verdict = admitted_rows(state.surface, lengths[None])[0][0]
+        if isinstance(verdict, DomainExceeded):
+            raise verdict
+        return verdict
 
+    ds = 1.0 / steps
+    # the path the loop visits when no step fails and no bump is taken,
+    # admitted in one pass; a flip re-anchors the path and drops it
+    s_plan = [0.0]
+    while s_plan[-1] < 1.0 - PATH_END_SLACK:
+        s_plan.append(min(1.0, s_plan[-1] + ds))
+    planned = dict(zip(s_plan[1:], admitted_rows(
+        state.surface, schedule(np.array(s_plan[1:])[:, None], 0.0))[0]))
     bump = 0.0
     s = 0.0
-    ds = 1.0 / steps
     min_ds = ds / 64.0
     while s < 1.0 - PATH_END_SLACK:
-        surface = state.surface
         s_next = min(1.0, s + ds)
-        l_next = schedule(surface, s_next, bump)
-        ok, why = step_valid(surface, l_next)
+        l_next = schedule(s_next, bump)
+        ok, why = admitted(l_next, planned.get(s_next) if bump == 0.0 else None)
         if not ok:
             fixed = False
             for cand in (0.005, 0.01, 0.02, 0.05):
-                if schedule(surface, s_next, cand).max() < np.pi:
-                    ok2, _ = step_valid(surface, schedule(surface, s_next, cand))
+                if schedule(s_next, cand).max() < np.pi:
+                    ok2, _ = admitted(schedule(s_next, cand))
                     if ok2:
                         bump, fixed = cand, True
                         break
@@ -778,7 +844,7 @@ def continuation(start, target: ConeMetric, steps: int = 10,
                 raise HomotopyBlocked(
                     f"interpolated metric leaves the chart at s={s_next:.4f}: {why}",
                     s=s_next, edge=edge)
-            l_next = schedule(surface, s_next, bump)
+            l_next = schedule(s_next, bump)
         try:
             solved = newton_solve(state.retarget(l_next), tol=tol,
                                   track=s_next < 1.0 - PATH_END_SLACK)
@@ -792,6 +858,7 @@ def continuation(start, target: ConeMetric, steps: int = 10,
                 l0 = ((l_cur - s * l1) / (1.0 - s)
                       if s < 1.0 - REANCHOR_SLACK else l_cur)
                 report.flips.append(ev)
+                planned = {}
                 continue
             if ds / 2 < min_ds:
                 raise HomotopyBlocked(
@@ -895,12 +962,22 @@ def _perturbations(P: ConvexPolyhedronH3, rng: np.random.RandomState,
 
 def recovered_polyhedron(state: SolverState) -> ConvexPolyhedronH3:
     """The polyhedron cut out by a feasible state's dual points, built once
-    per state: read off the chart when `chart_verdict` certified the state,
-    and otherwise the hull that `check_feasible` rebuilt and kept."""
+    per state. An UNDECIDED state's is the hull that `check_feasible`
+    rebuilt and kept. A CERTIFIED state's is read off the chart and the
+    triangle points of its verdict (`polyhedron_from_chart`), with none of
+    the hull path's checks, which the certificate
+    proves: the points its own certificate keeps, or, for a state that
+    keeps none of its own (a certificate inherited from the iterate before
+    it, or withheld), those of one stacked solve (`triangle_points`)."""
     check_feasible(state)
     if "polyhedron" not in state.cache:
-        state.cache["polyhedron"] = polyhedron_from_chart(state.positions,
-                                                          state.surface)
+        _, cert = state.cache["verdict"]
+        if cert is not None and cert.positions is state.positions:
+            points = cert.points
+        else:
+            _, points = triangle_points(state.positions, state.surface)
+        state.cache["polyhedron"] = polyhedron_from_chart(
+            state.positions, state.surface, points)
     return state.cache["polyhedron"]
 
 

@@ -12,11 +12,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import FlipBlocked, InvalidConeMetric, InvalidSurface, LengthOverflow
+from .errors import (
+    DomainExceeded,
+    FlipBlocked,
+    InvalidConeMetric,
+    InvalidSurface,
+    LengthOverflow,
+)
+from .minkowski import clamped
 
 SPHERICAL = "spherical"
 HYPERBOLIC = "hyperbolic"
@@ -224,12 +231,12 @@ def least_labels(neighbours: np.ndarray) -> np.ndarray:
         label = low
 
 
-def corner_angles(sides: np.ndarray, geometry: str) -> np.ndarray:
-    """Interior angles of triangles by the law of cosines, one row per
-    triangle: angle k is opposite sides[t, k]. A cosine beyond [-1, 1] by
-    more than ANG_SLACK raises DomainExceeded, the first in row order."""
-    from .minkowski import clamped
-
+def corner_angles(sides: np.ndarray, geometry: str) -> tuple:
+    """Interior angles of triangles by the law of cosines, over the last
+    axis of `sides` (any leading axes): angle k is opposite sides[..., k].
+    Returns (angles, cosines), each angle the arccos of its cosine clipped
+    into [-1, 1]; a cosine beyond that by more than ANG_SLACK is outside the
+    law's domain, which `metric_rows` reports."""
     if geometry == SPHERICAL:
         sin, cos = np.sin(sides), np.cos(sides)
     elif geometry == HYPERBOLIC:
@@ -237,13 +244,81 @@ def corner_angles(sides: np.ndarray, geometry: str) -> np.ndarray:
     else:
         raise ValueError(f"unknown geometry {geometry!r}")
     # corner k against the sides k + 1 and k + 2 that meet there
-    cos1, cos2 = cos[:, [1, 2, 0]], cos[:, [2, 0, 1]]
+    cos1, cos2 = cos[..., _NEXT], cos[..., _PREV]
     opposite = cos - cos1 * cos2 if geometry == SPHERICAL else cos1 * cos2 - cos
-    cosines = opposite / (sin[:, [1, 2, 0]] * sin[:, [2, 0, 1]])
+    cosines = opposite / (sin[..., _NEXT] * sin[..., _PREV])
+    return np.arccos(np.clip(cosines, -1.0, 1.0)), cosines
+
+
+class MetricRows(NamedTuple):
+    """What `ConeMetric` finds on each row of a stack of edge lengths."""
+    errors: list                 # per row: None, or the exception it raises
+    corner_angles: np.ndarray    # (S, T, 3); NaN where no angle was taken
+
+
+def metric_rows(surface: CombSurface, geometry: str, lengths) -> MetricRows:
+    """ConeMetric's checks on every row of an (S, E) stack of edge lengths,
+    in one stacked pass, in ConeMetric's order and with its messages: the
+    lengths positive and finite, spherical ones below pi, every triangle's
+    inequalities (and a spherical perimeter below 2 pi, the first failing
+    triangle named), every cosine of `corner_angles` inside its domain
+    (else DomainExceeded, at the row's first cosine beyond it), and no
+    degenerate or wrongly curved triangle. A row's error is the exception
+    `ConeMetric(surface, geometry, row)` raises, and the angles of a row
+    without one are the angles it keeps. Each row is checked on its own:
+    the rows past a failing one are checked all the same."""
+    spherical = geometry == SPHERICAL
+    errors = [None] * len(lengths)
+    sides = lengths[:, surface.triangle_sides]            # (S, T, 3)
+    with np.errstate(invalid="ignore"):
+        value = ~np.isfinite(lengths).all(axis=1) | (lengths <= 0).any(axis=1)
+        long_edge = ~value & spherical & (lengths >= np.pi).any(axis=1)
+        a, b, c = sides[..., 0], sides[..., 1], sides[..., 2]
+        unequal = (a + b <= c) | (b + c <= a) | (c + a <= b)
+        triangle = unequal | ((a + b + c >= 2 * np.pi) & spherical)
+    for r in value.nonzero()[0]:
+        errors[r] = InvalidConeMetric("edge lengths must be positive and finite")
+    for r in long_edge.nonzero()[0]:
+        errors[r] = InvalidConeMetric("spherical edge lengths must stay below pi")
+    shaped = ~(value | long_edge)
+    for r in (shaped & triangle.any(axis=1)).nonzero()[0]:
+        t = int(np.argmax(triangle[r]))
+        errors[r] = InvalidConeMetric(
+            f"triangle {t} violates the triangle inequality" if unequal[r, t]
+            else f"triangle {t} has perimeter >= 2*pi")
+    shaped &= ~triangle.any(axis=1)
+    if shaped.all():
+        angles, cosines = corner_angles(sides, geometry)
+    else:
+        angles = np.full(sides.shape, np.nan)
+        angles[shaped], cosines = corner_angles(sides[shaped], geometry)
+    rows = shaped.nonzero()[0]
     beyond = np.abs(cosines) > 1.0 + ANG_SLACK
-    if beyond.any():
-        clamped(cosines.flat[np.argmax(beyond)], -1.0, 1.0, ANG_SLACK)
-    return np.arccos(np.clip(cosines, -1.0, 1.0))
+    for k in beyond.any(axis=(1, 2)).nonzero()[0]:
+        try:
+            clamped(cosines[k].flat[np.argmax(beyond[k])], -1.0, 1.0, ANG_SLACK)
+        except DomainExceeded as exc:
+            errors[rows[k]] = exc
+    excess = angles[rows].sum(axis=2) - np.pi
+    flat = (np.abs(excess) < MIN_TRIANGLE_AREA).any(axis=1)
+    bent = ((excess <= 0) if spherical else (excess >= 0)).any(axis=1)
+    for k in (flat | bent).nonzero()[0]:
+        if errors[rows[k]] is None:
+            errors[rows[k]] = InvalidConeMetric(
+                "degenerate triangle (area below 1e-12)" if flat[k]
+                else "spherical triangle with nonpositive excess" if spherical
+                else "hyperbolic triangle with nonnegative defect")
+    return MetricRows(errors, angles)
+
+
+def cone_angle_rows(surface: CombSurface, corner_angles: np.ndarray) -> np.ndarray:
+    """(S, n) every vertex's sum of corner angles in each of S stacked rows
+    of corner angles (S, T, 3), added in triangle and corner order: one
+    bincount, each row's vertices offset by n."""
+    n, rows = surface.n_vertices, len(corner_angles)
+    at = surface.triangles.ravel() + n * np.arange(rows)[:, None]
+    return np.bincount(at.ravel(), weights=corner_angles.ravel(),
+                       minlength=n * rows).reshape(rows, n)
 
 
 class ConeMetric:
@@ -270,43 +345,17 @@ class ConeMetric:
         if deck_words is not None:
             self.deck_words = {int(e): np.asarray(w, dtype=float)
                                for e, w in deck_words.items()}
-        self._validate()
-        self._compute_angles()
-
-    def _validate(self):
-        if not np.isfinite(self.lengths).all() or (self.lengths <= 0).any():
-            raise InvalidConeMetric("edge lengths must be positive and finite")
-        if self.geometry == SPHERICAL and (self.lengths >= np.pi).any():
-            raise InvalidConeMetric("spherical edge lengths must stay below pi")
-        a, b, c = self.lengths[self.surface.triangle_sides].T
-        unequal = (a + b <= c) | (b + c <= a) | (c + a <= b)
-        too_long = (a + b + c >= 2 * np.pi) & (self.geometry == SPHERICAL)
-        if (unequal | too_long).any():
-            t = int(np.argmax(unequal | too_long))
-            if unequal[t]:
-                raise InvalidConeMetric(f"triangle {t} violates the triangle inequality")
-            raise InvalidConeMetric(f"triangle {t} has perimeter >= 2*pi")
-
-    def _compute_angles(self):
-        angles = corner_angles(self.lengths[self.surface.triangle_sides],
-                               self.geometry)
+        (error,), (angles,) = metric_rows(surface, geometry, self.lengths[None])
+        if error is not None:
+            raise error
         self.corner_angles = angles
-        excess = angles.sum(axis=1) - np.pi
-        if (np.abs(excess) < MIN_TRIANGLE_AREA).any():
-            raise InvalidConeMetric("degenerate triangle (area below 1e-12)")
-        if self.geometry == SPHERICAL and (excess <= 0).any():
-            raise InvalidConeMetric("spherical triangle with nonpositive excess")
-        if self.geometry == HYPERBOLIC and (excess >= 0).any():
-            raise InvalidConeMetric("hyperbolic triangle with nonnegative defect")
 
     # -- intrinsic quantities --------------------------------------------------
 
     def cone_angles(self) -> np.ndarray:
         """Each vertex's sum of corner angles, added in triangle and corner
         order."""
-        return np.bincount(self.surface.triangles.ravel(),
-                           weights=self.corner_angles.ravel(),
-                           minlength=self.surface.n_vertices)
+        return cone_angle_rows(self.surface, self.corner_angles[None])[0]
 
     def edge_word(self, h: int) -> Optional[np.ndarray]:
         """Deck holonomy picked up when crossing half-edge h out of its triangle."""

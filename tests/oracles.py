@@ -10,6 +10,7 @@ from scipy.spatial import ConvexHull
 
 from polydual import fuchsian, geodesic, solver
 from polydual.errors import (
+    DomainExceeded,
     EmptyInterior,
     FeasibilityLost,
     InvalidConeMetric,
@@ -40,7 +41,6 @@ from polydual.minkowski import (
     HPoint,
     J,
     clamped,
-    corner_angle,
     minkowski_inner,
     minkowski_rows,
 )
@@ -48,6 +48,7 @@ from polydual.polyhedra import (
     CERTIFIED,
     CERTIFY_MARGIN,
     CERTIFY_ROUNDOFF,
+    LIFT_RADIUS,
     MERGE_TOL,
     SOLVE_RESIDUAL,
     UNDECIDED,
@@ -56,6 +57,7 @@ from polydual.polyhedra import (
     DualMetricOutput,
     Edge,
     Face,
+    _face_lattice,
     _interior_point,
     _lift_klein,
     _plane_offsets,
@@ -72,7 +74,9 @@ from polydual.surface import (
     CombSurface,
     ConeMetric,
     base_pair,
+    cross,
     develop_third_point,
+    is_concave,
     rowdot,
     sphere_angle,
 )
@@ -275,6 +279,45 @@ def tight_continuation(start, target, **kwargs):
         solver.newton_solve = solve
 
 
+def step_valid(surface, lengths):
+    """Checks `solver.admitted_rows`, one row: continuation's former check
+    of an interpolated metric, a ConeMetric and its is_concave report.
+    Returns ((ok, why), margins), margins None where no metric was built; a
+    DomainExceeded is returned in place of (ok, why)."""
+    try:
+        m = ConeMetric(surface, SPHERICAL, lengths)
+    except InvalidConeMetric as exc:
+        return (False, str(exc)), None
+    except DomainExceeded as exc:
+        return exc, None
+    rep = is_concave(m)
+    if not rep.concave:
+        return (False, f"concavity lost (margin {rep.min_margin:.3e})"), rep.margins
+    return (True, ""), rep.margins
+
+
+def wall_crossing_by_pairs(before, after, surface):
+    """Checks `polyhedra.wall_crossing`: every (triangle, plane) pair in
+    turn, the triangle's point by `np.linalg.solve`, the least secant
+    fraction f0 / (f0 - f1) of the relative offsets that go from inside
+    the plane to outside it; 0.0 when none does."""
+    best = 0.0
+    for t, corners in enumerate(surface.triangles.tolist()):
+        offsets = []
+        for x in (before, after):
+            a, b = x[:, 1:], x[:, 0]
+            y = np.linalg.solve(a[corners], b[corners])
+            offsets.append([(a[p] @ y - b[p])
+                            / (1.0 + abs(b[p]) + np.linalg.norm(y) * np.linalg.norm(a[p]))
+                            for p in range(len(x))])
+        for p in range(len(before)):
+            f0, f1 = offsets[0][p], offsets[1][p]
+            if p not in corners and f0 < 0 < f1:
+                f = f0 / (f0 - f1)
+                best = f if best == 0.0 else min(best, f)
+    return best
+
+
 def so31_basis():
     """A basis of so(3,1), three boosts and three rotations, for `svd_gauge`."""
     basis = []
@@ -378,7 +421,7 @@ def chart_certifies(duals, surface: CombSurface) -> str:
     own = surface.triangle_vertex_mask
     if np.any((resid > limit) & ~own):
         return VIOLATED
-    if (np.all(np.einsum("ij,ij->i", y, y) < 1.0 - CERTIFY_MARGIN)
+    if (np.all(np.einsum("ij,ij->i", y, y) < LIFT_RADIUS ** 2)
             and np.all(own | (resid < -limit))):
         return CERTIFIED
     return UNDECIDED
@@ -405,10 +448,26 @@ def chart_certificate(duals, surface: CombSurface) -> Optional[ChartCertificate]
     roundoff = CERTIFY_ROUNDOFF * (
         (1.0 + inverse_bound * normal_bound) * (1.0 + klein_radius)
         * (1.0 + normal_bound) + float(np.max(scale)))
-    if slack <= roundoff or klein_radius ** 2 >= 1.0 - CERTIFY_MARGIN:
+    if slack <= roundoff or klein_radius ** 2 >= LIFT_RADIUS ** 2:
         return None
     return ChartCertificate(x, slack, inverse_bound, klein_radius, normal_bound,
-                            roundoff)
+                            roundoff, y)
+
+
+def checked_chart_polyhedron(duals, surface: CombSurface):
+    """Checks `polyhedra.polyhedron_from_chart`: the polyhedron of a
+    certified chart from the hull path's lattice builder, which solves the
+    chart's triangles a second time and runs every check of the hull path
+    (membership, turns, Euler, vertex x plane validation). The chart's
+    triangles are all ccw seen from outside or all cw, and one decides
+    which, by the sign of their normals' determinant."""
+    rows = dual_rows(duals)
+    a, b = rows[:, 1:].copy(), rows[:, 0].copy()
+    tri = surface.triangles
+    p, q, r = a[tri[0]]
+    if p @ cross(q, r) < 0:
+        tri = tri[:, ::-1]
+    return _face_lattice(rows, a, b, np.arange(len(rows)), [], tri)
 
 
 def step_distances_int64(succ, depth):
@@ -682,6 +741,19 @@ def order_face_cycle(normal, pts, idxs):
     if np.any(np.cross(sides, np.roll(sides, -1, axis=0)) @ normal <= 0):
         raise InvalidPolyhedron("face cycle is not convex about its normal")
     return [idxs[i] for i in order]
+
+
+def corner_angle(at, pred, succ) -> float:
+    """Checks `polyhedra.polygon_area`'s corners: the angle at the H^3 point
+    `at` between the geodesics toward pred and succ (raw 4-vectors on the
+    hyperboloid), the arccos of their unit tangents' inner product, which
+    cancels on corners far out."""
+    def tangent(q):
+        t = q + minkowski_inner(at, q) * at
+        return t / np.sqrt(minkowski_inner(t, t))
+
+    t1, t2 = tangent(pred), tangent(succ)
+    return float(np.arccos(clamped(float(t1 @ J @ t2), -1.0, 1.0)))
 
 
 def reference_dihedral(P, e):

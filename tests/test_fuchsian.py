@@ -76,11 +76,20 @@ class TestFuchsianDual:
             rep = is_concave(out.metric)
             assert rep.concave and rep.min_margin > 0
 
-    def test_cone_angle_is_face_area_plus_two_pi(self, outputs):
-        for out in outputs.values():
+    def test_cone_angle_is_face_area_plus_two_pi(self, group, outputs):
+        # the half-angle corners keep the area's read-back accurate where
+        # the faces' corners lie far out, up to h = 10
+        high = [fuchsian_dualize(group, h) for h in (4.0, 5.0, 6.0, 7.0, 8.0,
+                                                      9.0, 10.0)]
+        for out in [*outputs.values(), *high]:
             ca = out.metric.cone_angles()
             for c, area in enumerate(out.face_areas):
                 assert ca[c] == pytest.approx(2 * np.pi + area, abs=1e-9)
+
+    def test_dualizes_at_height_twelve(self, group):
+        out = fuchsian_dualize(group, 12.0)
+        assert len(out.face_areas) == out.metric.surface.n_vertices
+        assert all(np.isfinite(out.face_areas))
 
     def test_core_distance_positive_monotone(self, outputs):
         d = [outputs[h].core_distance for h in (0.5, 1.0, 2.0)]

@@ -7,6 +7,7 @@ from bench_solids import fibonacci_solids
 from oracles import (
     SphericalPolygon,
     angle_sorted_hull,
+    corner_angle,
     edges_by_corner_walk,
     edges_from_faces,
     order_face_cycle,
@@ -19,13 +20,22 @@ from oracles import (
 )
 from polydual.errors import EmptyInterior, InvalidPolyhedron, UnboundedPolyhedron
 from polydual.geodesic import closed_geodesic_search
-from polydual.minkowski import DSPoint, Isometry, h_distance, minkowski_inner
+from polydual.minkowski import (
+    NORM_TOL,
+    DSPoint,
+    Isometry,
+    h_distance,
+    minkowski_inner,
+    minkowski_rows,
+)
 from polydual.polyhedra import (
     EUCLIDEAN_TETRA_ANGLE,
+    LIFT_RADIUS,
     MERGE_TOL,
     ORIGIN_CLEARANCE,
     Face,
     _check_turns,
+    _lift_klein,
     _mates,
     _plane_offsets,
     _solve_triples,
@@ -659,3 +669,37 @@ class TestLargeness:
             assert not rep.found_within_cap
             if rep.min_length is not None:
                 assert rep.min_length > 2 * np.pi
+
+
+class TestLift:
+    def test_lifts_within_the_radius_land_on_the_hyperboloid(self):
+        # `_lift_klein` checks the quadric only beyond LIFT_RADIUS
+        rng = np.random.RandomState(0)
+        directions = rng.randn(20000, 3)
+        directions /= np.linalg.norm(directions, axis=1)[:, None]
+        for r in (0.5, 0.9, 0.99, LIFT_RADIUS * (1 - 1e-15)):
+            x = _lift_klein(r * directions)
+            residual = np.abs(minkowski_rows(x, x) + 1.0)
+            assert residual.max() <= NORM_TOL / 10
+
+    def test_beyond_the_radius_a_lift_that_misses_raises(self):
+        # at Klein radius 0.9999995 the lift's roundoff reaches NORM_TOL
+        rng = np.random.RandomState(1)
+        directions = rng.randn(2000, 3)
+        directions /= np.linalg.norm(directions, axis=1)[:, None]
+        with pytest.raises(UnboundedPolyhedron, match="does not lift onto H"):
+            _lift_klein(0.9999995 * directions)
+
+
+class TestPolygonArea:
+    def test_matches_the_tangent_corners_where_they_are_accurate(self):
+        # the half-angle corners against the unit-tangent ones they replaced
+        for P in (regular_tetrahedron(1.15), hexahedron(0.5),
+                  triangular_bipyramid(),
+                  random_polyhedron(np.random.RandomState(17), 8)):
+            for f in range(P.n_faces):
+                x = P.vertex_rows[P.cycle(f)]
+                want = (len(x) - 2) * np.pi - sum(
+                    corner_angle(x[k], x[k - 1], x[(k + 1) % len(x)])
+                    for k in range(len(x)))
+                assert face_area(P, f) == pytest.approx(want, abs=1e-12)

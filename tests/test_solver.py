@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import gc
 import warnings
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from polydual.errors import (
+    DomainExceeded,
     FeasibilityLost,
     GeometryError,
     HomotopyBlocked,
@@ -24,6 +26,7 @@ from polydual.minkowski import (
 )
 from polydual.polyhedra import (
     CERTIFIED,
+    LIFT_RADIUS,
     TETRA_DIRECTIONS,
     UNDECIDED,
     VIOLATED,
@@ -36,7 +39,7 @@ from polydual.polyhedra import (
     regular_tetrahedron,
     triangular_bipyramid,
 )
-from polydual import solver
+from polydual import cli, polyhedra, solver
 from polydual.solver import (
     SolverState,
     check_feasible,
@@ -49,7 +52,13 @@ from polydual.solver import (
     rigidity_report,
     validate_target,
 )
-from polydual.surface import ConeMetric, SPHERICAL, flip_edge, scale
+from polydual.surface import (
+    SPHERICAL,
+    ConeMetric,
+    flip_edge,
+    octahedron_sphere,
+    scale,
+)
 
 import oracles
 from bench_solids import fibonacci_solid
@@ -315,7 +324,7 @@ class TestCertificate:
                     continue
                 checked += 1
                 assert_same_polyhedron(
-                    polyhedron_from_chart(st.positions, st.surface),
+                    oracles.checked_chart_polyhedron(st.positions, st.surface),
                     hull_from_dual_points(st.positions))
         assert checked > 0
 
@@ -323,8 +332,9 @@ class TestCertificate:
     def test_chart_polyhedron_matches_the_hull_on_solids(self, n_faces):
         st = solid_state(n_faces)
         assert certified(st)
-        assert_same_polyhedron(polyhedron_from_chart(st.positions, st.surface),
-                               hull_from_dual_points(st.positions))
+        assert_same_polyhedron(
+            oracles.checked_chart_polyhedron(st.positions, st.surface),
+            hull_from_dual_points(st.positions))
 
     def test_hyperideal_vertices_are_not_certified(self):
         # planes 0.5 from the origin cut out a tetrahedron whose vertices lie
@@ -1208,7 +1218,8 @@ def certificate_fields(cert):
     """A ChartCertificate's numbers and points, for a bitwise comparison."""
     return (None if cert is None else
             (cert.positions.tobytes(), cert.slack, cert.inverse_bound,
-             cert.klein_radius, cert.normal_bound, cert.roundoff))
+             cert.klein_radius, cert.normal_bound, cert.roundoff,
+             cert.points.tobytes()))
 
 
 def assert_oracle_verdict(pts, surface, verdict):
@@ -1463,16 +1474,40 @@ class TestTrackedContinuation:
         assert tracked < len(trials) - tracked
 
 
-class TestFarTargets:
-    def test_far_newton_solves_fail_as_solver_errors(self):
-        # fixture lengths times exp(u), u uniform in (-0.3, 0.3): some hulls
-        # put a vertex so near the sphere at infinity that its lift leaves
-        # the hyperboloid by more than NORM_TOL
-        polys = [regular_tetrahedron(1.15), hexahedron(0.5),
-                 random_polyhedron(np.random.RandomState(3), 7)]
-        states = [state_of(P) for P in polys]
-        rng = np.random.RandomState(0)
-        outcomes = []
+@contextlib.contextmanager
+def recording_certified(states):
+    """Append to `states` every state a check certifies while the block
+    runs: checked by `check_feasible`, or a trial inheriting a certificate."""
+    check, check_trial = solver.check_feasible, solver._check_trial
+
+    def checking(state):
+        check(state)
+        if state.cache["verdict"][0] == CERTIFIED:
+            states.append(state)
+
+    def checking_trial(trial, reference):
+        check_trial(trial, reference)
+        if trial.cache["verdict"][0] == CERTIFIED:
+            states.append(trial)
+
+    solver.check_feasible, solver._check_trial = checking, checking_trial
+    try:
+        yield states
+    finally:
+        solver.check_feasible, solver._check_trial = check, check_trial
+
+
+@functools.lru_cache(maxsize=None)
+def far_target_run():
+    """(outcomes, certified) of Newton from the fixtures to their lengths
+    times exp(u), u uniform in (-0.3, 0.3), 48 solves: each solve's error
+    message or None, and every state a check certified on the way."""
+    polys = [regular_tetrahedron(1.15), hexahedron(0.5),
+             random_polyhedron(np.random.RandomState(3), 7)]
+    states = [state_of(P) for P in polys]
+    rng = np.random.RandomState(0)
+    outcomes, certified = [], []
+    with recording_certified(certified):
         for k in range(48):
             st = states[k % 3]
             st = st.retarget(st.target * np.exp(rng.uniform(-0.3, 0.3, len(st.target))))
@@ -1481,5 +1516,258 @@ class TestFarTargets:
                 outcomes.append(None)
             except (SolverError, GeometryError) as exc:
                 outcomes.append(str(exc))
+    return outcomes, certified
+
+
+class TestFarTargets:
+    def test_far_newton_solves_fail_as_solver_errors(self):
+        # fixture lengths times exp(u), u uniform in (-0.3, 0.3): some hulls
+        # put a vertex so near the sphere at infinity that its lift leaves
+        # the hyperboloid by more than NORM_TOL
+        outcomes, _ = far_target_run()
         assert None in outcomes
         assert any("does not lift onto H^3" in str(o) for o in outcomes)
+
+    def test_every_certified_state_is_recovered(self):
+        # the far targets certified states with a vertex at Klein radius
+        # 0.9999-0.99999995, which no lift could build; a certified state's
+        # vertices now lie inside LIFT_RADIUS, and its polyhedron is read
+        # off the chart
+        certified = list(far_target_run()[1])
+        with recording_certified(certified):
+            for make in newton_corpus().values():
+                newton_solve(make())
+            for _, start, target in roundtrip_inputs():
+                continuation(start, target, steps=8)
+        assert len(certified) > 500
+        for st in certified:
+            poly = recovered_polyhedron(st)
+            assert poly.n_faces == st.surface.n_vertices
+            radius = np.sqrt(1.0 - poly.vertex_rows[:, 0] ** -2.0)
+            assert radius.max() < LIFT_RADIUS
+
+
+def admission_rows():
+    """The octahedron sphere's chart and rows of its 12 edge lengths that
+    fail each of ConeMetric's checks and concavity in turn, a row on which
+    ConeMetric raises DomainExceeded after the failing ones, and rows that
+    are concave metrics."""
+    surface = octahedron_sphere().surface
+
+    def row(fill, edge=0, value=None):
+        lengths = np.full(surface.n_edges, fill)
+        if value is not None:
+            lengths[edge] = value
+        return lengths
+
+    rows = [row(1.6),                            # concave
+            row(1.5),                            # cone angles below 2 pi
+            row(1.6, 3, np.nan),
+            row(1.6, 5, 0.0),
+            row(1.6, 2, 3.2),                    # beyond pi
+            row(1.0, 0, 2.5),                    # triangle inequality
+            row(2.2),                            # perimeter beyond 2 pi
+            row(1.6, 4, 1e-12),                  # area below 1e-12
+            row(1e-5, 0, 2e-5 * (1 - 1e-9)),     # a cosine beyond -1
+            row(1.7)]
+    return surface, np.array(rows)
+
+
+FAILURE_KINDS = {"positive and finite": "value", "below pi": "pi",
+                 "triangle inequality": "inequality", "perimeter": "perimeter",
+                 "degenerate": "degenerate", "concavity lost": "concavity"}
+
+
+def admission_kind(verdict):
+    ok, why = verdict
+    if ok:
+        return "admitted"
+    return next(kind for text, kind in FAILURE_KINDS.items() if text in why)
+
+
+class TestPathAdmission:
+    """The continuation admits its planned path in one stacked pass, row by
+    row what a ConeMetric and is_concave say, and a row it never reaches
+    raises nothing."""
+
+    def test_rows_agree_with_the_metric_and_concavity_oracle(self):
+        surface, rows = admission_rows()
+        verdicts, margins = solver.admitted_rows(surface, rows)
+        kinds = set()
+        for k, row in enumerate(rows):
+            want, want_margins = oracles.step_valid(surface, row)
+            alone, alone_margins = solver.admitted_rows(surface, rows[k:k + 1])
+            for got in (verdicts[k], alone[0]):
+                if isinstance(want, DomainExceeded):
+                    assert type(got) is DomainExceeded and str(got) == str(want)
+                else:
+                    assert got == want
+            if isinstance(want, DomainExceeded):
+                kinds.add("domain")
+                continue
+            if want_margins is not None:
+                assert margins[k].tobytes() == want_margins.tobytes()
+                assert alone_margins[0].tobytes() == want_margins.tobytes()
+            kinds.add(admission_kind(want))
+        assert kinds == {*FAILURE_KINDS.values(), "admitted", "domain"}
+
+    def test_continuation_admits_its_path_in_one_pass(self, tetra, monkeypatch):
+        P, out = tetra
+        start = perturbed_polyhedron(P, np.random.RandomState(3), 1e-2)
+        passes = count_calls(monkeypatch, solver, "admitted_rows")
+        metrics = count_calls(monkeypatch, solver, "ConeMetric")
+        _, report = continuation(start, out.metric, steps=8)
+        assert len(report.steps) == 8
+        assert len(passes) == 1 and metrics == []
+
+    def test_steps_off_the_path_take_one_row_each(self, tetra, monkeypatch):
+        # the first step fails once: the loop halves to s = 1/16 and steps
+        # by 1/8 from there, off the planned path until s = 1
+        P, out = tetra
+        start = perturbed_polyhedron(P, np.random.RandomState(3), 1e-2)
+        solve = solver.newton_solve
+        failed = []
+
+        def failing_once(state, tol=solver.NEWTON_TOL, track=False):
+            if not failed:
+                failed.append(1)
+                raise StepStalled("stalled once")
+            return solve(state, tol, track)
+
+        sizes = []
+        admit = solver.admitted_rows
+
+        def recording(surface, lengths):
+            sizes.append(len(lengths))
+            return admit(surface, lengths)
+
+        monkeypatch.setattr(solver, "newton_solve", failing_once)
+        monkeypatch.setattr(solver, "admitted_rows", recording)
+        _, report = continuation(start, out.metric, steps=8)
+        assert [st.s for st in report.steps] == [
+            *np.arange(1, 16, 2) / 16, 1.0]
+        assert sizes == [8] + [1] * 8
+
+
+def certified_end_states():
+    """The certified states a solve ends on in the solver tests' corpora:
+    the round trips of the solve-small inputs, the Newton corpus, and the
+    certified corpus's states as they are."""
+    states = [continuation(start, target, steps=8)[0]
+              for _, start, target in roundtrip_inputs()]
+    states += [newton_solve(make()) for make in newton_corpus().values()]
+    states += [SolverState(pts, surface, np.ones(surface.n_edges))
+               for pts, surface in certified_corpus()]
+    for st in states:
+        check_feasible(st)
+    return [st for st in states if st.cache["verdict"][0] == CERTIFIED]
+
+
+class TestLeanPolyhedron:
+    """A certified state's polyhedron is read off its chart and its
+    verdict's triangle points."""
+
+    def test_matches_the_checked_builder(self):
+        states = certified_end_states()
+        assert len(states) > 25
+        for st in states:
+            lean = recovered_polyhedron(st)
+            full = oracles.checked_chart_polyhedron(st.positions, st.surface)
+            for name in ("plane_rows", "edge_vertices", "edge_faces",
+                         "triangles", "triangle_vertex", "cycle_vertices",
+                         "cycle_offsets", "essential"):
+                assert np.array_equal(getattr(lean, name), getattr(full, name)), name
+            assert lean.discarded == full.discarded == []
+            # the two solves' points differ by a few units of roundoff,
+            # which the lift multiplies by up to x0^3
+            x0 = full.vertex_rows[:, :1]
+            assert (np.abs(lean.vertex_rows - full.vertex_rows)
+                    <= 16 * np.finfo(float).eps * x0 ** 3).all()
+
+    def test_own_certificate_takes_no_second_solve(self, monkeypatch):
+        st = solid_state(20)
+        check_feasible(st)
+        assert st.cache["verdict"][1] is not None
+        solves = count_calls(monkeypatch, solver, "triangle_points")
+        lattices = count_calls(monkeypatch, polyhedra, "_face_lattice")
+        hulls = count_hull_builds(monkeypatch)
+        poly = recovered_polyhedron(st)
+        assert solves == [] and lattices == [] and hulls == []
+        assert recovered_polyhedron(st) is poly
+
+
+def roundtrip_counts(path, seed, monkeypatch):
+    """(hulls, Jacobians) that the continuation of `roundtrip --steps 8`
+    on the document `path` builds."""
+    counted = {"hulls": [], "jacobians": []}
+    counting = []
+    for name, key in (("hull_from_dual_points", "hulls"),
+                      ("jacobian", "jacobians")):
+        build = getattr(solver, name)
+
+        def count(*args, build=build, key=key):
+            if counting:
+                counted[key].append(1)
+            return build(*args)
+
+        monkeypatch.setattr(solver, name, count)
+    follow = cli.continuation
+
+    def following(*args, **kwargs):
+        counting.append(1)
+        try:
+            return follow(*args, **kwargs)
+        finally:
+            counting.clear()
+
+    monkeypatch.setattr(cli, "continuation", following)
+    assert main(["roundtrip", path, "--seed", str(seed), "--steps", "8"]) == 0
+    return len(counted["hulls"]), len(counted["jacobians"])
+
+
+class TestWallLanding:
+    """A full Newton step the chart refutes lands on the first wall it
+    would cross, instead of halving into it."""
+
+    def test_fraction_is_the_least_secant_crossing(self):
+        st = wall_crossing_newton_start()
+        base = st
+        delta = solver._chord_step(base, st.residual())
+        trial = base.moved(delta, base.gauge(), base.frames())
+        assert chart_verdict(trial.positions, trial.surface)[0] == VIOLATED
+        got = solver.wall_crossing(st.positions, trial.positions, st.surface)
+        want = oracles.wall_crossing_by_pairs(st.positions, trial.positions,
+                                              st.surface)
+        assert 0.0 < got < 1.0
+        assert got == pytest.approx(want, rel=1e-9)
+        # no crossing back
+        assert solver.wall_crossing(st.positions, st.positions, st.surface) == 0.0
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_bipyramid_round_trip_lands_on_its_wall(self, seed, tmp_path,
+                                                    monkeypatch):
+        # the solution sits on a wall, and every full step of its s = 1
+        # solve lands past it; it took 5 hulls and 7 (seed 1) or 8 (seed 2)
+        # Jacobians halving into the wall
+        path = str(tmp_path / "bip.json")
+        assert main(["gen", "bipyramid", "--out", path]) == 0
+        landings = count_calls(monkeypatch, solver, "wall_crossing")
+        hulls, jacobians = roundtrip_counts(path, seed, monkeypatch)
+        assert hulls <= 3 and jacobians <= 4
+        assert len(landings) >= 1
+
+    def test_one_landing_per_iteration(self, monkeypatch):
+        # every damped step of this solve crosses the wall
+        events = []
+        for name in ("_chord_step", "wall_crossing"):
+            original = getattr(solver, name)
+
+            def recording(*args, name=name, original=original):
+                events.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(solver, name, recording)
+        with pytest.raises(FeasibilityLost):
+            newton_solve(wall_crossing_newton_start())
+        assert "wall_crossing" in events
+        assert "wall_crossing, wall_crossing" not in ", ".join(events)
