@@ -34,7 +34,6 @@ from polydual.polyhedra import (
     dualize,
     hexahedron,
     hull_from_dual_points,
-    polyhedron_from_chart,
     random_polyhedron,
     regular_tetrahedron,
     triangular_bipyramid,
