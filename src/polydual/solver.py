@@ -532,14 +532,14 @@ def newton_solve(state: SolverState, tol: float = NEWTON_TOL,
     refutes (ChartRefuted) first lands on the first wall it would cross:
     the step becomes the least secant fraction of the (triangle, plane)
     offsets that go from inside to outside (`wall_crossing`), computed only
-    then, and tried once per iteration when it exceeds the next halving,
-    1/2; if the landing fails too, halving goes on from 1/2. Trials are lean (see
-    `SolverState.moved`). A trial inherits the chart certificate of the
-    accepted iterate when it lies within that certificate's radius
-    (`ChartCertificate.covers`) and takes `check_feasible` otherwise, which
-    rejects a trial the chart refutes without a hull; the FeasibilityLost
-    raised carries the full check's verdict on the last trial
-    (`full_verdict`).
+    then, and tried once per iteration when it lies between the next
+    halving, 1/2, and the full step; if the landing fails too, halving goes
+    on from 1/2. Trials are lean (see `SolverState.moved`). A trial
+    inherits the chart certificate of the accepted iterate when it lies
+    within that certificate's radius (`ChartCertificate.covers`) and takes
+    `check_feasible` otherwise, which rejects a trial the chart refutes
+    without a hull; the FeasibilityLost raised carries the full check's
+    verdict on the last trial (`full_verdict`).
 
     A tracked solve (`track`, a continuation's intermediate steps) only
     keeps its iterate near the path: it returns once the residual norm (max)
@@ -576,7 +576,7 @@ def newton_solve(state: SolverState, tol: float = NEWTON_TOL,
                 if step == 1.0 and isinstance(exc, ChartRefuted):
                     landing = wall_crossing(cur.positions, trial.positions,
                                             cur.surface)
-                    if landing > 0.5:
+                    if 0.5 < landing < 1.0:      # never the full step again
                         step = landing
                         continue
                 ladder /= 2

@@ -271,39 +271,41 @@ def metric_rows(surface: CombSurface, geometry: str, lengths) -> MetricRows:
     errors = [None] * len(lengths)
     sides = lengths[:, surface.triangle_sides]            # (S, T, 3)
     with np.errstate(invalid="ignore"):
-        value = ~np.isfinite(lengths).all(axis=1) | (lengths <= 0).any(axis=1)
-        long_edge = ~value & spherical & (lengths >= np.pi).any(axis=1)
+        value = ~(np.isfinite(lengths) & (lengths > 0)).all(axis=1)
         a, b, c = sides[..., 0], sides[..., 1], sides[..., 2]
         unequal = (a + b <= c) | (b + c <= a) | (c + a <= b)
-        triangle = unequal | ((a + b + c >= 2 * np.pi) & spherical)
-    for r in value.nonzero()[0]:
-        errors[r] = InvalidConeMetric("edge lengths must be positive and finite")
-    for r in long_edge.nonzero()[0]:
-        errors[r] = InvalidConeMetric("spherical edge lengths must stay below pi")
-    shaped = ~(value | long_edge)
-    for r in (shaped & triangle.any(axis=1)).nonzero()[0]:
-        t = int(np.argmax(triangle[r]))
-        errors[r] = InvalidConeMetric(
-            f"triangle {t} violates the triangle inequality" if unequal[r, t]
-            else f"triangle {t} has perimeter >= 2*pi")
-    shaped &= ~triangle.any(axis=1)
+        if spherical:
+            long_edge = (lengths >= np.pi).any(axis=1)
+            triangle = unequal | (a + b + c >= 2 * np.pi)
+        else:
+            long_edge, triangle = np.zeros(len(lengths), bool), unequal
+    shaped = ~(value | long_edge | triangle.any(axis=1))
     if shaped.all():
         angles, cosines = corner_angles(sides, geometry)
+        rows, kept = np.arange(len(lengths)), angles
     else:
+        for r in (~shaped).nonzero()[0]:
+            t = int(np.argmax(triangle[r]))
+            errors[r] = InvalidConeMetric(
+                "edge lengths must be positive and finite" if value[r]
+                else "spherical edge lengths must stay below pi" if long_edge[r]
+                else f"triangle {t} violates the triangle inequality"
+                if unequal[r, t] else f"triangle {t} has perimeter >= 2*pi")
+        rows = shaped.nonzero()[0]
         angles = np.full(sides.shape, np.nan)
-        angles[shaped], cosines = corner_angles(sides[shaped], geometry)
-    rows = shaped.nonzero()[0]
+        angles[rows], cosines = corner_angles(sides[rows], geometry)
+        kept = angles[rows]
     beyond = np.abs(cosines) > 1.0 + ANG_SLACK
-    for k in beyond.any(axis=(1, 2)).nonzero()[0]:
-        try:
-            clamped(cosines[k].flat[np.argmax(beyond[k])], -1.0, 1.0, ANG_SLACK)
-        except DomainExceeded as exc:
-            errors[rows[k]] = exc
-    excess = angles[rows].sum(axis=2) - np.pi
+    excess = kept.sum(axis=2) - np.pi
     flat = (np.abs(excess) < MIN_TRIANGLE_AREA).any(axis=1)
     bent = ((excess <= 0) if spherical else (excess >= 0)).any(axis=1)
-    for k in (flat | bent).nonzero()[0]:
-        if errors[rows[k]] is None:
+    for k in (beyond.any(axis=(1, 2)) | flat | bent).nonzero()[0]:
+        if beyond[k].any():
+            try:
+                clamped(cosines[k].flat[np.argmax(beyond[k])], -1.0, 1.0, ANG_SLACK)
+            except DomainExceeded as exc:
+                errors[rows[k]] = exc
+        else:
             errors[rows[k]] = InvalidConeMetric(
                 "degenerate triangle (area below 1e-12)" if flat[k]
                 else "spherical triangle with nonpositive excess" if spherical

@@ -1648,12 +1648,24 @@ class TestPathAdmission:
         assert sizes == [8] + [1] * 8
 
 
+def realize_inputs():
+    """(start points, target) as `realize --start --steps 4` takes them on
+    the first round of the seed-1 realize-large bench inputs: 30-, 40- and
+    50-face bench/solids.py solids with no primal edge below 0.02."""
+    solids = [fibonacci_solid(np.random.RandomState([1, 0, n]), n, 0.02)
+              for n in (30, 40, 50)]
+    return [(solid.start.plane_rows, solid.dual.metric) for solid in solids]
+
+
 def certified_end_states():
     """The certified states a solve ends on in the solver tests' corpora:
-    the round trips of the solve-small inputs, the Newton corpus, and the
-    certified corpus's states as they are."""
+    the round trips of the solve-small inputs, the realize solves of the
+    first realize-large round, the Newton corpus, and the certified
+    corpus's states as they are."""
     states = [continuation(start, target, steps=8)[0]
               for _, start, target in roundtrip_inputs()]
+    states += [continuation(start, target, steps=4)[0]
+               for start, target in realize_inputs()]
     states += [newton_solve(make()) for make in newton_corpus().values()]
     states += [SolverState(pts, surface, np.ones(surface.n_edges))
                for pts, surface in certified_corpus()]
@@ -1678,7 +1690,8 @@ class TestLeanPolyhedron:
                 assert np.array_equal(getattr(lean, name), getattr(full, name)), name
             assert lean.discarded == full.discarded == []
             # the two solves' points differ by a few units of roundoff,
-            # which the lift multiplies by up to x0^3
+            # which the lift multiplies by up to x0^3: vertex rows differ
+            # by up to 4.4e-15, not within the 1e-15 first asked for
             x0 = full.vertex_rows[:, :1]
             assert (np.abs(lean.vertex_rows - full.vertex_rows)
                     <= 16 * np.finfo(float).eps * x0 ** 3).all()
@@ -1770,3 +1783,17 @@ class TestWallLanding:
             newton_solve(wall_crossing_newton_start())
         assert "wall_crossing" in events
         assert "wall_crossing, wall_crossing" not in ", ".join(events)
+
+    def test_a_landing_at_the_full_step_is_not_taken(self, monkeypatch):
+        # a secant fraction that rounds to 1.0 would rebuild the refuted
+        # full step; the solve halves instead and still ends
+        calls = []
+
+        def at_full_step(*args):
+            calls.append(1)
+            return 1.0
+
+        monkeypatch.setattr(solver, "wall_crossing", at_full_step)
+        with pytest.raises(FeasibilityLost):
+            newton_solve(wall_crossing_newton_start())
+        assert calls
