@@ -47,6 +47,15 @@ STEPS_HELP = ("continuation steps from the start to the target; the steps "
               "is solved to --tol")
 
 
+def height(text: str) -> float:
+    """An apex height option: a finite positive number."""
+    h = float(text)
+    if not (np.isfinite(h) and h > 0):
+        raise argparse.ArgumentTypeError(
+            f"apex height must be finite and positive, got {text!r}")
+    return h
+
+
 def _provenance(args, command, **params):
     prov = {"command": command, "parameters": params}
     prov["seed"] = getattr(args, "seed", 0)
@@ -270,7 +279,7 @@ def build_parser():
 
     d = sub.add_parser("dualize", help="dual metric of a polyhedron")
     d.add_argument("polyhedron", nargs="?")
-    d.add_argument("--fuchsian", type=float, default=None,
+    d.add_argument("--fuchsian", type=height, default=None,
                    help="apex height for the genus-2 case")
     d.add_argument("--out", required=True)
     d.set_defaults(func=cmd_dualize)
@@ -307,7 +316,7 @@ def build_parser():
 
     f = sub.add_parser("fuchsian-demo",
                        help="genus-2 dual metric over the octagon group")
-    f.add_argument("--height", type=float, default=1.0)
+    f.add_argument("--height", type=height, default=1.0)
     f.add_argument("--out", default=None)
     f.add_argument("--group-out", default=None,
                    help="also write the group data document")

@@ -19,8 +19,7 @@ into an edge table:
 Every cyclic order comes from that table by one walk (`cycle_walk`): read
 face first it gives the face cycles, read vertex first the fans of faces
 that `dualize` glues into the dual metric (the polar polygons of the vertex
-links), and `fuchsian` reads the genus-2 apex star off its hull's table the
-same two ways.
+links).
 
 The hull runs in the Klein chart y = (x1,x2,x3)/x0, where a face plane with
 de Sitter normal n becomes the Euclidean half-space n_sp . y <= n0 and

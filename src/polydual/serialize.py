@@ -63,6 +63,8 @@ def read_document(path: str, expect_kind=None) -> dict:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot parse {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: the document is not a JSON object")
     for key in ("schema_version", "kind", "payload", "provenance"):
         if key not in doc:
             raise ParseError(f"{path}: missing envelope field {key!r}")

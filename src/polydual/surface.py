@@ -279,25 +279,28 @@ def metric_rows(surface: CombSurface, geometry: str, lengths) -> MetricRows:
             triangle = unequal | (a + b + c >= 2 * np.pi)
         else:
             long_edge, triangle = np.zeros(len(lengths), bool), unequal
-    shaped = ~(value | long_edge | triangle.any(axis=1))
-    if shaped.all():
-        angles, cosines = corner_angles(sides, geometry)
-        rows, kept = np.arange(len(lengths)), angles
-    else:
-        for r in (~shaped).nonzero()[0]:
-            t = int(np.argmax(triangle[r]))
-            errors[r] = InvalidConeMetric(
-                "edge lengths must be positive and finite" if value[r]
-                else "spherical edge lengths must stay below pi" if long_edge[r]
-                else f"triangle {t} violates the triangle inequality"
-                if unequal[r, t] else f"triangle {t} has perimeter >= 2*pi")
-        rows = shaped.nonzero()[0]
-        angles = np.full(sides.shape, np.nan)
-        angles[rows], cosines = corner_angles(sides[rows], geometry)
-        kept = angles[rows]
+        shaped = ~(value | long_edge | triangle.any(axis=1))
+        # sides below about 1e-162 have sines whose product underflows and
+        # cosines that round to 1, so their angles come out 0 / 0
+        if shaped.all():
+            angles, cosines = corner_angles(sides, geometry)
+            rows, kept = np.arange(len(lengths)), angles
+        else:
+            for r in (~shaped).nonzero()[0]:
+                t = int(np.argmax(triangle[r]))
+                errors[r] = InvalidConeMetric(
+                    "edge lengths must be positive and finite" if value[r]
+                    else "spherical edge lengths must stay below pi" if long_edge[r]
+                    else f"triangle {t} violates the triangle inequality"
+                    if unequal[r, t] else f"triangle {t} has perimeter >= 2*pi")
+            rows = shaped.nonzero()[0]
+            angles = np.full(sides.shape, np.nan)
+            angles[rows], cosines = corner_angles(sides[rows], geometry)
+            kept = angles[rows]
     beyond = np.abs(cosines) > 1.0 + ANG_SLACK
     excess = kept.sum(axis=2) - np.pi
-    flat = (np.abs(excess) < MIN_TRIANGLE_AREA).any(axis=1)
+    # a NaN excess is degenerate too
+    flat = ~(np.abs(excess) >= MIN_TRIANGLE_AREA).all(axis=1)
     bent = ((excess <= 0) if spherical else (excess >= 0)).any(axis=1)
     for k in (beyond.any(axis=(1, 2)) | flat | bent).nonzero()[0]:
         if beyond[k].any():

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -64,12 +65,14 @@ def test_check_and_scale_run_without_scipy(tetra_files, tmp_path):
     _, dual_path = tetra_files
     code = ("import sys; sys.modules['scipy'] = None; "
             "from polydual.cli import main; sys.exit(main(sys.argv[1:]))")
-    scaled = tmp_path / "scaled.json"
+    scaled, genus2 = tmp_path / "scaled.json", tmp_path / "genus2.json"
     for argv in (["check", str(dual_path), "--depth", "6"],
-                 ["scale", str(dual_path), "0.01", "--out", str(scaled)]):
+                 ["scale", str(dual_path), "0.01", "--out", str(scaled)],
+                 ["dualize", "--fuchsian", "1.0", "--out", str(genus2)],
+                 ["fuchsian-demo", "--height", "1.0"]):
         out = run_python(code, *argv)
         assert out.returncode == 0, out.stderr
-    assert scaled.exists()
+    assert scaled.exists() and genus2.exists()
     # the guard holds: a command that builds a hull cannot run
     out = run_python(code, "dualize", str(tetra_files[0]),
                      "--out", str(tmp_path / "dual.json"))
@@ -184,6 +187,51 @@ class TestCommands:
         assert main(argv) == 2
         assert "parse error: malformed cone_metric payload" in capsys.readouterr().err
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("text", [
+        "5", "null", "[]",
+        pytest.param(json.dumps("schema_version kind payload provenance"),
+                     id="string")])
+    @pytest.mark.parametrize("command", ["check", "dualize", "roundtrip"])
+    def test_document_not_an_object_is_invalid(self, tmp_path, capsys,
+                                               command, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        out = str(tmp_path / "out.json")
+        argv = {"check": ["check", str(bad)],
+                "dualize": ["dualize", str(bad), "--out", out],
+                "roundtrip": ["roundtrip", str(bad)]}[command]
+        assert main(argv) == 2
+        assert "is not a JSON object" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+    @pytest.mark.parametrize("command, option", [("dualize", "--fuchsian"),
+                                                 ("fuchsian-demo", "--height")])
+    def test_bad_height_is_invalid(self, tmp_path, capsys, command, option,
+                                   value):
+        out = tmp_path / "out.json"
+        with pytest.raises(SystemExit) as exc:
+            main([command, f"{option}={value}", "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"finite and positive, got '{value}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["dualize", "--fuchsian", "30"],
+                                         ["fuchsian-demo", "--height", "30"]])
+    def test_far_height_is_a_metric_or_a_named_cause(self, tmp_path, capsys,
+                                                     command):
+        # far up the lengths round to an octagon with its corners on one
+        # great circle: ConeMetric names what it rejects, and nothing warns
+        out = tmp_path / "out.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(command + ["--out", str(out)])
+        if code == 0:
+            assert main(["check", str(out), "--depth", "4"]) == 0
+        else:
+            assert code == 1
+            assert capsys.readouterr().err.startswith("InvalidConeMetric: ")
 
     def test_scale_zero_identity(self, tetra_files, tmp_path):
         _, dual_path = tetra_files

@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from polydual import fuchsian
-from polydual.errors import InvalidPolyhedron
+import oracles
+from polydual.errors import InvalidConeMetric, InvalidPolyhedron
 from polydual.fuchsian import (
     OCTAGON_CIRCUMRADIUS,
     TRANSLATION_LENGTH,
@@ -15,7 +17,12 @@ from polydual.surface import gauss_bonnet_residual, is_concave
 
 from oracles import (
     ORBIT_DIGITS,
+    apex_star,
+    corner_classes,
+    face_reaches,
+    hull_dualize,
     matrix_key_orbit,
+    orbit,
     reference_apex_faces,
     reference_apex_star,
     reference_lengths,
@@ -77,10 +84,8 @@ class TestFuchsianDual:
             assert rep.concave and rep.min_margin > 0
 
     def test_cone_angle_is_face_area_plus_two_pi(self, group, outputs):
-        # the half-angle corners keep the area's read-back accurate where
-        # the faces' corners lie far out, up to h = 10
         high = [fuchsian_dualize(group, h) for h in (4.0, 5.0, 6.0, 7.0, 8.0,
-                                                      9.0, 10.0)]
+                                                      9.0, 10.0, 11.0, 12.0)]
         for out in [*outputs.values(), *high]:
             ca = out.metric.cone_angles()
             for c, area in enumerate(out.face_areas):
@@ -107,8 +112,9 @@ class TestFuchsianDual:
             assert spread < 1e-6
 
     def test_rejects_nonpositive_height(self, group):
-        with pytest.raises(InvalidPolyhedron):
-            fuchsian_dualize(group, 0.0)
+        for h in (0.0, -1.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(InvalidPolyhedron, match="finite and positive"):
+                fuchsian_dualize(group, h)
 
     def test_largeness_filtered_by_contractibility(self, group):
         out = fuchsian_dualize(group, 1.0)
@@ -122,6 +128,38 @@ class TestFuchsianDual:
                                          contractible_only=False)
         assert rep_all.min_length is not None
         assert rep_all.min_length < 2 * np.pi
+
+
+@pytest.mark.parametrize("h", [0.05, 0.5, 1.0, 2.0, 3.0, 5.0])
+def test_closed_form_matches_the_hull_path(group, h):
+    out, ref = fuchsian_dualize(group, h), hull_dualize(group, h)
+    surf, ref_surf = out.metric.surface, ref.metric.surface
+    assert out.marking == ref.marking == [0]
+    assert surf.n_vertices == ref_surf.n_vertices == 1
+    np.testing.assert_array_equal(surf.triangles, ref_surf.triangles)
+    np.testing.assert_array_equal(surf.mate, ref_surf.mate)
+    np.testing.assert_allclose(out.metric.lengths, ref.metric.lengths,
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out.metric.cone_angles(),
+                               ref.metric.cone_angles(), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out.face_areas, ref.face_areas, rtol=0, atol=1e-12)
+    assert out.core_distance == pytest.approx(ref.core_distance, rel=0, abs=1e-12)
+    assert out.metric.deck_words.keys() == ref.metric.deck_words.keys()
+    for e, word in out.metric.deck_words.items():
+        np.testing.assert_array_equal(word, ref.metric.deck_words[e])
+
+
+@pytest.mark.parametrize("h", [19.0, 30.0, 1e3])
+def test_far_heights_give_a_metric_or_a_named_cause(group, h):
+    # the lengths round to a polygon with its corners on a great circle
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            out = fuchsian_dualize(group, h)
+        except InvalidConeMetric as exc:
+            assert "triangle inequality" in str(exc) or "below pi" in str(exc)
+        else:
+            assert is_concave(out.metric).concave
 
 
 # The development's own roundoff grows with the height: at h = 3 its longest
@@ -139,13 +177,13 @@ def test_lengths_match_the_link_development(group, h, tol):
 @pytest.mark.parametrize("h", [0.5, 1.0, 2.0, 3.0])
 def test_stacked_orbit_and_apex_faces_match_one_at_a_time(group, h):
     """Same orbit matrices in the same order and the same apex face normals,
-    bit for bit, on the ball fuchsian_dualize uses."""
-    mats, points = fuchsian._orbit(group, h)
+    bit for bit, on the ball `hull_dualize` uses."""
+    mats, points = orbit(group, h)
     ref_mats, ref_points = reference_orbit(group, h)
     assert len(mats) == 49
     np.testing.assert_array_equal(mats, ref_mats)
     np.testing.assert_array_equal(points, ref_points)
-    faces = fuchsian._apex_star(points).faces
+    faces = apex_star(points).faces
     ref = reference_apex_faces(points)
     assert [f["members"] for f in faces] == [m for _, m in ref]
     for f, (n, _) in zip(faces, ref):
@@ -164,20 +202,20 @@ def assert_same_star(star, ref):
 
 @pytest.mark.parametrize("h", [0.05, 0.25, 0.5, 1.0, 2.0, 3.0, 5.0])
 def test_apex_star_matches_the_angular_sort(group, h):
-    _, points = fuchsian._orbit(group, h)
-    assert_same_star(fuchsian._apex_star(points), reference_apex_star(points))
+    _, points = orbit(group, h)
+    assert_same_star(apex_star(points), reference_apex_star(points))
 
 
 @pytest.mark.parametrize("h", [0.5, 1.0, 3.0])
 def test_word_bound_4_apex_star_matches_the_angular_sort(group, h):
     _, points = reference_orbit(group, h, word_bound=4)
     assert len(points) == 3193
-    assert_same_star(fuchsian._apex_star(points), reference_apex_star(points))
+    assert_same_star(apex_star(points), reference_apex_star(points))
 
 
 @pytest.mark.parametrize("h", [0.05, 0.25, 0.5, 1.0, 2.0, 3.0, 5.0])
 def test_orbit_keyed_by_tile_centre_matches_the_matrix_keys(group, h):
-    mats, points = fuchsian._orbit(group, h)
+    mats, points = orbit(group, h)
     ref_mats, ref_points = matrix_key_orbit(group, h)
     np.testing.assert_array_equal(mats, ref_mats)
     np.testing.assert_array_equal(points, ref_points)
@@ -195,7 +233,7 @@ def test_corner_classes_match_the_union_find():
             sigma[order[0::2]], sigma[order[1::2]] = order[1::2], order[0::2]
             pairings.append(sigma)
     for sigma in pairings:
-        classes, class_of = fuchsian._corner_classes(sigma)
+        classes, class_of = corner_classes(sigma)
         assert (classes.tolist(), class_of.tolist()) == union_find_classes(sigma)
 
 
@@ -221,29 +259,29 @@ def sampled_reach(n, h, n_rays=1 << 14):
 
 @pytest.mark.parametrize("h", [0.25, 1.0, 3.0, 5.0])
 def test_face_reach_matches_the_sampled_cap(group, h):
-    _, points = fuchsian._orbit(group, h)
-    normals = np.array([f["normal"] for f in fuchsian._apex_star(points).faces])
-    reach = fuchsian._face_reaches(normals, h)
+    _, points = orbit(group, h)
+    normals = np.array([f["normal"] for f in apex_star(points).faces])
+    reach = face_reaches(normals, h)
     want = [sampled_reach(n, h) for n in normals]
     np.testing.assert_allclose(reach, want, rtol=0, atol=1e-7)
     np.testing.assert_allclose(reach, 2 * OCTAGON_CIRCUMRADIUS, rtol=0, atol=1e-12)
-    assert np.all(reach < fuchsian.ORBIT_RADIUS)
+    assert np.all(reach < oracles.ORBIT_RADIUS)
 
 
 def test_face_reach_unbounded_off_a_disc():
     # unless n0 > 0 and n3 > 1 the cap is no disc about a point of H^2
     tilted = np.array([[-0.5, 0.3, 0.0, 1.2], [0.5, 0.3, 0.0, -1.2]])
     flat = np.array([[0.0, 0.0, 1.0, 0.0]])
-    assert np.all(np.isinf(fuchsian._face_reaches(np.vstack([tilted, flat]), 1.0)))
+    assert np.all(np.isinf(face_reaches(np.vstack([tilted, flat]), 1.0)))
 
 
 def test_certificate_fires_on_a_small_ball(group, monkeypatch):
     # identity and the eight generators: the faces are found, but their
     # caps reach 2R, past the ball
-    monkeypatch.setattr(fuchsian, "ORBIT_RADIUS", 1.01 * TRANSLATION_LENGTH)
-    assert len(fuchsian._orbit(group, 1.0)[0]) == 9
+    monkeypatch.setattr(oracles, "ORBIT_RADIUS", 1.01 * TRANSLATION_LENGTH)
+    assert len(orbit(group, 1.0)[0]) == 9
     with pytest.raises(InvalidPolyhedron, match="reaches 4.8969"):
-        fuchsian_dualize(group, 1.0)
+        hull_dualize(group, 1.0)
 
 
 def orbit_keys(mats):
@@ -255,10 +293,10 @@ def test_ball_star_matches_the_word_bound_4_star(group, h):
     """Soundness: the ball's apex faces are those of the far larger orbit of
     all words up to length 4, normal for normal and member for member as
     group elements."""
-    mats, points = fuchsian._orbit(group, h)
+    mats, points = orbit(group, h)
     ref_mats, ref_points = reference_orbit(group, h, word_bound=4)
-    faces = fuchsian._apex_star(points).faces
-    ref = fuchsian._apex_star(ref_points).faces
+    faces = apex_star(points).faces
+    ref = apex_star(ref_points).faces
     assert len(faces) == len(ref) == 8
     keys, ref_keys = orbit_keys(mats), orbit_keys(ref_mats)
     for f in faces:
@@ -271,8 +309,8 @@ def test_ball_star_matches_the_word_bound_4_star(group, h):
 @pytest.mark.parametrize("h", [0.25, 0.5, 1.0, 2.0, 3.0, 5.0])
 def test_one_hull_per_call(group, h, monkeypatch):
     calls = []
-    real, qhull_error = fuchsian.qhull()
-    monkeypatch.setattr(fuchsian, "qhull", lambda: (
+    real, qhull_error = oracles.qhull()
+    monkeypatch.setattr(oracles, "qhull", lambda: (
         lambda *args, **kw: calls.append(1) or real(*args, **kw), qhull_error))
-    fuchsian_dualize(group, h)
+    hull_dualize(group, h)
     assert calls == [1]

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -460,6 +462,16 @@ class TestValidation:
         surf = CombSurface(3, [(0, 1, 2), (0, 2, 1)])
         with pytest.raises(InvalidConeMetric):
             ConeMetric(surf, SPHERICAL, [3.2, 1.0, 1.0])
+
+    @pytest.mark.parametrize("geometry", [SPHERICAL, HYPERBOLIC])
+    def test_sides_too_short_for_their_angles_are_degenerate(self, geometry):
+        # the sines' product underflows and the cosines round to 1, so the
+        # law of cosines gives 0 / 0: no NaN angle is kept, and nothing warns
+        surf = CombSurface(3, [(0, 1, 2), (0, 2, 1)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidConeMetric, match="degenerate triangle"):
+                ConeMetric(surf, geometry, [1e-200, 1e-200, 1e-200])
 
     def test_chart_dimension_genus0(self):
         s = octahedron_sphere().surface

@@ -96,6 +96,22 @@ def test_keys_on_one_side_alone_still_fail(compare, capsys, tmp_path):
     assert lines[1:] == ["  steps[].smallest_singular_value: only in A"]
 
 
+def test_text_files_report_their_changed_lines(compare, capsys, tmp_path):
+    # a job's standard output: the changed line is shown from both sides,
+    # the unchanged lines not at all
+    for side, margin in (("a", "+1.2e-14"), ("b", "+3.4e-14")):
+        write_tree(tmp_path / side, report([1e-4, 1e-11]))
+        (tmp_path / side / "realize-large-seed1" / "r0-check.stdout").write_text(
+            f"vertex 0: cone angle 14.3\nresidual {margin}\nconcave\n")
+    code, lines = run(compare, capsys, tmp_path / "a", tmp_path / "b")
+    assert code == 1
+    assert lines == ["realize-large-seed1/r0-check.stdout: text differs",
+                     "  @@ -2 +2 @@",
+                     "  -residual +1.2e-14",
+                     "  +residual +3.4e-14",
+                     "realize-large-seed1/report.json: identical"]
+
+
 def test_ab_rounds_runs_a_checkout_against_itself():
     root = os.path.dirname(TOOLS_DIR)
     src = os.path.join(root, "src")

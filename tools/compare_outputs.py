@@ -1,4 +1,5 @@
-"""Compare the documents of two `output_manifest.py` output trees.
+"""Compare the documents and job outputs of two `output_manifest.py`
+output trees.
 
     python3 tools/compare_outputs.py A_DIR B_DIR
 
@@ -21,11 +22,16 @@ the tree:
   side's dict has gets a line of its own (`steps[].smallest_singular_value:
   only in A`, A being the first tree), and the keys both sides have are
   compared as above. A payload whose list lengths or non-numeric values
-  differ is reported as such.
+  differ is reported as such;
+* a file that is no document, such as a job's standard output, that differs
+  is reported as `text differs`, and then its differing lines, as a unified
+  diff without context: an `@@` line per run of changed lines, then the
+  run's lines in A (`-`) and in B (`+`).
 
 A file present in one tree only is reported too. Exits 0 when every file is
 identical or provenance-only, 1 otherwise, 2 on bad arguments.
 """
+import difflib
 import json
 import os
 import sys
@@ -90,6 +96,13 @@ def payload_report(a, b) -> list:
     return lines
 
 
+def text_report(raw_a, raw_b) -> list:
+    """The lines of a differing text file: `text differs`, then its diff."""
+    a, b = (raw.decode(errors="replace").splitlines() for raw in (raw_a, raw_b))
+    diff = list(difflib.unified_diff(a, b, lineterm="", n=0))[2:]
+    return ["text differs"] + [f"  {line}" for line in diff]
+
+
 def document_report(path_a, path_b) -> tuple:
     """(ok, text) for one file present in both trees."""
     with open(path_a, "rb") as fa, open(path_b, "rb") as fb:
@@ -100,7 +113,7 @@ def document_report(path_a, path_b) -> tuple:
         doc_a, doc_b = json.loads(raw_a), json.loads(raw_b)
         pay_a, pay_b = doc_a["payload"], doc_b["payload"]
     except (ValueError, KeyError, TypeError):
-        return False, "differs (not a document)"
+        return False, "\n".join(text_report(raw_a, raw_b))
     if any(doc_a.get(k) != doc_b.get(k) for k in ("kind", "schema_version")):
         return False, "kind or schema differs"
     if pay_a == pay_b:

@@ -6,9 +6,10 @@ them byte for byte.
 SRC_DIR is the `src/` directory of a checkout: the program is imported from
 it, and the workloads from the `bench/` directory beside it. Every job of
 seeds 1 and 2 of each workload runs once through `polydual.cli.main`, in
-OUT_DIR/<workload>-seed<N>/, which is emptied first. The manifest on
-standard output gives a sha256 for every file written there and for each
-job's standard output and standard error, and each job's exit codes.
+OUT_DIR/<workload>-seed<N>/, which is emptied first, and its standard
+output and standard error are written there beside its documents, as
+r<round>-<job label>.stdout and .stderr. The manifest on standard output
+gives each job's exit codes and a sha256 for every file written there.
 
 Documents record the paths they were made from, so compare two checkouts
 with the same OUT_DIR:
@@ -16,6 +17,9 @@ with the same OUT_DIR:
     python3 tools/output_manifest.py ../parent/src /tmp/manifest > before.txt
     python3 tools/output_manifest.py src /tmp/manifest > after.txt
     diff before.txt after.txt
+
+and `tools/compare_outputs.py` compares two such trees number by number and
+line by line.
 
 Exits 1 when a job exits nonzero or raises, 2 on bad arguments.
 """
@@ -84,8 +88,12 @@ def main(argv) -> int:
                     failed += any(c != 0 for c in codes)
                     label = f"{name} seed {seed} round {r}: {job.label}"
                     print(f"job {label}: exit {codes}")
-                    print(f"  stdout {sha256(stdout.encode())}")
-                    print(f"  stderr {sha256(stderr.encode())}")
+                    stem = os.path.join(run_dir,
+                                        f"r{r}-{job.label.replace(' ', '_')}")
+                    for suffix, text in ((".stdout", stdout),
+                                         (".stderr", stderr)):
+                        with open(stem + suffix, "w") as fh:
+                            fh.write(text)
             for root, _, files in sorted(os.walk(run_dir)):
                 for f in sorted(files):
                     path = os.path.join(root, f)
