@@ -14,7 +14,7 @@ import numpy as np
 
 from . import serialize
 from .errors import GeometryError, SolverError
-from .fuchsian import fuchsian_dualize, fuchsian_octagon_group
+from .fuchsian import CONE_ANGLE_TOL, fuchsian_dualize, fuchsian_octagon_group
 from .geodesic import closed_geodesic_search
 from .polyhedra import (
     dual_rows,
@@ -47,13 +47,28 @@ STEPS_HELP = ("continuation steps from the start to the target; the steps "
               "is solved to --tol")
 
 
-def height(text: str) -> float:
-    """An apex height option: a finite positive number."""
-    h = float(text)
-    if not (np.isfinite(h) and h > 0):
-        raise argparse.ArgumentTypeError(
-            f"apex height must be finite and positive, got {text!r}")
-    return h
+def _checked(convert, holds, rule):
+    """An argparse type: `convert` the text, and reject a value for which
+    `holds` is false as not `rule` (argparse then exits 2 naming the
+    option)."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not holds(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+    return parse
+
+
+# apex heights and tolerances; step counts and search depths; face counts;
+# perturbation bounds (0 and inf work: the edge cap applies)
+positive = _checked(float, lambda x: np.isfinite(x) and x > 0,
+                    "finite and positive")
+count = _checked(int, lambda k: k >= 1, "an integer of at least 1")
+face_count = _checked(int, lambda k: k >= 4, "an integer of at least 4")
+magnitude = _checked(float, lambda x: x >= 0, "at least 0 and not NaN")
 
 
 def _provenance(args, command, **params):
@@ -240,17 +255,19 @@ def cmd_fuchsian_demo(args):
     print(f"boundary-to-core distance: {out.core_distance:.9f}")
     rep = is_concave(m)
     print(f"concavity margin: {rep.min_margin:+.6f}")
+    angles = m.cone_angles()
+    residuals = angles - 2 * np.pi - np.array(out.face_areas)
     for c, area in enumerate(out.face_areas):
-        print(f"dual vertex {c}: cone angle {m.cone_angles()[c]:.9f} "
+        print(f"dual vertex {c}: cone angle {angles[c]:.9f} "
               f"= 2*pi + face area {area:.9f} "
-              f"(residual {m.cone_angles()[c] - 2 * np.pi - area:+.2e})")
+              f"(residual {residuals[c]:+.2e})")
     if args.out:
         doc = serialize.envelope("dual_output", _fuchsian_payload(out),
                                  _provenance(args, "fuchsian-demo",
                                              height=args.height))
         serialize.write_document(args.out, doc)
     bad = (abs(gb) > GAUSS_BONNET_TOL or out.core_distance <= 0
-           or not rep.concave)
+           or not rep.concave or not (np.abs(residuals) <= CONE_ANGLE_TOL).all())
     return FAIL if bad else PASS
 
 
@@ -267,19 +284,20 @@ def build_parser():
                    help="dihedral angle for the tetrahedron")
     g.add_argument("--t", type=float, default=0.5,
                    help="plane distance for the hexahedron")
-    g.add_argument("--n", type=int, default=6, help="faces of a random solid")
+    g.add_argument("--n", type=face_count, default=6,
+                   help="faces of a random solid")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_gen)
 
     c = sub.add_parser("check", help="validate a cone-metric file")
     c.add_argument("metric")
-    c.add_argument("--depth", type=int, default=8)
+    c.add_argument("--depth", type=count, default=8)
     c.set_defaults(func=cmd_check)
 
     d = sub.add_parser("dualize", help="dual metric of a polyhedron")
     d.add_argument("polyhedron", nargs="?")
-    d.add_argument("--fuchsian", type=height, default=None,
+    d.add_argument("--fuchsian", type=positive, default=None,
                    help="apex height for the genus-2 case")
     d.add_argument("--out", required=True)
     d.set_defaults(func=cmd_dualize)
@@ -293,9 +311,9 @@ def build_parser():
     r = sub.add_parser("realize", help="recover a polyhedron from a dual metric")
     r.add_argument("target")
     r.add_argument("--start", default=None)
-    r.add_argument("--steps", type=int, default=10, help=STEPS_HELP)
-    r.add_argument("--tol", type=float, default=NEWTON_TOL)
-    r.add_argument("--depth", type=int, default=6,
+    r.add_argument("--steps", type=count, default=10, help=STEPS_HELP)
+    r.add_argument("--tol", type=positive, default=NEWTON_TOL)
+    r.add_argument("--depth", type=count, default=6,
                    help="largeness search depth for target validation")
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--out", required=True)
@@ -305,18 +323,18 @@ def build_parser():
                        help="dualize, perturb, realize, and compare")
     t.add_argument("polyhedron")
     t.add_argument("--seed", type=int, default=0)
-    t.add_argument("--magnitude", type=float, default=1e-2,
+    t.add_argument("--magnitude", type=magnitude, default=1e-2,
                    help="upper bound on the start perturbation of the dual "
                         f"points; capped at {PERTURB_EDGE_SHARE:g} times the "
                         "shortest primal edge")
-    t.add_argument("--steps", type=int, default=10, help=STEPS_HELP)
-    t.add_argument("--tol", type=float, default=NEWTON_TOL)
-    t.add_argument("--match-tol", type=float, default=MATCH_TOL)
+    t.add_argument("--steps", type=count, default=10, help=STEPS_HELP)
+    t.add_argument("--tol", type=positive, default=NEWTON_TOL)
+    t.add_argument("--match-tol", type=positive, default=MATCH_TOL)
     t.set_defaults(func=cmd_roundtrip)
 
     f = sub.add_parser("fuchsian-demo",
                        help="genus-2 dual metric over the octagon group")
-    f.add_argument("--height", type=height, default=1.0)
+    f.add_argument("--height", type=positive, default=1.0)
     f.add_argument("--out", default=None)
     f.add_argument("--group-out", default=None,
                    help="also write the group data document")

@@ -67,6 +67,7 @@ OCTAGON_HALF_WIDTH = float(np.arccosh(1.0 / np.tan(np.pi / 8)))
 OCTAGON_CIRCUMRADIUS = float(np.arccosh(1.0 / np.tan(np.pi / 8) ** 2))
 TRANSLATION_LENGTH = 2.0 * OCTAGON_HALF_WIDTH
 RELATION_TOL = 1e-8             # max |entry| of the relation product minus I
+CONE_ANGLE_TOL = 1e-8           # max |cone angle - 2 pi - face area| of the dual
 
 
 @dataclass
@@ -145,10 +146,14 @@ def fuchsian_dualize(data: FuchsianData, h: float) -> FuchsianDualOutput:
     is the group of `fuchsian_octagon_group`; its generators are the deck
     words of the octagon's sides.
 
-    Raises InvalidPolyhedron unless h is finite and positive. From about
-    h = 19 up the lengths round to those of an octagon with its corners on
-    one great circle, and `ConeMetric` names the triangle or length it
-    rejects.
+    Raises InvalidPolyhedron unless h is finite and positive, and when the
+    metric's cone angle misses 2 pi plus the face area by more than
+    CONE_ANGLE_TOL: the spherical law of cosines of `ConeMetric`'s corner
+    angles cancels on short sides, so below about h = 1e-3 the angle goes
+    wrong (by 6e-4 at h = 1e-6, and by 3 pi at h = 1e-10), and near h = 18
+    its sides' roundoff reaches it. From about h = 19 up the lengths round
+    to those of an octagon with its corners on one great circle, and
+    `ConeMetric` names the triangle or length it rejects.
     """
     if not (math.isfinite(h) and h > 0):
         raise InvalidPolyhedron(f"apex height must be finite and positive, got {h}")
@@ -182,7 +187,12 @@ def fuchsian_dualize(data: FuchsianData, h: float) -> FuchsianDualOutput:
 
     alpha = 2.0 * math.atan2(math.cos(math.pi / 8) * sech,
                              math.hypot(math.sinh(W), math.sin(math.pi / 8) * sech))
+    area = 6.0 * math.pi - 8.0 * alpha
+    residual = float(metric.cone_angles()[0]) - 2.0 * math.pi - area
+    if not abs(residual) <= CONE_ANGLE_TOL:
+        raise InvalidPolyhedron(
+            f"at apex height {h:g} the cone angle misses 2 pi plus the face "
+            f"area by {residual:+.3e}, beyond {CONE_ANGLE_TOL:g}")
     a = 1.0 / math.hypot(math.cosh(R) * csch, math.sinh(R))
     return FuchsianDualOutput(metric=metric, marking=[0],
-                              core_distance=math.asinh(a),
-                              face_areas=[6.0 * math.pi - 8.0 * alpha])
+                              core_distance=math.asinh(a), face_areas=[area])

@@ -8,10 +8,10 @@ The face lattice of a simple polyhedron is a triangulation of the sphere,
 one triangle per vertex: the polar duals of the vertex links. Both
 producers read the lattice off such a triangulation, gluing half-edges
 into an edge table:
-- `hull_from_dual_points` passes the simplices of the polar hull, which one
-  Qhull call returns, oriented by their facet normals, to `_face_lattice`,
-  which solves each triangle's vertex, merges the vertices of a wall and
-  checks the lattice;
+- `hull_from_dual_points` passes the triangles of the polar hull
+  (`polar_hull`), each ccw seen from outside, to `_face_lattice`, which
+  solves each triangle's vertex, merges the vertices of a wall and checks
+  the lattice;
 - `polyhedron_from_chart` reads a certified chart's triangles, their
   points as `chart_verdict` solved them and the chart's gluing as they
   are, since the certificate proves every check.
@@ -27,15 +27,38 @@ hyperbolic convexity coincides with Euclidean convexity. The polar points
 are taken about an interior point: the Klein origin when every plane keeps
 it at ORIGIN_CLEARANCE, else a Chebyshev LP point. That interior point rides
 along as one more polar point, and the polyhedron is unbounded exactly when
-it comes out a hull vertex. A vertex collects every plane through it at
-relative tolerance rather than trusting the facets Qhull returns (symmetric
-inputs make exactly-coplanar facets that Qhull splits arbitrarily), so the
-triangles of one vertex on a wall, where more than three planes meet, merge.
+it comes out a hull vertex.
+
+The polar hull is built from supporting planes, in numpy alone:
+- Candidates. Up to ALL_TRIPLES points every triple is a candidate (the
+  index arrays cached per point count). Above that, the candidates are the
+  triangles of the graph joining each plane to its NEIGHBOURS nearest
+  directions about the interior point; the interior point itself is left
+  out, since it is a hull vertex only when the polyhedron is unbounded.
+- Supporting test. A candidate is a hull facet when no point lies outside
+  its plane by more than HULL_TOL, relative to the points' radius about
+  their centroid, and the centroid lies inside by more; it is oriented
+  outward, away from the centroid. HULL_TOL is a hundredth of MERGE_TOL:
+  a polar point's height over a facet's plane, times its plane's gap at
+  the interior point and the Klein distance of the facet's vertex from
+  it, is the residual by which its plane misses that vertex.
+- Walls. A plane through more than three points (the bipyramid's wall, a
+  solver state on a wall) is one facet: its corners are ordered cyclically
+  about its normal and fanned from the least, and `_face_lattice` merges
+  that vertex as it merges any triangles whose points share more than
+  three planes.
+- Closure is the proof. Every directed facet edge must run back exactly
+  once, and V - E + F = 2. Each facet lies on the hull's boundary, so a
+  closed sphere of them is the whole boundary. When the neighbour
+  candidates do not close, NEIGHBOURS doubles, up to every triple in
+  blocks of at most HULL_BLOCK heights; when every triple does not close,
+  the points span no solid and EmptyInterior is raised.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
+from itertools import combinations
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -85,6 +108,11 @@ CERTIFY_ROUNDOFF = 1e-13         # relative roundoff allowance of a 3x3 solve
 CERTIFIED, UNDECIDED, VIOLATED = "certified", "undecided", "violated"
 RANDOM_RADII = (0.25, 0.5)       # plane distances from the origin
 RANDOM_TRIES = 200
+# The polar hull (see the module docstring)
+HULL_TOL = 1e-11                 # relative height of a point on a hull plane
+ALL_TRIPLES = 25                 # most points whose every triple is a candidate
+NEIGHBOURS = 12                  # nearest directions joined in the candidate graph
+HULL_BLOCK = 1 << 18             # most candidate x point heights held at once
 
 
 class Face(NamedTuple):
@@ -274,13 +302,167 @@ def _interior_point(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return res.x[:3]
 
 
-def qhull() -> tuple:
-    """scipy.spatial's (ConvexHull, QhullError), imported at first use:
-    scipy.spatial is most of the import time of `polydual.cli`, and commands
-    such as `check` and `scale` build no hull. Every hull goes through this
-    one lookup."""
-    from scipy.spatial import ConvexHull, QhullError
-    return ConvexHull, QhullError
+@cache
+def _all_triples(n: int) -> np.ndarray:
+    """Every triple i < j < k of range(n) as a (3, m) index array, cached
+    per n; read-only."""
+    t = np.array(list(combinations(range(n), 3)), dtype=np.intp).reshape(-1, 3).T
+    t.setflags(write=False)
+    return t
+
+
+def _triple_blocks(n: int):
+    """Every triple i < j < k of range(n), ascending, as (3, m) blocks of
+    at most HULL_BLOCK // n triples (all at once up to ALL_TRIPLES points),
+    so that no block's candidate x point heights exceed HULL_BLOCK."""
+    if n <= ALL_TRIPLES:
+        yield _all_triples(n)
+        return
+    rows = max(1, HULL_BLOCK // n)
+    held = np.empty((3, 0), dtype=np.intp)
+    for i in range(n - 2):
+        j, k = np.triu_indices(n - i - 1, 1)
+        held = np.hstack([held, [np.full(len(j), i), j + i + 1, k + i + 1]])
+        while held.shape[1] >= rows or (i == n - 3 and held.shape[1]):
+            yield held[:, :rows]
+            held = held[:, rows:]
+
+
+def _neighbour_triples(directions: np.ndarray, k: int) -> np.ndarray:
+    """The triangles of the graph that joins each point to its k nearest
+    directions (unit rows), each once, ascending: a (3, m) index array."""
+    n = len(directions)
+    near = directions @ directions.T
+    np.fill_diagonal(near, -np.inf)
+    adj = near >= np.partition(near, n - k, axis=1)[:, n - k, None]
+    adj |= adj.T
+    upper = _upper(n)
+    pair = np.flatnonzero(adj & upper)
+    i, j = pair // n, pair % n
+    third = np.flatnonzero(adj[i] & adj[j] & upper[j])
+    edge = third // n
+    return np.stack([i[edge], j[edge], third % n])
+
+
+@cache
+def _upper(n: int) -> np.ndarray:
+    """(n, n), True above the diagonal; cached per n, read-only."""
+    u = np.triu(np.ones((n, n), dtype=bool), 1)
+    u.setflags(write=False)
+    return u
+
+
+def _supporting(q: np.ndarray, t: np.ndarray) -> tuple:
+    """The candidate triangles t (3, m) of the points q (rows, about their
+    centroid, scaled to radius 1) whose planes support q: no point lies
+    outside by more than HULL_TOL, and the centroid lies inside by more
+    (so no candidate is degenerate). Returns the supporting triples, each
+    ccw seen from outside, (f, 3), and the points on each plane within
+    HULL_TOL, (n, f)."""
+    x = q.T[:, t]                               # coordinate x corner x triple
+    p0 = x[:, 0]
+    d1, d2 = x[:, 1] - p0, x[:, 2] - p0
+    normal = d1[_CYCLE] * d2[_PREV] - d1[_PREV] * d2[_CYCLE]
+    off = np.einsum("ij,ij->j", normal, p0)
+    sign = np.where(off < 0, -1.0, 1.0)
+    normal *= sign
+    off *= sign
+    length = np.sqrt(np.einsum("ij,ij->j", normal, normal))
+    slack = HULL_TOL * length
+    height = q @ normal                         # point x triple
+    keep = ((height.max(axis=0) <= off + slack) & (off > slack)
+            & (length > HULL_TOL)).nonzero()[0]
+    tri = t[:, keep].T
+    tri = np.where(sign[keep, None] < 0, tri[:, ::-1], tri)
+    return tri, height[:, keep] >= (off - slack)[keep]
+
+
+def _fan_walls(q, tri, on) -> np.ndarray:
+    """The hull triangles of the supporting triangles `tri` (f, 3), ccw seen
+    from outside, where some plane passes through more than three points:
+    `on` (n, f) marks the points on each one's plane. Each distinct point
+    set is one facet, and a set inside a larger one is that one's. A facet
+    of more than three points is fanned from its least corner
+    (`_wall_corners`)."""
+    sets, first = np.unique(on.T, axis=0, return_index=True)
+    size = sets.sum(axis=1)
+    shared = sets.astype(int) @ sets.T.astype(int)
+    inside = ((shared == size[:, None]) & (size > size[:, None])).any(axis=1)
+    wall = ~inside & (size > 3)
+    fans = [tri[first[~inside & (size == 3)]]]
+    for members, f in zip(sets[wall], first[wall]):
+        ring = _wall_corners(q, members.nonzero()[0], tri[f])
+        fans.append(np.stack([np.full(len(ring) - 2, ring[0]), ring[1:-1],
+                              ring[2:]], axis=1))
+    return np.concatenate(fans)
+
+
+def _wall_corners(q, idx, triangle) -> np.ndarray:
+    """The corners among the points q[idx] of one hull plane, ccw seen from
+    outside (the side `triangle`, one of its supporting triangles, faces)
+    from the least: Andrew's monotone chain in the plane, which drops every
+    point that turns by no more than HULL_TOL."""
+    a, b, c = q[triangle]
+    normal = cross(b - a, c - a)
+    e1 = cross(normal, np.eye(3)[np.argmin(np.abs(normal))])
+    e1 /= np.sqrt(e1 @ e1)
+    e2 = cross(normal / np.sqrt(normal @ normal), e1)
+    xy = q[idx] @ np.stack([e1, e2], axis=1)
+    order = np.lexsort(xy.T[::-1]).tolist()
+    chains = []
+    for run in (order, order[::-1]):            # lower chain, then upper
+        chain = []
+        for k in run:
+            while len(chain) >= 2:
+                (x0, y0), (x1, y1) = xy[chain[-2]], xy[chain[-1]]
+                x2, y2 = xy[k]
+                if (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0) > HULL_TOL:
+                    break
+                chain.pop()
+            chain.append(k)
+        chains += chain[:-1]
+    ring = idx[chains]
+    return np.roll(ring, -int(np.argmin(ring)))
+
+
+def _closed(tri: np.ndarray, n: int) -> bool:
+    """Whether the triangles `tri` glue into a closed sphere: the directed
+    edges are distinct and are their own reverses as a set, so each runs
+    back exactly once, and V - E + F = 2."""
+    tail, head = tri.ravel(), tri[:, _CYCLE].ravel()
+    key, back = np.sort(tail * n + head), np.sort(head * n + tail)
+    if not len(tri) or (key[1:] == key[:-1]).any() or (key != back).any():
+        return False
+    return np.count_nonzero(np.bincount(tail, minlength=n)) - len(tri) // 2 == 2
+
+
+def polar_hull(points: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """The boundary of the convex hull of `points` (rows), as triangles
+    ccw seen from outside, (F, 3), by the rules of the module docstring.
+    `directions` (unit rows) are those of the first len(directions) points
+    about an interior point; the candidate graph joins those. Raises
+    EmptyInterior when the supporting triangles of every triple do not
+    close: the points span no solid."""
+    n = len(points)
+    q = points - points.mean(axis=0)
+    q /= np.sqrt(np.einsum("ij,ij->i", q, q).max())
+    k = NEIGHBOURS
+    while True:
+        every = n <= ALL_TRIPLES or k >= len(directions) - 1
+        blocks = (_triple_blocks(n) if every
+                  else [_neighbour_triples(directions, k)])
+        found = [_supporting(q, t) for t in blocks]
+        tri = np.concatenate([f[0] for f in found])
+        on = np.concatenate([f[1] for f in found], axis=1)
+        if (on.sum(axis=0) > 3).any():
+            tri = _fan_walls(q, tri, on)
+        if _closed(tri, n):
+            return tri
+        if every:
+            raise EmptyInterior(
+                "degenerate dual configuration: the supporting triangles of "
+                f"the {n} polar points do not close into a sphere")
+        k *= 2
 
 
 def dual_rows(duals) -> np.ndarray:
@@ -307,12 +489,12 @@ def hull_from_dual_points(duals) -> ConvexPolyhedronH3:
     """Polyhedron cut out by the planes dual to the given de Sitter points
     (DSPoints, raw rows, or an (n, 4) array of rows; see `dual_rows`).
 
-    One Qhull call builds the hull of the polar points a_i / (b_i - a_i y0)
+    `polar_hull` builds the hull of the polar points a_i / (b_i - a_i y0)
     about an interior point y0 (`_interior_point`), with y0 itself appended
     as the polar origin: the polyhedron is bounded exactly when y0 is not a
     vertex of that hull. Planes that are no hull vertex are redundant; they
-    are discarded and recorded. The hull's simplices, each oriented by its
-    facet normal, are the polyhedron's triangulated face lattice, which
+    are discarded and recorded. The hull's triangles, ccw seen from
+    outside, are the polyhedron's triangulated face lattice, which
     `_face_lattice` reads off.
 
     Raises EmptyInterior when the negative half-spaces have no common
@@ -333,24 +515,17 @@ def hull_from_dual_points(duals) -> ConvexPolyhedronH3:
     gap = b - a @ y0
     if (gap <= 0).any():
         raise EmptyInterior("interior point failed strict containment")
-    ConvexHull, QhullError = qhull()
     polar = np.vstack([a / gap[:, None], np.zeros(3)])
-    try:
-        hull = ConvexHull(polar)
-    except QhullError as exc:
-        raise EmptyInterior(f"degenerate dual configuration: {exc}") from exc
-    if n in hull.vertices:
+    tri = polar_hull(polar, a / _row_norms(a)[:, None])
+    essential = np.bincount(tri.ravel(), minlength=n + 1).nonzero()[0]
+    if essential[-1] == n:
         raise UnboundedPolyhedron(
             "plane family recedes to infinity: its interior point is a "
             "vertex of the polar hull")
-    essential = np.sort(hull.vertices)
-    if len(essential) < 4:
-        raise EmptyInterior("fewer than four essential planes")
     redundant = np.ones(n, dtype=bool)
     redundant[essential] = False
     return _face_lattice(rows, a, b, essential,
-                         redundant.nonzero()[0].tolist(),
-                         oriented_simplices(hull))
+                         redundant.nonzero()[0].tolist(), tri)
 
 
 def polyhedron_from_chart(duals, surface: CombSurface,
@@ -394,17 +569,8 @@ def polyhedron_from_chart(duals, surface: CombSurface,
         essential=np.arange(len(rows)))
 
 
-def oriented_simplices(hull) -> np.ndarray:
-    """The simplices of a Qhull hull, each ccw seen from outside: reversed
-    where its corners turn against its facet normal."""
-    tri = hull.simplices
-    p = hull.points[tri]
-    turn = rowdot(cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]),
-                  hull.equations[:, :3])
-    return np.where((turn < 0)[:, None], tri[:, ::-1], tri)
-
-
 _CYCLE = np.array([1, 2, 0])
+_PREV = np.array([2, 0, 1])
 
 
 def _face_lattice(rows, a, b, essential, discarded, tri) -> ConvexPolyhedronH3:

@@ -791,7 +791,10 @@ def continuation(start, target: ConeMetric, steps: int = 10,
     before the loop; a step reads its row, and raises a row's
     DomainExceeded only when it reaches that row. A halved step, a bump
     candidate and every step after a flip take the same pass on one row.
+    Raises ValueError when `steps` is below 1.
     """
+    if steps < 1:
+        raise ValueError(f"continuation needs at least one step, got {steps}")
     validate_target(target)
     try:
         state = _start_state(start, target)

@@ -6,7 +6,7 @@ from itertools import chain
 from typing import Optional
 
 import numpy as np
-from scipy.spatial import ConvexHull
+from scipy.spatial import ConvexHull, QhullError
 
 from polydual import geodesic, solver
 from polydual.errors import (
@@ -55,6 +55,7 @@ from polydual.polyhedra import (
     UNDECIDED,
     VIOLATED,
     ChartCertificate,
+    ConvexPolyhedronH3,
     DualMetricOutput,
     Edge,
     Face,
@@ -70,9 +71,8 @@ from polydual.polyhedra import (
     cycle_walk,
     dual_rows,
     glued_edges,
-    oriented_simplices,
+    hull_from_dual_points,
     polygon_area,
-    qhull,
 )
 from polydual.solver import FRAME_TOL
 from polydual.surface import (
@@ -530,6 +530,81 @@ def svd_solve_triples(a, b, tri):
     y[ok] = np.linalg.solve(rows[ok], rhs[ok][..., None])[..., 0]
     resid = (rows @ y[..., None])[..., 0] - rhs
     return y, ok & (np.max(np.abs(resid), axis=1) <= SOLVE_RESIDUAL)
+
+
+def qhull() -> tuple:
+    """scipy.spatial's (ConvexHull, QhullError): the reference hull, the one
+    lookup of every Qhull call here."""
+    return ConvexHull, QhullError
+
+
+def oriented_simplices(hull) -> np.ndarray:
+    """The simplices of a Qhull hull, each ccw seen from outside: reversed
+    where its corners turn against its facet normal."""
+    tri = hull.simplices
+    p = hull.points[tri]
+    turn = rowdot(cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]),
+                  hull.equations[:, :3])
+    return np.where((turn < 0)[:, None], tri[:, ::-1], tri)
+
+
+def qhull_lattice(duals) -> ConvexPolyhedronH3:
+    """Checks `polyhedra.hull_from_dual_points` (the same lattice, vertices
+    within 1e-12, or the same exception class): the hull it replaced, one
+    Qhull call on the polar points and the polar origin, its simplices
+    oriented by their facet normals, and the same `_face_lattice`."""
+    rows = dual_rows(duals)
+    n = len(rows)
+    if n < 4:
+        raise InvalidPolyhedron("need at least four face planes")
+    a, b = rows[:, 1:].copy(), rows[:, 0].copy()
+    y0 = _interior_point(a, b)
+    gap = b - a @ y0
+    if (gap <= 0).any():
+        raise EmptyInterior("interior point failed strict containment")
+    ConvexHull, QhullError = qhull()
+    polar = np.vstack([a / gap[:, None], np.zeros(3)])
+    try:
+        hull = ConvexHull(polar)
+    except QhullError as exc:
+        raise EmptyInterior(f"degenerate dual configuration: {exc}") from exc
+    if n in hull.vertices:
+        raise UnboundedPolyhedron(
+            "plane family recedes to infinity: its interior point is a "
+            "vertex of the polar hull")
+    essential = np.sort(hull.vertices)
+    if len(essential) < 4:
+        raise EmptyInterior("fewer than four essential planes")
+    redundant = np.ones(n, dtype=bool)
+    redundant[essential] = False
+    return _face_lattice(rows, a, b, essential,
+                         redundant.nonzero()[0].tolist(),
+                         oriented_simplices(hull))
+
+
+def same_hull_outcome(duals) -> str:
+    """Asserts that `polyhedra.hull_from_dual_points` and `qhull_lattice`
+    give the same lattice of `duals` (plane and vertex rows within 1e-12;
+    equal edge, cycle, essential and discarded arrays) or raise the same
+    exception class; returns "lattice" or that class's name."""
+    outcomes = []
+    for build in (hull_from_dual_points, qhull_lattice):
+        try:
+            outcomes.append(build(duals))
+        except (InvalidPolyhedron, UnboundedPolyhedron, EmptyInterior) as exc:
+            outcomes.append(type(exc))
+    got, want = outcomes
+    if isinstance(want, type):
+        assert got is want, (got, want)
+        return want.__name__
+    assert isinstance(got, ConvexPolyhedronH3), got
+    for name in ("plane_rows", "vertex_rows"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.shape == w.shape and np.abs(g - w).max() <= 1e-12, name
+    for name in ("edge_vertices", "edge_faces", "cycle_vertices",
+                 "cycle_offsets", "essential", "discarded"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    return "lattice"
 
 
 def angle_sorted_hull(duals) -> ReferenceLattice:

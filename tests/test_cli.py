@@ -52,8 +52,8 @@ def run_python(code, *args):
 
 
 def test_cli_import_leaves_out_scipy_optimize():
-    # scipy serves only the hulls, their Chebyshev fallback and the chord
-    # step's LU, each imported on use
+    # scipy serves only the chord step's LU and the Chebyshev fallback of
+    # the interior point, each imported on use
     code = ("import sys, polydual.cli; "
             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     out = run_python(code)
@@ -61,22 +61,84 @@ def test_cli_import_leaves_out_scipy_optimize():
     assert out.stdout.strip() == "[]"
 
 
+WITHOUT_SCIPY = ("import sys; sys.modules['scipy'] = None; "
+                 "from polydual.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
 def test_check_and_scale_run_without_scipy(tetra_files, tmp_path):
-    _, dual_path = tetra_files
-    code = ("import sys; sys.modules['scipy'] = None; "
-            "from polydual.cli import main; sys.exit(main(sys.argv[1:]))")
+    # every command but the solver's runs on numpy alone, hulls included
+    poly_path, dual_path = tetra_files
     scaled, genus2 = tmp_path / "scaled.json", tmp_path / "genus2.json"
-    for argv in (["check", str(dual_path), "--depth", "6"],
+    solid, solid_dual = tmp_path / "solid.json", tmp_path / "solid-dual.json"
+    for argv in (["gen", "random", "--n", "14", "--out", str(solid)],
+                 ["dualize", str(solid), "--out", str(solid_dual)],
+                 ["dualize", str(poly_path), "--out", str(tmp_path / "d.json")],
+                 ["check", str(dual_path), "--depth", "6"],
                  ["scale", str(dual_path), "0.01", "--out", str(scaled)],
                  ["dualize", "--fuchsian", "1.0", "--out", str(genus2)],
                  ["fuchsian-demo", "--height", "1.0"]):
-        out = run_python(code, *argv)
-        assert out.returncode == 0, out.stderr
-    assert scaled.exists() and genus2.exists()
-    # the guard holds: a command that builds a hull cannot run
-    out = run_python(code, "dualize", str(tetra_files[0]),
-                     "--out", str(tmp_path / "dual.json"))
-    assert out.returncode != 0 and "scipy" in out.stderr
+        out = run_python(WITHOUT_SCIPY, *argv)
+        assert out.returncode == 0, (argv, out.stderr)
+    assert scaled.exists() and genus2.exists() and solid_dual.exists()
+    # the guard holds: a command that factors a Jacobian cannot run
+    for argv in (["roundtrip", str(poly_path), "--steps", "2"],
+                 ["realize", str(dual_path), "--steps", "2",
+                  "--out", str(tmp_path / "r.json")]):
+        out = run_python(WITHOUT_SCIPY, *argv)
+        assert out.returncode != 0 and "scipy" in out.stderr
+
+
+BAD_OPTIONS = [
+    ("roundtrip", ["--steps", "-2"]), ("roundtrip", ["--steps", "0"]),
+    ("realize", ["--steps", "-1"]), ("realize", ["--steps", "0"]),
+    ("check", ["--depth", "0"]), ("check", ["--depth", "-1"]),
+    ("realize", ["--depth", "-3"]), ("realize", ["--tol", "0"]),
+    ("roundtrip", ["--tol", "0"]), ("roundtrip", ["--tol", "nan"]),
+    ("roundtrip", ["--match-tol", "nan"]), ("roundtrip", ["--match-tol", "-1"]),
+    ("roundtrip", ["--magnitude", "-1"]), ("roundtrip", ["--magnitude", "nan"]),
+    ("roundtrip", ["--steps", "1.5"]), ("gen", ["--n", "3"]),
+]
+
+
+HANGING = {("roundtrip", "-2"), ("realize", "-1")}
+
+
+@pytest.mark.parametrize("command, option", BAD_OPTIONS,
+                         ids=[f"{c}{o[0]}={o[1]}" for c, o in BAD_OPTIONS])
+def test_bad_numeric_option_is_invalid(tetra_files, tmp_path, capsys, command,
+                                       option):
+    # exit 2 naming the option, before any work; the negative steps that
+    # used to loop forever run in a subprocess with a timeout
+    poly_path, dual_path = tetra_files
+    out = str(tmp_path / "out.json")
+    argv = {"roundtrip": ["roundtrip", str(poly_path)],
+            "realize": ["realize", str(dual_path), "--out", out],
+            "check": ["check", str(dual_path)],
+            "gen": ["gen", "random", "--out", out]}[command] + option
+    if (command, option[1]) in HANGING:
+        env = dict(os.environ, PYTHONPATH=SRC_DIR)
+        done = subprocess.run([sys.executable, "-m", "polydual", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+        code, err = done.returncode, done.stderr
+    else:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        code, err = exc.value.code, capsys.readouterr().err
+    assert code == 2
+    assert f"argument {option[0]}: must be" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("h, code", [("1e-10", 1), ("1e-6", 1), ("1e-3", 0)])
+def test_tiny_heights_fail_on_the_cone_angle(tmp_path, capsys, h, code):
+    out = tmp_path / "genus2.json"
+    assert main(["dualize", "--fuchsian", h, "--out", str(out)]) == code
+    assert out.exists() == (code == 0)
+    assert main(["fuchsian-demo", "--height", h]) == code
+    if code:
+        assert "the cone angle misses 2 pi plus the face area" in capsys.readouterr().err
 
 
 def realize_large_files(tmp_path, monkeypatch, n_faces):

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from bench_solids import fibonacci_solids
+from bench_solids import fibonacci_solid, fibonacci_solids
 from oracles import (
     SphericalPolygon,
     angle_sorted_hull,
@@ -15,6 +15,7 @@ from oracles import (
     reference_dihedral,
     reference_dualize,
     reference_hull,
+    same_hull_outcome,
     svd_solve_triples,
     vertex_link,
 )
@@ -32,6 +33,7 @@ from polydual.polyhedra import (
     EUCLIDEAN_TETRA_ANGLE,
     LIFT_RADIUS,
     MERGE_TOL,
+    NEIGHBOURS,
     ORIGIN_CLEARANCE,
     Face,
     _check_turns,
@@ -39,7 +41,9 @@ from polydual.polyhedra import (
     _mates,
     _plane_offsets,
     _solve_triples,
+    _triple_blocks,
     _validate_lattice,
+    _wall_corners,
     cycle_walk,
     dihedral_angle,
     dihedral_angles,
@@ -367,6 +371,147 @@ class TestStackedHull:
         for P in oracle_polyhedra():
             want = [P.edge_length(k) for k in range(P.n_edges)]
             assert np.array_equal(P.edge_lengths(), want)
+
+
+def planes_at(directions, t):
+    """Dual points of the planes at distance t along unit `directions`."""
+    return np.hstack([np.full((len(directions), 1), np.sinh(t)),
+                      np.cosh(t) * directions])
+
+
+def unit(v):
+    return v / np.linalg.norm(v, axis=1)[:, None]
+
+
+def hemisphere_planes(n):
+    """n planes whose normals all lean into the upper half-space: the
+    polyhedron recedes to infinity downwards."""
+    az = 2 * np.pi * np.arange(n) / n
+    return planes_at(unit(np.stack([np.cos(az), np.sin(az),
+                                    np.full(n, 0.4)], axis=1)), 0.5)
+
+
+def prism_planes(n):
+    """n planes with horizontal normals: the polar points and the polar
+    origin are coplanar, so the hull is flat."""
+    az = 2 * np.pi * np.arange(n) / n + 0.1
+    return planes_at(np.stack([np.cos(az), np.sin(az), np.zeros(n)], axis=1), 0.5)
+
+
+def cone_planes(n):
+    """n planes through one point of the z axis: their polar points are
+    coplanar, off the polar origin."""
+    az = 2 * np.pi * np.arange(n) / n
+    normals = unit(np.stack([np.cos(az), np.sin(az), np.full(n, 0.7)], axis=1))
+    apex = np.array([0.0, 0.0, 0.3])
+    rows = np.hstack([(normals @ apex)[:, None], normals])
+    return rows / np.sqrt(1.0 - rows[:, 0] ** 2)[:, None]
+
+
+def recorded_hull_inputs(monkeypatch, make):
+    """The dual points of every hull `make()` builds through `polyhedra`,
+    rejected tries included."""
+    from polydual import polyhedra
+
+    inputs = []
+    build = polyhedra.hull_from_dual_points
+    monkeypatch.setattr(polyhedra, "hull_from_dual_points",
+                        lambda duals: inputs.append(duals) or build(duals))
+    make()
+    return inputs
+
+
+class TestPolarHull:
+    """The numpy hull gives the Qhull path's lattice (`qhull_lattice`), or
+    raises its exception class."""
+
+    def test_fixtures(self):
+        fixtures = [tetra_normals(t) for t in np.linspace(0.05, 0.3, 10)]
+        fixtures += [hexahedron(0.5).planes, triangular_bipyramid().planes]
+        assert ({same_hull_outcome(duals) for duals in fixtures}
+                == {"lattice"})
+
+    def test_random_polyhedra_and_their_rejected_tries(self, monkeypatch):
+        outcomes = set()
+        for seed in range(41):
+            inputs = recorded_hull_inputs(monkeypatch, lambda: random_polyhedron(
+                np.random.RandomState(seed), 5 + seed % 16))
+            outcomes |= {same_hull_outcome(duals) for duals in inputs}
+        assert outcomes == {"lattice", "UnboundedPolyhedron"}
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_bench_solids(self, seed):
+        for n in (8, 20, 30, 40, 50, 60):
+            solid = fibonacci_solid(np.random.RandomState([seed, 0, n]), n, 0.02)
+            assert same_hull_outcome(solid.poly.plane_rows) == "lattice"
+            assert same_hull_outcome(solid.start.plane_rows) == "lattice"
+
+    def test_hundred_faces(self):
+        solid = fibonacci_solid(np.random.RandomState([1, 0, 100]), 100, 2e-3)
+        assert same_hull_outcome(solid.poly.plane_rows) == "lattice"
+
+    def test_wall_states(self):
+        outcomes = {same_hull_outcome(duals) for duals in wall_states()}
+        assert outcomes == {"lattice"}
+
+    def test_redundant_planes(self):
+        # a plane that misses the body, and one that touches it at a corner
+        far = planes_at(np.ones((1, 3)) / np.sqrt(3), 2.0)
+        touching = hexahedron(0.5)
+        corner = touching.vertex_rows[0]
+        normal = corner[1:] / np.linalg.norm(corner[1:])
+        row = np.append(normal @ corner[1:] / corner[0], normal)
+        inputs = [np.vstack([[p.v for p in tetra_normals(0.25)], far]),
+                  np.vstack([touching.plane_rows,
+                             row / np.sqrt(row[1:] @ row[1:] - row[0] ** 2)])]
+        for duals in inputs:
+            assert same_hull_outcome(duals) == "lattice"
+        assert hull_from_dual_points(inputs[0]).discarded == [4]
+        assert hull_from_dual_points(inputs[1]).discarded == [6]
+
+    @pytest.mark.parametrize("n", [4, 7, 24, 30, 40])
+    def test_unbounded_families(self, n):
+        assert same_hull_outcome(hemisphere_planes(n)) == "UnboundedPolyhedron"
+
+    @pytest.mark.parametrize("n", [5, 9, 30])
+    def test_flat_families(self, n):
+        assert same_hull_outcome(prism_planes(n)) == "EmptyInterior"
+        with pytest.raises(EmptyInterior, match="^degenerate dual configuration"):
+            hull_from_dual_points(prism_planes(n))
+        assert same_hull_outcome(cone_planes(n)) == "UnboundedPolyhedron"
+
+    def test_neighbour_graph_doubles_until_it_closes(self, monkeypatch):
+        from polydual import polyhedra
+
+        duals = fibonacci_solids((40,))[0].plane_rows
+        rounds = []
+        make = polyhedra._neighbour_triples
+        monkeypatch.setattr(polyhedra, "_neighbour_triples",
+                            lambda u, k: rounds.append(k) or make(u, k))
+        hull_from_dual_points(duals)
+        assert rounds == [NEIGHBOURS]
+        rounds.clear()
+        monkeypatch.setattr(polyhedra, "NEIGHBOURS", 2)
+        assert same_hull_outcome(duals) == "lattice"
+        assert rounds[0] == 2 and rounds == [2 << k for k in range(len(rounds))]
+
+    def test_blocks_hold_every_triple_once(self, monkeypatch):
+        from polydual import polyhedra
+
+        monkeypatch.setattr(polyhedra, "HULL_BLOCK", 3000)
+        blocks = list(_triple_blocks(40))
+        assert len(blocks) > 1
+        assert max(b.shape[1] for b in blocks) * 40 <= 3000
+        got = np.concatenate(blocks, axis=1).T.tolist()
+        assert got == [list(t) for t in itertools.combinations(range(40), 3)]
+
+    def test_wall_corners_drop_points_that_do_not_turn(self):
+        # a square's corners, a point on one side and one inside, on the
+        # plane z = 1 and seen from above
+        q = np.array([[0.5, 0.5, 1], [1, 0, 1], [0, 0, 1], [1, 1, 1],
+                      [0.5, 0, 1], [0, 1, 1], [0, 0, -1.0]])
+        ring = _wall_corners(q, np.arange(6), np.array([2, 1, 3]))
+        assert ring.tolist() == [1, 3, 5, 2]
 
 
 def pentagon(radii):

@@ -67,6 +67,7 @@ from oracles import (
     masked_frames,
     masked_jacobian,
     moved_point_by_point,
+    same_hull_outcome,
     scalar_tangent_frame,
     svd_gauge,
 )
@@ -767,6 +768,13 @@ class TestContinuation:
         assert match_dihedral_angles(P, recovered_polyhedron(final))
         assert rigidity_report(final).smallest_singular_value > 1e-8
 
+    @pytest.mark.parametrize("steps", [0, -2])
+    def test_fewer_than_one_step_is_refused(self, tetra, steps):
+        # a step count below 1 plans a path that never reaches s = 1
+        P, out = tetra
+        with pytest.raises(ValueError, match="at least one step"):
+            continuation(P, out.metric, steps=steps)
+
     def test_hexahedron_round_trip(self, hexa):
         P, out = hexa
         start = perturbed_polyhedron(P, np.random.RandomState(5), 5e-3)
@@ -986,6 +994,35 @@ class TestRefutation:
             st = SolverState(pts, surface, np.ones(surface.n_edges))
             with pytest.raises(FeasibilityLost):
                 solver._checked_hull(st)
+
+    def test_checked_states_give_the_qhull_lattice(self, monkeypatch):
+        # every state a solve crossing a wall, two round trips and the
+        # refutation draws check in full: the numpy hull gives the Qhull
+        # path's lattice, or raises its exception class
+        checked = []
+        full = solver._checked_hull
+
+        def recording(state):
+            checked.append(np.array(state.positions))
+            return full(state)
+
+        monkeypatch.setattr(solver, "_checked_hull", recording)
+        with pytest.raises(FeasibilityLost):
+            newton_solve(wall_crossing_newton_start())
+        for P in (regular_tetrahedron(1.15), hexahedron(0.5)):
+            start = perturbed_polyhedron(P, np.random.RandomState(3), 1e-2)
+            continuation(start, dualize(P).metric, steps=4)
+        rng = np.random.RandomState(17)
+        for pts, chart in refutation_corpus():
+            for magnitude in np.geomspace(1e-3, 1e-1, 5):
+                st = SolverState(moved_planes(pts, rng, magnitude),
+                                 chart.surface, chart.lengths)
+                with contextlib.suppress(FeasibilityLost):
+                    check_feasible(st)
+                with contextlib.suppress(FeasibilityLost):
+                    solver._checked_hull(st)
+        outcomes = {same_hull_outcome(pts) for pts in checked}
+        assert len(checked) > 50 and {"lattice", "UnboundedPolyhedron"} <= outcomes
 
     def test_violated_state_builds_no_hull_and_no_metric(self, monkeypatch):
         rng = np.random.RandomState(17)

@@ -128,3 +128,19 @@ def test_ab_rounds_runs_a_checkout_against_itself():
     assert sorted(won) == ["0 of 1 pairs", "1 of 1 pairs"]
     assert lines[6].startswith("median B/A ")
     assert "FAILED" not in done.stdout
+
+
+def test_cold_start_times_one_command_of_one_tree():
+    root = os.path.dirname(TOOLS_DIR)
+    src = os.path.join(root, "src")
+    done = subprocess.run(
+        [sys.executable, os.path.join(TOOLS_DIR, "cold_start.py"), src,
+         "--repeats", "1", "--commands", "check"],
+        capture_output=True, text=True, cwd=root)
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[:2] == ["cold_start: 1 repeats, medians", f"  tree 1: {src}"]
+    cells = lines[2].split()
+    assert cells[:3] == ["check", "tree", "1"]
+    assert cells[4] == "ms" and cells[6] == "MB"
+    assert float(cells[3]) > 0 and float(cells[5]) > 0
