@@ -315,7 +315,6 @@ def build_parser():
     r.add_argument("--tol", type=positive, default=NEWTON_TOL)
     r.add_argument("--depth", type=count, default=6,
                    help="largeness search depth for target validation")
-    r.add_argument("--seed", type=int, default=0)
     r.add_argument("--out", required=True)
     r.set_defaults(func=cmd_realize)
 

@@ -8,8 +8,8 @@ The face lattice of a simple polyhedron is a triangulation of the sphere,
 one triangle per vertex: the polar duals of the vertex links. Both
 producers read the lattice off such a triangulation, gluing half-edges
 into an edge table:
-- `hull_from_dual_points` passes the triangles of the polar hull
-  (`polar_hull`), each ccw seen from outside, to `_face_lattice`, which
+- `hull_from_dual_points` passes the vertex triangles of the planes
+  (`klein_hull`), each ccw seen from outside, to `_face_lattice`, which
   solves each triangle's vertex, merges the vertices of a wall and checks
   the lattice;
 - `polyhedron_from_chart` reads a certified chart's triangles, their
@@ -22,37 +22,34 @@ that `dualize` glues into the dual metric (the polar polygons of the vertex
 links).
 
 The hull runs in the Klein chart y = (x1,x2,x3)/x0, where a face plane with
-de Sitter normal n becomes the Euclidean half-space n_sp . y <= n0 and
-hyperbolic convexity coincides with Euclidean convexity. The polar points
-are taken about an interior point: the Klein origin when every plane keeps
-it at ORIGIN_CLEARANCE, else a Chebyshev LP point. That interior point rides
-along as one more polar point, and the polyhedron is unbounded exactly when
-it comes out a hull vertex.
-
-The polar hull is built from supporting planes, in numpy alone:
-- Candidates. Up to ALL_TRIPLES points every triple is a candidate (the
-  index arrays cached per point count). Above that, the candidates are the
-  triangles of the graph joining each plane to its NEIGHBOURS nearest
-  directions about the interior point; the interior point itself is left
-  out, since it is a hull vertex only when the polyhedron is unbounded.
-- Supporting test. A candidate is a hull facet when no point lies outside
-  its plane by more than HULL_TOL, relative to the points' radius about
-  their centroid, and the centroid lies inside by more; it is oriented
-  outward, away from the centroid. HULL_TOL is a hundredth of MERGE_TOL:
-  a polar point's height over a facet's plane, times its plane's gap at
-  the interior point and the Klein distance of the facet's vertex from
-  it, is the residual by which its plane misses that vertex.
-- Walls. A plane through more than three points (the bipyramid's wall, a
-  solver state on a wall) is one facet: its corners are ordered cyclically
-  about its normal and fanned from the least, and `_face_lattice` merges
-  that vertex as it merges any triangles whose points share more than
-  three planes.
-- Closure is the proof. Every directed facet edge must run back exactly
-  once, and V - E + F = 2. Each facet lies on the hull's boundary, so a
-  closed sphere of them is the whole boundary. When the neighbour
-  candidates do not close, NEIGHBOURS doubles, up to every triple in
-  blocks of at most HULL_BLOCK heights; when every triple does not close,
-  the points span no solid and EmptyInterior is raised.
+de Sitter normal n becomes the Euclidean half-space a . y <= b, a = n_sp and
+b = n0, and hyperbolic convexity coincides with Euclidean convexity. The
+vertices are the plane triples whose common point no other plane cuts, and
+`klein_hull` enumerates them in numpy, with no interior point:
+- Candidates. Up to ALL_TRIPLES planes every triple (the index arrays
+  cached per plane count), else the triangles of the graph joining each
+  plane to its NEIGHBOURS nearest unit normals.
+- Vertex test. A candidate (i, j, k) is a vertex when its normals pass
+  `_solve_triples`' DET_CUTOFF rule and its point y = (b_i a_j x a_k +
+  b_j a_k x a_i + b_k a_i x a_j) / det lies inside every plane up to
+  HULL_TOL times `_plane_offsets`' relative scale. HULL_TOL is a hundredth
+  of MERGE_TOL, at which `_face_lattice` collects a vertex's planes, so
+  the lattice merges whatever the hull splits. It is ccw seen from outside
+  when det > 0, else reversed.
+- Walls. The planes within HULL_TOL of one point (the bipyramid's wall, a
+  solver state on a wall) form one vertex: the rays of its normal cone,
+  their unit normals, are ordered about the axis from the vertices'
+  centroid through it (`_wall_corners`) and fanned from the least plane.
+- Closure is the proof. Every half-edge must find its mate
+  (`directed_mates`), and V - E + F = 2. When the neighbour candidates do
+  not close, NEIGHBOURS doubles, up to every triple in blocks of at most
+  HULL_BLOCK plane offsets.
+- Failures, over every triple: no triple with independent normals (say,
+  normals in one plane) raises EmptyInterior("degenerate dual
+  configuration: ..."); no vertex raises EmptyInterior("plane family
+  admits no common interior"); vertices that do not close raise
+  UnboundedPolyhedron("plane family recedes to infinity: ..."), as does
+  `_lift_klein` on a vertex outside the ball.
 """
 from __future__ import annotations
 
@@ -98,7 +95,6 @@ BALL_MARGIN = 1e-12
 # products and three sums of <x, x>, each some u / d), 1.0e-13 here. Both
 # `chart_verdict`'s ball test and `_lift_klein` read it.
 LIFT_RADIUS = 0.995
-ORIGIN_CLEARANCE = 0.1           # least plane distance that keeps the Klein origin
 MERGE_TOL = 1e-9                 # relative residual of a plane through a vertex
 SOLVE_RESIDUAL = 1e-6            # largest plane residual of a solved vertex
 RANK_CUTOFF = 3 * np.finfo(float).eps    # lstsq's relative singular value cutoff
@@ -108,11 +104,11 @@ CERTIFY_ROUNDOFF = 1e-13         # relative roundoff allowance of a 3x3 solve
 CERTIFIED, UNDECIDED, VIOLATED = "certified", "undecided", "violated"
 RANDOM_RADII = (0.25, 0.5)       # plane distances from the origin
 RANDOM_TRIES = 200
-# The polar hull (see the module docstring)
-HULL_TOL = 1e-11                 # relative height of a point on a hull plane
-ALL_TRIPLES = 25                 # most points whose every triple is a candidate
-NEIGHBOURS = 12                  # nearest directions joined in the candidate graph
-HULL_BLOCK = 1 << 18             # most candidate x point heights held at once
+# The hull (see the module docstring)
+HULL_TOL = 1e-11                 # relative residual of a vertex outside a plane
+ALL_TRIPLES = 25                 # most planes whose every triple is a candidate
+NEIGHBOURS = 12                  # nearest normals joined in the candidate graph
+HULL_BLOCK = 1 << 18             # most candidate x plane offsets held at once
 
 
 class Face(NamedTuple):
@@ -278,30 +274,6 @@ def _lift_klein(y: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _interior_point(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Strictly interior point of {y : a y <= b}: the Klein origin when every
-    plane keeps it at a distance b_i / |a_i| of at least ORIGIN_CLEARANCE,
-    and otherwise a Chebyshev-style LP point near the ball.
-
-    A de Sitter point has b_i < |a_i|, so at the origin every polar point
-    a_i / b_i has a norm in (1, 1 / ORIGIN_CLEARANCE]: the clearance bounds
-    the polar points' spread.
-    """
-    norms = np.linalg.norm(a, axis=1)
-    if (b >= ORIGIN_CLEARANCE * norms).all():
-        return np.zeros(3)
-    # imported here: no benchmark input takes this branch, and importing
-    # scipy.optimize costs about 0.2 s and 12 MB
-    from scipy.optimize import linprog
-
-    A_ub = np.hstack([a, norms[:, None]])
-    res = linprog(c=[0.0, 0.0, 0.0, -1.0], A_ub=A_ub, b_ub=b,
-                  bounds=[(-2, 2), (-2, 2), (-2, 2), (0, 3)], method="highs")
-    if not res.success or res.x[3] <= 1e-9:
-        raise EmptyInterior("plane family admits no common interior")
-    return res.x[:3]
-
-
 @cache
 def _all_triples(n: int) -> np.ndarray:
     """Every triple i < j < k of range(n) as a (3, m) index array, cached
@@ -313,8 +285,8 @@ def _all_triples(n: int) -> np.ndarray:
 
 def _triple_blocks(n: int):
     """Every triple i < j < k of range(n), ascending, as (3, m) blocks of
-    at most HULL_BLOCK // n triples (all at once up to ALL_TRIPLES points),
-    so that no block's candidate x point heights exceed HULL_BLOCK."""
+    at most HULL_BLOCK // n triples (all at once up to ALL_TRIPLES planes),
+    so that no block's candidate x plane offsets exceed HULL_BLOCK."""
     if n <= ALL_TRIPLES:
         yield _all_triples(n)
         return
@@ -329,7 +301,7 @@ def _triple_blocks(n: int):
 
 
 def _neighbour_triples(directions: np.ndarray, k: int) -> np.ndarray:
-    """The triangles of the graph that joins each point to its k nearest
+    """The triangles of the graph that joins each plane to its k nearest
     directions (unit rows), each once, ascending: a (3, m) index array."""
     n = len(directions)
     near = directions @ directions.T
@@ -352,62 +324,90 @@ def _upper(n: int) -> np.ndarray:
     return u
 
 
-def _supporting(q: np.ndarray, t: np.ndarray) -> tuple:
-    """The candidate triangles t (3, m) of the points q (rows, about their
-    centroid, scaled to radius 1) whose planes support q: no point lies
-    outside by more than HULL_TOL, and the centroid lies inside by more
-    (so no candidate is degenerate). Returns the supporting triples, each
-    ccw seen from outside, (f, 3), and the points on each plane within
-    HULL_TOL, (n, f)."""
-    x = q.T[:, t]                               # coordinate x corner x triple
-    p0 = x[:, 0]
-    d1, d2 = x[:, 1] - p0, x[:, 2] - p0
-    normal = d1[_CYCLE] * d2[_PREV] - d1[_PREV] * d2[_CYCLE]
-    off = np.einsum("ij,ij->j", normal, p0)
-    sign = np.where(off < 0, -1.0, 1.0)
-    normal *= sign
-    off *= sign
-    length = np.sqrt(np.einsum("ij,ij->j", normal, normal))
-    slack = HULL_TOL * length
-    height = q @ normal                         # point x triple
-    keep = ((height.max(axis=0) <= off + slack) & (off > slack)
-            & (length > HULL_TOL)).nonzero()[0]
-    tri = t[:, keep].T
-    tri = np.where(sign[keep, None] < 0, tri[:, ::-1], tri)
-    return tri, height[:, keep] >= (off - slack)[keep]
+def _vertices(a, b, blocks) -> tuple:
+    """The candidate triples of `blocks` ((3, m) each) that are vertices of
+    the planes a y <= b, by the rule of the module docstring: (tri, y, on,
+    independent), the vertex triples (f, 3), each ccw seen from outside,
+    their points (f, 3), the planes within HULL_TOL of each (n, f), and
+    whether any candidate's normals are independent.
+
+    With det and N a candidate's determinant and numerator (y = N / det)
+    and s the sign of det, its column x = (s N, |det|, |N|) gives each
+    plane's `beyond` . x = |det| (a y - b - HULL_TOL scale) and `within` . x
+    = |det| (a y - b + HULL_TOL scale), with the scale 1 + |b| + |a| |y| of
+    `_plane_offsets`: one product gives every plane's offset at every
+    candidate, and no candidate divides."""
+    squares = np.add.reduce(a * a, axis=1)
+    col = b[:, None]
+    slack = HULL_TOL * (1.0 + np.abs(col))
+    tol = HULL_TOL * np.sqrt(squares)[:, None]
+    beyond = np.concatenate([a, -col - slack, -tol], axis=1)
+    rolled = a.T.take(_ROLLED, axis=0)          # coordinates c + 1, c + 2
+    found = []
+    for t in blocks:
+        tc, tp = t.take(_CYCLE, axis=0), t.take(_PREV, axis=0)
+        u, w = rolled.take(tc, axis=1), rolled.take(tp, axis=1)
+        # coordinate x corner x candidate: a_j x a_k, a_k x a_i, a_i x a_j
+        crosses = u[:3] * w[3:] - u[3:] * w[:3]
+        x = np.empty((5, t.shape[1]))
+        np.einsum("crm,rm->cm", crosses, b.take(t), out=x[:3])
+        np.einsum("cm,cm->m", a.T.take(t[0], axis=1), crosses[:, 0], out=x[3])
+        sign = np.sign(x[3])
+        x[:4] *= sign
+        np.sqrt(np.einsum("cm,cm->m", x[:3], x[:3]), out=x[4])
+        ok = x[3] > DET_CUTOFF * squares.take(t).sum(axis=0) ** 1.5
+        keep = (ok & ((beyond @ x).max(axis=0) <= 0)).nonzero()[0]
+        tri = t[:, keep]
+        found.append((np.where(sign[keep] < 0, tri[::-1], tri), x[:, keep],
+                      ok.any(keepdims=True)))
+    tri, x, independent = (np.concatenate(f, axis=-1) for f in zip(*found))
+    within = np.concatenate([a, slack - col, tol], axis=1)
+    return tri.T, (x[:3] / x[3]).T, within @ x >= 0, bool(independent.any())
 
 
-def _fan_walls(q, tri, on) -> np.ndarray:
-    """The hull triangles of the supporting triangles `tri` (f, 3), ccw seen
-    from outside, where some plane passes through more than three points:
-    `on` (n, f) marks the points on each one's plane. Each distinct point
-    set is one facet, and a set inside a larger one is that one's. A facet
-    of more than three points is fanned from its least corner
-    (`_wall_corners`)."""
+_ROLLED = np.array([1, 2, 0, 2, 0, 1])
+
+
+def _fan_walls(a, tri, y, on) -> np.ndarray:
+    """The hull triangles of the vertex triples `tri` (f, 3), ccw seen from
+    outside, at the points `y` (f, 3), where `on` (n, f) marks more than
+    three planes through some point. Each distinct plane set is one vertex,
+    and a set inside a larger one is that one's. A vertex of more than
+    three planes is fanned from its least corner (`_wall_corners`), the
+    rays of its normal cone projected about the axis from the vertices'
+    centroid through it; one whose normals do not all face along that axis
+    has no pointed cone and gets no fan, so the triangles do not close."""
     sets, first = np.unique(on.T, axis=0, return_index=True)
     size = sets.sum(axis=1)
     shared = sets.astype(int) @ sets.T.astype(int)
     inside = ((shared == size[:, None]) & (size > size[:, None])).any(axis=1)
     wall = ~inside & (size > 3)
     fans = [tri[first[~inside & (size == 3)]]]
+    centroid = y.mean(axis=0)
     for members, f in zip(sets[wall], first[wall]):
-        ring = _wall_corners(q, members.nonzero()[0], tri[f])
+        idx = members.nonzero()[0]
+        axis = y[f] - centroid
+        rays = a[idx] / _row_norms(a[idx])[:, None]
+        height = rays @ axis
+        if not (height > 0).all():
+            continue
+        # on the plane at unit distance along the axis
+        ring = _wall_corners(rays * (np.sqrt(axis @ axis) / height)[:, None],
+                             idx, axis)
         fans.append(np.stack([np.full(len(ring) - 2, ring[0]), ring[1:-1],
                               ring[2:]], axis=1))
     return np.concatenate(fans)
 
 
-def _wall_corners(q, idx, triangle) -> np.ndarray:
-    """The corners among the points q[idx] of one hull plane, ccw seen from
-    outside (the side `triangle`, one of its supporting triangles, faces)
-    from the least: Andrew's monotone chain in the plane, which drops every
-    point that turns by no more than HULL_TOL."""
-    a, b, c = q[triangle]
-    normal = cross(b - a, c - a)
+def _wall_corners(p, idx, normal) -> np.ndarray:
+    """The corners among the points p (rows, labelled idx) of one plane with
+    normal `normal`, ccw seen from its tip, from the least label: Andrew's
+    monotone chain in the plane, which drops every point that turns by no
+    more than HULL_TOL."""
     e1 = cross(normal, np.eye(3)[np.argmin(np.abs(normal))])
     e1 /= np.sqrt(e1 @ e1)
     e2 = cross(normal / np.sqrt(normal @ normal), e1)
-    xy = q[idx] @ np.stack([e1, e2], axis=1)
+    xy = p @ np.stack([e1, e2], axis=1)
     order = np.lexsort(xy.T[::-1]).tolist()
     chains = []
     for run in (order, order[::-1]):            # lower chain, then upper
@@ -425,44 +425,45 @@ def _wall_corners(q, idx, triangle) -> np.ndarray:
     return np.roll(ring, -int(np.argmin(ring)))
 
 
-def _closed(tri: np.ndarray, n: int) -> bool:
-    """Whether the triangles `tri` glue into a closed sphere: the directed
-    edges are distinct and are their own reverses as a set, so each runs
-    back exactly once, and V - E + F = 2."""
-    tail, head = tri.ravel(), tri[:, _CYCLE].ravel()
-    key, back = np.sort(tail * n + head), np.sort(head * n + tail)
-    if not len(tri) or (key[1:] == key[:-1]).any() or (key != back).any():
-        return False
-    return np.count_nonzero(np.bincount(tail, minlength=n)) - len(tri) // 2 == 2
+def _closure(tri: np.ndarray, n: int) -> Optional[np.ndarray]:
+    """The mates of the half-edges of `tri` (`directed_mates`) when every
+    one is found and V - E + F = 2, so that the triangles glue into a
+    closed sphere; else None."""
+    mate = directed_mates(tri, n)
+    used = np.count_nonzero(np.bincount(tri.ravel(), minlength=n))
+    return None if (mate < 0).any() or used - len(tri) // 2 != 2 else mate
 
 
-def polar_hull(points: np.ndarray, directions: np.ndarray) -> np.ndarray:
-    """The boundary of the convex hull of `points` (rows), as triangles
-    ccw seen from outside, (F, 3), by the rules of the module docstring.
-    `directions` (unit rows) are those of the first len(directions) points
-    about an interior point; the candidate graph joins those. Raises
-    EmptyInterior when the supporting triangles of every triple do not
-    close: the points span no solid."""
-    n = len(points)
-    q = points - points.mean(axis=0)
-    q /= np.sqrt(np.einsum("ij,ij->i", q, q).max())
+def klein_hull(a: np.ndarray, b: np.ndarray) -> tuple:
+    """The vertex triangles of the planes a y <= b (rows of a, entries of b)
+    in the Klein chart, each ccw seen from outside, (T, 3), and the mates of
+    their half-edges, (3T,), by the rules of the module docstring, which
+    also names what it raises."""
+    n = len(a)
     k = NEIGHBOURS
     while True:
-        every = n <= ALL_TRIPLES or k >= len(directions) - 1
-        blocks = (_triple_blocks(n) if every
-                  else [_neighbour_triples(directions, k)])
-        found = [_supporting(q, t) for t in blocks]
-        tri = np.concatenate([f[0] for f in found])
-        on = np.concatenate([f[1] for f in found], axis=1)
-        if (on.sum(axis=0) > 3).any():
-            tri = _fan_walls(q, tri, on)
-        if _closed(tri, n):
-            return tri
+        every = n <= ALL_TRIPLES or k >= n - 1
+        blocks = (_triple_blocks(n) if every else
+                  [_neighbour_triples(a / _row_norms(a)[:, None], k)])
+        tri, y, on, independent = _vertices(a, b, blocks)
+        if len(tri):
+            if (on.sum(axis=0) > 3).any():
+                tri = _fan_walls(a, tri, y, on)
+            mate = _closure(tri, n)
+            if mate is not None:
+                return tri, mate
         if every:
-            raise EmptyInterior(
-                "degenerate dual configuration: the supporting triangles of "
-                f"the {n} polar points do not close into a sphere")
+            break
         k *= 2
+    if not independent:
+        raise EmptyInterior(
+            "degenerate dual configuration: no three of the "
+            f"{n} planes have independent normals")
+    if not len(y):
+        raise EmptyInterior("plane family admits no common interior")
+    raise UnboundedPolyhedron(
+        "plane family recedes to infinity: its vertex triangles do not "
+        "close into a sphere")
 
 
 def dual_rows(duals) -> np.ndarray:
@@ -489,43 +490,31 @@ def hull_from_dual_points(duals) -> ConvexPolyhedronH3:
     """Polyhedron cut out by the planes dual to the given de Sitter points
     (DSPoints, raw rows, or an (n, 4) array of rows; see `dual_rows`).
 
-    `polar_hull` builds the hull of the polar points a_i / (b_i - a_i y0)
-    about an interior point y0 (`_interior_point`), with y0 itself appended
-    as the polar origin: the polyhedron is bounded exactly when y0 is not a
-    vertex of that hull. Planes that are no hull vertex are redundant; they
-    are discarded and recorded. The hull's triangles, ccw seen from
-    outside, are the polyhedron's triangulated face lattice, which
+    `klein_hull` enumerates the vertices of the half-spaces a_i y <= b_i in
+    the Klein chart, as plane triples. Planes that are at no vertex are
+    redundant; they are discarded and recorded. The vertex triangles, ccw
+    seen from outside, are the polyhedron's triangulated face lattice, which
     `_face_lattice` reads off.
 
     Raises EmptyInterior when the negative half-spaces have no common
-    interior, and UnboundedPolyhedron when they recede to infinity or a
-    lattice vertex escapes H^3. A vertex collects every plane within
-    MERGE_TOL (relative) of it, so a configuration sitting within that of a
-    coplanarity wall gets one merged vertex; a lattice that still comes out
-    inconsistent raises InvalidPolyhedron, as does a raw row that does not
-    normalize onto the de Sitter quadric.
+    interior or independent normals, and UnboundedPolyhedron when they
+    recede to infinity or a lattice vertex escapes H^3. A vertex collects
+    every plane within MERGE_TOL (relative) of it, so a configuration
+    sitting within that of a coplanarity wall gets one merged vertex; a
+    lattice that still comes out inconsistent raises InvalidPolyhedron, as
+    does a raw row that does not normalize onto the de Sitter quadric.
     """
     rows = dual_rows(duals)
     n = len(rows)
     if n < 4:
         raise InvalidPolyhedron("need at least four face planes")
     a, b = rows[:, 1:].copy(), rows[:, 0].copy()
-    y0 = _interior_point(a, b)
-
-    gap = b - a @ y0
-    if (gap <= 0).any():
-        raise EmptyInterior("interior point failed strict containment")
-    polar = np.vstack([a / gap[:, None], np.zeros(3)])
-    tri = polar_hull(polar, a / _row_norms(a)[:, None])
-    essential = np.bincount(tri.ravel(), minlength=n + 1).nonzero()[0]
-    if essential[-1] == n:
-        raise UnboundedPolyhedron(
-            "plane family recedes to infinity: its interior point is a "
-            "vertex of the polar hull")
+    tri, mate = klein_hull(a, b)
+    essential = np.bincount(tri.ravel(), minlength=n).nonzero()[0]
     redundant = np.ones(n, dtype=bool)
     redundant[essential] = False
     return _face_lattice(rows, a, b, essential,
-                         redundant.nonzero()[0].tolist(), tri)
+                         redundant.nonzero()[0].tolist(), tri, mate)
 
 
 def polyhedron_from_chart(duals, surface: CombSurface,
@@ -573,10 +562,12 @@ _CYCLE = np.array([1, 2, 0])
 _PREV = np.array([2, 0, 1])
 
 
-def _face_lattice(rows, a, b, essential, discarded, tri) -> ConvexPolyhedronH3:
+def _face_lattice(rows, a, b, essential, discarded, tri,
+                  mate=None) -> ConvexPolyhedronH3:
     """The polyhedron of the planes `rows` (a y <= b in the Klein chart),
     read off `tri`, a triangulation of the sphere on the essential planes
-    with every triangle ccw seen from outside.
+    with every triangle ccw seen from outside, and `mate`, its half-edges'
+    mates when the caller has found them all (`_closure`).
 
     Each triangle's three planes are solved for its vertex (`_solve_triples`).
     Vertices are ordered by sorted plane triple. Where more planes than a
@@ -607,8 +598,9 @@ def _face_lattice(rows, a, b, essential, discarded, tri) -> ConvexPolyhedronH3:
     face_of = np.full(len(rows), -1)
     face_of[essential] = np.arange(len(essential))
     tri = face_of[tri]
-    edge_vertices, edge_faces = glued_edges(tri, _mates(tri, len(essential)),
-                                            vertex_of)
+    if mate is None:
+        mate = _mates(tri, len(essential))
+    edge_vertices, edge_faces = glued_edges(tri, mate, vertex_of)
     cycles, _, sizes = cycle_walk(edge_faces, edge_vertices, len(essential))
     small = (sizes < 3).nonzero()[0]
     if small.size:

@@ -497,15 +497,6 @@ def develop_third_point(A, B, dist_a, dist_b, sign: float):
     return planar + (sign * np.sqrt(z2))[..., None] * normal
 
 
-def _sphere_corner(P, Q, R) -> float:
-    """Interior angle at P between the great circles toward Q and R."""
-    tq = Q - (P @ Q) * P
-    tr = R - (P @ R) * P
-    tq = tq / np.sqrt(tq @ tq)
-    tr = tr / np.sqrt(tr @ tr)
-    return float(np.arccos(np.clip(tq @ tr, -1.0, 1.0)))
-
-
 def flip_edge(m: ConeMetric, e: int) -> tuple:
     """Replace edge e by the opposite diagonal of its developed quadrilateral.
 
@@ -541,11 +532,13 @@ def flip_edge(m: ConeMetric, e: int) -> tuple:
     C = develop_third_point(A, B, len_CA, len_BC, +1.0)
     D = develop_third_point(A, B, len_AD, len_DB, -1.0)
 
-    # convexity of the quadrilateral C-A-D-B at the old diagonal's endpoints
-    ang_A = _sphere_corner(A, C, B) + _sphere_corner(A, B, D)
-    ang_B = _sphere_corner(B, C, A) + _sphere_corner(B, A, D)
-    if ang_A >= np.pi - 1e-10 or ang_B >= np.pi - 1e-10:
-        raise FlipBlocked("developed quadrilateral is not convex at the diagonal")
+    # convexity of the quadrilateral C-A-D-B at the old diagonal's endpoints:
+    # the angles at P from C to Q to D, between the tangents toward them
+    for P, Q in ((A, B), (B, A)):
+        ray = np.stack([C, Q, D])
+        tangent = ray - (ray @ P)[:, None] * P
+        if sphere_angle(tangent[:-1], tangent[1:]).sum() >= np.pi - 1e-10:
+            raise FlipBlocked("developed quadrilateral is not convex at the diagonal")
     new_len = sphere_angle(C, D)
     if new_len >= np.pi - 1e-12:
         raise FlipBlocked("new diagonal would reach length pi")

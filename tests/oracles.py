@@ -61,7 +61,6 @@ from polydual.polyhedra import (
     Face,
     _check_turns,
     _face_lattice,
-    _interior_point,
     _lift_klein,
     _plane_offsets,
     _planes_through,
@@ -532,6 +531,27 @@ def svd_solve_triples(a, b, tri):
     return y, ok & (np.max(np.abs(resid), axis=1) <= SOLVE_RESIDUAL)
 
 
+ORIGIN_CLEARANCE = 0.1
+
+
+def interior_point(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Strictly interior point of {y : a y <= b}, the polar hulls' centre
+    (`qhull_lattice`, `angle_sorted_hull`): the Klein origin when every
+    plane keeps it at a distance b_i / |a_i| of at least ORIGIN_CLEARANCE,
+    and otherwise a Chebyshev-style LP point near the ball."""
+    norms = np.linalg.norm(a, axis=1)
+    if (b >= ORIGIN_CLEARANCE * norms).all():
+        return np.zeros(3)
+    from scipy.optimize import linprog
+
+    A_ub = np.hstack([a, norms[:, None]])
+    res = linprog(c=[0.0, 0.0, 0.0, -1.0], A_ub=A_ub, b_ub=b,
+                  bounds=[(-2, 2), (-2, 2), (-2, 2), (0, 3)], method="highs")
+    if not res.success or res.x[3] <= 1e-9:
+        raise EmptyInterior("plane family admits no common interior")
+    return res.x[:3]
+
+
 def qhull() -> tuple:
     """scipy.spatial's (ConvexHull, QhullError): the reference hull, the one
     lookup of every Qhull call here."""
@@ -558,7 +578,7 @@ def qhull_lattice(duals) -> ConvexPolyhedronH3:
     if n < 4:
         raise InvalidPolyhedron("need at least four face planes")
     a, b = rows[:, 1:].copy(), rows[:, 0].copy()
-    y0 = _interior_point(a, b)
+    y0 = interior_point(a, b)
     gap = b - a @ y0
     if (gap <= 0).any():
         raise EmptyInterior("interior point failed strict containment")
@@ -619,7 +639,7 @@ def angle_sorted_hull(duals) -> ReferenceLattice:
     if n < 4:
         raise InvalidPolyhedron("need at least four face planes")
     a, b = rows[:, 1:].copy(), rows[:, 0].copy()
-    y0 = _interior_point(a, b)
+    y0 = interior_point(a, b)
     gap = b - a @ y0
     if np.any(gap <= 0):
         raise EmptyInterior("interior point failed strict containment")

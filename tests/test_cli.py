@@ -10,7 +10,8 @@ import pytest
 from polydual import cli, serialize
 from polydual.cli import main
 from polydual.fuchsian import fuchsian_dualize, fuchsian_octagon_group
-from polydual.polyhedra import dualize, regular_tetrahedron
+from polydual.minkowski import Isometry
+from polydual.polyhedra import dualize, hexahedron, regular_tetrahedron
 from polydual.surface import octahedron_sphere
 
 from bench_solids import fibonacci_solid
@@ -52,8 +53,7 @@ def run_python(code, *args):
 
 
 def test_cli_import_leaves_out_scipy_optimize():
-    # scipy serves only the chord step's LU and the Chebyshev fallback of
-    # the interior point, each imported on use
+    # scipy serves only the chord step's LU, imported on use
     code = ("import sys, polydual.cli; "
             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     out = run_python(code)
@@ -66,13 +66,20 @@ WITHOUT_SCIPY = ("import sys; sys.modules['scipy'] = None; "
 
 
 def test_check_and_scale_run_without_scipy(tetra_files, tmp_path):
-    # every command but the solver's runs on numpy alone, hulls included
+    # every command but the solver's runs on numpy alone, hulls included:
+    # also of a hexahedron boosted off the Klein origin
     poly_path, dual_path = tetra_files
     scaled, genus2 = tmp_path / "scaled.json", tmp_path / "genus2.json"
     solid, solid_dual = tmp_path / "solid.json", tmp_path / "solid-dual.json"
+    boosted, boosted_dual = tmp_path / "boosted.json", tmp_path / "boosted-dual.json"
+    rows = hexahedron(0.5).plane_rows @ Isometry.boost(1, 1.0).m.T
+    serialize.write_document(str(boosted), serialize.envelope(
+        "polyhedron", serialize.encode_dual_points(rows), {"command": "boost"}))
     for argv in (["gen", "random", "--n", "14", "--out", str(solid)],
                  ["dualize", str(solid), "--out", str(solid_dual)],
                  ["dualize", str(poly_path), "--out", str(tmp_path / "d.json")],
+                 ["dualize", str(boosted), "--out", str(boosted_dual)],
+                 ["check", str(boosted_dual), "--depth", "6"],
                  ["check", str(dual_path), "--depth", "6"],
                  ["scale", str(dual_path), "0.01", "--out", str(scaled)],
                  ["dualize", "--fuchsian", "1.0", "--out", str(genus2)],
@@ -80,6 +87,7 @@ def test_check_and_scale_run_without_scipy(tetra_files, tmp_path):
         out = run_python(WITHOUT_SCIPY, *argv)
         assert out.returncode == 0, (argv, out.stderr)
     assert scaled.exists() and genus2.exists() and solid_dual.exists()
+    assert boosted_dual.exists()
     # the guard holds: a command that factors a Jacobian cannot run
     for argv in (["roundtrip", str(poly_path), "--steps", "2"],
                  ["realize", str(dual_path), "--steps", "2",

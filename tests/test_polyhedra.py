@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -34,7 +35,6 @@ from polydual.polyhedra import (
     LIFT_RADIUS,
     MERGE_TOL,
     NEIGHBOURS,
-    ORIGIN_CLEARANCE,
     Face,
     _check_turns,
     _lift_klein,
@@ -346,9 +346,8 @@ class TestStackedHull:
     def test_interior_point_lp(self, t, monkeypatch):
         # a box of half-widths 0.25, 0.5, 0.5 boosted along x: by 1 the
         # Klein origin leaves it, by 0.25 - 1e-9 its -x face passes 1e-9
-        # from the origin; either way the LP finds the interior point
-        import scipy.optimize
-
+        # from the origin; the hull takes neither an interior point nor an
+        # LP, so it runs with scipy.optimize unimportable
         duals = [DSPoint(np.array([np.sinh(r), *(np.cosh(r) * s * u)]))
                  for u, r in zip(np.eye(3), (0.25, 0.5, 0.5)) for s in (1, -1)]
         P = hull_from_dual_points(duals)
@@ -356,13 +355,9 @@ class TestStackedHull:
         moved = [g.apply(p) for p in duals]
         a = np.array([p.v[1:] for p in moved])
         b = np.array([p.v[0] for p in moved])
-        assert np.min(b / np.linalg.norm(a, axis=1)) < ORIGIN_CLEARANCE
-        calls = []
-        real = scipy.optimize.linprog
-        monkeypatch.setattr(scipy.optimize, "linprog",
-                            lambda *args, **kw: calls.append(1) or real(*args, **kw))
+        assert np.min(b / np.linalg.norm(a, axis=1)) < 0.1
+        monkeypatch.setitem(sys.modules, "scipy.optimize", None)
         Q = hull_from_dual_points(moved)
-        assert calls == [1]
         assert lattice(Q, rotated=True) == lattice(P, rotated=True)
         want = np.array([g.apply(v).v for v in P.vertices])
         assert np.max(np.abs(vertex_array(Q) - want)) < 1e-12
@@ -454,6 +449,26 @@ class TestPolarHull:
         outcomes = {same_hull_outcome(duals) for duals in wall_states()}
         assert outcomes == {"lattice"}
 
+    @pytest.mark.parametrize("axis", [1, 2, 3])
+    def test_boosted_families(self, axis):
+        # the fixtures, the bipyramid's wall states and 8-50-face bench
+        # solids moved off the Klein origin: the inputs on which the Qhull
+        # path needs its Chebyshev LP for an interior point
+        inputs = [np.array([p.v for p in duals]) for duals in (
+            tetra_normals(0.2), hexahedron(0.5).planes,
+            triangular_bipyramid().planes)]
+        inputs += wall_states()[::4]
+        inputs += [P.plane_rows for P in fibonacci_solids((8, 20, 30, 50))]
+        far, outcomes = 0, set()
+        for t in (0.25, 0.5, 1.0, 2.0):
+            g = Isometry.boost(axis, t).m
+            for rows in inputs:
+                moved = rows @ g.T
+                far += (moved[:, 0] < 0.1 * np.linalg.norm(moved[:, 1:], axis=1)).any()
+                outcomes.add(same_hull_outcome(moved))
+        assert outcomes == {"lattice"}
+        assert far > len(inputs)
+
     def test_redundant_planes(self):
         # a plane that misses the body, and one that touches it at a corner
         far = planes_at(np.ones((1, 3)) / np.sqrt(3), 2.0)
@@ -509,9 +524,11 @@ class TestPolarHull:
         # a square's corners, a point on one side and one inside, on the
         # plane z = 1 and seen from above
         q = np.array([[0.5, 0.5, 1], [1, 0, 1], [0, 0, 1], [1, 1, 1],
-                      [0.5, 0, 1], [0, 1, 1], [0, 0, -1.0]])
-        ring = _wall_corners(q, np.arange(6), np.array([2, 1, 3]))
+                      [0.5, 0, 1], [0, 1, 1]])
+        ring = _wall_corners(q, np.arange(6), np.array([0, 0, 1.0]))
         assert ring.tolist() == [1, 3, 5, 2]
+        ring = _wall_corners(q, np.arange(6) + 10, np.array([0, 0, -1.0]))
+        assert ring.tolist() == [11, 12, 15, 13]
 
 
 def pentagon(radii):
